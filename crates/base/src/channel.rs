@@ -165,30 +165,32 @@ pub struct ChannelEnd {
 /// channel graph of an experiment (topology-aware sync lookahead, automatic
 /// partitioning) after the endpoints have been moved into their kernels.
 pub fn channel_pair(params: ChannelParams) -> (ChannelEnd, ChannelEnd) {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT_CONN: AtomicU64 = AtomicU64::new(1);
-    let conn_id = NEXT_CONN.fetch_add(1, Ordering::Relaxed);
     let (pa, ca) = spsc::queue(params.queue_len);
     let (pb, cb) = spsc::queue(params.queue_len);
-    (
-        ChannelEnd {
-            tx: pa,
-            rx: cb,
-            params,
-            conn_id,
-            dir: 0,
-        },
-        ChannelEnd {
-            tx: pb,
-            rx: ca,
-            params,
-            conn_id,
-            dir: 1,
-        },
-    )
+    let a = ChannelEnd::new(pa, cb, params);
+    let mut b = ChannelEnd::new(pb, ca, params);
+    b.conn_id = a.conn_id;
+    b.dir = 1;
+    (a, b)
 }
 
 impl ChannelEnd {
+    /// Assemble an endpoint from the producer of its outgoing ring and the
+    /// consumer of its incoming ring, wherever those rings live (heap for
+    /// [`channel_pair`], a mapped region for a cross-process link). The
+    /// endpoint gets a fresh connection id and direction tag 0.
+    pub fn new(tx: Producer, rx: Consumer, params: ChannelParams) -> ChannelEnd {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static NEXT_CONN: AtomicU64 = AtomicU64::new(1);
+        ChannelEnd {
+            tx,
+            rx,
+            params,
+            conn_id: NEXT_CONN.fetch_add(1, Ordering::Relaxed),
+            dir: 0,
+        }
+    }
+
     /// The channel's static configuration.
     pub fn params(&self) -> ChannelParams {
         self.params
@@ -208,10 +210,10 @@ impl ChannelEnd {
         self.dir
     }
 
-    /// Override the direction tag. Only the distributed runner uses this:
-    /// a cross-partition endpoint is materialized from a fresh local pair,
-    /// so its tag must be set explicitly to the side (`a` = 0, `b` = 1) it
-    /// represents in the logical topology.
+    /// Override the direction tag. Only the runner uses this: an endpoint
+    /// built with [`ChannelEnd::new`] for a cross-partition link must be
+    /// tagged with the side (`a` = 0, `b` = 1) it represents in the logical
+    /// topology.
     pub fn set_dir(&mut self, dir: u8) {
         self.dir = dir;
     }

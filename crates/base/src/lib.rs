@@ -5,7 +5,8 @@
 //!
 //! * [`time`] — virtual time ([`SimTime`], picosecond resolution).
 //! * [`slot`] — fixed-size message slots with the ownership/type control byte.
-//! * [`spsc`] — single-producer/single-consumer polled message queues (§A.2).
+//! * [`spsc`] — single-producer/single-consumer polled message queues (§A.2),
+//!   one ring over heap or caller-supplied (memory-mapped) slot memory.
 //! * [`channel`] — bidirectional channels built from two SPSC queues (§5.2).
 //! * [`impair`] — deterministic link impairments (loss, jitter, reordering,
 //!   rate variation) applied by the sending endpoint of a channel.

@@ -44,6 +44,11 @@ pub(crate) struct SlotHeader {
 
 /// One queue slot. Aligned to two cache lines to avoid false sharing between
 /// neighbouring slots' control bytes on typical 64 B cache line machines.
+///
+/// This `repr(C)` layout is also the layout of a ring in a memory-mapped
+/// region shared by two processes (`crate::spsc::RingMem`), so every bit
+/// pattern must be a valid slot: an all-zero slot is empty and
+/// producer-owned, and `SlotHeader::len` is clamped by the consumer.
 #[repr(C, align(128))]
 pub(crate) struct Slot {
     pub header: UnsafeCell<SlotHeader>,

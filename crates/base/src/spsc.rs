@@ -4,10 +4,18 @@
 //! tail index locally, the consumer keeps the head index locally; the only
 //! shared state is the per-slot control byte and payload, which minimizes
 //! cache coherence traffic. This mirrors the shared-memory queue layout of
-//! the original SimBricks implementation; here the "shared memory segment" is
-//! a heap allocation shared between two threads via `Arc`.
+//! the original SimBricks implementation.
+//!
+//! There is one ring and two backings. [`queue`] places the slots in a heap
+//! allocation shared by two threads; [`Producer::over`] / [`Consumer::over`]
+//! place one end on slot memory the caller supplies ([`RingMem`]) — the
+//! runner's memory-mapped region for a link between two processes. Both run
+//! the same code on the same slot layout (`crate::slot`): an all-zero block
+//! is an empty ring whose slots all belong to the producer.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::any::Any;
+use std::ptr::NonNull;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crate::pktbuf::{BufPool, PktBuf};
@@ -17,37 +25,93 @@ use crate::time::SimTime;
 /// Default number of slots per unidirectional queue.
 pub const DEFAULT_QUEUE_LEN: usize = 64;
 
-struct Shared {
-    slots: Box<[Slot]>,
-    /// Set when the producer is dropped, letting the consumer distinguish
-    /// "no message yet" from "peer is gone".
-    producer_closed: AtomicBool,
-    /// Set when the consumer is dropped.
-    consumer_closed: AtomicBool,
+/// Bytes one slot occupies in ring memory.
+pub const SLOT_BYTES: usize = std::mem::size_of::<Slot>();
+/// Alignment ring memory must have.
+pub const SLOT_ALIGN: usize = std::mem::align_of::<Slot>();
+
+/// The memory one ring lives in, as one of its ends sees it.
+#[derive(Clone)]
+pub struct RingMem {
+    /// `len * SLOT_BYTES` bytes, [`SLOT_ALIGN`]-aligned.
+    pub slots: NonNull<u8>,
+    /// Number of slots (at least 2).
+    pub len: usize,
+    /// Non-zero once the producer end is gone, letting the consumer
+    /// distinguish "no message yet" from "peer is gone".
+    pub producer_closed: NonNull<AtomicU8>,
+    /// Non-zero once the consumer end is gone.
+    pub consumer_closed: NonNull<AtomicU8>,
+    /// Keeps the memory behind the three pointers alive.
+    pub owner: Arc<dyn Any + Send + Sync>,
 }
 
-/// Create a new SPSC queue with `len` slots, returning its two endpoints.
+// SAFETY: `slots` is only reached through the per-slot ownership protocol of
+// `crate::slot` (acquire/release on the control byte), the two flags are
+// atomics, `len` is plain data and `owner` is `Send + Sync`.
+unsafe impl Send for RingMem {}
+unsafe impl Sync for RingMem {}
+
+impl RingMem {
+    fn checked(self) -> Self {
+        assert!(self.len >= 2, "queue needs at least two slots");
+        assert_eq!(self.slots.as_ptr() as usize % SLOT_ALIGN, 0, "ring memory misaligned");
+        self
+    }
+
+    #[inline]
+    fn slot(&self, idx: usize) -> &Slot {
+        assert!(idx < self.len);
+        // SAFETY: in bounds (checked above), and the constructors' contract
+        // makes `slots` a live `[Slot; len]`.
+        unsafe { &*self.slots.cast::<Slot>().as_ptr().add(idx) }
+    }
+
+    #[inline]
+    fn next(&self, idx: usize) -> usize {
+        if idx + 1 == self.len {
+            0
+        } else {
+            idx + 1
+        }
+    }
+
+    fn producer_closed(&self) -> &AtomicU8 {
+        // SAFETY: valid for as long as `owner` lives (constructor contract).
+        unsafe { self.producer_closed.as_ref() }
+    }
+
+    fn consumer_closed(&self) -> &AtomicU8 {
+        // SAFETY: as above.
+        unsafe { self.consumer_closed.as_ref() }
+    }
+}
+
+/// Heap backing of [`queue`].
+struct HeapRing {
+    slots: Box<[Slot]>,
+    producer_closed: AtomicU8,
+    consumer_closed: AtomicU8,
+}
+
+/// Create a new SPSC queue with `len` slots on the heap, returning its two
+/// endpoints.
 pub fn queue(len: usize) -> (Producer, Consumer) {
-    assert!(len >= 2, "queue needs at least two slots");
-    let slots: Vec<Slot> = (0..len).map(|_| Slot::new()).collect();
-    let shared = Arc::new(Shared {
-        slots: slots.into_boxed_slice(),
-        producer_closed: AtomicBool::new(false),
-        consumer_closed: AtomicBool::new(false),
+    let heap = Arc::new(HeapRing {
+        slots: (0..len).map(|_| Slot::new()).collect(),
+        producer_closed: AtomicU8::new(0),
+        consumer_closed: AtomicU8::new(0),
     });
-    (
-        Producer {
-            shared: shared.clone(),
-            tail: 0,
-            sent: 0,
-        },
-        Consumer {
-            shared,
-            head: 0,
-            received: 0,
-            pool: BufPool::new(),
-        },
-    )
+    let mem = RingMem {
+        slots: NonNull::from(&heap.slots[..]).cast(),
+        len,
+        producer_closed: NonNull::from(&heap.producer_closed),
+        consumer_closed: NonNull::from(&heap.consumer_closed),
+        owner: heap,
+    };
+    // SAFETY: the block is a fresh `[Slot; len]` kept alive by `owner`, and
+    // these are its only two ends.
+    unsafe { (Producer::over(mem.clone()), Consumer::over(mem)) }
 }
 
 /// Error returned when the queue is full or the peer has disappeared.
@@ -63,12 +127,30 @@ pub enum SendError {
 
 /// Producer endpoint of an SPSC queue.
 pub struct Producer {
-    shared: Arc<Shared>,
+    ring: RingMem,
     tail: usize,
     sent: u64,
 }
 
 impl Producer {
+    /// The producer end of the ring in `mem`, starting at slot 0.
+    ///
+    /// # Safety
+    /// `mem.slots` must point to `mem.len * SLOT_BYTES` bytes aligned to
+    /// [`SLOT_ALIGN`] that are zero-initialised (every slot producer-owned:
+    /// both ends start at slot 0, so memory a ring has already run on will
+    /// not do), and all three pointers must stay valid while `mem.owner`
+    /// lives.
+    /// System-wide — across every process that maps the memory — there must
+    /// be at most this one producer and one consumer on it.
+    pub unsafe fn over(mem: RingMem) -> Producer {
+        Producer {
+            ring: mem.checked(),
+            tail: 0,
+            sent: 0,
+        }
+    }
+
     /// Attempt to enqueue one message. Non-blocking: returns
     /// [`SendError::Full`] if the next slot is not yet free.
     pub fn try_send(
@@ -80,14 +162,14 @@ impl Producer {
         if payload.len() > MAX_PAYLOAD {
             return Err(SendError::TooLarge);
         }
-        if self.shared.consumer_closed.load(Ordering::Relaxed) {
+        if self.peer_closed() {
             return Err(SendError::Disconnected);
         }
-        let slot = &self.shared.slots[self.tail];
+        let slot = self.ring.slot(self.tail);
         if !slot.producer_owned() {
             return Err(SendError::Full);
         }
-        // Safety: we own the slot (checked above with acquire ordering) and
+        // SAFETY: we own the slot (checked above with acquire ordering) and
         // are the only producer.
         unsafe {
             let hdr = &mut *slot.header.get();
@@ -97,10 +179,7 @@ impl Producer {
             dst[..payload.len()].copy_from_slice(payload);
         }
         slot.publish(ty);
-        self.tail += 1;
-        if self.tail == self.shared.slots.len() {
-            self.tail = 0;
-        }
+        self.tail = self.ring.next(self.tail);
         self.sent += 1;
         Ok(())
     }
@@ -112,29 +191,29 @@ impl Producer {
 
     /// Whether there is room for at least one more message.
     pub fn can_send(&self) -> bool {
-        self.shared.slots[self.tail].producer_owned()
+        self.ring.slot(self.tail).producer_owned()
     }
 
     /// Queue capacity in slots.
     pub fn capacity(&self) -> usize {
-        self.shared.slots.len()
+        self.ring.len
     }
 
     /// True once the consumer endpoint has been dropped.
     pub fn peer_closed(&self) -> bool {
-        self.shared.consumer_closed.load(Ordering::Relaxed)
+        self.ring.consumer_closed().load(Ordering::Relaxed) != 0
     }
 }
 
 impl Drop for Producer {
     fn drop(&mut self) {
-        self.shared.producer_closed.store(true, Ordering::Release);
+        self.ring.producer_closed().store(1, Ordering::Release);
     }
 }
 
 /// Consumer endpoint of an SPSC queue.
 pub struct Consumer {
-    shared: Arc<Shared>,
+    ring: RingMem,
     head: usize,
     received: u64,
     /// Arena for received payloads; replaced by the owning kernel's pool via
@@ -143,6 +222,19 @@ pub struct Consumer {
 }
 
 impl Consumer {
+    /// The consumer end of the ring in `mem`, starting at slot 0.
+    ///
+    /// # Safety
+    /// Same contract as [`Producer::over`].
+    pub unsafe fn over(mem: RingMem) -> Consumer {
+        Consumer {
+            ring: mem.checked(),
+            head: 0,
+            received: 0,
+            pool: BufPool::new(),
+        }
+    }
+
     /// Install the buffer pool that received payloads are allocated from.
     pub fn set_pool(&mut self, pool: BufPool) {
         self.pool = pool;
@@ -156,35 +248,38 @@ impl Consumer {
     /// Attempt to dequeue one message, copying it out of the slot into a
     /// pooled buffer (empty payloads — SYNC messages — are allocation-free).
     pub fn try_recv(&mut self) -> Option<OwnedMsg> {
-        let slot = &self.shared.slots[self.head];
+        let slot = self.ring.slot(self.head);
         if !slot.consumer_owned() {
             return None;
         }
+        // SAFETY: we own the slot (checked above with acquire ordering) and
+        // are the only consumer.
         let msg = unsafe {
             let hdr = *slot.header.get();
             let payload = &*slot.payload.get();
-            let data = if hdr.len == 0 {
+            // In a mapped ring the length is input from another process:
+            // clamp it, never slice out of bounds.
+            let len = (hdr.len as usize).min(MAX_PAYLOAD);
+            let data = if len == 0 {
                 PktBuf::empty()
             } else {
-                self.pool.copy_from_slice(&payload[..hdr.len as usize])
+                self.pool.copy_from_slice(&payload[..len])
             };
             OwnedMsg::new(SimTime::from_ps(hdr.timestamp), slot.msg_type(), data)
         };
         slot.release();
-        self.head += 1;
-        if self.head == self.shared.slots.len() {
-            self.head = 0;
-        }
+        self.head = self.ring.next(self.head);
         self.received += 1;
         Some(msg)
     }
 
     /// Peek at the timestamp of the next message without consuming it.
     pub fn peek_timestamp(&self) -> Option<SimTime> {
-        let slot = &self.shared.slots[self.head];
+        let slot = self.ring.slot(self.head);
         if !slot.consumer_owned() {
             return None;
         }
+        // SAFETY: as in `try_recv`; the slot stays ours until released.
         let ts = unsafe { (*slot.header.get()).timestamp };
         Some(SimTime::from_ps(ts))
     }
@@ -197,19 +292,18 @@ impl Consumer {
     /// True once the producer endpoint has been dropped and no message is
     /// pending.
     pub fn is_drained(&self) -> bool {
-        self.shared.producer_closed.load(Ordering::Acquire)
-            && !self.shared.slots[self.head].consumer_owned()
+        self.peer_closed() && !self.ring.slot(self.head).consumer_owned()
     }
 
     /// True once the producer endpoint has been dropped.
     pub fn peer_closed(&self) -> bool {
-        self.shared.producer_closed.load(Ordering::Acquire)
+        self.ring.producer_closed().load(Ordering::Acquire) != 0
     }
 }
 
 impl Drop for Consumer {
     fn drop(&mut self) {
-        self.shared.consumer_closed.store(true, Ordering::Release);
+        self.ring.consumer_closed().store(1, Ordering::Release);
     }
 }
 

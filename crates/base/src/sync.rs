@@ -199,8 +199,10 @@ impl SyncPort {
     /// arrive. Unsynchronized channels report "end of time".
     pub fn horizon(&self) -> SimTime {
         if self.sync_enabled() {
-            if self.peer_gone() && self.pending.is_empty() {
-                // A departed peer can never send anything again.
+            if self.peer_gone() && self.pending.is_empty() && !self.has_raw_input() {
+                // A departed peer can never send anything again. The close
+                // flag is read first: everything the peer sent before going
+                // (another process, for a mapped ring) is in the ring by then.
                 SimTime::MAX
             } else {
                 self.in_horizon
@@ -742,6 +744,23 @@ mod tests {
         b.poll();
         // Still has a pending message: horizon stays at its timestamp.
         assert_eq!(b.horizon(), SimTime::from_ns(500));
+        b.pop_due(SimTime::MAX).unwrap();
+        assert_eq!(b.horizon(), SimTime::MAX);
+    }
+
+    /// A peer that sends and then goes away at once (a worker process that
+    /// finishes first) must not look like "end of time" while what it sent is
+    /// still in the ring, unpolled.
+    #[test]
+    fn departed_peer_is_not_end_of_time_until_ring_is_polled_empty() {
+        let (mut a, mut b) = pair();
+        a.send_data(SimTime::ZERO, 1, &[1]);
+        a.emit_promise(SimTime::from_ns(1000));
+        drop(a);
+        assert!(b.peer_gone() && b.pending_len() == 0 && b.has_raw_input());
+        assert_eq!(b.horizon(), SimTime::ZERO, "two messages wait in the ring");
+        b.poll();
+        assert_eq!(b.horizon(), SimTime::from_ns(1500));
         b.pop_due(SimTime::MAX).unwrap();
         assert_eq!(b.horizon(), SimTime::MAX);
     }

@@ -10,13 +10,71 @@
 //!    pseudo-random pacing) that double as the ThreadSanitizer targets for
 //!    the nightly TSan CI job: any missing release/acquire edge on the
 //!    control byte shows up as a data race on the slot header/payload.
+//!
+//! There is one ring; every test runs on both of its backings with the same
+//! oracle: the heap allocation of `queue(len)`, and caller-supplied slot
+//! memory — an aligned, zero-filled block, which is exactly what a fresh
+//! memory-mapped region hands the ring (the `*_mapped_backing` tests).
 
+use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::ptr::NonNull;
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use simbricks_base::spsc::{queue, SendError};
+use simbricks_base::spsc::{
+    queue, Consumer, Producer, RingMem, SendError, SLOT_ALIGN, SLOT_BYTES,
+};
 use simbricks_base::SimTime;
+
+/// Which memory the ring under test lives in.
+#[derive(Clone, Copy, Debug)]
+enum Backing {
+    /// `queue(len)`: slots on the heap, as for an in-process channel.
+    Heap,
+    /// The raw-memory constructors on a zeroed block laid out like an shm
+    /// region: two close bytes in a header, then the slots.
+    Mapped,
+}
+
+/// Stand-in for a mapped region: a zero-filled, slot-aligned block whose
+/// first bytes are the close flags and whose slots start one alignment unit
+/// in. Freed when the last ring end lets go of it.
+struct Block {
+    ptr: NonNull<u8>,
+    layout: Layout,
+}
+
+// Safety: the block is plain memory, reached only through the ring protocol.
+unsafe impl Send for Block {}
+unsafe impl Sync for Block {}
+
+impl Drop for Block {
+    fn drop(&mut self) {
+        unsafe { dealloc(self.ptr.as_ptr(), self.layout) }
+    }
+}
+
+fn ring(backing: Backing, cap: usize) -> (Producer, Consumer) {
+    match backing {
+        Backing::Heap => queue(cap),
+        Backing::Mapped => {
+            let layout = Layout::from_size_align(SLOT_ALIGN + cap * SLOT_BYTES, SLOT_ALIGN).unwrap();
+            let ptr = NonNull::new(unsafe { alloc_zeroed(layout) }).expect("allocation");
+            let at = |off: usize| unsafe { NonNull::new_unchecked(ptr.as_ptr().add(off)) };
+            let mem = RingMem {
+                slots: at(SLOT_ALIGN),
+                len: cap,
+                producer_closed: at(0).cast::<AtomicU8>(),
+                consumer_closed: at(1).cast::<AtomicU8>(),
+                owner: Arc::new(Block { ptr, layout }),
+            };
+            // Safety: a zeroed, aligned block of the right size, kept alive
+            // by `owner`, with exactly these two ends on it.
+            unsafe { (Producer::over(mem.clone()), Consumer::over(mem)) }
+        }
+    }
+}
 
 /// Deterministic pacing for the stress tests (never `thread_rng`: the test
 /// itself must be reproducible).
@@ -38,8 +96,7 @@ fn payload_for(seq: u64) -> Vec<u8> {
 /// consumer attempts on a `cap`-slot ring, as bitmask schedules (bit set =
 /// producer's turn). A `VecDeque` oracle predicts exactly which operations
 /// succeed and what the consumer observes.
-#[test]
-fn exhaustive_op_interleavings_match_sequential_oracle() {
+fn exhaustive_op_interleavings(backing: Backing) {
     // The queue constructor requires at least two slots.
     for cap in [2usize, 3, 4] {
         let ops = 6u32;
@@ -50,7 +107,7 @@ fn exhaustive_op_interleavings_match_sequential_oracle() {
                 continue; // exactly `ops` producer turns
             }
             schedules += 1;
-            let (mut tx, mut rx) = queue(cap);
+            let (mut tx, mut rx) = ring(backing, cap);
             let mut oracle: VecDeque<u64> = VecDeque::new();
             let mut next_seq = 0u64;
             for bit in 0..total_bits {
@@ -90,12 +147,22 @@ fn exhaustive_op_interleavings_match_sequential_oracle() {
     }
 }
 
+#[test]
+fn exhaustive_op_interleavings_match_sequential_oracle() {
+    exhaustive_op_interleavings(Backing::Heap);
+}
+
+#[test]
+fn exhaustive_op_interleavings_mapped_backing() {
+    exhaustive_op_interleavings(Backing::Mapped);
+}
+
 /// Real-thread stress: one producer thread, one consumer thread, every
 /// message checked for sequence, timestamp, type, and payload integrity.
 /// The seeded pacing varies batch sizes so the ring oscillates between
 /// empty, partially full, and full (both wrap-around edges).
-fn stress(cap: usize, n_msgs: u64, seed: u64) {
-    let (mut tx, mut rx) = queue(cap);
+fn stress(backing: Backing, cap: usize, n_msgs: u64, seed: u64) {
+    let (mut tx, mut rx) = ring(backing, cap);
     let failed = Arc::new(AtomicBool::new(false));
     let failed_p = failed.clone();
 
@@ -146,11 +213,17 @@ fn stress(cap: usize, n_msgs: u64, seed: u64) {
     }
     producer.join().unwrap();
     assert!(rx.try_recv().is_none(), "spurious trailing message");
+    assert!(rx.is_drained(), "producer end dropped with its thread: close flag seen");
 }
 
 #[test]
 fn two_thread_stress_default_ring() {
-    stress(64, 50_000, 0xC0FFEE);
+    stress(Backing::Heap, 64, 50_000, 0xC0FFEE);
+}
+
+#[test]
+fn two_thread_stress_default_ring_mapped_backing() {
+    stress(Backing::Mapped, 64, 50_000, 0xC0FFEE);
 }
 
 /// Capacity-2 ring: maximum contention on the ownership handoff — the
@@ -158,5 +231,10 @@ fn two_thread_stress_default_ring() {
 /// run, so every release/acquire edge is exercised millions of times.
 #[test]
 fn two_thread_stress_tiny_ring_wraparound() {
-    stress(2, 50_000, 0xBEEF);
+    stress(Backing::Heap, 2, 50_000, 0xBEEF);
+}
+
+#[test]
+fn two_thread_stress_tiny_ring_wraparound_mapped_backing() {
+    stress(Backing::Mapped, 2, 50_000, 0xBEEF);
 }

@@ -4,11 +4,12 @@
 //! This is the steady-state cost every simulated hop pays; the pooled
 //! packet-buffer arena (`simbricks::base::PktBuf`) turns its dominant term —
 //! per-hop malloc/memcpy — into freelist reuse and refcount handoffs. The
-//! benchmark reports messages/second, ns/message, and the pool hit rate, and
-//! `--json PATH` writes the machine-readable baseline committed as
-//! `BENCH_hotpath.json`.
+//! benchmark reports messages/second, ns/message, and the pool hit rate. The
+//! committed reference numbers are the repository benchmark's
+//! `base.channel.send_recv_ns.*` and `base.pktbuf.*` metrics
+//! (`crates/bench/src/bin/perf/README.md`).
 //!
-//! Usage: hotpath [--msgs N] [--payload BYTES] [--json PATH]
+//! Usage: hotpath [--msgs N] [--payload BYTES]
 
 // Benchmarks measure real wall-clock throughput by design.
 #![allow(clippy::disallowed_methods, clippy::disallowed_types)]
@@ -83,7 +84,6 @@ fn clone_cycle(msgs: usize, payload_len: usize) -> f64 {
 fn main() {
     let mut msgs = DEFAULT_MSGS;
     let mut payload = DEFAULT_PAYLOAD;
-    let mut json_path: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -103,11 +103,6 @@ fn main() {
                 need(&args, i);
                 i += 1;
                 payload = args[i].parse().expect("--payload bytes");
-            }
-            "--json" => {
-                need(&args, i);
-                i += 1;
-                json_path = Some(args[i].clone());
             }
             other => {
                 eprintln!("unknown argument: {other}");
@@ -137,14 +132,5 @@ fn main() {
             "WARNING: steady-state channel pool hit rate below 99% ({:.2}%)",
             chan_hit * 100.0
         );
-    }
-
-    if let Some(path) = json_path {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let out = format!(
-            "{{\n  \"figure\": \"hotpath\",\n  \"workload\": \"in-process channel send/recv + pooled buffer primitives\",\n  \"machine_cores\": {cores},\n  \"messages\": {msgs},\n  \"payload_bytes\": {payload},\n  \"channel_ns_per_msg\": {chan_ns:.1},\n  \"channel_msgs_per_sec\": {msgs_per_sec:.0},\n  \"channel_pool_hit_rate\": {chan_hit:.4},\n  \"pool_copy_ns_per_op\": {pool_ns:.1},\n  \"pool_copy_hit_rate\": {pool_hit:.4},\n  \"clone_ns\": {clone_ns:.1}\n}}\n"
-        );
-        std::fs::write(&path, out).expect("write --json file");
-        eprintln!("wrote {path}");
     }
 }

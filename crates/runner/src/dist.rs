@@ -19,8 +19,8 @@
 //!   and tears everything down cleanly.
 //! * Each **worker** process rebuilds only its partition; every
 //!   cross-partition channel is transparently replaced by one side of a
-//!   sockets proxy (§5.4), so components cannot tell they are talking to a
-//!   different process.
+//!   shared-memory region (§5.2) or of a sockets proxy (§5.4), so components
+//!   cannot tell they are talking to a different process.
 //!
 //! The §5.5 synchronization protocol makes simulation results independent of
 //! message arrival wall-time, so a distributed run produces event logs
@@ -39,7 +39,7 @@
 //! | `LINKS`  | worker → orch  | rendezvous address per owned cross link      |
 //! | `ADDRS`  | orch → worker  | full link-name → address map                 |
 //! | `CKPT`   | orch → worker  | ckpt presence + time, restore presence + blob|
-//! | `READY`  | worker → orch  | (empty) partition built, proxies wired       |
+//! | `READY`  | worker → orch  | (empty) partition built, cross links wired   |
 //! | `GO`     | orch → worker  | (empty) barrier release, start simulating    |
 //! | `CKPT_SAVE` | worker → orch | partition snapshot captured mid-run       |
 //! | `RESULT` | worker → orch  | wall seconds + per-component stats and logs  |
@@ -76,21 +76,28 @@
 //!
 //! ## Channel transports
 //!
-//! Each cross-partition link is carried by a pluggable transport
-//! ([`crate::transport`]): the §5.4 sockets proxy over loopback/real TCP, or
-//! — the paper's same-host fast path — a file-backed shared-memory ring pair
-//! ([`crate::shm`]). Selection (`--transport` in harnesses,
+//! Each cross-partition link is carried in one of two ways
+//! ([`crate::transport`]). Over **shared memory** — the paper's same-host
+//! design — the link *is* a channel: the owning worker creates a file-backed
+//! region ([`crate::shm`]) during its build, the peer attaches to it during
+//! its own, and each component gets a [`ChannelEnd`] whose rings sit in the
+//! mapping. Nothing forwards and no thread is added; impairment, SYNC and
+//! pause promises and back-pressure ride exactly the in-process path. Over
+//! **TCP** the link is a §5.4 sockets proxy: a local channel stub per side
+//! plus a forwarding thread. Selection (`--transport` in harnesses,
 //! [`DistOptions::transport`], environment `SIMBRICKS_TRANSPORT`) is
 //! negotiated per link over the existing control protocol: the owning side
 //! advertises a scheme-prefixed rendezvous address in `LINKS`
 //! (`tcp:127.0.0.1:PORT` or `shm:/path/to/region`), and the connecting side
-//! follows that scheme. `auto` resolves to shared memory whenever the
-//! platform supports it. Region files live in a per-run directory that the
-//! orchestrator creates before spawning workers and removes when workers are
-//! reaped (normally or on abort); the creating worker additionally unlinks
-//! its regions on clean teardown. The §5.5 synchronization protocol makes
-//! the merged event log bit-identical under either transport — the property
-//! the CI loopback smoke test pins for both.
+//! follows that scheme; an address without a known scheme is an error.
+//! `auto` resolves to shared memory whenever the platform supports it. After
+//! `GO` — every partition has built — each owner checks that its regions
+//! were attached, not rejected. Region files live in a per-run directory
+//! that the orchestrator creates before spawning workers and removes when
+//! workers are reaped (normally or on abort); the creating worker
+//! additionally unlinks its regions on clean teardown. The §5.5
+//! synchronization protocol makes the merged event log bit-identical under
+//! either transport — the property the CI loopback smoke test pins for both.
 //!
 //! Limitations (documented, not silent): distributed runs require
 //! synchronized experiments (the emulation-mode stop flag and the global
@@ -100,7 +107,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -111,10 +118,11 @@ use simbricks_hostsim::{Application, HostConfig};
 
 use crate::experiment::{AnyModel, Execution, Experiment, RunResult};
 use crate::proxy::{
-    read_handshake, write_handshake, ProxyCounters, ProxyHandle, ProxyKind, ShutdownSignal,
+    read_handshake, spawn_tcp_forwarder, write_handshake, ProxyCounters, ProxyHandle, ProxyKind,
+    ShutdownSignal,
 };
 use crate::shm;
-use crate::transport::{spawn_transport_forwarder, TcpTransport, TransportKind};
+use crate::transport::TransportKind;
 
 /// Environment variable carrying the orchestrator's control-socket address;
 /// its presence is what makes [`maybe_worker`] take over the process.
@@ -160,8 +168,9 @@ const MSG_HEARTBEAT: u8 = 10;
 /// batched at the end) so the orchestrator always holds the newest complete
 /// slot when a worker dies.
 const MSG_RING: u8 = 11;
-/// Orchestrator → worker (fault injection): the named cross link's proxy is
-/// torn down by signalling its shutdown handle. Payload: link name (UTF-8).
+/// Orchestrator → worker (fault injection): the named cross link is torn
+/// down — its proxy's shutdown handle signalled (tcp) or its region closed
+/// and poisoned (shm). Payload: link name (UTF-8).
 const MSG_SEVER: u8 = 12;
 
 /// Upper bound on one control frame (results carry whole event logs).
@@ -419,7 +428,7 @@ struct LinkDecl {
 /// through [`PartitionBuilder::channel`]. The same build code then serves
 /// three purposes: the in-process baseline, cross-link discovery, and worker
 /// instantiation (where off-partition components are dropped and cross links
-/// become sockets proxies).
+/// become shared-memory regions or sockets proxies).
 pub struct PartitionBuilder {
     mode: BuildMode,
     local: Option<String>,
@@ -445,9 +454,13 @@ pub struct PartitionBuilder {
     ///
     /// [`cross_end`]: PartitionBuilder::cross_end
     build_errors: Vec<String>,
-    /// Per cross link wired in this worker: the proxy's shutdown handle, so
-    /// an injected `SEVER` can tear one link down by name.
-    link_shutdowns: Vec<(String, Arc<ShutdownSignal>)>,
+    /// Per cross link wired in this worker: how an injected `SEVER` tears it
+    /// down by name — signal the proxy's shutdown handle (tcp) or close and
+    /// poison the region (shm).
+    link_severs: Vec<(String, Box<dyn Fn() + Send>)>,
+    /// Shm regions this worker created; checked for an attached peer after
+    /// `GO`.
+    owned_regions: Vec<(String, Arc<shm::ShmRegion>)>,
 }
 
 /// A channel endpoint whose peer is already gone (used as a placeholder for
@@ -472,7 +485,8 @@ impl PartitionBuilder {
             transport: TransportKind::Tcp,
             shm_dir: None,
             build_errors: Vec::new(),
-            link_shutdowns: Vec::new(),
+            link_severs: Vec::new(),
+            owned_regions: Vec::new(),
         }
     }
 
@@ -547,9 +561,10 @@ impl PartitionBuilder {
 
     /// Declare a named channel between partitions `a` and `b` and return its
     /// two endpoints (`a`-side first). When the partitions differ this is a
-    /// **cross link**: in a worker it is transparently bridged by one side of
-    /// a sockets proxy (the `a` side listens, the `b` side connects, with the
-    /// handshake of [`write_handshake`] verifying link name and parameters).
+    /// **cross link**: in a worker it is one side of a shared-memory region
+    /// or of a sockets proxy (the `a` side creates/listens, the `b` side
+    /// attaches/connects, with a handshake verifying link name and
+    /// parameters either way).
     /// Endpoints belonging to partitions not instantiated here are dangling
     /// placeholders that must not be attached to live components.
     pub fn channel(
@@ -593,123 +608,126 @@ impl PartitionBuilder {
         }
     }
 
-    /// Worker-side half of a cross-partition link: a local channel stub
-    /// whose other end is forwarded by a dedicated transport thread. The
-    /// owning (`a`) side uses the worker's resolved transport — a pre-bound
-    /// TCP listener accepted lazily, or an shm region created here and
-    /// attached lazily by the peer — and the connecting (`b`) side follows
-    /// the scheme of the owner's advertised address (`tcp:`/`shm:`), so the
-    /// transport is negotiated per link and the build never blocks on
-    /// connection ordering.
+    /// Worker-side half of a cross-partition link. The owning (`a`) side
+    /// uses the worker's resolved transport and the connecting (`b`) side
+    /// follows the scheme of the owner's advertised address, so the
+    /// transport is negotiated per link:
+    ///
+    /// * `shm:` — the owner creates the region, the peer attaches to it, and
+    ///   the returned endpoint sits directly on the mapping: no stub, no
+    ///   thread. Attaching polls until the owner has created the region,
+    ///   which cannot deadlock: every worker runs the same deterministic
+    ///   build function, so links are visited in one global order and
+    ///   creating never waits.
+    /// * `tcp:` — a local channel stub whose other end is forwarded by a
+    ///   proxy thread over a pre-bound listener (accepted lazily) or a
+    ///   connection to it, so the build never blocks on connection ordering.
+    ///
+    /// Failures are recorded in `build_errors` and yield a dangling end.
     fn cross_end(&mut self, link: &str, params: ChannelParams, listen: bool) -> ChannelEnd {
+        self.wire_cross_end(link, params, listen).unwrap_or_else(|e| {
+            self.build_errors.push(e);
+            dangling(params)
+        })
+    }
+
+    fn wire_cross_end(
+        &mut self,
+        link: &str,
+        params: ChannelParams,
+        listen: bool,
+    ) -> Result<ChannelEnd, String> {
+        if listen {
+            return match self.transport {
+                TransportKind::Shm => self.shm_cross_end(link, params, None),
+                _ => self.tcp_cross_end(link, params, None),
+            };
+        }
+        let addr = self.addr_map.get(link).cloned();
+        let addr = addr.ok_or_else(|| format!("no peer address for link {link:?}"))?;
+        match addr.split_once(':') {
+            Some(("shm", path)) => self.shm_cross_end(link, params, Some(Path::new(path))),
+            Some(("tcp", peer)) => self.tcp_cross_end(link, params, Some(peer)),
+            _ => Err(format!("link {link:?}: address {addr:?} has no known scheme")),
+        }
+    }
+
+    /// One side of a shared-memory link: create the region (`peer_region`
+    /// is `None`, the owner) or attach to the owner's, and hand the
+    /// component the endpoint on the mapping.
+    fn shm_cross_end(
+        &mut self,
+        link: &str,
+        params: ChannelParams,
+        peer_region: Option<&Path>,
+    ) -> Result<ChannelEnd, String> {
+        let endpoint = match peer_region {
+            None => {
+                let dir = self.shm_dir.clone().unwrap_or_else(std::env::temp_dir);
+                let ep = shm::create_region(&shm::region_path(&dir, link), link, params)
+                    .map_err(|e| format!("create shm region for link {link:?}: {e}"))?;
+                self.owned_regions.push((link.to_string(), ep.region()));
+                ep
+            }
+            Some(path) => {
+                let deadline = Instant::now() + CONNECT_TIMEOUT;
+                shm::attach_region(path, link, params, deadline, &ShutdownSignal::default())
+                    .map_err(|e| format!("attach shm region for link {link:?}: {e}"))?
+            }
+        };
+        let region = endpoint.region();
+        self.link_severs.push((link.to_string(), Box::new(move || region.sever())));
+        Ok(endpoint.into_channel_end())
+    }
+
+    /// One side of a sockets-proxy link: a local channel stub forwarded by a
+    /// proxy thread that accepts on the pre-bound listener (`peer` is `None`,
+    /// the owner) or connects to the owner's address.
+    fn tcp_cross_end(
+        &mut self,
+        link: &str,
+        params: ChannelParams,
+        peer: Option<&str>,
+    ) -> Result<ChannelEnd, String> {
         let (mut component_end, proxy_local) = channel_pair(params);
-        // Impairment streams are seeded by logical link direction. A
-        // cross-partition endpoint comes from a fresh local pair, so its tag
-        // must be forced to the side it plays globally: the listening side is
-        // always the link's `a` endpoint (dir 0), the connecting side `b`
-        // (dir 1). Without this, both partitions would draw dir-0 streams and
-        // a distributed run would diverge from the local one.
-        component_end.set_dir(if listen { 0 } else { 1 });
+        // Impairment streams are seeded by logical link direction. A proxied
+        // endpoint comes from a fresh local pair, so its tag must be forced
+        // to the side it plays globally: the listening side is always the
+        // link's `a` endpoint (dir 0), the connecting side `b` (dir 1).
+        // Without this, both partitions would draw dir-0 streams and a
+        // distributed run would diverge from the local one.
+        component_end.set_dir(if peer.is_none() { 0 } else { 1 });
         let counters = Arc::new(ProxyCounters::default());
         let shutdown = Arc::new(ShutdownSignal::default());
-        self.link_shutdowns.push((link.to_string(), shutdown.clone()));
-        if listen && self.transport == TransportKind::Shm {
-            // Owner side, shared memory: create + publish the region now
-            // (header carries the SBPX handshake metadata); the forwarding
-            // thread waits for the peer to attach before forwarding.
-            let dir = self.shm_dir.clone().unwrap_or_else(std::env::temp_dir);
-            let path = shm::region_path(&dir, link);
-            let endpoint = match shm::create_region(&path, link, params) {
-                Ok(ep) => ep,
-                Err(e) => {
-                    self.build_errors.push(format!("create shm region for link {link:?}: {e}"));
-                    return component_end;
-                }
-            };
-            let transport =
-                shm::ShmTransport::await_peer(endpoint, Instant::now() + CONNECT_TIMEOUT);
-            let thread = spawn_transport_forwarder(
-                format!("dist-{link}"),
-                Box::new(transport),
-                proxy_local,
-                counters.clone(),
-                shutdown.clone(),
-            );
-            self.proxies
-                .push(ProxyHandle::from_parts(ProxyKind::Shm, counters, shutdown, vec![thread]));
-            return component_end;
-        }
-        if !listen {
-            let addr = match self.addr_map.get(link) {
-                Some(a) => a.clone(),
-                None => {
-                    self.build_errors.push(format!("no peer address for link {link:?}"));
-                    return component_end;
-                }
-            };
-            if let Some(path) = addr.strip_prefix("shm:") {
-                // Owner advertised a shared-memory region: attach lazily (the
-                // owner may not have built it yet) on the forwarding thread.
-                let transport = shm::ShmTransport::attach(
-                    PathBuf::from(path),
-                    link,
-                    params,
-                    Instant::now() + CONNECT_TIMEOUT,
-                );
-                let thread = spawn_transport_forwarder(
-                    format!("dist-{link}"),
-                    Box::new(transport),
-                    proxy_local,
-                    counters.clone(),
-                    shutdown.clone(),
-                );
-                self.proxies
-                    .push(ProxyHandle::from_parts(ProxyKind::Shm, counters, shutdown, vec![thread]));
-                return component_end;
-            }
-            // TCP (scheme-prefixed or legacy bare address). A freshly
-            // advertised listener may not be accepting yet, and transient
-            // refusals happen during fleet restarts — retry with bounded
-            // exponential backoff instead of failing on the first attempt.
-            let addr = addr.strip_prefix("tcp:").unwrap_or(&addr).to_string();
-            let mut stream = match connect_with_backoff(&addr) {
-                Ok(s) => s,
-                Err(e) => {
-                    self.build_errors
-                        .push(format!("connect cross link {link:?} at {addr}: {e}"));
-                    return component_end;
-                }
-            };
-            if let Err(e) = write_handshake(&mut stream, link, &params) {
-                self.build_errors.push(format!("handshake on link {link:?}: {e}"));
-                return component_end;
-            }
+        let sever = shutdown.clone();
+        self.link_severs.push((link.to_string(), Box::new(move || sever.signal())));
+        let thread = if let Some(addr) = peer {
+            // A freshly advertised listener may not be accepting yet, and
+            // transient refusals happen during fleet restarts — retry with
+            // bounded exponential backoff instead of failing on the first
+            // attempt.
+            let mut stream = connect_with_backoff(addr)
+                .map_err(|e| format!("connect cross link {link:?} at {addr}: {e}"))?;
+            write_handshake(&mut stream, link, &params)
+                .map_err(|e| format!("handshake on link {link:?}: {e}"))?;
             stream.set_nodelay(true).ok();
             shutdown.register_stream(&stream);
-            let thread = spawn_transport_forwarder(
+            spawn_tcp_forwarder(
                 format!("dist-{link}"),
-                Box::new(TcpTransport::new(stream)),
                 proxy_local,
+                stream,
                 counters.clone(),
                 shutdown.clone(),
-            );
-            self.proxies
-                .push(ProxyHandle::from_parts(ProxyKind::Tcp, counters, shutdown, vec![thread]));
-            return component_end;
-        }
-        let thread = {
-            let listener = match self.listeners.remove(link) {
-                Some(l) => l,
-                None => {
-                    self.build_errors
-                        .push(format!("no pre-bound listener for owned link {link:?}"));
-                    return component_end;
-                }
-            };
+            )
+        } else {
+            let listener = self
+                .listeners
+                .remove(link)
+                .ok_or_else(|| format!("no pre-bound listener for owned link {link:?}"))?;
             let link_name = link.to_string();
             let counters = counters.clone();
             let shutdown = shutdown.clone();
-            match std::thread::Builder::new()
+            std::thread::Builder::new()
                 .name(format!("dist-{link}"))
                 .spawn(move || {
                     // Poll-accept so a signalled shutdown can interrupt a
@@ -750,18 +768,12 @@ impl PartitionBuilder {
                     stream.set_nodelay(true).ok();
                     crate::proxy::tcp_forward_loop(proxy_local, stream, &counters, &shutdown);
                     shutdown.signal();
-                }) {
-                Ok(t) => t,
-                Err(e) => {
-                    self.build_errors
-                        .push(format!("spawn proxy thread for link {link:?}: {e}"));
-                    return component_end;
-                }
-            }
+                })
+                .map_err(|e| format!("spawn proxy thread for link {link:?}: {e}"))?
         };
         self.proxies
             .push(ProxyHandle::from_parts(ProxyKind::Tcp, counters, shutdown, vec![thread]));
-        component_end
+        Ok(component_end)
     }
 
     /// Add a host + NIC pair (PCIe-connected, as in
@@ -1291,14 +1303,17 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
         .and_then(Execution::parse)
         .unwrap_or(Execution::Sequential);
     // The orchestrator hands every worker the resolved transport for the
-    // links it owns; a worker spawned by an older orchestrator (no env)
-    // falls back to TCP, the wire-compatible default.
-    let transport = std::env::var(ENV_DIST_TRANSPORT)
-        .ok()
-        .as_deref()
-        .and_then(TransportKind::parse)
-        .unwrap_or(TransportKind::Tcp)
-        .resolve_local();
+    // links it owns. Workers are always self-exec'd from this same binary,
+    // so anything but `tcp`/`shm` is a protocol error, not a default.
+    let transport = match TransportKind::parse(&env_string(ENV_DIST_TRANSPORT)?) {
+        Some(k @ (TransportKind::Tcp | TransportKind::Shm)) => k,
+        _ => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{ENV_DIST_TRANSPORT} must be tcp or shm"),
+            ))
+        }
+    };
     let shm_dir = std::env::var_os(ENV_SHM_DIR)
         .map(PathBuf::from)
         .unwrap_or_else(std::env::temp_dir);
@@ -1377,7 +1392,8 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
     exp.set_external_inputs();
     let local_globals = std::mem::take(&mut pb.local_globals);
     let proxies = std::mem::take(&mut pb.proxies);
-    let link_shutdowns = std::mem::take(&mut pb.link_shutdowns);
+    let link_severs = std::mem::take(&mut pb.link_severs);
+    let owned_regions = std::mem::take(&mut pb.owned_regions);
 
     // Checkpoint configuration: the orchestrator tells every worker whether
     // (and when) to quiesce, and hands it its restore snapshot, if any.
@@ -1414,6 +1430,14 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
     // Barrier-synchronized start: report readiness, wait for the release.
     write_frame(&mut ctrl, MSG_READY, &[])?;
     expect_frame(&mut ctrl, MSG_GO)?;
+    // Every partition has built by now, so the peer of each shm region this
+    // worker created has attached — or rejected the handshake and poisoned
+    // it. Never simulate against an unattached region.
+    for (link, region) in &owned_regions {
+        region
+            .wait_attached(Instant::now(), &ShutdownSignal::default())
+            .map_err(|e| io::Error::new(e.kind(), format!("shm link {link:?}: {e}")))?;
+    }
 
     // Post-GO the control channel goes full duplex: a pump thread owns the
     // read side (heartbeats out, SEVER/DONE in, EOF detection) while the
@@ -1451,7 +1475,7 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
                     reader,
                     writer,
                     progress,
-                    link_shutdowns,
+                    link_severs,
                     heartbeat,
                     run_done,
                     done_acked,
@@ -1474,9 +1498,10 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
         let payload = encode_result(&result, &local_globals);
         write_frame(&mut w, MSG_RESULT, &payload)?;
     }
-    // Keep proxies alive until every worker has reported: our forwarders
+    // Keep tcp proxies alive until every worker has reported: our forwarders
     // have flushed everything our components sent, and the orchestrator's
     // DONE (observed by the pump thread) confirms no peer depends on them.
+    // (Shm links need nothing: what our components sent is in the mapping.)
     let deadline = Instant::now() + CONTROL_TIMEOUT;
     while !done_acked.load(Ordering::SeqCst) {
         if ctrl_gone.load(Ordering::SeqCst) {
@@ -1510,7 +1535,7 @@ fn pump_control(
     mut reader: TcpStream,
     writer: Arc<Mutex<TcpStream>>,
     progress: Arc<std::sync::atomic::AtomicU64>,
-    link_shutdowns: Vec<(String, Arc<ShutdownSignal>)>,
+    link_severs: Vec<(String, Box<dyn Fn() + Send>)>,
     heartbeat: Duration,
     run_done: Arc<AtomicBool>,
     done_acked: Arc<AtomicBool>,
@@ -1547,9 +1572,9 @@ fn pump_control(
             match fb.pop() {
                 Ok(Some((MSG_SEVER, payload))) => {
                     let link = String::from_utf8_lossy(&payload).into_owned();
-                    for (name, shutdown) in &link_shutdowns {
+                    for (name, sever) in &link_severs {
                         if *name == link {
-                            shutdown.signal();
+                            sever();
                         }
                     }
                     eprintln!("dist worker: severed link {link:?}");

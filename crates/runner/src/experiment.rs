@@ -1073,11 +1073,17 @@ impl Experiment {
                 if self.external_inputs {
                     // Distributed partition: a remote worker's promise can
                     // unblock us at any moment. Spin-yield while the wait is
-                    // short (hot ping-pong with a loopback peer), back off to
-                    // a brief sleep once it clearly is not, so an idle
-                    // partition does not burn a core its peers need.
+                    // short (hot ping-pong with a co-located peer), back off
+                    // to a brief sleep once it clearly is not, so an idle
+                    // partition does not burn a core its peers need. The
+                    // spin must outlast the peer's own compute between two
+                    // promises (a few ms of rounds here): a sleep oversleeps
+                    // by tens of µs, which delays our next promise past the
+                    // peer's spin too, and two partitions that poll each
+                    // other's rings directly then lock into sleeping turns
+                    // (3x the wall time, run to run at random).
                     idle_rounds = idle_rounds.saturating_add(1);
-                    if idle_rounds < 64 {
+                    if idle_rounds < 4096 {
                         std::thread::yield_now();
                     } else {
                         std::thread::sleep(Duration::from_micros(20));

@@ -40,8 +40,7 @@ pub use executor::{default_workers, ShardedOptions};
 pub use experiment::{Execution, Experiment, RunResult};
 pub use partition::{PartitionAssignment, PartitionGraph};
 pub use proxy::{
-    proxy_channel_over_tcp, proxy_pair, read_handshake, write_handshake, ProxyHandle, ProxyKind,
-    ProxyStats,
+    proxy_pair, read_handshake, write_handshake, ProxyHandle, ProxyKind, ProxyStats,
 };
-pub use shm::{shm_supported, ShmEndpoint, ShmPushError, ShmTransport};
-pub use transport::{Transport, TransportKind, ENV_TRANSPORT};
+pub use shm::{shm_supported, ShmEndpoint};
+pub use transport::{TransportKind, ENV_TRANSPORT};

@@ -7,27 +7,23 @@
 //! only one extra hop of forwarding latency (hidden inside the modelled link
 //! latency) and one proxy thread per side are added.
 //!
-//! The paper implements two proxy flavours, and so does this reimplementation
-//! (plus the co-located shared-memory transport the paper uses *instead of*
-//! proxies for same-host links):
+//! Proxies exist only for links that leave the machine. [`proxy_pair`]
+//! bridges a channel in one of two ways:
 //!
-//! * **Sockets** ([`proxy_channel_over_tcp`], [`ProxyKind::Tcp`]) — messages
-//!   are serialized to the wire format and streamed over a TCP connection
-//!   (Nagle disabled), with adaptive batching: every message available in the
-//!   local queue is forwarded in one write.
-//! * **RDMA-style** ([`ProxyKind::Rdma`]) — the paper's RDMA proxy writes
-//!   messages directly into the remote queue. Without RDMA hardware we model
-//!   this as direct placement into the peer component's queue with no
-//!   serialization step, preserving the property that matters: lower
-//!   per-message CPU overhead and latency than the sockets proxy.
-//! * **Shared memory** ([`ProxyKind::Shm`]) — a file-backed mmap region
-//!   carrying one fixed-slot SPSC ring per direction (`crate::shm`), the
-//!   §5.2 queue layout made cross-process. No serialization and no syscalls
-//!   on the data path; this is what `crate::dist` uses for co-located
-//!   partitions (`--transport shm`/`auto`, see [`crate::transport`]).
+//! * **Sockets** ([`ProxyKind::Tcp`]) — messages are serialized to the wire
+//!   format and streamed over a TCP connection (Nagle disabled), with
+//!   adaptive batching: every message available in the local queue is
+//!   forwarded in one write. Two forwarding threads.
+//! * **Shared memory** ([`ProxyKind::Shm`]) — not a proxy at all: the two
+//!   endpoints are the two sides of one mapped region (`crate::shm`), the
+//!   §5.2 queue made cross-process. No forwarder, no serialization, no
+//!   syscalls on the data path; this is what `crate::dist` uses for
+//!   co-located partitions (`--transport shm`/`auto`, see
+//!   [`crate::transport`]).
 //!
-//! Both flavours report [`ProxyStats`] so harnesses can show batching
-//! behaviour and forwarded volume (§7.4.2).
+//! The sockets proxy reports [`ProxyStats`] so harnesses can show batching
+//! behaviour and forwarded volume (§7.4.2); a shared-memory pair forwards
+//! nothing and reports zeros.
 //!
 //! When a proxy connection crosses process (or machine) boundaries — the
 //! distributed mode of `crate::dist` — the connecting side opens the stream
@@ -49,10 +45,9 @@ use simbricks_base::{channel_pair, ChannelEnd, ChannelParams, OwnedMsg};
 pub enum ProxyKind {
     /// Serialize messages and stream them over a loopback/real TCP socket.
     Tcp,
-    /// Directly place messages into the remote queue (RDMA-write stand-in).
-    Rdma,
-    /// Memory-mapped shared-memory SPSC rings (`crate::shm`): the paper's
-    /// co-located fast path — no serialization, no syscalls per message.
+    /// The endpoints sit directly on memory-mapped SPSC rings (`crate::shm`):
+    /// the paper's co-located fast path — no forwarder, no serialization, no
+    /// syscalls per message.
     Shm,
 }
 
@@ -106,7 +101,7 @@ impl ShutdownSignal {
 pub struct ProxyStats {
     /// Messages forwarded (both directions, data and SYNC).
     pub forwarded: u64,
-    /// Wire bytes forwarded (0 for the RDMA-style proxy: no serialization).
+    /// Wire bytes forwarded.
     pub bytes: u64,
     /// Number of forwarding batches (writes / placement rounds).
     pub batches: u64,
@@ -126,7 +121,8 @@ impl ProxyStats {
 }
 
 /// Handle to a running proxy: the forwarding threads plus their shared
-/// statistics and shutdown signal.
+/// statistics and shutdown signal. A [`ProxyKind::Shm`] pair has no threads:
+/// its handle joins at once and its counters stay zero.
 ///
 /// Threads exit on their own once both component endpoints are gone (or the
 /// TCP peer closes); [`ProxyHandle::join`] waits for that. When one thread of
@@ -191,18 +187,12 @@ impl ProxyHandle {
         }
         self.stats()
     }
-
-    /// Detach the threads from the handle without signalling shutdown (legacy
-    /// [`proxy_channel_over_tcp`] interface).
-    fn detach(mut self) -> Vec<JoinHandle<()>> {
-        std::mem::take(&mut self.threads)
-    }
 }
 
 impl Drop for ProxyHandle {
     fn drop(&mut self) {
         // Only signal when threads are still attached: `join`/`shutdown` take
-        // them out first, and `detach` deliberately leaves them running.
+        // them out first.
         if !self.threads.is_empty() {
             self.shutdown.signal();
         }
@@ -302,65 +292,39 @@ pub fn proxy_pair(
 ) -> std::io::Result<(ChannelEnd, ChannelEnd, ProxyHandle)> {
     match kind {
         ProxyKind::Tcp => proxy_pair_tcp(params),
-        ProxyKind::Rdma => Ok(proxy_pair_rdma(params)),
         ProxyKind::Shm => proxy_pair_shm(params),
     }
 }
 
-/// Bridge a channel over a file-backed shared-memory ring pair (the paper's
-/// co-located transport). Both sides map the same region; the attach step
-/// validates the same handshake metadata as the TCP proxy's SBPX frame.
+/// A channel whose two rings live in a file-backed shared-memory region (the
+/// paper's co-located transport): one side creates the region, the other
+/// attaches — validating the same handshake metadata as the TCP proxy's SBPX
+/// frame — and each endpoint sits directly on the mapping, exactly as the two
+/// partitions of a distributed run hold it. Nothing forwards, so the handle
+/// carries no threads. The region file is unlinked once both endpoints drop.
 fn proxy_pair_shm(
     params: ChannelParams,
 ) -> std::io::Result<(ChannelEnd, ChannelEnd, ProxyHandle)> {
-    use std::sync::atomic::AtomicU64;
     static NEXT: AtomicU64 = AtomicU64::new(0);
-    let (for_component_a, proxy_a_local) = channel_pair(params);
-    let (for_component_b, proxy_b_local) = channel_pair(params);
     let path = std::env::temp_dir().join(format!(
         "simbricks-proxy-{}-{}.shm",
         std::process::id(),
         NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     let shutdown = Arc::new(ShutdownSignal::default());
-    let a_end = crate::shm::create_region(&path, "proxy-pair", params)?;
-    let b_end = crate::shm::attach_region(
+    let a = crate::shm::create_region(&path, "proxy-pair", params)?;
+    let b = crate::shm::attach_region(
         &path,
         "proxy-pair",
         params,
         std::time::Instant::now() + std::time::Duration::from_secs(5),
         &shutdown,
     )?;
-    let counters = Arc::new(ProxyCounters::default());
-    let h1 = crate::transport::spawn_transport_forwarder(
-        "proxy-shm-a".into(),
-        Box::new(crate::shm::ShmTransport::ready(a_end)),
-        proxy_a_local,
-        counters.clone(),
-        shutdown.clone(),
-    );
-    let h2 = crate::transport::spawn_transport_forwarder(
-        "proxy-shm-b".into(),
-        Box::new(crate::shm::ShmTransport::ready(b_end)),
-        proxy_b_local,
-        counters.clone(),
-        shutdown.clone(),
-    );
     Ok((
-        for_component_a,
-        for_component_b,
-        ProxyHandle::from_parts(ProxyKind::Shm, counters, shutdown, vec![h1, h2]),
+        a.into_channel_end(),
+        b.into_channel_end(),
+        ProxyHandle::from_parts(ProxyKind::Shm, Arc::default(), shutdown, Vec::new()),
     ))
-}
-
-/// Bridge a channel over TCP (sockets proxy). Compatibility wrapper around
-/// [`proxy_pair`] returning raw join handles; the forwarding threads are
-/// detached and exit once both component endpoints are gone.
-pub fn proxy_channel_over_tcp(
-    params: ChannelParams,
-) -> std::io::Result<(ChannelEnd, ChannelEnd, Vec<JoinHandle<()>>)> {
-    let (a, b, handle) = proxy_pair_tcp(params)?;
-    Ok((a, b, handle.detach()))
 }
 
 fn proxy_pair_tcp(
@@ -506,88 +470,6 @@ pub(crate) fn tcp_forward_loop(
     }
 }
 
-/// RDMA-style proxy pair: one forwarding thread per direction that places
-/// messages straight into the remote component's queue, with no
-/// serialization. The extra hop is invisible to the components (identical to
-/// the TCP proxy), but per-message overhead is lower — the property the
-/// paper's RDMA proxy provides.
-fn proxy_pair_rdma(params: ChannelParams) -> (ChannelEnd, ChannelEnd, ProxyHandle) {
-    let (for_component_a, proxy_a_local) = channel_pair(params);
-    let (for_component_b, proxy_b_local) = channel_pair(params);
-    let counters = Arc::new(ProxyCounters::default());
-    let shutdown = Arc::new(ShutdownSignal::default());
-    let h = spawn_rdma_forwarders(proxy_a_local, proxy_b_local, counters.clone(), shutdown.clone());
-    (
-        for_component_a,
-        for_component_b,
-        ProxyHandle::from_parts(ProxyKind::Rdma, counters, shutdown, vec![h]),
-    )
-}
-
-fn spawn_rdma_forwarders(
-    mut a: ChannelEnd,
-    mut b: ChannelEnd,
-    counters: Arc<ProxyCounters>,
-    shutdown: Arc<ShutdownSignal>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("proxy-rdma".into())
-        .spawn(move || {
-            let mut pending_ab: Option<OwnedMsg> = None;
-            let mut pending_ba: Option<OwnedMsg> = None;
-            loop {
-                if shutdown.is_set() {
-                    return;
-                }
-                let mut idle = true;
-                idle &= !forward_direction(&mut a, &mut b, &mut pending_ab, &counters);
-                idle &= !forward_direction(&mut b, &mut a, &mut pending_ba, &counters);
-                if (a.peer_closed() && pending_ab.is_none())
-                    || (b.peer_closed() && pending_ba.is_none())
-                {
-                    return;
-                }
-                if idle {
-                    std::thread::yield_now();
-                }
-            }
-        })
-        // io-ok: thread-spawn failure is resource exhaustion, not peer I/O
-        .expect("spawn rdma proxy thread")
-}
-
-/// Move every available message from `src` to `dst`; returns true if any
-/// progress was made. A message that cannot be placed because the destination
-/// queue is full is kept in `pending` and retried on the next round, so
-/// nothing is ever dropped or reordered.
-fn forward_direction(
-    src: &mut ChannelEnd,
-    dst: &mut ChannelEnd,
-    pending: &mut Option<OwnedMsg>,
-    counters: &ProxyCounters,
-) -> bool {
-    let mut moved = 0u64;
-    loop {
-        let msg = match pending.take() {
-            Some(m) => m,
-            None => match src.recv_raw() {
-                Some(m) => m,
-                None => break,
-            },
-        };
-        match dst.send_raw(msg.timestamp, msg.ty, &msg.data) {
-            Ok(()) => moved += 1,
-            Err(simbricks_base::SendError::Full) => {
-                *pending = Some(msg);
-                break;
-            }
-            Err(_) => break,
-        }
-    }
-    counters.record_batch(moved, 0);
-    moved > 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,47 +519,68 @@ mod tests {
         assert!(stats.mean_batch() >= 1.0);
     }
 
+    /// A shared-memory pair is the channel itself: data and SYNC cross both
+    /// ways with nothing forwarded, and the handle has no thread to wait for
+    /// — `join` returns at once even though both endpoints are still alive.
     #[test]
-    fn messages_cross_the_rdma_proxy_in_order_and_both_directions() {
-        let (got, sync_seen, stats) = exchange_over(ProxyKind::Rdma);
+    #[cfg(unix)]
+    fn shm_pair_is_a_direct_channel_without_forwarders() {
+        let (got, sync_seen, stats) = exchange_over(ProxyKind::Shm);
         assert_eq!(got, (0..50).collect::<Vec<_>>(), "in order, none lost");
         assert!(sync_seen, "reverse direction works too");
-        assert_eq!(stats.forwarded, 51);
-        assert_eq!(stats.bytes, 0, "rdma-style proxy does not serialize");
+        assert_eq!(stats, ProxyStats::default(), "nothing forwards");
+
+        let (mut a, mut b, handle) =
+            proxy_pair(ProxyKind::Shm, ChannelParams::default_sync()).unwrap();
+        assert_eq!(handle.join().forwarded, 0);
+        assert_eq!((a.dir(), b.dir()), (0, 1), "tagged like a channel_pair");
+        a.send_raw(SimTime::from_ns(1), 9, b"hello").unwrap();
+        let m = b.recv_raw().expect("visible to the peer as soon as it is sent");
+        assert_eq!((m.ty, &m.data[..]), (9, &b"hello"[..]));
+        b.send_raw(SimTime::from_ns(2), MSG_SYNC, &[]).unwrap();
+        assert!(a.recv_raw().expect("and the other way").is_sync());
+        drop(a);
+        assert!(b.peer_closed(), "dropping one end is seen through the mapping");
+    }
+
+    /// A peer on a mapped ring sends and goes away while this side polls.
+    /// Whenever `horizon()` reports end of time, everything the peer sent has
+    /// been received: the peer raises its close byte after its last send, and
+    /// `horizon()` reads that byte before it looks at the ring.
+    #[test]
+    #[cfg(unix)]
+    fn shm_peer_departure_never_hides_messages_still_in_the_ring() {
+        use simbricks_base::SyncPort;
+        for round in 0..200u64 {
+            let (a, b, _handle) =
+                proxy_pair(ProxyKind::Shm, ChannelParams::default_sync()).unwrap();
+            let (mut a, mut b) = (SyncPort::new(a), SyncPort::new(b));
+            let n = 1 + round % 7;
+            let peer = std::thread::spawn(move || {
+                for i in 0..n {
+                    a.send_data(SimTime::from_ns(i), 1, &[i as u8]);
+                }
+                a.emit_promise(SimTime::from_ns(n));
+            });
+            let mut got = 0;
+            while b.horizon() != SimTime::MAX {
+                b.poll();
+                while b.pop_due(SimTime::MAX).is_some() {
+                    got += 1;
+                }
+            }
+            assert_eq!(got, n, "round {round}");
+            peer.join().unwrap();
+        }
     }
 
     #[test]
     #[cfg(unix)]
-    fn messages_cross_the_shm_proxy_in_order_and_both_directions() {
-        let (got, sync_seen, stats) = exchange_over(ProxyKind::Shm);
-        assert_eq!(got, (0..50).collect::<Vec<_>>(), "in order, none lost");
-        assert!(sync_seen, "reverse direction works too");
-        assert_eq!(stats.forwarded, 51, "50 data + 1 sync");
-        assert!(stats.batches <= stats.forwarded);
-    }
-
-    #[test]
-    fn legacy_tcp_wrapper_still_works() {
-        let (mut a, mut b, _threads) =
-            proxy_channel_over_tcp(ChannelParams::default_sync()).unwrap();
-        a.send_raw(SimTime::from_ns(1), 9, b"hello").unwrap();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        let mut got = None;
-        while got.is_none() && std::time::Instant::now() < deadline {
-            got = b.recv_raw();
-            std::thread::yield_now();
-        }
-        let msg = got.expect("message crossed the proxy");
-        assert_eq!(msg.ty, 9);
-        assert_eq!(msg.data, b"hello");
-    }
-
-    #[test]
-    fn rdma_proxy_survives_destination_backpressure() {
-        // Tiny queue on the B side: the forwarder has to keep retrying while
-        // the consumer drains slowly; nothing may be lost or reordered.
+    fn shm_pair_survives_destination_backpressure() {
+        // Tiny ring: the producer keeps hitting Full while the consumer
+        // drains slowly; nothing may be lost or reordered.
         let params = ChannelParams::default_sync().with_queue_len(4);
-        let (mut a, mut b, handle) = proxy_pair(ProxyKind::Rdma, params).unwrap();
+        let (mut a, mut b, _handle) = proxy_pair(ProxyKind::Shm, params).unwrap();
         let total = 200u64;
         let producer = std::thread::spawn(move || {
             for i in 0..total {
@@ -701,7 +604,6 @@ mod tests {
         }
         assert_eq!(got, (0..total).collect::<Vec<_>>());
         let _a = producer.join().unwrap();
-        assert_eq!(handle.stats().forwarded, total);
     }
 
     /// Regression test for the proxy-lifecycle hang: join() must return even
@@ -730,7 +632,7 @@ mod tests {
     /// Explicit shutdown stops the forwarders while both endpoints are alive.
     #[test]
     fn explicit_shutdown_stops_live_proxies() {
-        for kind in [ProxyKind::Tcp, ProxyKind::Rdma, ProxyKind::Shm] {
+        for kind in [ProxyKind::Tcp, ProxyKind::Shm] {
             if kind == ProxyKind::Shm && !crate::shm::shm_supported() {
                 continue;
             }

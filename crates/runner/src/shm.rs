@@ -1,17 +1,21 @@
-//! File-backed shared-memory channel transport (§5.2, §A.2).
+//! Shared-memory channels between co-located processes (§5.2, §A.2).
 //!
 //! The paper's core mechanism connects co-located simulator processes
-//! through optimized shared-memory message queues with polling-based
-//! synchronization; sockets are only for cross-host links. This module
-//! provides that fast path for `crate::dist`: one memory-mapped file per
-//! cross-partition link carrying two fixed-slot SPSC rings (one per
-//! direction), with the same layout discipline as the in-process queue of
-//! `simbricks_base::spsc` — a per-slot control byte whose top bit encodes
-//! ownership (producer/consumer) and whose low seven bits carry the message
-//! type, written with release ordering and read with acquire ordering, so
-//! the only shared cache traffic carries useful data. Slots are padded to
-//! two cache lines to avoid false sharing, and each side keeps its ring
-//! index local (never shared), exactly like the paper's queues.
+//! through shared-memory message queues that both sides poll; sockets are
+//! only for cross-host links. This module provides the mapping for that:
+//! one memory-mapped file per cross-partition link holding the slot memory
+//! of two rings (one per direction). The rings themselves are
+//! `simbricks_base::spsc` — the same producer, consumer and slot layout an
+//! in-process channel uses, placed on the mapping instead of the heap — so
+//! a component's [`ChannelEnd`] sits directly on the shared region:
+//!
+//! ```text
+//! component ↔ ring in mapping ↔ component
+//! ```
+//!
+//! What is left here is what is specific to a mapping: the mmap FFI, the
+//! region header, the create/attach handshake and its validation,
+//! poisoning, and cleanup.
 //!
 //! ## Region layout
 //!
@@ -24,6 +28,11 @@
 //! ...         ring B→A: slots × stride
 //! ```
 //!
+//! The per-side `closed` bytes are the rings' close flags: side A's byte is
+//! the producer flag of ring A→B and the consumer flag of ring B→A, side B's
+//! the mirror image, so dropping a [`ChannelEnd`] is seen by the peer
+//! process exactly as in-process.
+//!
 //! ## Handshake
 //!
 //! The creating side (the link owner, mirroring the listening side of the
@@ -31,33 +40,36 @@
 //! handshake frame carries: link name plus serialized
 //! [`ChannelParams`] — then publishes `state = READY` with release ordering.
 //! The attaching side polls for the file, validates magic, version, link
-//! name, and parameters against its own build-derived values, and flips
-//! `state` to `ATTACHED`; on any mismatch it poisons the region
+//! name, parameters and ring geometry against its own build-derived values,
+//! and flips `state` to `ATTACHED`; on any mismatch it poisons the region
 //! (`state = POISONED`) so the creator fails fast instead of simulating
-//! against mis-wired queues. Per-side `closed` flags give the rings the same
-//! flush-then-EOF semantics as a TCP shutdown.
+//! against mis-wired queues. Everything read from the header is input from
+//! outside the program: an inconsistent or hostile header is an
+//! `InvalidData` error, never a panic or an out-of-bounds mapping.
 //!
-//! Cleanup: the creator unlinks the region file when its endpoint drops;
-//! the `dist` orchestrator additionally removes the per-run region directory
-//! when workers are reaped (normally or on abort), so crashed runs never
-//! leak regions.
+//! Cleanup: the creator unlinks the region file when the last handle to its
+//! mapping drops; the `dist` orchestrator additionally removes the per-run
+//! region directory when workers are reaped (normally or on abort), so
+//! crashed runs never leak regions.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use simbricks_base::{BufPool, ChannelEnd, ChannelParams, OwnedMsg, PktBuf, SimTime, MAX_PAYLOAD};
+use simbricks_base::spsc::{Consumer, Producer, RingMem, SLOT_BYTES};
+use simbricks_base::{ChannelEnd, ChannelParams, OwnedMsg, SendError};
 
-use crate::proxy::{ProxyCounters, ShutdownSignal};
-use crate::transport::Transport;
+use crate::proxy::ShutdownSignal;
 
 /// Magic bytes opening every shm region header.
 const SHM_MAGIC: [u8; 4] = *b"SBSH";
-/// Version of the region layout.
-const SHM_VERSION: u8 = 1;
+/// Version of the region layout (2: slots laid out as `simbricks_base`'s
+/// `Slot`, close bytes shared with the rings).
+const SHM_VERSION: u8 = 2;
 /// Size reserved for the region header (one page).
 const HEADER_LEN: usize = 4096;
 /// Upper bound on the link name stored in the header.
@@ -80,31 +92,14 @@ const STATE_READY: u8 = 1;
 const STATE_ATTACHED: u8 = 2;
 const STATE_POISONED: u8 = 3;
 
-// Slot layout (mirrors `simbricks_base::slot`): control byte first, then the
-// inline header, then the payload, padded to two cache lines.
-const SLOT_OFF_CTRL: usize = 0;
-const SLOT_OFF_TS: usize = 8;
-const SLOT_OFF_LEN: usize = 16;
-const SLOT_OFF_PAYLOAD: usize = 24;
-const SLOT_ALIGN: usize = 128;
-/// Control-byte bit marking the slot as owned by the consumer.
-const OWNER_CONSUMER: u8 = 0x80;
-const TYPE_MASK: u8 = 0x7f;
-
-/// Bytes per slot, 128-byte aligned so neighbouring control bytes never
-/// share a cache line pair.
-const fn slot_stride() -> usize {
-    (SLOT_OFF_PAYLOAD + MAX_PAYLOAD).div_ceil(SLOT_ALIGN) * SLOT_ALIGN
+/// Total region size for a (possibly header-supplied) geometry, or `None`
+/// when it does not fit the address space.
+fn region_len_for(slots: usize, stride: usize) -> Option<usize> {
+    slots.checked_mul(stride)?.checked_mul(2)?.checked_add(HEADER_LEN)
 }
 
-/// Total region size for `slots` slots per ring.
-fn region_len(slots: usize) -> usize {
-    region_len_for(slots, slot_stride())
-}
-
-/// Total region size for an arbitrary (header-supplied) geometry.
-fn region_len_for(slots: usize, stride: usize) -> usize {
-    HEADER_LEN + 2 * slots * stride
+fn bad(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 // ---------------------------------------------------------------------------
@@ -183,7 +178,7 @@ mod sys {
 // ---------------------------------------------------------------------------
 
 /// A mapped shm region. The creating side owns the file and unlinks it on
-/// drop; both sides unmap.
+/// drop; both sides unmap. Kept alive by the ring ends placed on it.
 #[derive(Debug)]
 pub(crate) struct ShmRegion {
     ptr: *mut u8,
@@ -194,8 +189,11 @@ pub(crate) struct ShmRegion {
     stride: usize,
 }
 
-// Safety: all shared mutation goes through the per-slot/per-flag `AtomicU8`
-// ownership protocol (acquire/release), exactly as in `simbricks_base::slot`.
+// SAFETY: `ptr` is a shared mapping that lives until drop; all shared
+// mutation goes through atomics — the header's state and close bytes here,
+// the per-slot ownership protocol in `simbricks_base` — and the header's
+// other bytes are written only before `READY` is published. The remaining
+// fields are immutable plain data.
 unsafe impl Send for ShmRegion {}
 unsafe impl Sync for ShmRegion {}
 
@@ -211,7 +209,7 @@ impl Drop for ShmRegion {
 impl ShmRegion {
     fn atomic_at(&self, off: usize) -> &AtomicU8 {
         debug_assert!(off < self.len);
-        // Safety: `off` is in bounds and the byte is only accessed as an
+        // SAFETY: `off` is in bounds and the byte is only accessed as an
         // AtomicU8 by both processes.
         unsafe { &*(self.ptr.add(off) as *const AtomicU8) }
     }
@@ -230,12 +228,41 @@ impl ShmRegion {
         }
     }
 
-    fn state(&self) -> u8 {
-        self.atomic_at(OFF_STATE).load(Ordering::Acquire)
-    }
-
     fn poison(&self) {
         self.atomic_at(OFF_STATE).store(STATE_POISONED, Ordering::Release);
+    }
+
+    /// Tear the link down from outside the simulation (an injected `SEVER`):
+    /// poison the region and raise both close bytes, so each side's ring
+    /// ends see their peer as gone.
+    pub(crate) fn sever(&self) {
+        self.poison();
+        self.atomic_at(OFF_A_CLOSED).store(1, Ordering::Release);
+        self.atomic_at(OFF_B_CLOSED).store(1, Ordering::Release);
+    }
+
+    /// Creator side: wait until the peer attached (or poisoned the region /
+    /// the deadline passed / shutdown was signalled). With a deadline that
+    /// has already passed this is a one-shot check.
+    pub(crate) fn wait_attached(
+        &self,
+        deadline: Instant,
+        shutdown: &ShutdownSignal,
+    ) -> io::Result<()> {
+        loop {
+            match self.atomic_at(OFF_STATE).load(Ordering::Acquire) {
+                STATE_ATTACHED => return Ok(()),
+                STATE_POISONED => return Err(bad("peer rejected the shm region handshake")),
+                _ => {}
+            }
+            if shutdown.is_set() {
+                return Err(io::Error::new(io::ErrorKind::Interrupted, "shutdown during attach"));
+            }
+            if Instant::now() > deadline {
+                return Err(io::Error::new(io::ErrorKind::TimedOut, "shm peer never attached"));
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 }
 
@@ -251,7 +278,8 @@ pub fn create_region(
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "link name too long"));
     }
     let slots = params.queue_len.max(2);
-    let len = region_len(slots);
+    let len = region_len_for(slots, SLOT_BYTES)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "queue length too large"))?;
     let file = OpenOptions::new()
         .read(true)
         .write(true)
@@ -266,7 +294,7 @@ pub fn create_region(
         path: path.to_path_buf(),
         owner: true,
         slots,
-        stride: slot_stride(),
+        stride: SLOT_BYTES,
     };
     region.write_bytes(OFF_MAGIC, &SHM_MAGIC);
     region.write_bytes(OFF_VERSION, &[SHM_VERSION]);
@@ -274,10 +302,10 @@ pub fn create_region(
     region.write_bytes(OFF_NAME, link.as_bytes());
     region.write_bytes(OFF_PARAMS, &params.to_wire());
     region.write_bytes(OFF_SLOTS, &(slots as u32).to_le_bytes());
-    region.write_bytes(OFF_STRIDE, &(slot_stride() as u32).to_le_bytes());
+    region.write_bytes(OFF_STRIDE, &(SLOT_BYTES as u32).to_le_bytes());
     // Publish: everything above must be visible before READY is observed.
     region.atomic_at(OFF_STATE).store(STATE_READY, Ordering::Release);
-    Ok(ShmEndpoint::new(Arc::new(region), Side::A))
+    Ok(ShmEndpoint::new(Arc::new(region), Side::A, params))
 }
 
 /// Attach to the region `create_region` publishes at `path` (the connecting
@@ -292,7 +320,6 @@ pub fn attach_region(
     deadline: Instant,
     shutdown: &ShutdownSignal,
 ) -> io::Result<ShmEndpoint> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     let slots = params.queue_len.max(2);
     loop {
         if shutdown.is_set() {
@@ -333,16 +360,18 @@ pub fn attach_region(
                     region.poison();
                     return Err(bad("shm region channel params mismatch"));
                 }
-                if region.slots != slots || region.stride != slot_stride() {
+                if region.slots != slots || region.stride != SLOT_BYTES {
                     // Covers queue_len mismatches too: geometry is read from
                     // the creator's header, so a differently-sized region is
                     // rejected (and poisoned) here instead of hanging the
-                    // attach poll until the connect timeout.
+                    // attach poll until the connect timeout. Past this check
+                    // the rings are laid over exactly `slots * SLOT_BYTES`
+                    // mapped bytes each.
                     region.poison();
                     return Err(bad("shm region ring geometry mismatch"));
                 }
                 region.atomic_at(OFF_STATE).store(STATE_ATTACHED, Ordering::Release);
-                return Ok(ShmEndpoint::new(Arc::new(region), Side::B));
+                return Ok(ShmEndpoint::new(Arc::new(region), Side::B, params));
             }
             None => std::thread::sleep(Duration::from_millis(1)),
         }
@@ -356,7 +385,6 @@ pub fn attach_region(
 /// expectations, so a creator/attacher parameter mismatch surfaces as a fast
 /// validation failure in [`attach_region`] rather than an endless poll.
 fn probe_region(path: &Path) -> io::Result<Option<ShmRegion>> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     let mut file = match File::options().read(true).write(true).open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
@@ -383,12 +411,12 @@ fn probe_region(path: &Path) -> io::Result<Option<ShmRegion>> {
     // io-ok: infallible - both slices are exactly 4 bytes
     let stride = u32::from_le_bytes(geom[4..8].try_into().unwrap()) as usize;
     // The mapping length must come from the header the creator wrote; an
-    // inconsistent file (truncated, or not a SimBricks region at all) is an
-    // error, not a "keep polling".
-    if slots < 2 || stride == 0 || region_len_for(slots, stride) as u64 != file_len {
-        return Err(bad("shm region size inconsistent with its header"));
-    }
-    let len = region_len_for(slots, stride);
+    // inconsistent file (truncated, overflowing geometry, or not a SimBricks
+    // region at all) is an error, not a "keep polling".
+    let len = match region_len_for(slots, stride) {
+        Some(len) if slots >= 2 && stride != 0 && len as u64 == file_len => len,
+        _ => return Err(bad("shm region size inconsistent with its header")),
+    };
     let ptr = sys::map_shared(&file, len)?;
     Ok(Some(ShmRegion {
         ptr,
@@ -401,7 +429,7 @@ fn probe_region(path: &Path) -> io::Result<Option<ShmRegion>> {
 }
 
 // ---------------------------------------------------------------------------
-// Endpoint: one side's producer/consumer view of the two rings
+// Endpoint: one side's producer/consumer on the two rings
 // ---------------------------------------------------------------------------
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -412,351 +440,96 @@ enum Side {
     B,
 }
 
-/// Error returned by [`ShmEndpoint::push`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShmPushError {
-    /// The next slot is still owned by the consumer.
-    Full,
-    /// Payload exceeds [`MAX_PAYLOAD`].
-    TooLarge,
-}
-
-/// One side of an shm link: a producer index into its transmit ring and a
-/// consumer index into its receive ring, both process-local (never shared),
-/// as in the paper's queue design.
-#[derive(Debug)]
+/// One side of an shm link: the producer of its transmit ring and the
+/// consumer of its receive ring, both sitting on the mapping.
+/// [`ShmEndpoint::into_channel_end`] turns it into the component's channel
+/// endpoint.
 pub struct ShmEndpoint {
     region: Arc<ShmRegion>,
     side: Side,
-    tx_idx: usize,
-    rx_idx: usize,
-    /// Arena received payloads are copied into straight out of the mapped
-    /// ring (one copy, no heap allocation on a warm pool).
-    pool: BufPool,
+    /// The parameters the handshake agreed on.
+    params: ChannelParams,
+    tx: Producer,
+    rx: Consumer,
+}
+
+impl std::fmt::Debug for ShmEndpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShmEndpoint")
+            .field("region", &self.region)
+            .field("side", &self.side)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ShmEndpoint {
-    fn new(region: Arc<ShmRegion>, side: Side) -> Self {
+    fn new(region: Arc<ShmRegion>, side: Side, params: ChannelParams) -> Self {
+        let at = |off: usize| {
+            // SAFETY: every offset used below is inside the mapping.
+            unsafe { NonNull::new_unchecked(region.ptr.add(off)) }
+        };
+        let ring_bytes = region.slots * SLOT_BYTES;
+        // Ring A→B first, then B→A; side A's close byte is the producer flag
+        // of the former and the consumer flag of the latter.
+        let a_to_b = RingMem {
+            slots: at(HEADER_LEN),
+            len: region.slots,
+            producer_closed: at(OFF_A_CLOSED).cast(),
+            consumer_closed: at(OFF_B_CLOSED).cast(),
+            owner: region.clone(),
+        };
+        let b_to_a = RingMem {
+            slots: at(HEADER_LEN + ring_bytes),
+            producer_closed: a_to_b.consumer_closed,
+            consumer_closed: a_to_b.producer_closed,
+            ..a_to_b.clone()
+        };
+        let (tx_mem, rx_mem) = match side {
+            Side::A => (a_to_b, b_to_a),
+            Side::B => (b_to_a, a_to_b),
+        };
+        // SAFETY: create/attach validated that the mapping holds two rings
+        // of `slots * SLOT_BYTES` page-aligned bytes, zero-filled by
+        // `set_len`; `owner` keeps it mapped; and the handshake admits
+        // exactly one creator (producer of A→B, consumer of B→A) and one
+        // attacher (the mirror image).
+        let (tx, rx) = unsafe { (Producer::over(tx_mem), Consumer::over(rx_mem)) };
         ShmEndpoint {
             region,
             side,
-            tx_idx: 0,
-            rx_idx: 0,
-            pool: BufPool::new(),
-        }
-    }
-
-    fn ring_base(&self, tx: bool) -> usize {
-        let ring_bytes = self.region.slots * self.region.stride;
-        // Ring A→B first, then B→A.
-        let a_to_b = HEADER_LEN;
-        let b_to_a = HEADER_LEN + ring_bytes;
-        match (self.side, tx) {
-            (Side::A, true) | (Side::B, false) => a_to_b,
-            (Side::A, false) | (Side::B, true) => b_to_a,
-        }
-    }
-
-    fn closed_flag_off(&self, mine: bool) -> usize {
-        match (self.side, mine) {
-            (Side::A, true) | (Side::B, false) => OFF_A_CLOSED,
-            (Side::A, false) | (Side::B, true) => OFF_B_CLOSED,
+            params,
+            tx,
+            rx,
         }
     }
 
     /// Enqueue one message into the transmit ring. Non-blocking.
-    pub fn push(&mut self, msg: &OwnedMsg) -> Result<(), ShmPushError> {
-        if msg.data.len() > MAX_PAYLOAD {
-            return Err(ShmPushError::TooLarge);
-        }
-        let base = self.ring_base(true) + self.tx_idx * self.region.stride;
-        let ctrl = self.region.atomic_at(base + SLOT_OFF_CTRL);
-        if ctrl.load(Ordering::Acquire) & OWNER_CONSUMER != 0 {
-            return Err(ShmPushError::Full);
-        }
-        self.region
-            .write_bytes(base + SLOT_OFF_TS, &msg.timestamp.as_ps().to_le_bytes());
-        self.region
-            .write_bytes(base + SLOT_OFF_LEN, &(msg.data.len() as u32).to_le_bytes());
-        self.region.write_bytes(base + SLOT_OFF_PAYLOAD, &msg.data);
-        ctrl.store(OWNER_CONSUMER | (msg.ty & TYPE_MASK), Ordering::Release);
-        self.tx_idx += 1;
-        if self.tx_idx == self.region.slots {
-            self.tx_idx = 0;
-        }
-        Ok(())
+    pub fn push(&mut self, msg: &OwnedMsg) -> Result<(), SendError> {
+        self.tx.try_send(msg.timestamp, msg.ty, &msg.data)
     }
 
     /// Dequeue the next message from the receive ring, if any.
     pub fn pop(&mut self) -> Option<OwnedMsg> {
-        let base = self.ring_base(false) + self.rx_idx * self.region.stride;
-        let ctrl = self.region.atomic_at(base + SLOT_OFF_CTRL);
-        let c = ctrl.load(Ordering::Acquire);
-        if c & OWNER_CONSUMER == 0 {
-            return None;
-        }
-        let mut ts = [0u8; 8];
-        self.region.read_bytes(base + SLOT_OFF_TS, &mut ts);
-        let mut len = [0u8; 4];
-        self.region.read_bytes(base + SLOT_OFF_LEN, &mut len);
-        let len = (u32::from_le_bytes(len) as usize).min(MAX_PAYLOAD);
-        // One copy: mapped ring straight into a pooled segment (no heap
-        // allocation on a warm pool; SYNCs are allocation-free).
-        let data = if len == 0 {
-            PktBuf::empty()
-        } else {
-            let mut b = self.pool.alloc_capacity(len, 0);
-            let region = &self.region;
-            b.extend_with(len, |dst| region.read_bytes(base + SLOT_OFF_PAYLOAD, dst));
-            b
-        };
-        let msg = OwnedMsg::new(
-            SimTime::from_ps(u64::from_le_bytes(ts)),
-            c & TYPE_MASK,
-            data,
-        );
-        ctrl.store(0, Ordering::Release);
-        self.rx_idx += 1;
-        if self.rx_idx == self.region.slots {
-            self.rx_idx = 0;
-        }
-        Some(msg)
+        self.rx.try_recv()
     }
 
-    /// Mark this side closed (everything it will ever send is in the ring).
-    pub fn set_closed(&self) {
-        self.region
-            .atomic_at(self.closed_flag_off(true))
-            .store(1, Ordering::Release);
+    /// The mapping behind this endpoint, for checks and teardown that
+    /// outlive the endpoint's conversion into a [`ChannelEnd`].
+    pub(crate) fn region(&self) -> Arc<ShmRegion> {
+        self.region.clone()
     }
 
-    /// Whether the peer side has closed (its ring contents are final).
-    pub fn peer_closed(&self) -> bool {
-        self.region
-            .atomic_at(self.closed_flag_off(false))
-            .load(Ordering::Acquire)
-            != 0
-            || self.region.state() == STATE_POISONED
-    }
-
-    /// Creator side: wait until the peer attached (or poisoned the region /
-    /// the deadline passed / shutdown was signalled).
-    pub fn wait_attached(
-        &self,
-        deadline: Instant,
-        shutdown: &ShutdownSignal,
-    ) -> io::Result<()> {
-        debug_assert_eq!(self.side, Side::A);
-        loop {
-            match self.region.state() {
-                STATE_ATTACHED => return Ok(()),
-                STATE_POISONED => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "peer rejected the shm region handshake",
-                    ))
-                }
-                _ => {}
-            }
-            if shutdown.is_set() {
-                return Err(io::Error::new(io::ErrorKind::Interrupted, "shutdown during attach"));
-            }
-            if Instant::now() > deadline {
-                return Err(io::Error::new(io::ErrorKind::TimedOut, "shm peer never attached"));
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Transport impl
-// ---------------------------------------------------------------------------
-
-/// An shm link side as a [`Transport`]. The handshake may still be pending
-/// when the forwarder thread starts — builds must never block on connection
-/// ordering — so the transport carries one of three states and completes the
-/// handshake (wait for the attacher, or attach lazily) on the forwarding
-/// thread before entering the loop.
-pub struct ShmTransport {
-    state: ShmTransportState,
-}
-
-enum ShmTransportState {
-    /// Handshake already complete (e.g. an in-process proxy pair).
-    Ready(ShmEndpoint),
-    /// Creator side: region published, peer not yet attached.
-    AwaitPeer(ShmEndpoint, Instant),
-    /// Attacher side: region possibly not even created yet.
-    Attach {
-        path: PathBuf,
-        link: String,
-        params: ChannelParams,
-        deadline: Instant,
-    },
-}
-
-impl ShmTransport {
-    /// A fully handshaken endpoint.
-    pub(crate) fn ready(endpoint: ShmEndpoint) -> Self {
-        ShmTransport {
-            state: ShmTransportState::Ready(endpoint),
-        }
-    }
-
-    /// Creator side: wait (on the forwarding thread) until the peer attaches
-    /// or `deadline` passes before forwarding.
-    pub(crate) fn await_peer(endpoint: ShmEndpoint, deadline: Instant) -> Self {
-        ShmTransport {
-            state: ShmTransportState::AwaitPeer(endpoint, deadline),
-        }
-    }
-
-    /// Attacher side: attach to `path` (on the forwarding thread, polling
-    /// until the creator publishes the region) and validate the handshake
-    /// metadata before forwarding.
-    pub(crate) fn attach(
-        path: PathBuf,
-        link: impl Into<String>,
-        params: ChannelParams,
-        deadline: Instant,
-    ) -> Self {
-        ShmTransport {
-            state: ShmTransportState::Attach {
-                path,
-                link: link.into(),
-                params,
-                deadline,
-            },
-        }
-    }
-}
-
-impl Transport for ShmTransport {
-    fn name(&self) -> &'static str {
-        "shm"
-    }
-
-    fn forward(
-        self: Box<Self>,
-        local: ChannelEnd,
-        counters: Arc<ProxyCounters>,
-        shutdown: Arc<ShutdownSignal>,
-    ) {
-        let endpoint = match self.state {
-            ShmTransportState::Ready(ep) => ep,
-            ShmTransportState::AwaitPeer(ep, deadline) => {
-                if let Err(e) = ep.wait_attached(deadline, &shutdown) {
-                    eprintln!("shm transport: peer never attached: {e}");
-                    return;
-                }
-                ep
-            }
-            ShmTransportState::Attach {
-                path,
-                link,
-                params,
-                deadline,
-            } => match attach_region(&path, &link, params, deadline, &shutdown) {
-                Ok(ep) => ep,
-                Err(e) => {
-                    eprintln!("shm transport: attach failed on link {link:?}: {e}");
-                    return;
-                }
-            },
-        };
-        shm_forward_loop(endpoint, local, &counters, &shutdown);
-    }
-}
-
-/// One side of an shm-bridged link: forward everything between the local
-/// channel stub and the mapped rings until the local component endpoint
-/// disappears, the peer side closes, or `shutdown` is signalled. Mirrors the
-/// semantics of `crate::proxy::tcp_forward_loop`: nothing is dropped or
-/// reordered, the local side is fully flushed before close, and backpressure
-/// (full ring, full local queue) is retried, never fatal.
-pub(crate) fn shm_forward_loop(
-    mut endpoint: ShmEndpoint,
-    mut local: ChannelEnd,
-    counters: &ProxyCounters,
-    shutdown: &ShutdownSignal,
-) {
-    let mut pending: Option<OwnedMsg> = None;
-    loop {
-        if shutdown.is_set() {
-            endpoint.set_closed();
-            return;
-        }
-        let mut idle = true;
-        // Read both close flags before draining: a closer finishes its last
-        // send/push *before* raising its flag, so a drain performed after
-        // observing a flag is guaranteed to have flushed everything.
-        let local_closing = local.peer_closed();
-        let peer_closing = endpoint.peer_closed();
-        // Local -> ring (batched: everything queued locally in one round).
-        let mut moved = 0u64;
-        let mut moved_bytes = 0u64;
-        loop {
-            let msg = match pending.take() {
-                Some(m) => m,
-                None => match local.recv_raw() {
-                    Some(m) => m,
-                    None => break,
-                },
-            };
-            match endpoint.push(&msg) {
-                Ok(()) => {
-                    moved += 1;
-                    moved_bytes += msg.data.len() as u64;
-                }
-                Err(ShmPushError::Full) => {
-                    pending = Some(msg);
-                    break;
-                }
-                Err(ShmPushError::TooLarge) => {
-                    // Cannot happen: local channel slots share MAX_PAYLOAD.
-                    endpoint.set_closed();
-                    return;
-                }
-            }
-        }
-        if moved > 0 {
-            counters.record_batch(moved, moved_bytes);
-            idle = false;
-        }
-        if local_closing && pending.is_none() {
-            endpoint.set_closed();
-            return;
-        }
-        // Ring -> local (retry until the component drains its queue).
-        while let Some(msg) = endpoint.pop() {
-            loop {
-                if shutdown.is_set() {
-                    endpoint.set_closed();
-                    return;
-                }
-                match local.send_raw(msg.timestamp, msg.ty, &msg.data) {
-                    Ok(()) => break,
-                    Err(simbricks_base::SendError::Full) => std::thread::yield_now(),
-                    Err(_) => {
-                        endpoint.set_closed();
-                        return;
-                    }
-                }
-            }
-            idle = false;
-        }
-        if peer_closing {
-            // The flag was up before the drain above, so the (now empty)
-            // ring contents were final and have all been injected locally.
-            // A still-pending local message can never be delivered — the
-            // peer stopped reading — matching a TCP peer that closed.
-            endpoint.set_closed();
-            return;
-        }
-        if idle {
-            std::thread::yield_now();
-        }
+    /// The channel endpoint a component uses: its rings are this endpoint's,
+    /// in the mapping, so sync, impairment and back-pressure behave exactly
+    /// as on an in-process channel. Side A is the link's `a` end (direction
+    /// tag 0), side B its `b` end (tag 1).
+    pub fn into_channel_end(self) -> ChannelEnd {
+        let mut end = ChannelEnd::new(self.tx, self.rx, self.params);
+        end.set_dir(match self.side {
+            Side::A => 0,
+            Side::B => 1,
+        });
+        end
     }
 }
 
@@ -779,7 +552,7 @@ pub(crate) fn region_path(dir: &Path, link: &str) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simbricks_base::MSG_SYNC;
+    use simbricks_base::{SimTime, MAX_PAYLOAD, MSG_SYNC};
 
     fn temp_path(tag: &str) -> PathBuf {
         static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -792,6 +565,26 @@ mod tests {
 
     fn soon() -> Instant {
         Instant::now() + Duration::from_secs(5)
+    }
+
+    /// What only these tests need of an endpoint.
+    impl ShmEndpoint {
+        /// Mark this side closed without dropping it.
+        fn set_closed(&self) {
+            let off = match self.side {
+                Side::A => OFF_A_CLOSED,
+                Side::B => OFF_B_CLOSED,
+            };
+            self.region.atomic_at(off).store(1, Ordering::Release);
+        }
+
+        fn peer_closed(&self) -> bool {
+            self.rx.peer_closed()
+        }
+
+        fn wait_attached(&self, deadline: Instant, sd: &ShutdownSignal) -> io::Result<()> {
+            self.region.wait_attached(deadline, sd)
+        }
     }
 
     #[test]
@@ -827,10 +620,7 @@ mod tests {
         for i in 0..4u64 {
             a.push(&OwnedMsg::new(SimTime::from_ns(i), 1, vec![i as u8])).unwrap();
         }
-        assert_eq!(
-            a.push(&OwnedMsg::new(SimTime::ZERO, 1, vec![])),
-            Err(ShmPushError::Full)
-        );
+        assert_eq!(a.push(&OwnedMsg::new(SimTime::ZERO, 1, vec![])), Err(SendError::Full));
         for i in 0..4u64 {
             assert_eq!(b.pop().unwrap().data, vec![i as u8]);
         }
@@ -923,7 +713,7 @@ mod tests {
                 let msg = OwnedMsg::new(SimTime::from_ps(sent), 5, sent.to_le_bytes().to_vec());
                 match a.push(&msg) {
                     Ok(()) => sent += 1,
-                    Err(ShmPushError::Full) => std::thread::yield_now(),
+                    Err(SendError::Full) => std::thread::yield_now(),
                     Err(e) => panic!("push failed: {e:?}"),
                 }
             }
@@ -940,6 +730,70 @@ mod tests {
             }
         }
         producer.join().unwrap();
+    }
+
+    /// A published header (`state = READY`) claiming `slots` x `stride`,
+    /// followed by `body` bytes of ring space.
+    fn write_header(path: &Path, version: u8, slots: u32, stride: u32, body: usize) {
+        let mut f = vec![0u8; HEADER_LEN + body];
+        f[OFF_MAGIC..OFF_MAGIC + 4].copy_from_slice(&SHM_MAGIC);
+        f[OFF_VERSION] = version;
+        f[OFF_STATE] = STATE_READY;
+        f[OFF_SLOTS..OFF_SLOTS + 4].copy_from_slice(&slots.to_le_bytes());
+        f[OFF_STRIDE..OFF_STRIDE + 4].copy_from_slice(&stride.to_le_bytes());
+        std::fs::write(path, f).unwrap();
+    }
+
+    /// Shm headers are input from outside the program: whatever they hold,
+    /// attaching is a typed error — no overflow panic (this runs with
+    /// overflow checks on), no mapping past the end of the file.
+    #[test]
+    fn hostile_headers_are_errors_not_panics() {
+        let params = ChannelParams::default_sync().with_queue_len(8);
+        let sd = ShutdownSignal::default();
+        let attach = |path: &Path| {
+            let err = attach_region(path, "l", params, soon(), &sd).expect_err("rejected");
+            let _ = std::fs::remove_file(path);
+            err.kind()
+        };
+
+        // 2 * slots * stride overflows usize.
+        let path = temp_path("overflow");
+        write_header(&path, SHM_VERSION, u32::MAX, u32::MAX, 0);
+        assert_eq!(attach(&path), io::ErrorKind::InvalidData);
+
+        // The file is shorter than the geometry its own header declares.
+        let path = temp_path("short");
+        write_header(&path, SHM_VERSION, 8, SLOT_BYTES as u32, 3 * SLOT_BYTES);
+        assert_eq!(attach(&path), io::ErrorKind::InvalidData);
+
+        // A region of the previous layout version is refused, not reinterpreted.
+        let path = temp_path("v1");
+        write_header(&path, 1, 8, SLOT_BYTES as u32, 2 * 8 * SLOT_BYTES);
+        assert_eq!(attach(&path), io::ErrorKind::InvalidData);
+    }
+
+    /// A slot whose length field exceeds `MAX_PAYLOAD` (a corrupt or hostile
+    /// peer) is delivered clamped, never sliced out of bounds.
+    #[test]
+    #[cfg(unix)]
+    fn oversized_slot_length_is_clamped() {
+        use std::os::unix::fs::FileExt;
+        let path = temp_path("len");
+        let params = ChannelParams::default_sync().with_queue_len(4);
+        let sd = ShutdownSignal::default();
+        let _a = create_region(&path, "l", params).unwrap();
+        let mut b = attach_region(&path, "l", params, soon(), &sd).unwrap();
+        // Slot 0 of ring A→B, `repr(C)` layout of `simbricks_base`'s slot:
+        // u64 timestamp, u32 length, u32 pad, payload, control byte.
+        let slot = HEADER_LEN as u64;
+        let file = File::options().write(true).open(&path).unwrap();
+        file.write_all_at(&u32::MAX.to_le_bytes(), slot + 8).unwrap();
+        file.write_all_at(&[0x80 | 5], slot + 16 + MAX_PAYLOAD as u64).unwrap();
+        let m = b.pop().expect("published slot is delivered");
+        assert_eq!(m.ty, 5);
+        assert_eq!(m.data.len(), MAX_PAYLOAD);
+        assert!(b.pop().is_none());
     }
 
     #[test]
@@ -987,7 +841,7 @@ mod tests {
                         seq += 1;
                         match a.push(&msg) {
                             Ok(()) => model.push_back(msg),
-                            Err(ShmPushError::Full) => {
+                            Err(SendError::Full) => {
                                 prop_assert_eq!(model.len(), qlen, "Full only when the model is full");
                             }
                             Err(e) => prop_assert!(false, "unexpected push error {:?}", e),

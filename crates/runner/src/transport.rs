@@ -1,36 +1,26 @@
-//! Pluggable cross-partition channel transports.
+//! Selecting the cross-partition channel transport.
 //!
 //! The paper's deployment model (§5.2, §5.4) connects co-located simulator
-//! processes through optimized *shared-memory* message queues and reserves
-//! socket/RDMA proxies for links that cross physical machines. This module
-//! extracts that choice into a small trait: a [`Transport`] is one connected
-//! side of a cross-partition link, bridging the local component's channel
-//! stub to the peer partition. Two implementations exist:
+//! processes through *shared-memory* message queues that both sides poll and
+//! reserves socket proxies for links that cross physical machines. A
+//! cross-partition link of `crate::dist` is therefore one of two things:
 //!
-//! * [`TcpTransport`] — the §5.4 sockets proxy (serialize + stream over TCP),
-//!   the cross-host / explicit fallback;
-//! * [`crate::shm::ShmTransport`] — a file-backed mmap SPSC ring per link for
-//!   partitions on the same host (no serialization, no syscalls on the data
-//!   path).
+//! * [`TransportKind::Shm`] — the component's channel endpoint sits directly
+//!   on a file-backed mapping (`crate::shm`): the same ring as in-process,
+//!   no forwarder thread, no serialization, no syscalls on the data path;
+//! * [`TransportKind::Tcp`] — the §5.4 sockets proxy
+//!   (`crate::proxy::tcp_forward_loop`): a local channel stub plus one
+//!   forwarding thread per side that serializes and streams over TCP — the
+//!   cross-host / explicit fallback.
 //!
-//! Both preserve the proxy layer's contract: the handshake metadata (link
-//! name + [`simbricks_base::ChannelParams`]) is validated before any
-//! simulation message flows, everything the local component sent is flushed
-//! before the forwarder exits, and exits poison the shared
-//! [`ShutdownSignal`] so sibling forwarders wind down (no half-dead pairs).
+//! Either way the handshake metadata (link name +
+//! [`simbricks_base::ChannelParams`]) is validated before any simulation
+//! message flows.
 //!
 //! [`TransportKind`] is the user-facing selector (`--transport tcp|shm|auto`,
 //! environment `SIMBRICKS_TRANSPORT`); `auto` picks shared memory whenever
 //! the platform supports it, which for this single-machine orchestrator is
 //! every link.
-
-use std::net::TcpStream;
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use simbricks_base::ChannelEnd;
-
-use crate::proxy::{tcp_forward_loop, ProxyCounters, ShutdownSignal};
 
 /// Environment variable selecting the default cross-partition transport
 /// ([`TransportKind::parse`] syntax) for harnesses and distributed runs.
@@ -94,78 +84,6 @@ impl TransportKind {
             k => k,
         }
     }
-}
-
-/// One connected side of a cross-partition link. Implementations carry the
-/// already-handshaken medium (a TCP stream, an attached shm region); the
-/// forwarding contract is uniform:
-///
-/// * forward every local message (data and SYNC) to the peer, preserving
-///   order, batching opportunistically, and counting into `counters`;
-/// * inject every peer message into the local channel stub, retrying on
-///   backpressure;
-/// * exit once the local component endpoint is gone (after flushing
-///   everything it sent), the peer side closed, or `shutdown` is signalled;
-/// * never drop or reorder a message.
-pub trait Transport: Send {
-    /// Short transport name for diagnostics (`"tcp"`, `"shm"`).
-    fn name(&self) -> &'static str;
-
-    /// Run the forwarding loop until close/shutdown (see trait docs).
-    fn forward(
-        self: Box<Self>,
-        local: ChannelEnd,
-        counters: Arc<ProxyCounters>,
-        shutdown: Arc<ShutdownSignal>,
-    );
-}
-
-/// The §5.4 sockets proxy as a [`Transport`]: a connected, handshaken TCP
-/// stream (registered with the shutdown signal by the caller).
-pub struct TcpTransport {
-    stream: TcpStream,
-}
-
-impl TcpTransport {
-    /// Wrap a connected stream. The caller has already performed the SBPX
-    /// handshake and registered the stream with the shutdown signal.
-    pub fn new(stream: TcpStream) -> Self {
-        TcpTransport { stream }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
-    fn forward(
-        self: Box<Self>,
-        local: ChannelEnd,
-        counters: Arc<ProxyCounters>,
-        shutdown: Arc<ShutdownSignal>,
-    ) {
-        tcp_forward_loop(local, self.stream, &counters, &shutdown);
-    }
-}
-
-/// Spawn a named thread running `transport`'s forwarding loop; when the loop
-/// exits (for any reason) the shared shutdown signal is poisoned so sibling
-/// forwarders wind down too.
-pub(crate) fn spawn_transport_forwarder(
-    name: String,
-    transport: Box<dyn Transport>,
-    local: ChannelEnd,
-    counters: Arc<ProxyCounters>,
-    shutdown: Arc<ShutdownSignal>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || {
-            transport.forward(local, counters, shutdown.clone());
-            shutdown.signal();
-        })
-        .expect("spawn transport forwarder thread")
 }
 
 #[cfg(test)]

@@ -6,7 +6,9 @@ use simbricks::apps::{IperfUdpClient, IperfUdpServer};
 use simbricks::hostsim::{HostConfig, HostKind, HostModel};
 use simbricks::netsim::{SwitchBm, SwitchConfig};
 use simbricks::netstack::SocketAddr;
-use simbricks::runner::{host_component, nic_model, proxy_channel_over_tcp, Execution, Experiment};
+use simbricks::runner::{
+    host_component, nic_model, proxy_pair, Execution, Experiment, ProxyKind,
+};
 use simbricks::SimTime;
 
 #[test]
@@ -25,8 +27,8 @@ fn udp_traffic_flows_across_a_tcp_proxied_ethernet_link() {
     // Server host + NIC, with the NIC's Ethernet link bridged over TCP: this
     // is the link that would cross physical machines in a distributed run.
     let (srv_pcie_host, srv_pcie_nic) = simbricks::base::channel_pair(exp.pcie_params());
-    let (srv_eth_nic, srv_eth_switch, _proxy_threads) =
-        proxy_channel_over_tcp(exp.eth_params()).expect("proxy setup");
+    let (srv_eth_nic, srv_eth_switch, proxy) =
+        proxy_pair(ProxyKind::Tcp, exp.eth_params()).expect("proxy setup");
     let s = exp.add(
         "server.host",
         host_component(server_cfg, server_app),
@@ -66,4 +68,6 @@ fn udp_traffic_flows_across_a_tcp_proxied_ethernet_link() {
         "traffic crossed the proxied link (got {} frames)",
         server.stats().rx_frames
     );
+    // The run dropped both component endpoints, so the forwarders wind down.
+    assert!(proxy.join().forwarded > 50, "and crossed it through the forwarders");
 }
