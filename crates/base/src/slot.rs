@@ -154,11 +154,18 @@ impl OwnedMsg {
     /// (§5.4). Layout: u64 timestamp, u8 type, u32 length, payload.
     pub fn to_wire(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(13 + self.data.len());
-        v.extend_from_slice(&self.timestamp.as_ps().to_le_bytes());
-        v.push(self.ty);
-        v.extend_from_slice(&(self.data.len() as u32).to_le_bytes());
-        v.extend_from_slice(&self.data);
+        self.write_wire(&mut v);
         v
+    }
+
+    /// Append the [`OwnedMsg::to_wire`] encoding to `out`. Forwarders batch
+    /// many messages into one reused buffer this way, with no allocation per
+    /// message.
+    pub fn write_wire(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.timestamp.as_ps().to_le_bytes());
+        out.push(self.ty);
+        out.extend_from_slice(&(self.data.len() as u32).to_le_bytes());
+        out.extend_from_slice(&self.data);
     }
 
     /// Parse a message from its wire encoding. Returns the message and the
@@ -245,6 +252,16 @@ mod tests {
         let (back, used) = OwnedMsg::from_wire(&w).unwrap();
         assert_eq!(used, w.len());
         assert_eq!(back, m);
+    }
+
+    #[test]
+    fn write_wire_appends_the_to_wire_encoding() {
+        let a = OwnedMsg::new(SimTime::from_ns(3), 5, vec![7; 40]);
+        let b = OwnedMsg::sync(SimTime::from_ns(4));
+        let mut batch = b"prefix".to_vec();
+        a.write_wire(&mut batch);
+        b.write_wire(&mut batch);
+        assert_eq!(batch, [&b"prefix"[..], &a.to_wire(), &b.to_wire()].concat());
     }
 
     #[test]

@@ -84,7 +84,11 @@
 //! mapping. Nothing forwards and no thread is added; impairment, SYNC and
 //! pause promises and back-pressure ride exactly the in-process path. Over
 //! **TCP** the link is a §5.4 sockets proxy: a local channel stub per side
-//! plus a forwarding thread. Selection (`--transport` in harnesses,
+//! whose other end a non-blocking pump forwards. The pump belongs to the
+//! partition's [`Experiment`] and its executor drives it between kernel
+//! steps (and the worker, after the run, until `DONE`), so a link adds no
+//! thread: the paper's busy-polled queues assume a core per poller, and a
+//! worker is not given one per link. Selection (`--transport` in harnesses,
 //! [`DistOptions::transport`], environment `SIMBRICKS_TRANSPORT`) is
 //! negotiated per link over the existing control protocol: the owning side
 //! advertises a scheme-prefixed rendezvous address in `LINKS`
@@ -117,10 +121,7 @@ use simbricks_base::{channel_pair, ChannelEnd, ChannelParams, EventLog, KernelSt
 use simbricks_hostsim::{Application, HostConfig};
 
 use crate::experiment::{AnyModel, Execution, Experiment, RunResult};
-use crate::proxy::{
-    read_handshake, spawn_tcp_forwarder, write_handshake, ProxyCounters, ProxyHandle, ProxyKind,
-    ShutdownSignal,
-};
+use crate::proxy::{pump_all, write_handshake, ShutdownSignal, TcpPump};
 use crate::shm;
 use crate::transport::TransportKind;
 
@@ -169,8 +170,9 @@ const MSG_HEARTBEAT: u8 = 10;
 /// slot when a worker dies.
 const MSG_RING: u8 = 11;
 /// Orchestrator → worker (fault injection): the named cross link is torn
-/// down — its proxy's shutdown handle signalled (tcp) or its region closed
-/// and poisoned (shm). Payload: link name (UTF-8).
+/// down — its pump's shutdown signal raised, which also shuts the socket
+/// (tcp), or its region closed and poisoned (shm). Payload: link name
+/// (UTF-8).
 const MSG_SEVER: u8 = 12;
 
 /// Upper bound on one control frame (results carry whole event logs).
@@ -184,6 +186,9 @@ const DEFAULT_HEARTBEAT: Duration = Duration::from_millis(100);
 /// Per-read poll interval used by the supervisor loop and the worker pump
 /// thread (`SO_RCVTIMEO`, so the sockets stay blocking for writes).
 const POLL_TIMEOUT: Duration = Duration::from_millis(2);
+/// How long a worker whose run is over sleeps between idle pumps of its tcp
+/// links while it waits for `DONE`.
+const LINK_IDLE: Duration = Duration::from_micros(50);
 /// Bounded connect retry: attempts and initial backoff (doubles per retry).
 const CONNECT_RETRIES: u32 = 6;
 const CONNECT_BACKOFF: Duration = Duration::from_millis(10);
@@ -353,6 +358,9 @@ pub enum FaultKind {
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryReport {
     /// Human-readable record of each injected fault, in injection order.
+    /// The fleet time the heartbeats showed when a fault fired depends on
+    /// wall-clock timing, so it is left out: two runs with one fault
+    /// schedule record the same lines.
     pub faults_injected: Vec<String>,
     /// Fleet restarts performed.
     pub restarts: u32,
@@ -408,7 +416,8 @@ enum BuildMode {
     Local,
     /// Record cross-link declarations only; drop all components.
     Discover,
-    /// Instantiate one partition; bridge cross links with TCP proxies.
+    /// Instantiate one partition; bridge cross links with shm regions or
+    /// tcp pumps.
     Worker,
 }
 
@@ -442,7 +451,6 @@ pub struct PartitionBuilder {
     global_names: Vec<String>,
     listeners: HashMap<String, TcpListener>,
     addr_map: HashMap<String, String>,
-    proxies: Vec<ProxyHandle>,
     /// Transport for links this worker owns (resolved, never `Auto`).
     transport: TransportKind,
     /// Per-run directory for shm region files (worker mode with shm links).
@@ -455,7 +463,7 @@ pub struct PartitionBuilder {
     /// [`cross_end`]: PartitionBuilder::cross_end
     build_errors: Vec<String>,
     /// Per cross link wired in this worker: how an injected `SEVER` tears it
-    /// down by name — signal the proxy's shutdown handle (tcp) or close and
+    /// down by name — raise the pump's shutdown signal (tcp) or close and
     /// poison the region (shm).
     link_severs: Vec<(String, Box<dyn Fn() + Send>)>,
     /// Shm regions this worker created; checked for an attached peer after
@@ -481,7 +489,6 @@ impl PartitionBuilder {
             global_names: Vec::new(),
             listeners: HashMap::new(),
             addr_map: HashMap::new(),
-            proxies: Vec::new(),
             transport: TransportKind::Tcp,
             shm_dir: None,
             build_errors: Vec::new(),
@@ -619,9 +626,11 @@ impl PartitionBuilder {
     ///   which cannot deadlock: every worker runs the same deterministic
     ///   build function, so links are visited in one global order and
     ///   creating never waits.
-    /// * `tcp:` — a local channel stub whose other end is forwarded by a
-    ///   proxy thread over a pre-bound listener (accepted lazily) or a
-    ///   connection to it, so the build never blocks on connection ordering.
+    /// * `tcp:` — a local channel stub whose other end a pump forwards over
+    ///   a connection to the owner's pre-bound listener. The pump belongs to
+    ///   the partition's experiment and the executor drives it: no thread.
+    ///   The owner accepts lazily, once the run starts, so the build never
+    ///   blocks on connection ordering.
     ///
     /// Failures are recorded in `build_errors` and yield a dangling end.
     fn cross_end(&mut self, link: &str, params: ChannelParams, listen: bool) -> ChannelEnd {
@@ -680,9 +689,12 @@ impl PartitionBuilder {
         Ok(endpoint.into_channel_end())
     }
 
-    /// One side of a sockets-proxy link: a local channel stub forwarded by a
-    /// proxy thread that accepts on the pre-bound listener (`peer` is `None`,
-    /// the owner) or connects to the owner's address.
+    /// One side of a sockets-proxy link: a local channel stub whose other end
+    /// a `TcpPump` forwards, handed to the partition's experiment so its
+    /// executor drives it — no thread. The owner's pump (`peer` is `None`)
+    /// accepts on the pre-bound listener once the run starts; the peer's
+    /// connect and handshake write complete against the listen backlog
+    /// here, during the build, so no build waits for an accept.
     fn tcp_cross_end(
         &mut self,
         link: &str,
@@ -697,11 +709,10 @@ impl PartitionBuilder {
         // Without this, both partitions would draw dir-0 streams and a
         // distributed run would diverge from the local one.
         component_end.set_dir(if peer.is_none() { 0 } else { 1 });
-        let counters = Arc::new(ProxyCounters::default());
         let shutdown = Arc::new(ShutdownSignal::default());
         let sever = shutdown.clone();
         self.link_severs.push((link.to_string(), Box::new(move || sever.signal())));
-        let thread = if let Some(addr) = peer {
+        let pump = if let Some(addr) = peer {
             // A freshly advertised listener may not be accepting yet, and
             // transient refusals happen during fleet restarts — retry with
             // bounded exponential backoff instead of failing on the first
@@ -710,69 +721,18 @@ impl PartitionBuilder {
                 .map_err(|e| format!("connect cross link {link:?} at {addr}: {e}"))?;
             write_handshake(&mut stream, link, &params)
                 .map_err(|e| format!("handshake on link {link:?}: {e}"))?;
-            stream.set_nodelay(true).ok();
-            shutdown.register_stream(&stream);
-            spawn_tcp_forwarder(
-                format!("dist-{link}"),
-                proxy_local,
-                stream,
-                counters.clone(),
-                shutdown.clone(),
-            )
+            TcpPump::live(link, proxy_local, stream, Arc::default(), shutdown)
         } else {
             let listener = self
                 .listeners
                 .remove(link)
                 .ok_or_else(|| format!("no pre-bound listener for owned link {link:?}"))?;
-            let link_name = link.to_string();
-            let counters = counters.clone();
-            let shutdown = shutdown.clone();
-            std::thread::Builder::new()
-                .name(format!("dist-{link}"))
-                .spawn(move || {
-                    // Poll-accept so a signalled shutdown can interrupt a
-                    // wait for a partner that never connects.
-                    listener.set_nonblocking(true).ok();
-                    let deadline = Instant::now() + CONNECT_TIMEOUT;
-                    let mut stream = loop {
-                        if shutdown.is_set() || Instant::now() > deadline {
-                            shutdown.signal();
-                            return;
-                        }
-                        match listener.accept() {
-                            Ok((s, _)) => break s,
-                            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                            Err(_) => {
-                                shutdown.signal();
-                                return;
-                            }
-                        }
-                    };
-                    stream.set_nonblocking(false).ok();
-                    // Register (and bound) the stream *before* the blocking
-                    // handshake read, so a shutdown signal or a peer that
-                    // connects and then dies cannot strand this thread.
-                    shutdown.register_stream(&stream);
-                    stream.set_read_timeout(Some(CONNECT_TIMEOUT)).ok();
-                    match read_handshake(&mut stream) {
-                        Ok((name, peer)) if name == link_name && peer == params => {}
-                        _ => {
-                            eprintln!("dist: handshake mismatch on link {link_name:?}");
-                            shutdown.signal();
-                            return;
-                        }
-                    }
-                    stream.set_read_timeout(None).ok();
-                    stream.set_nodelay(true).ok();
-                    crate::proxy::tcp_forward_loop(proxy_local, stream, &counters, &shutdown);
-                    shutdown.signal();
-                })
-                .map_err(|e| format!("spawn proxy thread for link {link:?}: {e}"))?
+            let deadline = Instant::now() + CONNECT_TIMEOUT;
+            let counters = Arc::default();
+            TcpPump::accepting(link, params, proxy_local, listener, deadline, counters, shutdown)
         };
-        self.proxies
-            .push(ProxyHandle::from_parts(ProxyKind::Tcp, counters, shutdown, vec![thread]));
+        let pump = pump.map_err(|e| format!("tcp link {link:?}: {e}"))?;
+        self.exp().add_pump(pump);
         Ok(component_end)
     }
 
@@ -1391,7 +1351,6 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
     // normal transient state, not a deadlock.
     exp.set_external_inputs();
     let local_globals = std::mem::take(&mut pb.local_globals);
-    let proxies = std::mem::take(&mut pb.proxies);
     let link_severs = std::mem::take(&mut pb.link_severs);
     let owned_regions = std::mem::take(&mut pb.owned_regions);
 
@@ -1422,7 +1381,7 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
     }
     if ring_period != 0 {
         // Every worker quiesces at the same virtual times (pause promises
-        // keep the partitions in lockstep through the proxies), so each
+        // keep the partitions in lockstep across the cross links), so each
         // partition contributes a snapshot for every ring slot.
         exp.set_checkpoint_ring(SimTime::from_ps(ring_period), ring_keep);
     }
@@ -1462,7 +1421,7 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
             }
         }));
     }
-    let pump = {
+    let ctrl_pump = {
         let writer = writer.clone();
         let run_done = run_done.clone();
         let done_acked = done_acked.clone();
@@ -1484,8 +1443,11 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
             })?
     };
 
-    let result = exp.run(exec);
+    // The executor pumps the tcp links while it steps the partition; the
+    // pumps come back with the result.
+    let mut result = exp.run(exec);
     run_done.store(true, Ordering::SeqCst);
+    let mut links = result.take_pumps();
 
     {
         let mut w = writer
@@ -1498,10 +1460,12 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
         let payload = encode_result(&result, &local_globals);
         write_frame(&mut w, MSG_RESULT, &payload)?;
     }
-    // Keep tcp proxies alive until every worker has reported: our forwarders
-    // have flushed everything our components sent, and the orchestrator's
-    // DONE (observed by the pump thread) confirms no peer depends on them.
-    // (Shm links need nothing: what our components sent is in the mapping.)
+    // Our components are done, but a peer may still be waiting for the last
+    // messages they sent: keep pumping the tcp links (flush, then shut the
+    // write side down and wait for the peer's EOF) until the orchestrator's
+    // DONE, observed by the control pump, confirms every worker has
+    // reported. Dropping the pumps afterwards closes the sockets. (Shm links
+    // need nothing: what our components sent is in the mapping.)
     let deadline = Instant::now() + CONTROL_TIMEOUT;
     while !done_acked.load(Ordering::SeqCst) {
         if ctrl_gone.load(Ordering::SeqCst) {
@@ -1510,12 +1474,12 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
         if Instant::now() > deadline {
             return Err(io::Error::new(io::ErrorKind::TimedOut, "timed out waiting for DONE"));
         }
-        std::thread::sleep(POLL_TIMEOUT);
+        if !pump_all(&mut links) {
+            std::thread::sleep(LINK_IDLE);
+        }
     }
-    for p in proxies {
-        p.shutdown();
-    }
-    let _ = pump.join();
+    drop(links);
+    let _ = ctrl_pump.join();
     Ok(())
 }
 
@@ -2374,9 +2338,9 @@ fn supervise(
             let threshold = f.spec.at.as_ps();
             match &f.spec.kind {
                 FaultKind::KillWorker { partition } => {
-                    report.faults_injected.push(format!(
-                        "kill_worker {partition:?} at {threshold} ps (fleet at {min_virt} ps)"
-                    ));
+                    report
+                        .faults_injected
+                        .push(format!("kill_worker {partition:?} at {threshold} ps"));
                     for (name, child) in &mut guard.children {
                         if name == partition {
                             let _ = child.kill();
@@ -2384,9 +2348,9 @@ fn supervise(
                     }
                 }
                 FaultKind::SeverLink { link } => {
-                    report.faults_injected.push(format!(
-                        "sever_link {link:?} at {threshold} ps (fleet at {min_virt} ps)"
-                    ));
+                    report
+                        .faults_injected
+                        .push(format!("sever_link {link:?} at {threshold} ps"));
                     let ends: Vec<String> = disc
                         .links
                         .iter()
@@ -2398,7 +2362,7 @@ fn supervise(
                             let _ = write_frame(s, MSG_SEVER, link.as_bytes());
                         }
                     }
-                    // Let the workers tear their forwarders down before the
+                    // Let the workers tear their links down before the
                     // fleet is reaped, so the failure is attributable to the
                     // sever rather than a racing teardown.
                     std::thread::sleep(Duration::from_millis(50));
@@ -2414,9 +2378,9 @@ fn supervise(
                         .map(|(at, _)| *at);
                     match newest {
                         Some(at) => {
-                            report.faults_injected.push(format!(
-                                "{label} ring slot at {at} ps (injected at {min_virt} ps)"
-                            ));
+                            report
+                                .faults_injected
+                                .push(format!("{label} ring slot at {at} ps"));
                             if let Some(parts) = ring_store.get_mut(&at) {
                                 for blob in parts.values_mut() {
                                     damage_blob(blob, truncate);
@@ -2433,9 +2397,9 @@ fn supervise(
                                 }
                             }
                         }
-                        None => report.faults_injected.push(format!(
-                            "{label}: no complete ring slot to damage (fleet at {min_virt} ps)"
-                        )),
+                        None => report
+                            .faults_injected
+                            .push(format!("{label}: no complete ring slot to damage")),
                     }
                 }
             }

@@ -29,7 +29,9 @@
 //!
 //! Cross-shard communication needs no extra machinery: components already
 //! exchange messages through the lock-free SPSC channel pairs created at
-//! wiring time, which work identically within and across shards.
+//! wiring time, which work identically within and across shards. A
+//! distributed partition's tcp links are pumped by whichever worker takes
+//! their lock at the start of a sweep.
 //!
 //! Determinism: the executor only changes *when* (in wall-clock time) each
 //! kernel polls; the §5.5 protocol fixes *what* every kernel observes at
@@ -42,6 +44,8 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use simbricks_base::{Kernel, Model, StepOutcome};
+
+use crate::proxy::{pump_all, TcpPump};
 
 /// Tuning knobs for the sharded executor.
 #[derive(Clone, Copy, Debug)]
@@ -115,13 +119,15 @@ const FORCE_AFTER_IDLE: u32 = 64;
 /// declared deadlocked.
 const DEADLOCK_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Run every unit to completion on `opts.workers` worker threads.
+/// Run every unit to completion on `opts.workers` worker threads, pumping
+/// `pumps` (the partition's tcp links) along the way.
 ///
 /// `stop` is the experiment's shared stop flag: in unsynchronized (emulation)
 /// runs the first component to finish raises it so free-running peers
 /// terminate; the executor also uses it to force-wake parked kernels.
 pub(crate) fn run_sharded(
     units: Vec<Unit<'_>>,
+    pumps: &mut [TcpPump],
     opts: ShardedOptions,
     stop: &AtomicBool,
     synchronized: bool,
@@ -146,17 +152,20 @@ pub(crate) fn run_sharded(
     // Monotone counter bumped on every productive sweep; workers use it to
     // notice global progress (and its absence, for deadlock detection).
     let progress = AtomicU64::new(0);
+    let pumps = (!pumps.is_empty()).then(|| Mutex::new(pumps));
 
     std::thread::scope(|scope| {
         for w in 0..workers {
             let slots = &slots;
             let finished = &finished;
             let progress = &progress;
+            let pumps = pumps.as_ref();
             scope.spawn(move || {
                 worker_loop(
                     w,
                     workers,
                     slots,
+                    pumps,
                     finished,
                     progress,
                     opts.batch,
@@ -235,6 +244,7 @@ fn worker_loop(
     w: usize,
     workers: usize,
     slots: &[Slot<'_>],
+    pumps: Option<&Mutex<&mut [TcpPump]>>,
     finished: &AtomicUsize,
     progress: &AtomicU64,
     batch: usize,
@@ -253,7 +263,10 @@ fn worker_loop(
 
     while finished.load(Ordering::Relaxed) < n {
         let force = stop.load(Ordering::Relaxed) || idle_sweeps >= FORCE_AFTER_IDLE;
-        let mut progressed = false;
+        // Links first, so what they deliver is stepped in this sweep. A
+        // worker that finds them locked leaves them to the one holding it.
+        let mut progressed =
+            pumps.is_some_and(|p| p.try_lock().is_ok_and(|mut p| pump_all(&mut p)));
         // Own shard first: keeps each kernel on one core in the steady state.
         for slot in &slots[lo..hi] {
             if try_step(slot, batch, force, finished, stop, synchronized) {

@@ -11,6 +11,7 @@ use simbricks_base::{
 };
 
 use crate::checkpoint::CheckpointFile;
+use crate::proxy::{pump_all, TcpPump};
 
 /// A model that can also be downcast back to its concrete type after the run
 /// (to read application reports, switch statistics, ...).
@@ -124,6 +125,10 @@ pub struct RunResult {
     /// to the orchestrator for merging.
     pub ring: Vec<(SimTime, Vec<u8>)>,
     models: Vec<Box<dyn AnyModel>>,
+    /// The experiment's tcp link pumps, handed back after the run so a
+    /// distributed worker can keep its links flowing until every peer is
+    /// done.
+    pumps: Vec<TcpPump>,
 }
 
 impl RunResult {
@@ -172,6 +177,11 @@ impl RunResult {
             .position(|n| n == name)
             .map(|i| &self.stats[i])
     }
+
+    /// Take the experiment's tcp link pumps (see [`Experiment::add_pump`]).
+    pub(crate) fn take_pumps(&mut self) -> Vec<TcpPump> {
+        std::mem::take(&mut self.pumps)
+    }
 }
 
 /// Sink receiving each encoded checkpoint-ring entry: (quiesce time, blob).
@@ -190,6 +200,10 @@ pub struct Experiment {
     log_enabled: bool,
     external_inputs: bool,
     components: Vec<Component>,
+    /// Pumps of this partition's tcp cross links: every loop that steps the
+    /// kernels also drives these, so a link needs no thread of its own.
+    /// Empty for in-process experiments.
+    pumps: Vec<TcpPump>,
     /// Checkpoint request: quiesce at the given virtual time mid-run, encode
     /// every component, optionally write the file, then continue.
     checkpoint: Option<(SimTime, Option<PathBuf>)>,
@@ -240,6 +254,7 @@ impl Experiment {
             log_enabled: false,
             external_inputs: false,
             components: Vec::new(),
+            pumps: Vec::new(),
             checkpoint: None,
             ring: None,
             ring_dir: None,
@@ -422,6 +437,12 @@ impl Experiment {
 
     pub fn num_components(&self) -> usize {
         self.components.len()
+    }
+
+    /// Adopt the pump of a tcp cross link: the executor drives it between
+    /// kernel steps, and [`RunResult`] hands it back after the run.
+    pub(crate) fn add_pump(&mut self, pump: TcpPump) {
+        self.pumps.push(pump);
     }
 
     // ------------------------------------------------------------------
@@ -671,6 +692,7 @@ impl Experiment {
                     StepOutcome::Paused | StepOutcome::Blocked(_) => {}
                 }
             }
+            any_progress |= pump_all(&mut self.pumps);
             // Settle in-flight messages into the ports' pending buffers.
             for c in &mut self.components {
                 c.kernel.checkpoint_poll();
@@ -689,7 +711,7 @@ impl Experiment {
             idle_rounds += 1;
             if self.external_inputs {
                 // Remote partitions quiesce on their own wall-clock schedule;
-                // their pause promises arrive through the proxy threads.
+                // their pause promises arrive through the cross links.
                 std::thread::yield_now();
                 if Instant::now() > deadline {
                     return Err(SnapError::Io(
@@ -989,6 +1011,10 @@ impl Experiment {
             logs.push(c.kernel.take_event_log());
             models.push(c.model);
         }
+        // The kernels and their channel ends are gone: flush what they sent
+        // last and tell the peers this side is done.
+        let mut pumps = self.pumps;
+        pump_all(&mut pumps);
         RunResult {
             name: self.name,
             wall,
@@ -999,6 +1025,7 @@ impl Experiment {
             checkpoint,
             ring: ring_blobs,
             models,
+            pumps,
         }
     }
 
@@ -1054,6 +1081,7 @@ impl Experiment {
                     }
                 }
             }
+            any_progress |= pump_all(&mut self.pumps);
             if all_finished && finished.iter().all(|f| *f) {
                 break;
             }
@@ -1128,13 +1156,25 @@ impl Experiment {
                 model: c.model.as_model(),
             })
             .collect();
-        crate::executor::run_sharded(units, opts, &stop, synchronized);
+        crate::executor::run_sharded(units, &mut self.pumps, opts, &stop, synchronized);
     }
 
     fn run_threads(&mut self) {
         let stop = self.stop.clone();
         let synchronized = self.synchronized;
+        let components_done = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
+            if !self.pumps.is_empty() {
+                // One thread pumps every tcp link while the components run.
+                let (pumps, done) = (&mut self.pumps, &components_done);
+                scope.spawn(move || {
+                    while !done.load(std::sync::atomic::Ordering::Acquire) {
+                        if !pump_all(pumps) {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
             let mut handles = Vec::new();
             for c in &mut self.components {
                 let kernel = &mut c.kernel;
@@ -1149,8 +1189,10 @@ impl Experiment {
                     }
                 }));
             }
-            for h in handles {
-                h.join().expect("component thread panicked");
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            components_done.store(true, std::sync::atomic::Ordering::Release);
+            for j in joined {
+                j.expect("component thread panicked");
             }
         });
     }

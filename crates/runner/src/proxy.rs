@@ -1,19 +1,31 @@
 //! Scale-out proxies (§5.4 of the paper).
 //!
-//! A proxy pair transparently replaces a shared-memory channel with a network
+//! A proxy transparently replaces a shared-memory channel with a network
 //! connection: each side connects to its local component through an ordinary
-//! channel endpoint and forwards every message (data and SYNC) to its peer
-//! proxy, which re-injects it locally. Components cannot tell the difference;
-//! only one extra hop of forwarding latency (hidden inside the modelled link
-//! latency) and one proxy thread per side are added.
+//! channel endpoint and forwards every message (data and SYNC) to its peer,
+//! which re-injects it locally. Components cannot tell the difference; only
+//! one extra hop of forwarding latency (hidden inside the modelled link
+//! latency) is added.
 //!
-//! Proxies exist only for links that leave the machine. [`proxy_pair`]
-//! bridges a channel in one of two ways:
+//! One side of a sockets link is a `TcpPump`: a non-blocking state machine
+//! (`Accepting` → `Live` → `Closed`) whose `pump()` does one bounded round —
+//! drain the local ring into one reused wire buffer and write what the
+//! socket takes, read what has arrived, decode into the local ring until it
+//! is full — and returns whether it moved anything. It never waits, so
+//! whoever steps the simulation can drive it:
+//!
+//! * in a distributed worker (`crate::dist`) each link's pump belongs to the
+//!   partition's `Experiment` and the executor pumps it between kernel
+//!   steps. The paper's busy-polled queues assume every poller has a core;
+//!   a worker on a small machine has none to spare for forwarder threads.
+//! * [`proxy_pair`] runs each side's pump on a thread of its own.
+//!
+//! [`proxy_pair`] bridges a channel in one of two ways:
 //!
 //! * **Sockets** ([`ProxyKind::Tcp`]) — messages are serialized to the wire
 //!   format and streamed over a TCP connection (Nagle disabled), with
 //!   adaptive batching: every message available in the local queue is
-//!   forwarded in one write. Two forwarding threads.
+//!   forwarded in one write. Two pump threads.
 //! * **Shared memory** ([`ProxyKind::Shm`]) — not a proxy at all: the two
 //!   endpoints are the two sides of one mapped region (`crate::shm`), the
 //!   §5.2 queue made cross-process. No forwarder, no serialization, no
@@ -37,8 +49,9 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use simbricks_base::{channel_pair, ChannelEnd, ChannelParams, OwnedMsg};
+use simbricks_base::{channel_pair, ChannelEnd, ChannelParams, OwnedMsg, SendError};
 
 /// Which transport a proxy pair uses between the two simulation "hosts".
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,8 +64,8 @@ pub enum ProxyKind {
     Shm,
 }
 
-/// Counters shared by the forwarding threads of a proxy pair or transport
-/// (snapshot through [`ProxyStats`]).
+/// Counters shared by the pumps of a proxy pair (snapshot through
+/// [`ProxyStats`]).
 #[derive(Debug, Default)]
 pub struct ProxyCounters {
     forwarded: AtomicU64,
@@ -61,12 +74,13 @@ pub struct ProxyCounters {
     max_batch: AtomicU64,
 }
 
-/// Cooperative shutdown signal shared by the forwarding threads of a proxy.
+/// Cooperative shutdown signal of a proxy link (or of both sides of a proxy
+/// pair).
 ///
-/// Forwarding loops poll the flag every iteration (including inside
-/// backpressure retry loops), so raising it unblocks threads that would
-/// otherwise spin forever waiting for a stalled peer. Registered TCP streams
-/// are also shut down, which turns any in-flight read into an immediate EOF.
+/// A link's pump checks the flag on every call and closes once it is raised,
+/// so a link whose peer stalls forever can still be torn down. Registered
+/// TCP streams are also shut down, which gives the remote reader an
+/// immediate EOF.
 #[derive(Default)]
 pub struct ShutdownSignal {
     flag: AtomicBool,
@@ -120,16 +134,17 @@ impl ProxyStats {
     }
 }
 
-/// Handle to a running proxy: the forwarding threads plus their shared
-/// statistics and shutdown signal. A [`ProxyKind::Shm`] pair has no threads:
-/// its handle joins at once and its counters stay zero.
+/// Handle to a running proxy pair: the two pump threads of a
+/// [`ProxyKind::Tcp`] pair plus their shared statistics and shutdown signal.
+/// A [`ProxyKind::Shm`] pair has no threads: its handle joins at once and
+/// its counters stay zero.
 ///
-/// Threads exit on their own once both component endpoints are gone (or the
-/// TCP peer closes); [`ProxyHandle::join`] waits for that. When one thread of
-/// a pair exits it poisons the shared shutdown signal, so its sibling winds
-/// down too and `join` cannot hang on a half-dead pair. Dropping the handle
-/// signals shutdown and detaches the threads, so an abandoned handle never
-/// leaks spinning forwarders.
+/// A pump thread exits once its link closes: the TCP peer finished sending
+/// (the other component endpoint is gone) or shutdown was signalled;
+/// [`ProxyHandle::join`] waits for both. When one thread exits it poisons
+/// the shared shutdown signal, so its sibling winds down too and `join`
+/// cannot hang on a half-dead pair. Dropping the handle signals shutdown and
+/// detaches the threads, so an abandoned handle never leaks spinning pumps.
 pub struct ProxyHandle {
     kind: ProxyKind,
     counters: Arc<ProxyCounters>,
@@ -138,20 +153,6 @@ pub struct ProxyHandle {
 }
 
 impl ProxyHandle {
-    pub(crate) fn from_parts(
-        kind: ProxyKind,
-        counters: Arc<ProxyCounters>,
-        shutdown: Arc<ShutdownSignal>,
-        threads: Vec<JoinHandle<()>>,
-    ) -> Self {
-        ProxyHandle {
-            kind,
-            counters,
-            shutdown,
-            threads,
-        }
-    }
-
     pub fn kind(&self) -> ProxyKind {
         self.kind
     }
@@ -166,8 +167,8 @@ impl ProxyHandle {
         }
     }
 
-    /// Wait for the forwarding threads to exit. They exit once their local
-    /// component endpoint is gone, the TCP peer closed, the sibling thread
+    /// Wait for the pump threads to exit. They exit once either component
+    /// endpoint is gone and its messages are delivered, the sibling thread
     /// exited (pair poisoning), or [`ProxyHandle::shutdown`] was requested —
     /// so `join` returns even when one side stalls forever.
     pub fn join(mut self) -> ProxyStats {
@@ -177,8 +178,8 @@ impl ProxyHandle {
         self.stats()
     }
 
-    /// Explicitly stop the forwarding threads (poison the channel loops and
-    /// shut the TCP streams down), then wait for them and return the final
+    /// Explicitly stop the pump threads (raise the shutdown signal and shut
+    /// the TCP streams down), then wait for them and return the final
     /// statistics.
     pub fn shutdown(mut self) -> ProxyStats {
         self.shutdown.signal();
@@ -234,7 +235,10 @@ pub fn write_handshake(
     // here, at the writer, instead of as a confusing handshake rejection on
     // the peer.
     if name.len() > HANDSHAKE_MAX - 7 - ChannelParams::WIRE_LEN {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "link name too long"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "link name too long",
+        ));
     }
     let mut payload = Vec::with_capacity(7 + name.len() + ChannelParams::WIRE_LEN);
     payload.extend_from_slice(&HANDSHAKE_MAGIC);
@@ -253,15 +257,43 @@ pub fn write_handshake(
 /// be in blocking mode. Fails with `InvalidData` on bad magic, version, or
 /// framing.
 pub fn read_handshake(stream: &mut TcpStream) -> io::Result<(String, ChannelParams)> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if !(7 + ChannelParams::WIRE_LEN..=HANDSHAKE_MAX).contains(&len) {
-        return Err(bad("handshake frame length out of range"));
-    }
-    let mut payload = vec![0u8; len];
+    let mut prefix = [0u8; 4];
+    stream.read_exact(&mut prefix)?;
+    let mut payload = vec![0u8; handshake_len(prefix)?];
     stream.read_exact(&mut payload)?;
+    parse_handshake(&payload)
+}
+
+/// Split a complete handshake frame off the front of `buf`: the link name,
+/// the peer's parameters and the frame's length, or `None` while the frame
+/// is still incomplete.
+fn split_handshake(buf: &[u8]) -> io::Result<Option<(String, ChannelParams, usize)>> {
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = handshake_len(*prefix)?;
+    match buf.get(4..4 + len) {
+        Some(payload) => parse_handshake(payload).map(|(name, p)| Some((name, p, 4 + len))),
+        None => Ok(None),
+    }
+}
+
+fn bad_handshake(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+}
+
+/// The payload length a handshake frame's `u32` prefix announces.
+fn handshake_len(prefix: [u8; 4]) -> io::Result<usize> {
+    let len = u32::from_le_bytes(prefix) as usize;
+    if !(7 + ChannelParams::WIRE_LEN..=HANDSHAKE_MAX).contains(&len) {
+        return Err(bad_handshake("handshake frame length out of range"));
+    }
+    Ok(len)
+}
+
+/// Validate a handshake payload (the frame without its length prefix).
+fn parse_handshake(payload: &[u8]) -> io::Result<(String, ChannelParams)> {
+    let bad = bad_handshake;
     if payload[0..4] != HANDSHAKE_MAGIC {
         return Err(bad("handshake magic mismatch"));
     }
@@ -302,9 +334,7 @@ pub fn proxy_pair(
 /// frame — and each endpoint sits directly on the mapping, exactly as the two
 /// partitions of a distributed run hold it. Nothing forwards, so the handle
 /// carries no threads. The region file is unlinked once both endpoints drop.
-fn proxy_pair_shm(
-    params: ChannelParams,
-) -> std::io::Result<(ChannelEnd, ChannelEnd, ProxyHandle)> {
+fn proxy_pair_shm(params: ChannelParams) -> std::io::Result<(ChannelEnd, ChannelEnd, ProxyHandle)> {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let path = std::env::temp_dir().join(format!(
         "simbricks-proxy-{}-{}.shm",
@@ -323,151 +353,455 @@ fn proxy_pair_shm(
     Ok((
         a.into_channel_end(),
         b.into_channel_end(),
-        ProxyHandle::from_parts(ProxyKind::Shm, Arc::default(), shutdown, Vec::new()),
+        ProxyHandle {
+            kind: ProxyKind::Shm,
+            counters: Arc::default(),
+            shutdown,
+            threads: Vec::new(),
+        },
     ))
 }
 
-fn proxy_pair_tcp(
-    params: ChannelParams,
-) -> std::io::Result<(ChannelEnd, ChannelEnd, ProxyHandle)> {
-    // Local channel stubs: component A <-> proxy A, component B <-> proxy B.
+fn proxy_pair_tcp(params: ChannelParams) -> std::io::Result<(ChannelEnd, ChannelEnd, ProxyHandle)> {
+    // Local channel stubs: component A <-> pump A, component B <-> pump B.
     let (for_component_a, proxy_a_local) = channel_pair(params);
     let (for_component_b, proxy_b_local) = channel_pair(params);
 
+    // Side B accepts side A exactly as the owner of a cross-process link
+    // accepts its peer, handshake included, so every in-process pair
+    // exercises that path too.
     let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let mut connect = TcpStream::connect(addr)?;
-    let (mut accepted, _) = listener.accept()?;
-    // Same handshake as a cross-process link, so the framing is exercised on
-    // every in-process proxy pair too.
+    let mut connect = TcpStream::connect(listener.local_addr()?)?;
     write_handshake(&mut connect, "proxy-pair", &params)?;
-    let (link, peer_params) = read_handshake(&mut accepted)?;
-    if link != "proxy-pair" || peer_params != params {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "proxy pair handshake mismatch",
-        ));
-    }
-    connect.set_nodelay(true)?;
-    accepted.set_nodelay(true)?;
-
     let counters = Arc::new(ProxyCounters::default());
     let shutdown = Arc::new(ShutdownSignal::default());
-    shutdown.register_stream(&connect);
-    shutdown.register_stream(&accepted);
-    let h1 = spawn_tcp_forwarder("proxy-a".into(), proxy_a_local, connect, counters.clone(), shutdown.clone());
-    let h2 = spawn_tcp_forwarder("proxy-b".into(), proxy_b_local, accepted, counters.clone(), shutdown.clone());
+    let pump_a = TcpPump::live(
+        "proxy-pair",
+        proxy_a_local,
+        connect,
+        counters.clone(),
+        shutdown.clone(),
+    )?;
+    let pump_b = TcpPump::accepting(
+        "proxy-pair",
+        params,
+        proxy_b_local,
+        listener,
+        Instant::now() + Duration::from_secs(5),
+        counters.clone(),
+        shutdown.clone(),
+    )?;
+    let threads = vec![
+        spawn_pump("proxy-a", pump_a)?,
+        spawn_pump("proxy-b", pump_b)?,
+    ];
     Ok((
         for_component_a,
         for_component_b,
-        ProxyHandle::from_parts(ProxyKind::Tcp, counters, shutdown, vec![h1, h2]),
+        ProxyHandle {
+            kind: ProxyKind::Tcp,
+            counters,
+            shutdown,
+            threads,
+        },
     ))
 }
 
-/// Spawn a thread running [`tcp_forward_loop`]; when the loop exits (for any
-/// reason) the shared shutdown signal is raised so sibling forwarders wind
-/// down too.
-pub(crate) fn spawn_tcp_forwarder(
-    name: String,
-    local: ChannelEnd,
-    stream: TcpStream,
-    counters: Arc<ProxyCounters>,
-    shutdown: Arc<ShutdownSignal>,
-) -> JoinHandle<()> {
+/// Run `pump` on a thread of its own until its link closes, then raise the
+/// pair's shutdown signal so the sibling pump winds down too.
+fn spawn_pump(name: &str, mut pump: TcpPump) -> io::Result<JoinHandle<()>> {
     std::thread::Builder::new()
-        .name(name)
+        .name(name.into())
         .spawn(move || {
-            tcp_forward_loop(local, stream, &counters, &shutdown);
-            shutdown.signal();
+            while !pump.is_closed() {
+                if !pump.pump() {
+                    std::thread::yield_now();
+                }
+            }
+            pump.shutdown.signal();
         })
-        // io-ok: thread-spawn failure is resource exhaustion, not peer I/O
-        .expect("spawn proxy thread")
 }
 
-/// One side of a sockets proxy: forward everything between the local channel
-/// stub and the TCP stream until the local component endpoint disappears, the
-/// TCP peer closes, or `shutdown` is signalled.
-pub(crate) fn tcp_forward_loop(
-    mut local: ChannelEnd,
-    stream: TcpStream,
-    counters: &ProxyCounters,
-    shutdown: &ShutdownSignal,
-) {
-    // Non-blocking reads: the forwarding loop must never stall the
-    // local->remote direction while waiting for remote bytes, or the
-    // peer simulator blocks on missing SYNC messages.
-    stream.set_nonblocking(true).ok();
-    let mut tx = match stream.try_clone() {
-        Ok(t) => t,
-        Err(_) => return,
-    };
-    let mut rx = stream;
-    let mut rx_buf: Vec<u8> = Vec::new();
-    let mut tmp = [0u8; 16384];
-    loop {
-        if shutdown.is_set() {
-            return;
-        }
-        let mut idle = true;
-        // Read the close flag before draining: the producer drops its end
-        // only after its last send, so a drain performed after observing the
-        // flag is guaranteed to have flushed everything.
-        let local_closing = local.peer_closed();
-        // Local -> remote: forward everything queued on the local
-        // channel (adaptive batching: drain the whole queue at once).
-        let mut batch = Vec::new();
-        let mut batch_msgs = 0u64;
-        while let Some(msg) = local.recv_raw() {
-            batch.extend_from_slice(&msg.to_wire());
-            batch_msgs += 1;
-        }
-        if !batch.is_empty() {
-            if tx.write_all(&batch).is_err() {
-                return;
-            }
-            counters.record_batch(batch_msgs, batch.len() as u64);
-            idle = false;
-        }
-        if local_closing {
-            return;
-        }
-        // Remote -> local.
-        match rx.read(&mut tmp) {
-            Ok(0) => return, // peer proxy closed
-            Ok(n) => {
-                rx_buf.extend_from_slice(&tmp[..n]);
-                idle = false;
-            }
-            Err(ref e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => return,
-        }
-        let mut consumed = 0;
-        // Zero-allocation decode: borrow each message straight out of the
-        // receive buffer and copy its payload directly into the local queue
-        // slot (no intermediate `OwnedMsg` materialization).
-        while let Some((ts, ty, payload, used)) = OwnedMsg::peek_wire(&rx_buf[consumed..]) {
-            // Retry until there is queue space (peer component drains).
-            loop {
-                if shutdown.is_set() {
-                    return;
-                }
-                match local.send_raw(ts, ty, payload) {
-                    Ok(()) => break,
-                    Err(simbricks_base::SendError::Full) => std::thread::yield_now(),
-                    Err(_) => return,
-                }
-            }
-            consumed += used;
-        }
-        if consumed > 0 {
-            rx_buf.drain(..consumed);
-        }
-        if idle {
-            std::thread::yield_now();
+// ----- the pump --------------------------------------------------------------
+
+/// Unsent wire bytes a pump buffers before it stops draining its local ring
+/// (the component then sees a full channel, exactly as in-process).
+const TX_HIGH_WATER: usize = 256 * 1024;
+/// Received, undelivered wire bytes a pump buffers before it stops reading
+/// (TCP flow control then holds the peer back).
+const RX_HIGH_WATER: usize = 256 * 1024;
+/// Bytes asked for per socket read.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// Where a [`TcpPump`]'s connection stands.
+enum Conn {
+    /// The owning side of a cross-process link: waiting for the peer to
+    /// connect to the pre-bound listener and for its handshake frame.
+    Accepting {
+        listener: TcpListener,
+        stream: Option<TcpStream>,
+        params: ChannelParams,
+        deadline: Instant,
+    },
+    /// Forwarding. `eof`: the peer has sent everything it ever will.
+    /// `tx_shut`: so have we — the component's end is gone, every byte it
+    /// sent is on the wire, and the write side is shut down.
+    Live {
+        stream: TcpStream,
+        eof: bool,
+        tx_shut: bool,
+    },
+    /// Torn down. The local end is dropped, so the component sees its peer
+    /// close.
+    Closed,
+}
+
+/// One side of a sockets link: moves messages between a local channel end
+/// (whose peer is the component) and a TCP stream, without ever blocking.
+///
+/// Each [`TcpPump::pump`] call does one bounded round and reports whether it
+/// moved anything. Bytes that arrive while the local ring is full stay
+/// buffered until the component has drained it; bytes the socket does not
+/// take stay buffered until a later round. The link closes once the peer
+/// has sent everything (EOF) and all of it is delivered, or when the
+/// shutdown signal is raised.
+pub(crate) struct TcpPump {
+    link: String,
+    conn: Conn,
+    local: Option<ChannelEnd>,
+    counters: Arc<ProxyCounters>,
+    shutdown: Arc<ShutdownSignal>,
+    /// Wire bytes drained from the local ring; `tx[tx_off..]` is unsent.
+    tx: Vec<u8>,
+    tx_off: usize,
+    /// Wire bytes read from the socket; `rx[rx_off..]` is undelivered.
+    rx: Vec<u8>,
+    rx_off: usize,
+    scratch: Box<[u8]>,
+    /// Why the link closed, when it did not close normally.
+    diagnostic: Option<String>,
+}
+
+impl TcpPump {
+    /// A pump over an established, handshaken connection.
+    pub(crate) fn live(
+        link: &str,
+        local: ChannelEnd,
+        stream: TcpStream,
+        counters: Arc<ProxyCounters>,
+        shutdown: Arc<ShutdownSignal>,
+    ) -> io::Result<TcpPump> {
+        stream.set_nonblocking(true)?;
+        stream.set_nodelay(true)?;
+        shutdown.register_stream(&stream);
+        let conn = Conn::Live {
+            stream,
+            eof: false,
+            tx_shut: false,
+        };
+        Ok(TcpPump::new(link, conn, local, counters, shutdown))
+    }
+
+    /// A pump that accepts the peer of `link` on the pre-bound `listener`
+    /// and checks its handshake against `params`. A peer that has not
+    /// connected and handshaken by `deadline` closes the link.
+    pub(crate) fn accepting(
+        link: &str,
+        params: ChannelParams,
+        local: ChannelEnd,
+        listener: TcpListener,
+        deadline: Instant,
+        counters: Arc<ProxyCounters>,
+        shutdown: Arc<ShutdownSignal>,
+    ) -> io::Result<TcpPump> {
+        listener.set_nonblocking(true)?;
+        let conn = Conn::Accepting {
+            listener,
+            stream: None,
+            params,
+            deadline,
+        };
+        Ok(TcpPump::new(link, conn, local, counters, shutdown))
+    }
+
+    fn new(
+        link: &str,
+        conn: Conn,
+        local: ChannelEnd,
+        counters: Arc<ProxyCounters>,
+        shutdown: Arc<ShutdownSignal>,
+    ) -> TcpPump {
+        TcpPump {
+            link: link.to_string(),
+            conn,
+            local: Some(local),
+            counters,
+            shutdown,
+            tx: Vec::new(),
+            tx_off: 0,
+            rx: Vec::new(),
+            rx_off: 0,
+            scratch: vec![0; READ_CHUNK].into_boxed_slice(),
+            diagnostic: None,
         }
     }
+
+    /// Whether the link is torn down (nothing will move any more).
+    pub(crate) fn is_closed(&self) -> bool {
+        matches!(self.conn, Conn::Closed)
+    }
+
+    /// One bounded, non-blocking round; whether anything moved.
+    pub(crate) fn pump(&mut self) -> bool {
+        let step = match self.conn {
+            Conn::Closed => return false,
+            _ if self.shutdown.is_set() => Err(None),
+            Conn::Accepting { .. } => self.accept(),
+            Conn::Live { .. } => self.exchange(),
+        };
+        match step {
+            Ok(moved) => moved,
+            Err(why) => {
+                if let Some(why) = why {
+                    eprintln!("{}", self.diagnostic.insert(why));
+                }
+                if let Conn::Live { stream, .. }
+                | Conn::Accepting {
+                    stream: Some(stream),
+                    ..
+                } = &self.conn
+                {
+                    // The shutdown signal holds a handle on the socket too:
+                    // shut it down rather than wait for the last close.
+                    let _ = stream.shutdown(Shutdown::Both);
+                }
+                self.conn = Conn::Closed;
+                self.local = None;
+                true
+            }
+        }
+    }
+
+    /// `Accepting`: accept the peer, read its handshake frame, and go live
+    /// once it names this link and its parameters. `Err` closes the link
+    /// (with a diagnostic when one is given).
+    fn accept(&mut self) -> Result<bool, Option<String>> {
+        let Conn::Accepting {
+            listener,
+            stream,
+            params,
+            deadline,
+        } = &mut self.conn
+        else {
+            return Ok(false);
+        };
+        let mismatch = || Some(format!("dist: handshake mismatch on link {:?}", self.link));
+        let mut moved = false;
+        if stream.is_none() {
+            match listener.accept() {
+                Ok((s, _)) => {
+                    s.set_nonblocking(true)
+                        .and_then(|()| s.set_nodelay(true))
+                        .map_err(|e| Some(format!("dist: link {:?}: {e}", self.link)))?;
+                    // Registered at once, so a SEVER also cuts a peer that
+                    // connected but never completes its handshake.
+                    self.shutdown.register_stream(&s);
+                    *stream = Some(s);
+                    moved = true;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => return Err(Some(format!("dist: accept on link {:?}: {e}", self.link))),
+            }
+        }
+        if let Some(s) = stream {
+            let (n, eof) = read_available(s, &mut self.rx, &mut self.scratch, HANDSHAKE_MAX);
+            moved |= n > 0;
+            match split_handshake(&self.rx) {
+                Ok(Some((name, peer, used))) if name == self.link && peer == *params => {
+                    self.rx_off = used;
+                    if let Some(stream) = stream.take() {
+                        self.conn = Conn::Live {
+                            stream,
+                            eof: false,
+                            tx_shut: false,
+                        };
+                    }
+                    return Ok(true);
+                }
+                Ok(None) if !eof => {}
+                _ => return Err(mismatch()),
+            }
+        }
+        if Instant::now() > *deadline {
+            return Err(Some(format!(
+                "dist: link {:?}: no peer handshake in time",
+                self.link
+            )));
+        }
+        Ok(moved)
+    }
+
+    /// `Live`: local ring → socket, socket → local ring. `Err` closes the
+    /// link (with a diagnostic when one is given).
+    fn exchange(&mut self) -> Result<bool, Option<String>> {
+        let (
+            Conn::Live {
+                stream,
+                eof,
+                tx_shut,
+            },
+            Some(local),
+        ) = (&mut self.conn, &mut self.local)
+        else {
+            return Ok(false);
+        };
+        let mut moved = false;
+
+        // Local -> remote: drain the ring into the wire buffer (adaptive
+        // batching: everything queued goes out in one write), then write
+        // what the socket takes and keep the rest for the next round.
+        if !*tx_shut {
+            // Read the close flag before draining: the component drops its
+            // end only after its last send, so a drain that empties the ring
+            // after seeing the flag has everything.
+            let closing = local.peer_closed();
+            let mut drained = false;
+            if self.tx.len() - self.tx_off < TX_HIGH_WATER {
+                compact(&mut self.tx, &mut self.tx_off);
+                let start = self.tx.len();
+                let mut msgs = 0u64;
+                while self.tx.len() - self.tx_off < TX_HIGH_WATER {
+                    let Some(msg) = local.recv_raw() else {
+                        drained = true;
+                        break;
+                    };
+                    msg.write_wire(&mut self.tx);
+                    msgs += 1;
+                }
+                self.counters
+                    .record_batch(msgs, (self.tx.len() - start) as u64);
+                moved |= msgs > 0;
+            }
+            match write_available(stream, &self.tx[self.tx_off..]) {
+                Ok(n) => {
+                    self.tx_off += n;
+                    moved |= n > 0;
+                }
+                // The peer is gone: nothing sent from here can arrive.
+                Err(_) => {
+                    self.tx.clear();
+                    self.tx_off = 0;
+                    *tx_shut = true;
+                }
+            }
+            if closing && drained && self.tx_off == self.tx.len() && !*tx_shut {
+                let _ = stream.shutdown(Shutdown::Write);
+                *tx_shut = true;
+                moved = true;
+            }
+        }
+
+        // Remote -> local: read what has arrived, then decode into the ring
+        // until it is full. Never wait for room: the component drains the
+        // ring on the thread that calls us.
+        if !*eof && self.rx.len() - self.rx_off < RX_HIGH_WATER {
+            compact(&mut self.rx, &mut self.rx_off);
+            let (n, closed) =
+                read_available(stream, &mut self.rx, &mut self.scratch, RX_HIGH_WATER);
+            moved |= n > 0 || closed;
+            *eof = closed;
+        }
+        while let Some((ts, ty, payload, used)) = OwnedMsg::peek_wire(&self.rx[self.rx_off..]) {
+            match local.send_raw(ts, ty, payload) {
+                Ok(()) => {}
+                Err(SendError::Full) => break,
+                // The component is gone; nobody will read this.
+                Err(SendError::Disconnected) => {}
+                Err(SendError::TooLarge) => {
+                    return Err(Some(format!(
+                        "dist: link {:?}: oversized message",
+                        self.link
+                    )))
+                }
+            }
+            self.rx_off += used;
+            moved = true;
+        }
+        let undelivered = &self.rx[self.rx_off..];
+        if OwnedMsg::peek_wire(undelivered).is_none() {
+            if *eof {
+                // Everything the peer sent is delivered.
+                return Err(None);
+            }
+            if undelivered.len() >= RX_HIGH_WATER {
+                return Err(Some(format!(
+                    "dist: link {:?}: malformed wire message",
+                    self.link
+                )));
+            }
+        }
+        Ok(moved)
+    }
+}
+
+/// Pump every link once; whether any of them moved anything.
+pub(crate) fn pump_all(pumps: &mut [TcpPump]) -> bool {
+    pumps.iter_mut().fold(false, |moved, p| p.pump() | moved)
+}
+
+/// Drop the consumed front `buf[..*off]` when it is empty or at least half
+/// the buffer, so the copy is amortised over the bytes consumed.
+fn compact(buf: &mut Vec<u8>, off: &mut usize) {
+    if *off == buf.len() {
+        buf.clear();
+        *off = 0;
+    } else if *off > 0 && *off >= buf.len() / 2 {
+        buf.drain(..*off);
+        *off = 0;
+    }
+}
+
+/// Read what `s` has, up to about `limit` bytes, onto the end of `buf`.
+/// Returns the byte count and whether the stream is finished (EOF or a hard
+/// error).
+fn read_available(
+    s: &mut TcpStream,
+    buf: &mut Vec<u8>,
+    scratch: &mut [u8],
+    limit: usize,
+) -> (usize, bool) {
+    let mut total = 0;
+    while total < limit {
+        match s.read(scratch) {
+            Ok(0) => return (total, true),
+            Ok(n) => {
+                buf.extend_from_slice(&scratch[..n]);
+                total += n;
+                if n < scratch.len() {
+                    break;
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(_) => return (total, true),
+        }
+    }
+    (total, false)
+}
+
+/// Write as much of `bytes` as `s` takes without blocking.
+fn write_available(s: &mut TcpStream, bytes: &[u8]) -> io::Result<usize> {
+    let mut done = 0;
+    while done < bytes.len() {
+        match s.write(&bytes[done..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => done += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(done)
 }
 
 #[cfg(test)]
@@ -519,6 +853,204 @@ mod tests {
         assert!(stats.mean_batch() >= 1.0);
     }
 
+    /// A socket that takes only part of a batch must not end the link: the
+    /// pump keeps the unsent bytes and writes them on a later round. The
+    /// receiving component reads nothing until the sender has stalled on a
+    /// full pipe — more than the socket buffers hold is queued — and then
+    /// every message arrives, in order.
+    #[test]
+    fn short_writes_keep_the_link_alive() {
+        let (mut a, mut b, handle) =
+            proxy_pair(ProxyKind::Tcp, ChannelParams::default_sync()).unwrap();
+        // 32 MiB in 8 KiB messages: far more than loopback socket buffers,
+        // the pumps' high-water marks and both rings hold together.
+        let total = 4096u64;
+        let sent = Arc::new(AtomicU64::new(0));
+        let sender = {
+            let sent = sent.clone();
+            std::thread::spawn(move || {
+                let mut payload = vec![0x5au8; 8192];
+                for i in 0..total {
+                    payload[..8].copy_from_slice(&i.to_le_bytes());
+                    loop {
+                        match a.send_raw(SimTime::from_ns(i), 5, &payload) {
+                            Ok(()) => break,
+                            Err(SendError::Full) => std::thread::yield_now(),
+                            Err(e) => return Err(format!("message {i}: {e:?}")),
+                        }
+                    }
+                    sent.store(i + 1, Ordering::Release);
+                }
+                Ok(a)
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut last = u64::MAX;
+        let stalled_at = loop {
+            std::thread::sleep(Duration::from_millis(100));
+            let now = sent.load(Ordering::Acquire);
+            if (now == last && now > 0) || now == total || Instant::now() > deadline {
+                break now;
+            }
+            last = now;
+        };
+        assert!(
+            stalled_at < total,
+            "the pipe never filled up ({stalled_at} sent)"
+        );
+
+        let mut got = 0u64;
+        while got < total && Instant::now() < deadline {
+            match b.recv_raw() {
+                Some(m) => {
+                    assert_eq!(m.data[..8], got.to_le_bytes(), "in order, none lost");
+                    got += 1;
+                }
+                None if b.peer_closed() => break,
+                None => std::thread::yield_now(),
+            }
+        }
+        assert_eq!(got, total, "every message arrived");
+        let a = sender.join().unwrap().expect("the link stayed up");
+        drop((a, b));
+        assert_eq!(handle.join().forwarded, total);
+    }
+
+    fn tcp_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let ours = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (theirs, _) = listener.accept().unwrap();
+        (ours, theirs)
+    }
+
+    /// Pump until `done` holds (or ten seconds pass).
+    fn pump_until(pump: &mut TcpPump, mut done: impl FnMut(&TcpPump) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done(pump) && Instant::now() < deadline {
+            if !pump.pump() {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// Bytes that arrive while the local ring is full stay buffered: the
+    /// round returns instead of waiting for room, and once the component
+    /// drains, everything is delivered in order.
+    #[test]
+    fn pump_buffers_what_a_full_ring_cannot_take() {
+        let params = ChannelParams::default_sync().with_queue_len(4);
+        let (mut component, local) = channel_pair(params);
+        let (ours, mut remote) = tcp_pair();
+        let mut pump = TcpPump::live("t", local, ours, Arc::default(), Arc::default()).unwrap();
+        let mut wire = Vec::new();
+        for i in 0..20u64 {
+            OwnedMsg::new(SimTime::from_ns(i), 5, i.to_le_bytes().to_vec()).write_wire(&mut wire);
+        }
+        remote.write_all(&wire).unwrap();
+        pump_until(&mut pump, |p| p.rx.len() == wire.len());
+        assert_eq!(pump.rx.len(), wire.len(), "everything was read");
+        assert!(!pump.pump(), "a full ring is no reason to spin");
+
+        let mut got = Vec::new();
+        while let Some(m) = component.recv_raw() {
+            got.push(u64::from_le_bytes(m.data.as_slice().try_into().unwrap()));
+        }
+        assert_eq!(
+            got.len(),
+            4,
+            "the ring took what fits; the rest stayed buffered"
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while got.len() < 20 && Instant::now() < deadline {
+            pump.pump();
+            while let Some(m) = component.recv_raw() {
+                got.push(u64::from_le_bytes(m.data.as_slice().try_into().unwrap()));
+            }
+        }
+        assert_eq!(got, (0..20).collect::<Vec<_>>());
+        assert!(!pump.is_closed());
+    }
+
+    /// The owner's pump goes live on a matching handshake, delivering what
+    /// the peer sent right behind it, and closes the link with the accept
+    /// diagnostic when the link name or the parameters do not match.
+    #[test]
+    fn accepting_pump_checks_the_handshake() {
+        let params = ChannelParams::default_sync();
+        for (name, peer_params, ok) in [
+            ("up0", params, true),
+            ("other", params, false),
+            ("up0", params.with_queue_len(8), false),
+        ] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let (mut component, local) = channel_pair(params);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut pump = TcpPump::accepting(
+                "up0",
+                params,
+                local,
+                listener,
+                deadline,
+                Arc::default(),
+                Arc::default(),
+            )
+            .unwrap();
+            // The peer connects and handshakes against the listen backlog;
+            // nothing has been accepted yet.
+            let mut peer = TcpStream::connect(addr).unwrap();
+            write_handshake(&mut peer, name, &peer_params).unwrap();
+            peer.write_all(&OwnedMsg::new(SimTime::from_ns(3), 9, b"hi".to_vec()).to_wire())
+                .unwrap();
+            if ok {
+                pump_until(&mut pump, |_| component.peek_timestamp().is_some());
+                let m = component
+                    .recv_raw()
+                    .expect("delivered behind the handshake");
+                assert_eq!((m.ty, &m.data[..]), (9, &b"hi"[..]));
+                assert!(!pump.is_closed() && pump.diagnostic.is_none());
+                continue;
+            }
+            pump_until(&mut pump, TcpPump::is_closed);
+            assert!(pump.is_closed(), "{name}: mismatch closes the link");
+            assert_eq!(
+                pump.diagnostic.as_deref(),
+                Some("dist: handshake mismatch on link \"up0\"")
+            );
+            assert!(component.peer_closed() && component.recv_raw().is_none());
+            peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            assert!(
+                matches!(peer.read(&mut [0u8; 8]), Ok(0) | Err(_)),
+                "the peer is cut off"
+            );
+        }
+    }
+
+    /// What an injected `SEVER` does to a live link: the remote reader gets
+    /// EOF at once, and the pump's next round closes the link, so the local
+    /// component sees its peer close.
+    #[test]
+    fn sever_gives_the_remote_eof_and_the_component_a_closed_peer() {
+        let (component, local) = channel_pair(ChannelParams::default_sync());
+        let (ours, mut remote) = tcp_pair();
+        let shutdown = Arc::new(ShutdownSignal::default());
+        let mut pump = TcpPump::live("t", local, ours, Arc::default(), shutdown.clone()).unwrap();
+        assert!(!pump.pump(), "an idle link moves nothing");
+        shutdown.signal();
+        remote
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(
+            remote.read(&mut [0u8; 8]).unwrap(),
+            0,
+            "remote reader sees EOF"
+        );
+        assert!(!component.peer_closed());
+        assert!(pump.pump(), "closing counts as progress");
+        assert!(pump.is_closed() && component.peer_closed());
+        assert!(!pump.pump());
+    }
+
     /// A shared-memory pair is the channel itself: data and SYNC cross both
     /// ways with nothing forwarded, and the handle has no thread to wait for
     /// — `join` returns at once even though both endpoints are still alive.
@@ -535,12 +1067,17 @@ mod tests {
         assert_eq!(handle.join().forwarded, 0);
         assert_eq!((a.dir(), b.dir()), (0, 1), "tagged like a channel_pair");
         a.send_raw(SimTime::from_ns(1), 9, b"hello").unwrap();
-        let m = b.recv_raw().expect("visible to the peer as soon as it is sent");
+        let m = b
+            .recv_raw()
+            .expect("visible to the peer as soon as it is sent");
         assert_eq!((m.ty, &m.data[..]), (9, &b"hello"[..]));
         b.send_raw(SimTime::from_ns(2), MSG_SYNC, &[]).unwrap();
         assert!(a.recv_raw().expect("and the other way").is_sync());
         drop(a);
-        assert!(b.peer_closed(), "dropping one end is seen through the mapping");
+        assert!(
+            b.peer_closed(),
+            "dropping one end is seen through the mapping"
+        );
     }
 
     /// A peer on a mapped ring sends and goes away while this side polls.
@@ -625,11 +1162,14 @@ mod tests {
         while !done.load(Ordering::Acquire) && std::time::Instant::now() < deadline {
             std::thread::yield_now();
         }
-        assert!(done.load(Ordering::Acquire), "join() hung on a stalled peer");
+        assert!(
+            done.load(Ordering::Acquire),
+            "join() hung on a stalled peer"
+        );
         joiner.join().unwrap();
     }
 
-    /// Explicit shutdown stops the forwarders while both endpoints are alive.
+    /// Explicit shutdown stops the pumps while both endpoints are alive.
     #[test]
     fn explicit_shutdown_stops_live_proxies() {
         for kind in [ProxyKind::Tcp, ProxyKind::Shm] {

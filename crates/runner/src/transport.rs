@@ -8,10 +8,10 @@
 //! * [`TransportKind::Shm`] — the component's channel endpoint sits directly
 //!   on a file-backed mapping (`crate::shm`): the same ring as in-process,
 //!   no forwarder thread, no serialization, no syscalls on the data path;
-//! * [`TransportKind::Tcp`] — the §5.4 sockets proxy
-//!   (`crate::proxy::tcp_forward_loop`): a local channel stub plus one
-//!   forwarding thread per side that serializes and streams over TCP — the
-//!   cross-host / explicit fallback.
+//! * [`TransportKind::Tcp`] — the §5.4 sockets proxy (`crate::proxy`): a
+//!   local channel stub per side whose other end a pump, driven by the
+//!   partition's executor, serializes and streams over TCP — the cross-host
+//!   / explicit fallback.
 //!
 //! Either way the handshake metadata (link name +
 //! [`simbricks_base::ChannelParams`]) is validated before any simulation
