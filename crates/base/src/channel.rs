@@ -26,13 +26,6 @@ pub struct ChannelParams {
     pub sync: bool,
     /// Number of slots per unidirectional queue.
     pub queue_len: usize,
-    /// Adaptive sync batching (§5.5 extension): when enabled, the effective
-    /// synchronization interval starts at `sync_interval` and widens towards
-    /// the link latency Δ while the channel carries no data, snapping back to
-    /// `sync_interval` on the next data message. This cuts pure-SYNC traffic
-    /// on idle channels without affecting simulation results (promises are
-    /// only ever emitted earlier or at a coarser cadence, never late).
-    pub adaptive_sync: bool,
     /// Deterministic link impairment (loss, jitter, reordering, rate
     /// variation) applied by the sending endpoint of each direction. Both
     /// sides of a distributed link must agree on it, exactly like the
@@ -49,7 +42,6 @@ impl ChannelParams {
             sync_interval: SimTime::from_ns(500),
             sync: true,
             queue_len: DEFAULT_QUEUE_LEN,
-            adaptive_sync: true,
             impairment: Impairment::none(),
         }
     }
@@ -89,13 +81,6 @@ impl ChannelParams {
         self
     }
 
-    /// Enable or disable adaptive widening of the synchronization interval
-    /// on idle channels (enabled by default, see [`ChannelParams::adaptive_sync`]).
-    pub fn with_adaptive_sync(mut self, adaptive: bool) -> Self {
-        self.adaptive_sync = adaptive;
-        self
-    }
-
     /// Set the link impairment model (disabled by default).
     pub fn with_impairment(mut self, impairment: Impairment) -> Self {
         self.impairment = impairment;
@@ -110,15 +95,17 @@ impl ChannelParams {
     /// interval, and synchronization mode, so the connecting side sends its
     /// parameters in the handshake frame and the accepting side verifies
     /// them. Layout (little-endian): u64 latency ps, u64 sync interval ps,
-    /// u64 queue length, u8 flags (bit 0 = sync, bit 1 = adaptive sync),
-    /// u8 reserved, then the fixed [`Impairment::WIRE_LEN`]-byte impairment
-    /// block (see [`Impairment::to_wire`]).
+    /// u64 queue length, u8 flags (bit 0 = sync; bit 1 is always written
+    /// set and ignored on read, so encodings from before adaptive sync
+    /// became unconditional still match), u8 reserved, then the fixed
+    /// [`Impairment::WIRE_LEN`]-byte impairment block (see
+    /// [`Impairment::to_wire`]).
     pub fn to_wire(&self) -> [u8; Self::WIRE_LEN] {
         let mut out = [0u8; Self::WIRE_LEN];
         out[0..8].copy_from_slice(&self.latency.as_ps().to_le_bytes());
         out[8..16].copy_from_slice(&self.sync_interval.as_ps().to_le_bytes());
         out[16..24].copy_from_slice(&(self.queue_len as u64).to_le_bytes());
-        out[24] = (self.sync as u8) | ((self.adaptive_sync as u8) << 1);
+        out[24] = (self.sync as u8) | 0x02;
         out[26..].copy_from_slice(&self.impairment.to_wire());
         out
     }
@@ -139,7 +126,6 @@ impl ChannelParams {
             sync_interval: SimTime::from_ps(u64::from_le_bytes(buf[8..16].try_into().unwrap())),
             queue_len: u64::from_le_bytes(buf[16..24].try_into().unwrap()) as usize,
             sync: flags & 0x01 != 0,
-            adaptive_sync: flags & 0x02 != 0,
             impairment: Impairment::from_wire(&buf[26..])?,
         })
     }
@@ -324,8 +310,7 @@ mod tests {
         let p = ChannelParams::default_sync()
             .with_latency(SimTime::from_ns(123))
             .with_sync_interval(SimTime::from_ns(77))
-            .with_queue_len(17)
-            .with_adaptive_sync(false);
+            .with_queue_len(17);
         let w = p.to_wire();
         assert_eq!(ChannelParams::from_wire(&w), Some(p));
         let u = ChannelParams::default_unsync();
@@ -345,6 +330,19 @@ mod tests {
         let mut bad = pi.to_wire();
         bad[26] = 0x7f; // unknown loss-model kind
         assert_eq!(ChannelParams::from_wire(&bad), None);
+    }
+
+    #[test]
+    fn params_wire_flag_byte_is_stable() {
+        // Handshakes and checkpoints carry this byte: bit 1 stays set.
+        assert_eq!(ChannelParams::default_sync().to_wire()[24], 0x03);
+        assert_eq!(ChannelParams::default_unsync().to_wire()[24], 0x02);
+        let mut w = ChannelParams::default_sync().to_wire();
+        w[24] = 0x01;
+        assert_eq!(
+            ChannelParams::from_wire(&w),
+            Some(ChannelParams::default_sync())
+        );
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! timestamps.
 //!
 //! The kernel exposes a non-blocking [`Kernel::step`] so components can be
-//! driven either by one thread each (mirroring the one-process-per-simulator
-//! architecture of the paper) or cooperatively by a sequential executor on a
-//! single core. Both executors live in the `simbricks-runner` crate.
+//! driven cooperatively by a sequential executor on a single core or by a
+//! pool of worker threads (one worker per component mirrors the
+//! one-process-per-simulator architecture of the paper). Both executors live
+//! in the `simbricks-runner` crate.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -584,23 +585,6 @@ impl Kernel {
 
     // ----- execution ------------------------------------------------------------
 
-    /// Run to completion on the current thread, yielding whenever blocked.
-    /// This is the one-component-per-thread execution mode.
-    pub fn run(&mut self, model: &mut dyn Model) -> KernelStats {
-        loop {
-            match self.step(model, 4096) {
-                StepOutcome::Finished => break,
-                StepOutcome::Progressed => {}
-                StepOutcome::Blocked(_) => std::thread::yield_now(),
-                // Checkpoint pauses are orchestrated by the runner's
-                // cooperative quiesce loop; a free-running thread simply
-                // stops here and the orchestrator takes over.
-                StepOutcome::Paused => break,
-            }
-        }
-        self.stats
-    }
-
     /// Make bounded progress: process at most `max_steps` clock advances.
     /// Never blocks; returns [`StepOutcome::Blocked`] when waiting on peers.
     pub fn step(&mut self, model: &mut dyn Model, max_steps: usize) -> StepOutcome {
@@ -1115,6 +1099,15 @@ mod tests {
         }
     }
 
+    /// Step `k` to completion on the current thread, yielding to a peer
+    /// thread between steps.
+    fn run(k: &mut Kernel, m: &mut dyn Model) -> KernelStats {
+        while k.step(m, 4096) != StepOutcome::Finished {
+            std::thread::yield_now();
+        }
+        k.stats()
+    }
+
     fn run_pair(end: SimTime, params: ChannelParams, na: u64, nb: u64) -> (Pinger, Pinger) {
         let (ca, cb) = channel_pair(params);
         let mut ka = Kernel::new("a", end);
@@ -1235,7 +1228,7 @@ mod tests {
         }
         let mut k = Kernel::new("q", SimTime::from_sec(1));
         let mut m = Quitter;
-        let stats = k.run(&mut m);
+        let stats = run(&mut k, &mut m);
         assert_eq!(stats.final_time, SimTime::from_ns(300));
         assert!(k.is_finished());
     }
@@ -1276,13 +1269,13 @@ mod tests {
             let mut k = Kernel::new("a", end);
             let p = k.add_port(ca);
             let mut m = Pinger::new(p, 50, SimTime::from_ns(200));
-            k.run(&mut m);
+            run(&mut k, &mut m);
             (k.stats(), m.received.len())
         });
         let mut k = Kernel::new("b", end);
         let p = k.add_port(cb);
         let mut m = Pinger::new(p, 50, SimTime::from_ns(200));
-        k.run(&mut m);
+        run(&mut k, &mut m);
         let (sa, a_rx) = h.join().unwrap();
         assert_eq!(a_rx, 50);
         assert_eq!(m.received.len(), 50);
@@ -1308,7 +1301,7 @@ mod tests {
         }
         let mut k = Kernel::new("c", SimTime::from_us(1));
         let mut m = C { fired: 0 };
-        k.run(&mut m);
+        run(&mut k, &mut m);
         assert_eq!(m.fired, 1);
     }
 
@@ -1428,7 +1421,7 @@ mod tests {
             first: None,
         };
         assert!(!k.cancel(foreign), "foreign EventId is unknown to this kernel");
-        k.run(&mut m);
+        run(&mut k, &mut m);
         assert_eq!(m.fired, vec![1, 2], "both local timers fired exactly once");
     }
 
@@ -1599,7 +1592,7 @@ mod tests {
         let mut k = Kernel::new("l", SimTime::from_us(1));
         k.enable_log();
         let mut m = L;
-        k.run(&mut m);
+        run(&mut k, &mut m);
         let log = k.event_log();
         assert_eq!(log.len(), 1);
         assert_eq!(log.entries()[0].time, SimTime::from_ns(400));

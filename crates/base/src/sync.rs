@@ -65,10 +65,12 @@ pub struct SyncPort {
     outbox: VecDeque<(SimTime, MsgType, PktBuf)>,
     /// Set once the final (end-of-simulation) sync has been emitted.
     finalized: bool,
-    /// Effective synchronization interval. Starts at the configured δ and,
-    /// with adaptive batching enabled, widens (doubling per idle SYNC) up to
-    /// [`SyncPort::sync_cap`] while no data flows, snapping back to δ on the
-    /// next data message.
+    /// Effective synchronization interval. Starts at the configured δ and
+    /// widens (doubling per idle SYNC) up to [`SyncPort::sync_cap`] while no
+    /// data flows, snapping back to δ on the next data message. This cuts
+    /// pure-SYNC traffic on idle channels without affecting simulation
+    /// results (promises are only ever emitted earlier or at a coarser
+    /// cadence, never late).
     cur_interval: SimTime,
     /// Upper bound for adaptive widening of `cur_interval`. Defaults to the
     /// link latency Δ (the flat-protocol liveness bound); hierarchical sync
@@ -156,7 +158,7 @@ impl SyncPort {
     }
 
     /// Effective synchronization interval right now: equals δ while data
-    /// flows, widened up to Δ on idle channels when adaptive batching is on.
+    /// flows, widened up to the sync cap on idle channels.
     pub fn effective_sync_interval(&self) -> SimTime {
         self.cur_interval
     }
@@ -407,10 +409,8 @@ impl SyncPort {
     /// channel carried no data for a whole interval, so back off — double the
     /// interval, capped at `sync_cap` (Δ under the flat protocol).
     fn widen_interval(&mut self) {
-        if self.chan.params().adaptive_sync {
-            self.cur_interval =
-                SimTime::from_ps(self.cur_interval.as_ps().saturating_mul(2)).min(self.sync_cap);
-        }
+        self.cur_interval =
+            SimTime::from_ps(self.cur_interval.as_ps().saturating_mul(2)).min(self.sync_cap);
     }
 
     /// Hierarchical-sync promise emission at local time `now`: send a SYNC
@@ -461,14 +461,9 @@ impl SyncPort {
     }
 
     /// Half the effective sync interval: the slack the kernel uses to batch
-    /// sibling-port SYNC emission (zero when adaptive batching is disabled,
-    /// preserving the strict fixed-interval cadence).
+    /// sibling-port SYNC emission.
     pub fn coalesce_slack(&self) -> SimTime {
-        if self.chan.params().adaptive_sync {
-            SimTime::from_ps(self.cur_interval.as_ps() / 2)
-        } else {
-            SimTime::ZERO
-        }
+        SimTime::from_ps(self.cur_interval.as_ps() / 2)
     }
 
     /// Whether a raw (not yet polled) message is waiting on the incoming

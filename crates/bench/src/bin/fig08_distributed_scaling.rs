@@ -4,7 +4,7 @@
 //! is how simulation time grows with host count.
 //!
 //! Usage:
-//!   `fig08_distributed_scaling [--exec sequential|threads|sharded[:N]]
+//!   `fig08_distributed_scaling [--exec sequential|sharded[:N]]
 //!   [--dist N] [--transport tcp|shm|auto] [--hier-sync] [--json PATH]`
 //!
 //! `--hier-sync` reruns every distributed topology with hierarchical sync
@@ -72,7 +72,10 @@ fn main() {
     // partition, runs it, reports over the control socket, and exits.
     dist::maybe_worker(&dist_scen::build_memcache_racks);
 
-    let mut exec = Execution::from_env_or(Execution::Sequential);
+    let mut exec = Execution::from_env_or(Execution::Sequential).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let mut transport = TransportKind::from_env_or(TransportKind::Auto);
     let mut dist_n: Option<usize> = None;
     let mut json_path: Option<String> = None;
@@ -90,7 +93,7 @@ fn main() {
             "--exec" => {
                 need_value(&args, i);
                 i += 1;
-                exec = Execution::parse(&args[i]).expect("--exec sequential|threads|sharded[:N]");
+                exec = Execution::parse(&args[i]).expect("--exec sequential|sharded[:N]");
             }
             "--transport" => {
                 need_value(&args, i);

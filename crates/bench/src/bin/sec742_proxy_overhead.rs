@@ -77,9 +77,10 @@ fn run(transport: Transport) -> (f64, f64, f64, String) {
         vec![srv_eth_switch, cli_eth_switch],
     );
 
-    // Threads execution so the proxy forwarding threads overlap with the
-    // component simulators, as in a real distributed run.
-    let r = exp.run(Execution::Threads);
+    // One worker per component so the proxy forwarding threads overlap with
+    // the component simulators, as in a real distributed run.
+    let workers = exp.num_components();
+    let r = exp.run(Execution::Sharded { workers });
     let client: &HostModel = r.model(client_id).unwrap();
     let report = client.app_report();
     let tput = report

@@ -782,7 +782,7 @@ pub fn udp_scaleup(hosts: usize, host_kind: HostKind, duration: SimTime, barrier
         host_kind,
         duration,
         barrier,
-        Execution::from_env_or(Execution::Sequential),
+        Execution::from_env_or(Execution::Sequential).expect("SIMBRICKS_EXEC"),
     )
 }
 

@@ -1221,6 +1221,15 @@ fn decode_result(payload: &[u8]) -> io::Result<WorkerReport> {
     let mut d = Dec::new(payload);
     let wall_seconds = f64::from_bits(d.u64()?);
     let ncomp = d.u32()? as usize;
+    // Bound the untrusted count by what the payload can hold before
+    // reserving for it: a record is at least its fixed-width fields.
+    let min_record = 8 + 4 + KernelStats::WIRE_LEN + 4;
+    if ncomp > (payload.len() - d.off) / min_record {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("component count {ncomp} exceeds the result payload"),
+        ));
+    }
     let mut components = Vec::with_capacity(ncomp);
     for _ in 0..ncomp {
         let global = d.u64()? as usize;
@@ -1257,10 +1266,8 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
     let control_addr = env_string(ENV_CONTROL)?;
     let partition = env_string(ENV_PARTITION)?;
     let scenario = std::env::var(ENV_SCENARIO).unwrap_or_default();
-    let exec = std::env::var(ENV_EXEC)
-        .ok()
-        .as_deref()
-        .and_then(Execution::parse)
+    let exec = Execution::from_env(ENV_EXEC)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
         .unwrap_or(Execution::Sequential);
     // The orchestrator hands every worker the resolved transport for the
     // links it owns. Workers are always self-exec'd from this same binary,
@@ -2661,6 +2668,16 @@ mod tests {
         // A zero-length frame is a protocol error, not a hang.
         fb.push(&[0, 0, 0, 0]);
         assert!(fb.pop().is_err());
+    }
+
+    #[test]
+    fn decode_result_rejects_a_count_the_payload_cannot_hold() {
+        let mut frame = 1.5f64.to_bits().to_le_bytes().to_vec();
+        frame.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_result(&frame).is_err());
+        let r = run_local("", &two_partition_build, Execution::Sequential);
+        let rep = decode_result(&encode_result(&r, &[0, 1])).expect("a real result decodes");
+        assert_eq!(rep.components.len(), 2);
     }
 
     #[test]

@@ -1,14 +1,11 @@
 //! Sharded work-stealing executor: many kernels over a fixed worker pool.
 //!
-//! The seed offered an all-or-nothing choice:
-//! [`Execution::Sequential`](crate::Execution::Sequential) (every component
-//! cooperatively stepped on one core) or
-//! [`Execution::Threads`](crate::Execution::Threads) (one OS thread per
-//! component, the paper's one-process-per-simulator architecture). Neither matches the common case
-//! of N components ≫ N cores, where thread-per-component oversubscribes the
-//! machine and sequential leaves cores idle. This module schedules all
-//! kernels of an experiment over a fixed pool of workers (§5.5 scalability
-//! claim at local scale):
+//! [`Execution::Sequential`](crate::Execution::Sequential) steps every
+//! component cooperatively on one core. This module schedules all kernels of
+//! an experiment over a fixed pool of workers instead (§5.5 scalability
+//! claim at local scale); with one worker per component it is the paper's
+//! one-simulator-per-core layout, and with fewer it does not oversubscribe
+//! the machine when components ≫ cores:
 //!
 //! * **Sharding.** Components are split into contiguous shards, one per
 //!   worker. Each worker sweeps its own shard first, which keeps a kernel on
@@ -35,9 +32,8 @@
 //!
 //! Determinism: the executor only changes *when* (in wall-clock time) each
 //! kernel polls; the §5.5 protocol fixes *what* every kernel observes at
-//! every virtual time. Sequential, threaded, and sharded runs therefore
-//! produce bit-identical event logs (asserted by
-//! `tests/integration_determinism.rs`).
+//! every virtual time. Sequential and sharded runs therefore produce
+//! bit-identical event logs (asserted by `tests/integration_determinism.rs`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -47,31 +43,9 @@ use simbricks_base::{Kernel, Model, StepOutcome};
 
 use crate::proxy::{pump_all, TcpPump};
 
-/// Tuning knobs for the sharded executor.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardedOptions {
-    /// Number of worker threads. Clamped to the component count at run time.
-    pub workers: usize,
-    /// `max_steps` passed to each [`Kernel::step`] call: how many clock
-    /// advances a kernel may make before the worker moves on. Larger values
-    /// amortize scheduling overhead, smaller values interleave more fairly.
-    pub batch: usize,
-    /// Some channels are fed by another OS process (distributed partition,
-    /// §5.4): "everything blocked" is then a normal transient state — a
-    /// remote promise can arrive at any wall-clock moment — so the deadlock
-    /// detector is disabled.
-    pub external_inputs: bool,
-}
-
-impl Default for ShardedOptions {
-    fn default() -> Self {
-        ShardedOptions {
-            workers: default_workers(),
-            batch: 512,
-            external_inputs: false,
-        }
-    }
-}
+/// `max_steps` passed to each [`Kernel::step`] call: how many clock advances
+/// a kernel may make before the worker moves on.
+const BATCH: usize = 512;
 
 /// Worker count used when none is configured: `SIMBRICKS_WORKERS` if set,
 /// otherwise the machine's available parallelism.
@@ -109,6 +83,10 @@ struct Slot<'a> {
     /// Lock-free mirror of `done` so sweeps skip finished slots without
     /// touching the mutex.
     finished: AtomicBool,
+    /// Lock-free mirror of the kernel's clock (picoseconds), refreshed after
+    /// every step: the partition frontier is the minimum over unfinished
+    /// slots.
+    clock: AtomicU64,
 }
 
 /// How many consecutive no-progress sweeps a worker tolerates before it
@@ -119,27 +97,36 @@ const FORCE_AFTER_IDLE: u32 = 64;
 /// declared deadlocked.
 const DEADLOCK_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Run every unit to completion on `opts.workers` worker threads, pumping
-/// `pumps` (the partition's tcp links) along the way.
+/// Run every unit to completion on `workers` worker threads (clamped to the
+/// unit count), pumping `pumps` (the partition's tcp links) along the way.
 ///
-/// `stop` is the experiment's shared stop flag: in unsynchronized (emulation)
-/// runs the first component to finish raises it so free-running peers
-/// terminate; the executor also uses it to force-wake parked kernels.
+/// `external_inputs` says some channels are fed by another OS process
+/// (distributed partition, §5.4): "everything blocked" is then a normal
+/// transient state — a remote promise can arrive at any wall-clock moment —
+/// so the deadlock detector is disabled. `stop` is the experiment's shared
+/// stop flag: in unsynchronized (emulation) runs the first component to
+/// finish raises it so free-running peers terminate; the executor also uses
+/// it to force-wake parked kernels. `frontier` receives the minimum clock
+/// (picoseconds) over unfinished kernels every few sweeps, for heartbeats
+/// and virtual-time fault schedules.
 pub(crate) fn run_sharded(
     units: Vec<Unit<'_>>,
     pumps: &mut [TcpPump],
-    opts: ShardedOptions,
+    workers: usize,
+    external_inputs: bool,
     stop: &AtomicBool,
     synchronized: bool,
+    frontier: &AtomicU64,
 ) {
     let n = units.len();
     if n == 0 {
         return;
     }
-    let workers = opts.workers.max(1).min(n);
+    let workers = workers.max(1).min(n);
     let slots: Vec<Slot> = units
         .into_iter()
         .map(|unit| Slot {
+            clock: AtomicU64::new(unit.kernel.now().as_ps()),
             state: Mutex::new(UnitState {
                 unit,
                 parked: false,
@@ -168,10 +155,10 @@ pub(crate) fn run_sharded(
                     pumps,
                     finished,
                     progress,
-                    opts.batch,
+                    frontier,
                     stop,
                     synchronized,
-                    opts.external_inputs,
+                    external_inputs,
                 );
             });
         }
@@ -181,10 +168,8 @@ pub(crate) fn run_sharded(
 /// Step one component if it is runnable. Returns true when the step made
 /// progress (advanced or finished), false when the slot was skipped, already
 /// locked by another worker, or blocked.
-#[allow(clippy::too_many_arguments)]
 fn try_step(
     slot: &Slot<'_>,
-    batch: usize,
     force: bool,
     finished: &AtomicUsize,
     stop: &AtomicBool,
@@ -207,7 +192,9 @@ fn try_step(
         ref mut parked,
         ref mut done,
     } = *st;
-    let outcome = unit.kernel.step(unit.model, batch);
+    let outcome = unit.kernel.step(unit.model, BATCH);
+    slot.clock
+        .store(unit.kernel.now().as_ps(), Ordering::Relaxed);
     match outcome {
         StepOutcome::Finished => {
             *done = true;
@@ -247,7 +234,7 @@ fn worker_loop(
     pumps: Option<&Mutex<&mut [TcpPump]>>,
     finished: &AtomicUsize,
     progress: &AtomicU64,
-    batch: usize,
+    frontier: &AtomicU64,
     stop: &AtomicBool,
     synchronized: bool,
     external_inputs: bool,
@@ -258,10 +245,24 @@ fn worker_loop(
     let lo = w * n / workers;
     let hi = (w + 1) * n / workers;
     let mut idle_sweeps: u32 = 0;
+    let mut sweeps: u32 = 0;
     let mut last_progress = progress.load(Ordering::Relaxed);
     let mut stalled_since: Option<Instant> = None;
 
     while finished.load(Ordering::Relaxed) < n {
+        // Worker 0 publishes the partition frontier every few sweeps: the
+        // minimum unfinished clock, below which everything is final.
+        if w == 0 && sweeps & 0x3f == 0 {
+            let min = slots
+                .iter()
+                .filter(|s| !s.finished.load(Ordering::Relaxed))
+                .map(|s| s.clock.load(Ordering::Relaxed))
+                .min();
+            if let Some(min) = min {
+                frontier.store(min, Ordering::Relaxed);
+            }
+        }
+        sweeps = sweeps.wrapping_add(1);
         let force = stop.load(Ordering::Relaxed) || idle_sweeps >= FORCE_AFTER_IDLE;
         // Links first, so what they deliver is stepped in this sweep. A
         // worker that finds them locked leaves them to the one holding it.
@@ -269,14 +270,14 @@ fn worker_loop(
             pumps.is_some_and(|p| p.try_lock().is_ok_and(|mut p| pump_all(&mut p)));
         // Own shard first: keeps each kernel on one core in the steady state.
         for slot in &slots[lo..hi] {
-            if try_step(slot, batch, force, finished, stop, synchronized) {
+            if try_step(slot, force, finished, stop, synchronized) {
                 progressed = true;
             }
         }
         if !progressed {
             // Work stealing: help whoever still has runnable kernels.
             for slot in slots[hi..].iter().chain(&slots[..lo]) {
-                if try_step(slot, batch, force, finished, stop, synchronized) {
+                if try_step(slot, force, finished, stop, synchronized) {
                     progressed = true;
                 }
             }

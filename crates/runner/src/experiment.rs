@@ -41,22 +41,20 @@ struct Component {
 
 /// How to execute the components of an experiment.
 ///
-/// All three executors produce identical simulation results (bit-identical
-/// event logs); they differ only in how wall-clock resources are used. See
+/// Both executors produce identical simulation results (bit-identical event
+/// logs); they differ only in how wall-clock resources are used. See
 /// `docs/ARCHITECTURE.md` for guidance on choosing one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Execution {
-    /// One OS thread per component simulator (the paper's architecture).
-    /// Best when components ≤ cores; oversubscribes the machine otherwise.
-    Threads,
     /// Cooperative round-robin on the calling thread (practical on machines
     /// with few cores; produces identical simulation results).
     Sequential,
     /// Sharded work-stealing pool: all components scheduled over a fixed
     /// number of worker threads, with blocked kernels parked until new input
-    /// arrives. The right choice when components ≫ cores. `workers == 0`
-    /// means auto (the `SIMBRICKS_WORKERS` environment variable if set,
-    /// otherwise the machine's available parallelism).
+    /// arrives. `workers == 0` means auto (the `SIMBRICKS_WORKERS`
+    /// environment variable if set, otherwise the machine's available
+    /// parallelism); `workers` equal to the component count is the paper's
+    /// one-simulator-per-core layout.
     Sharded {
         /// Worker thread count (0 = auto).
         workers: usize,
@@ -64,13 +62,12 @@ pub enum Execution {
 }
 
 impl Execution {
-    /// Parse an executor selection string: `sequential`, `threads`,
-    /// `sharded` (auto worker count), or `sharded:N`.
+    /// Parse an executor selection string: `sequential`, `sharded` (auto
+    /// worker count), or `sharded:N`.
     pub fn parse(s: &str) -> Option<Execution> {
         let s = s.trim().to_ascii_lowercase();
         match s.as_str() {
             "sequential" | "seq" => Some(Execution::Sequential),
-            "threads" | "thread" => Some(Execution::Threads),
             "sharded" => Some(Execution::Sharded { workers: 0 }),
             _ => {
                 let n = s.strip_prefix("sharded:")?.parse().ok()?;
@@ -85,21 +82,28 @@ impl Execution {
     pub fn to_arg(self) -> String {
         match self {
             Execution::Sequential => "sequential".into(),
-            Execution::Threads => "threads".into(),
             Execution::Sharded { workers: 0 } => "sharded".into(),
             Execution::Sharded { workers } => format!("sharded:{workers}"),
         }
     }
 
     /// Executor selected by the `SIMBRICKS_EXEC` environment variable
-    /// (same syntax as [`Execution::parse`]), or `default` when unset or
-    /// unparseable.
-    pub fn from_env_or(default: Execution) -> Execution {
-        std::env::var("SIMBRICKS_EXEC")
-            .ok()
-            .as_deref()
-            .and_then(Execution::parse)
-            .unwrap_or(default)
+    /// (same syntax as [`Execution::parse`]), or `default` when unset. A
+    /// value that does not parse is an error naming the accepted values.
+    pub fn from_env_or(default: Execution) -> Result<Execution, String> {
+        Ok(Execution::from_env("SIMBRICKS_EXEC")?.unwrap_or(default))
+    }
+
+    /// Executor named by the environment variable `var`: `None` when unset,
+    /// an error naming the accepted values when set to anything else.
+    pub(crate) fn from_env(var: &str) -> Result<Option<Execution>, String> {
+        let Some(v) = std::env::var_os(var) else {
+            return Ok(None);
+        };
+        let v = v.to_string_lossy();
+        Execution::parse(&v).map(Some).ok_or_else(|| {
+            format!("{var}={v:?} is not an executor (expected sequential, sharded or sharded:N)")
+        })
     }
 }
 
@@ -195,7 +199,6 @@ pub struct Experiment {
     link_latency: SimTime,
     pcie_latency: SimTime,
     sync_interval: SimTime,
-    adaptive_sync: bool,
     hier_sync: bool,
     log_enabled: bool,
     external_inputs: bool,
@@ -218,7 +221,7 @@ pub struct Experiment {
     /// Virtual time a restore fast-forwarded this experiment to (reporting).
     restored_at: Option<SimTime>,
     /// Coarse virtual-time progress (picoseconds), updated periodically by
-    /// the sequential executor and the quiesce loop. Distributed workers
+    /// both executors and the quiesce loop. Distributed workers
     /// read it from a heartbeat thread, so the orchestrator can trigger
     /// virtual-time fault schedules and detect stalled partitions.
     progress: std::sync::Arc<std::sync::atomic::AtomicU64>,
@@ -249,7 +252,6 @@ impl Experiment {
             link_latency: SimTime::from_ns(500),
             pcie_latency: SimTime::from_ns(500),
             sync_interval: SimTime::from_ns(500),
-            adaptive_sync: true,
             hier_sync: false,
             log_enabled: false,
             external_inputs: false,
@@ -319,15 +321,6 @@ impl Experiment {
         self
     }
 
-    /// Enable or disable adaptive sync batching on all channels (default on):
-    /// idle channels widen their effective sync interval towards the link
-    /// latency and kernels batch SYNC emission across their ports. Purely a
-    /// wall-clock optimization — simulation results are unaffected.
-    pub fn with_adaptive_sync(mut self, adaptive: bool) -> Self {
-        self.adaptive_sync = adaptive;
-        self
-    }
-
     /// Enable hierarchical sync domains (sync-protocol scale-out). Each
     /// kernel groups its synchronized ports into domains (by latency class
     /// unless assigned explicitly), maintains one aggregate horizon per
@@ -381,7 +374,6 @@ impl Experiment {
             sync_interval: self.sync_interval.min(self.link_latency),
             sync: self.synchronized && self.barrier.is_none(),
             queue_len: 64,
-            adaptive_sync: self.adaptive_sync,
             impairment: Impairment::none(),
         }
     }
@@ -393,7 +385,6 @@ impl Experiment {
             sync_interval: self.sync_interval.min(self.pcie_latency),
             sync: self.synchronized && self.barrier.is_none(),
             queue_len: 64,
-            adaptive_sync: self.adaptive_sync,
             impairment: Impairment::none(),
         }
     }
@@ -458,9 +449,9 @@ impl Experiment {
     /// time. The continuation — and any later run restored from the file —
     /// is bit-identical to an uninterrupted run.
     ///
-    /// Requires a synchronized experiment without the global barrier, run
-    /// under the sequential or sharded executor (the quiesce phase itself is
-    /// cooperative); `run` panics with a descriptive message otherwise.
+    /// Requires a synchronized experiment without the global barrier (the
+    /// quiesce phase itself is cooperative, whatever the executor); `run`
+    /// panics with a descriptive message otherwise.
     pub fn checkpoint_at(&mut self, at: SimTime, path: Option<PathBuf>) {
         assert!(
             at < self.end,
@@ -474,8 +465,8 @@ impl Experiment {
     /// `period` before the end time, keeping only the newest `keep_n`
     /// entries (0 = keep all). Each entry is a complete SBCK container; the
     /// continuation after every quiesce — and any run restored from any
-    /// entry — is bit-identical to an uninterrupted run. Same executor
-    /// constraints as [`Experiment::checkpoint_at`]. Entries land in
+    /// entry — is bit-identical to an uninterrupted run. Same constraints as
+    /// [`Experiment::checkpoint_at`]. Entries land in
     /// [`RunResult::ring`], and on disk when a directory is set via
     /// [`Experiment::set_ring_dir`].
     pub fn with_checkpoint_ring(mut self, period: SimTime, keep_n: usize) -> Self {
@@ -497,8 +488,8 @@ impl Experiment {
     }
 
     /// Handle on the experiment's coarse virtual-time progress counter
-    /// (picoseconds). Updated periodically by the sequential executor and
-    /// the quiesce loop; other threads (a distributed worker's heartbeat
+    /// (picoseconds). Updated periodically by both executors and the
+    /// quiesce loop; other threads (a distributed worker's heartbeat
     /// pump) may read it at any wall-clock moment. Monotone per run; a
     /// restore resets it to the restore point.
     pub fn progress_handle(&self) -> std::sync::Arc<std::sync::atomic::AtomicU64> {
@@ -575,8 +566,8 @@ impl Experiment {
     /// at or after the restore point and before the end) and leave the
     /// experiment frozen there for inspection via [`Experiment::kernel`] /
     /// [`Experiment::model_states`]. Returns the encoded SBCK container of
-    /// the frozen state. Same executor constraints as a checkpoint — the
-    /// quiesce is cooperative and single-threaded.
+    /// the frozen state. Same constraints as a checkpoint — the quiesce is
+    /// cooperative and single-threaded.
     pub fn freeze_at(&mut self, at: SimTime) -> SnapResult<Vec<u8>> {
         assert!(
             at < self.end,
@@ -915,12 +906,6 @@ impl Experiment {
         // the checkpoint time, quiesce, encode, optionally write the file.
         let checkpoint = match self.checkpoint.take() {
             Some((at, path)) => {
-                assert!(
-                    mode != Execution::Threads,
-                    "checkpointing is supported under the sequential and sharded \
-                     executors (thread-per-component runs cannot be quiesced \
-                     cooperatively); restoring works under every executor"
-                );
                 let blob = match self.quiesce_and_encode(at) {
                     Ok(b) => b,
                     Err(e) => panic!("checkpoint of experiment '{}' failed: {e}", self.name),
@@ -942,12 +927,6 @@ impl Experiment {
         // baseline.
         let mut ring_blobs: Vec<(SimTime, Vec<u8>)> = Vec::new();
         if let Some((period, keep)) = self.ring {
-            assert!(
-                mode != Execution::Threads,
-                "checkpoint rings are supported under the sequential and sharded \
-                 executors (thread-per-component runs cannot be quiesced \
-                 cooperatively); restoring works under every executor"
-            );
             assert!(
                 checkpoint.is_none(),
                 "checkpoint_at and with_checkpoint_ring cannot be combined"
@@ -993,7 +972,6 @@ impl Experiment {
         // Phase 2: run (or continue) under the requested executor.
         match mode {
             Execution::Sequential => self.run_sequential(),
-            Execution::Threads => self.run_threads(),
             Execution::Sharded { workers } => self.run_sharded(workers),
         }
         let wall = start.elapsed();
@@ -1136,17 +1114,11 @@ impl Experiment {
     }
 
     fn run_sharded(&mut self, workers: usize) {
-        let opts = crate::executor::ShardedOptions {
-            workers: if workers == 0 {
-                crate::executor::default_workers()
-            } else {
-                workers
-            },
-            external_inputs: self.external_inputs,
-            ..Default::default()
+        let workers = if workers == 0 {
+            crate::executor::default_workers()
+        } else {
+            workers
         };
-        let stop = self.stop.clone();
-        let synchronized = self.synchronized;
         let units = self
             .components
             .iter_mut()
@@ -1156,45 +1128,15 @@ impl Experiment {
                 model: c.model.as_model(),
             })
             .collect();
-        crate::executor::run_sharded(units, &mut self.pumps, opts, &stop, synchronized);
-    }
-
-    fn run_threads(&mut self) {
-        let stop = self.stop.clone();
-        let synchronized = self.synchronized;
-        let components_done = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            if !self.pumps.is_empty() {
-                // One thread pumps every tcp link while the components run.
-                let (pumps, done) = (&mut self.pumps, &components_done);
-                scope.spawn(move || {
-                    while !done.load(std::sync::atomic::Ordering::Acquire) {
-                        if !pump_all(pumps) {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
-            let mut handles = Vec::new();
-            for c in &mut self.components {
-                let kernel = &mut c.kernel;
-                let model = &mut c.model;
-                let stop = stop.clone();
-                handles.push(scope.spawn(move || {
-                    kernel.run(model.as_model());
-                    if !synchronized {
-                        // Emulation mode: the first component to finish ends
-                        // the run for everyone.
-                        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-                    }
-                }));
-            }
-            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            components_done.store(true, std::sync::atomic::Ordering::Release);
-            for j in joined {
-                j.expect("component thread panicked");
-            }
-        });
+        crate::executor::run_sharded(
+            units,
+            &mut self.pumps,
+            workers,
+            self.external_inputs,
+            &self.stop,
+            self.synchronized,
+            &self.progress,
+        );
     }
 }
 
@@ -1272,7 +1214,7 @@ mod tests {
     #[test]
     fn threaded_execution_matches_sequential_results() {
         let rs = build_pair(SimTime::from_ms(1), true).run(Execution::Sequential);
-        let rt = build_pair(SimTime::from_ms(1), true).run(Execution::Threads);
+        let rt = build_pair(SimTime::from_ms(1), true).run(Execution::Sharded { workers: 2 });
         let ls: &Echoer = rs.model(0).unwrap();
         let lt: &Echoer = rt.model(0).unwrap();
         assert_eq!(ls.sent, lt.sent);
@@ -1343,7 +1285,8 @@ mod tests {
     fn execution_parse_roundtrip() {
         assert_eq!(Execution::parse("sequential"), Some(Execution::Sequential));
         assert_eq!(Execution::parse("seq"), Some(Execution::Sequential));
-        assert_eq!(Execution::parse("Threads"), Some(Execution::Threads));
+        assert_eq!(Execution::parse("Threads"), None);
+        assert_eq!(Execution::parse("threads"), None);
         assert_eq!(
             Execution::parse("sharded"),
             Some(Execution::Sharded { workers: 0 })
@@ -1356,7 +1299,6 @@ mod tests {
         assert_eq!(Execution::parse("sharded:x"), None);
         for e in [
             Execution::Sequential,
-            Execution::Threads,
             Execution::Sharded { workers: 0 },
             Execution::Sharded { workers: 8 },
         ] {

@@ -2,8 +2,9 @@
 //!
 //! Orchestration for SimBricks simulations (§A.1 of the paper): experiments
 //! are assembled from component simulators and channels, then executed either
-//! with one thread per component (the paper's one-process-per-simulator
-//! architecture) or cooperatively on a single core, and the results (wall
+//! cooperatively on a single core or over a pool of worker threads (one per
+//! component is the paper's one-process-per-simulator architecture), and the
+//! results (wall
 //! clock simulation time, per-component statistics, event logs, application
 //! reports) are collected for the evaluation harness.
 
@@ -36,7 +37,7 @@ pub use dist::{
     maybe_worker, run_distributed, run_local, DistError, DistOptions, DistResult, FaultKind,
     FaultSpec, PartitionBuilder, RecoveryReport, RingOptions,
 };
-pub use executor::{default_workers, ShardedOptions};
+pub use executor::default_workers;
 pub use experiment::{Execution, Experiment, RunResult};
 pub use partition::{PartitionAssignment, PartitionGraph};
 pub use proxy::{

@@ -3,7 +3,7 @@
 //! ```text
 //! simbricks-run <scenario.toml> [options]
 //!   --validate              parse + validate only (multiple files allowed)
-//!   --exec <mode>           sequential | threads | sharded[:N] | dist
+//!   --exec <mode>           sequential | sharded[:N] | dist
 //!                           (default: the scenario's [run] exec)
 //!   --transport <t>         tcp | shm | auto  (dist only)
 //!   --sweep key=v1,v2,...   sweep a field over values; repeatable flags
@@ -426,7 +426,9 @@ fn run_one(
         let inner = exec_str
             .strip_prefix("dist:")
             .map(|s| {
-                Execution::parse(s).ok_or_else(|| format!("bad executor after dist: `{s}`"))
+                Execution::parse(s).ok_or_else(|| {
+                    format!("bad executor after dist: `{s}` (sequential, sharded[:N])")
+                })
             })
             .transpose()?
             .unwrap_or(Execution::Sequential);
@@ -509,14 +511,11 @@ fn run_one(
         ));
     }
     let exec = Execution::parse(exec_str)
-        .ok_or_else(|| format!("unknown executor `{exec_str}` (sequential, threads, sharded[:N], dist)"))?;
+        .ok_or_else(|| format!("unknown executor `{exec_str}` (sequential, sharded[:N], dist)"))?;
     let mut pb = PartitionBuilder::new_local();
     let low = lower(spec, &mut pb);
     let mut exp = pb.into_experiment();
     if let Some(ring) = ring {
-        if exec == Execution::Threads {
-            return Err("checkpoint rings need the sequential or sharded executor".into());
-        }
         exp.set_checkpoint_ring(ring.period, ring.keep);
         exp.set_ring_dir(ring.dir.clone());
     }

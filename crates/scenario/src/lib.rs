@@ -6,7 +6,7 @@
 //! seeds, and run options — plus the lowering that turns a scenario into a
 //! [`simbricks_runner::PartitionBuilder`]/[`simbricks_runner::Experiment`]
 //! build, so the same file runs unchanged on every executor (sequential,
-//! threads, sharded, distributed over TCP or shared memory).
+//! sharded, distributed over TCP or shared memory).
 //!
 //! The layer is split cleanly:
 //!

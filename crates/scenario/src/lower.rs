@@ -190,9 +190,6 @@ pub fn lower(spec: &Scenario, pb: &mut PartitionBuilder) -> Lowered {
     if let Some(i) = spec.sync_interval {
         exp = exp.with_sync_interval(i);
     }
-    if let Some(a) = spec.adaptive_sync {
-        exp = exp.with_adaptive_sync(a);
-    }
     if spec.hier_sync {
         exp = exp.with_hier_sync();
     }

@@ -843,8 +843,6 @@ pub struct Scenario {
     pub hier_sync: bool,
     /// Conservative global-barrier sync (the paper's baseline protocol).
     pub global_barrier: bool,
-    /// Adaptive sync-interval override.
-    pub adaptive_sync: Option<bool>,
     /// Global sync-interval override.
     pub sync_interval: Option<SimTime>,
     /// Default Ethernet link latency.
@@ -1145,7 +1143,6 @@ impl Scenario {
                 "synchronized",
                 "hier_sync",
                 "global_barrier",
-                "adaptive_sync",
                 "sync_interval",
                 "link_latency",
                 "pcie_latency",
@@ -1184,7 +1181,6 @@ impl Scenario {
             synchronized: get_bool(ssec, "synchronized")?.unwrap_or(true),
             hier_sync: get_bool(ssec, "hier_sync")?.unwrap_or(false),
             global_barrier: get_bool(ssec, "global_barrier")?.unwrap_or(false),
-            adaptive_sync: get_bool(ssec, "adaptive_sync")?,
             sync_interval: get_duration(ssec, "sync_interval")?,
             link_latency: get_duration(ssec, "link_latency")?,
             pcie_latency: get_duration(ssec, "pcie_latency")?,

@@ -223,17 +223,6 @@ fn dist_tcp_sharded_workers_match_sequential_event_log() {
     assert_dist_matches_baseline(&local, opts, "tcp/sharded:2");
 }
 
-/// The same under `Threads`, where one thread pumps the tcp links beside
-/// the component threads.
-#[test]
-fn dist_tcp_threads_workers_match_sequential_event_log() {
-    let local = dist::run_local("", &dist_build, Execution::Sequential);
-    let opts = dist_opts("")
-        .with_transport(TransportKind::Tcp)
-        .with_exec(Execution::Threads);
-    assert_dist_matches_baseline(&local, opts, "tcp/threads");
-}
-
 /// Distributed workers running the hierarchical sync protocol (the "hier"
 /// scenario flips it on inside every worker's build of the experiment) must
 /// still reproduce the *flat*-sync in-process sequential log bit for bit, on

@@ -160,6 +160,66 @@ fn kill_worker_without_ring_restarts_from_zero() {
     );
 }
 
+/// The same under the sharded executor inside each worker: its heartbeats
+/// must carry the partition's virtual time, or the fleet minimum never
+/// crosses the fault time and the kill never fires.
+#[test]
+fn kill_worker_without_ring_restarts_from_zero_sharded() {
+    let (fp, n) = baseline();
+    let opts = fault_opts("kill-noring-sharded", TransportKind::Tcp)
+        .with_exec(Execution::Sharded { workers: 2 })
+        .with_faults(vec![FaultSpec {
+            at: SimTime::from_ms(3),
+            kind: FaultKind::KillWorker {
+                partition: "p0".into(),
+            },
+        }])
+        .with_max_restarts(2);
+    let r = dist::run_distributed(&opts, &fault_build).expect("run recovers from zero");
+    let merged = r.merged_log();
+    assert_eq!(n, merged.len());
+    assert_eq!(
+        fp,
+        merged.fingerprint(),
+        "restart-from-zero is still bit-identical"
+    );
+    assert_eq!(
+        r.recovery.faults_injected.len(),
+        1,
+        "the scheduled kill fired"
+    );
+    assert_eq!(r.recovery.restarts, 1);
+}
+
+/// A worker handed an executor it does not know fails before it simulates
+/// anything, naming the variable and the accepted values.
+#[test]
+fn worker_rejects_unknown_executor() {
+    // A port nothing listens on: the worker must fail before connecting.
+    let addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("bind a loopback port");
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .args([
+            "fault_worker_entry",
+            "--exact",
+            "--include-ignored",
+            "--nocapture",
+        ])
+        .env(dist::ENV_CONTROL, addr.to_string())
+        .env(dist::ENV_PARTITION, "p0")
+        .env(dist::ENV_EXEC, "threads")
+        .env(dist::ENV_DIST_TRANSPORT, "tcp")
+        .output()
+        .expect("spawn worker");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "worker must fail: {stderr}");
+    assert!(
+        stderr.contains(dist::ENV_EXEC) && stderr.contains("sharded:N"),
+        "error names the variable and the accepted values: {stderr}"
+    );
+}
+
 /// A severed cross-partition link is a retryable failure: the fleet restarts
 /// (from the ring), the proxies re-handshake, and the result is unchanged.
 #[test]

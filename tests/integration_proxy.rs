@@ -60,8 +60,10 @@ fn udp_traffic_flows_across_a_tcp_proxied_ethernet_link() {
         vec![srv_eth_switch, cli_eth_switch],
     );
 
-    // Threads execution: proxies are real threads moving real TCP traffic.
-    let r = exp.run(Execution::Threads);
+    // One worker per component; the proxies are real threads moving real
+    // TCP traffic.
+    let workers = exp.num_components();
+    let r = exp.run(Execution::Sharded { workers });
     let server: &HostModel = r.model(s).unwrap();
     assert!(
         server.stats().rx_frames > 50,

@@ -111,5 +111,9 @@ fn threaded_and_sequential_executors_agree() {
         let server: &HostModel = r.model(s).unwrap();
         server.stats().rx_frames
     };
-    assert_eq!(run(Execution::Sequential), run(Execution::Threads));
+    // One worker per component: the thread-per-simulator layout.
+    assert_eq!(
+        run(Execution::Sequential),
+        run(Execution::Sharded { workers: 5 })
+    );
 }
