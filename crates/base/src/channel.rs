@@ -9,6 +9,7 @@
 use crate::impair::Impairment;
 use crate::pktbuf::BufPool;
 use crate::slot::{MsgType, OwnedMsg};
+use crate::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 use crate::spsc::{self, Consumer, Producer, SendError, DEFAULT_QUEUE_LEN};
 use crate::time::SimTime;
 
@@ -87,46 +88,45 @@ impl ChannelParams {
         self
     }
 
-    /// Size in bytes of the wire encoding produced by [`ChannelParams::to_wire`].
-    pub const WIRE_LEN: usize = 26 + Impairment::WIRE_LEN;
+    /// Size in bytes of the block [`ChannelParams::encode`] writes (the shm
+    /// region header reserves exactly this much for it).
+    pub const WIRE_LEN: usize = 67;
 
-    /// Serialize the parameters for transmission between the two halves of a
-    /// distributed proxy pair (§5.4): both sides must agree on latency, sync
-    /// interval, and synchronization mode, so the connecting side sends its
-    /// parameters in the handshake frame and the accepting side verifies
-    /// them. Layout (little-endian): u64 latency ps, u64 sync interval ps,
-    /// u64 queue length, u8 flags (bit 0 = sync; bit 1 is always written
-    /// set and ignored on read, so encodings from before adaptive sync
-    /// became unconditional still match), u8 reserved, then the fixed
-    /// [`Impairment::WIRE_LEN`]-byte impairment block (see
-    /// [`Impairment::to_wire`]).
-    pub fn to_wire(&self) -> [u8; Self::WIRE_LEN] {
-        let mut out = [0u8; Self::WIRE_LEN];
-        out[0..8].copy_from_slice(&self.latency.as_ps().to_le_bytes());
-        out[8..16].copy_from_slice(&self.sync_interval.as_ps().to_le_bytes());
-        out[16..24].copy_from_slice(&(self.queue_len as u64).to_le_bytes());
-        out[24] = (self.sync as u8) | 0x02;
-        out[26..].copy_from_slice(&self.impairment.to_wire());
-        out
+    /// Encode the parameters for the two halves of a cross-process link
+    /// (§5.4): both sides must agree on latency, sync interval, queue length,
+    /// synchronization mode and impairment, so the connecting side sends its
+    /// block (proxy handshake, shm region header) and the owning side
+    /// verifies it. Layout (little-endian): u64 latency ps, u64 sync interval
+    /// ps, u64 queue length, u8 flags (bit 0 = sync; bit 1 is always written
+    /// set and ignored on read, so encodings from before adaptive sync became
+    /// unconditional still match), u8 reserved, then the 41-byte impairment
+    /// block of [`Impairment::encode`].
+    pub fn encode(&self, w: &mut SnapWriter) {
+        w.time(self.latency);
+        w.time(self.sync_interval);
+        w.usize(self.queue_len);
+        w.u8(self.sync as u8 | 0x02);
+        w.u8(0);
+        self.impairment.encode(w);
     }
 
-    /// Parse parameters previously encoded with [`ChannelParams::to_wire`].
-    /// Returns `None` if `buf` is shorter than [`ChannelParams::WIRE_LEN`],
-    /// contains undefined flag bits, or carries an invalid impairment block.
-    pub fn from_wire(buf: &[u8]) -> Option<ChannelParams> {
-        if buf.len() < Self::WIRE_LEN {
-            return None;
-        }
-        let flags = buf[24];
+    /// Decode a block written by [`ChannelParams::encode`]. Truncation,
+    /// undefined flag bits and an invalid impairment block are errors.
+    pub fn decode(r: &mut SnapReader) -> SnapResult<ChannelParams> {
+        let latency = r.time()?;
+        let sync_interval = r.time()?;
+        let queue_len = r.usize()?;
+        let flags = r.u8()?;
         if flags & !0x03 != 0 {
-            return None;
+            return Err(SnapError::Corrupt(format!("channel flags {flags:#04x}")));
         }
-        Some(ChannelParams {
-            latency: SimTime::from_ps(u64::from_le_bytes(buf[0..8].try_into().unwrap())),
-            sync_interval: SimTime::from_ps(u64::from_le_bytes(buf[8..16].try_into().unwrap())),
-            queue_len: u64::from_le_bytes(buf[16..24].try_into().unwrap()) as usize,
+        r.u8()?; // reserved
+        Ok(ChannelParams {
+            latency,
+            sync_interval,
+            queue_len,
             sync: flags & 0x01 != 0,
-            impairment: Impairment::from_wire(&buf[26..])?,
+            impairment: Impairment::decode(r)?,
         })
     }
 }
@@ -305,44 +305,91 @@ mod tests {
         assert_eq!(b.counters().1, 3);
     }
 
+    fn encoded(p: &ChannelParams) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        p.encode(&mut w);
+        w.into_vec()
+    }
+
+    fn decoded(b: &[u8]) -> Option<ChannelParams> {
+        ChannelParams::decode(&mut SnapReader::new(b)).ok()
+    }
+
     #[test]
     fn params_wire_roundtrip() {
         let p = ChannelParams::default_sync()
             .with_latency(SimTime::from_ns(123))
             .with_sync_interval(SimTime::from_ns(77))
             .with_queue_len(17);
-        let w = p.to_wire();
-        assert_eq!(ChannelParams::from_wire(&w), Some(p));
+        let w = encoded(&p);
+        assert_eq!(w.len(), ChannelParams::WIRE_LEN);
+        assert_eq!(decoded(&w), Some(p));
         let u = ChannelParams::default_unsync();
-        assert_eq!(ChannelParams::from_wire(&u.to_wire()), Some(u));
+        assert_eq!(decoded(&encoded(&u)), Some(u));
         // Truncated or corrupted encodings are rejected.
-        assert_eq!(ChannelParams::from_wire(&w[..ChannelParams::WIRE_LEN - 1]), None);
+        assert_eq!(decoded(&w[..ChannelParams::WIRE_LEN - 1]), None);
         let mut bad = w;
         bad[24] = 0xff;
-        assert_eq!(ChannelParams::from_wire(&bad), None);
+        assert_eq!(decoded(&bad), None);
         // Impairment parameters travel too, and invalid blocks are rejected.
         let imp = crate::impair::Impairment::none()
             .with_bernoulli_loss(25)
             .with_jitter(SimTime::from_ns(40))
             .with_seed(99);
         let pi = ChannelParams::default_sync().with_impairment(imp);
-        assert_eq!(ChannelParams::from_wire(&pi.to_wire()), Some(pi));
-        let mut bad = pi.to_wire();
+        assert_eq!(decoded(&encoded(&pi)), Some(pi));
+        let mut bad = encoded(&pi);
         bad[26] = 0x7f; // unknown loss-model kind
-        assert_eq!(ChannelParams::from_wire(&bad), None);
+        assert_eq!(decoded(&bad), None);
     }
 
     #[test]
     fn params_wire_flag_byte_is_stable() {
         // Handshakes and checkpoints carry this byte: bit 1 stays set.
-        assert_eq!(ChannelParams::default_sync().to_wire()[24], 0x03);
-        assert_eq!(ChannelParams::default_unsync().to_wire()[24], 0x02);
-        let mut w = ChannelParams::default_sync().to_wire();
+        assert_eq!(encoded(&ChannelParams::default_sync())[24], 0x03);
+        assert_eq!(encoded(&ChannelParams::default_unsync())[24], 0x02);
+        let mut w = encoded(&ChannelParams::default_sync());
         w[24] = 0x01;
-        assert_eq!(
-            ChannelParams::from_wire(&w),
-            Some(ChannelParams::default_sync())
+        assert_eq!(decoded(&w), Some(ChannelParams::default_sync()));
+    }
+
+    /// The parameter block travels in proxy handshakes and shm region
+    /// headers; these bytes were recorded from the fixed-offset encoder this
+    /// codec replaced, so peers and regions of earlier builds still match.
+    #[test]
+    #[rustfmt::skip]
+    fn params_wire_golden_bytes() {
+        let head = |sync: u8| -> Vec<u8> {
+            [
+                &[0x20, 0xa1, 0x07, 0, 0, 0, 0, 0][..], // latency 500 ns
+                &[0x20, 0xa1, 0x07, 0, 0, 0, 0, 0],     // sync interval 500 ns
+                &[0x40, 0, 0, 0, 0, 0, 0, 0],           // queue length 64
+                &[sync, 0],                             // flags, reserved
+            ]
+            .concat()
+        };
+        let clean = [head(0x03), vec![0; 41]].concat();
+        assert_eq!(encoded(&ChannelParams::default_sync()), clean);
+        let unsync = [head(0x02), vec![0; 41]].concat();
+        assert_eq!(encoded(&ChannelParams::default_unsync()), unsync);
+        let ge = ChannelParams::default_sync().with_impairment(
+            Impairment::none()
+                .with_gilbert_elliott(10, 400, 800)
+                .with_jitter(SimTime::from_ns(250))
+                .with_reorder(5)
+                .with_rate_variation(SimTime::from_us(50), SimTime::from_us(1))
+                .with_seed(0xDEAD_BEEF),
         );
+        let block = [
+            0x02, 0x0a, 0x00, 0x90, 0x01, 0x20, 0x03,       // kind, permilles
+            0x90, 0xd0, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, // jitter 250 ns
+            0x05, 0x00,                                     // reorder
+            0x80, 0xf0, 0xfa, 0x02, 0x00, 0x00, 0x00, 0x00, // rate period 50 us
+            0x40, 0x42, 0x0f, 0x00, 0x00, 0x00, 0x00, 0x00, // rate jitter 1 us
+            0xef, 0xbe, 0xad, 0xde, 0x00, 0x00, 0x00, 0x00, // seed
+        ];
+        assert_eq!(encoded(&ge), [head(0x03), block.to_vec()].concat());
+        assert_eq!(decoded(&encoded(&ge)), Some(ge));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::pktbuf::PktBuf;
 use crate::slot::MsgType;
-use crate::snap::{SnapReader, SnapResult, SnapWriter, Snapshot};
+use crate::snap::{SnapError, SnapReader, SnapResult, SnapWriter, Snapshot};
 use crate::time::SimTime;
 
 /// Packet-loss process applied per data message.
@@ -167,13 +167,12 @@ impl Impairment {
         check("reorder permille", self.reorder_permille)
     }
 
-    /// Fixed wire size of the impairment block inside
-    /// [`ChannelParams::to_wire`](crate::channel::ChannelParams::to_wire).
-    pub const WIRE_LEN: usize = 41;
-
-    /// Encode into the 41-byte wire block (see `ChannelParams::to_wire`).
-    pub fn to_wire(&self) -> [u8; Self::WIRE_LEN] {
-        let mut out = [0u8; Self::WIRE_LEN];
+    /// Encode the 41-byte block inside the channel parameter block
+    /// ([`ChannelParams::encode`](crate::channel::ChannelParams::encode)):
+    /// u8 loss-model kind (0 none, 1 Bernoulli, 2 Gilbert–Elliott), three
+    /// u16 permille slots (unused ones zero), u64 jitter ps, u16 reorder
+    /// permille, u64 rate period ps, u64 rate jitter ps, u64 seed.
+    pub fn encode(&self, w: &mut SnapWriter) {
         let (kind, p0, p1, p2) = match self.loss {
             LossModel::None => (0u8, 0u16, 0u16, 0u16),
             LossModel::Bernoulli { permille } => (1, permille, 0, 0),
@@ -183,46 +182,42 @@ impl Impairment {
                 bad_loss_permille,
             } => (2, to_bad_permille, to_good_permille, bad_loss_permille),
         };
-        out[0] = kind;
-        out[1..3].copy_from_slice(&p0.to_le_bytes());
-        out[3..5].copy_from_slice(&p1.to_le_bytes());
-        out[5..7].copy_from_slice(&p2.to_le_bytes());
-        out[7..15].copy_from_slice(&self.jitter_max.as_ps().to_le_bytes());
-        out[15..17].copy_from_slice(&self.reorder_permille.to_le_bytes());
-        out[17..25].copy_from_slice(&self.rate_period.as_ps().to_le_bytes());
-        out[25..33].copy_from_slice(&self.rate_jitter_max.as_ps().to_le_bytes());
-        out[33..41].copy_from_slice(&self.seed.to_le_bytes());
-        out
+        w.u8(kind);
+        w.u16(p0);
+        w.u16(p1);
+        w.u16(p2);
+        w.time(self.jitter_max);
+        w.u16(self.reorder_permille);
+        w.time(self.rate_period);
+        w.time(self.rate_jitter_max);
+        w.u64(self.seed);
     }
 
-    /// Decode the wire block; `None` on a short buffer, an unknown loss-model
-    /// kind, or an out-of-range permille value.
-    pub fn from_wire(buf: &[u8]) -> Option<Impairment> {
-        if buf.len() < Self::WIRE_LEN {
-            return None;
-        }
-        let u16_at = |i: usize| u16::from_le_bytes([buf[i], buf[i + 1]]);
-        let u64_at = |i: usize| u64::from_le_bytes(buf[i..i + 8].try_into().unwrap());
-        let loss = match buf[0] {
+    /// Decode a block written by [`Impairment::encode`]. Truncation, an
+    /// unknown loss-model kind and an out-of-range permille are errors.
+    pub fn decode(r: &mut SnapReader) -> SnapResult<Impairment> {
+        let kind = r.u8()?;
+        let (p0, p1, p2) = (r.u16()?, r.u16()?, r.u16()?);
+        let loss = match kind {
             0 => LossModel::None,
-            1 => LossModel::Bernoulli { permille: u16_at(1) },
+            1 => LossModel::Bernoulli { permille: p0 },
             2 => LossModel::GilbertElliott {
-                to_bad_permille: u16_at(1),
-                to_good_permille: u16_at(3),
-                bad_loss_permille: u16_at(5),
+                to_bad_permille: p0,
+                to_good_permille: p1,
+                bad_loss_permille: p2,
             },
-            _ => return None,
+            _ => return Err(SnapError::Corrupt(format!("loss-model kind {kind}"))),
         };
         let imp = Impairment {
             loss,
-            jitter_max: SimTime::from_ps(u64_at(7)),
-            reorder_permille: u16_at(15),
-            rate_period: SimTime::from_ps(u64_at(17)),
-            rate_jitter_max: SimTime::from_ps(u64_at(25)),
-            seed: u64_at(33),
+            jitter_max: r.time()?,
+            reorder_permille: r.u16()?,
+            rate_period: r.time()?,
+            rate_jitter_max: r.time()?,
+            seed: r.u64()?,
         };
-        imp.validate().ok()?;
-        Some(imp)
+        imp.validate().map_err(SnapError::Corrupt)?;
+        Ok(imp)
     }
 }
 
@@ -512,18 +507,22 @@ mod tests {
             .with_reorder(5)
             .with_rate_variation(SimTime::from_us(50), SimTime::from_us(1))
             .with_seed(0xDEAD_BEEF);
-        let w = imp.to_wire();
-        assert_eq!(Impairment::from_wire(&w), Some(imp));
+        let mut w = SnapWriter::new();
+        imp.encode(&mut w);
+        let w = w.into_vec();
+        assert_eq!(w.len(), 41);
+        let decoded = |b: &[u8]| Impairment::decode(&mut SnapReader::new(b)).ok();
+        assert_eq!(decoded(&w), Some(imp));
         // Truncated block rejected.
-        assert_eq!(Impairment::from_wire(&w[..Impairment::WIRE_LEN - 1]), None);
+        assert_eq!(decoded(&w[..w.len() - 1]), None);
         // Unknown loss kind rejected.
-        let mut bad = w;
+        let mut bad = w.clone();
         bad[0] = 9;
-        assert_eq!(Impairment::from_wire(&bad), None);
+        assert_eq!(decoded(&bad), None);
         // Out-of-range permille rejected.
         let mut bad = w;
         bad[15..17].copy_from_slice(&2000u16.to_le_bytes());
-        assert_eq!(Impairment::from_wire(&bad), None);
+        assert_eq!(decoded(&bad), None);
         // validate() mirrors the wire check.
         assert!(Impairment::none().with_bernoulli_loss(1001).validate().is_err());
         assert!(Impairment::none().with_reorder(1000).validate().is_ok());

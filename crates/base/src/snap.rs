@@ -1,4 +1,4 @@
-//! Deterministic checkpoint/restore: snapshot wire format primitives.
+//! Deterministic checkpoint/restore, and the workspace's one byte codec.
 //!
 //! A checkpoint captures the complete dynamic state of a simulation at a
 //! quiesced virtual time so a later run can resume from it and produce the
@@ -9,7 +9,12 @@
 //!
 //! * [`SnapWriter`] / [`SnapReader`] — bounded, length-checked primitive
 //!   encode/decode. Every read is validated; truncated or corrupt input
-//!   yields a [`SnapError`], never a panic or undefined behaviour.
+//!   yields a [`SnapError`], never a panic or undefined behaviour. The same
+//!   pair encodes the channel parameter block
+//!   ([`ChannelParams::encode`](crate::channel::ChannelParams::encode)), the
+//!   proxy handshake and every structured control payload of a distributed
+//!   run; only the per-message slot framing of
+//!   [`OwnedMsg`](crate::slot::OwnedMsg) has a hand-written hot-path codec.
 //! * [`Snapshot`] — the trait every stateful component implements: write the
 //!   dynamic state (not static configuration, which the experiment builder
 //!   reconstructs) and read it back in place.
@@ -71,6 +76,14 @@ impl std::error::Error for SnapError {}
 impl From<std::io::Error> for SnapError {
     fn from(e: std::io::Error) -> Self {
         SnapError::Io(e.to_string())
+    }
+}
+
+/// A decode failure on a socket or shared-memory path is malformed input:
+/// `InvalidData`, carrying the decoder's message.
+impl From<SnapError> for std::io::Error {
+    fn from(e: SnapError) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
     }
 }
 
@@ -204,6 +217,15 @@ impl<'a> SnapReader<'a> {
         Ok(s)
     }
 
+    /// Take `N` raw bytes as an array.
+    fn array<const N: usize>(&mut self) -> SnapResult<[u8; N]> {
+        let (head, _) = self.buf[self.off..]
+            .split_first_chunk::<N>()
+            .ok_or(SnapError::Truncated)?;
+        self.off += N;
+        Ok(*head)
+    }
+
     /// Read one byte.
     pub fn u8(&mut self) -> SnapResult<u8> {
         Ok(self.take(1)?[0])
@@ -211,17 +233,17 @@ impl<'a> SnapReader<'a> {
 
     /// Read a little-endian `u16`.
     pub fn u16(&mut self) -> SnapResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> SnapResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Read a little-endian `u64`.
     pub fn u64(&mut self) -> SnapResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Read a `usize` encoded as `u64`, rejecting values beyond this
@@ -349,6 +371,13 @@ mod tests {
         let buf = w.into_vec();
         let mut r = SnapReader::new(&buf);
         assert_eq!(r.bytes(), Err(SnapError::Truncated));
+    }
+
+    #[test]
+    fn decode_errors_become_invalid_data() {
+        let e = std::io::Error::from(SnapError::Truncated);
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(e.to_string(), SnapError::Truncated.to_string());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::pktbuf::PoolStats;
-use crate::snap::{SnapError, SnapReader, SnapResult, SnapWriter, Snapshot};
+use crate::snap::{SnapReader, SnapResult, SnapWriter, Snapshot};
 use crate::sync::PortStats;
 use crate::time::SimTime;
 
@@ -97,71 +97,6 @@ impl KernelStats {
         }
     }
 
-    /// Size in bytes of the wire encoding produced by [`KernelStats::to_wire`].
-    pub const WIRE_LEN: usize = 16 * 8;
-
-    /// Serialize the counters as 16 little-endian `u64`s (final time in
-    /// picoseconds first, then the counters; `syncs_suppressed` occupies the
-    /// formerly reserved final slot so the encoding length never changed).
-    /// Used by
-    /// distributed runs to ship per-component statistics from worker
-    /// processes back to the orchestrator over the control socket.
-    pub fn to_wire(&self) -> [u8; Self::WIRE_LEN] {
-        let fields = [
-            self.final_time.as_ps(),
-            self.msgs_delivered,
-            self.timers_fired,
-            self.advances,
-            self.blocked_polls,
-            self.barrier_waits,
-            self.data_sent,
-            self.data_received,
-            self.syncs_sent,
-            self.syncs_received,
-            self.backpressured,
-            self.syncs_coalesced,
-            self.pool_hits,
-            self.pool_misses,
-            self.pool_fallbacks,
-            self.syncs_suppressed,
-        ];
-        let mut out = [0u8; Self::WIRE_LEN];
-        for (i, f) in fields.iter().enumerate() {
-            out[i * 8..(i + 1) * 8].copy_from_slice(&f.to_le_bytes());
-        }
-        out
-    }
-
-    /// Parse counters previously encoded with [`KernelStats::to_wire`].
-    /// Returns `None` if `buf` is shorter than [`KernelStats::WIRE_LEN`].
-    pub fn from_wire(buf: &[u8]) -> Option<KernelStats> {
-        if buf.len() < Self::WIRE_LEN {
-            return None;
-        }
-        let mut f = [0u64; 16];
-        for (i, v) in f.iter_mut().enumerate() {
-            *v = u64::from_le_bytes(buf[i * 8..(i + 1) * 8].try_into().unwrap());
-        }
-        Some(KernelStats {
-            final_time: SimTime::from_ps(f[0]),
-            msgs_delivered: f[1],
-            timers_fired: f[2],
-            advances: f[3],
-            blocked_polls: f[4],
-            barrier_waits: f[5],
-            data_sent: f[6],
-            data_received: f[7],
-            syncs_sent: f[8],
-            syncs_received: f[9],
-            backpressured: f[10],
-            syncs_coalesced: f[11],
-            pool_hits: f[12],
-            pool_misses: f[13],
-            pool_fallbacks: f[14],
-            syncs_suppressed: f[15],
-        })
-    }
-
     /// Merge statistics of several components (for whole-simulation totals).
     pub fn merged(all: &[KernelStats]) -> KernelStats {
         let mut out = KernelStats::default();
@@ -187,16 +122,55 @@ impl KernelStats {
     }
 }
 
+/// Sixteen little-endian `u64`s: the final time in picoseconds, then the
+/// counters. `syncs_suppressed` sits last, in what was a reserved slot, so
+/// the encoding never changed length. Checkpoints carry it, and so does a
+/// distributed worker's `RESULT` frame.
 impl Snapshot for KernelStats {
     fn snapshot(&self, w: &mut SnapWriter) -> SnapResult<()> {
-        w.raw(&self.to_wire());
+        w.time(self.final_time);
+        for v in [
+            self.msgs_delivered,
+            self.timers_fired,
+            self.advances,
+            self.blocked_polls,
+            self.barrier_waits,
+            self.data_sent,
+            self.data_received,
+            self.syncs_sent,
+            self.syncs_received,
+            self.backpressured,
+            self.syncs_coalesced,
+            self.pool_hits,
+            self.pool_misses,
+            self.pool_fallbacks,
+            self.syncs_suppressed,
+        ] {
+            w.u64(v);
+        }
         Ok(())
     }
 
     fn restore(&mut self, r: &mut SnapReader) -> SnapResult<()> {
-        let buf = r.take(Self::WIRE_LEN)?;
-        *self = KernelStats::from_wire(buf)
-            .ok_or_else(|| SnapError::Corrupt("kernel stats encoding".into()))?;
+        // Struct fields evaluate in the order written: the encoding order.
+        *self = KernelStats {
+            final_time: r.time()?,
+            msgs_delivered: r.u64()?,
+            timers_fired: r.u64()?,
+            advances: r.u64()?,
+            blocked_polls: r.u64()?,
+            barrier_waits: r.u64()?,
+            data_sent: r.u64()?,
+            data_received: r.u64()?,
+            syncs_sent: r.u64()?,
+            syncs_received: r.u64()?,
+            backpressured: r.u64()?,
+            syncs_coalesced: r.u64()?,
+            pool_hits: r.u64()?,
+            pool_misses: r.u64()?,
+            pool_fallbacks: r.u64()?,
+            syncs_suppressed: r.u64()?,
+        };
         Ok(())
     }
 }
@@ -294,9 +268,30 @@ mod tests {
             pool_fallbacks: 14,
             syncs_suppressed: 15,
         };
-        let w = s.to_wire();
-        assert_eq!(KernelStats::from_wire(&w), Some(s));
-        assert_eq!(KernelStats::from_wire(&w[..KernelStats::WIRE_LEN - 1]), None);
+        let mut w = SnapWriter::new();
+        s.snapshot(&mut w).unwrap();
+        let w = w.into_vec();
+        // Recorded from the fixed-array encoder this codec replaced:
+        // checkpoints of every earlier build carry exactly these bytes.
+        #[rustfmt::skip]
+        let golden: [u8; 128] = [
+            0x00, 0x78, 0x41, 0xcb, 0x02, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+            2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0,
+            4, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0,
+            6, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0,
+            8, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0,
+            10, 0, 0, 0, 0, 0, 0, 0, 11, 0, 0, 0, 0, 0, 0, 0,
+            12, 0, 0, 0, 0, 0, 0, 0, 13, 0, 0, 0, 0, 0, 0, 0,
+            14, 0, 0, 0, 0, 0, 0, 0, 15, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(w, golden);
+        let mut back = KernelStats::default();
+        back.restore(&mut SnapReader::new(&w)).unwrap();
+        assert_eq!(back, s);
+        let mut short = KernelStats::default();
+        assert!(short
+            .restore(&mut SnapReader::new(&w[..w.len() - 1]))
+            .is_err());
     }
 
     #[test]

@@ -184,7 +184,7 @@ fn stress(backing: Backing, cap: usize, n_msgs: u64, seed: u64) {
                     return;
                 }
             }
-            if rng.next() % 16 == 0 {
+            if rng.next().is_multiple_of(16) {
                 std::thread::yield_now();
             }
         }
@@ -205,7 +205,7 @@ fn stress(backing: Backing, cap: usize, n_msgs: u64, seed: u64) {
                 for _ in 0..rng.next() % 64 {
                     std::hint::spin_loop();
                 }
-                if rng.next() % 16 == 0 {
+                if rng.next().is_multiple_of(16) {
                     std::thread::yield_now();
                 }
             }

@@ -93,7 +93,7 @@ mod harness_tests {
             for (to_a, mut f) in staged {
                 self.sent_frames += 1;
                 if let Some(n) = self.drop_every {
-                    if self.sent_frames % n == 0 && f.len() > 200 {
+                    if self.sent_frames.is_multiple_of(n) && f.len() > 200 {
                         continue; // drop a data frame
                     }
                 }
@@ -271,7 +271,7 @@ mod harness_tests {
                     }
                 }
             }
-            w.a.tcp_cwnd(cli).unwrap() as u64
+            w.a.tcp_cwnd(cli).unwrap()
         };
         let marked_cwnd = run(true);
         let clean_cwnd = run(false);

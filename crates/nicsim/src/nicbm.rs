@@ -247,8 +247,7 @@ mod tests {
         // host-side horizon advances 1 us per iteration so all messages stay
         // monotonic on the channel.
         let mut interrupts_seen = 0;
-        let mut horizon_us = 1u64;
-        for _ in 0..2000 {
+        for horizon_us in 1u64..=2000 {
             if kernel.step(&mut dev, 64) == StepOutcome::Finished {
                 break;
             }
@@ -279,7 +278,6 @@ mod tests {
             host_end
                 .send_raw(stamp, simbricks_base::MSG_SYNC, &[])
                 .ok();
-            horizon_us += 1;
         }
         assert_eq!(dev.completions, vec!["first", "second"]);
         assert_eq!(dev.dma.in_flight(), 0);

@@ -77,24 +77,21 @@ impl CheckpointFile {
 
     /// Decode and validate a container from bytes.
     pub fn decode(buf: &[u8]) -> SnapResult<CheckpointFile> {
-        if buf.len() < CKPT_MAGIC.len() + 2 {
-            return Err(SnapError::Truncated);
-        }
-        if buf[..4] != CKPT_MAGIC {
+        let mut head = SnapReader::new(buf);
+        if head.take(CKPT_MAGIC.len())? != CKPT_MAGIC {
             return Err(SnapError::BadMagic);
         }
-        let version = u16::from_le_bytes([buf[4], buf[5]]);
+        let version = head.u16()?;
         if version != CKPT_VERSION {
             return Err(SnapError::Version {
                 found: version,
                 expected: CKPT_VERSION,
             });
         }
-        if buf.len() < 8 + 6 {
-            return Err(SnapError::Truncated);
-        }
-        let (body, trailer) = buf.split_at(buf.len() - 8);
-        let sum = u64::from_le_bytes(trailer.try_into().unwrap());
+        let (body, sum) = match buf.split_last_chunk::<8>() {
+            Some((body, sum)) if body.len() >= 6 => (body, u64::from_le_bytes(*sum)),
+            _ => return Err(SnapError::Truncated),
+        };
         if fnv1a(body) != sum {
             return Err(SnapError::Corrupt(
                 "checksum mismatch (file damaged or partially written)".into(),

@@ -31,14 +31,19 @@
 //! ## Control protocol
 //!
 //! All control frames are `u32` length-prefixed, a one-byte type, then a
-//! type-specific payload:
+//! type-specific payload. The framing is the proxy handshake's
+//! (`crate::proxy`'s frame splitter, with this protocol's own length
+//! bounds), and every structured payload is encoded with `simbricks_base`'s
+//! `SnapWriter`/`SnapReader` — the checkpoint codec — by one encoder and
+//! one decoder per format, side by side. A decoder rejects truncated input
+//! and trailing bytes with a typed error; none panics.
 //!
 //! | frame    | direction      | payload                                      |
 //! |----------|----------------|----------------------------------------------|
 //! | `HELLO`  | worker → orch  | partition name                               |
 //! | `LINKS`  | worker → orch  | rendezvous address per owned cross link      |
 //! | `ADDRS`  | orch → worker  | full link-name → address map                 |
-//! | `CKPT`   | orch → worker  | ckpt presence + time, restore presence + blob|
+//! | `CKPT`   | orch → worker  | checkpoint time, ring, heartbeat, restore blob |
 //! | `READY`  | worker → orch  | (empty) partition built, cross links wired   |
 //! | `GO`     | orch → worker  | (empty) barrier release, start simulating    |
 //! | `CKPT_SAVE` | worker → orch | partition snapshot captured mid-run       |
@@ -117,11 +122,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use simbricks_base::{channel_pair, ChannelEnd, ChannelParams, EventLog, KernelStats, SimTime};
+use simbricks_base::{
+    channel_pair, ChannelEnd, ChannelParams, EventLog, KernelStats, SimTime, SnapError, SnapReader,
+    SnapResult, SnapWriter, Snapshot,
+};
 use simbricks_hostsim::{Application, HostConfig};
 
 use crate::experiment::{AnyModel, Execution, Experiment, RunResult};
-use crate::proxy::{pump_all, write_handshake, ShutdownSignal, TcpPump};
+use crate::proxy::{frame_len, pump_all, split_frame, write_handshake, ShutdownSignal, TcpPump};
 use crate::shm;
 use crate::transport::TransportKind;
 
@@ -151,10 +159,10 @@ const MSG_READY: u8 = 4;
 const MSG_GO: u8 = 5;
 const MSG_RESULT: u8 = 6;
 const MSG_DONE: u8 = 7;
-/// Orchestrator → worker, after `ADDRS`: checkpoint configuration — a
-/// presence byte and the virtual time to checkpoint at, the checkpoint-ring
-/// period and keep bound (both 0 = no ring) plus, when restoring, the
-/// partition's encoded snapshot container.
+/// Orchestrator → worker, after `ADDRS`: checkpoint configuration
+/// (`CkptConfig`) — the virtual time to checkpoint at, if any, the
+/// checkpoint-ring period and keep bound (0 = no ring), the heartbeat period
+/// plus, when restoring, the partition's encoded snapshot container.
 const MSG_CKPT: u8 = 8;
 /// Worker → orchestrator, before `RESULT`: the partition's encoded snapshot
 /// container captured at the configured checkpoint time.
@@ -165,7 +173,7 @@ const MSG_CKPT_SAVE: u8 = 9;
 /// while the simulation stalls waiting on peers.
 const MSG_HEARTBEAT: u8 = 10;
 /// Worker → orchestrator, after each ring quiesce: one ring snapshot as
-/// `time u64` + the partition's encoded container. Streamed mid-run (not
+/// `time u64` + the partition's length-prefixed container. Streamed mid-run (not
 /// batched at the end) so the orchestrator always holds the newest complete
 /// slot when a worker dies.
 const MSG_RING: u8 = 11;
@@ -1015,7 +1023,7 @@ pub fn maybe_worker(build: &BuildFn) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire helpers
+// Control frames and their payloads
 // ---------------------------------------------------------------------------
 
 fn write_frame(s: &mut TcpStream, ty: u8, payload: &[u8]) -> io::Result<()> {
@@ -1028,24 +1036,20 @@ fn write_frame(s: &mut TcpStream, ty: u8, payload: &[u8]) -> io::Result<()> {
             format!("control frame too large ({} bytes)", payload.len()),
         ));
     }
-    let mut frame = Vec::with_capacity(5 + payload.len());
-    frame.extend_from_slice(&((payload.len() + 1) as u32).to_le_bytes());
-    frame.push(ty);
-    frame.extend_from_slice(payload);
-    s.write_all(&frame)
+    let mut frame = SnapWriter::new();
+    frame.u32((payload.len() + 1) as u32);
+    frame.u8(ty);
+    frame.raw(payload);
+    s.write_all(&frame.into_vec())
 }
 
 fn read_frame(s: &mut TcpStream) -> io::Result<(u8, Vec<u8>)> {
-    let mut len = [0u8; 4];
-    s.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len == 0 || len > MAX_FRAME {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "control frame length"));
-    }
-    let mut buf = vec![0u8; len];
-    s.read_exact(&mut buf)?;
-    let payload = buf.split_off(1);
-    Ok((buf[0], payload))
+    let mut prefix = [0u8; 4];
+    s.read_exact(&mut prefix)?;
+    let mut body = vec![0u8; frame_len(prefix, 1, MAX_FRAME)?];
+    s.read_exact(&mut body)?;
+    let payload = body.split_off(1);
+    Ok((body[0], payload))
 }
 
 fn expect_frame(s: &mut TcpStream, ty: u8) -> io::Result<Vec<u8>> {
@@ -1093,20 +1097,13 @@ impl FrameBuf {
 
     /// Pop one complete frame if buffered: `(type, payload)`.
     fn pop(&mut self) -> io::Result<Option<(u8, Vec<u8>)>> {
-        if self.buf.len() < 4 {
+        let Some(body) = split_frame(&self.buf, 1, MAX_FRAME)? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
-        if len == 0 || len > MAX_FRAME {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "control frame length"));
-        }
-        if self.buf.len() < 4 + len {
-            return Ok(None);
-        }
-        let ty = self.buf[4];
-        let payload = self.buf[5..4 + len].to_vec();
-        self.buf.drain(..4 + len);
-        Ok(Some((ty, payload)))
+        };
+        let frame = (body[0], body[1..].to_vec());
+        let used = 4 + body.len();
+        self.buf.drain(..used);
+        Ok(Some(frame))
     }
 }
 
@@ -1133,83 +1130,134 @@ fn drain_ctrl(s: &mut TcpStream, fb: &mut FrameBuf, scratch: &mut [u8]) -> io::R
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Byte-slice reader for control payloads.
-struct Dec<'a> {
-    buf: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, off: 0 }
+/// `value`, provided `r` consumed the whole payload.
+fn finish<T>(r: SnapReader, value: T) -> SnapResult<T> {
+    if !r.is_empty() {
+        return Err(SnapError::Corrupt(format!(
+            "{} trailing bytes in a control payload",
+            r.remaining()
+        )));
     }
+    Ok(value)
+}
 
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.off + n > self.buf.len() {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "truncated control payload"));
+/// `LINKS` (worker → orchestrator: the links the worker owns) and `ADDRS`
+/// (orchestrator → every worker: all links): link name → scheme-prefixed
+/// rendezvous address.
+fn encode_addrs(addrs: &[(String, String)]) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.u32(addrs.len() as u32);
+    for (name, addr) in addrs {
+        w.str(name);
+        w.str(addr);
+    }
+    w.into_vec()
+}
+
+fn decode_addrs(payload: &[u8]) -> SnapResult<Vec<(String, String)>> {
+    let mut r = SnapReader::new(payload);
+    let mut addrs = Vec::new();
+    for _ in 0..r.u32()? {
+        addrs.push((r.str()?, r.str()?));
+    }
+    finish(r, addrs)
+}
+
+/// `CKPT` (orchestrator → worker, after `ADDRS`): what the worker does about
+/// checkpoints and heartbeats, and the snapshot it restores before `READY`.
+#[derive(Debug, PartialEq)]
+struct CkptConfig {
+    /// Quiesce at this virtual time and ship the snapshot as `CKPT_SAVE`.
+    checkpoint_at: Option<SimTime>,
+    /// Checkpoint-ring period (zero: no ring) and the slots kept.
+    ring_period: SimTime,
+    ring_keep: usize,
+    /// Wall-clock heartbeat period (sent in whole milliseconds; zero
+    /// decodes as [`DEFAULT_HEARTBEAT`]).
+    heartbeat: Duration,
+    /// The partition's snapshot container to restore from.
+    restore: Option<Vec<u8>>,
+}
+
+impl CkptConfig {
+    fn encode(&self) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.opt_time(self.checkpoint_at);
+        w.time(self.ring_period);
+        w.usize(self.ring_keep);
+        w.u64(self.heartbeat.as_millis() as u64);
+        w.bool(self.restore.is_some());
+        if let Some(blob) = &self.restore {
+            w.bytes(blob);
         }
-        let s = &self.buf[self.off..self.off + n];
-        self.off += n;
-        Ok(s)
+        w.into_vec()
     }
 
-    fn u32(&mut self) -> io::Result<u32> {
-        // io-ok: infallible - take(4) returned exactly 4 bytes
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        // io-ok: infallible - take(8) returned exactly 8 bytes
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> io::Result<String> {
-        let n = self.u32()? as usize;
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-utf8 control string"))
+    fn decode(payload: &[u8]) -> SnapResult<CkptConfig> {
+        let mut r = SnapReader::new(payload);
+        let cfg = CkptConfig {
+            checkpoint_at: r.opt_time()?,
+            ring_period: r.time()?,
+            ring_keep: r.usize()?,
+            heartbeat: match r.u64()? {
+                0 => DEFAULT_HEARTBEAT,
+                ms => Duration::from_millis(ms),
+            },
+            restore: if r.bool()? { Some(r.bytes()?) } else { None },
+        };
+        finish(r, cfg)
     }
 }
 
-/// Intern a log tag received over the control socket. [`EventLog`] records
-/// tags as `&'static str`; the set of distinct tags is small and fixed, so
-/// leaking one copy per unique tag is bounded.
-fn intern_tag(tag: &str) -> &'static str {
-    use std::sync::{Mutex, OnceLock};
-    static TAGS: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    // io-ok: process-global table; poisoned only if a holder already panicked
-    let mut tags = TAGS.get_or_init(|| Mutex::new(Vec::new())).lock().unwrap();
-    if let Some(t) = tags.iter().find(|t| **t == tag) {
-        return t;
-    }
-    let leaked: &'static str = Box::leak(tag.to_string().into_boxed_str());
-    tags.push(leaked);
-    leaked
+/// `HEARTBEAT` (worker → orchestrator, on a wall-clock period after `GO`):
+/// the partition's virtual-time progress in picoseconds.
+fn encode_heartbeat(progress_ps: u64) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.u64(progress_ps);
+    w.into_vec()
 }
 
-fn encode_result(result: &RunResult, local_globals: &[usize]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&result.wall_seconds().to_bits().to_le_bytes());
-    out.extend_from_slice(&(result.component_names.len() as u32).to_le_bytes());
+fn decode_heartbeat(payload: &[u8]) -> SnapResult<u64> {
+    let mut r = SnapReader::new(payload);
+    let progress_ps = r.u64()?;
+    finish(r, progress_ps)
+}
+
+/// `RING` (worker → orchestrator, after each ring quiesce): the slot's
+/// virtual time in picoseconds and the partition's snapshot container.
+fn encode_ring(at: SimTime, blob: &[u8]) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.time(at);
+    w.bytes(blob);
+    w.into_vec()
+}
+
+fn decode_ring(payload: &[u8]) -> SnapResult<(u64, Vec<u8>)> {
+    let mut r = SnapReader::new(payload);
+    let at = r.u64()?;
+    let blob = r.bytes()?;
+    finish(r, (at, blob))
+}
+
+/// `RESULT` (worker → orchestrator, after the run): the partition's wall
+/// seconds, then per component its global build index, name, stats and
+/// event log, the last two in their checkpoint encoding.
+fn encode_result(result: &RunResult, local_globals: &[usize]) -> SnapResult<Vec<u8>> {
+    let mut w = SnapWriter::new();
+    w.f64(result.wall_seconds());
+    w.u32(result.component_names.len() as u32);
     for (i, name) in result.component_names.iter().enumerate() {
-        out.extend_from_slice(&(local_globals[i] as u64).to_le_bytes());
-        put_str(&mut out, name);
-        out.extend_from_slice(&result.stats[i].to_wire());
-        let log = &result.logs[i];
-        out.extend_from_slice(&(log.len() as u32).to_le_bytes());
-        for e in log.entries() {
-            out.extend_from_slice(&e.time.as_ps().to_le_bytes());
-            put_str(&mut out, e.tag);
-            out.extend_from_slice(&e.a.to_le_bytes());
-            out.extend_from_slice(&e.b.to_le_bytes());
-        }
+        w.usize(local_globals[i]);
+        w.str(name);
+        result.stats[i].snapshot(&mut w)?;
+        result.logs[i].snapshot(&mut w)?;
     }
-    out
+    Ok(w.into_vec())
 }
+
+/// The fewest bytes one `RESULT` component record takes: global index, name
+/// length, the 16 stats counters, and an empty log's mode, flag and count.
+const MIN_RESULT_RECORD: usize = 8 + 4 + 16 * 8 + 10;
 
 struct WorkerReport {
     wall_seconds: f64,
@@ -1217,40 +1265,34 @@ struct WorkerReport {
     components: Vec<(usize, String, KernelStats, EventLog)>,
 }
 
-fn decode_result(payload: &[u8]) -> io::Result<WorkerReport> {
-    let mut d = Dec::new(payload);
-    let wall_seconds = f64::from_bits(d.u64()?);
-    let ncomp = d.u32()? as usize;
+fn decode_result(payload: &[u8]) -> SnapResult<WorkerReport> {
+    let mut r = SnapReader::new(payload);
+    let wall_seconds = r.f64()?;
+    let ncomp = r.u32()? as usize;
     // Bound the untrusted count by what the payload can hold before
-    // reserving for it: a record is at least its fixed-width fields.
-    let min_record = 8 + 4 + KernelStats::WIRE_LEN + 4;
-    if ncomp > (payload.len() - d.off) / min_record {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("component count {ncomp} exceeds the result payload"),
-        ));
+    // reserving for it.
+    if ncomp > r.remaining() / MIN_RESULT_RECORD {
+        return Err(SnapError::Corrupt(format!(
+            "component count {ncomp} exceeds the result payload"
+        )));
     }
     let mut components = Vec::with_capacity(ncomp);
     for _ in 0..ncomp {
-        let global = d.u64()? as usize;
-        let name = d.str()?;
-        let stats = KernelStats::from_wire(d.take(KernelStats::WIRE_LEN)?)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad stats encoding"))?;
-        let nlog = d.u32()? as usize;
-        let mut log = EventLog::enabled();
-        for _ in 0..nlog {
-            let time = SimTime::from_ps(d.u64()?);
-            let tag = d.str()?;
-            let a = d.u64()?;
-            let b = d.u64()?;
-            log.record(time, intern_tag(&tag), a, b);
-        }
+        let global = r.usize()?;
+        let name = r.str()?;
+        let mut stats = KernelStats::default();
+        stats.restore(&mut r)?;
+        let mut log = EventLog::default();
+        log.restore(&mut r)?;
         components.push((global, name, stats, log));
     }
-    Ok(WorkerReport {
-        wall_seconds,
-        components,
-    })
+    finish(
+        r,
+        WorkerReport {
+            wall_seconds,
+            components,
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1316,28 +1358,13 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
     ctrl.set_read_timeout(Some(CONTROL_TIMEOUT))?;
     ctrl.set_nodelay(true)?;
     write_frame(&mut ctrl, MSG_HELLO, partition.as_bytes())?;
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&(my_links.len() as u32).to_le_bytes());
-    for (name, addr) in &my_links {
-        put_str(&mut payload, name);
-        put_str(&mut payload, addr);
-    }
-    write_frame(&mut ctrl, MSG_LINKS, &payload)?;
-
-    let payload = expect_frame(&mut ctrl, MSG_ADDRS)?;
-    let mut d = Dec::new(&payload);
-    let n = d.u32()? as usize;
-    let mut addr_map = HashMap::new();
-    for _ in 0..n {
-        let name = d.str()?;
-        let addr = d.str()?;
-        addr_map.insert(name, addr);
-    }
+    write_frame(&mut ctrl, MSG_LINKS, &encode_addrs(&my_links))?;
+    let addr_map = decode_addrs(&expect_frame(&mut ctrl, MSG_ADDRS)?)?;
 
     // Real build: instantiate this partition, bridging cross links.
     let mut pb = PartitionBuilder::new(BuildMode::Worker, Some(partition.clone()));
     pb.listeners = listeners;
-    pb.addr_map = addr_map;
+    pb.addr_map = addr_map.into_iter().collect();
     pb.transport = transport;
     pb.shm_dir = Some(shm_dir);
     build(&scenario, &mut pb);
@@ -1363,19 +1390,8 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
 
     // Checkpoint configuration: the orchestrator tells every worker whether
     // (and when) to quiesce, and hands it its restore snapshot, if any.
-    let ckpt_cfg = expect_frame(&mut ctrl, MSG_CKPT)?;
-    let mut d = Dec::new(&ckpt_cfg);
-    let has_ckpt = d.take(1)?[0] != 0;
-    let ckpt_at = d.u64()?;
-    let ring_period = d.u64()?;
-    let ring_keep = d.u64()? as usize;
-    let heartbeat = match d.u64()? {
-        0 => DEFAULT_HEARTBEAT,
-        ms => Duration::from_millis(ms),
-    };
-    let has_restore = d.take(1)?[0] != 0;
-    if has_restore {
-        let blob = d.take(ckpt_cfg.len() - d.off)?.to_vec();
+    let mut ckpt = CkptConfig::decode(&expect_frame(&mut ctrl, MSG_CKPT)?)?;
+    if let Some(blob) = ckpt.restore.take() {
         exp.restore_from_blob(&blob).map_err(|e| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -1383,14 +1399,14 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
             )
         })?;
     }
-    if has_ckpt {
-        exp.checkpoint_at(SimTime::from_ps(ckpt_at), None);
+    if let Some(at) = ckpt.checkpoint_at {
+        exp.checkpoint_at(at, None);
     }
-    if ring_period != 0 {
+    if ckpt.ring_period != SimTime::ZERO {
         // Every worker quiesces at the same virtual times (pause promises
         // keep the partitions in lockstep across the cross links), so each
         // partition contributes a snapshot for every ring slot.
-        exp.set_checkpoint_ring(SimTime::from_ps(ring_period), ring_keep);
+        exp.set_checkpoint_ring(ckpt.ring_period, ckpt.ring_keep);
     }
 
     // Barrier-synchronized start: report readiness, wait for the release.
@@ -1413,16 +1429,14 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
     let run_done = Arc::new(AtomicBool::new(false));
     let done_acked = Arc::new(AtomicBool::new(false));
     let ctrl_gone = Arc::new(AtomicBool::new(false));
-    if ring_period != 0 {
+    if ckpt.ring_period != SimTime::ZERO {
         // Stream each ring snapshot to the orchestrator as it is captured,
         // so the newest complete slot is already there when this worker (or
         // a peer) dies. Send failures are ignored here: the pump thread
         // classifies a dead control channel authoritatively.
         let w = writer.clone();
         exp.set_ring_sink(Box::new(move |at, blob| {
-            let mut payload = Vec::with_capacity(8 + blob.len());
-            payload.extend_from_slice(&at.as_ps().to_le_bytes());
-            payload.extend_from_slice(blob);
+            let payload = encode_ring(at, blob);
             if let Ok(mut s) = w.lock() {
                 let _ = write_frame(&mut s, MSG_RING, &payload);
             }
@@ -1442,7 +1456,7 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
                     writer,
                     progress,
                     link_severs,
-                    heartbeat,
+                    ckpt.heartbeat,
                     run_done,
                     done_acked,
                     ctrl_gone,
@@ -1460,12 +1474,11 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
         let mut w = writer
             .lock()
             .map_err(|_| io::Error::other("control writer poisoned"))?;
-        if has_ckpt {
+        if ckpt.checkpoint_at.is_some() {
             let blob = result.checkpoint.as_deref().unwrap_or(&[]);
             write_frame(&mut w, MSG_CKPT_SAVE, blob)?;
         }
-        let payload = encode_result(&result, &local_globals);
-        write_frame(&mut w, MSG_RESULT, &payload)?;
+        write_frame(&mut w, MSG_RESULT, &encode_result(&result, &local_globals)?)?;
     }
     // Our components are done, but a peer may still be waiting for the last
     // messages they sent: keep pumping the tcp links (flush, then shut the
@@ -1524,7 +1537,7 @@ fn pump_control(
             None => true,
         };
         if due {
-            let payload = progress.load(Ordering::Relaxed).to_le_bytes();
+            let payload = encode_heartbeat(progress.load(Ordering::Relaxed));
             let sent = writer
                 .lock()
                 .map(|mut s| write_frame(&mut s, MSG_HEARTBEAT, &payload).is_ok())
@@ -1930,20 +1943,9 @@ fn run_attempt(
     for p in &opts.partitions {
         let payload =
             expect_frame(conn_of(&mut conns, p)?, MSG_LINKS).map_err(|e| control_lost(p, e))?;
-        let mut d = Dec::new(&payload);
-        let n = d.u32().map_err(|e| control_lost(p, e))? as usize;
-        for _ in 0..n {
-            let name = d.str().map_err(|e| control_lost(p, e))?;
-            let addr = d.str().map_err(|e| control_lost(p, e))?;
-            addr_map.push((name, addr));
-        }
+        addr_map.extend(decode_addrs(&payload).map_err(|e| control_lost(p, e.into()))?);
     }
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&(addr_map.len() as u32).to_le_bytes());
-    for (name, addr) in &addr_map {
-        put_str(&mut payload, name);
-        put_str(&mut payload, addr);
-    }
+    let payload = encode_addrs(&addr_map);
     for p in &opts.partitions {
         write_frame(conn_of(&mut conns, p)?, MSG_ADDRS, &payload)
             .map_err(|e| control_lost(p, e))?;
@@ -1973,20 +1975,12 @@ fn run_attempt(
         (Some(_), _) => true,
         (None, _) => false,
     };
+    let (ring_period, ring_keep) = opts
+        .ring
+        .as_ref()
+        .map_or((SimTime::ZERO, 0), |r| (r.period, r.keep));
     for p in &opts.partitions {
-        let mut payload = Vec::new();
-        payload.push(expect_ckpt as u8);
-        let ckpt_at = opts.checkpoint.as_ref().map(|(at, _)| at.as_ps()).unwrap_or(0);
-        payload.extend_from_slice(&ckpt_at.to_le_bytes());
-        let (ring_period, ring_keep) = opts
-            .ring
-            .as_ref()
-            .map(|r| (r.period.as_ps(), r.keep as u64))
-            .unwrap_or((0, 0));
-        payload.extend_from_slice(&ring_period.to_le_bytes());
-        payload.extend_from_slice(&ring_keep.to_le_bytes());
-        payload.extend_from_slice(&(opts.heartbeat.as_millis() as u64).to_le_bytes());
-        let restore_blob = match restore {
+        let blob = match restore {
             Some((_, blobs)) => blobs.get(p).cloned(),
             None => match &opts.restore_from {
                 Some(dir) => Some(
@@ -1995,14 +1989,18 @@ fn run_attempt(
                 None => None,
             },
         };
-        match restore_blob {
-            Some(blob) => {
-                payload.push(1);
-                payload.extend_from_slice(&blob);
-            }
-            None => payload.push(0),
-        }
-        write_frame(conn_of(&mut conns, p)?, MSG_CKPT, &payload)
+        let cfg = CkptConfig {
+            checkpoint_at: opts
+                .checkpoint
+                .as_ref()
+                .map(|(at, _)| *at)
+                .filter(|_| expect_ckpt),
+            ring_period,
+            ring_keep,
+            heartbeat: opts.heartbeat,
+            restore: blob,
+        };
+        write_frame(conn_of(&mut conns, p)?, MSG_CKPT, &cfg.encode())
             .map_err(|e| control_lost(p, e))?;
     }
 
@@ -2227,28 +2225,22 @@ fn supervise(
             loop {
                 match st.fb.pop() {
                     Ok(Some((MSG_HEARTBEAT, payload))) => {
-                        let mut d = Dec::new(&payload);
-                        st.virt = d.u64().map_err(|e| DistError::Protocol {
+                        st.virt = decode_heartbeat(&payload).map_err(|e| DistError::Protocol {
                             partition: p.clone(),
                             error: format!("bad heartbeat: {e}"),
                         })?;
                         st.last_seen = Instant::now();
                     }
                     Ok(Some((MSG_RING, payload))) => {
-                        if payload.len() < 8 {
-                            return Err(DistError::Protocol {
+                        let (at, blob) =
+                            decode_ring(&payload).map_err(|e| DistError::Protocol {
                                 partition: p.clone(),
-                                error: "short ring frame".into(),
-                            });
-                        }
-                        let at = u64::from_le_bytes([
-                            payload[0], payload[1], payload[2], payload[3], payload[4],
-                            payload[5], payload[6], payload[7],
-                        ]);
+                                error: format!("bad ring frame: {e}"),
+                            })?;
                         st.last_seen = Instant::now();
                         st.virt = st.virt.max(at);
                         let slot = ring_store.entry(at).or_default();
-                        slot.insert(p.clone(), payload[8..].to_vec());
+                        slot.insert(p.clone(), blob);
                         if slot.len() == opts.partitions.len() {
                             completed_slots.push(at);
                         }
@@ -2676,8 +2668,103 @@ mod tests {
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_result(&frame).is_err());
         let r = run_local("", &two_partition_build, Execution::Sequential);
-        let rep = decode_result(&encode_result(&r, &[0, 1])).expect("a real result decodes");
+        let rep =
+            decode_result(&encode_result(&r, &[0, 1]).unwrap()).expect("a real result decodes");
         assert_eq!(rep.components.len(), 2);
+    }
+
+    /// `decode(bytes)` must fail, without panicking, on every strict prefix.
+    fn assert_prefixes_rejected<T>(bytes: &[u8], decode: impl Fn(&[u8]) -> SnapResult<T>) {
+        for n in 0..bytes.len() {
+            assert!(
+                decode(&bytes[..n]).is_err(),
+                "prefix {n}/{} decoded",
+                bytes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn addrs_payload_roundtrips_and_rejects_every_prefix() {
+        let addrs = vec![
+            ("up0".to_string(), "tcp:127.0.0.1:4242".to_string()),
+            ("up1".to_string(), "shm:/tmp/run/up1.shm".to_string()),
+        ];
+        let bytes = encode_addrs(&addrs);
+        assert_eq!(decode_addrs(&bytes).unwrap(), addrs);
+        assert_eq!(decode_addrs(&encode_addrs(&[])).unwrap(), vec![]);
+        assert_prefixes_rejected(&bytes, decode_addrs);
+        assert!(
+            decode_addrs(&[bytes.as_slice(), &[0]].concat()).is_err(),
+            "trailing byte"
+        );
+    }
+
+    #[test]
+    fn ckpt_payload_roundtrips_and_rejects_every_prefix() {
+        let bare = CkptConfig {
+            checkpoint_at: None,
+            ring_period: SimTime::ZERO,
+            ring_keep: 0,
+            heartbeat: Duration::from_millis(25),
+            restore: None,
+        };
+        let full = CkptConfig {
+            checkpoint_at: Some(SimTime::from_us(7)),
+            ring_period: SimTime::from_us(2),
+            ring_keep: 3,
+            heartbeat: Duration::from_millis(250),
+            restore: Some(encoded_part("e", SimTime::from_us(4))),
+        };
+        for cfg in [bare, full] {
+            let bytes = cfg.encode();
+            assert_eq!(CkptConfig::decode(&bytes).unwrap(), cfg);
+            assert_prefixes_rejected(&bytes, CkptConfig::decode);
+        }
+        // A zero heartbeat period asks for the default.
+        let zero = CkptConfig {
+            checkpoint_at: None,
+            ring_period: SimTime::ZERO,
+            ring_keep: 0,
+            heartbeat: Duration::ZERO,
+            restore: None,
+        };
+        assert_eq!(
+            CkptConfig::decode(&zero.encode()).unwrap().heartbeat,
+            DEFAULT_HEARTBEAT
+        );
+    }
+
+    #[test]
+    fn heartbeat_and_ring_payloads_roundtrip_and_reject_every_prefix() {
+        let beat = encode_heartbeat(123_456_789);
+        assert_eq!(decode_heartbeat(&beat).unwrap(), 123_456_789);
+        assert_prefixes_rejected(&beat, decode_heartbeat);
+
+        let blob = encoded_part("e", SimTime::from_us(5));
+        let ring = encode_ring(SimTime::from_us(5), &blob);
+        assert_eq!(decode_ring(&ring).unwrap(), (5_000_000, blob));
+        assert_prefixes_rejected(&ring, decode_ring);
+    }
+
+    #[test]
+    fn result_payload_roundtrips_and_rejects_every_prefix() {
+        let mut r = run_local("", &two_partition_build, Execution::Sequential);
+        for (i, log) in r.logs.iter_mut().enumerate() {
+            log.record(SimTime::from_ns(10), "rx", i as u64, 2);
+            log.record(SimTime::from_ns(20), "tx", 3, 4);
+        }
+        let bytes = encode_result(&r, &[4, 9]).unwrap();
+        let rep = decode_result(&bytes).unwrap();
+        assert_eq!(rep.wall_seconds, r.wall_seconds());
+        assert_eq!(rep.components.len(), 2);
+        for (i, (global, name, stats, log)) in rep.components.iter().enumerate() {
+            assert_eq!((*global, name), ([4, 9][i], &r.component_names[i]));
+            assert_eq!(*stats, r.stats[i]);
+            assert_eq!(log.len(), 2);
+            assert_eq!(log.entries(), r.logs[i].entries());
+        }
+        assert_prefixes_rejected(&bytes, decode_result);
     }
 
     #[test]

@@ -40,8 +40,6 @@ pub use dist::{
 pub use executor::default_workers;
 pub use experiment::{Execution, Experiment, RunResult};
 pub use partition::{PartitionAssignment, PartitionGraph};
-pub use proxy::{
-    proxy_pair, read_handshake, write_handshake, ProxyHandle, ProxyKind, ProxyStats,
-};
+pub use proxy::{proxy_pair, write_handshake, ProxyHandle, ProxyKind, ProxyStats};
 pub use shm::{shm_supported, ShmEndpoint};
 pub use transport::{TransportKind, ENV_TRANSPORT};

@@ -40,9 +40,12 @@
 //! When a proxy connection crosses process (or machine) boundaries — the
 //! distributed mode of `crate::dist` — the connecting side opens the stream
 //! with a length-prefixed **handshake frame** ([`write_handshake`]) naming
-//! the link and carrying its serialized [`ChannelParams`]; the accepting side
-//! verifies both ([`read_handshake`]) before any simulation message flows, so
-//! mismatched wiring fails fast instead of corrupting a run.
+//! the link and carrying its [`ChannelParams`] block; the accepting pump
+//! verifies both before any simulation message flows, so mismatched wiring
+//! fails fast instead of corrupting a run. The handshake is encoded with
+//! `simbricks_base`'s `SnapWriter`/`SnapReader`, and its length-prefixed
+//! framing (`split_frame`) is the one the control protocol of `crate::dist`
+//! uses too.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -51,7 +54,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use simbricks_base::{channel_pair, ChannelEnd, ChannelParams, OwnedMsg, SendError};
+use simbricks_base::{
+    channel_pair, ChannelEnd, ChannelParams, OwnedMsg, SendError, SnapReader, SnapWriter,
+};
 
 /// Which transport a proxy pair uses between the two simulation "hosts".
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -214,101 +219,97 @@ impl ProxyCounters {
 
 // ----- handshake framing -----------------------------------------------------
 
+/// The body length a frame's `u32` little-endian prefix announces, checked
+/// against the caller's `min..=max`.
+pub(crate) fn frame_len(prefix: [u8; 4], min: usize, max: usize) -> io::Result<usize> {
+    let len = u32::from_le_bytes(prefix) as usize;
+    if !(min..=max).contains(&len) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame length {len} outside {min}..={max}"),
+        ));
+    }
+    Ok(len)
+}
+
+/// Split one length-prefixed frame (a `u32` body length, then the body) off
+/// the front of `buf`: its body once the whole frame is there, `None` while
+/// it is not. The proxy handshake and the distributed control protocol
+/// share this framing, each with its own length bounds.
+pub(crate) fn split_frame(buf: &[u8], min: usize, max: usize) -> io::Result<Option<&[u8]>> {
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = frame_len(*prefix, min, max)?;
+    Ok(buf.get(4..4 + len))
+}
+
 /// Magic bytes opening every proxy handshake frame.
 const HANDSHAKE_MAGIC: [u8; 4] = *b"SBPX";
 /// Version of the handshake frame layout.
 const HANDSHAKE_VERSION: u8 = 1;
-/// Upper bound on a handshake frame (the link name is the only variable part).
+/// Smallest handshake body: magic, version, name length, parameter block.
+const HANDSHAKE_MIN: usize = 7 + ChannelParams::WIRE_LEN;
+/// Upper bound on a handshake body (the link name is the only variable part).
 const HANDSHAKE_MAX: usize = 4096;
 
-/// Write the length-prefixed proxy handshake frame: `u32` payload length,
-/// then magic `"SBPX"`, a version byte, the `u16`-length-prefixed link name,
-/// and the serialized [`ChannelParams`]. Sent by the connecting side of a
-/// distributed proxy link before any simulation message.
+/// Write the length-prefixed proxy handshake frame: `u32` body length, then
+/// magic `"SBPX"`, a version byte, the `u16`-length-prefixed link name, and
+/// the [`ChannelParams`] block. Sent by the connecting side of a distributed
+/// proxy link before any simulation message.
 pub fn write_handshake(
     stream: &mut TcpStream,
     link: &str,
     params: &ChannelParams,
 ) -> io::Result<()> {
-    let name = link.as_bytes();
     // Cap against the reader's frame bound so an over-long link name fails
     // here, at the writer, instead of as a confusing handshake rejection on
     // the peer.
-    if name.len() > HANDSHAKE_MAX - 7 - ChannelParams::WIRE_LEN {
+    if link.len() > HANDSHAKE_MAX - HANDSHAKE_MIN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "link name too long",
         ));
     }
-    let mut payload = Vec::with_capacity(7 + name.len() + ChannelParams::WIRE_LEN);
-    payload.extend_from_slice(&HANDSHAKE_MAGIC);
-    payload.push(HANDSHAKE_VERSION);
-    payload.extend_from_slice(&(name.len() as u16).to_le_bytes());
-    payload.extend_from_slice(name);
-    payload.extend_from_slice(&params.to_wire());
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    stream.write_all(&frame)
-}
-
-/// Read and validate a handshake frame written by [`write_handshake`],
-/// returning the link name and the peer's channel parameters. The stream must
-/// be in blocking mode. Fails with `InvalidData` on bad magic, version, or
-/// framing.
-pub fn read_handshake(stream: &mut TcpStream) -> io::Result<(String, ChannelParams)> {
-    let mut prefix = [0u8; 4];
-    stream.read_exact(&mut prefix)?;
-    let mut payload = vec![0u8; handshake_len(prefix)?];
-    stream.read_exact(&mut payload)?;
-    parse_handshake(&payload)
+    let mut body = SnapWriter::new();
+    body.raw(&HANDSHAKE_MAGIC);
+    body.u8(HANDSHAKE_VERSION);
+    body.u16(link.len() as u16);
+    body.raw(link.as_bytes());
+    params.encode(&mut body);
+    let mut frame = SnapWriter::new();
+    frame.bytes(&body.into_vec());
+    stream.write_all(&frame.into_vec())
 }
 
 /// Split a complete handshake frame off the front of `buf`: the link name,
 /// the peer's parameters and the frame's length, or `None` while the frame
-/// is still incomplete.
+/// is still incomplete. Bad magic, version or framing is `InvalidData`.
 fn split_handshake(buf: &[u8]) -> io::Result<Option<(String, ChannelParams, usize)>> {
-    let Some(prefix) = buf.first_chunk::<4>() else {
-        return Ok(None);
-    };
-    let len = handshake_len(*prefix)?;
-    match buf.get(4..4 + len) {
-        Some(payload) => parse_handshake(payload).map(|(name, p)| Some((name, p, 4 + len))),
+    match split_frame(buf, HANDSHAKE_MIN, HANDSHAKE_MAX)? {
+        Some(body) => parse_handshake(body).map(|(name, p)| Some((name, p, 4 + body.len()))),
         None => Ok(None),
     }
 }
 
-fn bad_handshake(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-/// The payload length a handshake frame's `u32` prefix announces.
-fn handshake_len(prefix: [u8; 4]) -> io::Result<usize> {
-    let len = u32::from_le_bytes(prefix) as usize;
-    if !(7 + ChannelParams::WIRE_LEN..=HANDSHAKE_MAX).contains(&len) {
-        return Err(bad_handshake("handshake frame length out of range"));
-    }
-    Ok(len)
-}
-
-/// Validate a handshake payload (the frame without its length prefix).
-fn parse_handshake(payload: &[u8]) -> io::Result<(String, ChannelParams)> {
-    let bad = bad_handshake;
-    if payload[0..4] != HANDSHAKE_MAGIC {
+/// Validate a handshake body (the frame without its length prefix).
+fn parse_handshake(body: &[u8]) -> io::Result<(String, ChannelParams)> {
+    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
+    let mut r = SnapReader::new(body);
+    if r.take(4)? != HANDSHAKE_MAGIC {
         return Err(bad("handshake magic mismatch"));
     }
-    if payload[4] != HANDSHAKE_VERSION {
+    if r.u8()? != HANDSHAKE_VERSION {
         return Err(bad("handshake version mismatch"));
     }
-    // io-ok: infallible - the slice is exactly 2 bytes
-    let name_len = u16::from_le_bytes(payload[5..7].try_into().unwrap()) as usize;
-    if payload.len() != 7 + name_len + ChannelParams::WIRE_LEN {
+    let name_len = r.u16()? as usize;
+    if r.remaining() != name_len + ChannelParams::WIRE_LEN {
         return Err(bad("handshake frame length inconsistent"));
     }
-    let name = String::from_utf8(payload[7..7 + name_len].to_vec())
+    let name = String::from_utf8(r.take(name_len)?.to_vec())
         .map_err(|_| bad("handshake link name not utf-8"))?;
-    let params = ChannelParams::from_wire(&payload[7 + name_len..])
-        .ok_or_else(|| bad("handshake channel params invalid"))?;
+    let params =
+        ChannelParams::decode(&mut r).map_err(|_| bad("handshake channel params invalid"))?;
     Ok((name, params))
 }
 
@@ -1182,21 +1183,51 @@ mod tests {
         }
     }
 
+    /// The frames `write_handshake` puts on the wire for `params` on `link`.
+    fn handshake_bytes(link: &str, params: &ChannelParams) -> Vec<u8> {
+        let (mut tx, mut rx) = tcp_pair();
+        write_handshake(&mut tx, link, params).unwrap();
+        drop(tx);
+        let mut frame = Vec::new();
+        rx.read_to_end(&mut frame).unwrap();
+        frame
+    }
+
     #[test]
+    #[rustfmt::skip]
     fn handshake_roundtrip_and_validation() {
+        let frame = handshake_bytes("up0", &ChannelParams::default_sync());
+        // Recorded from the hand-rolled encoder this codec replaced: peers of
+        // earlier builds handshake with exactly these bytes.
+        let golden = [
+            &[0x4d, 0, 0, 0][..],                        // body length 77
+            b"SBPX", &[0x01], &[0x03, 0x00], b"up0",     // magic, version, name
+            &[0x20, 0xa1, 0x07, 0, 0, 0, 0, 0],          // latency 500 ns
+            &[0x20, 0xa1, 0x07, 0, 0, 0, 0, 0],          // sync interval 500 ns
+            &[0x40, 0, 0, 0, 0, 0, 0, 0], &[0x03, 0x00], // queue 64, flags
+            &[0; 41],                                    // no impairment
+        ]
+        .concat();
+        assert_eq!(frame, golden);
+        let (name, got, used) = split_handshake(&frame).unwrap().unwrap();
+        assert_eq!((name.as_str(), got, used), ("up0", ChannelParams::default_sync(), 81));
+
         let params = ChannelParams::default_sync().with_queue_len(8);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut tx = TcpStream::connect(addr).unwrap();
-        let (mut rx, _) = listener.accept().unwrap();
-        write_handshake(&mut tx, "up0", &params).unwrap();
-        let (name, got) = read_handshake(&mut rx).unwrap();
-        assert_eq!(name, "up0");
-        assert_eq!(got, params);
+        let two = [handshake_bytes("up1", &params), b"rest".to_vec()].concat();
+        let (name, got, used) = split_handshake(&two).unwrap().unwrap();
+        assert_eq!((name.as_str(), got, &two[used..]), ("up1", params, &b"rest"[..]));
+        // A strict prefix is an incomplete frame: neither an error nor a panic.
+        for n in 0..frame.len() {
+            assert!(matches!(split_handshake(&frame[..n]), Ok(None)), "prefix {n}");
+        }
 
         // Garbage instead of a handshake is rejected, not misinterpreted.
-        tx.write_all(&[0u8; 64]).unwrap();
-        assert!(read_handshake(&mut rx).is_err());
+        assert!(split_handshake(&[0u8; 64]).is_err());
+        for at in [4, 8, 9] {
+            let mut bad = frame.clone();
+            bad[at] ^= 0xff; // magic, version, name length
+            assert!(split_handshake(&bad).is_err(), "byte {at}");
+        }
     }
 
     #[test]

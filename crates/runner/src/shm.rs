@@ -61,7 +61,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use simbricks_base::spsc::{Consumer, Producer, RingMem, SLOT_BYTES};
-use simbricks_base::{ChannelEnd, ChannelParams, OwnedMsg, SendError};
+use simbricks_base::{ChannelEnd, ChannelParams, OwnedMsg, SendError, SnapReader, SnapWriter};
 
 use crate::proxy::ShutdownSignal;
 
@@ -300,7 +300,9 @@ pub fn create_region(
     region.write_bytes(OFF_VERSION, &[SHM_VERSION]);
     region.write_bytes(OFF_NAME_LEN, &(link.len() as u16).to_le_bytes());
     region.write_bytes(OFF_NAME, link.as_bytes());
-    region.write_bytes(OFF_PARAMS, &params.to_wire());
+    let mut block = SnapWriter::new();
+    params.encode(&mut block);
+    region.write_bytes(OFF_PARAMS, &block.into_vec());
     region.write_bytes(OFF_SLOTS, &(slots as u32).to_le_bytes());
     region.write_bytes(OFF_STRIDE, &(SLOT_BYTES as u32).to_le_bytes());
     // Publish: everything above must be visible before READY is observed.
@@ -356,7 +358,7 @@ pub fn attach_region(
                 }
                 let mut pwire = [0u8; ChannelParams::WIRE_LEN];
                 region.read_bytes(OFF_PARAMS, &mut pwire);
-                if ChannelParams::from_wire(&pwire) != Some(params) {
+                if ChannelParams::decode(&mut SnapReader::new(&pwire)).ok() != Some(params) {
                     region.poison();
                     return Err(bad("shm region channel params mismatch"));
                 }
@@ -406,10 +408,8 @@ fn probe_region(path: &Path) -> io::Result<Option<ShmRegion>> {
     let mut geom = [0u8; 8];
     file.seek(SeekFrom::Start(OFF_SLOTS as u64))?;
     file.read_exact(&mut geom)?;
-    // io-ok: infallible - both slices are exactly 4 bytes
-    let slots = u32::from_le_bytes(geom[0..4].try_into().unwrap()) as usize;
-    // io-ok: infallible - both slices are exactly 4 bytes
-    let stride = u32::from_le_bytes(geom[4..8].try_into().unwrap()) as usize;
+    let mut r = SnapReader::new(&geom);
+    let (slots, stride) = (r.u32()? as usize, r.u32()? as usize);
     // The mapping length must come from the header the creator wrote; an
     // inconsistent file (truncated, overflowing geometry, or not a SimBricks
     // region at all) is an error, not a "keep polling".

@@ -27,9 +27,11 @@
 //!   Waive with `// det-ok: <reason>`.
 //! - **R5 io-panic** — `.unwrap()` / `.expect(...)` / `panic!(...)` in the
 //!   distributed-orchestration I/O files (`runner/src/dist.rs`, `proxy.rs`,
-//!   `shm.rs`). A panic on an I/O path takes down the orchestrator or a
-//!   worker instead of surfacing a typed `DistError` the supervisor can
-//!   classify and recover from. Waive with `// io-ok: <reason>`.
+//!   `shm.rs`) and on the decode path of untrusted bytes (`base/src/snap.rs`,
+//!   the one byte codec, and `runner/src/checkpoint.rs`). A panic on those
+//!   paths takes down the orchestrator or a worker instead of surfacing a
+//!   typed `DistError`/`SnapError` the supervisor can classify and recover
+//!   from. Waive with `// io-ok: <reason>`.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -55,13 +57,18 @@ const ITER_METHODS: &[&str] = &[
     "into_values",
 ];
 
-/// Orchestration I/O files R5 applies to: the distributed-run control plane,
-/// where an un-typed panic means a hung fleet or an orphaned worker instead
-/// of a classified, recoverable `DistError`-shaped failure.
+/// Files R5 applies to: the distributed-run control plane, where an un-typed
+/// panic means a hung fleet or an orphaned worker instead of a classified,
+/// recoverable `DistError`-shaped failure, and the one byte codec
+/// (`SnapReader`) plus the checkpoint container decoder, which every
+/// untrusted control frame, handshake, shm header and checkpoint blob goes
+/// through.
 pub const IO_PANIC_FILES: &[&str] = &[
     "runner/src/dist.rs",
     "runner/src/proxy.rs",
     "runner/src/shm.rs",
+    "runner/src/checkpoint.rs",
+    "base/src/snap.rs",
 ];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -156,14 +163,21 @@ impl Rule {
                  \n\
                  .unwrap()/.expect(...)/panic!(...) in the distributed\n\
                  orchestration I/O files (runner/src/dist.rs, proxy.rs,\n\
-                 shm.rs). Sockets close, peers die, and shm files vanish in\n\
-                 normal operation; a panic on those paths kills the\n\
-                 orchestrator or strands a worker instead of producing a\n\
-                 typed DistError the supervision loop can classify, retry,\n\
-                 and report. #[cfg(test)] code is exempt.\n\
+                 shm.rs) and on the decode path of untrusted bytes: the one\n\
+                 byte codec (base/src/snap.rs: SnapReader decodes every\n\
+                 control payload, proxy handshake, shm parameter block and\n\
+                 checkpoint) and the checkpoint container decoder\n\
+                 (runner/src/checkpoint.rs). Sockets close, peers die, shm\n\
+                 files vanish and blobs tear in normal operation; a panic on\n\
+                 those paths kills the orchestrator or strands a worker\n\
+                 instead of producing a typed DistError/SnapError the\n\
+                 supervision loop can classify, retry, and report.\n\
+                 #[cfg(test)] code is exempt.\n\
                  \n\
-                 Fix: return io::Result/DistError and let the supervisor\n\
-                 decide; reserve panics for API-contract violations.\n\
+                 Fix: return io::Result/SnapResult/DistError and let the\n\
+                 supervisor decide; take fixed-size arrays with\n\
+                 split_first_chunk/first_chunk, not try_into().unwrap();\n\
+                 reserve panics for API-contract violations.\n\
                  Waive: `// io-ok: <reason>` on the line or the line above."
             }
         }
@@ -523,8 +537,8 @@ fn r5_io_panic(path: &Path, lines: &[Line], out: &mut Vec<Finding>) {
                 file: path.to_path_buf(),
                 line: idx + 1,
                 message: format!(
-                    "`{what}` on a distributed-orchestration I/O path; return a typed error \
-                     the supervisor can classify and recover from"
+                    "`{what}` on a distributed-orchestration I/O or decode path; return a \
+                     typed error the supervisor can classify and recover from"
                 ),
                 waiver: waiver_on(lines, idx, "io-ok"),
             });
@@ -1115,6 +1129,22 @@ mod tests {
         // Same source in a non-I/O runner file: R5 does not apply.
         let elsewhere = scan_source(Path::new("crates/runner/src/experiment.rs"), src);
         assert!(elsewhere.iter().all(|f| f.rule != Rule::R5IoPanic));
+    }
+
+    #[test]
+    fn r5_covers_the_byte_codec_and_the_checkpoint_decoder() {
+        let src = "fn u16(&mut self) -> SnapResult<u16> {\n\
+                   Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))\n\
+                   }\n";
+        for path in ["crates/base/src/snap.rs", "crates/runner/src/checkpoint.rs"] {
+            let f = scan_source(Path::new(path), src);
+            let r5: Vec<_> = f.iter().filter(|f| f.rule == Rule::R5IoPanic).collect();
+            assert_eq!(r5.len(), 1, "{path}: {r5:?}");
+            assert!(!r5[0].waived() && r5[0].line == 2, "{path}: unwrap flagged");
+        }
+        // Another base file is not on the decode path.
+        let other = scan_source(Path::new("crates/base/src/kernel.rs"), src);
+        assert!(other.iter().all(|f| f.rule != Rule::R5IoPanic));
     }
 
     #[test]
