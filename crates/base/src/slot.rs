@@ -4,8 +4,15 @@
 //! cache-line aligned message slots. The control byte of each slot encodes
 //! the current owner (producer or consumer) in its top bit and the message
 //! type in the remaining seven bits. Producer and consumer communicate only
-//! through this control byte plus the slot payload, so all cache-coherence
+//! through this control byte plus the slot contents, so all cache-coherence
 //! traffic carries useful data.
+//!
+//! A slot is split in two: a 128-byte descriptor (`SlotDesc`) holding the
+//! control byte, timestamp and length, and a payload area of
+//! [`MAX_PAYLOAD`] bytes. A ring keeps all its descriptors together, ahead
+//! of all its payload areas (`crate::spsc`), so a payload-free SYNC reads
+//! and writes one descriptor line and nothing else, and a data message also
+//! touches only the first `len` bytes of its payload area.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -31,48 +38,37 @@ pub const MSG_SYNC: MsgType = 0;
 const OWNER_CONSUMER: u8 = 0x80;
 const TYPE_MASK: u8 = 0x7f;
 
-/// Message header stored inline in every slot.
-#[derive(Clone, Copy, Debug, Default)]
-#[repr(C)]
-pub(crate) struct SlotHeader {
-    /// Receiver-side processing timestamp (send time plus link latency).
-    pub timestamp: u64,
-    /// Number of valid payload bytes.
-    pub len: u32,
-    _pad: u32,
-}
-
-/// One queue slot. Aligned to two cache lines to avoid false sharing between
-/// neighbouring slots' control bytes on typical 64 B cache line machines.
+/// The descriptor of one queue slot: everything but the payload. Aligned to
+/// two cache lines to avoid false sharing between neighbouring descriptors'
+/// control bytes on typical 64 B cache line machines.
 ///
-/// This `repr(C)` layout is also the layout of a ring in a memory-mapped
-/// region shared by two processes (`crate::spsc::RingMem`), so every bit
-/// pattern must be a valid slot: an all-zero slot is empty and
-/// producer-owned, and `SlotHeader::len` is clamped by the consumer.
+/// This `repr(C)` layout (control byte at +0, timestamp at +8, length at
+/// +16) is also the layout of a ring in a memory-mapped region shared by two
+/// processes (`crate::spsc::RingMem`), so every bit pattern must be a valid
+/// descriptor: an all-zero descriptor is empty and producer-owned, and `len`
+/// is clamped by the consumer.
+#[derive(Default)]
 #[repr(C, align(128))]
-pub(crate) struct Slot {
-    pub header: UnsafeCell<SlotHeader>,
-    pub payload: UnsafeCell<[u8; MAX_PAYLOAD]>,
+pub(crate) struct SlotDesc {
     /// Owner bit plus message type, written last by the producer with release
     /// ordering and read first by the consumer with acquire ordering.
     pub ctrl: AtomicU8,
+    /// Receiver-side processing timestamp (send time plus link latency), ps.
+    pub timestamp: UnsafeCell<u64>,
+    /// Number of valid bytes in the slot's payload area.
+    pub len: UnsafeCell<u32>,
 }
 
-// Safety: access to `header`/`payload` is serialized by the `ctrl` ownership
-// protocol (acquire/release on the control byte), exactly as described in
-// §A.2 of the paper.
-unsafe impl Sync for Slot {}
-unsafe impl Send for Slot {}
+/// Bytes one descriptor occupies in ring memory.
+pub(crate) const DESC_BYTES: usize = std::mem::size_of::<SlotDesc>();
 
-impl Slot {
-    pub(crate) fn new() -> Self {
-        Slot {
-            header: UnsafeCell::new(SlotHeader::default()),
-            payload: UnsafeCell::new([0u8; MAX_PAYLOAD]),
-            ctrl: AtomicU8::new(0),
-        }
-    }
+// Safety: access to `timestamp`/`len` (and the slot's payload area) is
+// serialized by the `ctrl` ownership protocol (acquire/release on the control
+// byte), exactly as described in §A.2 of the paper.
+unsafe impl Sync for SlotDesc {}
+unsafe impl Send for SlotDesc {}
 
+impl SlotDesc {
     /// True if the consumer currently owns this slot (message ready).
     #[inline]
     pub(crate) fn consumer_owned(&self) -> bool {
@@ -227,7 +223,7 @@ mod tests {
 
     #[test]
     fn slot_ownership_protocol() {
-        let s = Slot::new();
+        let s = SlotDesc::default();
         assert!(s.producer_owned());
         assert!(!s.consumer_owned());
         s.publish(7);
@@ -239,7 +235,7 @@ mod tests {
 
     #[test]
     fn slot_type_masked_to_seven_bits() {
-        let s = Slot::new();
+        let s = SlotDesc::default();
         s.publish(0x7f);
         assert_eq!(s.msg_type(), 0x7f);
         assert!(s.consumer_owned());
@@ -283,7 +279,11 @@ mod tests {
 
     #[test]
     fn slot_is_cache_line_aligned() {
-        assert_eq!(std::mem::align_of::<Slot>(), 128);
-        assert!(std::mem::size_of::<Slot>() >= MAX_PAYLOAD);
+        assert_eq!(std::mem::align_of::<SlotDesc>(), 128);
+        assert_eq!(DESC_BYTES, 128);
+        assert_eq!(std::mem::offset_of!(SlotDesc, ctrl), 0);
+        assert_eq!(std::mem::offset_of!(SlotDesc, timestamp), 8);
+        assert_eq!(std::mem::offset_of!(SlotDesc, len), 16);
+        assert_eq!(crate::spsc::SLOT_BYTES, 9344);
     }
 }

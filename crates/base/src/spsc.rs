@@ -6,11 +6,26 @@
 //! cache coherence traffic. This mirrors the shared-memory queue layout of
 //! the original SimBricks implementation.
 //!
-//! There is one ring and two backings. [`queue`] places the slots in a heap
+//! Ring memory holds `len` 128-byte descriptors (`crate::slot`: control
+//! byte, timestamp, length) followed by `len` payload areas of
+//! [`MAX_PAYLOAD`] bytes each:
+//!
+//! ```text
+//! +0                      descriptor 0 | descriptor 1 | … | descriptor len-1
+//! +len * 128              payload 0    | payload 1    | … | payload len-1
+//! +len * SLOT_BYTES       end
+//! ```
+//!
+//! A SYNC reads and writes one descriptor line only; a data message also
+//! touches the first `len` bytes of its payload area. Memory no message has
+//! used is never written, so an untouched payload page of a zeroed block is
+//! never made resident.
+//!
+//! There is one ring and two backings. [`queue`] places the ring in a heap
 //! allocation shared by two threads; [`Producer::over`] / [`Consumer::over`]
-//! place one end on slot memory the caller supplies ([`RingMem`]) — the
+//! place one end on ring memory the caller supplies ([`RingMem`]) — the
 //! runner's memory-mapped region for a link between two processes. Both run
-//! the same code on the same slot layout (`crate::slot`): an all-zero block
+//! the same code on the same layout: a block whose descriptors are all zero
 //! is an empty ring whose slots all belong to the producer.
 
 use std::any::Any;
@@ -19,21 +34,26 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crate::pktbuf::{BufPool, PktBuf};
-use crate::slot::{MsgType, OwnedMsg, Slot, MAX_PAYLOAD};
+use crate::slot::{MsgType, OwnedMsg, SlotDesc, DESC_BYTES, MAX_PAYLOAD};
 use crate::time::SimTime;
 
 /// Default number of slots per unidirectional queue.
 pub const DEFAULT_QUEUE_LEN: usize = 64;
 
-/// Bytes one slot occupies in ring memory.
-pub const SLOT_BYTES: usize = std::mem::size_of::<Slot>();
+/// Bytes one slot occupies in ring memory: its descriptor plus its payload
+/// area.
+pub const SLOT_BYTES: usize = DESC_BYTES + MAX_PAYLOAD;
 /// Alignment ring memory must have.
-pub const SLOT_ALIGN: usize = std::mem::align_of::<Slot>();
+pub const SLOT_ALIGN: usize = std::mem::align_of::<SlotDesc>();
+
+// Payload areas start on a cache line, like the descriptors before them.
+const _: () = assert!(MAX_PAYLOAD.is_multiple_of(SLOT_ALIGN));
 
 /// The memory one ring lives in, as one of its ends sees it.
 #[derive(Clone)]
 pub struct RingMem {
-    /// `len * SLOT_BYTES` bytes, [`SLOT_ALIGN`]-aligned.
+    /// `len * SLOT_BYTES` bytes, [`SLOT_ALIGN`]-aligned: the descriptors,
+    /// then the payload areas.
     pub slots: NonNull<u8>,
     /// Number of slots (at least 2).
     pub len: usize,
@@ -47,8 +67,8 @@ pub struct RingMem {
 }
 
 // SAFETY: `slots` is only reached through the per-slot ownership protocol of
-// `crate::slot` (acquire/release on the control byte), the two flags are
-// atomics, `len` is plain data and `owner` is `Send + Sync`.
+// `crate::slot` (acquire/release on the descriptor's control byte), the two
+// flags are atomics, `len` is plain data and `owner` is `Send + Sync`.
 unsafe impl Send for RingMem {}
 unsafe impl Sync for RingMem {}
 
@@ -60,11 +80,25 @@ impl RingMem {
     }
 
     #[inline]
-    fn slot(&self, idx: usize) -> &Slot {
+    fn desc(&self, idx: usize) -> &SlotDesc {
         assert!(idx < self.len);
         // SAFETY: in bounds (checked above), and the constructors' contract
-        // makes `slots` a live `[Slot; len]`.
-        unsafe { &*self.slots.cast::<Slot>().as_ptr().add(idx) }
+        // makes the start of `slots` a live `[SlotDesc; len]`.
+        unsafe { &*self.slots.cast::<SlotDesc>().as_ptr().add(idx) }
+    }
+
+    /// The `MAX_PAYLOAD`-byte payload area of slot `idx`, after all the
+    /// descriptors.
+    #[inline]
+    fn payload(&self, idx: usize) -> *mut u8 {
+        assert!(idx < self.len);
+        // SAFETY: in bounds of the `len * SLOT_BYTES` block (constructors'
+        // contract).
+        unsafe {
+            self.slots
+                .as_ptr()
+                .add(self.len * DESC_BYTES + idx * MAX_PAYLOAD)
+        }
     }
 
     #[inline]
@@ -87,30 +121,56 @@ impl RingMem {
     }
 }
 
-/// Heap backing of [`queue`].
+/// Heap backing of [`queue`]: a zeroed block with the ring aligned inside.
 struct HeapRing {
-    slots: Box<[Slot]>,
+    /// Leaked from a `Box<[u8]>`, reclaimed on drop.
+    block: NonNull<[u8]>,
     producer_closed: AtomicU8,
     consumer_closed: AtomicU8,
+}
+
+// SAFETY: `block` is owned plain memory, reached only through the ring
+// ends' ownership protocol (see `RingMem`), and the two flags are atomics.
+unsafe impl Send for HeapRing {}
+unsafe impl Sync for HeapRing {}
+
+impl Drop for HeapRing {
+    fn drop(&mut self) {
+        // SAFETY: `block` came from `Box::leak` and is freed only here.
+        drop(unsafe { Box::from_raw(self.block.as_ptr()) });
+    }
 }
 
 /// Create a new SPSC queue with `len` slots on the heap, returning its two
 /// endpoints.
 pub fn queue(len: usize) -> (Producer, Consumer) {
+    let bytes = len
+        .checked_mul(SLOT_BYTES)
+        .and_then(|n| n.checked_add(SLOT_ALIGN))
+        .expect("queue length too large");
+    // Zeroed by the allocator without being written: a byte-aligned
+    // `vec![0; n]` is `calloc`, whose fresh pages stay untouched — and not
+    // resident — until a message uses them. (An allocation aligned above
+    // 16 bytes would be zeroed with `memset` instead.) The ring is aligned
+    // inside the block.
+    let block = NonNull::from(Box::leak(vec![0u8; bytes].into_boxed_slice()));
+    let start = block.cast::<u8>();
+    // SAFETY: the offset is below `SLOT_ALIGN`, inside the block's slack.
+    let slots = unsafe { start.add(start.as_ptr().align_offset(SLOT_ALIGN)) };
     let heap = Arc::new(HeapRing {
-        slots: (0..len).map(|_| Slot::new()).collect(),
+        block,
         producer_closed: AtomicU8::new(0),
         consumer_closed: AtomicU8::new(0),
     });
     let mem = RingMem {
-        slots: NonNull::from(&heap.slots[..]).cast(),
+        slots,
         len,
         producer_closed: NonNull::from(&heap.producer_closed),
         consumer_closed: NonNull::from(&heap.consumer_closed),
         owner: heap,
     };
-    // SAFETY: the block is a fresh `[Slot; len]` kept alive by `owner`, and
-    // these are its only two ends.
+    // SAFETY: `slots` starts `len * SLOT_BYTES` zeroed, aligned bytes kept
+    // alive by `owner`, and these are their only two ends.
     unsafe { (Producer::over(mem.clone()), Consumer::over(mem)) }
 }
 
@@ -137,9 +197,10 @@ impl Producer {
     ///
     /// # Safety
     /// `mem.slots` must point to `mem.len * SLOT_BYTES` bytes aligned to
-    /// [`SLOT_ALIGN`] that are zero-initialised (every slot producer-owned:
-    /// both ends start at slot 0, so memory a ring has already run on will
-    /// not do), and all three pointers must stay valid while `mem.owner`
+    /// [`SLOT_ALIGN`] whose `mem.len` descriptors are zero-initialised
+    /// (every slot producer-owned: both ends start at slot 0, so memory a
+    /// ring has already run on will not do; the payload areas may hold
+    /// anything), and all three pointers must stay valid while `mem.owner`
     /// lives.
     /// System-wide — across every process that maps the memory — there must
     /// be at most this one producer and one consumer on it.
@@ -165,20 +226,20 @@ impl Producer {
         if self.peer_closed() {
             return Err(SendError::Disconnected);
         }
-        let slot = self.ring.slot(self.tail);
-        if !slot.producer_owned() {
+        let desc = self.ring.desc(self.tail);
+        if !desc.producer_owned() {
             return Err(SendError::Full);
         }
         // SAFETY: we own the slot (checked above with acquire ordering) and
-        // are the only producer.
+        // are the only producer; the payload fits its area (checked above).
+        // An empty payload copies nothing, so a SYNC never touches the area.
         unsafe {
-            let hdr = &mut *slot.header.get();
-            hdr.timestamp = timestamp.as_ps();
-            hdr.len = payload.len() as u32;
-            let dst = &mut *slot.payload.get();
-            dst[..payload.len()].copy_from_slice(payload);
+            *desc.timestamp.get() = timestamp.as_ps();
+            *desc.len.get() = payload.len() as u32;
+            let dst = self.ring.payload(self.tail);
+            std::ptr::copy_nonoverlapping(payload.as_ptr(), dst, payload.len());
         }
-        slot.publish(ty);
+        desc.publish(ty);
         self.tail = self.ring.next(self.tail);
         self.sent += 1;
         Ok(())
@@ -191,7 +252,7 @@ impl Producer {
 
     /// Whether there is room for at least one more message.
     pub fn can_send(&self) -> bool {
-        self.ring.slot(self.tail).producer_owned()
+        self.ring.desc(self.tail).producer_owned()
     }
 
     /// Queue capacity in slots.
@@ -248,26 +309,29 @@ impl Consumer {
     /// Attempt to dequeue one message, copying it out of the slot into a
     /// pooled buffer (empty payloads — SYNC messages — are allocation-free).
     pub fn try_recv(&mut self) -> Option<OwnedMsg> {
-        let slot = self.ring.slot(self.head);
-        if !slot.consumer_owned() {
+        let desc = self.ring.desc(self.head);
+        if !desc.consumer_owned() {
             return None;
         }
         // SAFETY: we own the slot (checked above with acquire ordering) and
         // are the only consumer.
         let msg = unsafe {
-            let hdr = *slot.header.get();
-            let payload = &*slot.payload.get();
             // In a mapped ring the length is input from another process:
-            // clamp it, never slice out of bounds.
-            let len = (hdr.len as usize).min(MAX_PAYLOAD);
+            // clamp it, never read past the payload area.
+            let len = (*desc.len.get() as usize).min(MAX_PAYLOAD);
             let data = if len == 0 {
                 PktBuf::empty()
             } else {
-                self.pool.copy_from_slice(&payload[..len])
+                let src = std::slice::from_raw_parts(self.ring.payload(self.head), len);
+                self.pool.copy_from_slice(src)
             };
-            OwnedMsg::new(SimTime::from_ps(hdr.timestamp), slot.msg_type(), data)
+            OwnedMsg::new(
+                SimTime::from_ps(*desc.timestamp.get()),
+                desc.msg_type(),
+                data,
+            )
         };
-        slot.release();
+        desc.release();
         self.head = self.ring.next(self.head);
         self.received += 1;
         Some(msg)
@@ -275,12 +339,12 @@ impl Consumer {
 
     /// Peek at the timestamp of the next message without consuming it.
     pub fn peek_timestamp(&self) -> Option<SimTime> {
-        let slot = self.ring.slot(self.head);
-        if !slot.consumer_owned() {
+        let desc = self.ring.desc(self.head);
+        if !desc.consumer_owned() {
             return None;
         }
         // SAFETY: as in `try_recv`; the slot stays ours until released.
-        let ts = unsafe { (*slot.header.get()).timestamp };
+        let ts = unsafe { *desc.timestamp.get() };
         Some(SimTime::from_ps(ts))
     }
 
@@ -292,7 +356,7 @@ impl Consumer {
     /// True once the producer endpoint has been dropped and no message is
     /// pending.
     pub fn is_drained(&self) -> bool {
-        self.peer_closed() && !self.ring.slot(self.head).consumer_owned()
+        self.peer_closed() && !self.ring.desc(self.head).consumer_owned()
     }
 
     /// True once the producer endpoint has been dropped.
@@ -310,6 +374,7 @@ impl Drop for Consumer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slot::MSG_SYNC;
 
     #[test]
     fn send_recv_roundtrip() {
@@ -409,6 +474,63 @@ mod tests {
         assert!(!c.is_drained());
         c.try_recv().unwrap();
         assert!(c.is_drained());
+    }
+
+    /// Plain memory standing in for a caller-supplied ring block.
+    struct Block {
+        ptr: NonNull<u8>,
+        layout: std::alloc::Layout,
+    }
+
+    // Safety: plain memory, reached only through the ring protocol.
+    unsafe impl Send for Block {}
+    unsafe impl Sync for Block {}
+
+    impl Drop for Block {
+        fn drop(&mut self) {
+            unsafe { std::alloc::dealloc(self.ptr.as_ptr(), self.layout) }
+        }
+    }
+
+    /// SYNCs touch descriptors only: with the payload areas of a
+    /// caller-supplied block filled with `0xAA`, 200 zero-length messages
+    /// through the ring leave every payload byte as it was.
+    #[test]
+    fn syncs_touch_only_descriptors() {
+        let len = 4;
+        let (flags, ring_bytes) = (SLOT_ALIGN, len * SLOT_BYTES);
+        let layout = std::alloc::Layout::from_size_align(flags + ring_bytes, SLOT_ALIGN).unwrap();
+        let ptr = NonNull::new(unsafe { std::alloc::alloc_zeroed(layout) }).unwrap();
+        let at = |off: usize| unsafe { NonNull::new_unchecked(ptr.as_ptr().add(off)) };
+        let areas = at(flags + len * DESC_BYTES).as_ptr();
+        unsafe { std::ptr::write_bytes(areas, 0xAA, len * MAX_PAYLOAD) };
+        let payload_areas = || unsafe { std::slice::from_raw_parts(areas, len * MAX_PAYLOAD) };
+        let mem = RingMem {
+            slots: at(flags),
+            len,
+            producer_closed: at(0).cast(),
+            consumer_closed: at(1).cast(),
+            owner: Arc::new(Block { ptr, layout }),
+        };
+        // SAFETY: aligned, zeroed descriptors, kept alive by `owner`, with
+        // exactly these two ends on it.
+        let (mut p, mut c) = unsafe { (Producer::over(mem.clone()), Consumer::over(mem)) };
+        for i in 0..200u64 {
+            p.try_send(SimTime::from_ns(i), MSG_SYNC, &[]).unwrap();
+            let m = c.try_recv().unwrap();
+            assert_eq!((m.timestamp, m.ty), (SimTime::from_ns(i), MSG_SYNC));
+            assert!(m.data.is_empty());
+        }
+        assert!(
+            payload_areas().iter().all(|&b| b == 0xAA),
+            "a SYNC wrote a payload area"
+        );
+        // A data message lands in its own slot's payload area only.
+        p.try_send(SimTime::ZERO, 1, &[1, 2, 3]).unwrap();
+        let slot = 200 % len;
+        let area = &payload_areas()[slot * MAX_PAYLOAD..];
+        assert_eq!(&area[..4], &[1, 2, 3, 0xAA]);
+        assert_eq!(c.try_recv().unwrap().data, vec![1, 2, 3]);
     }
 
     #[test]

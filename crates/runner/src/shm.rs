@@ -28,6 +28,18 @@
 //! ...         ring B→A: slots × stride
 //! ```
 //!
+//! The stride is 9344 bytes: a 128-byte descriptor plus a 9216-byte payload
+//! area. Inside each ring come first all its descriptors (control byte at
+//! +0, timestamp at +8, length at +16), then all its payload areas:
+//!
+//! ```text
+//! ring + 0                 descriptors: slots × 128
+//! ring + slots × 128       payload areas: slots × 9216
+//! ```
+//!
+//! `set_len` zero-fills the file, so a fresh region is two empty rings, and
+//! a page no message has used is never written.
+//!
 //! The per-side `closed` bytes are the rings' close flags: side A's byte is
 //! the producer flag of ring A→B and the consumer flag of ring B→A, side B's
 //! the mirror image, so dropping a [`ChannelEnd`] is seen by the peer
@@ -67,9 +79,9 @@ use crate::proxy::ShutdownSignal;
 
 /// Magic bytes opening every shm region header.
 const SHM_MAGIC: [u8; 4] = *b"SBSH";
-/// Version of the region layout (2: slots laid out as `simbricks_base`'s
-/// `Slot`, close bytes shared with the rings).
-const SHM_VERSION: u8 = 2;
+/// Version of the region layout (3: each ring holds its slot descriptors,
+/// then its payload areas; close bytes shared with the rings).
+const SHM_VERSION: u8 = 3;
 /// Size reserved for the region header (one page).
 const HEADER_LEN: usize = 4096;
 /// Upper bound on the link name stored in the header.
@@ -767,10 +779,13 @@ mod tests {
         write_header(&path, SHM_VERSION, 8, SLOT_BYTES as u32, 3 * SLOT_BYTES);
         assert_eq!(attach(&path), io::ErrorKind::InvalidData);
 
-        // A region of the previous layout version is refused, not reinterpreted.
-        let path = temp_path("v1");
-        write_header(&path, 1, 8, SLOT_BYTES as u32, 2 * 8 * SLOT_BYTES);
-        assert_eq!(attach(&path), io::ErrorKind::InvalidData);
+        // Regions of earlier layout versions are refused, not reinterpreted:
+        // v2 has the same stride as today but another slot interior.
+        for old in [1, 2] {
+            let path = temp_path(&format!("v{old}"));
+            write_header(&path, old, 8, SLOT_BYTES as u32, 2 * 8 * SLOT_BYTES);
+            assert_eq!(attach(&path), io::ErrorKind::InvalidData);
+        }
     }
 
     /// A slot whose length field exceeds `MAX_PAYLOAD` (a corrupt or hostile
@@ -784,12 +799,12 @@ mod tests {
         let sd = ShutdownSignal::default();
         let _a = create_region(&path, "l", params).unwrap();
         let mut b = attach_region(&path, "l", params, soon(), &sd).unwrap();
-        // Slot 0 of ring A→B, `repr(C)` layout of `simbricks_base`'s slot:
-        // u64 timestamp, u32 length, u32 pad, payload, control byte.
-        let slot = HEADER_LEN as u64;
+        // Descriptor 0 of ring A→B: control byte at +0, timestamp at +8,
+        // length at +16.
+        let desc = HEADER_LEN as u64;
         let file = File::options().write(true).open(&path).unwrap();
-        file.write_all_at(&u32::MAX.to_le_bytes(), slot + 8).unwrap();
-        file.write_all_at(&[0x80 | 5], slot + 16 + MAX_PAYLOAD as u64).unwrap();
+        file.write_all_at(&u32::MAX.to_le_bytes(), desc + 16).unwrap();
+        file.write_all_at(&[0x80 | 5], desc).unwrap();
         let m = b.pop().expect("published slot is delivered");
         assert_eq!(m.ty, 5);
         assert_eq!(m.data.len(), MAX_PAYLOAD);
