@@ -80,7 +80,11 @@ impl Application for MemcachedServer {
     fn on_timer(&mut self, _os: &mut OsServices, _token: u64) {}
 
     fn report(&self) -> String {
-        format!("memcached requests={} keys={}", self.requests, self.store.len())
+        format!(
+            "memcached requests={} keys={}",
+            self.requests,
+            self.store.len()
+        )
     }
 
     fn snapshot(&self, w: &mut SnapWriter) -> SnapResult<()> {
@@ -234,7 +238,8 @@ impl Application for MemaslapClient {
             TOK_RETRY if !self.stopped => {
                 // UDP requests can be dropped: periodically top up the
                 // request window so the closed loop never wedges.
-                self.outstanding.retain(|_, t0| os.now() - *t0 < SimTime::from_ms(10));
+                self.outstanding
+                    .retain(|_, t0| os.now() - *t0 < SimTime::from_ms(10));
                 self.issue(os);
                 os.set_timer_in(SimTime::from_ms(1), TOK_RETRY);
             }
@@ -339,7 +344,8 @@ mod tests {
             c.outstanding.insert(id, SimTime::from_ms(id));
         }
         let now = SimTime::from_ms(16);
-        c.outstanding.retain(|_, t0| now - *t0 < SimTime::from_ms(10));
+        c.outstanding
+            .retain(|_, t0| now - *t0 < SimTime::from_ms(10));
         let kept: Vec<u64> = c.outstanding.keys().copied().collect();
         assert_eq!(kept, vec![7, 12, 15], "young requests, ascending id order");
     }

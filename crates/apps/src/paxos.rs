@@ -102,7 +102,15 @@ impl Replica {
         }
     }
 
-    fn execute_and_reply(&mut self, os: &mut OsServices, sock: SocketId, seq: u64, client: u64, req: u64, reply_to: SocketAddr) {
+    fn execute_and_reply(
+        &mut self,
+        os: &mut OsServices,
+        sock: SocketId,
+        seq: u64,
+        client: u64,
+        req: u64,
+        reply_to: SocketAddr,
+    ) {
         if seq > 0 {
             if self.last_seq != 0 && seq > self.last_seq + 1 {
                 self.sequence_gaps += seq - self.last_seq - 1;
@@ -390,7 +398,8 @@ impl Application for PaxosClient {
                 // Drop requests stuck for too long (OUM is unreliable) and
                 // keep the closed loop full.
                 let now = os.now();
-                self.outstanding.retain(|_, (t0, _, _)| now - *t0 < SimTime::from_ms(20));
+                self.outstanding
+                    .retain(|_, (t0, _, _)| now - *t0 < SimTime::from_ms(20));
                 self.issue(os);
                 os.set_timer_in(SimTime::from_ms(5), TOK_RETRY);
             }
@@ -448,7 +457,8 @@ mod tests {
         }
         let now = SimTime::from_ms(25);
         for c in [&mut a, &mut b] {
-            c.outstanding.retain(|_, (t0, _, _)| now - *t0 < SimTime::from_ms(20));
+            c.outstanding
+                .retain(|_, (t0, _, _)| now - *t0 < SimTime::from_ms(20));
         }
         let ka: Vec<u64> = a.outstanding.keys().copied().collect();
         let kb: Vec<u64> = b.outstanding.keys().copied().collect();
@@ -458,7 +468,14 @@ mod tests {
 
     #[test]
     fn required_replies_by_mode() {
-        let c = |m| PaxosClient::new(m, SocketAddr::new(Ipv4Addr::new(10, 0, 0, 9), OUM_PORT), 1, SimTime::from_ms(1));
+        let c = |m| {
+            PaxosClient::new(
+                m,
+                SocketAddr::new(Ipv4Addr::new(10, 0, 0, 9), OUM_PORT),
+                1,
+                SimTime::from_ms(1),
+            )
+        };
         assert_eq!(c(PaxosMode::SwitchSequencer).required_replies(), 2);
         assert_eq!(c(PaxosMode::EndHostSequencer).required_replies(), 2);
         assert_eq!(c(PaxosMode::MultiPaxos).required_replies(), 1);

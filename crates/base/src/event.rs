@@ -774,15 +774,18 @@ mod tests {
         q.snapshot_with(&mut w, |v, w| w.u64(*v)).unwrap();
         let buf = w.into_vec();
         let mut r = SnapReader::new(&buf);
-        let mut back: EventQueue<u64> =
-            EventQueue::restore_with(&mut r, |r| r.u64()).unwrap();
+        let mut back: EventQueue<u64> = EventQueue::restore_with(&mut r, |r| r.u64()).unwrap();
         assert!(r.is_empty());
         assert_eq!(back.len(), 3);
         let mut order = Vec::new();
         while let Some((_, v)) = back.pop_due(SimTime::MAX) {
             order.push(v);
         }
-        assert_eq!(order, vec![4, 1, 3], "time order, then original schedule order");
+        assert_eq!(
+            order,
+            vec![4, 1, 3],
+            "time order, then original schedule order"
+        );
     }
 
     /// Same-time tie-break order must survive a snapshot: events scheduled
@@ -797,8 +800,7 @@ mod tests {
         q.snapshot_with(&mut w, |v, w| w.str(v)).unwrap();
         let buf = w.into_vec();
         let mut r = SnapReader::new(&buf);
-        let mut back: EventQueue<String> =
-            EventQueue::restore_with(&mut r, |r| r.str()).unwrap();
+        let mut back: EventQueue<String> = EventQueue::restore_with(&mut r, |r| r.str()).unwrap();
         back.schedule(SimTime::from_ns(50), "new".to_string());
         let mut order = Vec::new();
         while let Some((_, v)) = back.pop_due(SimTime::MAX) {
@@ -879,7 +881,9 @@ mod tests {
         let mut ids: Vec<(EventId, EventId)> = Vec::new();
         let mut x = 0x2545f4914f6cdd1du64; // splitmix-ish LCG tape
         let mut rand = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             x >> 33
         };
         let mut now = 0u64;

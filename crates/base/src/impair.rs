@@ -146,7 +146,9 @@ impl Impairment {
     pub fn validate(&self) -> Result<(), String> {
         let check = |name: &str, v: u16| {
             if v > 1000 {
-                Err(format!("{name} is {v}, must be a permille value (0..=1000)"))
+                Err(format!(
+                    "{name} is {v}, must be a permille value (0..=1000)"
+                ))
             } else {
                 Ok(())
             }
@@ -231,9 +233,7 @@ impl Default for Impairment {
 /// xorshift state. Shared by every impairment-style PRNG in the workspace so
 /// streams derived from the same seed but different tags are decorrelated.
 pub fn mix_seed(seed: u64, tag: u64) -> u64 {
-    (seed ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        | 1
+    (seed ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
 }
 
 /// FNV-1a over a string — the workspace-standard way to derive per-entity
@@ -524,7 +524,10 @@ mod tests {
         bad[15..17].copy_from_slice(&2000u16.to_le_bytes());
         assert_eq!(decoded(&bad), None);
         // validate() mirrors the wire check.
-        assert!(Impairment::none().with_bernoulli_loss(1001).validate().is_err());
+        assert!(Impairment::none()
+            .with_bernoulli_loss(1001)
+            .validate()
+            .is_err());
         assert!(Impairment::none().with_reorder(1000).validate().is_ok());
     }
 

@@ -1087,7 +1087,8 @@ mod tests {
             }
         }
         fn on_msg(&mut self, k: &mut Kernel, _port: PortId, msg: OwnedMsg) {
-            self.received.push((k.now().max(msg.timestamp), msg.data.to_vec()));
+            self.received
+                .push((k.now().max(msg.timestamp), msg.data.to_vec()));
         }
         fn on_timer(&mut self, k: &mut Kernel, _token: u64) {
             let payload = self.seq.to_le_bytes();
@@ -1382,7 +1383,10 @@ mod tests {
                 "deadlock after restore"
             );
         }
-        assert_eq!(b2.received, rb.received, "continuation identical to uninterrupted run");
+        assert_eq!(
+            b2.received, rb.received,
+            "continuation identical to uninterrupted run"
+        );
     }
 
     /// Regression (checkpoint hardening): [`Kernel::cancel`] of a timer
@@ -1420,7 +1424,10 @@ mod tests {
             fired: Vec::new(),
             first: None,
         };
-        assert!(!k.cancel(foreign), "foreign EventId is unknown to this kernel");
+        assert!(
+            !k.cancel(foreign),
+            "foreign EventId is unknown to this kernel"
+        );
         run(&mut k, &mut m);
         assert_eq!(m.fired, vec![1, 2], "both local timers fired exactly once");
     }
@@ -1454,7 +1461,9 @@ mod tests {
         ));
         // Truncated blob.
         let mut other = Kernel::new("x", SimTime::from_us(1));
-        assert!(other.restore(&mut SnapReader::new(&blob[..blob.len() - 1])).is_err());
+        assert!(other
+            .restore(&mut SnapReader::new(&blob[..blob.len() - 1]))
+            .is_err());
     }
 
     /// Hierarchical sync must deliver exactly the same messages at the same
@@ -1493,7 +1502,10 @@ mod tests {
                     stalls = 0;
                 }
             }
-            (b.received.clone(), ka.stats().syncs_sent + kb.stats().syncs_sent)
+            (
+                b.received.clone(),
+                ka.stats().syncs_sent + kb.stats().syncs_sent,
+            )
         };
         let (flat_rx, flat_syncs) = run(false);
         let (hier_rx, hier_syncs) = run(true);
@@ -1546,7 +1558,10 @@ mod tests {
             let s_to = ks.add_port(sy);
             let py = ky.add_port(cy);
             let mut x = Pinger::new(px, 20, SimTime::from_ns(100));
-            let mut s = Fwd { from: s_from, to: s_to };
+            let mut s = Fwd {
+                from: s_from,
+                to: s_to,
+            };
             let mut y = Pinger::new(py, 0, SimTime::from_ns(100));
             let mut stalls = 0;
             loop {

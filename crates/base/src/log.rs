@@ -44,7 +44,14 @@ pub struct LogEntry {
 
 impl fmt::Display for LogEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {} {} {}", self.time.as_ps(), self.tag, self.a, self.b)
+        write!(
+            f,
+            "{} {} {} {}",
+            self.time.as_ps(),
+            self.tag,
+            self.a,
+            self.b
+        )
     }
 }
 
@@ -272,7 +279,11 @@ impl EventLog {
     /// Keep only entries with the given tag (useful when comparing the
     /// network-visible part of two configurations in §7.5).
     pub fn filtered(&self, tag: &str) -> Vec<LogEntry> {
-        self.entries.iter().copied().filter(|e| e.tag == tag).collect()
+        self.entries
+            .iter()
+            .copied()
+            .filter(|e| e.tag == tag)
+            .collect()
     }
 
     /// Order-independent-free, content-sensitive fingerprint (FNV-1a over all

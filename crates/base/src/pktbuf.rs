@@ -144,7 +144,9 @@ impl Default for BufPool {
 
 impl fmt::Debug for BufPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BufPool").field("stats", &self.stats()).finish()
+        f.debug_struct("BufPool")
+            .field("stats", &self.stats())
+            .finish()
     }
 }
 
@@ -606,7 +608,11 @@ mod tests {
         assert!(!a.is_unique());
         drop(a);
         drop(b);
-        assert_eq!(pool.stats().free, free_live, "live reference keeps the segment");
+        assert_eq!(
+            pool.stats().free,
+            free_live,
+            "live reference keeps the segment"
+        );
         assert_eq!(c, [1, 2, 3]);
         drop(c);
         assert_eq!(pool.stats().free, free_live + 1, "last drop recycles");

@@ -274,7 +274,11 @@ impl<'a> SnapReader<'a> {
 
     /// Read an optional virtual time.
     pub fn opt_time(&mut self) -> SnapResult<Option<SimTime>> {
-        Ok(if self.bool()? { Some(self.time()?) } else { None })
+        Ok(if self.bool()? {
+            Some(self.time()?)
+        } else {
+            None
+        })
     }
 
     /// Read a `u32`-length-prefixed byte string. The length is validated
@@ -287,8 +291,7 @@ impl<'a> SnapReader<'a> {
 
     /// Read a `u32`-length-prefixed UTF-8 string.
     pub fn str(&mut self) -> SnapResult<String> {
-        String::from_utf8(self.bytes()?)
-            .map_err(|_| SnapError::Corrupt("non-utf8 string".into()))
+        String::from_utf8(self.bytes()?).map_err(|_| SnapError::Corrupt("non-utf8 string".into()))
     }
 }
 

@@ -75,7 +75,11 @@ unsafe impl Sync for RingMem {}
 impl RingMem {
     fn checked(self) -> Self {
         assert!(self.len >= 2, "queue needs at least two slots");
-        assert_eq!(self.slots.as_ptr() as usize % SLOT_ALIGN, 0, "ring memory misaligned");
+        assert_eq!(
+            self.slots.as_ptr() as usize % SLOT_ALIGN,
+            0,
+            "ring memory misaligned"
+        );
         self
     }
 
@@ -394,7 +398,10 @@ mod tests {
         for i in 0..4u64 {
             p.try_send(SimTime::from_ns(i), 1, &[i as u8]).unwrap();
         }
-        assert_eq!(p.try_send(SimTime::from_ns(9), 1, &[]), Err(SendError::Full));
+        assert_eq!(
+            p.try_send(SimTime::from_ns(9), 1, &[]),
+            Err(SendError::Full)
+        );
         assert!(!p.can_send());
         for i in 0..4u64 {
             let m = c.try_recv().unwrap();
@@ -431,10 +438,7 @@ mod tests {
     fn oversized_payload_rejected() {
         let (mut p, _c) = queue(2);
         let big = vec![0u8; MAX_PAYLOAD + 1];
-        assert_eq!(
-            p.try_send(SimTime::ZERO, 1, &big),
-            Err(SendError::TooLarge)
-        );
+        assert_eq!(p.try_send(SimTime::ZERO, 1, &big), Err(SendError::TooLarge));
         let exact = vec![0u8; MAX_PAYLOAD];
         assert!(p.try_send(SimTime::ZERO, 1, &exact).is_ok());
     }
@@ -540,8 +544,7 @@ mod tests {
         let handle = std::thread::spawn(move || {
             let mut sent = 0u64;
             while sent < n {
-                if p
-                    .try_send(SimTime::from_ps(sent), 5, &sent.to_le_bytes())
+                if p.try_send(SimTime::from_ps(sent), 5, &sent.to_le_bytes())
                     .is_ok()
                 {
                     sent += 1;

@@ -488,7 +488,9 @@ impl SyncPort {
         self.enqueue(ts, MSG_SYNC, &[]);
         self.stats.syncs_sent += 1;
         self.last_promise = ts;
-        self.next_sync_due = self.next_sync_due.max(now.saturating_add(self.cur_interval));
+        self.next_sync_due = self
+            .next_sync_due
+            .max(now.saturating_add(self.cur_interval));
     }
 
     /// Send the final "end of time" promise so the peer never waits for this
@@ -557,7 +559,10 @@ impl SyncPort {
             Ok(()) => true,
             Err(SendError::Disconnected) => true,
             Err(SendError::TooLarge) => {
-                panic!("message payload of {} bytes exceeds slot size", payload.len())
+                panic!(
+                    "message payload of {} bytes exceeds slot size",
+                    payload.len()
+                )
             }
             Err(SendError::Full) => {
                 self.stats.backpressured += 1;
@@ -946,7 +951,11 @@ mod tests {
         a.send_data(SimTime::from_ns(100), 1, &[1]);
         b.poll();
         assert!(b.pop_due(SimTime::MAX).is_none());
-        assert_eq!(b.horizon(), SimTime::from_ns(600), "SYNC at un-jittered base");
+        assert_eq!(
+            b.horizon(),
+            SimTime::from_ns(600),
+            "SYNC at un-jittered base"
+        );
         assert_eq!(a.impair_counters().0, 1);
     }
 
@@ -956,7 +965,11 @@ mod tests {
         let (mut a, _b) = impaired_pair(imp);
         // reorder probability 1000‰: the first send is always deferred.
         a.send_data(SimTime::from_ns(10), 7, &[42]);
-        assert_eq!(a.stats().data_sent, 0, "deferred packet not yet on the wire");
+        assert_eq!(
+            a.stats().data_sent,
+            0,
+            "deferred packet not yet on the wire"
+        );
         let mut w = SnapWriter::new();
         a.snapshot(&mut w).unwrap();
         let buf = w.into_vec();
@@ -1007,7 +1020,10 @@ mod tests {
         a.send_data(SimTime::from_ns(10), 7, &[42]);
         a.finalize();
         b.poll();
-        assert!(b.pop_due(SimTime::MAX).is_none(), "deferred packet dropped at end");
+        assert!(
+            b.pop_due(SimTime::MAX).is_none(),
+            "deferred packet dropped at end"
+        );
         assert_eq!(a.impair_counters().0, 1, "counted as lost");
         assert_eq!(b.horizon(), SimTime::MAX);
     }

@@ -291,8 +291,7 @@ impl Trace {
             for (i, w) in times.windows(2).enumerate() {
                 seg_stats[i].observe(w[1] - w[0]);
             }
-            out.end_to_end
-                .observe(*times.last().unwrap() - times[0]);
+            out.end_to_end.observe(*times.last().unwrap() - times[0]);
             // The next traversal starts after the first phase of this one so
             // overlapping (pipelined) requests are still counted once each.
             cursor = start_idx + 1;
@@ -317,7 +316,10 @@ impl Trace {
             s.push('\n');
         }
         if self.entries.len() > limit {
-            s.push_str(&format!("... ({} more entries)\n", self.entries.len() - limit));
+            s.push_str(&format!(
+                "... ({} more entries)\n",
+                self.entries.len() - limit
+            ));
         }
         s
     }

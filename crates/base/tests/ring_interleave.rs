@@ -22,9 +22,7 @@ use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use simbricks_base::spsc::{
-    queue, Consumer, Producer, RingMem, SendError, SLOT_ALIGN, SLOT_BYTES,
-};
+use simbricks_base::spsc::{queue, Consumer, Producer, RingMem, SendError, SLOT_ALIGN, SLOT_BYTES};
 use simbricks_base::SimTime;
 
 /// Which memory the ring under test lives in.
@@ -59,7 +57,8 @@ fn ring(backing: Backing, cap: usize) -> (Producer, Consumer) {
     match backing {
         Backing::Heap => queue(cap),
         Backing::Mapped => {
-            let layout = Layout::from_size_align(SLOT_ALIGN + cap * SLOT_BYTES, SLOT_ALIGN).unwrap();
+            let layout =
+                Layout::from_size_align(SLOT_ALIGN + cap * SLOT_BYTES, SLOT_ALIGN).unwrap();
             let ptr = NonNull::new(unsafe { alloc_zeroed(layout) }).expect("allocation");
             let at = |off: usize| unsafe { NonNull::new_unchecked(ptr.as_ptr().add(off)) };
             let mem = RingMem {
@@ -82,14 +81,19 @@ struct Lcg(u64);
 
 impl Lcg {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         self.0 >> 33
     }
 }
 
 fn payload_for(seq: u64) -> Vec<u8> {
     let len = (seq % 257) as usize; // covers empty (SYNC-like) through 256 B
-    (0..len).map(|i| (seq as u8).wrapping_mul(31).wrapping_add(i as u8)).collect()
+    (0..len)
+        .map(|i| (seq as u8).wrapping_mul(31).wrapping_add(i as u8))
+        .collect()
 }
 
 /// Enumerate every interleaving of `ops` producer attempts and `ops`
@@ -197,7 +201,11 @@ fn stress(backing: Backing, cap: usize, n_msgs: u64, seed: u64) {
             Some(m) => {
                 assert_eq!(m.timestamp, SimTime::from_ps(expect), "sequence hole");
                 assert_eq!(m.ty, (expect % 100 + 1) as u8);
-                assert_eq!(&m.data[..], &payload_for(expect)[..], "payload torn at {expect}");
+                assert_eq!(
+                    &m.data[..],
+                    &payload_for(expect)[..],
+                    "payload torn at {expect}"
+                );
                 expect += 1;
             }
             None => {
@@ -213,7 +221,10 @@ fn stress(backing: Backing, cap: usize, n_msgs: u64, seed: u64) {
     }
     producer.join().unwrap();
     assert!(rx.try_recv().is_none(), "spurious trailing message");
-    assert!(rx.is_drained(), "producer end dropped with its thread: close flag seen");
+    assert!(
+        rx.is_drained(),
+        "producer end dropped with its thread: close flag seen"
+    );
 }
 
 #[test]

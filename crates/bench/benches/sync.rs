@@ -2,7 +2,9 @@
 //! synchronized kernels advance through virtual time when idle (pure SYNC
 //! exchange, the §7.3.1 worst case) and under message load.
 use criterion::{criterion_group, criterion_main, Criterion};
-use simbricks::base::{channel_pair, ChannelParams, Kernel, Model, OwnedMsg, PortId, SimTime, StepOutcome};
+use simbricks::base::{
+    channel_pair, ChannelParams, Kernel, Model, OwnedMsg, PortId, SimTime, StepOutcome,
+};
 
 struct Idle;
 impl Model for Idle {

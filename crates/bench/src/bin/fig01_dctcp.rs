@@ -91,7 +91,12 @@ fn e2e_run(
     }
     let r = exp.run(Execution::Sequential);
     let log = r.merged_log();
-    (dctcp_goodput(&r, &servers), r.wall_seconds(), log.fingerprint(), log.len())
+    (
+        dctcp_goodput(&r, &servers),
+        r.wall_seconds(),
+        log.fingerprint(),
+        log.len(),
+    )
 }
 
 fn main() {
@@ -136,7 +141,10 @@ fn main() {
             out.push_str(&format!("  \"wall_checkpointing_s\": {w_ck:.4},\n"));
             out.push_str(&format!("  \"wall_restored_s\": {w_re:.4},\n"));
             out.push_str(&format!("  \"skip_fraction\": {skip_fraction:.4},\n"));
-            out.push_str(&format!("  \"skip_ge_warm_fraction\": {},\n", skip_fraction >= warm_fraction));
+            out.push_str(&format!(
+                "  \"skip_ge_warm_fraction\": {},\n",
+                skip_fraction >= warm_fraction
+            ));
             out.push_str(&format!("  \"goodput_full_gbps\": {g_full:.4},\n"));
             out.push_str(&format!("  \"goodput_restored_gbps\": {g_re:.4},\n"));
             out.push_str(&format!("  \"log_len\": {n_full},\n"));
@@ -166,7 +174,10 @@ fn main() {
     let duration = SimTime::from_ms(30);
     let ks = [2usize, 5, 10, 20, 40, 65, 100];
     println!("# Figure 1: aggregate dctcp throughput [Gbps] vs marking threshold K (packets)");
-    println!("{:>6} {:>18} {:>24}", "K", "network-only", "end-to-end (SimBricks)");
+    println!(
+        "{:>6} {:>18} {:>24}",
+        "K", "network-only", "end-to-end (SimBricks)"
+    );
     for k in ks {
         let only = dctcp_network_only(k, duration);
         let e2e = dctcp_end_to_end(k, duration, HostKind::Gem5Timing);

@@ -56,7 +56,10 @@ fn main() {
         println!("# pairwise column: {parts} worker processes over loopback TCP proxies");
         println!("# barrier column: in-process (a global barrier is process-local state)");
     }
-    println!("{:>6} {:>16} {:>16} {:>10}", "hosts", "simbricks[s]", "dist-gem5[s]", "ratio");
+    println!(
+        "{:>6} {:>16} {:>16} {:>10}",
+        "hosts", "simbricks[s]", "dist-gem5[s]", "ratio"
+    );
     for hosts in [2usize, 4, 8, 16] {
         let pairwise = match dist_n {
             None => udp_scaleup(hosts, HostKind::QemuTiming, duration, false).0,

@@ -124,8 +124,13 @@ fn main() {
     );
     let mut rows = Vec::new();
     for &hosts in &hosts_list {
-        let (seq_wall, seq_stats) =
-            udp_scaleup_stats(hosts, HostKind::Gem5Timing, duration, false, Execution::Sequential);
+        let (seq_wall, seq_stats) = udp_scaleup_stats(
+            hosts,
+            HostKind::Gem5Timing,
+            duration,
+            false,
+            Execution::Sequential,
+        );
         let (sharded_wall, sharded_stats) = udp_scaleup_stats(
             hosts,
             HostKind::Gem5Timing,
@@ -160,7 +165,11 @@ fn main() {
             seq_stats.pool_hit_rate() * 100.0,
         );
         if let Some((hw, hs, hsup)) = hier {
-            let ratio = if seq_syncs > 0 { hs as f64 / seq_syncs as f64 } else { 0.0 };
+            let ratio = if seq_syncs > 0 {
+                hs as f64 / seq_syncs as f64
+            } else {
+                0.0
+            };
             println!(
                 "{:>6} {:>12.2} {:>12} {:>9} {:>14} {:>14}  hier: {:.2}x syncs, {} suppressed",
                 "", hw, "(hier)", "", hs, "", ratio, hsup
@@ -242,7 +251,9 @@ fn main() {
         out.push_str(&format!("  \"workers\": {workers},\n"));
         out.push_str(&format!(
             "  \"machine_cores\": {},\n",
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
         ));
         out.push_str(
             "  \"note\": \"speedup is bounded by machine_cores; on a single-core \
@@ -264,7 +275,11 @@ fn main() {
                 r.hosts,
                 r.seq_wall,
                 r.sharded_wall,
-                if r.sharded_wall > 0.0 { r.seq_wall / r.sharded_wall } else { 0.0 },
+                if r.sharded_wall > 0.0 {
+                    r.seq_wall / r.sharded_wall
+                } else {
+                    0.0
+                },
                 r.seq_syncs,
                 r.sharded_syncs,
                 r.pool_hits,
@@ -283,8 +298,11 @@ fn main() {
             ));
             out.push_str("  \"fat_tree_rows\": [\n");
             for (i, r) in ft_rows.iter().enumerate() {
-                let ratio =
-                    if r.flat_syncs > 0 { r.hier_syncs as f64 / r.flat_syncs as f64 } else { 0.0 };
+                let ratio = if r.flat_syncs > 0 {
+                    r.hier_syncs as f64 / r.flat_syncs as f64
+                } else {
+                    0.0
+                };
                 out.push_str(&format!(
                     "    {{\"hosts\": {}, \"k\": {}, \"hosts_per_edge\": {}, \
                      \"flat_wall_s\": {:.4}, \"flat_syncs\": {}, \

@@ -151,7 +151,10 @@ fn main() {
     let mut rows = Vec::new();
     match dist_n {
         None => {
-            println!("{:>6} {:>18} {:>18}", "hosts", "gem5-like [s]", "qemu-timing [s]");
+            println!(
+                "{:>6} {:>18} {:>18}",
+                "hosts", "gem5-like [s]", "qemu-timing [s]"
+            );
             for racks in [1usize, 2, 4] {
                 let hosts = racks * hpr;
                 let g = dist_scen_wall(racks, hpr, HostKind::Gem5Timing, exec);
@@ -171,8 +174,10 @@ fn main() {
             let mut all_identical = true;
             for racks in [1usize, 2, 4] {
                 let hosts = racks * hpr;
-                for (kname, kind) in [("gem5", HostKind::Gem5Timing), ("qemu", HostKind::QemuTiming)]
-                {
+                for (kname, kind) in [
+                    ("gem5", HostKind::Gem5Timing),
+                    ("qemu", HostKind::QemuTiming),
+                ] {
                     let scen = scenario(racks, hpr, kind, parts, true, false);
                     let local = dist::run_local(&scen, &dist_scen::build_memcache_racks, exec);
                     let lm = local.merged_log();
@@ -185,9 +190,10 @@ fn main() {
                         hier_dist: Vec::new(),
                     };
                     for (tname, tkind) in &transports {
-                        let opts = DistOptions::new(dist_scen::partition_names(parts), scen.clone())
-                            .with_exec(exec)
-                            .with_transport(*tkind);
+                        let opts =
+                            DistOptions::new(dist_scen::partition_names(parts), scen.clone())
+                                .with_exec(exec)
+                                .with_transport(*tkind);
                         let dres = dist::run_distributed(&opts, &dist_scen::build_memcache_racks)
                             .expect("distributed run failed");
                         let dm = dres.merged_log();
@@ -237,12 +243,16 @@ fn main() {
                                 identical,
                             ));
                         }
-                        print!("{:>6} {:>6} {:>14.2}", "+hier", kname, row.hier_inproc_wall.unwrap());
+                        print!(
+                            "{:>6} {:>6} {:>14.2}",
+                            "+hier",
+                            kname,
+                            row.hier_inproc_wall.unwrap()
+                        );
                         for (_, wall, _, _) in &row.hier_dist {
                             print!(" {:>11.2}", wall);
                         }
-                        let ok =
-                            lid && row.hier_dist.iter().all(|(_, _, _, id)| *id);
+                        let ok = lid && row.hier_dist.iter().all(|(_, _, _, id)| *id);
                         println!(" {:>10}", if ok { "yes" } else { "NO" });
                     }
                     rows.push(row);
@@ -268,12 +278,16 @@ fn dist_scen_wall(racks: usize, hpr: usize, kind: HostKind, exec: Execution) -> 
 fn write_json(path: &str, parts: usize, rows: &[Row]) {
     let mut out = String::from("{\n");
     out.push_str("  \"figure\": \"fig08_distributed_scaling\",\n");
-    out.push_str("  \"workload\": \"memcached/memaslap racks (8 hosts/rack) + ToR/core switches\",\n");
+    out.push_str(
+        "  \"workload\": \"memcached/memaslap racks (8 hosts/rack) + ToR/core switches\",\n",
+    );
     out.push_str("  \"virtual_duration_ms\": 5,\n");
     out.push_str(&format!("  \"dist_workers\": {parts},\n"));
     out.push_str(&format!(
         "  \"machine_cores\": {},\n",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     ));
     out.push_str(
         "  \"note\": \"dist_<transport>_wall_s is the slowest worker process; every \

@@ -1,7 +1,9 @@
 //! Fig. 10: NOPaxos with a switch sequencer vs an end-host sequencer vs
 //! Multi-Paxos — latency/throughput as the number of closed-loop clients
 //! grows.
-use simbricks::apps::paxos::{PaxosClient, PaxosMode, Replica, SequencerHost, OUM_PORT, PAXOS_LEADER_PORT};
+use simbricks::apps::paxos::{
+    PaxosClient, PaxosMode, Replica, SequencerHost, OUM_PORT, PAXOS_LEADER_PORT,
+};
 use simbricks::hostsim::{HostConfig, HostKind, HostModel};
 use simbricks::netsim::{SequencerConfig, SwitchBm, SwitchConfig, TofinoConfig, TofinoSwitch};
 use simbricks::netstack::SocketAddr;
@@ -17,7 +19,11 @@ fn run(mode: PaxosMode, clients: usize) -> (f64, f64) {
     let replica_ips: Vec<Ipv4Addr> = replica_cfgs.iter().map(|c| c.ip).collect();
     let mut eth = Vec::new();
     for (i, cfg) in replica_cfgs.iter().enumerate() {
-        let peers = replica_ips.iter().filter(|ip| **ip != cfg.ip).copied().collect();
+        let peers = replica_ips
+            .iter()
+            .filter(|ip| **ip != cfg.ip)
+            .copied()
+            .collect();
         let app = Box::new(Replica::new(i as u8, mode, peers));
         let (_h, _n, e) = attach_host_nic(&mut exp, &format!("replica{i}"), *cfg, app, false);
         eth.push(e);
@@ -53,7 +59,10 @@ fn run(mode: PaxosMode, clients: usize) -> (f64, f64) {
             "tofino",
             Box::new(TofinoSwitch::new(TofinoConfig {
                 ports,
-                sequencer: Some(SequencerConfig { group_port: OUM_PORT, replica_ports: vec![0, 1, 2] }),
+                sequencer: Some(SequencerConfig {
+                    group_port: OUM_PORT,
+                    replica_ports: vec![0, 1, 2],
+                }),
                 ..Default::default()
             })),
             eth,
@@ -61,7 +70,10 @@ fn run(mode: PaxosMode, clients: usize) -> (f64, f64) {
     } else {
         exp.add(
             "switch",
-            Box::new(SwitchBm::new(SwitchConfig { ports, ..Default::default() })),
+            Box::new(SwitchBm::new(SwitchConfig {
+                ports,
+                ..Default::default()
+            })),
             eth,
         );
     }
@@ -72,8 +84,22 @@ fn run(mode: PaxosMode, clients: usize) -> (f64, f64) {
     for id in client_ids {
         let host: &HostModel = r.model(id).unwrap();
         let rep = host.app_report();
-        let t: f64 = rep.split_whitespace().find_map(|w| w.strip_prefix("tput=").and_then(|v| v.strip_suffix("req/s")).and_then(|v| v.parse().ok())).unwrap_or(0.0);
-        let l: f64 = rep.split_whitespace().find_map(|w| w.strip_prefix("latency=").and_then(|v| v.strip_suffix("us")).and_then(|v| v.parse().ok())).unwrap_or(0.0);
+        let t: f64 = rep
+            .split_whitespace()
+            .find_map(|w| {
+                w.strip_prefix("tput=")
+                    .and_then(|v| v.strip_suffix("req/s"))
+                    .and_then(|v| v.parse().ok())
+            })
+            .unwrap_or(0.0);
+        let l: f64 = rep
+            .split_whitespace()
+            .find_map(|w| {
+                w.strip_prefix("latency=")
+                    .and_then(|v| v.strip_suffix("us"))
+                    .and_then(|v| v.parse().ok())
+            })
+            .unwrap_or(0.0);
         tput += t;
         if l > 0.0 {
             lat += l;
@@ -85,11 +111,24 @@ fn run(mode: PaxosMode, clients: usize) -> (f64, f64) {
 
 fn main() {
     println!("# Figure 10: NOPaxos (switch / end-host sequencer) vs Multi-Paxos");
-    println!("{:<22} {:>8} {:>14} {:>14}", "mode", "clients", "tput[req/s]", "latency[us]");
-    for mode in [PaxosMode::SwitchSequencer, PaxosMode::EndHostSequencer, PaxosMode::MultiPaxos] {
+    println!(
+        "{:<22} {:>8} {:>14} {:>14}",
+        "mode", "clients", "tput[req/s]", "latency[us]"
+    );
+    for mode in [
+        PaxosMode::SwitchSequencer,
+        PaxosMode::EndHostSequencer,
+        PaxosMode::MultiPaxos,
+    ] {
         for clients in [1usize, 2, 4] {
             let (tput, lat) = run(mode, clients);
-            println!("{:<22} {:>8} {:>14.0} {:>14.1}", format!("{mode:?}"), clients, tput, lat);
+            println!(
+                "{:<22} {:>8} {:>14.0} {:>14.1}",
+                format!("{mode:?}"),
+                clients,
+                tput,
+                lat
+            );
         }
     }
 }

@@ -23,7 +23,14 @@ fn run(workload_sleep: bool, in_simbricks: bool) -> f64 {
     if in_simbricks {
         let mut exp = Experiment::new("sync-overhead", duration + SimTime::from_ms(2));
         let (_h, _n, eth) = attach_host_nic(&mut exp, "host", cfg, app, false);
-        exp.add("switch", Box::new(SwitchBm::new(SwitchConfig { ports: 1, ..Default::default() })), vec![eth]);
+        exp.add(
+            "switch",
+            Box::new(SwitchBm::new(SwitchConfig {
+                ports: 1,
+                ..Default::default()
+            })),
+            vec![eth],
+        );
         exp.run(Execution::Sequential);
     } else {
         // Standalone host: no channels at all.
@@ -36,10 +43,19 @@ fn run(workload_sleep: bool, in_simbricks: bool) -> f64 {
 
 fn main() {
     println!("# Section 7.3.1: synchronization overhead (gem5-like host, 100 ms virtual)");
-    println!("{:<10} {:>16} {:>16} {:>10}", "workload", "standalone[s]", "simbricks[s]", "overhead");
+    println!(
+        "{:<10} {:>16} {:>16} {:>10}",
+        "workload", "standalone[s]", "simbricks[s]", "overhead"
+    );
     for (name, is_sleep) in [("sleep", true), ("dd", false)] {
         let alone = run(is_sleep, false);
         let sb = run(is_sleep, true);
-        println!("{:<10} {:>16.3} {:>16.3} {:>9.1}%", name, alone, sb, (sb - alone) / alone.max(1e-9) * 100.0);
+        println!(
+            "{:<10} {:>16.3} {:>16.3} {:>9.1}%",
+            name,
+            alone,
+            sb,
+            (sb - alone) / alone.max(1e-9) * 100.0
+        );
     }
 }

@@ -25,7 +25,14 @@ fn run(ngen: usize, decomposed: bool, rate: u64) -> f64 {
             exp.add(format!("gen{i}"), mk_gen(i), vec![g]);
             eth.push(s);
         }
-        exp.add("switch", Box::new(SwitchBm::new(SwitchConfig { ports: ngen, ..Default::default() })), eth);
+        exp.add(
+            "switch",
+            Box::new(SwitchBm::new(SwitchConfig {
+                ports: ngen,
+                ..Default::default()
+            })),
+            eth,
+        );
     } else {
         // 4 ToR switches of ngen/4 generators each, plus one core switch.
         let tors = 4usize;
@@ -41,10 +48,24 @@ fn run(ngen: usize, decomposed: bool, rate: u64) -> f64 {
             }
             let (up, down) = simbricks::base::channel_pair(exp.eth_params());
             eth.push(up);
-            exp.add(format!("tor{t}"), Box::new(SwitchBm::new(SwitchConfig { ports: per + 1, ..Default::default() })), eth);
+            exp.add(
+                format!("tor{t}"),
+                Box::new(SwitchBm::new(SwitchConfig {
+                    ports: per + 1,
+                    ..Default::default()
+                })),
+                eth,
+            );
             core_ports.push(down);
         }
-        exp.add("core", Box::new(SwitchBm::new(SwitchConfig { ports: tors, ..Default::default() })), core_ports);
+        exp.add(
+            "core",
+            Box::new(SwitchBm::new(SwitchConfig {
+                ports: tors,
+                ..Default::default()
+            })),
+            core_ports,
+        );
     }
     let r = exp.run(Execution::Sequential);
     r.wall_seconds()
@@ -53,12 +74,27 @@ fn run(ngen: usize, decomposed: bool, rate: u64) -> f64 {
 fn main() {
     println!("# Section 7.3.2: network decomposition (packet generators, 10 ms virtual)");
     println!("{:<34} {:>10}", "configuration", "wall[s]");
-    for (rate, label) in [(0u64, "rate 0 (sync only)"), (bw::B10G, "10 Gbps per generator")] {
+    for (rate, label) in [
+        (0u64, "rate 0 (sync only)"),
+        (bw::B10G, "10 Gbps per generator"),
+    ] {
         let single_2 = run(2, false, rate);
         let single_32 = run(32, false, rate);
         let tor_core_32 = run(32, true, rate);
-        println!("{:<34} {:>10.2}", format!("2 gens, 1 switch, {label}"), single_2);
-        println!("{:<34} {:>10.2}", format!("32 gens, 1 switch, {label}"), single_32);
-        println!("{:<34} {:>10.2}", format!("32 gens, ToR+core, {label}"), tor_core_32);
+        println!(
+            "{:<34} {:>10.2}",
+            format!("2 gens, 1 switch, {label}"),
+            single_2
+        );
+        println!(
+            "{:<34} {:>10.2}",
+            format!("32 gens, 1 switch, {label}"),
+            single_32
+        );
+        println!(
+            "{:<34} {:>10.2}",
+            format!("32 gens, ToR+core, {label}"),
+            tor_core_32
+        );
     }
 }

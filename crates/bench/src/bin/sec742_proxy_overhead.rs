@@ -85,11 +85,19 @@ fn run(transport: Transport) -> (f64, f64, f64, String) {
     let report = client.app_report();
     let tput = report
         .split_whitespace()
-        .find_map(|t| t.strip_prefix("tput=").and_then(|v| v.strip_suffix("Gbps")).and_then(|v| v.parse().ok()))
+        .find_map(|t| {
+            t.strip_prefix("tput=")
+                .and_then(|v| v.strip_suffix("Gbps"))
+                .and_then(|v| v.parse().ok())
+        })
         .unwrap_or(0.0);
     let lat = report
         .split_whitespace()
-        .find_map(|t| t.strip_prefix("rr_latency=").and_then(|v| v.strip_suffix("us")).and_then(|v| v.parse().ok()))
+        .find_map(|t| {
+            t.strip_prefix("rr_latency=")
+                .and_then(|v| v.strip_suffix("us"))
+                .and_then(|v| v.parse().ok())
+        })
         .unwrap_or(0.0);
     let proxy_line = handle
         .map(|h| {

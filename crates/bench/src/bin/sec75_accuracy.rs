@@ -70,7 +70,10 @@ fn monolithic(duration: SimTime) -> Vec<(SimTime, u64)> {
             duration,
         )),
     );
-    let b = net.add_endpoint(endpoint_cfg(101, 201), Box::new(IperfEndpoint::server(7000)));
+    let b = net.add_endpoint(
+        endpoint_cfg(101, 201),
+        Box::new(IperfEndpoint::server(7000)),
+    );
     net.connect(a, b, plain_link(simbricks::base::bw::B10G, delay()));
     exp.add("net", Box::new(net), vec![]);
     rx_log(&exp.run(Execution::Sequential))
@@ -99,10 +102,17 @@ fn split(duration: SimTime) -> Vec<(SimTime, u64)> {
     let ext_a = net_a.add_external_port(0);
     // The sender-side link performs the serialization; the channel carries the
     // propagation delay; the receiver-side link is a zero-cost attachment.
-    net_a.connect(a, ext_a, plain_link(simbricks::base::bw::B10G, SimTime::ZERO));
+    net_a.connect(
+        a,
+        ext_a,
+        plain_link(simbricks::base::bw::B10G, SimTime::ZERO),
+    );
 
     let mut net_b = DesNetwork::new();
-    let b = net_b.add_endpoint(endpoint_cfg(101, 201), Box::new(IperfEndpoint::server(7000)));
+    let b = net_b.add_endpoint(
+        endpoint_cfg(101, 201),
+        Box::new(IperfEndpoint::server(7000)),
+    );
     let ext_b = net_b.add_external_port(0);
     net_b.connect(b, ext_b, plain_link(0, SimTime::ZERO));
 

@@ -57,15 +57,26 @@ fn main() {
     let rows: Vec<(&str, (u64, usize, f64))> = vec![
         ("sequential", fingerprint_of(Execution::Sequential)),
         ("sequential_rerun", fingerprint_of(Execution::Sequential)),
-        ("sharded1", fingerprint_of(Execution::Sharded { workers: 1 })),
-        ("sharded2", fingerprint_of(Execution::Sharded { workers: 2 })),
-        ("sharded4", fingerprint_of(Execution::Sharded { workers: 4 })),
+        (
+            "sharded1",
+            fingerprint_of(Execution::Sharded { workers: 1 }),
+        ),
+        (
+            "sharded2",
+            fingerprint_of(Execution::Sharded { workers: 2 }),
+        ),
+        (
+            "sharded4",
+            fingerprint_of(Execution::Sharded { workers: 4 }),
+        ),
         ("checkpoint_restore", fingerprint_of_ckpt_restore()),
     ];
     for (name, (fp, len, wall)) in &rows {
         println!("{name:>20}: fp={fp:#018x} log_len={len} wall={wall:.3}s");
     }
-    let identical = rows.windows(2).all(|w| (w[0].1 .0, w[0].1 .1) == (w[1].1 .0, w[1].1 .1));
+    let identical = rows
+        .windows(2)
+        .all(|w| (w[0].1 .0, w[0].1 .1) == (w[1].1 .0, w[1].1 .1));
     println!("all executors and checkpoint/restore identical: {identical}");
     assert!(identical, "determinism violated: fingerprints diverge");
 
@@ -73,10 +84,14 @@ fn main() {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"bench\": \"sec76_determinism\",\n");
-        out.push_str("  \"workload\": \"netperf 5ms stream + 5ms rr, 2 gem5-timing hosts + switch\",\n");
+        out.push_str(
+            "  \"workload\": \"netperf 5ms stream + 5ms rr, 2 gem5-timing hosts + switch\",\n",
+        );
         out.push_str(&format!(
             "  \"machine_cores\": {},\n",
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
         ));
         out.push_str("  \"executors\": {\n");
         for (i, (name, (fp, len, _))) in rows.iter().enumerate() {

@@ -10,15 +10,45 @@ fn main() {
     let rr = SimTime::from_ms(20);
     let pcie = SimTime::from_ns(500);
     let rows = [
-        ("SW debugging    (QEMU-kvm + i40e BM + switch BM, unsync)", HostKind::QemuKvm, NicModelKind::I40e, false, Net::SwitchBm),
-        ("SW perf eval    (gem5 + i40e BM + DES network, sync)", HostKind::Gem5Timing, NicModelKind::I40e, false, Net::Des),
-        ("HW debugging    (QEMU-kvm + Corundum RTL + switch BM, unsync)", HostKind::QemuKvm, NicModelKind::Corundum, true, Net::SwitchBm),
-        ("HW perf eval    (QEMU-timing + Corundum RTL + switch BM, sync)", HostKind::QemuTiming, NicModelKind::Corundum, true, Net::SwitchBm),
+        (
+            "SW debugging    (QEMU-kvm + i40e BM + switch BM, unsync)",
+            HostKind::QemuKvm,
+            NicModelKind::I40e,
+            false,
+            Net::SwitchBm,
+        ),
+        (
+            "SW perf eval    (gem5 + i40e BM + DES network, sync)",
+            HostKind::Gem5Timing,
+            NicModelKind::I40e,
+            false,
+            Net::Des,
+        ),
+        (
+            "HW debugging    (QEMU-kvm + Corundum RTL + switch BM, unsync)",
+            HostKind::QemuKvm,
+            NicModelKind::Corundum,
+            true,
+            Net::SwitchBm,
+        ),
+        (
+            "HW perf eval    (QEMU-timing + Corundum RTL + switch BM, sync)",
+            HostKind::QemuTiming,
+            NicModelKind::Corundum,
+            true,
+            Net::SwitchBm,
+        ),
     ];
     println!("# Table 1: use-case configurations (netperf, scaled durations)");
-    println!("{:<64} {:>10} {:>12} {:>10}", "configuration", "tput[Gbps]", "latency[us]", "wall[s]");
+    println!(
+        "{:<64} {:>10} {:>12} {:>10}",
+        "configuration", "tput[Gbps]", "latency[us]", "wall[s]"
+    );
     for (name, host, nic, rtl, net) in rows {
         let r = netperf_config(host, nic, rtl, net, stream, rr, pcie);
-        println!("{:<64} {:>10.3} {:>12.1} {:>10.2}", name, r.throughput_gbps, r.latency_us, r.wall_seconds);
+        println!(
+            "{:<64} {:>10.3} {:>12.1} {:>10.2}",
+            name, r.throughput_gbps, r.latency_us, r.wall_seconds
+        );
     }
 }

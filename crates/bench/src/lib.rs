@@ -10,7 +10,9 @@
 use simbricks::apps::{IperfUdpClient, IperfUdpServer, NetperfClient, NetperfServer};
 use simbricks::hostsim::{HostConfig, HostKind, HostModel, NicModelKind};
 use simbricks::netsim::des::{EndpointApp, EndpointCtx};
-use simbricks::netsim::{DesNetwork, LinkParams, QueueDiscipline, SwitchBm, SwitchConfig, TofinoConfig, TofinoSwitch};
+use simbricks::netsim::{
+    DesNetwork, LinkParams, QueueDiscipline, SwitchBm, SwitchConfig, TofinoConfig, TofinoSwitch,
+};
 use simbricks::netstack::{CongestionControl, SocketAddr, SocketEvent, SocketId, StackConfig};
 use simbricks::proto::{Ipv4Addr, MacAddr};
 use simbricks::runner::{attach_host_nic, Execution, Experiment, PartitionBuilder};
@@ -86,7 +88,9 @@ pub mod scen {
                  \n[[link]]\nname = \"eth-c{pair}\"\na = \"c{pair}\"\nb = \"switch-clients\"\n"
             );
         }
-        t.push_str("\n[[link]]\nname = \"uplink\"\na = \"switch-clients\"\nb = \"switch-servers\"\n");
+        t.push_str(
+            "\n[[link]]\nname = \"uplink\"\na = \"switch-clients\"\nb = \"switch-servers\"\n",
+        );
         t
     }
 
@@ -154,8 +158,15 @@ pub mod scen {
                      rate = {per_client_rate}\npayload = 800\n"
                 );
             }
-            let peer = if i == 0 { "server".to_string() } else { format!("client{i}") };
-            let _ = write!(t, "\n[[link]]\nname = \"eth{i}\"\na = \"{peer}\"\nb = \"switch\"\n");
+            let peer = if i == 0 {
+                "server".to_string()
+            } else {
+                format!("client{i}")
+            };
+            let _ = write!(
+                t,
+                "\n[[link]]\nname = \"eth{i}\"\na = \"{peer}\"\nb = \"switch\"\n"
+            );
         }
         t.push_str("\n[[switch]]\nname = \"switch\"\npartition = \"w0\"\n");
         t
@@ -210,8 +221,14 @@ pub mod scen {
                     "\n[[link]]\nname = \"r{r}h{h}-eth\"\na = \"r{r}h{h}\"\nb = \"tor{r}\"\n"
                 );
             }
-            let _ = write!(t, "\n[[switch]]\nname = \"tor{r}\"\npartition = \"w{part}\"\n");
-            let _ = write!(t, "\n[[link]]\nname = \"up{r}\"\na = \"tor{r}\"\nb = \"core\"\n");
+            let _ = write!(
+                t,
+                "\n[[switch]]\nname = \"tor{r}\"\npartition = \"w{part}\"\n"
+            );
+            let _ = write!(
+                t,
+                "\n[[link]]\nname = \"up{r}\"\na = \"tor{r}\"\nb = \"core\"\n"
+            );
         }
         t.push_str("\n[[switch]]\nname = \"core\"\npartition = \"w0\"\n");
         t
@@ -241,11 +258,19 @@ pub struct NetperfResult {
 fn parse_report(report: &str) -> (f64, f64) {
     let tput = report
         .split_whitespace()
-        .find_map(|t| t.strip_prefix("tput=").and_then(|v| v.strip_suffix("Gbps")).and_then(|v| v.parse().ok()))
+        .find_map(|t| {
+            t.strip_prefix("tput=")
+                .and_then(|v| v.strip_suffix("Gbps"))
+                .and_then(|v| v.parse().ok())
+        })
         .unwrap_or(0.0);
     let lat = report
         .split_whitespace()
-        .find_map(|t| t.strip_prefix("rr_latency=").and_then(|v| v.strip_suffix("us")).and_then(|v| v.parse().ok()))
+        .find_map(|t| {
+            t.strip_prefix("rr_latency=")
+                .and_then(|v| v.strip_suffix("us"))
+                .and_then(|v| v.parse().ok())
+        })
         .unwrap_or(0.0);
     (tput, lat)
 }
@@ -284,7 +309,10 @@ pub fn netperf_config(
         Net::SwitchBm => {
             exp.add(
                 "switch",
-                Box::new(SwitchBm::new(SwitchConfig { ports: 2, ..Default::default() })),
+                Box::new(SwitchBm::new(SwitchConfig {
+                    ports: 2,
+                    ..Default::default()
+                })),
                 vec![s_eth, c_eth],
             );
         }
@@ -300,7 +328,10 @@ pub fn netperf_config(
         Net::Tofino => {
             exp.add(
                 "tofino",
-                Box::new(TofinoSwitch::new(TofinoConfig { ports: 2, ..Default::default() })),
+                Box::new(TofinoSwitch::new(TofinoConfig {
+                    ports: 2,
+                    ..Default::default()
+                })),
                 vec![s_eth, c_eth],
             );
         }
@@ -351,7 +382,11 @@ pub fn dctcp_goodput(r: &simbricks::runner::RunResult, servers: &[usize]) -> f64
         let report = host.app_report();
         let g = report
             .split_whitespace()
-            .find_map(|t| t.strip_prefix("goodput=").and_then(|v| v.strip_suffix("Gbps")).and_then(|v| v.parse::<f64>().ok()))
+            .find_map(|t| {
+                t.strip_prefix("goodput=")
+                    .and_then(|v| v.strip_suffix("Gbps"))
+                    .and_then(|v| v.parse::<f64>().ok())
+            })
             .unwrap_or(0.0);
         total += g;
     }
@@ -543,7 +578,9 @@ pub mod dist_scen {
 
     /// Look up an integer key, falling back to `default`.
     pub fn get_usize(scenario: &str, key: &str, default: usize) -> usize {
-        get(scenario, key).and_then(|v| v.parse().ok()).unwrap_or(default)
+        get(scenario, key)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
     }
 
     /// Host kind encoded in the scenario (`kind=gem5` or `kind=qemu`).
@@ -671,8 +708,14 @@ pub fn fat_tree_stats(
     hier: bool,
     exec: Execution,
 ) -> (f64, simbricks::base::KernelStats) {
-    assert!(ft.k >= 2 && ft.k.is_multiple_of(2), "fat-tree k must be even");
-    assert!(ft.hosts_per_edge >= 2, "need a server and a client per edge");
+    assert!(
+        ft.k >= 2 && ft.k.is_multiple_of(2),
+        "fat-tree k must be even"
+    );
+    assert!(
+        ft.hosts_per_edge >= 2,
+        "need a server and a client per edge"
+    );
     let epp = ft.edges_per_pod();
     let total_edges = ft.k * epp;
     let hpe = ft.hosts_per_edge;
@@ -682,7 +725,8 @@ pub fn fat_tree_stats(
     }
     let eth = exp.eth_params();
     let per_client_rate = 50_000_000; // 50 Mbit/s per active flow
-    let mut agg_down: Vec<Vec<simbricks::base::ChannelEnd>> = (0..ft.k).map(|_| Vec::new()).collect();
+    let mut agg_down: Vec<Vec<simbricks::base::ChannelEnd>> =
+        (0..ft.k).map(|_| Vec::new()).collect();
     for e in 0..total_edges {
         let pod = e / epp;
         let mut ports = Vec::new();
@@ -765,8 +809,10 @@ pub fn fat_tree_stats(
             e.2 += 1;
         }
         for (class, (sent, sup, n)) in by_class {
-            eprintln!("FT_DUMP {class}: {n} comps, {sent} syncs ({} per comp), {sup} suppressed",
-                sent / n as u64);
+            eprintln!(
+                "FT_DUMP {class}: {n} comps, {sent} syncs ({} per comp), {sup} suppressed",
+                sent / n as u64
+            );
         }
     }
     (r.wall_seconds(), r.total_stats())
@@ -776,7 +822,12 @@ pub fn fat_tree_stats(
 /// a single switch (the Fig. 7 scale-up workload), executed with the default
 /// (or `SIMBRICKS_EXEC`-selected) executor. Returns wall-clock seconds and
 /// the number of synchronization messages.
-pub fn udp_scaleup(hosts: usize, host_kind: HostKind, duration: SimTime, barrier: bool) -> (f64, u64) {
+pub fn udp_scaleup(
+    hosts: usize,
+    host_kind: HostKind,
+    duration: SimTime,
+    barrier: bool,
+) -> (f64, u64) {
     udp_scaleup_with(
         hosts,
         host_kind,

@@ -39,5 +39,5 @@ pub use simbricks_proto as proto;
 pub use simbricks_runner as runner;
 pub use simbricks_scenario as scenario;
 
-pub use simbricks_base::{SimTime, bw};
+pub use simbricks_base::{bw, SimTime};
 pub use simbricks_runner::{Execution, Experiment};

@@ -107,15 +107,9 @@ mod tests {
     #[test]
     fn serialization_delay_matches_line_rate() {
         // 1500 B at 10 Gbps = 1.2 us
-        assert_eq!(
-            serialization_delay(1500, bw::B10G),
-            SimTime::from_ns(1200)
-        );
+        assert_eq!(serialization_delay(1500, bw::B10G), SimTime::from_ns(1200));
         // 64 B at 100 Gbps = 5.12 ns
-        assert_eq!(
-            serialization_delay(64, bw::B100G),
-            SimTime::from_ps(5120)
-        );
+        assert_eq!(serialization_delay(64, bw::B100G), SimTime::from_ps(5120));
     }
 
     #[test]

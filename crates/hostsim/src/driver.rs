@@ -10,8 +10,8 @@
 //! Driver methods do not perform I/O themselves; they return [`DriverOp`]s
 //! that the host model turns into PCIe messages (and charges CPU time for).
 
-use simbricks_base::{BufPool, PktBuf};
 use simbricks_base::snap::{SnapReader, SnapResult, SnapWriter, Snapshot};
+use simbricks_base::{BufPool, PktBuf};
 use simbricks_nicsim::regs::*;
 use simbricks_nicsim::NicVariant;
 
@@ -299,8 +299,7 @@ impl NicDriver {
                 }
                 // Reclaim TX descriptors when the ring is half full: another
                 // head-register read (a second stall).
-                let outstanding =
-                    (self.tx_tail + RING_ENTRIES - self.tx_clean) % RING_ENTRIES;
+                let outstanding = (self.tx_tail + RING_ENTRIES - self.tx_clean) % RING_ENTRIES;
                 if outstanding > RING_ENTRIES / 2 {
                     out.ops.push(DriverOp::MmioRead {
                         offset: queue_reg(0, Q_TX_HEAD),
@@ -340,7 +339,8 @@ impl NicDriver {
                 break;
             }
             let buf = self.rx_bufs + idx as u64 * BUF_SIZE;
-            out.frames.push(self.pool.copy_from_slice(mem.read(buf, d.len as usize)));
+            out.frames
+                .push(self.pool.copy_from_slice(mem.read(buf, d.len as usize)));
             self.rx_packets += 1;
             // Re-arm the descriptor and advance.
             let fresh = Descriptor {
@@ -511,7 +511,10 @@ mod tests {
         let out = drv.on_interrupt(&mut mem);
         assert_eq!(out.frames.len(), 1);
         assert_eq!(out.frames[0], frame);
-        assert_eq!(out.mmio_reads, 0, "i40e never reads registers on the RX path");
+        assert_eq!(
+            out.mmio_reads, 0,
+            "i40e never reads registers on the RX path"
+        );
         assert!(out.ops.iter().any(|o| matches!(o, DriverOp::MmioWrite { offset, .. } if *offset == queue_reg(0, Q_RX_TAIL))));
         // The descriptor was re-armed.
         let re = Descriptor::from_bytes(mem.read(drv.rx_base, DESC_SIZE)).unwrap();

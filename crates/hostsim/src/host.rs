@@ -141,11 +141,20 @@ enum Work {
     /// Driver init + interrupt negotiation after PCI enumeration.
     DevInit,
     /// DMA read completion: read guest memory and send the data back.
-    DmaReadReply { req_id: u64, addr: u64, len: usize },
+    DmaReadReply {
+        req_id: u64,
+        addr: u64,
+        len: usize,
+    },
     /// DMA write completion ack (the posted write itself landed on arrival).
-    DmaWriteReply { req_id: u64 },
+    DmaWriteReply {
+        req_id: u64,
+    },
     /// Driver state machine resuming after a completed MMIO read.
-    MmioReaction { purpose: ReadPurpose, value: u64 },
+    MmioReaction {
+        purpose: ReadPurpose,
+        value: u64,
+    },
 }
 
 const TOK_WORK: u64 = 1 << 56;
@@ -233,14 +242,12 @@ impl HostModel {
 
     /// The application's result line plus host counters.
     pub fn report(&self) -> String {
-        let app = self
-            .app
-            .as_ref()
-            .map(|a| a.report())
-            .unwrap_or_default();
+        let app = self.app.as_ref().map(|a| a.report()).unwrap_or_default();
         format!(
             "{app} [irqs={} rx={} tx={} mmio_stalls={}]",
-            self.stats.interrupts, self.stats.rx_frames, self.stats.tx_frames,
+            self.stats.interrupts,
+            self.stats.rx_frames,
+            self.stats.tx_frames,
             self.stats.mmio_read_stalls
         )
     }
@@ -300,9 +307,7 @@ impl HostModel {
                 }
                 DriverOp::MmioRead { offset, purpose } => {
                     self.stats.mmio_read_stalls += 1;
-                    let req_id = self
-                        .mmio_pending
-                        .insert(MmioPurpose::DriverRead(purpose));
+                    let req_id = self.mmio_pending.insert(MmioPurpose::DriverRead(purpose));
                     let (ty, p) = HostToDev::MmioRead {
                         req_id,
                         bar: 0,
@@ -587,10 +592,7 @@ impl Model for HostModel {
         // with earlier work (this is what turns CPU cost into added latency).
         // DMA replies are served by the memory controller, not the core, so
         // they never queue behind CPU work.
-        let device_side = matches!(
-            work,
-            Work::DmaReadReply { .. } | Work::DmaWriteReply { .. }
-        );
+        let device_side = matches!(work, Work::DmaReadReply { .. } | Work::DmaWriteReply { .. });
         if !device_side && self.cpu_busy_until > k.now() {
             let at = self.cpu_busy_until;
             self.works.insert(id, work);
@@ -717,9 +719,7 @@ impl Model for HostModel {
                     0 => ReadPurpose::RxHead,
                     1 => ReadPurpose::TxHead,
                     2 => ReadPurpose::Icr,
-                    v => {
-                        return Err(SnapError::Corrupt(format!("bad read purpose tag {v}")))
-                    }
+                    v => return Err(SnapError::Corrupt(format!("bad read purpose tag {v}"))),
                 }),
                 v => return Err(SnapError::Corrupt(format!("bad mmio purpose tag {v}"))),
             };
@@ -749,9 +749,7 @@ impl Model for HostModel {
                         1 => ReadPurpose::TxHead,
                         2 => ReadPurpose::Icr,
                         v => {
-                            return Err(SnapError::Corrupt(format!(
-                                "bad reaction purpose tag {v}"
-                            )))
+                            return Err(SnapError::Corrupt(format!("bad reaction purpose tag {v}")))
                         }
                     },
                     value: r.u64()?,

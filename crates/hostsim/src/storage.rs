@@ -319,7 +319,11 @@ impl StorageHostModel {
             self.charge(now, self.cost.syscall);
             k.log("blk_submit", cmd_id, lba);
         }
-        self.mmio_write(k, NVME_REG_SQ_TAIL, self.sq_tail as u64 % NVME_QUEUE_LEN as u64);
+        self.mmio_write(
+            k,
+            NVME_REG_SQ_TAIL,
+            self.sq_tail as u64 % NVME_QUEUE_LEN as u64,
+        );
     }
 
     fn run_app<F>(&mut self, k: &mut Kernel, f: F)
@@ -410,7 +414,11 @@ impl Model for StorageHostModel {
             }
             Some(DevToHost::DmaRead { req_id, addr, len }) => {
                 let data = self.mem.read(addr, len).to_vec();
-                let (ty, p) = HostToDev::DmaComplete { req_id, data: data.into() }.encode();
+                let (ty, p) = HostToDev::DmaComplete {
+                    req_id,
+                    data: data.into(),
+                }
+                .encode();
                 k.send(self.pcie, ty, &p);
             }
             Some(DevToHost::DmaWrite { req_id, addr, data }) => {

@@ -20,7 +20,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use simbricks_base::{Kernel, Model, OwnedMsg, PortId, SimTime, PktBuf};
+use simbricks_base::{Kernel, Model, OwnedMsg, PktBuf, PortId, SimTime};
 use simbricks_eth::{send_packet, serialization_delay, EthPacket};
 use simbricks_netstack::{NetStack, SocketEvent, StackConfig};
 use simbricks_proto::{frame_dst, frame_src, Ecn, Ipv4Header, MacAddr, ETH_HEADER_LEN};
@@ -252,16 +252,22 @@ fn codel_head(
                 return;
             }
             q.drop_count += 1;
-            q.drop_next = start
-                .saturating_add(SimTime::from_ps(interval.as_ps() / crate::switch::isqrt(q.drop_count)));
+            q.drop_next = start.saturating_add(SimTime::from_ps(
+                interval.as_ps() / crate::switch::isqrt(q.drop_count),
+            ));
         } else {
             if !ok_to_drop {
                 return;
             }
             q.dropping = true;
-            q.drop_count = if q.drop_count > 2 { q.drop_count - 2 } else { 1 };
-            q.drop_next = start
-                .saturating_add(SimTime::from_ps(interval.as_ps() / crate::switch::isqrt(q.drop_count)));
+            q.drop_count = if q.drop_count > 2 {
+                q.drop_count - 2
+            } else {
+                1
+            };
+            q.drop_next = start.saturating_add(SimTime::from_ps(
+                interval.as_ps() / crate::switch::isqrt(q.drop_count),
+            ));
         }
         let head = &mut q.queue.front_mut().unwrap().1;
         let is_ect = Ipv4Header::parse(&head[ETH_HEADER_LEN.min(head.len())..])
@@ -468,7 +474,9 @@ impl DesNetwork {
             }
             // CoDel acts at dequeue (see schedule_departure).
             QueueDiscipline::CoDel { .. } => {}
-            QueueDiscipline::DualPi2 { target, tupdate, .. } => {
+            QueueDiscipline::DualPi2 {
+                target, tupdate, ..
+            } => {
                 // Lazy PI update, bounded catch-up; queueing delay derived
                 // from the backlog at the link rate.
                 if tupdate > SimTime::ZERO
@@ -482,24 +490,25 @@ impl DesNetwork {
                             / link.params.bandwidth_bps as u128) as u64,
                     );
                     for _ in 0..steps {
-                        let err_ns =
-                            qdelay.as_ps() as i64 / 1000 - target.as_ps() as i64 / 1000;
-                        let diff_ns = qdelay.as_ps() as i64 / 1000
-                            - q.pi_prev_qdelay.as_ps() as i64 / 1000;
+                        let err_ns = qdelay.as_ps() as i64 / 1000 - target.as_ps() as i64 / 1000;
+                        let diff_ns =
+                            qdelay.as_ps() as i64 / 1000 - q.pi_prev_qdelay.as_ps() as i64 / 1000;
                         let delta = err_ns / 16 + diff_ns / 4;
-                        q.pi_prob_ppm =
-                            (q.pi_prob_ppm as i64 + delta).clamp(0, 1_000_000) as u64;
+                        q.pi_prob_ppm = (q.pi_prob_ppm as i64 + delta).clamp(0, 1_000_000) as u64;
                         q.pi_prev_qdelay = qdelay;
                     }
-                    q.pi_last_update = SimTime::from_ps(
-                        q.pi_last_update.as_ps() + steps as u64 * tupdate.as_ps(),
-                    );
+                    q.pi_last_update =
+                        SimTime::from_ps(q.pi_last_update.as_ps() + steps as u64 * tupdate.as_ps());
                 }
                 let p = q.pi_prob_ppm;
                 let l4s = Ipv4Header::parse(&frame[ETH_HEADER_LEN.min(frame.len())..])
                     .map(|(h, _, _)| h.ecn == Ecn::Ect1)
                     .unwrap_or(false);
-                let prob_ppm = if l4s { (2 * p).min(1_000_000) } else { p * p / 1_000_000 };
+                let prob_ppm = if l4s {
+                    (2 * p).min(1_000_000)
+                } else {
+                    p * p / 1_000_000
+                };
                 if prob_ppm > 0 && q.draw_ppm() < prob_ppm {
                     if is_ect
                         && Ipv4Header::set_ecn_in_place(frame.make_mut(), ETH_HEADER_LEN, Ecn::Ce)
@@ -529,10 +538,20 @@ impl DesNetwork {
         let start = now.max(q.busy_until);
         // CoDel inspects (and may drop or mark) the head at the moment its
         // transmission would begin.
-        if let QueueDiscipline::CoDel { target, interval, .. } = link.params.queue {
+        if let QueueDiscipline::CoDel {
+            target, interval, ..
+        } = link.params.queue
+        {
             let mut codel_dropped = 0u64;
             let mut codel_marked = 0u64;
-            codel_head(q, start, target, interval, &mut codel_dropped, &mut codel_marked);
+            codel_head(
+                q,
+                start,
+                target,
+                interval,
+                &mut codel_dropped,
+                &mut codel_marked,
+            );
             self.stats.dropped += codel_dropped;
             self.stats.ecn_marked += codel_marked;
             for _ in 0..codel_dropped {
@@ -872,7 +891,6 @@ mod tests {
                 }
             }
         }
-
     }
 
     fn udp_frame(ecn: Ecn, len: usize) -> Vec<u8> {

@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use simbricks_base::{Kernel, Model, OwnedMsg, PortId, SimTime, PktBuf, SyncLookahead};
+use simbricks_base::{Kernel, Model, OwnedMsg, PktBuf, PortId, SimTime, SyncLookahead};
 use simbricks_eth::{send_packet, EthPacket};
 use simbricks_proto::{frame_dst, frame_src, MacAddr};
 
@@ -203,7 +203,8 @@ mod tests {
         kernel.add_port(a1);
         let mut rmt = RmtPipeline::new(cfg);
         let t_in = SimTime::from_us(1);
-        p0.send_raw(t_in, MSG_ETH_PACKET, &frame(1, 2, 200)).unwrap();
+        p0.send_raw(t_in, MSG_ETH_PACKET, &frame(1, 2, 200))
+            .unwrap();
         p0.send_raw(SimTime::from_us(100), MSG_SYNC, &[]).unwrap();
         p1.send_raw(SimTime::from_us(100), MSG_SYNC, &[]).unwrap();
         while kernel.step(&mut rmt, 256) == StepOutcome::Progressed {}
@@ -217,7 +218,10 @@ mod tests {
         // 16 stages + ceil(214/32)=7 words => 23 cycles of 4 ns = 92 ns, plus
         // the 500 ns channel latency on each side.
         assert!(got[0].timestamp >= t_in + SimTime::from_ns(92));
-        assert!(rmt.cycles_simulated >= 23, "active cycles are simulated individually");
+        assert!(
+            rmt.cycles_simulated >= 23,
+            "active cycles are simulated individually"
+        );
         assert_eq!(rmt.packets_processed, 1);
     }
 
@@ -229,7 +233,8 @@ mod tests {
         kernel.add_port(a0);
         kernel.add_port(a1);
         let mut rmt = RmtPipeline::new(RmtConfig::default());
-        p0.send_raw(SimTime::from_us(1), MSG_ETH_PACKET, &frame(1, 2, 64)).unwrap();
+        p0.send_raw(SimTime::from_us(1), MSG_ETH_PACKET, &frame(1, 2, 64))
+            .unwrap();
         p0.send_raw(SimTime::from_us(50), MSG_SYNC, &[]).unwrap();
         p1.send_raw(SimTime::from_us(50), MSG_SYNC, &[]).unwrap();
         while kernel.step(&mut rmt, 4096) == StepOutcome::Progressed {}

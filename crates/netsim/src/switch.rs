@@ -10,9 +10,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use simbricks_base::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
-use simbricks_base::{
-    mix_seed, Kernel, Model, OwnedMsg, PktBuf, PortId, SimTime, SyncLookahead,
-};
+use simbricks_base::{mix_seed, Kernel, Model, OwnedMsg, PktBuf, PortId, SimTime, SyncLookahead};
 use simbricks_eth::{send_packet_buf, serialization_delay, EthPacket};
 use simbricks_proto::{frame_dst, frame_src, Ecn, Ipv4Header, MacAddr, ETH_HEADER_LEN};
 
@@ -254,7 +252,9 @@ impl SwitchBm {
             None => Aqm::DropTail,
         });
         SwitchBm {
-            egress: (0..cfg.ports).map(|p| EgressQueue::new(cfg.seed, p)).collect(),
+            egress: (0..cfg.ports)
+                .map(|p| EgressQueue::new(cfg.seed, p))
+                .collect(),
             aqm: vec![default_aqm; cfg.ports],
             cfg,
             mac_table: BTreeMap::new(),
@@ -311,7 +311,13 @@ impl SwitchBm {
                 }
             }
         }
-        self.mac_table.insert(src, MacEntry { port, last_seen: now });
+        self.mac_table.insert(
+            src,
+            MacEntry {
+                port,
+                last_seen: now,
+            },
+        );
     }
 
     /// Look up the egress port for `dst`, aging out a stale entry (so the
@@ -349,7 +355,11 @@ impl SwitchBm {
                     k.log("sw_mark", port as u64, q.queue.len() as u64);
                 }
             }
-            Aqm::Red { min_pkts, max_pkts, max_prob_permille } => {
+            Aqm::Red {
+                min_pkts,
+                max_pkts,
+                max_prob_permille,
+            } => {
                 let qlen = q.queue.len();
                 let hit = if qlen >= max_pkts {
                     true
@@ -383,8 +393,7 @@ impl SwitchBm {
                 // spin), using queueing delay derived from the backlog.
                 let st = &mut q.aqm_state;
                 if tupdate > SimTime::ZERO && now >= st.pi_last_update.saturating_add(tupdate) {
-                    let steps =
-                        ((now - st.pi_last_update).as_ps() / tupdate.as_ps()).min(4) as u32;
+                    let steps = ((now - st.pi_last_update).as_ps() / tupdate.as_ps()).min(4) as u32;
                     let qdelay = SimTime::from_ps(
                         (q.queued_bytes as u128 * 8 * 1_000_000_000_000
                             / self.cfg.bandwidth_bps as u128) as u64,
@@ -392,13 +401,11 @@ impl SwitchBm {
                     for _ in 0..steps {
                         // Integer PI gains: proportional term 1/16 ppm per ns
                         // of error, derivative term 1/4 ppm per ns of change.
-                        let err_ns =
-                            qdelay.as_ps() as i64 / 1000 - target.as_ps() as i64 / 1000;
-                        let diff_ns = qdelay.as_ps() as i64 / 1000
-                            - st.pi_prev_qdelay.as_ps() as i64 / 1000;
+                        let err_ns = qdelay.as_ps() as i64 / 1000 - target.as_ps() as i64 / 1000;
+                        let diff_ns =
+                            qdelay.as_ps() as i64 / 1000 - st.pi_prev_qdelay.as_ps() as i64 / 1000;
                         let delta = err_ns / 16 + diff_ns / 4;
-                        st.pi_prob_ppm =
-                            (st.pi_prob_ppm as i64 + delta).clamp(0, 1_000_000) as u64;
+                        st.pi_prob_ppm = (st.pi_prob_ppm as i64 + delta).clamp(0, 1_000_000) as u64;
                         st.pi_prev_qdelay = qdelay;
                     }
                     st.pi_last_update = SimTime::from_ps(
@@ -412,7 +419,11 @@ impl SwitchBm {
                 let l4s = Ipv4Header::parse(&frame[ETH_HEADER_LEN.min(frame.len())..])
                     .map(|(h, _, _)| h.ecn == Ecn::Ect1)
                     .unwrap_or(false);
-                let prob_ppm = if l4s { (2 * p).min(1_000_000) } else { p * p / 1_000_000 };
+                let prob_ppm = if l4s {
+                    (2 * p).min(1_000_000)
+                } else {
+                    p * p / 1_000_000
+                };
                 if prob_ppm > 0 && st.draw_ppm() < prob_ppm {
                     if ect(&frame)
                         && Ipv4Header::set_ecn_in_place(frame.make_mut(), ETH_HEADER_LEN, Ecn::Ce)
@@ -492,8 +503,8 @@ impl SwitchBm {
                     return;
                 }
                 st.drop_count += 1;
-                st.drop_next = start
-                    .saturating_add(SimTime::from_ps(interval.as_ps() / isqrt(st.drop_count)));
+                st.drop_next =
+                    start.saturating_add(SimTime::from_ps(interval.as_ps() / isqrt(st.drop_count)));
             } else {
                 if !ok_to_drop {
                     return;
@@ -501,16 +512,18 @@ impl SwitchBm {
                 st.dropping = true;
                 // Re-entering a recent dropping episode resumes at a higher
                 // rate instead of restarting the schedule from 1.
-                st.drop_count = if st.drop_count > 2 { st.drop_count - 2 } else { 1 };
-                st.drop_next = start
-                    .saturating_add(SimTime::from_ps(interval.as_ps() / isqrt(st.drop_count)));
+                st.drop_count = if st.drop_count > 2 {
+                    st.drop_count - 2
+                } else {
+                    1
+                };
+                st.drop_next =
+                    start.saturating_add(SimTime::from_ps(interval.as_ps() / isqrt(st.drop_count)));
             }
             // Selected: ECN-capable heads are marked and transmitted; others
             // are dropped and the next head is re-examined under the same law.
             let head = &mut q.queue.front_mut().unwrap().1;
-            if ect(head)
-                && Ipv4Header::set_ecn_in_place(head.make_mut(), ETH_HEADER_LEN, Ecn::Ce)
-            {
+            if ect(head) && Ipv4Header::set_ecn_in_place(head.make_mut(), ETH_HEADER_LEN, Ecn::Ce) {
                 self.stats.ecn_marked += 1;
                 k.log("sw_mark", port as u64, sojourn.as_ps());
                 return;
@@ -778,10 +791,13 @@ mod tests {
 
     #[test]
     fn floods_unknown_then_forwards_learned() {
-        let mut h = Harness::new(3, SwitchConfig {
-            ports: 3,
-            ..Default::default()
-        });
+        let mut h = Harness::new(
+            3,
+            SwitchConfig {
+                ports: 3,
+                ..Default::default()
+            },
+        );
         // Host on port 0 (mac 1) talks to unknown mac 2: flood to 1 and 2.
         h.inject(0, &test_frame(1, 2, 100), SimTime::from_us(1));
         h.run_until(SimTime::from_us(50));
@@ -805,11 +821,14 @@ mod tests {
     /// port as soon as the host speaks.
     #[test]
     fn stale_mac_entry_ages_out_and_relearns_after_port_move() {
-        let mut h = Harness::new(3, SwitchConfig {
-            ports: 3,
-            mac_ttl: SimTime::from_us(20),
-            ..Default::default()
-        });
+        let mut h = Harness::new(
+            3,
+            SwitchConfig {
+                ports: 3,
+                mac_ttl: SimTime::from_us(20),
+                ..Default::default()
+            },
+        );
         // Learn mac 1 on port 0, and mac 2 on port 1 so replies unicast.
         h.inject(0, &test_frame(1, 9, 60), SimTime::from_us(1));
         h.inject(1, &test_frame(2, 9, 60), SimTime::from_us(1));
@@ -842,11 +861,14 @@ mod tests {
 
     #[test]
     fn mac_table_capacity_bound_evicts_stalest_entry() {
-        let mut h = Harness::new(2, SwitchConfig {
-            ports: 2,
-            mac_table_cap: 2,
-            ..Default::default()
-        });
+        let mut h = Harness::new(
+            2,
+            SwitchConfig {
+                ports: 2,
+                mac_table_cap: 2,
+                ..Default::default()
+            },
+        );
         h.inject(0, &test_frame(1, 9, 60), SimTime::from_us(1));
         h.run_until(SimTime::from_us(2));
         h.inject(0, &test_frame(2, 9, 60), SimTime::from_us(3));
@@ -865,7 +887,11 @@ mod tests {
         assert!(flooded_before >= 1, "evicted mac floods again");
         h.inject(1, &test_frame(9, 3, 100), SimTime::from_us(20));
         h.run_until(SimTime::from_us(25));
-        assert_eq!(h.switch.stats().flooded, flooded_before, "mac 3 still unicast");
+        assert_eq!(
+            h.switch.stats().flooded,
+            flooded_before,
+            "mac 3 still unicast"
+        );
         assert_eq!(h.collect(0).len(), 2);
     }
 
@@ -875,10 +901,13 @@ mod tests {
     /// as the old clone-per-port code did.
     #[test]
     fn flood_emits_identical_bytes_on_every_egress_port() {
-        let mut h = Harness::new(4, SwitchConfig {
-            ports: 4,
-            ..Default::default()
-        });
+        let mut h = Harness::new(
+            4,
+            SwitchConfig {
+                ports: 4,
+                ..Default::default()
+            },
+        );
         let frame = test_frame(1, 99, 300); // mac 99 unknown: floods
         h.inject(0, &frame, SimTime::from_us(1));
         h.run_until(SimTime::from_us(50));
@@ -896,11 +925,14 @@ mod tests {
     /// copies (copy-on-write isolation).
     #[test]
     fn ecn_mark_on_one_flood_copy_does_not_leak_into_siblings() {
-        let mut h = Harness::new(3, SwitchConfig {
-            ports: 3,
-            ecn_threshold_pkts: Some(0), // mark everything queued
-            ..Default::default()
-        });
+        let mut h = Harness::new(
+            3,
+            SwitchConfig {
+                ports: 3,
+                ecn_threshold_pkts: Some(0), // mark everything queued
+                ..Default::default()
+            },
+        );
         let ip_frame = FrameBuilder::udp(
             MacAddr::from_index(100),
             MacAddr::from_index(200), // unknown: floods to ports 1 and 2
@@ -931,10 +963,13 @@ mod tests {
     #[test]
     fn serialization_delay_spaces_departures() {
         // Two back-to-back 1250 B frames at 10 Gbps: second departs 1 us later.
-        let mut h = Harness::new(2, SwitchConfig {
-            ports: 2,
-            ..Default::default()
-        });
+        let mut h = Harness::new(
+            2,
+            SwitchConfig {
+                ports: 2,
+                ..Default::default()
+            },
+        );
         // Teach the switch where mac 2 lives to avoid flooding.
         h.inject(1, &test_frame(2, 9, 60), SimTime::from_ns(100));
         h.run_until(SimTime::from_us(5));
@@ -946,16 +981,23 @@ mod tests {
         let got = h.collect(1);
         assert_eq!(got.len(), 2);
         let gap = got[1].0 - got[0].0;
-        assert_eq!(gap, SimTime::from_us(1), "1250B at 10G is 1us serialization");
+        assert_eq!(
+            gap,
+            SimTime::from_us(1),
+            "1250B at 10G is 1us serialization"
+        );
     }
 
     #[test]
     fn queue_overflow_drops() {
-        let mut h = Harness::new(2, SwitchConfig {
-            ports: 2,
-            queue_capacity: 3000,
-            ..Default::default()
-        });
+        let mut h = Harness::new(
+            2,
+            SwitchConfig {
+                ports: 2,
+                queue_capacity: 3000,
+                ..Default::default()
+            },
+        );
         h.inject(1, &test_frame(2, 9, 60), SimTime::from_ns(100));
         h.run_until(SimTime::from_us(2));
         h.collect(0);
@@ -970,11 +1012,14 @@ mod tests {
 
     #[test]
     fn ecn_marking_above_threshold() {
-        let mut h = Harness::new(2, SwitchConfig {
-            ports: 2,
-            ecn_threshold_pkts: Some(2),
-            ..Default::default()
-        });
+        let mut h = Harness::new(
+            2,
+            SwitchConfig {
+                ports: 2,
+                ecn_threshold_pkts: Some(2),
+                ..Default::default()
+            },
+        );
         // Learn destination mac.
         h.inject(1, &test_frame(200, 9, 60), SimTime::from_ns(100));
         h.run_until(SimTime::from_us(2));
@@ -998,9 +1043,7 @@ mod tests {
         assert_eq!(got.len(), 8);
         let marked = got
             .iter()
-            .filter(|(_, f)| {
-                ParsedFrame::parse(f).unwrap().ipv4.unwrap().ecn == Ecn::Ce
-            })
+            .filter(|(_, f)| ParsedFrame::parse(f).unwrap().ipv4.unwrap().ecn == Ecn::Ce)
             .count();
         assert!(marked > 0, "queue beyond K must be CE-marked");
         assert!(marked < 8, "early packets below K stay unmarked");
@@ -1009,11 +1052,14 @@ mod tests {
 
     #[test]
     fn non_ect_packets_never_marked() {
-        let mut h = Harness::new(2, SwitchConfig {
-            ports: 2,
-            ecn_threshold_pkts: Some(1),
-            ..Default::default()
-        });
+        let mut h = Harness::new(
+            2,
+            SwitchConfig {
+                ports: 2,
+                ecn_threshold_pkts: Some(1),
+                ..Default::default()
+            },
+        );
         h.inject(1, &test_frame(200, 9, 60), SimTime::from_ns(100));
         h.run_until(SimTime::from_us(2));
         h.collect(0);
@@ -1040,12 +1086,15 @@ mod tests {
     }
 
     fn ip_burst_harness(aqm: Aqm, ecn: Ecn, n: usize, len: usize) -> (Harness, usize) {
-        let mut h = Harness::new(2, SwitchConfig {
-            ports: 2,
-            aqm: Some(aqm),
-            seed: 42,
-            ..Default::default()
-        });
+        let mut h = Harness::new(
+            2,
+            SwitchConfig {
+                ports: 2,
+                aqm: Some(aqm),
+                seed: 42,
+                ..Default::default()
+            },
+        );
         h.inject(1, &test_frame(200, 9, 60), SimTime::from_ns(100));
         h.run_until(SimTime::from_us(2));
         h.collect(0);
@@ -1068,7 +1117,11 @@ mod tests {
 
     #[test]
     fn red_drops_non_ect_and_marks_ect_probabilistically() {
-        let red = Aqm::Red { min_pkts: 2, max_pkts: 10, max_prob_permille: 800 };
+        let red = Aqm::Red {
+            min_pkts: 2,
+            max_pkts: 10,
+            max_prob_permille: 800,
+        };
         // Non-ECT burst: RED drops.
         let (mut h, n) = ip_burst_harness(red, Ecn::NotEct, 40, 1200);
         let delivered = h.collect(1).len();
@@ -1087,7 +1140,11 @@ mod tests {
 
     #[test]
     fn red_is_deterministic_for_a_fixed_seed() {
-        let red = Aqm::Red { min_pkts: 1, max_pkts: 8, max_prob_permille: 900 };
+        let red = Aqm::Red {
+            min_pkts: 1,
+            max_pkts: 8,
+            max_prob_permille: 900,
+        };
         let (mut a, _) = ip_burst_harness(red, Ecn::NotEct, 30, 1000);
         let (mut b, _) = ip_burst_harness(red, Ecn::NotEct, 30, 1000);
         assert_eq!(a.collect(1), b.collect(1), "same seed, same drop pattern");
@@ -1128,12 +1185,15 @@ mod tests {
             target: SimTime::from_us(2),
             tupdate: SimTime::from_us(10),
         };
-        let mut h = Harness::new(2, SwitchConfig {
-            ports: 2,
-            aqm: Some(dp),
-            seed: 42,
-            ..Default::default()
-        });
+        let mut h = Harness::new(
+            2,
+            SwitchConfig {
+                ports: 2,
+                aqm: Some(dp),
+                seed: 42,
+                ..Default::default()
+            },
+        );
         h.inject(1, &test_frame(200, 9, 60), SimTime::from_ns(100));
         h.run_until(SimTime::from_us(2));
         h.collect(0);
@@ -1149,7 +1209,11 @@ mod tests {
         );
         let n = 400;
         for i in 0..n {
-            h.inject(0, &ip_frame, SimTime::from_us(10) + SimTime::from_ns(700 * i as u64));
+            h.inject(
+                0,
+                &ip_frame,
+                SimTime::from_us(10) + SimTime::from_ns(700 * i as u64),
+            );
         }
         h.run_until(SimTime::from_ms(20));
         (h.collect(1).len(), h.switch.stats())
@@ -1159,14 +1223,21 @@ mod tests {
     fn dualpi2_marks_l4s_earlier_than_classic() {
         // Scalable (ECT(1)) traffic: linear 2·p' marking on the growing queue.
         let (delivered, s) = dualpi2_run(Ecn::Ect1);
-        assert_eq!(delivered + s.dropped as usize, 400, "L4S traffic never AQM-dropped");
+        assert_eq!(
+            delivered + s.dropped as usize,
+            400,
+            "L4S traffic never AQM-dropped"
+        );
         assert_eq!(s.aqm_dropped, 0);
         assert!(s.ecn_marked > 0, "standing queue must mark the L4S flow");
         // Classic Not-ECT traffic sees the squared-coupled probability p'²,
         // which is far smaller at the same controller state: the identical
         // arrival pattern must produce fewer drops than the L4S run's marks.
         let (delivered_c, sc) = dualpi2_run(Ecn::NotEct);
-        assert_eq!(delivered_c + sc.dropped as usize + sc.aqm_dropped as usize, 400);
+        assert_eq!(
+            delivered_c + sc.dropped as usize + sc.aqm_dropped as usize,
+            400
+        );
         assert_eq!(sc.ecn_marked, 0, "Not-ECT is never marked");
         assert!(
             sc.aqm_dropped < s.ecn_marked,
@@ -1180,7 +1251,11 @@ mod tests {
     /// survive a snapshot so restored runs continue bit-identically.
     #[test]
     fn aqm_state_roundtrips_through_snapshot() {
-        let red = Aqm::Red { min_pkts: 1, max_pkts: 6, max_prob_permille: 1000 };
+        let red = Aqm::Red {
+            min_pkts: 1,
+            max_pkts: 6,
+            max_prob_permille: 1000,
+        };
         let (h, _) = ip_burst_harness(red, Ecn::NotEct, 20, 1000);
         let mut w = SnapWriter::new();
         h.switch.snapshot(&mut w).unwrap();
@@ -1193,7 +1268,10 @@ mod tests {
         });
         back.restore(&mut SnapReader::new(&buf)).unwrap();
         assert_eq!(back.stats().aqm_dropped, h.switch.stats().aqm_dropped);
-        assert_eq!(back.egress[1].aqm_state.rng, h.switch.egress[1].aqm_state.rng);
+        assert_eq!(
+            back.egress[1].aqm_state.rng,
+            h.switch.egress[1].aqm_state.rng
+        );
         assert_eq!(back.egress[1].queue.len(), h.switch.egress[1].queue.len());
         let mut w2 = SnapWriter::new();
         back.snapshot(&mut w2).unwrap();

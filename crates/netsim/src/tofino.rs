@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use simbricks_base::{Kernel, Model, OwnedMsg, PortId, SimTime, PktBuf, SyncLookahead};
+use simbricks_base::{Kernel, Model, OwnedMsg, PktBuf, PortId, SimTime, SyncLookahead};
 use simbricks_eth::{send_packet, serialization_delay, EthPacket};
 use simbricks_proto::{
     frame_dst, frame_src, FrameBuilder, MacAddr, ParsedFrame, ParsedL4, UdpHeader,
@@ -161,8 +161,9 @@ impl TofinoSwitch {
                         let mut new_payload = payload.clone();
                         new_payload[..8].copy_from_slice(&seqno.to_le_bytes());
                         let ip = parsed.ipv4.unwrap();
-                        let l4 = UdpHeader::new(header.src_port, header.dst_port, new_payload.len())
-                            .build_datagram(ip.src, ip.dst, &new_payload);
+                        let l4 =
+                            UdpHeader::new(header.src_port, header.dst_port, new_payload.len())
+                                .build_datagram(ip.src, ip.dst, &new_payload);
                         let out_frame = FrameBuilder::ipv4(
                             parsed.eth.src,
                             parsed.eth.dst,
@@ -335,7 +336,9 @@ mod tests {
             2,
             b"x",
         );
-        h.peers[0].send_raw(SimTime::from_us(1), MSG_ETH_PACKET, &f).unwrap();
+        h.peers[0]
+            .send_raw(SimTime::from_us(1), MSG_ETH_PACKET, &f)
+            .unwrap();
         h.run_until(SimTime::from_us(100));
         assert_eq!(h.collect(1).len(), 1);
         assert_eq!(h.collect(2).len(), 1);
@@ -364,7 +367,10 @@ mod tests {
             }
         }
         // input arrives at 1us, pipeline 1us, serialization + channel latency on top
-        assert!(min_out >= SimTime::from_us(2), "pipeline delay respected, got {min_out}");
+        assert!(
+            min_out >= SimTime::from_us(2),
+            "pipeline delay respected, got {min_out}"
+        );
     }
 
     #[test]
@@ -379,7 +385,11 @@ mod tests {
         let mut h = Harness::new(cfg);
         for i in 0..3u64 {
             h.peers[0]
-                .send_raw(SimTime::from_us(1 + i), MSG_ETH_PACKET, &udp_to_group(0, b"req"))
+                .send_raw(
+                    SimTime::from_us(1 + i),
+                    MSG_ETH_PACKET,
+                    &udp_to_group(0, b"req"),
+                )
                 .unwrap();
         }
         h.run_until(SimTime::from_ms(1));
@@ -398,7 +408,11 @@ mod tests {
                     _ => panic!("expected UDP"),
                 }
             }
-            assert_eq!(seqs, vec![1, 2, 3], "sequence numbers are consecutive and ordered");
+            assert_eq!(
+                seqs,
+                vec![1, 2, 3],
+                "sequence numbers are consecutive and ordered"
+            );
         }
         assert_eq!(h.switch.stats().sequenced, 3);
     }
@@ -423,15 +437,20 @@ mod tests {
             2000, // not the group port
             &42u64.to_le_bytes(),
         );
-        h.peers[0].send_raw(SimTime::from_us(1), MSG_ETH_PACKET, &f).unwrap();
+        h.peers[0]
+            .send_raw(SimTime::from_us(1), MSG_ETH_PACKET, &f)
+            .unwrap();
         h.run_until(SimTime::from_us(100));
         let got = h.collect(1);
         assert_eq!(got.len(), 1);
         let p = ParsedFrame::parse(&got[0]).unwrap();
         match p.l4 {
             ParsedL4::Udp { payload, .. } => {
-                assert_eq!(u64::from_le_bytes(payload[..8].try_into().unwrap()), 42,
-                    "payload of non-OUM traffic is untouched");
+                assert_eq!(
+                    u64::from_le_bytes(payload[..8].try_into().unwrap()),
+                    42,
+                    "payload of non-OUM traffic is untouched"
+                );
             }
             _ => panic!("expected UDP"),
         }

@@ -11,8 +11,8 @@
 
 use simbricks_base::{BufPool, PktBuf};
 use simbricks_proto::{
-    tcp_payload_range, Ecn, EthHeader, FrameBuilder, Ipv4Header, ParsedFrame, ParsedL4,
-    TcpHeader, TcpFlags,
+    tcp_payload_range, Ecn, EthHeader, FrameBuilder, Ipv4Header, ParsedFrame, ParsedL4, TcpFlags,
+    TcpHeader,
 };
 
 /// Upper bound on the coalesced payload (same as Linux: 64 KiB minus room
@@ -53,7 +53,13 @@ struct Pending {
 }
 
 impl Pending {
-    fn new(raw: PktBuf, range: (usize, usize), eth: EthHeader, ip: Ipv4Header, tcp: TcpHeader) -> Pending {
+    fn new(
+        raw: PktBuf,
+        range: (usize, usize),
+        eth: EthHeader,
+        ip: Ipv4Header,
+        tcp: TcpHeader,
+    ) -> Pending {
         let view = raw.slice(range.0, range.1);
         Pending {
             eth,
@@ -222,7 +228,8 @@ mod tests {
             ack: 777,
             flags,
             window: 1000,
-            mss: None, wscale: None,
+            mss: None,
+            wscale: None,
         };
         FrameBuilder::tcp(
             MacAddr::from_index(1),
@@ -274,7 +281,8 @@ mod tests {
             ack,
             flags: TcpFlags::ACK,
             window: 1000,
-            mss: None, wscale: None,
+            mss: None,
+            wscale: None,
         };
         FrameBuilder::tcp(
             MacAddr::from_index(1),
@@ -385,7 +393,8 @@ mod tests {
             ack: 1,
             flags: TcpFlags::ACK,
             window: 500,
-            mss: None, wscale: None,
+            mss: None,
+            wscale: None,
         };
         other_hdr.flags = TcpFlags::ACK;
         let b1 = FrameBuilder::tcp(

@@ -152,7 +152,8 @@ mod harness_tests {
     fn tcp_connect_transfer_and_close() {
         let mut w = Wire::new(CongestionControl::Reno);
         let srv = w.b.tcp_listen(5201).unwrap();
-        let cli = w.a.tcp_connect(SimTime::ZERO, Ipv4Addr::new(10, 0, 0, 2), 5201);
+        let cli =
+            w.a.tcp_connect(SimTime::ZERO, Ipv4Addr::new(10, 0, 0, 2), 5201);
         w.run_for(SimTime::from_ms(5));
         let accepted: Vec<_> = w.b.poll_events();
         let acc_id = accepted
@@ -205,17 +206,17 @@ mod harness_tests {
         let mut w = Wire::new(CongestionControl::Reno);
         w.drop_every = Some(13);
         let srv = w.b.tcp_listen(80).unwrap();
-        let cli = w.a.tcp_connect(SimTime::ZERO, Ipv4Addr::new(10, 0, 0, 2), 80);
+        let cli =
+            w.a.tcp_connect(SimTime::ZERO, Ipv4Addr::new(10, 0, 0, 2), 80);
         w.run_for(SimTime::from_ms(5));
-        let acc_id = w
-            .b
-            .poll_events()
-            .iter()
-            .find_map(|e| match e {
-                SocketEvent::Accepted { listener, socket } if *listener == srv => Some(*socket),
-                _ => None,
-            })
-            .unwrap();
+        let acc_id =
+            w.b.poll_events()
+                .iter()
+                .find_map(|e| match e {
+                    SocketEvent::Accepted { listener, socket } if *listener == srv => Some(*socket),
+                    _ => None,
+                })
+                .unwrap();
         let data: Vec<u8> = (0..60 * 1024u32).map(|i| (i * 7 % 256) as u8).collect();
         let mut off = 0;
         let mut received = Vec::new();
@@ -250,7 +251,8 @@ mod harness_tests {
                 w.mark_above_bytes = Some(200);
             }
             let srv = w.b.tcp_listen(9000).unwrap();
-            let cli = w.a.tcp_connect(SimTime::ZERO, Ipv4Addr::new(10, 0, 0, 2), 9000);
+            let cli =
+                w.a.tcp_connect(SimTime::ZERO, Ipv4Addr::new(10, 0, 0, 2), 9000);
             w.run_for(SimTime::from_ms(2));
             let acc_id = w
                 .b
@@ -303,14 +305,19 @@ mod harness_tests {
         assert_eq!(data_b, b"pong");
         assert_eq!(from_b.port, 7001);
         assert!(w.a.stats().arp_requests_sent >= 1);
-        assert_eq!(w.b.stats().arp_requests_sent, 0, "reply reuses learned entry");
+        assert_eq!(
+            w.b.stats().arp_requests_sent,
+            0,
+            "reply reuses learned entry"
+        );
     }
 
     #[test]
     fn ecn_marked_dctcp_flow_sets_ect_on_data() {
         let mut w = Wire::new(CongestionControl::Dctcp);
         let _srv = w.b.tcp_listen(1234).unwrap();
-        let cli = w.a.tcp_connect(SimTime::ZERO, Ipv4Addr::new(10, 0, 0, 2), 1234);
+        let cli =
+            w.a.tcp_connect(SimTime::ZERO, Ipv4Addr::new(10, 0, 0, 2), 1234);
         w.run_for(SimTime::from_ms(2));
         let _ = w.a.tcp_send(cli, &[0u8; 3000]);
         // Inspect frames leaving stack a for ECT(0).

@@ -35,7 +35,10 @@ pub enum SocketEvent {
     /// An outgoing TCP connection completed its handshake.
     Connected(SocketId),
     /// A listener produced a new established connection.
-    Accepted { listener: SocketId, socket: SocketId },
+    Accepted {
+        listener: SocketId,
+        socket: SocketId,
+    },
     /// New bytes (TCP) or a datagram (UDP) are available to read.
     DataAvailable(SocketId),
     /// Send-buffer space became available again.
@@ -96,6 +99,9 @@ mod tests {
         use std::collections::HashMap;
         let mut m = HashMap::new();
         m.insert(SocketAddr::new(Ipv4Addr::new(1, 2, 3, 4), 80), 1);
-        assert_eq!(m.get(&SocketAddr::new(Ipv4Addr::new(1, 2, 3, 4), 80)), Some(&1));
+        assert_eq!(
+            m.get(&SocketAddr::new(Ipv4Addr::new(1, 2, 3, 4), 80)),
+            Some(&1)
+        );
     }
 }

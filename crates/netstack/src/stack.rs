@@ -330,13 +330,23 @@ impl NetStack {
         if let Some(mac) = self.resolved_mac(to.ip) {
             // Fast path: build the whole frame in place in a pooled buffer.
             let frame = FrameBuilder::udp_pooled(
-                &self.pool, self.cfg.mac, mac, self.cfg.ip, to.ip, Ecn::NotEct,
-                src_port, to.port, payload,
+                &self.pool,
+                self.cfg.mac,
+                mac,
+                self.cfg.ip,
+                to.ip,
+                Ecn::NotEct,
+                src_port,
+                to.port,
+                payload,
             );
             self.out.push_back(frame);
         } else {
-            let l4 = UdpHeader::new(src_port, to.port, payload.len())
-                .build_datagram(self.cfg.ip, to.ip, payload);
+            let l4 = UdpHeader::new(src_port, to.port, payload.len()).build_datagram(
+                self.cfg.ip,
+                to.ip,
+                payload,
+            );
             self.queue_unresolved(to.ip, IpProto::Udp, Ecn::NotEct, l4);
         }
     }
@@ -561,8 +571,14 @@ impl NetStack {
             // Fast path: headers and payload go straight into one pooled
             // buffer — no intermediate L4 vector, no frame reallocation.
             let frame = FrameBuilder::tcp_pooled(
-                &self.pool, self.cfg.mac, mac, self.cfg.ip, remote_ip, seg.ecn,
-                &seg.hdr, &seg.payload,
+                &self.pool,
+                self.cfg.mac,
+                mac,
+                self.cfg.ip,
+                remote_ip,
+                seg.ecn,
+                &seg.hdr,
+                &seg.payload,
             );
             self.out.push_back(frame);
         } else {
@@ -584,7 +600,14 @@ impl NetStack {
         match self.resolved_mac(dst) {
             Some(mac) => {
                 let frame = FrameBuilder::ipv4_pooled(
-                    &self.pool, self.cfg.mac, mac, self.cfg.ip, dst, proto, ecn, &l4,
+                    &self.pool,
+                    self.cfg.mac,
+                    mac,
+                    self.cfg.ip,
+                    dst,
+                    proto,
+                    ecn,
+                    &l4,
                 );
                 self.out.push_back(frame);
             }
@@ -605,7 +628,8 @@ impl NetStack {
         };
         if due {
             let req = ArpPacket::request(self.cfg.mac, self.cfg.ip, dst);
-            let frame = FrameBuilder::arp_pooled(&self.pool, self.cfg.mac, MacAddr::BROADCAST, &req);
+            let frame =
+                FrameBuilder::arp_pooled(&self.pool, self.cfg.mac, MacAddr::BROADCAST, &req);
             self.out.push_back(frame);
             self.stats.arp_requests_sent += 1;
             self.arp_last_request.insert(dst, self.now);
@@ -886,12 +910,7 @@ mod tests {
         let mut b = NetStack::new(cfg(2, 2));
         let sa = a.udp_bind(100).unwrap();
         let _sb = b.udp_bind(200).unwrap();
-        a.udp_send_to(
-            SimTime::ZERO,
-            sa,
-            SocketAddr::new(b.ip(), 200),
-            b"x",
-        );
+        a.udp_send_to(SimTime::ZERO, sa, SocketAddr::new(b.ip(), 200), b"x");
         // First frame out of a is an ARP broadcast.
         let f = a.poll_transmit().unwrap();
         let p = ParsedFrame::parse(&f).unwrap();
@@ -1007,7 +1026,9 @@ mod tests {
         assert!(evs.contains(&SocketEvent::Connected(c)));
         let evs_b = b2.poll_events();
         assert!(
-            evs_b.iter().any(|e| matches!(e, SocketEvent::Accepted { .. })),
+            evs_b
+                .iter()
+                .any(|e| matches!(e, SocketEvent::Accepted { .. })),
             "restored pending_accept still maps the passive open to its listener"
         );
         // Data flows on the restored connection.
@@ -1068,7 +1089,10 @@ mod tests {
         );
         let mut sorted = retx.clone();
         sorted.sort_unstable();
-        assert_eq!(retx, sorted, "socket-id order is ascending ephemeral port order");
+        assert_eq!(
+            retx, sorted,
+            "socket-id order is ascending ephemeral port order"
+        );
     }
 
     fn src_port_of(frame: &[u8]) -> u16 {

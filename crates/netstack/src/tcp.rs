@@ -385,8 +385,7 @@ impl TcpConn {
     ) {
         self.segs_received += 1;
         if hdr.flags.contains(TcpFlags::RST) {
-            let was_connecting =
-                matches!(self.state, TcpState::SynSent | TcpState::SynReceived);
+            let was_connecting = matches!(self.state, TcpState::SynSent | TcpState::SynReceived);
             self.abort();
             events.push(if was_connecting {
                 ConnEvent::ConnectFailed
@@ -728,7 +727,10 @@ impl TcpConn {
             let wnd = self.cwnd.min(self.snd_wnd as u64);
             let budget = wnd.saturating_sub(inflight) as usize;
             let sent_off = inflight as usize;
-            let unsent = self.tx_buf.len().saturating_sub(sent_off.min(self.tx_buf.len()));
+            let unsent = self
+                .tx_buf
+                .len()
+                .saturating_sub(sent_off.min(self.tx_buf.len()));
             let len = budget.min(max_emit).min(unsent);
             if len == 0 {
                 break;
@@ -774,7 +776,12 @@ impl TcpConn {
         if self.fin_queued && !self.fin_sent {
             let all_sent = self.snd_nxt.wrapping_sub(self.snd_una) as usize >= self.tx_buf.len();
             if all_sent {
-                let mut seg = self.make_segment(TcpFlags::FIN | TcpFlags::ACK, self.snd_nxt, Vec::new(), false);
+                let mut seg = self.make_segment(
+                    TcpFlags::FIN | TcpFlags::ACK,
+                    self.snd_nxt,
+                    Vec::new(),
+                    false,
+                );
                 seg.hdr.ack = self.rcv_nxt;
                 out.push(seg);
                 self.fin_seq = self.snd_nxt;
@@ -869,8 +876,12 @@ impl TcpConn {
         let inflight = self.snd_nxt.wrapping_sub(self.snd_una) as usize;
         if inflight == 0 {
             if self.fin_sent && self.state != TcpState::Closed {
-                let mut seg =
-                    self.make_segment(TcpFlags::FIN | TcpFlags::ACK, self.fin_seq, Vec::new(), false);
+                let mut seg = self.make_segment(
+                    TcpFlags::FIN | TcpFlags::ACK,
+                    self.fin_seq,
+                    Vec::new(),
+                    false,
+                );
                 seg.hdr.ack = self.rcv_nxt;
                 out.push(seg);
                 self.retransmits += 1;
@@ -1082,7 +1093,12 @@ impl TcpConn {
     }
 
     /// Fire any expired timers.
-    pub fn on_timer(&mut self, now: SimTime, out: &mut Vec<SegmentOut>, events: &mut Vec<ConnEvent>) {
+    pub fn on_timer(
+        &mut self,
+        now: SimTime,
+        out: &mut Vec<SegmentOut>,
+        events: &mut Vec<ConnEvent>,
+    ) {
         if let Some(d) = self.delack_deadline {
             if d <= now {
                 out.push(self.make_ack());
@@ -1204,7 +1220,14 @@ mod tests {
             }
             let mut drained = Vec::new();
             for seg in back {
-                b.on_segment(now, seg.ecn, &seg.hdr, &seg.payload, &mut drained, &mut ev_b);
+                b.on_segment(
+                    now,
+                    seg.ecn,
+                    &seg.hdr,
+                    &seg.payload,
+                    &mut drained,
+                    &mut ev_b,
+                );
             }
             if drained.is_empty() {
                 let mut probe = Vec::new();
@@ -1213,7 +1236,14 @@ mod tests {
                     break;
                 }
                 for seg in probe {
-                    b.on_segment(now, seg.ecn, &seg.hdr, &seg.payload, &mut Vec::new(), &mut ev_b);
+                    b.on_segment(
+                        now,
+                        seg.ecn,
+                        &seg.hdr,
+                        &seg.payload,
+                        &mut Vec::new(),
+                        &mut ev_b,
+                    );
                 }
             }
         }
@@ -1239,7 +1269,14 @@ mod tests {
             let mut acks = Vec::new();
             s.on_timer(d, &mut acks, &mut Vec::new());
             for a in acks {
-                c.on_segment(d, Ecn::NotEct, &a.hdr, &[], &mut Vec::new(), &mut Vec::new());
+                c.on_segment(
+                    d,
+                    Ecn::NotEct,
+                    &a.hdr,
+                    &[],
+                    &mut Vec::new(),
+                    &mut Vec::new(),
+                );
             }
         }
         assert_eq!(c.snd_una, c.snd_nxt);
@@ -1271,7 +1308,10 @@ mod tests {
         c.send(&vec![1u8; 2500]);
         let mut out = Vec::new();
         c.poll_output(SimTime::from_us(1), &mut out);
-        assert_eq!(out.iter().map(|s| s.payload.len()).collect::<Vec<_>>(), vec![1000, 1000, 500]);
+        assert_eq!(
+            out.iter().map(|s| s.payload.len()).collect::<Vec<_>>(),
+            vec![1000, 1000, 500]
+        );
 
         // Now constrain the usable window to 1.3 MSS with more data buffered:
         // after the full segment, the 300-byte leftover must be held back
@@ -1316,7 +1356,14 @@ mod tests {
         let mut ev_s = Vec::new();
         let mut acks = Vec::new();
         for seg in out {
-            s.on_segment(deadline, seg.ecn, &seg.hdr, &seg.payload, &mut acks, &mut ev_s);
+            s.on_segment(
+                deadline,
+                seg.ecn,
+                &seg.hdr,
+                &seg.payload,
+                &mut acks,
+                &mut ev_s,
+            );
         }
         assert_eq!(s.recv(usize::MAX), msg);
     }
@@ -1335,7 +1382,14 @@ mod tests {
         let mut ev = Vec::new();
         let mut out = Vec::new();
         for seg in segs.iter().rev() {
-            s.on_segment(SimTime::from_us(2), seg.ecn, &seg.hdr, &seg.payload, &mut out, &mut ev);
+            s.on_segment(
+                SimTime::from_us(2),
+                seg.ecn,
+                &seg.hdr,
+                &seg.payload,
+                &mut out,
+                &mut ev,
+            );
         }
         let got = s.recv(usize::MAX);
         assert_eq!(got, (0..=255u8).cycle().take(300).collect::<Vec<_>>());
@@ -1351,10 +1405,18 @@ mod tests {
             ack: s.snd_nxt,
             flags: TcpFlags::ACK,
             window: 65535,
-            mss: None, wscale: None,
+            mss: None,
+            wscale: None,
         };
         let mut out = Vec::new();
-        s.on_segment(SimTime::from_us(50), Ecn::NotEct, &hdr, payload, &mut out, &mut Vec::new());
+        s.on_segment(
+            SimTime::from_us(50),
+            Ecn::NotEct,
+            &hdr,
+            payload,
+            &mut out,
+            &mut Vec::new(),
+        );
         out
     }
 
@@ -1463,7 +1525,14 @@ mod tests {
             max_inflight = max_inflight.max(c.snd_nxt.wrapping_sub(c.snd_una));
             let mut to_c = Vec::new();
             for seg in to_s.drain(..) {
-                s.on_segment(now, seg.ecn, &seg.hdr, &seg.payload, &mut to_c, &mut Vec::new());
+                s.on_segment(
+                    now,
+                    seg.ecn,
+                    &seg.hdr,
+                    &seg.payload,
+                    &mut to_c,
+                    &mut Vec::new(),
+                );
             }
             received += s.recv(usize::MAX).len();
             to_c.push(s.window_update());
@@ -1517,18 +1586,39 @@ mod tests {
         // Drop the first segment, deliver the rest: server emits dup ACKs.
         let mut dup_acks = Vec::new();
         for seg in &segs[1..] {
-            s.on_segment(SimTime::from_us(2), seg.ecn, &seg.hdr, &seg.payload, &mut dup_acks, &mut Vec::new());
+            s.on_segment(
+                SimTime::from_us(2),
+                seg.ecn,
+                &seg.hdr,
+                &seg.payload,
+                &mut dup_acks,
+                &mut Vec::new(),
+            );
         }
         assert!(dup_acks.len() >= 3);
         let mut rtx = Vec::new();
         for ack in dup_acks {
-            c.on_segment(SimTime::from_us(3), Ecn::NotEct, &ack.hdr, &[], &mut rtx, &mut Vec::new());
+            c.on_segment(
+                SimTime::from_us(3),
+                Ecn::NotEct,
+                &ack.hdr,
+                &[],
+                &mut rtx,
+                &mut Vec::new(),
+            );
         }
         assert!(c.retransmits >= 1, "fast retransmit triggered");
         assert!(c.in_recovery, "sender is in fast recovery");
         // The retransmitted first segment plus the rest complete the stream.
         for seg in rtx {
-            s.on_segment(SimTime::from_us(4), seg.ecn, &seg.hdr, &seg.payload, &mut Vec::new(), &mut Vec::new());
+            s.on_segment(
+                SimTime::from_us(4),
+                seg.ecn,
+                &seg.hdr,
+                &seg.payload,
+                &mut Vec::new(),
+                &mut Vec::new(),
+            );
         }
         assert_eq!(s.recv(usize::MAX).len(), 1000);
     }
@@ -1546,20 +1636,45 @@ mod tests {
         // Server never reads: sender must stop at the advertised window.
         assert!(s.rx_buf.len() <= 2000);
         let inflight = c.snd_nxt.wrapping_sub(c.snd_una);
-        assert!(inflight <= 2000, "inflight {} exceeds receive window", inflight);
+        assert!(
+            inflight <= 2000,
+            "inflight {} exceeds receive window",
+            inflight
+        );
         // Reading frees window; a window update lets the sender resume.
         let first = s.recv(usize::MAX).len();
         assert!(first > 0);
         let wu = s.window_update();
         let mut resumed = Vec::new();
-        c.on_segment(SimTime::from_us(20), Ecn::NotEct, &wu.hdr, &[], &mut resumed, &mut Vec::new());
+        c.on_segment(
+            SimTime::from_us(20),
+            Ecn::NotEct,
+            &wu.hdr,
+            &[],
+            &mut resumed,
+            &mut Vec::new(),
+        );
         assert!(!resumed.is_empty(), "sender resumes once the window opens");
         for seg in resumed {
-            s.on_segment(SimTime::from_us(20), seg.ecn, &seg.hdr, &seg.payload, &mut Vec::new(), &mut Vec::new());
+            s.on_segment(
+                SimTime::from_us(20),
+                seg.ecn,
+                &seg.hdr,
+                &seg.payload,
+                &mut Vec::new(),
+                &mut Vec::new(),
+            );
         }
         pump(SimTime::from_us(21), &mut c, &mut s);
-        assert!(!s.rx_buf.is_empty() || s.recv(usize::MAX).len() + first == 50_000 || c.tx_buf.len() < 50_000);
-        assert!(s.bytes_received as usize > first, "transfer continued after the window opened");
+        assert!(
+            !s.rx_buf.is_empty()
+                || s.recv(usize::MAX).len() + first == 50_000
+                || c.tx_buf.len() < 50_000
+        );
+        assert!(
+            s.bytes_received as usize > first,
+            "transfer continued after the window opened"
+        );
     }
 
     #[test]
@@ -1609,9 +1724,7 @@ mod tests {
                     };
                     s.on_segment(now, ecn, &seg.hdr, &seg.payload, &mut acks, &mut Vec::new());
                 }
-                saw_ece |= acks
-                    .iter()
-                    .any(|a| a.hdr.flags.contains(TcpFlags::ECE));
+                saw_ece |= acks.iter().any(|a| a.hdr.flags.contains(TcpFlags::ECE));
                 for a in acks {
                     c.on_segment(now, Ecn::NotEct, &a.hdr, &[], &mut to_s, &mut Vec::new());
                 }
@@ -1619,8 +1732,15 @@ mod tests {
             s.recv(usize::MAX);
         }
         assert!(saw_ece, "receiver echoes CE marks");
-        assert!(c.dctcp_alpha() > 0.5, "alpha converges towards 1 under full marking, got {}", c.dctcp_alpha());
-        assert!(c.cwnd() <= 20_000, "cwnd stays small under persistent marking");
+        assert!(
+            c.dctcp_alpha() > 0.5,
+            "alpha converges towards 1 under full marking, got {}",
+            c.dctcp_alpha()
+        );
+        assert!(
+            c.cwnd() <= 20_000,
+            "cwnd stays small under persistent marking"
+        );
     }
 
     /// Mid-transfer snapshot: a connection with in-flight data, buffered
@@ -1640,7 +1760,14 @@ mod tests {
         // Deliver only segments 2.. so the server buffers OOO state, then
         // snapshot both sides mid-recovery.
         for seg in &segs[2..] {
-            s.on_segment(SimTime::from_us(2), seg.ecn, &seg.hdr, &seg.payload, &mut Vec::new(), &mut Vec::new());
+            s.on_segment(
+                SimTime::from_us(2),
+                seg.ecn,
+                &seg.hdr,
+                &seg.payload,
+                &mut Vec::new(),
+                &mut Vec::new(),
+            );
         }
         assert!(s.ooo_bytes > 0, "server holds out-of-order runs");
         let snap = |conn: &TcpConn| {
@@ -1659,7 +1786,14 @@ mod tests {
         // Replay the missing head segments into the restored server and pump
         // to completion: the byte stream must come out exactly.
         for seg in &segs[..2] {
-            s2.on_segment(SimTime::from_us(3), seg.ecn, &seg.hdr, &seg.payload, &mut Vec::new(), &mut Vec::new());
+            s2.on_segment(
+                SimTime::from_us(3),
+                seg.ecn,
+                &seg.hdr,
+                &seg.payload,
+                &mut Vec::new(),
+                &mut Vec::new(),
+            );
         }
         pump(SimTime::from_us(5), &mut c2, &mut s2);
         let got = s2.recv(usize::MAX);
@@ -1689,10 +1823,18 @@ mod tests {
             ack: 0,
             flags: TcpFlags::RST,
             window: 0,
-            mss: None, wscale: None,
+            mss: None,
+            wscale: None,
         };
         let mut ev = Vec::new();
-        c.on_segment(SimTime::from_us(1), Ecn::NotEct, &rst, &[], &mut Vec::new(), &mut ev);
+        c.on_segment(
+            SimTime::from_us(1),
+            Ecn::NotEct,
+            &rst,
+            &[],
+            &mut Vec::new(),
+            &mut ev,
+        );
         assert!(c.is_closed());
         assert!(ev.contains(&ConnEvent::Closed));
     }
@@ -1800,11 +1942,25 @@ mod tests {
         c.poll_output(t_send, &mut segs);
         let mut acks = Vec::new();
         for seg in segs {
-            s.on_segment(t_send, seg.ecn, &seg.hdr, &seg.payload, &mut acks, &mut Vec::new());
+            s.on_segment(
+                t_send,
+                seg.ecn,
+                &seg.hdr,
+                &seg.payload,
+                &mut acks,
+                &mut Vec::new(),
+            );
         }
         let t_ack = t_send + SimTime::from_us(50); // 50 us RTT
         for a in acks {
-            c.on_segment(t_ack, Ecn::NotEct, &a.hdr, &[], &mut Vec::new(), &mut Vec::new());
+            c.on_segment(
+                t_ack,
+                Ecn::NotEct,
+                &a.hdr,
+                &[],
+                &mut Vec::new(),
+                &mut Vec::new(),
+            );
         }
         assert!(c.srtt_ps > 0);
         assert!(c.rto >= c.cfg.rto_min);

@@ -203,7 +203,9 @@ impl BehavioralNic {
     fn device_info(&self) -> DeviceInfo {
         match self.cfg.variant {
             NicVariant::I40e => DeviceInfo::nic(ids::VENDOR_INTEL, ids::DEVICE_I40E, BAR0_SIZE, 64),
-            NicVariant::E1000 => DeviceInfo::nic(ids::VENDOR_INTEL, ids::DEVICE_E1000, BAR0_SIZE, 1),
+            NicVariant::E1000 => {
+                DeviceInfo::nic(ids::VENDOR_INTEL, ids::DEVICE_E1000, BAR0_SIZE, 1)
+            }
             NicVariant::Corundum => {
                 DeviceInfo::nic(ids::VENDOR_CORUNDUM, ids::DEVICE_CORUNDUM, BAR0_SIZE, 32)
             }
@@ -412,8 +414,12 @@ impl BehavioralNic {
                     flags: DESC_EOP | DESC_CSUM_OK,
                     status: DESC_DD,
                 };
-                self.dma
-                    .write(k, desc_addr + 8, &wb.to_bytes()[8..], DmaCtx::RxWriteback { idx });
+                self.dma.write(
+                    k,
+                    desc_addr + 8,
+                    &wb.to_bytes()[8..],
+                    DmaCtx::RxWriteback { idx },
+                );
             }
             NicVariant::Corundum => {
                 self.rx_complete(k, idx);
@@ -514,13 +520,23 @@ impl Model for BehavioralNic {
         // PCIe message from the host (zero-copy decode: bulk payloads are
         // slice views into the received buffer).
         match HostToDev::decode_buf(msg.ty, &msg.data) {
-            Some(HostToDev::MmioRead { req_id, offset, len, .. }) => {
+            Some(HostToDev::MmioRead {
+                req_id,
+                offset,
+                len,
+                ..
+            }) => {
                 let v = self.reg_read(offset);
                 let data = PktBuf::from(&v.to_le_bytes()[..len.min(8)]);
                 let (ty, p) = DevToHost::MmioComplete { req_id, data }.encode();
                 k.send(self.pcie_port, ty, &p);
             }
-            Some(HostToDev::MmioWrite { req_id, offset, data, .. }) => {
+            Some(HostToDev::MmioWrite {
+                req_id,
+                offset,
+                data,
+                ..
+            }) => {
                 let mut buf = [0u8; 8];
                 let n = data.len().min(8);
                 buf[..n].copy_from_slice(&data[..n]);
@@ -571,10 +587,7 @@ impl Model for BehavioralNic {
         w.u64(self.flags);
         w.u64(self.icr);
         w.u32(self.tso_mss);
-        for v in [
-            self.queue.tx_base,
-            self.queue.rx_base,
-        ] {
+        for v in [self.queue.tx_base, self.queue.rx_base] {
             w.u64(v);
         }
         for v in [
@@ -778,11 +791,13 @@ mod tests {
                 match DevToHost::decode(m.ty, &m.data) {
                     Some(DevToHost::DmaRead { req_id, addr, len }) => {
                         let data = self.mem[addr as usize..addr as usize + len].to_vec();
-                        replies.push(HostToDev::DmaComplete { req_id, data: data.into() });
+                        replies.push(HostToDev::DmaComplete {
+                            req_id,
+                            data: data.into(),
+                        });
                     }
                     Some(DevToHost::DmaWrite { req_id, addr, data }) => {
-                        self.mem[addr as usize..addr as usize + data.len()]
-                            .copy_from_slice(&data);
+                        self.mem[addr as usize..addr as usize + data.len()].copy_from_slice(&data);
                         replies.push(HostToDev::DmaComplete {
                             req_id,
                             data: PktBuf::empty(),
@@ -873,9 +888,7 @@ mod tests {
             }
             host.service();
             host.advance(SimTime::from_us(2));
-            net_eth
-                .send_raw(host.horizon, MSG_SYNC, &[])
-                .unwrap();
+            net_eth.send_raw(host.horizon, MSG_SYNC, &[]).unwrap();
             while let Some(m) = net_eth.recv_raw() {
                 if m.ty == MSG_ETH_PACKET {
                     tx_out.push(m.data);
@@ -899,8 +912,13 @@ mod tests {
         let txd = Descriptor::from_bytes(&host.mem[0x1000..0x1010]).unwrap();
         assert!(txd.has_dd(), "i40e writes DD back for TX");
         // RX: packet data landed in the first posted RX buffer.
-        assert_eq!(&host.mem[0x40000..0x40000 + 300],
-                   (0..300).map(|i| (i % 7) as u8).collect::<Vec<_>>().as_slice());
+        assert_eq!(
+            &host.mem[0x40000..0x40000 + 300],
+            (0..300)
+                .map(|i| (i % 7) as u8)
+                .collect::<Vec<_>>()
+                .as_slice()
+        );
         // RX descriptor write-back carries DD and the length.
         let rxd = Descriptor::from_bytes(&host.mem[0x2000..0x2010]).unwrap();
         assert!(rxd.has_dd());
@@ -980,7 +998,8 @@ mod tests {
             ack: 42,
             flags: TcpFlags::ACK | TcpFlags::PSH,
             window: 4096,
-            mss: None, wscale: None,
+            mss: None,
+            wscale: None,
         };
         let super_frame = FrameBuilder::tcp(
             MacAddr::from_index(1),

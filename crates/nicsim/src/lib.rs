@@ -34,6 +34,8 @@ pub mod pktgen;
 pub mod regs;
 pub mod rtl;
 
-pub use behavioral::{BehavioralNic, CorundumNic, E1000Nic, I40eNic, NicConfig, NicStats, NicVariant};
+pub use behavioral::{
+    BehavioralNic, CorundumNic, E1000Nic, I40eNic, NicConfig, NicStats, NicVariant,
+};
 pub use pktgen::{PktGen, PktGenConfig};
 pub use rtl::{CorundumRtlNic, RtlConfig};

@@ -38,8 +38,7 @@ impl<C> DmaEngine<C> {
     pub fn write(&mut self, k: &mut Kernel, addr: u64, data: &[u8], ctx: C) {
         let req_id = self.outstanding.insert(ctx);
         self.writes_issued += 1;
-        let (ty, payload) =
-            DevToHost::encode_dma_write_pooled(k.pool(), req_id, addr, data);
+        let (ty, payload) = DevToHost::encode_dma_write_pooled(k.pool(), req_id, addr, data);
         k.send_buf(self.pcie_port, ty, payload);
     }
 
@@ -218,7 +217,8 @@ mod tests {
             self.interrupts_requested = 2;
         }
         fn on_msg(&mut self, _k: &mut Kernel, _p: PortId, msg: OwnedMsg) {
-            if let Some(HostToDev::DmaComplete { req_id, .. }) = HostToDev::decode(msg.ty, &msg.data)
+            if let Some(HostToDev::DmaComplete { req_id, .. }) =
+                HostToDev::decode(msg.ty, &msg.data)
             {
                 if let Some(ctx) = self.dma.complete(req_id) {
                     self.completions.push(ctx);
@@ -275,9 +275,7 @@ mod tests {
                 }
             }
             // Keep the device's clock moving.
-            host_end
-                .send_raw(stamp, simbricks_base::MSG_SYNC, &[])
-                .ok();
+            host_end.send_raw(stamp, simbricks_base::MSG_SYNC, &[]).ok();
         }
         assert_eq!(dev.completions, vec!["first", "second"]);
         assert_eq!(dev.dma.in_flight(), 0);

@@ -217,8 +217,7 @@ mod tests {
         // Frames arriving with no posted RX descriptors are held in the NIC's
         // internal FIFO; once it fills, further frames are tail-dropped.
         let (nic_pcie, mut host) = channel_pair(ChannelParams::default_sync());
-        let (nic_eth, mut net) =
-            channel_pair(ChannelParams::default_sync().with_queue_len(256));
+        let (nic_eth, mut net) = channel_pair(ChannelParams::default_sync().with_queue_len(256));
         let mut kernel = Kernel::new("corundum-rtl", SimTime::from_us(400));
         kernel.add_port(nic_pcie);
         kernel.add_port(nic_eth);

@@ -228,7 +228,10 @@ impl Model for NvmeDev {
                 k.send(PortId(0), ty, &p);
             }
             Some(HostToDev::MmioRead {
-                req_id, offset, len, ..
+                req_id,
+                offset,
+                len,
+                ..
             }) => {
                 let v: u64 = match offset {
                     NVME_REG_ENABLE => self.enabled as u64,
@@ -339,7 +342,11 @@ mod tests {
                 match DevToHost::decode(m.ty, &m.data) {
                     Some(DevToHost::DmaRead { req_id, addr, len }) => {
                         let data = mem[addr as usize..addr as usize + len].to_vec();
-                        let (ty, p) = HostToDev::DmaComplete { req_id, data: data.into() }.encode();
+                        let (ty, p) = HostToDev::DmaComplete {
+                            req_id,
+                            data: data.into(),
+                        }
+                        .encode();
                         host.send_raw(stamp, ty, &p).unwrap();
                     }
                     Some(DevToHost::DmaWrite { req_id, addr, data }) => {

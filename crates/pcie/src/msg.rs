@@ -150,7 +150,11 @@ pub enum DevToHost {
     /// Device-initiated DMA read of host memory.
     DmaRead { req_id: u64, addr: u64, len: usize },
     /// Device-initiated DMA write to host memory.
-    DmaWrite { req_id: u64, addr: u64, data: PktBuf },
+    DmaWrite {
+        req_id: u64,
+        addr: u64,
+        data: PktBuf,
+    },
     /// Completion of an earlier host MMIO read/write.
     MmioComplete { req_id: u64, data: PktBuf },
     /// Raise an interrupt.
@@ -163,9 +167,19 @@ pub enum HostToDev {
     /// Completion of an earlier device DMA read (carries data) or write.
     DmaComplete { req_id: u64, data: PktBuf },
     /// Host-initiated MMIO read of a device BAR.
-    MmioRead { req_id: u64, bar: u8, offset: u64, len: usize },
+    MmioRead {
+        req_id: u64,
+        bar: u8,
+        offset: u64,
+        len: usize,
+    },
     /// Host-initiated MMIO write to a device BAR.
-    MmioWrite { req_id: u64, bar: u8, offset: u64, data: PktBuf },
+    MmioWrite {
+        req_id: u64,
+        bar: u8,
+        offset: u64,
+        data: PktBuf,
+    },
     /// Report which interrupt mechanisms the OS enabled.
     IntStatus(IntStatus),
 }

@@ -131,7 +131,8 @@ impl FrameBuilder {
         let mut tcp_hdr = [0u8; TcpHeader::MAX_HEADER_LEN];
         let tcp_hlen = tcp.write_header(&mut tcp_hdr);
         let l4_len = tcp_hlen + payload_len;
-        let total = (ETH_HEADER_LEN + IPV4_HEADER_LEN + l4_len).max(ETH_HEADER_LEN + MIN_ETH_PAYLOAD);
+        let total =
+            (ETH_HEADER_LEN + IPV4_HEADER_LEN + l4_len).max(ETH_HEADER_LEN + MIN_ETH_PAYLOAD);
         let mut buf = pool.alloc_capacity(total, FRAME_HEADROOM);
         let eth = EthHeader::new(dst_mac, src_mac, EtherType::Ipv4);
         buf.extend_from_slice(&eth.to_array());
@@ -172,7 +173,8 @@ impl FrameBuilder {
     ) -> PktBuf {
         let udp = UdpHeader::new(src_port, dst_port, payload.len());
         let l4_len = UDP_HEADER_LEN + payload.len();
-        let total = (ETH_HEADER_LEN + IPV4_HEADER_LEN + l4_len).max(ETH_HEADER_LEN + MIN_ETH_PAYLOAD);
+        let total =
+            (ETH_HEADER_LEN + IPV4_HEADER_LEN + l4_len).max(ETH_HEADER_LEN + MIN_ETH_PAYLOAD);
         let mut buf = pool.alloc_capacity(total, FRAME_HEADROOM);
         let eth = EthHeader::new(dst_mac, src_mac, EtherType::Ipv4);
         buf.extend_from_slice(&eth.to_array());
@@ -233,8 +235,7 @@ impl FrameBuilder {
         dst_mac: MacAddr,
         arp: &ArpPacket,
     ) -> PktBuf {
-        let mut buf =
-            pool.alloc_capacity(ETH_HEADER_LEN + MIN_ETH_PAYLOAD, FRAME_HEADROOM);
+        let mut buf = pool.alloc_capacity(ETH_HEADER_LEN + MIN_ETH_PAYLOAD, FRAME_HEADROOM);
         let eth = EthHeader::new(dst_mac, src_mac, EtherType::Arp);
         buf.extend_from_slice(&eth.to_array());
         buf.extend_from_slice(&arp.to_bytes());
@@ -433,7 +434,8 @@ mod tests {
             ack: 0,
             flags: TcpFlags::ACK,
             window: 100,
-            mss: None, wscale: None,
+            mss: None,
+            wscale: None,
         };
         let payload = vec![7u8; 1400];
         let frame = FrameBuilder::tcp(
@@ -510,7 +512,13 @@ mod tests {
             // Chained payload (split at an odd boundary) flattens identically.
             let cut = payload_len / 3;
             let pc = FrameBuilder::tcp_chain_pooled(
-                &pool, sm, dm, si, di, Ecn::Ect0, &tcp,
+                &pool,
+                sm,
+                dm,
+                si,
+                di,
+                Ecn::Ect0,
+                &tcp,
                 &[&payload[..cut], &payload[cut..]],
             );
             assert_eq!(pc.as_slice(), v.as_slice(), "tcp chain len {payload_len}");
@@ -521,7 +529,14 @@ mod tests {
 
             let v = FrameBuilder::ipv4(sm, dm, si, di, IpProto::Other(89), Ecn::NotEct, &payload);
             let p = FrameBuilder::ipv4_pooled(
-                &pool, sm, dm, si, di, IpProto::Other(89), Ecn::NotEct, &payload,
+                &pool,
+                sm,
+                dm,
+                si,
+                di,
+                IpProto::Other(89),
+                Ecn::NotEct,
+                &payload,
             );
             assert_eq!(p.as_slice(), v.as_slice(), "ipv4 len {payload_len}");
         }
@@ -529,7 +544,10 @@ mod tests {
         let v = FrameBuilder::arp(sm, MacAddr::BROADCAST, &arp);
         let p = FrameBuilder::arp_pooled(&pool, sm, MacAddr::BROADCAST, &arp);
         assert_eq!(p.as_slice(), v.as_slice(), "arp");
-        assert!(pool.stats().hits + pool.stats().misses > 0, "builders used the pool");
+        assert!(
+            pool.stats().hits + pool.stats().misses > 0,
+            "builders used the pool"
+        );
     }
 
     #[test]

@@ -127,11 +127,7 @@ impl TcpHeader {
 
     /// Parse a TCP segment (header, payload, checksum validity) given the
     /// enclosing IPv4 addresses for pseudo-header verification.
-    pub fn parse(
-        data: &[u8],
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-    ) -> Option<(TcpHeader, &[u8], bool)> {
+    pub fn parse(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Option<(TcpHeader, &[u8], bool)> {
         if data.len() < TCP_HEADER_LEN {
             return None;
         }
@@ -144,7 +140,7 @@ impl TcpHeader {
         let mut opt = &data[TCP_HEADER_LEN..data_off];
         while !opt.is_empty() {
             match opt[0] {
-                0 => break,        // end of options
+                0 => break,           // end of options
                 1 => opt = &opt[1..], // NOP
                 2 if opt.len() >= 4 => {
                     mss = Some(u16::from_be_bytes([opt[2], opt[3]]));
@@ -210,7 +206,8 @@ mod tests {
             ack: 0x12345678,
             flags: TcpFlags::ACK | TcpFlags::PSH,
             window: 8192,
-            mss: None, wscale: None,
+            mss: None,
+            wscale: None,
         };
         let seg = h.build_segment(SRC, DST, b"data bytes");
         let (parsed, payload, ok) = TcpHeader::parse(&seg, SRC, DST).unwrap();
@@ -228,7 +225,8 @@ mod tests {
             ack: 0,
             flags: TcpFlags::SYN,
             window: 65535,
-            mss: Some(1460), wscale: None,
+            mss: Some(1460),
+            wscale: None,
         };
         assert_eq!(h.header_len(), 24);
         let seg = h.build_segment(SRC, DST, &[]);
@@ -259,7 +257,11 @@ mod tests {
 
         // Window scale alone (no MSS) also round-trips, and an out-of-range
         // shift is clamped to the RFC 7323 maximum of 14 on parse.
-        let h2 = TcpHeader { mss: None, wscale: Some(44), ..h };
+        let h2 = TcpHeader {
+            mss: None,
+            wscale: Some(44),
+            ..h
+        };
         let seg2 = h2.build_segment(SRC, DST, b"x");
         let (parsed2, payload2, ok2) = TcpHeader::parse(&seg2, SRC, DST).unwrap();
         assert!(ok2);
@@ -276,7 +278,8 @@ mod tests {
             ack: 1,
             flags: TcpFlags::ACK,
             window: 100,
-            mss: None, wscale: None,
+            mss: None,
+            wscale: None,
         };
         let mut seg = h.build_segment(SRC, DST, b"abcdef");
         seg[TCP_HEADER_LEN] ^= 0x01;
@@ -293,7 +296,8 @@ mod tests {
             ack: 1,
             flags: TcpFlags::ACK,
             window: 100,
-            mss: None, wscale: None,
+            mss: None,
+            wscale: None,
         };
         let seg = h.build_segment(SRC, DST, b"abcdef");
         let (_, _, ok) = TcpHeader::parse(&seg, SRC, Ipv4Addr::new(10, 0, 0, 3)).unwrap();
@@ -310,7 +314,8 @@ mod tests {
             ack: 0,
             flags: TcpFlags::SYN,
             window: 0,
-            mss: None, wscale: None,
+            mss: None,
+            wscale: None,
         }
         .build_segment(SRC, DST, &[]);
         seg[12] = 0xf0; // data offset 60 > segment length

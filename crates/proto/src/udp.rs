@@ -46,11 +46,7 @@ impl UdpHeader {
     }
 
     /// Parse a UDP datagram, returning header, payload and checksum validity.
-    pub fn parse(
-        data: &[u8],
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-    ) -> Option<(UdpHeader, &[u8], bool)> {
+    pub fn parse(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Option<(UdpHeader, &[u8], bool)> {
         if data.len() < UDP_HEADER_LEN {
             return None;
         }

@@ -31,8 +31,7 @@ use std::path::{Path, PathBuf};
 
 use simbricks_base::{EventLog, KernelStats, LogEntry, PortId, SimTime};
 use simbricks_runner::{
-    ring_entries, Execution, Experiment, PartitionBuilder, RingMeta, RunResult,
-    RING_SCENARIO_FILE,
+    ring_entries, Execution, Experiment, PartitionBuilder, RingMeta, RunResult, RING_SCENARIO_FILE,
 };
 use simbricks_scenario::build_from_toml;
 
@@ -66,9 +65,14 @@ impl Replay {
         let spath = dir.join(RING_SCENARIO_FILE);
         let scenario = std::fs::read_to_string(&spath)
             .map_err(|e| format!("read {}: {e}", spath.display()))?;
-        let entries =
-            ring_entries(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        Ok(Replay { dir, meta, scenario, entries, build })
+        let entries = ring_entries(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+        Ok(Replay {
+            dir,
+            meta,
+            scenario,
+            entries,
+            build,
+        })
     }
 
     /// The directory this ring was opened from.
@@ -206,12 +210,18 @@ impl SeekState {
                 name,
                 now: k.now(),
                 stats: k.stats(),
-                port_pending: (0..k.num_ports()).map(|p| k.port_pending(PortId(p))).collect(),
+                port_pending: (0..k.num_ports())
+                    .map(|p| k.port_pending(PortId(p)))
+                    .collect(),
                 log: k.event_log().clone(),
                 model_state: models[i].clone(),
             });
         }
-        Ok(SeekState { time: t, restored_from: from, components })
+        Ok(SeekState {
+            time: t,
+            restored_from: from,
+            components,
+        })
     }
 
     /// [`ComponentState::sim_eq`] across every component, in order.
@@ -391,11 +401,15 @@ pub fn bisect(a: &Side<'_>, b: &Side<'_>) -> Result<BisectReport, String> {
         ));
     }
 
-    let divergent_epoch = (0..epochs).find(|&e| {
-        fa.iter().zip(&fb).any(|((_, va), (_, vb))| va[e] != vb[e])
-    });
+    let divergent_epoch =
+        (0..epochs).find(|&e| fa.iter().zip(&fb).any(|((_, va), (_, vb))| va[e] != vb[e]));
     let Some(epoch) = divergent_epoch else {
-        return Ok(BisectReport { period, epochs, replays: 2, divergence: None });
+        return Ok(BisectReport {
+            period,
+            epochs,
+            replays: 2,
+            divergence: None,
+        });
     };
 
     let wa = epoch_window(a, epoch, period)?;
@@ -465,8 +479,14 @@ pub fn record_ring(
     exp.set_checkpoint_ring(period, keep);
     exp.set_ring_dir(dir.clone());
     let r = exp.run(exec);
-    let meta = RingMeta { name: r.name.clone(), period, keep, end };
-    meta.write_to(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let meta = RingMeta {
+        name: r.name.clone(),
+        period,
+        keep,
+        end,
+    };
+    meta.write_to(&dir)
+        .map_err(|e| format!("{}: {e}", dir.display()))?;
     let spath = dir.join(RING_SCENARIO_FILE);
     std::fs::write(&spath, scenario).map_err(|e| format!("write {}: {e}", spath.display()))?;
     Ok(r)

@@ -70,7 +70,10 @@ fn dump(ring: &Replay, json: bool) {
         s.push_str("]\n}");
         println!("{s}");
     } else {
-        println!("ring {:?}: period={} keep={} end={}", m.name, m.period, m.keep, m.end);
+        println!(
+            "ring {:?}: period={} keep={} end={}",
+            m.name, m.period, m.keep, m.end
+        );
         for (t, path) in ring.entries() {
             println!("  {t}  {}", path.display());
         }
@@ -88,13 +91,11 @@ fn seek(ring: &Replay, state: &SeekState, tail: usize, json: bool) {
         );
         for (i, c) in state.components.iter().enumerate() {
             let entries = c.log.entries();
-            let tail_entries: Vec<String> = entries
-                [entries.len().saturating_sub(tail)..]
+            let tail_entries: Vec<String> = entries[entries.len().saturating_sub(tail)..]
                 .iter()
                 .map(entry_json)
                 .collect();
-            let depths: Vec<String> =
-                c.port_pending.iter().map(|d| d.to_string()).collect();
+            let depths: Vec<String> = c.port_pending.iter().map(|d| d.to_string()).collect();
             s.push_str(&format!(
                 "    {{\"name\": \"{}\", \"now_ps\": {}, \"msgs_delivered\": {}, \
                  \"timers_fired\": {}, \"port_pending\": [{}], \"log_len\": {}, \
@@ -107,7 +108,11 @@ fn seek(ring: &Replay, state: &SeekState, tail: usize, json: bool) {
                 c.log.recorded(),
                 fnv1a(&c.model_state),
                 tail_entries.join(", "),
-                if i + 1 < state.components.len() { "," } else { "" }
+                if i + 1 < state.components.len() {
+                    ","
+                } else {
+                    ""
+                }
             ));
         }
         s.push_str("  ]\n}");
@@ -118,8 +123,7 @@ fn seek(ring: &Replay, state: &SeekState, tail: usize, json: bool) {
             state.time, state.restored_from
         );
         for c in &state.components {
-            let depths: Vec<String> =
-                c.port_pending.iter().map(|d| d.to_string()).collect();
+            let depths: Vec<String> = c.port_pending.iter().map(|d| d.to_string()).collect();
             println!(
                 "  {}: now={} delivered={} timers={} pending=[{}] log={} entries \
                  model_fnv={:#018x}",
@@ -222,9 +226,9 @@ fn main() -> ExitCode {
             Err(e) => fail(&e),
         },
         ("seek", [dir, time]) => {
-            let t = match parse_duration(time).or_else(|e| {
-                time.parse::<u64>().map(SimTime::from_ps).map_err(|_| e)
-            }) {
+            let t = match parse_duration(time)
+                .or_else(|e| time.parse::<u64>().map(SimTime::from_ps).map_err(|_| e))
+            {
                 Ok(t) => t,
                 Err(e) => return fail(&format!("bad TIME: {e}")),
             };

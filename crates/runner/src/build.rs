@@ -140,9 +140,11 @@ mod tests {
         // wire; require that a substantial fraction arrived end-to-end
         // through driver -> DMA -> NIC -> switch -> NIC -> DMA -> stack.
         let report = server.app_report();
-        assert!(server.stats().rx_frames > 50,
+        assert!(
+            server.stats().rx_frames > 50,
             "server received frames end-to-end (got {}, report: {report})",
-            server.stats().rx_frames);
+            server.stats().rx_frames
+        );
         assert!(server.stats().interrupts > 0);
     }
 }

@@ -106,7 +106,9 @@ impl CheckpointFile {
         let at = r.time()?;
         let count = r.usize()?;
         if count > 1 << 20 {
-            return Err(SnapError::Corrupt(format!("absurd component count {count}")));
+            return Err(SnapError::Corrupt(format!(
+                "absurd component count {count}"
+            )));
         }
         let mut components = Vec::with_capacity(count);
         for _ in 0..count {
@@ -149,7 +151,8 @@ impl CheckpointFile {
         let first = parts
             .first()
             .ok_or_else(|| SnapError::Corrupt("merge of zero checkpoint parts".into()))?;
-        let mut by_name: std::collections::BTreeMap<&str, &[u8]> = std::collections::BTreeMap::new();
+        let mut by_name: std::collections::BTreeMap<&str, &[u8]> =
+            std::collections::BTreeMap::new();
         for p in parts {
             if p.name != first.name || p.at != first.at {
                 return Err(SnapError::Corrupt(format!(
@@ -424,7 +427,15 @@ mod tests {
                     b[5] = 0x7f;
                     b
                 },
-                check: |e| matches!(e, SnapError::Version { found: 0x7fff, expected: CKPT_VERSION }),
+                check: |e| {
+                    matches!(
+                        e,
+                        SnapError::Version {
+                            found: 0x7fff,
+                            expected: CKPT_VERSION
+                        }
+                    )
+                },
             },
             Case {
                 // The previous on-disk format: its per-port sync state lacks
@@ -438,7 +449,15 @@ mod tests {
                     b[5] = 0;
                     b
                 },
-                check: |e| matches!(e, SnapError::Version { found: 2, expected: CKPT_VERSION }),
+                check: |e| {
+                    matches!(
+                        e,
+                        SnapError::Version {
+                            found: 2,
+                            expected: CKPT_VERSION
+                        }
+                    )
+                },
             },
             Case {
                 // The immediately preceding format: a v4 SyncPort snapshot
@@ -453,7 +472,15 @@ mod tests {
                     b[5] = 0;
                     b
                 },
-                check: |e| matches!(e, SnapError::Version { found: 4, expected: CKPT_VERSION }),
+                check: |e| {
+                    matches!(
+                        e,
+                        SnapError::Version {
+                            found: 4,
+                            expected: CKPT_VERSION
+                        }
+                    )
+                },
             },
             Case {
                 // v5 is the format immediately before the event-log mode tag
@@ -468,7 +495,15 @@ mod tests {
                     b[5] = 0;
                     b
                 },
-                check: |e| matches!(e, SnapError::Version { found: 5, expected: CKPT_VERSION }),
+                check: |e| {
+                    matches!(
+                        e,
+                        SnapError::Version {
+                            found: 5,
+                            expected: CKPT_VERSION
+                        }
+                    )
+                },
             },
             Case {
                 name: "truncated mid-component",
@@ -522,11 +557,7 @@ mod tests {
             let damaged = (case.make)(&good);
             match CheckpointFile::decode(&damaged) {
                 Ok(_) => panic!("{}: damaged input decoded successfully", case.name),
-                Err(e) => assert!(
-                    (case.check)(&e),
-                    "{}: unexpected error {e:?}",
-                    case.name
-                ),
+                Err(e) => assert!((case.check)(&e), "{}: unexpected error {e:?}", case.name),
             }
         }
     }
@@ -686,7 +717,10 @@ mod tests {
         }
         std::fs::write(dir.join("README"), b"not a checkpoint").unwrap();
         let entries = ring_entries(&dir).unwrap();
-        let times: Vec<u64> = entries.iter().map(|(t, _)| t.as_ps() / 1_000_000_000).collect();
+        let times: Vec<u64> = entries
+            .iter()
+            .map(|(t, _)| t.as_ps() / 1_000_000_000)
+            .collect();
         assert_eq!(times, vec![1, 2, 3, 4, 5]);
 
         let removed = prune_ring(&dir, 2).unwrap();
@@ -718,7 +752,10 @@ mod tests {
         let part = |names: &[&str], at: SimTime| CheckpointFile {
             name: "exp".into(),
             at,
-            components: names.iter().map(|n| (n.to_string(), vec![n.len() as u8])).collect(),
+            components: names
+                .iter()
+                .map(|n| (n.to_string(), vec![n.len() as u8]))
+                .collect(),
         };
         let at = SimTime::from_ms(1);
         let order = vec!["a".to_string(), "b".to_string(), "c".to_string()];
@@ -729,8 +766,11 @@ mod tests {
         assert_eq!(merged.at, at);
 
         // Disagreeing quiesce times.
-        let e = CheckpointFile::merge(&[part(&["a"], at), part(&["b"], SimTime::from_ms(2))], &order)
-            .unwrap_err();
+        let e = CheckpointFile::merge(
+            &[part(&["a"], at), part(&["b"], SimTime::from_ms(2))],
+            &order,
+        )
+        .unwrap_err();
         assert!(matches!(e, SnapError::Corrupt(_)));
         // Missing component.
         let e = CheckpointFile::merge(&[part(&["a", "b"], at)], &order).unwrap_err();

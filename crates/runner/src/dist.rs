@@ -295,13 +295,22 @@ impl std::fmt::Display for DistError {
                 write!(f, "workers did not connect: {missing:?}")
             }
             DistError::WorkerExited { partition, status } => {
-                write!(f, "worker {partition:?} exited ({status}) before its result")
+                write!(
+                    f,
+                    "worker {partition:?} exited ({status}) before its result"
+                )
             }
             DistError::ControlLost { partition, error } => {
-                write!(f, "control connection to worker {partition:?} lost: {error}")
+                write!(
+                    f,
+                    "control connection to worker {partition:?} lost: {error}"
+                )
             }
             DistError::HeartbeatTimeout { partition, silent } => {
-                write!(f, "worker {partition:?} silent for {silent:?} (heartbeat timeout)")
+                write!(
+                    f,
+                    "worker {partition:?} silent for {silent:?} (heartbeat timeout)"
+                )
             }
             DistError::Protocol { partition, error } => {
                 write!(f, "protocol violation from worker {partition:?}: {error}")
@@ -310,7 +319,10 @@ impl std::fmt::Display for DistError {
                 write!(f, "injected fault severed link {link:?}")
             }
             DistError::RestartsExhausted { restarts, last, .. } => {
-                write!(f, "gave up after {restarts} restart(s); last failure: {last}")
+                write!(
+                    f,
+                    "gave up after {restarts} restart(s); last failure: {last}"
+                )
             }
         }
     }
@@ -410,7 +422,11 @@ impl std::fmt::Display for RecoveryReport {
         for s in &self.rejected_entries {
             writeln!(f, "  rejected ring entry: {s}")?;
         }
-        write!(f, "  virtual time re-simulated: {} ps", self.time_lost.as_ps())
+        write!(
+            f,
+            "  virtual time re-simulated: {} ps",
+            self.time_lost.as_ps()
+        )
     }
 }
 
@@ -531,7 +547,9 @@ impl PartitionBuilder {
     /// Panics if [`PartitionBuilder::init`] has not been called.
     pub fn exp(&mut self) -> &mut Experiment {
         // io-ok: API contract (documented panic), not an I/O failure
-        self.exp.as_mut().expect("build function must call init() first")
+        self.exp
+            .as_mut()
+            .expect("build function must call init() first")
     }
 
     /// The partition this builder instantiates, or `None` when every
@@ -642,10 +660,11 @@ impl PartitionBuilder {
     ///
     /// Failures are recorded in `build_errors` and yield a dangling end.
     fn cross_end(&mut self, link: &str, params: ChannelParams, listen: bool) -> ChannelEnd {
-        self.wire_cross_end(link, params, listen).unwrap_or_else(|e| {
-            self.build_errors.push(e);
-            dangling(params)
-        })
+        self.wire_cross_end(link, params, listen)
+            .unwrap_or_else(|e| {
+                self.build_errors.push(e);
+                dangling(params)
+            })
     }
 
     fn wire_cross_end(
@@ -665,7 +684,9 @@ impl PartitionBuilder {
         match addr.split_once(':') {
             Some(("shm", path)) => self.shm_cross_end(link, params, Some(Path::new(path))),
             Some(("tcp", peer)) => self.tcp_cross_end(link, params, Some(peer)),
-            _ => Err(format!("link {link:?}: address {addr:?} has no known scheme")),
+            _ => Err(format!(
+                "link {link:?}: address {addr:?} has no known scheme"
+            )),
         }
     }
 
@@ -693,7 +714,8 @@ impl PartitionBuilder {
             }
         };
         let region = endpoint.region();
-        self.link_severs.push((link.to_string(), Box::new(move || region.sever())));
+        self.link_severs
+            .push((link.to_string(), Box::new(move || region.sever())));
         Ok(endpoint.into_channel_end())
     }
 
@@ -719,7 +741,8 @@ impl PartitionBuilder {
         component_end.set_dir(if peer.is_none() { 0 } else { 1 });
         let shutdown = Arc::new(ShutdownSignal::default());
         let sever = shutdown.clone();
-        self.link_severs.push((link.to_string(), Box::new(move || sever.signal())));
+        self.link_severs
+            .push((link.to_string(), Box::new(move || sever.signal())));
         let pump = if let Some(addr) = peer {
             // A freshly advertised listener may not be accepting yet, and
             // transient refusals happen during fleet restarts — retry with
@@ -737,7 +760,15 @@ impl PartitionBuilder {
                 .ok_or_else(|| format!("no pre-bound listener for owned link {link:?}"))?;
             let deadline = Instant::now() + CONNECT_TIMEOUT;
             let counters = Arc::default();
-            TcpPump::accepting(link, params, proxy_local, listener, deadline, counters, shutdown)
+            TcpPump::accepting(
+                link,
+                params,
+                proxy_local,
+                listener,
+                deadline,
+                counters,
+                shutdown,
+            )
         };
         let pump = pump.map_err(|e| format!("tcp link {link:?}: {e}"))?;
         self.exp().add_pump(pump);
@@ -1121,7 +1152,12 @@ fn drain_ctrl(s: &mut TcpStream, fb: &mut FrameBuf, scratch: &mut [u8]) -> io::R
                     return Ok(false);
                 }
             }
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
                 return Ok(false)
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -1492,7 +1528,10 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
             return Err(io::Error::other("control connection closed before DONE"));
         }
         if Instant::now() > deadline {
-            return Err(io::Error::new(io::ErrorKind::TimedOut, "timed out waiting for DONE"));
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "timed out waiting for DONE",
+            ));
         }
         if !pump_all(&mut links) {
             std::thread::sleep(LINK_IDLE);
@@ -1625,9 +1664,7 @@ impl Drop for ChildGuard {
 /// region directory when shared memory is selected. `Auto` falls back to TCP
 /// when the directory cannot be created; an explicit `shm` request fails
 /// loudly instead.
-fn resolve_run_transport(
-    requested: TransportKind,
-) -> io::Result<(TransportKind, Option<PathBuf>)> {
+fn resolve_run_transport(requested: TransportKind) -> io::Result<(TransportKind, Option<PathBuf>)> {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT_RUN: AtomicU64 = AtomicU64::new(0);
     match requested.resolve_local() {
@@ -1681,7 +1718,9 @@ fn discover(opts: &DistOptions, build: &BuildFn) -> Result<Discovery, DistError>
     }
     if let Some(ring) = &opts.ring {
         if ring.period == SimTime::ZERO {
-            return Err(DistError::Invalid("checkpoint ring period must be non-zero".into()));
+            return Err(DistError::Invalid(
+                "checkpoint ring period must be non-zero".into(),
+            ));
         }
     }
     for f in &opts.faults {
@@ -1743,14 +1782,20 @@ fn select_restore(
             }
         }
         if ok {
-            return Some((*at, parts.iter().map(|(k, v)| (k.clone(), v.clone())).collect()));
+            return Some((
+                *at,
+                parts.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
+            ));
         }
     }
     None
 }
 
 fn control_lost(p: &str, e: io::Error) -> DistError {
-    DistError::ControlLost { partition: p.to_string(), error: e.to_string() }
+    DistError::ControlLost {
+        partition: p.to_string(),
+        error: e.to_string(),
+    }
 }
 
 fn conn_of<'a>(
@@ -1780,7 +1825,10 @@ pub fn run_distributed(opts: &DistOptions, build: &BuildFn) -> Result<DistResult
     let mut faults: Vec<FaultState> = opts
         .faults
         .iter()
-        .map(|spec| FaultState { spec: spec.clone(), fired: false })
+        .map(|spec| FaultState {
+            spec: spec.clone(),
+            fired: false,
+        })
         .collect();
     let mut ring_store: RingStore = RingStore::new();
     let mut restore: Option<(u64, HashMap<String, Vec<u8>>)> = None;
@@ -1806,7 +1854,9 @@ pub fn run_distributed(opts: &DistOptions, build: &BuildFn) -> Result<DistResult
                 report.restarts = restarts;
                 restore = select_restore(&ring_store, &opts.partitions, &mut report);
                 let cut = restore.as_ref().map(|(at, _)| *at).unwrap_or(0);
-                report.ring_entries_used.push(restore.as_ref().map(|_| SimTime::from_ps(cut)));
+                report
+                    .ring_entries_used
+                    .push(restore.as_ref().map(|_| SimTime::from_ps(cut)));
                 report.time_lost =
                     SimTime::from_ps(report.time_lost.as_ps() + high_water.saturating_sub(cut));
                 // Slots past the restore point will be re-captured (bit-
@@ -1915,7 +1965,8 @@ fn run_attempt(
         match listener.accept() {
             Ok((mut s, _)) => {
                 s.set_nonblocking(false).map_err(DistError::from)?;
-                s.set_read_timeout(Some(CONTROL_TIMEOUT)).map_err(DistError::from)?;
+                s.set_read_timeout(Some(CONTROL_TIMEOUT))
+                    .map_err(DistError::from)?;
                 s.set_nodelay(true).map_err(DistError::from)?;
                 let hello = expect_frame(&mut s, MSG_HELLO)
                     .map_err(|e| control_lost("<handshaking>", e))?;
@@ -1983,9 +2034,9 @@ fn run_attempt(
         let blob = match restore {
             Some((_, blobs)) => blobs.get(p).cloned(),
             None => match &opts.restore_from {
-                Some(dir) => Some(
-                    std::fs::read(dir.join(format!("{p}.ckpt"))).map_err(DistError::from)?,
-                ),
+                Some(dir) => {
+                    Some(std::fs::read(dir.join(format!("{p}.ckpt"))).map_err(DistError::from)?)
+                }
                 None => None,
             },
         };
@@ -2146,7 +2197,9 @@ fn merge_ring_slot(
     let merged = match crate::checkpoint::CheckpointFile::merge(&files, global_names) {
         Ok(m) => m,
         Err(e) => {
-            report.rejected_entries.push(format!("merge slot {at} ps: {e}"));
+            report
+                .rejected_entries
+                .push(format!("merge slot {at} ps: {e}"));
             return;
         }
     };
@@ -2303,7 +2356,10 @@ fn supervise(
         // 3. Liveness: a worker that exited, or fell silent, before its
         // result is a classified failure, not a hang.
         for (name, child) in &mut guard.children {
-            let done = states.get(name).map(|s| s.report.is_some()).unwrap_or(false);
+            let done = states
+                .get(name)
+                .map(|s| s.report.is_some())
+                .unwrap_or(false);
             if done {
                 continue;
             }
@@ -2369,7 +2425,11 @@ fn supervise(
                 }
                 FaultKind::CorruptCheckpoint | FaultKind::TruncateCheckpoint => {
                     let truncate = matches!(f.spec.kind, FaultKind::TruncateCheckpoint);
-                    let label = if truncate { "truncate_checkpoint" } else { "corrupt_checkpoint" };
+                    let label = if truncate {
+                        "truncate_checkpoint"
+                    } else {
+                        "corrupt_checkpoint"
+                    };
                     let newest = ring_store
                         .iter()
                         .rev()
@@ -2448,13 +2508,21 @@ mod tests {
         pb.add(
             "p0",
             "left",
-            Box::new(Pinger { count: 5, sent: 0, received: 0 }),
+            Box::new(Pinger {
+                count: 5,
+                sent: 0,
+                received: 0,
+            }),
             vec![a],
         );
         pb.add(
             "p1",
             "right",
-            Box::new(Pinger { count: 0, sent: 0, received: 0 }),
+            Box::new(Pinger {
+                count: 0,
+                sent: 0,
+                received: 0,
+            }),
             vec![b],
         );
     }
@@ -2475,7 +2543,10 @@ mod tests {
         assert!(pb.local_globals.is_empty(), "nothing instantiated");
         assert_eq!(pb.links.len(), 1);
         assert_eq!(pb.links[0].name, "x-link");
-        assert_eq!((pb.links[0].a.as_str(), pb.links[0].b.as_str()), ("p0", "p1"));
+        assert_eq!(
+            (pb.links[0].a.as_str(), pb.links[0].b.as_str()),
+            ("p0", "p1")
+        );
         assert_eq!(pb.exp().num_components(), 0);
     }
 
@@ -2490,23 +2561,39 @@ mod tests {
         let g0 = pb.add(
             "p0",
             "mine-a",
-            Box::new(Pinger { count: 0, sent: 0, received: 0 }),
+            Box::new(Pinger {
+                count: 0,
+                sent: 0,
+                received: 0,
+            }),
             vec![a],
         );
         let g1 = pb.add(
             "p1",
             "theirs",
-            Box::new(Pinger { count: 0, sent: 0, received: 0 }),
+            Box::new(Pinger {
+                count: 0,
+                sent: 0,
+                received: 0,
+            }),
             vec![],
         );
         let g2 = pb.add(
             "p0",
             "mine-b",
-            Box::new(Pinger { count: 0, sent: 0, received: 0 }),
+            Box::new(Pinger {
+                count: 0,
+                sent: 0,
+                received: 0,
+            }),
             vec![b],
         );
         assert_eq!((g0, g1, g2), (0, 1, 2), "global ids count every component");
-        assert_eq!(pb.exp().num_components(), 2, "only p0 components instantiated");
+        assert_eq!(
+            pb.exp().num_components(),
+            2,
+            "only p0 components instantiated"
+        );
         assert_eq!(pb.local_globals, vec![0, 2]);
     }
 
@@ -2529,7 +2616,9 @@ mod tests {
             .with_heartbeat(Duration::from_millis(25))
             .with_faults(vec![FaultSpec {
                 at: SimTime::from_us(1),
-                kind: FaultKind::KillWorker { partition: "p0".into() },
+                kind: FaultKind::KillWorker {
+                    partition: "p0".into(),
+                },
             }]);
         assert_eq!(o.exec, Execution::Sharded { workers: 2 });
         assert_eq!(o.worker_args, vec!["x"]);
@@ -2541,18 +2630,33 @@ mod tests {
 
     #[test]
     fn dist_error_retryability_classification() {
-        assert!(DistError::WorkerExited { partition: "p".into(), status: "9".into() }.retryable());
-        assert!(DistError::ControlLost { partition: "p".into(), error: "eof".into() }.retryable());
+        assert!(DistError::WorkerExited {
+            partition: "p".into(),
+            status: "9".into()
+        }
+        .retryable());
+        assert!(DistError::ControlLost {
+            partition: "p".into(),
+            error: "eof".into()
+        }
+        .retryable());
         assert!(DistError::HeartbeatTimeout {
             partition: "p".into(),
             silent: Duration::from_secs(1)
         }
         .retryable());
         assert!(DistError::FaultSever { link: "l".into() }.retryable());
-        assert!(DistError::ConnectTimeout { missing: vec!["p".into()] }.retryable());
+        assert!(DistError::ConnectTimeout {
+            missing: vec!["p".into()]
+        }
+        .retryable());
         assert!(!DistError::Invalid("x".into()).retryable());
         assert!(!DistError::Io("x".into()).retryable());
-        assert!(!DistError::Protocol { partition: "p".into(), error: "x".into() }.retryable());
+        assert!(!DistError::Protocol {
+            partition: "p".into(),
+            error: "x".into()
+        }
+        .retryable());
         let report = RecoveryReport::default();
         assert!(!DistError::RestartsExhausted {
             restarts: 2,
@@ -2603,9 +2707,16 @@ mod tests {
         let (at, blobs) = picked.expect("slot 100 is usable");
         assert_eq!(at, 100, "newest *valid and complete* slot wins");
         assert_eq!(blobs.len(), 2);
-        assert_eq!(report.rejected_entries.len(), 1, "corrupt slot 200 recorded");
+        assert_eq!(
+            report.rejected_entries.len(),
+            1,
+            "corrupt slot 200 recorded"
+        );
         assert!(report.rejected_entries[0].contains("200"));
-        assert!(!report.is_trivial(), "rejections make the report non-trivial");
+        assert!(
+            !report.is_trivial(),
+            "rejections make the report non-trivial"
+        );
     }
 
     #[test]
@@ -2630,16 +2741,25 @@ mod tests {
         damage_blob(&mut b, false);
         assert_eq!(a, b, "same fault schedule must damage identically");
         assert_ne!(a, clean);
-        assert!(CheckpointFile::decode(&a).is_err(), "checksum catches the flip");
+        assert!(
+            CheckpointFile::decode(&a).is_err(),
+            "checksum catches the flip"
+        );
         let mut t = clean.clone();
         damage_blob(&mut t, true);
-        assert!(CheckpointFile::decode(&t).is_err(), "truncation is rejected");
+        assert!(
+            CheckpointFile::decode(&t).is_err(),
+            "truncation is rejected"
+        );
     }
 
     #[test]
     fn frame_buf_reassembles_partial_and_batched_frames() {
         let mut wire = Vec::new();
-        for (ty, payload) in [(MSG_HEARTBEAT, &[1u8, 0, 0, 0, 0, 0, 0, 0][..]), (MSG_DONE, &[])] {
+        for (ty, payload) in [
+            (MSG_HEARTBEAT, &[1u8, 0, 0, 0, 0, 0, 0, 0][..]),
+            (MSG_DONE, &[]),
+        ] {
             wire.extend_from_slice(&((payload.len() + 1) as u32).to_le_bytes());
             wire.push(ty);
             wire.extend_from_slice(payload);

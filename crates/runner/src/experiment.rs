@@ -402,7 +402,11 @@ impl Experiment {
         // (emulation) runs have no meaningful global clock; components run
         // open-ended and the experiment ends via the shared stop flag once
         // the workload completes.
-        let end = if self.synchronized { self.end } else { SimTime::MAX };
+        let end = if self.synchronized {
+            self.end
+        } else {
+            SimTime::MAX
+        };
         let mut kernel = Kernel::new(name.clone(), end);
         kernel.set_stop_flag(self.stop.clone());
         if !self.synchronized {
@@ -477,7 +481,10 @@ impl Experiment {
     /// Non-consuming form of [`Experiment::with_checkpoint_ring`] (used when
     /// the experiment was built by a lowering that already returned it).
     pub fn set_checkpoint_ring(&mut self, period: SimTime, keep_n: usize) {
-        assert!(period > SimTime::ZERO, "checkpoint ring period must be non-zero");
+        assert!(
+            period > SimTime::ZERO,
+            "checkpoint ring period must be non-zero"
+        );
         self.ring = Some((period, keep_n));
     }
 
@@ -575,7 +582,10 @@ impl Experiment {
             self.end
         );
         if let Some(r) = self.restored_at {
-            assert!(at >= r, "freeze time {at} lies before the restore point {r}");
+            assert!(
+                at >= r,
+                "freeze time {at} lies before the restore point {r}"
+            );
         }
         self.quiesce_and_encode(at)
     }
@@ -688,11 +698,7 @@ impl Experiment {
             for c in &mut self.components {
                 c.kernel.checkpoint_poll();
             }
-            if self
-                .components
-                .iter()
-                .all(|c| c.kernel.quiesced_at(at))
-            {
+            if self.components.iter().all(|c| c.kernel.quiesced_at(at)) {
                 break;
             }
             if any_progress {
@@ -716,9 +722,7 @@ impl Experiment {
                     .filter(|c| !c.kernel.quiesced_at(at))
                     .map(|c| {
                         let ports: Vec<String> = (0..c.kernel.num_ports())
-                            .map(|i| {
-                                format!("p{i}[{}]", c.kernel.port_sync_describe(PortId(i)))
-                            })
+                            .map(|i| format!("p{i}[{}]", c.kernel.port_sync_describe(PortId(i))))
                             .collect();
                         format!("{}@{} {}", c.name, c.kernel.now(), ports.join(" "))
                     })
@@ -816,7 +820,12 @@ impl Experiment {
         let delta = |ci: usize, p: usize| self.components[ci].kernel.port_latency(PortId(p));
         let mut floors: HashMap<(usize, usize), SimTime> = peer
             .keys()
-            .chain(by_conn.values().flatten().filter(|e| !peer.contains_key(*e)))
+            .chain(
+                by_conn
+                    .values()
+                    .flatten()
+                    .filter(|e| !peer.contains_key(*e)),
+            )
             .map(|&(ci, p)| ((ci, p), delta(ci, p)))
             .collect();
         // Upward relaxation; monotone and bounded by the longest simple
@@ -854,9 +863,7 @@ impl Experiment {
                         continue;
                     }
                     let (l, m) = match la {
-                        SyncLookahead::ExcludeSelf(l) => {
-                            (l, if arg1 == p { min2 } else { min1 })
-                        }
+                        SyncLookahead::ExcludeSelf(l) => (l, if arg1 == p { min2 } else { min1 }),
                         SyncLookahead::Reaction(d) => (d, min1),
                     };
                     if m.is_max() {
@@ -1102,7 +1109,14 @@ impl Experiment {
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| !finished[*i])
-                    .map(|(i, c)| format!("{}@{} {:?}", c.name, c.kernel.now(), self_stats(&self.components[i])))
+                    .map(|(i, c)| {
+                        format!(
+                            "{}@{} {:?}",
+                            c.name,
+                            c.kernel.now(),
+                            self_stats(&self.components[i])
+                        )
+                    })
                     .collect();
                 panic!(
                     "deadlock in experiment '{}': blocked components: {}",
@@ -1310,7 +1324,10 @@ mod tests {
     fn global_barrier_mode_runs_to_completion() {
         let mut e = Experiment::new("barrier", SimTime::from_us(100)).with_global_barrier();
         let (a, b) = channel_pair(e.eth_params());
-        assert!(!e.eth_params().sync, "barrier mode disables per-channel sync");
+        assert!(
+            !e.eth_params().sync,
+            "barrier mode disables per-channel sync"
+        );
         e.add(
             "left",
             Box::new(Echoer {
@@ -1332,7 +1349,10 @@ mod tests {
         let r = e.run(Execution::Sequential);
         let right: &Echoer = r.model(1).unwrap();
         assert_eq!(right.received, 3);
-        assert!(r.total_stats().barrier_waits > 0, "barrier was actually used");
+        assert!(
+            r.total_stats().barrier_waits > 0,
+            "barrier was actually used"
+        );
     }
 
     #[test]

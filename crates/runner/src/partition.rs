@@ -90,7 +90,10 @@ impl UnionFind {
 impl PartitionGraph {
     /// An empty graph over `n` components and no links.
     pub fn new(n: usize) -> Self {
-        PartitionGraph { n, edges: Vec::new() }
+        PartitionGraph {
+            n,
+            edges: Vec::new(),
+        }
     }
 
     /// Number of components.

@@ -107,7 +107,10 @@ const STATE_POISONED: u8 = 3;
 /// Total region size for a (possibly header-supplied) geometry, or `None`
 /// when it does not fit the address space.
 fn region_len_for(slots: usize, stride: usize) -> Option<usize> {
-    slots.checked_mul(stride)?.checked_mul(2)?.checked_add(HEADER_LEN)
+    slots
+        .checked_mul(stride)?
+        .checked_mul(2)?
+        .checked_add(HEADER_LEN)
 }
 
 fn bad(msg: &str) -> io::Error {
@@ -241,7 +244,8 @@ impl ShmRegion {
     }
 
     fn poison(&self) {
-        self.atomic_at(OFF_STATE).store(STATE_POISONED, Ordering::Release);
+        self.atomic_at(OFF_STATE)
+            .store(STATE_POISONED, Ordering::Release);
     }
 
     /// Tear the link down from outside the simulation (an injected `SEVER`):
@@ -268,10 +272,16 @@ impl ShmRegion {
                 _ => {}
             }
             if shutdown.is_set() {
-                return Err(io::Error::new(io::ErrorKind::Interrupted, "shutdown during attach"));
+                return Err(io::Error::new(
+                    io::ErrorKind::Interrupted,
+                    "shutdown during attach",
+                ));
             }
             if Instant::now() > deadline {
-                return Err(io::Error::new(io::ErrorKind::TimedOut, "shm peer never attached"));
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "shm peer never attached",
+                ));
             }
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -281,13 +291,12 @@ impl ShmRegion {
 /// Create the region file for `link` (the owning / listening side),
 /// returning the A-side endpoint. The header carries the same metadata as
 /// the SBPX socket handshake and is published with `state = READY`.
-pub fn create_region(
-    path: &Path,
-    link: &str,
-    params: ChannelParams,
-) -> io::Result<ShmEndpoint> {
+pub fn create_region(path: &Path, link: &str, params: ChannelParams) -> io::Result<ShmEndpoint> {
     if link.len() > MAX_NAME {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "link name too long"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "link name too long",
+        ));
     }
     let slots = params.queue_len.max(2);
     let len = region_len_for(slots, SLOT_BYTES)
@@ -318,7 +327,9 @@ pub fn create_region(
     region.write_bytes(OFF_SLOTS, &(slots as u32).to_le_bytes());
     region.write_bytes(OFF_STRIDE, &(SLOT_BYTES as u32).to_le_bytes());
     // Publish: everything above must be visible before READY is observed.
-    region.atomic_at(OFF_STATE).store(STATE_READY, Ordering::Release);
+    region
+        .atomic_at(OFF_STATE)
+        .store(STATE_READY, Ordering::Release);
     Ok(ShmEndpoint::new(Arc::new(region), Side::A, params))
 }
 
@@ -337,7 +348,10 @@ pub fn attach_region(
     let slots = params.queue_len.max(2);
     loop {
         if shutdown.is_set() {
-            return Err(io::Error::new(io::ErrorKind::Interrupted, "shutdown during attach"));
+            return Err(io::Error::new(
+                io::ErrorKind::Interrupted,
+                "shutdown during attach",
+            ));
         }
         if Instant::now() > deadline {
             return Err(io::Error::new(
@@ -384,7 +398,9 @@ pub fn attach_region(
                     region.poison();
                     return Err(bad("shm region ring geometry mismatch"));
                 }
-                region.atomic_at(OFF_STATE).store(STATE_ATTACHED, Ordering::Release);
+                region
+                    .atomic_at(OFF_STATE)
+                    .store(STATE_ATTACHED, Ordering::Release);
                 return Ok(ShmEndpoint::new(Arc::new(region), Side::B, params));
             }
             None => std::thread::sleep(Duration::from_millis(1)),
@@ -550,7 +566,13 @@ impl ShmEndpoint {
 pub(crate) fn region_path(dir: &Path, link: &str) -> PathBuf {
     let mut name: String = link
         .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect();
     // Distinct links must get distinct files even after sanitization.
     let mut h: u64 = 0xcbf29ce484222325;
@@ -608,8 +630,12 @@ mod tests {
         let mut b = attach_region(&path, "l0", params, soon(), &sd).unwrap();
         for i in 0..20u64 {
             // Interleave so the ring wraps.
-            a.push(&OwnedMsg::new(SimTime::from_ns(i), 5, i.to_le_bytes().to_vec()))
-                .unwrap();
+            a.push(&OwnedMsg::new(
+                SimTime::from_ns(i),
+                5,
+                i.to_le_bytes().to_vec(),
+            ))
+            .unwrap();
             let m = b.pop().unwrap();
             assert_eq!(m.timestamp, SimTime::from_ns(i));
             assert_eq!(m.ty, 5);
@@ -630,9 +656,13 @@ mod tests {
         let mut a = create_region(&path, "l1", params).unwrap();
         let mut b = attach_region(&path, "l1", params, soon(), &sd).unwrap();
         for i in 0..4u64 {
-            a.push(&OwnedMsg::new(SimTime::from_ns(i), 1, vec![i as u8])).unwrap();
+            a.push(&OwnedMsg::new(SimTime::from_ns(i), 1, vec![i as u8]))
+                .unwrap();
         }
-        assert_eq!(a.push(&OwnedMsg::new(SimTime::ZERO, 1, vec![])), Err(SendError::Full));
+        assert_eq!(
+            a.push(&OwnedMsg::new(SimTime::ZERO, 1, vec![])),
+            Err(SendError::Full)
+        );
         for i in 0..4u64 {
             assert_eq!(b.pop().unwrap().data, vec![i as u8]);
         }
@@ -659,7 +689,9 @@ mod tests {
         let err = attach_region(&path, "l", other, deadline, &sd).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // The rejection poisoned the region, so the creator fails fast too.
-        let err = a.wait_attached(Instant::now() + Duration::from_millis(200), &sd).unwrap_err();
+        let err = a
+            .wait_attached(Instant::now() + Duration::from_millis(200), &sd)
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // Differing queue lengths change the region size; the attacher must
@@ -672,7 +704,10 @@ mod tests {
         let before = Instant::now();
         let err = attach_region(&path, "l", other, deadline, &sd).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(before.elapsed() < Duration::from_millis(400), "failed fast, no timeout poll");
+        assert!(
+            before.elapsed() < Duration::from_millis(400),
+            "failed fast, no timeout poll"
+        );
 
         // Missing region times out instead of hanging.
         let path = temp_path("missing");
@@ -803,7 +838,8 @@ mod tests {
         // length at +16.
         let desc = HEADER_LEN as u64;
         let file = File::options().write(true).open(&path).unwrap();
-        file.write_all_at(&u32::MAX.to_le_bytes(), desc + 16).unwrap();
+        file.write_all_at(&u32::MAX.to_le_bytes(), desc + 16)
+            .unwrap();
         file.write_all_at(&[0x80 | 5], desc).unwrap();
         let m = b.pop().expect("published slot is delivered");
         assert_eq!(m.ty, 5);

@@ -45,7 +45,9 @@ use simbricks_runner::{
     maybe_worker, run_distributed, DistError, DistOptions, Execution, PartitionBuilder, RingMeta,
     RingOptions, TransportKind, RING_SCENARIO_FILE,
 };
-use simbricks_scenario::{build_from_toml, fault_schedule, lower, parse_duration, Doc, Scenario, Value};
+use simbricks_scenario::{
+    build_from_toml, fault_schedule, lower, parse_duration, Doc, Scenario, Value,
+};
 
 struct Args {
     file: Option<String>,
@@ -225,11 +227,7 @@ fn section_addrs(doc: &Doc) -> Vec<Vec<String>> {
 }
 
 fn addr_matches(addr: &[String], key: &[&str]) -> bool {
-    addr.len() == key.len()
-        && addr
-            .iter()
-            .zip(key)
-            .all(|(a, k)| *k == "*" || a == k)
+    addr.len() == key.len() && addr.iter().zip(key).all(|(a, k)| *k == "*" || a == k)
 }
 
 /// Apply one `key = value` override to every matching section, creating a
@@ -611,7 +609,11 @@ fn main() -> ExitCode {
                 }
             }
         }
-        return if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+        return if ok {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        };
     }
 
     let file = args.file.as_deref().expect("checked in parse_args");

@@ -298,8 +298,8 @@ pub fn fault_schedule(spec: &Scenario) -> Vec<FaultSpec> {
 /// on invalid input (the orchestrator validates first, so a worker-side
 /// failure means the file changed mid-run).
 pub fn build_from_toml(scenario: &str, pb: &mut PartitionBuilder) {
-    let spec = Scenario::from_toml_str(scenario)
-        .unwrap_or_else(|e| panic!("invalid scenario: {e}"));
+    let spec =
+        Scenario::from_toml_str(scenario).unwrap_or_else(|e| panic!("invalid scenario: {e}"));
     lower(&spec, pb);
 }
 

@@ -204,12 +204,10 @@ fn get_u16(sec: &Section, key: &str) -> Result<Option<u16>, ScenarioError> {
 fn get_duration(sec: &Section, key: &str) -> Result<Option<SimTime>, ScenarioError> {
     match sec.get(key) {
         None => Ok(None),
-        Some(Value::Str(s)) => {
-            parse_duration(s).map(Some).map_err(|m| ScenarioError {
-                line: sec.line_of(key),
-                msg: format!("`{key}`: {m}"),
-            })
-        }
+        Some(Value::Str(s)) => parse_duration(s).map(Some).map_err(|m| ScenarioError {
+            line: sec.line_of(key),
+            msg: format!("`{key}`: {m}"),
+        }),
         Some(Value::Int(_)) => err(
             sec.line_of(key),
             format!("`{key}` needs a unit: write it as a string like \"500ns\" or \"2ms\""),
@@ -224,12 +222,10 @@ fn get_duration(sec: &Section, key: &str) -> Result<Option<SimTime>, ScenarioErr
 fn get_bandwidth(sec: &Section, key: &str) -> Result<Option<u64>, ScenarioError> {
     match sec.get(key) {
         None => Ok(None),
-        Some(Value::Str(s)) => {
-            parse_bandwidth(s).map(Some).map_err(|m| ScenarioError {
-                line: sec.line_of(key),
-                msg: format!("`{key}`: {m}"),
-            })
-        }
+        Some(Value::Str(s)) => parse_bandwidth(s).map(Some).map_err(|m| ScenarioError {
+            line: sec.line_of(key),
+            msg: format!("`{key}`: {m}"),
+        }),
         Some(Value::Int(i)) if *i > 0 => Ok(Some(*i as u64)),
         Some(v) => err(
             sec.line_of(key),
@@ -358,9 +354,7 @@ impl AqmSpec {
             }
             other => err(
                 sec.line_of("type"),
-                format!(
-                    "unknown AQM type `{other}` (known: droptail, dctcp, red, codel, dualpi2)"
-                ),
+                format!("unknown AQM type `{other}` (known: droptail, dctcp, red, codel, dualpi2)"),
             ),
         }
     }
@@ -540,9 +534,7 @@ impl AppSpec {
             AppSpec::IperfTcpClient { server, .. }
             | AppSpec::IperfUdpClient { server, .. }
             | AppSpec::NetperfClient { server, .. } => vec![server.as_str()],
-            AppSpec::MemaslapClient { servers, .. } => {
-                servers.iter().map(|s| s.as_str()).collect()
-            }
+            AppSpec::MemaslapClient { servers, .. } => servers.iter().map(|s| s.as_str()).collect(),
             _ => Vec::new(),
         }
     }
@@ -571,7 +563,10 @@ impl AppSpec {
                 })
             }
             "iperf_udp_client" => {
-                check_keys(sec, &["type", "server", "port", "rate", "payload", "duration"])?;
+                check_keys(
+                    sec,
+                    &["type", "server", "port", "rate", "payload", "duration"],
+                )?;
                 let rate = get_bandwidth(sec, "rate")?.ok_or_else(|| ScenarioError {
                     line: sec.line,
                     msg: "iperf_udp_client needs `rate` (e.g. \"500Mbps\")".into(),
@@ -781,7 +776,10 @@ impl FaultDecl {
         let partition = get_str(sec, "partition")?;
         let link = get_str(sec, "link")?;
         if partition.is_some() && kind != FaultDeclKind::KillWorker {
-            return err(sec.line_of("partition"), "`partition` is only valid for kill_worker");
+            return err(
+                sec.line_of("partition"),
+                "`partition` is only valid for kill_worker",
+            );
         }
         if link.is_some() && kind != FaultDeclKind::SeverLink {
             return err(sec.line_of("link"), "`link` is only valid for sever_link");
@@ -1109,7 +1107,10 @@ impl Scenario {
                         l.aqm = Some(AqmSpec::parse(sec)?);
                     }
                     _ => {
-                        return err(sec.line, "[link.aqm] must follow the [[link]] it belongs to")
+                        return err(
+                            sec.line,
+                            "[link.aqm] must follow the [[link]] it belongs to",
+                        )
                     }
                 },
                 _ => {
@@ -1254,7 +1255,10 @@ impl Scenario {
                 return err(l.line, format!("duplicate link name `{}`", l.name));
             }
             if l.a == l.b {
-                return err(l.line, format!("link `{}` connects `{}` to itself", l.name, l.a));
+                return err(
+                    l.line,
+                    format!("link `{}` connects `{}` to itself", l.name, l.a),
+                );
             }
             for endpoint in [&l.a, &l.b] {
                 if !self.nodes.iter().any(|n| n.name() == endpoint.as_str()) {
@@ -1268,9 +1272,7 @@ impl Scenario {
                     );
                 }
             }
-            if l.aqm.is_some()
-                && !self.links_touches_switch(l)
-            {
+            if l.aqm.is_some() && !self.links_touches_switch(l) {
                 return err(
                     l.line,
                     format!(
@@ -1516,10 +1518,7 @@ jitter = "50ns"
     #[test]
     fn validation_errors_are_actionable() {
         expect_err("[scenario]\nname = \"x\"\n", "duration");
-        expect_err(
-            "[scenario]\nname = \"x\"\nduration = \"1ms\"\n",
-            "no hosts",
-        );
+        expect_err("[scenario]\nname = \"x\"\nduration = \"1ms\"\n", "no hosts");
         // Unknown link endpoint.
         expect_err(
             &GOOD.replace("b = \"sw\"", "b = \"nope\""),
@@ -1531,10 +1530,7 @@ jitter = "50ns"
             "missing its [host.app]",
         );
         // Unknown keys get named with suggestions.
-        expect_err(
-            &GOOD.replace("seed = 7", "sede = 7"),
-            "unknown key `sede`",
-        );
+        expect_err(&GOOD.replace("seed = 7", "sede = 7"), "unknown key `sede`");
         // Duplicate indices collide.
         expect_err(
             &GOOD.replace("name = \"c0\"\n", "name = \"c0\"\nindex = 0\n"),

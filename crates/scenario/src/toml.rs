@@ -275,7 +275,10 @@ fn parse_value(s: &str, line: usize) -> Result<Value, TomlError> {
                 } else if rest.is_empty() {
                     break;
                 } else {
-                    return err(line, format!("expected `,` between array elements, found `{rest}`"));
+                    return err(
+                        line,
+                        format!("expected `,` between array elements, found `{rest}`"),
+                    );
                 }
             } else {
                 rest.find(',').unwrap_or(rest.len())
@@ -330,7 +333,9 @@ fn parse_header(line_text: &str, line: usize) -> Result<(Vec<String>, bool), Tom
         if !is_bare_key(seg) {
             return err(
                 line,
-                format!("invalid header segment `{seg}` (use bare keys: letters, digits, `_`, `-`)"),
+                format!(
+                    "invalid header segment `{seg}` (use bare keys: letters, digits, `_`, `-`)"
+                ),
             );
         }
         path.push(seg.to_string());
@@ -520,7 +525,8 @@ name = "c0"
 
     #[test]
     fn roundtrip_through_serializer() {
-        let text = "top = 1\n\n[scenario]\nname = \"x\"\n\n[[host]]\nname = \"h0\"\nports = [1, 2]\n";
+        let text =
+            "top = 1\n\n[scenario]\nname = \"x\"\n\n[[host]]\nname = \"h0\"\nports = [1, 2]\n";
         let d = Doc::parse(text).unwrap();
         let out = d.to_toml_string();
         let d2 = Doc::parse(&out).unwrap();

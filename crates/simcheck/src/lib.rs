@@ -335,7 +335,11 @@ fn strip(src: &str) -> Vec<Line> {
                     st = St::BlockComment(depth + 1);
                     i += 2;
                 } else if c == b'*' && b.get(i + 1) == Some(&b'/') {
-                    st = if depth == 1 { St::Code } else { St::BlockComment(depth - 1) };
+                    st = if depth == 1 {
+                        St::Code
+                    } else {
+                        St::BlockComment(depth - 1)
+                    };
                     i += 2;
                 } else {
                     cur.comment.push(c as char);
@@ -388,7 +392,9 @@ fn strip(src: &str) -> Vec<Line> {
 }
 
 fn prev_is_ident(code: &str) -> bool {
-    code.chars().next_back().is_some_and(|c| c.is_ascii_alphanumeric() || c == '_')
+    code.chars()
+        .next_back()
+        .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
 /// Mark lines inside `#[cfg(test)]` / `#[test]` item bodies: from the
@@ -454,8 +460,15 @@ fn tokens(code: &str) -> Vec<String> {
 fn waiver_on(lines: &[Line], idx: usize, tag: &str) -> Option<String> {
     for j in [Some(idx), idx.checked_sub(1)].into_iter().flatten() {
         if let Some(pos) = lines[j].comment.find(tag) {
-            let reason = lines[j].comment[pos + tag.len()..].trim().trim_start_matches(':').trim();
-            return Some(if reason.is_empty() { "(no reason given)".into() } else { reason.into() });
+            let reason = lines[j].comment[pos + tag.len()..]
+                .trim()
+                .trim_start_matches(':')
+                .trim();
+            return Some(if reason.is_empty() {
+                "(no reason given)".into()
+            } else {
+                reason.into()
+            });
         }
     }
     None
@@ -465,7 +478,9 @@ fn waiver_on(lines: &[Line], idx: usize, tag: &str) -> Option<String> {
 /// Paths inside a `fixtures` directory are rule playgrounds: classified as
 /// no-crate so the full rule set applies regardless of where they live.
 fn crate_of(path: &Path) -> Option<String> {
-    let mut comps = path.components().map(|c| c.as_os_str().to_string_lossy().into_owned());
+    let mut comps = path
+        .components()
+        .map(|c| c.as_os_str().to_string_lossy().into_owned());
     if path.components().any(|c| c.as_os_str() == "fixtures") {
         return None;
     }
@@ -523,7 +538,11 @@ fn r5_io_panic(path: &Path, lines: &[Line], out: &mut Vec<Finding>) {
         let mut what: Option<&str> = None;
         for w in toks.windows(3) {
             if w[0] == "." && w[2] == "(" && (w[1] == "unwrap" || w[1] == "expect") {
-                what = Some(if w[1] == "unwrap" { ".unwrap()" } else { ".expect(...)" });
+                what = Some(if w[1] == "unwrap" {
+                    ".unwrap()"
+                } else {
+                    ".expect(...)"
+                });
                 break;
             }
             if w[0] == "panic" && w[1] == "!" && w[2] == "(" {
@@ -580,7 +599,11 @@ fn r1_unordered_iter(path: &Path, lines: &[Line], out: &mut Vec<Finding>) {
         for name in &hash_idents {
             let mut hit: Option<String> = None;
             for w in toks.windows(4) {
-                if &w[0] == name && w[1] == "." && ITER_METHODS.contains(&w[2].as_str()) && w[3] == "(" {
+                if &w[0] == name
+                    && w[1] == "."
+                    && ITER_METHODS.contains(&w[2].as_str())
+                    && w[3] == "("
+                {
                     hit = Some(format!("`{}.{}()` iterates a hash table", name, w[2]));
                     break;
                 }
@@ -621,7 +644,11 @@ fn r2_wall_clock(path: &Path, lines: &[Line], out: &mut Vec<Finding>) {
             .any(|w| w[0] == "Instant" && w[1] == ":" && w[2] == ":" && w[3] == "now");
         let systime = toks.iter().any(|t| t == "SystemTime");
         if instant_now || systime {
-            let what = if instant_now { "Instant::now" } else { "SystemTime" };
+            let what = if instant_now {
+                "Instant::now"
+            } else {
+                "SystemTime"
+            };
             out.push(Finding {
                 rule: Rule::R2WallClock,
                 file: path.to_path_buf(),
@@ -644,12 +671,15 @@ fn r4_nondet(path: &Path, lines: &[Line], out: &mut Vec<Finding>) {
         let mut msg = None;
         for bad in ["thread_rng", "from_entropy", "RandomState"] {
             if toks.iter().any(|t| t == bad) {
-                msg = Some(format!("`{bad}` is OS-seeded ambient randomness; use the seeded simulation RNG"));
+                msg = Some(format!(
+                    "`{bad}` is OS-seeded ambient randomness; use the seeded simulation RNG"
+                ));
                 break;
             }
         }
         if msg.is_none() {
-            let has_time_ctor = l.code.contains("SimTime::from_") || l.code.contains("TimePs::from_");
+            let has_time_ctor =
+                l.code.contains("SimTime::from_") || l.code.contains("TimePs::from_");
             // The float cast often sits on the constructor's continuation
             // line; look one line ahead as well.
             let float_on = |i: usize| {
@@ -895,7 +925,9 @@ fn brace_block_idents(lines: &[Line], start: usize) -> Option<Vec<String>> {
 }
 
 fn is_ident(t: &str) -> bool {
-    t.chars().next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+    t.chars()
+        .next()
+        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
 }
 
 fn push_unique(v: &mut Vec<String>, s: &str) {
@@ -1028,7 +1060,10 @@ mod tests {
                    s.m.retain(|_, v| *v > 0);\n\
                    }\n";
         let f = scan_source(Path::new("crates/base/src/x.rs"), src);
-        let r1: Vec<_> = f.iter().filter(|f| f.rule == Rule::R1UnorderedIter).collect();
+        let r1: Vec<_> = f
+            .iter()
+            .filter(|f| f.rule == Rule::R1UnorderedIter)
+            .collect();
         assert_eq!(r1.len(), 2);
         assert!(!r1[0].waived() && r1[0].line == 3);
         assert!(r1[1].waived() && r1[1].line == 5);
@@ -1067,7 +1102,10 @@ mod tests {
                    fn restore(&mut self, r: &mut R) { self.a = r.u32(); }\n\
                    }\n";
         let f = scan_source(Path::new("crates/base/src/x.rs"), src);
-        let r3: Vec<_> = f.iter().filter(|f| f.rule == Rule::R3SnapshotCoverage).collect();
+        let r3: Vec<_> = f
+            .iter()
+            .filter(|f| f.rule == Rule::R3SnapshotCoverage)
+            .collect();
         assert_eq!(r3.len(), 2, "{r3:?}");
         assert!(r3.iter().any(|f| f.line == 3 && !f.waived()), "b unwaived");
         assert!(r3.iter().any(|f| f.line == 5 && f.waived()), "c waived");
@@ -1092,7 +1130,10 @@ mod tests {
                    fn restore(&mut self, r: &mut R) { let _ = r; }\n\
                    }\n";
         let f = scan_source(Path::new("crates/base/src/x.rs"), src);
-        let r3: Vec<_> = f.iter().filter(|f| f.rule == Rule::R3SnapshotCoverage).collect();
+        let r3: Vec<_> = f
+            .iter()
+            .filter(|f| f.rule == Rule::R3SnapshotCoverage)
+            .collect();
         // S.a/S.b covered via self.to_wire(); T.c is NOT covered by the
         // bare `new` mention (never called as T::new/self.new).
         assert_eq!(r3.len(), 1, "{r3:?}");
@@ -1104,7 +1145,10 @@ mod tests {
         let src = "fn f() { let r = thread_rng(); }\n\
                    fn g(x: f64) -> SimTime { SimTime::from_ns((x * 2.0) as u64) }\n";
         let f = scan_source(Path::new("crates/base/src/x.rs"), src);
-        let r4: Vec<_> = f.iter().filter(|f| f.rule == Rule::R4NondetPrimitive).collect();
+        let r4: Vec<_> = f
+            .iter()
+            .filter(|f| f.rule == Rule::R4NondetPrimitive)
+            .collect();
         assert_eq!(r4.len(), 2, "{r4:?}");
     }
 

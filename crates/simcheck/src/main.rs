@@ -68,7 +68,10 @@ fn main() -> ExitCode {
         if cwd_crates.is_dir() {
             cwd_crates
         } else {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR")).parent().map(PathBuf::from).unwrap_or(cwd_crates)
+            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+                .parent()
+                .map(PathBuf::from)
+                .unwrap_or(cwd_crates)
         }
     });
 

@@ -12,11 +12,14 @@ use simbricks::hostsim::HostModel;
 use simbricks::runner::{Execution, PartitionBuilder};
 use simbricks::scenario::{lower, Doc, Scenario, Value};
 
-const SCENARIO: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/dctcp_fabric.toml");
+const SCENARIO: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../scenarios/dctcp_fabric.toml"
+);
 
 fn main() {
-    let text = std::fs::read_to_string(SCENARIO)
-        .unwrap_or_else(|e| panic!("reading {SCENARIO}: {e}"));
+    let text =
+        std::fs::read_to_string(SCENARIO).unwrap_or_else(|e| panic!("reading {SCENARIO}: {e}"));
     let mut doc = Doc::parse(&text).expect("scenario file parses");
     // A command-line K overrides the file's marking threshold — same
     // mechanism as `simbricks-run --sweep switch.switch.ecn_k=...`.
@@ -33,11 +36,12 @@ fn main() {
     let lowered = lower(&spec, &mut pb);
     let result = pb.into_experiment().run(Execution::Sequential);
 
-    println!(
-        "marking threshold K = {} packets",
-        k_thresh.unwrap_or(20)
-    );
-    for (name, id) in lowered.hosts.iter().filter(|(n, _)| n.starts_with("server")) {
+    println!("marking threshold K = {} packets", k_thresh.unwrap_or(20));
+    for (name, id) in lowered
+        .hosts
+        .iter()
+        .filter(|(n, _)| n.starts_with("server"))
+    {
         let host: &HostModel = result.model(*id).unwrap();
         println!("{name}: {}", host.app_report());
     }

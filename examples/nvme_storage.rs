@@ -13,7 +13,10 @@ use simbricks::SimTime;
 
 fn main() {
     println!("queue-depth sweep, 4 KiB random reads, QEMU-timing-like host, synchronized");
-    println!("{:>4} {:>10} {:>14} {:>14}", "qd", "ops", "IOPS", "mean lat [us]");
+    println!(
+        "{:>4} {:>10} {:>14} {:>14}",
+        "qd", "ops", "IOPS", "mean lat [us]"
+    );
     for qd in [1usize, 2, 4, 8, 16, 32] {
         let duration = SimTime::from_ms(20);
         let mut exp = Experiment::new("nvme-quickstart", duration + SimTime::from_ms(2));
@@ -37,7 +40,10 @@ fn main() {
         let field = |key: &str| {
             report
                 .split_whitespace()
-                .find_map(|t| t.strip_prefix(key).map(|v| v.trim_end_matches("us").to_string()))
+                .find_map(|t| {
+                    t.strip_prefix(key)
+                        .map(|v| v.trim_end_matches("us").to_string())
+                })
                 .unwrap_or_default()
         };
         println!(

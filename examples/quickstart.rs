@@ -28,17 +28,28 @@ fn main() {
         SimTime::from_ms(25), // request/response phase
     ));
 
-    let (_s_host, _s_nic, s_eth) = attach_host_nic(&mut exp, "server", server_cfg, server_app, false);
-    let (c_host, _c_nic, c_eth) = attach_host_nic(&mut exp, "client", client_cfg, client_app, false);
+    let (_s_host, _s_nic, s_eth) =
+        attach_host_nic(&mut exp, "server", server_cfg, server_app, false);
+    let (c_host, _c_nic, c_eth) =
+        attach_host_nic(&mut exp, "client", client_cfg, client_app, false);
     exp.add(
         "switch",
-        Box::new(SwitchBm::new(SwitchConfig { ports: 2, ..Default::default() })),
+        Box::new(SwitchBm::new(SwitchConfig {
+            ports: 2,
+            ..Default::default()
+        })),
         vec![s_eth, c_eth],
     );
 
     let result = exp.run(Execution::Sequential);
     let client: &HostModel = result.model(c_host).expect("client host");
-    println!("simulated {} of virtual time in {:.2?} wall clock", result.virtual_time, result.wall);
+    println!(
+        "simulated {} of virtual time in {:.2?} wall clock",
+        result.virtual_time, result.wall
+    );
     println!("client report: {}", client.report());
-    println!("total sync messages exchanged: {}", result.total_stats().syncs_sent);
+    println!(
+        "total sync messages exchanged: {}",
+        result.total_stats().syncs_sent
+    );
 }

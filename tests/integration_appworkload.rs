@@ -54,7 +54,10 @@ fn run_memcache_rack(mode: Execution) -> (u64, usize) {
     let ports = eth.len();
     exp.add(
         "switch",
-        Box::new(SwitchBm::new(SwitchConfig { ports, ..Default::default() })),
+        Box::new(SwitchBm::new(SwitchConfig {
+            ports,
+            ..Default::default()
+        })),
         eth,
     );
     let r = exp.run(mode);
@@ -74,7 +77,11 @@ fn run_paxos(mode: Execution) -> (u64, usize) {
     let replica_ips: Vec<Ipv4Addr> = replica_cfgs.iter().map(|c| c.ip).collect();
     let mut eth = Vec::new();
     for (i, cfg) in replica_cfgs.iter().enumerate() {
-        let peers = replica_ips.iter().filter(|ip| **ip != cfg.ip).copied().collect();
+        let peers = replica_ips
+            .iter()
+            .filter(|ip| **ip != cfg.ip)
+            .copied()
+            .collect();
         let app = Box::new(Replica::new(i as u8, PaxosMode::MultiPaxos, peers));
         let (_h, _n, e) = attach_host_nic(&mut exp, &format!("replica{i}"), *cfg, app, false);
         eth.push(e);
@@ -87,7 +94,10 @@ fn run_paxos(mode: Execution) -> (u64, usize) {
     let ports = eth.len();
     exp.add(
         "switch",
-        Box::new(SwitchBm::new(SwitchConfig { ports, ..Default::default() })),
+        Box::new(SwitchBm::new(SwitchConfig {
+            ports,
+            ..Default::default()
+        })),
         eth,
     );
     let r = exp.run(mode);

@@ -74,8 +74,7 @@ impl Workload {
 
 /// Two gem5-like hosts (server + client) through the behavioural switch.
 fn build(workload: Workload) -> Experiment {
-    let mut exp =
-        Experiment::new(format!("ckpt-{}", workload.name()), end_time()).with_logging();
+    let mut exp = Experiment::new(format!("ckpt-{}", workload.name()), end_time()).with_logging();
     let server_cfg = HostConfig::new(HostKind::Gem5Timing, 0);
     let client_cfg = HostConfig::new(HostKind::Gem5Timing, 1);
     let (server_app, client_app) = workload.apps(&server_cfg);
@@ -83,7 +82,10 @@ fn build(workload: Workload) -> Experiment {
     let (_c, _, c_eth) = attach_host_nic(&mut exp, "client", client_cfg, client_app, false);
     exp.add(
         "switch",
-        Box::new(SwitchBm::new(SwitchConfig { ports: 2, ..Default::default() })),
+        Box::new(SwitchBm::new(SwitchConfig {
+            ports: 2,
+            ..Default::default()
+        })),
         vec![s_eth, c_eth],
     );
     exp
@@ -96,7 +98,11 @@ fn assert_logs_identical(got: &EventLog, want: &EventLog, label: &str) {
     for (i, (g, w)) in got.entries().iter().zip(want.entries()).enumerate() {
         assert_eq!(g, w, "first diverging entry at index {i} ({label})");
     }
-    assert_eq!(got.fingerprint(), want.fingerprint(), "fingerprint ({label})");
+    assert_eq!(
+        got.fingerprint(),
+        want.fingerprint(),
+        "fingerprint ({label})"
+    );
 }
 
 fn tmp_path(tag: &str) -> PathBuf {
@@ -181,9 +187,7 @@ fn dist_build(scenario: &str, pb: &mut PartitionBuilder) {
     } else {
         Workload::Netperf
     };
-    pb.init(
-        Experiment::new(format!("ckpt-{}", workload.name()), end_time()).with_logging(),
-    );
+    pb.init(Experiment::new(format!("ckpt-{}", workload.name()), end_time()).with_logging());
     let eth_params = pb.exp().eth_params();
     let server_cfg = HostConfig::new(HostKind::Gem5Timing, 0);
     let client_cfg = HostConfig::new(HostKind::Gem5Timing, 1);
@@ -194,7 +198,10 @@ fn dist_build(scenario: &str, pb: &mut PartitionBuilder) {
     pb.add(
         "p0",
         "switch",
-        Box::new(SwitchBm::new(SwitchConfig { ports: 2, ..Default::default() })),
+        Box::new(SwitchBm::new(SwitchConfig {
+            ports: 2,
+            ..Default::default()
+        })),
         vec![s_eth, cli_eth_sw],
     );
 }
@@ -220,8 +227,7 @@ fn dist_opts(scenario: &str) -> DistOptions {
 fn dist_matrix_for(transport: TransportKind) {
     for workload in [Workload::Netperf, Workload::Memcache] {
         let scenario = format!("wl={}", workload.name());
-        let baseline =
-            dist::run_local(&scenario, &dist_build, Execution::Sequential).merged_log();
+        let baseline = dist::run_local(&scenario, &dist_build, Execution::Sequential).merged_log();
         assert!(baseline.len() > 100, "baseline has events");
         let dir = tmp_path(&format!("dist-{}-{}", workload.name(), transport.to_arg()));
 

@@ -30,7 +30,10 @@ fn run_once(mode: Execution, hier: bool) -> (u64, usize) {
     let (_c, _, c_eth) = attach_host_nic(&mut exp, "client", client_cfg, client_app, false);
     exp.add(
         "switch",
-        Box::new(SwitchBm::new(SwitchConfig { ports: 2, ..Default::default() })),
+        Box::new(SwitchBm::new(SwitchConfig {
+            ports: 2,
+            ..Default::default()
+        })),
         vec![s_eth, c_eth],
     );
     let r = exp.run(mode);
@@ -84,7 +87,10 @@ fn hier_sync_runs_match_flat_sequential_event_logs() {
     assert_eq!(f_flat, f_seq, "hier sequential matches flat sequential");
     for workers in [1usize, 2, 4] {
         let (f_sh, n_sh) = run_once(Execution::Sharded { workers }, true);
-        assert_eq!(n_flat, n_sh, "same event count, hier sharded {workers} workers");
+        assert_eq!(
+            n_flat, n_sh,
+            "same event count, hier sharded {workers} workers"
+        );
         assert_eq!(
             f_flat, f_sh,
             "hier sharded ({workers} workers) matches flat sequential"
@@ -131,7 +137,10 @@ fn dist_build(scenario: &str, pb: &mut PartitionBuilder) {
     pb.add(
         "p0",
         "switch",
-        Box::new(SwitchBm::new(SwitchConfig { ports: 2, ..Default::default() })),
+        Box::new(SwitchBm::new(SwitchConfig {
+            ports: 2,
+            ..Default::default()
+        })),
         vec![s_eth, cli_eth_sw],
     );
 }
@@ -168,7 +177,11 @@ fn assert_dist_matches_baseline(
     label: &str,
 ) {
     let merged = local.merged_log();
-    assert!(merged.len() > 100, "logs actually contain events ({})", merged.len());
+    assert!(
+        merged.len() > 100,
+        "logs actually contain events ({})",
+        merged.len()
+    );
 
     let dist = dist::run_distributed(&opts, &dist_build).expect("distributed run");
 
@@ -177,7 +190,11 @@ fn assert_dist_matches_baseline(
         "components reassembled in global build order ({label})"
     );
     let dist_merged = dist.merged_log();
-    assert_eq!(merged.len(), dist_merged.len(), "same event count ({label})");
+    assert_eq!(
+        merged.len(),
+        dist_merged.len(),
+        "same event count ({label})"
+    );
     assert_eq!(
         merged.fingerprint(),
         dist_merged.fingerprint(),
@@ -206,9 +223,17 @@ fn dist_two_partition_run_matches_sequential_event_log() {
 #[test]
 fn dist_tcp_and_shm_transports_both_match_sequential_event_log() {
     let local = dist::run_local("", &dist_build, Execution::Sequential);
-    assert_dist_matches_baseline(&local, dist_opts("").with_transport(TransportKind::Tcp), "tcp");
+    assert_dist_matches_baseline(
+        &local,
+        dist_opts("").with_transport(TransportKind::Tcp),
+        "tcp",
+    );
     if simbricks::runner::shm_supported() {
-        assert_dist_matches_baseline(&local, dist_opts("").with_transport(TransportKind::Shm), "shm");
+        assert_dist_matches_baseline(
+            &local,
+            dist_opts("").with_transport(TransportKind::Shm),
+            "shm",
+        );
     }
 }
 

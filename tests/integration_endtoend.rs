@@ -35,7 +35,10 @@ fn netperf_pair(kind: HostKind, nic: NicModelKind, use_des: bool) -> (f64, f64) 
     } else {
         exp.add(
             "switch",
-            Box::new(SwitchBm::new(SwitchConfig { ports: 2, ..Default::default() })),
+            Box::new(SwitchBm::new(SwitchConfig {
+                ports: 2,
+                ..Default::default()
+            })),
             vec![s_eth, c_eth],
         );
     }
@@ -47,11 +50,19 @@ fn netperf_pair(kind: HostKind, nic: NicModelKind, use_des: bool) -> (f64, f64) 
     // Parse the throughput / latency out of the report produced by the app.
     let tput = report
         .split_whitespace()
-        .find_map(|t| t.strip_prefix("tput=").and_then(|v| v.strip_suffix("Gbps")).and_then(|v| v.parse().ok()))
+        .find_map(|t| {
+            t.strip_prefix("tput=")
+                .and_then(|v| v.strip_suffix("Gbps"))
+                .and_then(|v| v.parse().ok())
+        })
         .unwrap_or(0.0);
     let lat = report
         .split_whitespace()
-        .find_map(|t| t.strip_prefix("rr_latency=").and_then(|v| v.strip_suffix("us")).and_then(|v| v.parse().ok()))
+        .find_map(|t| {
+            t.strip_prefix("rr_latency=")
+                .and_then(|v| v.strip_suffix("us"))
+                .and_then(|v| v.parse().ok())
+        })
         .unwrap_or(0.0);
     (tput, lat)
 }
@@ -59,8 +70,14 @@ fn netperf_pair(kind: HostKind, nic: NicModelKind, use_des: bool) -> (f64, f64) 
 #[test]
 fn netperf_gem5_i40e_switch_reaches_useful_throughput() {
     let (tput, lat) = netperf_pair(HostKind::Gem5Timing, NicModelKind::I40e, false);
-    assert!(tput > 0.3, "TCP stream achieves some throughput, got {tput} Gbps");
-    assert!(lat > 1.0 && lat < 1000.0, "RR latency is plausible, got {lat} us");
+    assert!(
+        tput > 0.3,
+        "TCP stream achieves some throughput, got {tput} Gbps"
+    );
+    assert!(
+        lat > 1.0 && lat < 1000.0,
+        "RR latency is plausible, got {lat} us"
+    );
 }
 
 #[test]
@@ -73,7 +90,10 @@ fn netperf_qemu_timing_corundum_switch_works() {
 #[test]
 fn netperf_over_des_network_works() {
     let (tput, _lat) = netperf_pair(HostKind::QemuTiming, NicModelKind::I40e, true);
-    assert!(tput > 0.1, "ns-3-style network carries the flow, got {tput} Gbps");
+    assert!(
+        tput > 0.1,
+        "ns-3-style network carries the flow, got {tput} Gbps"
+    );
 }
 
 #[test]
@@ -88,12 +108,22 @@ fn corundum_is_more_sensitive_to_pcie_latency_than_i40e() {
         let client_cfg = HostConfig::new(HostKind::QemuTiming, 1).with_nic(nic);
         let server_app = Box::new(NetperfServer::new(5201, 5202));
         let client_app = Box::new(NetperfClient::new(
-            server_cfg.ip, 5201, 5202, SimTime::from_ms(20), SimTime::from_ms(5)));
+            server_cfg.ip,
+            5201,
+            5202,
+            SimTime::from_ms(20),
+            SimTime::from_ms(5),
+        ));
         let (s, _, s_eth) = attach_host_nic(&mut exp, "server", server_cfg, server_app, false);
         let (_c, _, c_eth) = attach_host_nic(&mut exp, "client", client_cfg, client_app, false);
-        exp.add("switch",
-            Box::new(SwitchBm::new(SwitchConfig { ports: 2, ..Default::default() })),
-            vec![s_eth, c_eth]);
+        exp.add(
+            "switch",
+            Box::new(SwitchBm::new(SwitchConfig {
+                ports: 2,
+                ..Default::default()
+            })),
+            vec![s_eth, c_eth],
+        );
         let result = exp.run(Execution::Sequential);
         let server: &HostModel = result.model(s).unwrap();
         server.stats().rx_frames as f64

@@ -20,7 +20,9 @@ use std::time::Duration;
 use simbricks::apps::{NetperfClient, NetperfServer};
 use simbricks::hostsim::{HostConfig, HostKind};
 use simbricks::netsim::{SwitchBm, SwitchConfig};
-use simbricks::runner::dist::{self, DistError, DistOptions, FaultKind, FaultSpec, PartitionBuilder};
+use simbricks::runner::dist::{
+    self, DistError, DistOptions, FaultKind, FaultSpec, PartitionBuilder,
+};
 use simbricks::runner::{Execution, Experiment, TransportKind};
 use simbricks::SimTime;
 
@@ -55,7 +57,10 @@ fn fault_build(_scenario: &str, pb: &mut PartitionBuilder) {
     pb.add(
         "p0",
         "switch",
-        Box::new(SwitchBm::new(SwitchConfig { ports: 2, ..Default::default() })),
+        Box::new(SwitchBm::new(SwitchConfig {
+            ports: 2,
+            ..Default::default()
+        })),
         vec![s_eth, cli_eth_sw],
     );
 }
@@ -89,7 +94,11 @@ fn fault_opts(scenario: &str, transport: TransportKind) -> DistOptions {
 fn baseline() -> (u64, usize) {
     let local = dist::run_local("", &fault_build, Execution::Sequential);
     let merged = local.merged_log();
-    assert!(merged.len() > 100, "logs actually contain events ({})", merged.len());
+    assert!(
+        merged.len() > 100,
+        "logs actually contain events ({})",
+        merged.len()
+    );
     (merged.fingerprint(), merged.len())
 }
 
@@ -103,7 +112,9 @@ fn assert_kill_recovers(transport: TransportKind, label: &str) {
         .with_checkpoint_ring(SimTime::from_ms(1), 0, &ring_dir)
         .with_faults(vec![FaultSpec {
             at: SimTime::from_ms(3),
-            kind: FaultKind::KillWorker { partition: "p1".into() },
+            kind: FaultKind::KillWorker {
+                partition: "p1".into(),
+            },
         }])
         .with_max_restarts(2);
     let r = dist::run_distributed(&opts, &fault_build).expect("run recovers");
@@ -114,7 +125,11 @@ fn assert_kill_recovers(transport: TransportKind, label: &str) {
         merged.fingerprint(),
         "recovered run bit-identical to undisturbed baseline ({label})"
     );
-    assert_eq!(r.recovery.faults_injected.len(), 1, "exactly one fault fired");
+    assert_eq!(
+        r.recovery.faults_injected.len(),
+        1,
+        "exactly one fault fired"
+    );
     assert_eq!(r.recovery.restarts, 1, "one fleet restart ({label})");
     assert!(
         r.recovery.ring_entries_used[0].is_some(),
@@ -144,13 +159,19 @@ fn kill_worker_without_ring_restarts_from_zero() {
     let opts = fault_opts("kill-noring", TransportKind::Tcp)
         .with_faults(vec![FaultSpec {
             at: SimTime::from_ms(3),
-            kind: FaultKind::KillWorker { partition: "p0".into() },
+            kind: FaultKind::KillWorker {
+                partition: "p0".into(),
+            },
         }])
         .with_max_restarts(2);
     let r = dist::run_distributed(&opts, &fault_build).expect("run recovers from zero");
     let merged = r.merged_log();
     assert_eq!(n, merged.len());
-    assert_eq!(fp, merged.fingerprint(), "restart-from-zero is still bit-identical");
+    assert_eq!(
+        fp,
+        merged.fingerprint(),
+        "restart-from-zero is still bit-identical"
+    );
     assert_eq!(r.recovery.restarts, 1);
     assert_eq!(
         r.recovery.ring_entries_used,
@@ -231,13 +252,19 @@ fn sever_link_recovers_and_matches() {
         .with_checkpoint_ring(SimTime::from_ms(1), 0, &ring_dir)
         .with_faults(vec![FaultSpec {
             at: SimTime::from_ms(3),
-            kind: FaultKind::SeverLink { link: "client-eth".into() },
+            kind: FaultKind::SeverLink {
+                link: "client-eth".into(),
+            },
         }])
         .with_max_restarts(2);
     let r = dist::run_distributed(&opts, &fault_build).expect("run recovers from severed link");
     let merged = r.merged_log();
     assert_eq!(n, merged.len());
-    assert_eq!(fp, merged.fingerprint(), "post-sever run bit-identical to baseline");
+    assert_eq!(
+        fp,
+        merged.fingerprint(),
+        "post-sever run bit-identical to baseline"
+    );
     assert_eq!(r.recovery.restarts, 1, "sever forced one fleet restart");
     let _ = std::fs::remove_dir_all(&ring_dir);
 }
@@ -259,10 +286,7 @@ fn count_marked_workers(marker: &str) -> usize {
             continue;
         }
         if let Ok(env) = std::fs::read(e.path().join("environ")) {
-            if env
-                .windows(marker.len())
-                .any(|w| w == marker.as_bytes())
-            {
+            if env.windows(marker.len()).any(|w| w == marker.as_bytes()) {
                 n += 1;
             }
         }
@@ -280,7 +304,9 @@ fn exhausted_restarts_fail_cleanly_without_orphans() {
     let marker = format!("orphan-marker-{}", std::process::id());
     let opts = fault_opts(&marker, TransportKind::Tcp).with_faults(vec![FaultSpec {
         at: SimTime::from_ms(2),
-        kind: FaultKind::KillWorker { partition: "p1".into() },
+        kind: FaultKind::KillWorker {
+            partition: "p1".into(),
+        },
     }]);
     // max_restarts defaults to 0: the injected kill exhausts the budget.
     let err = match dist::run_distributed(&opts, &fault_build) {
@@ -288,7 +314,11 @@ fn exhausted_restarts_fail_cleanly_without_orphans() {
         Err(e) => e,
     };
     match &err {
-        DistError::RestartsExhausted { restarts, report, last } => {
+        DistError::RestartsExhausted {
+            restarts,
+            report,
+            last,
+        } => {
             assert_eq!(*restarts, 0);
             assert_eq!(report.faults_injected.len(), 1, "report records the fault");
             // The kill races detection: the supervisor may see the process
@@ -333,7 +363,9 @@ fn fault_schedule_replays_identically() {
             .with_checkpoint_ring(SimTime::from_ms(1), 0, &ring_dir)
             .with_faults(vec![FaultSpec {
                 at: SimTime::from_ms(3),
-                kind: FaultKind::KillWorker { partition: "p1".into() },
+                kind: FaultKind::KillWorker {
+                    partition: "p1".into(),
+                },
             }])
             .with_max_restarts(2)
     };

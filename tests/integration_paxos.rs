@@ -84,7 +84,11 @@ fn run(mode: PaxosMode) -> (u64, f64, u64) {
         .unwrap_or(0);
     let latency: f64 = rep
         .split_whitespace()
-        .find_map(|w| w.strip_prefix("latency=").and_then(|v| v.strip_suffix("us")).and_then(|v| v.parse().ok()))
+        .find_map(|w| {
+            w.strip_prefix("latency=")
+                .and_then(|v| v.strip_suffix("us"))
+                .and_then(|v| v.parse().ok())
+        })
         .unwrap_or(0.0);
     let replica0: &HostModel = r.model(replica_hosts[0]).unwrap();
     let executed: u64 = replica0
@@ -99,9 +103,18 @@ fn run(mode: PaxosMode) -> (u64, f64, u64) {
 fn switch_sequencer_completes_requests_with_lowest_latency() {
     let (done_sw, lat_sw, exec_sw) = run(PaxosMode::SwitchSequencer);
     let (done_eh, lat_eh, _) = run(PaxosMode::EndHostSequencer);
-    assert!(done_sw > 50, "switch sequencer completed {done_sw} requests");
-    assert!(done_eh > 50, "end-host sequencer completed {done_eh} requests");
-    assert!(exec_sw >= done_sw, "replicas executed every completed request");
+    assert!(
+        done_sw > 50,
+        "switch sequencer completed {done_sw} requests"
+    );
+    assert!(
+        done_eh > 50,
+        "end-host sequencer completed {done_eh} requests"
+    );
+    assert!(
+        exec_sw >= done_sw,
+        "replicas executed every completed request"
+    );
     // The end-host sequencer adds one extra host traversal per request
     // (paper: 23-35% higher latency).
     assert!(

@@ -6,9 +6,7 @@ use simbricks::apps::{IperfUdpClient, IperfUdpServer};
 use simbricks::hostsim::{HostConfig, HostKind, HostModel};
 use simbricks::netsim::{SwitchBm, SwitchConfig};
 use simbricks::netstack::SocketAddr;
-use simbricks::runner::{
-    host_component, nic_model, proxy_pair, Execution, Experiment, ProxyKind,
-};
+use simbricks::runner::{host_component, nic_model, proxy_pair, Execution, Experiment, ProxyKind};
 use simbricks::SimTime;
 
 #[test]
@@ -56,7 +54,10 @@ fn udp_traffic_flows_across_a_tcp_proxied_ethernet_link() {
 
     exp.add(
         "switch",
-        Box::new(SwitchBm::new(SwitchConfig { ports: 2, ..Default::default() })),
+        Box::new(SwitchBm::new(SwitchConfig {
+            ports: 2,
+            ..Default::default()
+        })),
         vec![srv_eth_switch, cli_eth_switch],
     );
 
@@ -71,5 +72,8 @@ fn udp_traffic_flows_across_a_tcp_proxied_ethernet_link() {
         server.stats().rx_frames
     );
     // The run dropped both component endpoints, so the forwarders wind down.
-    assert!(proxy.join().forwarded > 50, "and crossed it through the forwarders");
+    assert!(
+        proxy.join().forwarded > 50,
+        "and crossed it through the forwarders"
+    );
 }

@@ -87,7 +87,11 @@ fn assert_logs_identical(got: &EventLog, want: &EventLog, label: &str) {
     for (i, (g, w)) in got.entries().iter().zip(want.entries()).enumerate() {
         assert_eq!(g, w, "first diverging entry at index {i} ({label})");
     }
-    assert_eq!(got.fingerprint(), want.fingerprint(), "fingerprint ({label})");
+    assert_eq!(
+        got.fingerprint(),
+        want.fingerprint(),
+        "fingerprint ({label})"
+    );
 }
 
 /// Ground truth for the bisect tests: run both scenarios uninterrupted with
@@ -145,8 +149,14 @@ fn ground_truth_divergence(
 /// the uninterrupted baseline, under the sequential and sharded executors.
 #[test]
 fn ring_replay_matrix_in_process() {
-    let baseline = build_local(SCENARIO).run(Execution::Sequential).merged_log();
-    assert!(baseline.len() > 100, "baseline log has events ({})", baseline.len());
+    let baseline = build_local(SCENARIO)
+        .run(Execution::Sequential)
+        .merged_log();
+    assert!(
+        baseline.len() > 100,
+        "baseline log has events ({})",
+        baseline.len()
+    );
     let execs = [
         ("seq", Execution::Sequential),
         ("sharded2", Execution::Sharded { workers: 2 }),
@@ -156,8 +166,16 @@ fn ring_replay_matrix_in_process() {
         let _ = std::fs::remove_dir_all(&dir);
         let r = record_ring(&dir, SCENARIO, build_from_toml, exec, ring_period(), 0)
             .expect("record ring");
-        assert_logs_identical(&r.merged_log(), &baseline, &format!("{ename} recording run"));
-        assert_eq!(r.ring.len(), 11, "snapshots at every period multiple below the end");
+        assert_logs_identical(
+            &r.merged_log(),
+            &baseline,
+            &format!("{ename} recording run"),
+        );
+        assert_eq!(
+            r.ring.len(),
+            11,
+            "snapshots at every period multiple below the end"
+        );
 
         let ring = Replay::open(&dir).expect("open ring");
         assert_eq!(ring.entries().len(), 11, "all entries on disk (keep = 0)");
@@ -182,8 +200,15 @@ fn ring_replay_matrix_in_process() {
 fn ring_prunes_to_newest_keep() {
     let dir = tmp_dir("keep");
     let _ = std::fs::remove_dir_all(&dir);
-    let r = record_ring(&dir, SCENARIO, build_from_toml, Execution::Sequential, ring_period(), 3)
-        .expect("record ring");
+    let r = record_ring(
+        &dir,
+        SCENARIO,
+        build_from_toml,
+        Execution::Sequential,
+        ring_period(),
+        3,
+    )
+    .expect("record ring");
     let times: Vec<SimTime> = r.ring.iter().map(|(t, _)| *t).collect();
     let want: Vec<SimTime> = (9..=11).map(|k| SimTime::from_us(40 * k)).collect();
     assert_eq!(times, want, "newest 3 slots survive in the result");
@@ -191,9 +216,12 @@ fn ring_prunes_to_newest_keep() {
     let disk: Vec<SimTime> = ring.entries().iter().map(|(t, _)| *t).collect();
     assert_eq!(disk, want, "newest 3 slots survive on disk");
     // The pruned ring still replays bit-identically from its oldest survivor.
-    let baseline = build_local(SCENARIO).run(Execution::Sequential).merged_log();
+    let baseline = build_local(SCENARIO)
+        .run(Execution::Sequential)
+        .merged_log();
     let mut exp = build_local(SCENARIO);
-    exp.restore(&ring.entries()[0].1).expect("restore oldest survivor");
+    exp.restore(&ring.entries()[0].1)
+        .expect("restore oldest survivor");
     assert_logs_identical(
         &exp.run(Execution::Sequential).merged_log(),
         &baseline,
@@ -208,14 +236,21 @@ fn ring_prunes_to_newest_keep() {
 fn seek_matches_fresh_run_paused() {
     let dir = tmp_dir("seek");
     let _ = std::fs::remove_dir_all(&dir);
-    record_ring(&dir, SCENARIO, build_from_toml, Execution::Sequential, ring_period(), 0)
-        .expect("record ring");
+    record_ring(
+        &dir,
+        SCENARIO,
+        build_from_toml,
+        Execution::Sequential,
+        ring_period(),
+        0,
+    )
+    .expect("record ring");
     let ring = Replay::open(&dir).expect("open ring");
     let probes = [
-        SimTime::from_us(40),             // exactly a snapshot slot
-        SimTime::from_us(100),            // mid-epoch, steps 20 us past a slot
-        SimTime::from_ps(217_000_123),    // unaligned picosecond inside epoch 5
-        SimTime::from_us(470),            // past the newest snapshot (440 us)
+        SimTime::from_us(40),          // exactly a snapshot slot
+        SimTime::from_us(100),         // mid-epoch, steps 20 us past a slot
+        SimTime::from_ps(217_000_123), // unaligned picosecond inside epoch 5
+        SimTime::from_us(470),         // past the newest snapshot (440 us)
     ];
     for t in probes {
         let seeked = ring.seek(t).expect("seek");
@@ -252,15 +287,35 @@ fn bisect_identical_runs_reports_no_divergence() {
     let db = tmp_dir("ident-b");
     let _ = std::fs::remove_dir_all(&da);
     let _ = std::fs::remove_dir_all(&db);
-    record_ring(&da, SCENARIO, build_from_toml, Execution::Sequential, ring_period(), 0)
-        .expect("record ring a");
-    record_ring(&db, SCENARIO, build_from_toml, Execution::Sequential, ring_period(), 0)
-        .expect("record ring b");
+    record_ring(
+        &da,
+        SCENARIO,
+        build_from_toml,
+        Execution::Sequential,
+        ring_period(),
+        0,
+    )
+    .expect("record ring a");
+    record_ring(
+        &db,
+        SCENARIO,
+        build_from_toml,
+        Execution::Sequential,
+        ring_period(),
+        0,
+    )
+    .expect("record ring b");
     let ra = Replay::open(&da).expect("open a");
     let rb = Replay::open(&db).expect("open b");
     let report = ra.bisect(&rb).expect("bisect");
-    assert!(report.divergence.is_none(), "identical runs must not diverge");
-    assert_eq!(report.replays, 2, "identical runs need only the fingerprint pass");
+    assert!(
+        report.divergence.is_none(),
+        "identical runs must not diverge"
+    );
+    assert_eq!(
+        report.replays, 2,
+        "identical runs need only the fingerprint pass"
+    );
     assert_eq!(report.epochs, 12);
     let _ = std::fs::remove_dir_all(&da);
     let _ = std::fs::remove_dir_all(&db);
@@ -274,10 +329,24 @@ fn assert_bisect_pins(scn_a: &str, scn_b: &str, tag: &str) {
     let db = tmp_dir(&format!("{tag}-b"));
     let _ = std::fs::remove_dir_all(&da);
     let _ = std::fs::remove_dir_all(&db);
-    record_ring(&da, scn_a, build_from_toml, Execution::Sequential, ring_period(), 0)
-        .expect("record ring a");
-    record_ring(&db, scn_b, build_from_toml, Execution::Sequential, ring_period(), 0)
-        .expect("record ring b");
+    record_ring(
+        &da,
+        scn_a,
+        build_from_toml,
+        Execution::Sequential,
+        ring_period(),
+        0,
+    )
+    .expect("record ring a");
+    record_ring(
+        &db,
+        scn_b,
+        build_from_toml,
+        Execution::Sequential,
+        ring_period(),
+        0,
+    )
+    .expect("record ring b");
     let ra = Replay::open(&da).expect("open a");
     let rb = Replay::open(&db).expect("open b");
     let report = ra.bisect(&rb).expect("bisect");
@@ -346,8 +415,14 @@ fn bisect_pins_impairment_seed_mutation() {
 /// period, end, and snapshots.
 #[test]
 fn bisect_requires_a_ring() {
-    let a = Side::Live { scenario: SCENARIO, build: build_from_toml };
-    let b = Side::Live { scenario: SCENARIO, build: build_from_toml };
+    let a = Side::Live {
+        scenario: SCENARIO,
+        build: build_from_toml,
+    };
+    let b = Side::Live {
+        scenario: SCENARIO,
+        build: build_from_toml,
+    };
     assert!(simbricks_replay::bisect(&a, &b).is_err());
 }
 
@@ -382,7 +457,10 @@ fn dist_build(_scenario: &str, pb: &mut PartitionBuilder) {
     pb.add(
         "p0",
         "switch",
-        Box::new(SwitchBm::new(SwitchConfig { ports: 2, ..Default::default() })),
+        Box::new(SwitchBm::new(SwitchConfig {
+            ports: 2,
+            ..Default::default()
+        })),
         vec![s_eth, cli_eth_sw],
     );
 }
@@ -429,9 +507,14 @@ fn dist_ring_matrix_for(transport: TransportKind) {
 
     // The orchestrator does not know the scenario semantics, so the harness
     // writes the sidecars the replayer needs (simbricks-run does the same).
-    RingMeta { name: "replay-dist".into(), period, keep: 0, end: dist_end_time() }
-        .write_to(&dir)
-        .expect("write ring meta");
+    RingMeta {
+        name: "replay-dist".into(),
+        period,
+        keep: 0,
+        end: dist_end_time(),
+    }
+    .write_to(&dir)
+    .expect("write ring meta");
     std::fs::write(dir.join(RING_SCENARIO_FILE), "").expect("write scenario sidecar");
 
     let ring = Replay::open_with(&dir, dist_build).expect("open dist ring");
@@ -440,7 +523,9 @@ fn dist_ring_matrix_for(transport: TransportKind) {
         let mut pb = PartitionBuilder::new_local();
         dist_build("", &mut pb);
         let mut exp = pb.into_experiment();
-        let at = exp.restore(path).expect("restore merged ring entry locally");
+        let at = exp
+            .restore(path)
+            .expect("restore merged ring entry locally");
         assert_eq!(at, *t);
         let r2 = exp.run(Execution::Sequential);
         assert_logs_identical(
@@ -456,7 +541,10 @@ fn dist_ring_matrix_for(transport: TransportKind) {
     let mut exp = pb_local_dist();
     exp.freeze_at(t).expect("fresh run paused");
     let fresh = SeekState::capture(&exp, t, SimTime::ZERO).expect("capture");
-    assert!(seeked.sim_eq(&fresh), "dist ring seek equals a fresh paused run");
+    assert!(
+        seeked.sim_eq(&fresh),
+        "dist ring seek equals a fresh paused run"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -94,7 +94,10 @@ fn impaired_codel_scenario_is_executor_invariant_and_seed_sensitive() {
     // A different master seed steers the impairment and AQM streams.
     let reseeded = IMPAIRED_CODEL.replace("log = true", "log = true\nseed = 7");
     let (f_re, _) = run_inproc(&reseeded, Execution::Sequential);
-    assert_ne!(f_seq, f_re, "seed change must alter the impaired event stream");
+    assert_ne!(
+        f_seq, f_re,
+        "seed change must alter the impaired event stream"
+    );
 }
 
 #[test]
@@ -107,7 +110,11 @@ fn impaired_codel_scenario_survives_checkpoint_restore() {
     };
     let r_full = build().run(Execution::Sequential);
     let full = r_full.merged_log();
-    assert!(full.len() > 100, "logs actually contain events ({})", full.len());
+    assert!(
+        full.len() > 100,
+        "logs actually contain events ({})",
+        full.len()
+    );
 
     let path = std::env::temp_dir().join(format!("scenario-ckpt-{}.ckpt", std::process::id()));
     let mut exp = build();
@@ -150,7 +157,11 @@ fn assert_dist_matches(transport: TransportKind) {
     let spec = Scenario::from_toml_str(IMPAIRED_CODEL).expect("fixture parses");
     let local = dist::run_local(IMPAIRED_CODEL, &build_from_toml, Execution::Sequential);
     let merged = local.merged_log();
-    assert!(merged.len() > 100, "logs actually contain events ({})", merged.len());
+    assert!(
+        merged.len() > 100,
+        "logs actually contain events ({})",
+        merged.len()
+    );
 
     let opts = DistOptions::new(spec.partitions(), IMPAIRED_CODEL)
         .with_transport(transport)
@@ -199,7 +210,8 @@ fn scenario_lowering_matches_hand_rolled_build() {
 
     // Hand-rolled, the way every harness was written before the scenario
     // layer (free-function attach_host_nic on a bare Experiment).
-    let mut exp = Experiment::new("sec76-netperf", stream + rr + SimTime::from_ms(2)).with_logging();
+    let mut exp =
+        Experiment::new("sec76-netperf", stream + rr + SimTime::from_ms(2)).with_logging();
     let server_cfg = HostConfig::new(HostKind::Gem5Timing, 0);
     let client_cfg = HostConfig::new(HostKind::Gem5Timing, 1);
     let server_app = Box::new(NetperfServer::new(5201, 5202));
@@ -208,12 +220,19 @@ fn scenario_lowering_matches_hand_rolled_build() {
     let (_c, _, c_eth) = attach_host_nic(&mut exp, "client", client_cfg, client_app, false);
     exp.add(
         "switch",
-        Box::new(SwitchBm::new(SwitchConfig { ports: 2, ..Default::default() })),
+        Box::new(SwitchBm::new(SwitchConfig {
+            ports: 2,
+            ..Default::default()
+        })),
         vec![s_eth, c_eth],
     );
     let hand = exp.run(Execution::Sequential);
     let hand_log = hand.merged_log();
-    assert!(hand_log.len() > 100, "logs actually contain events ({})", hand_log.len());
+    assert!(
+        hand_log.len() > 100,
+        "logs actually contain events ({})",
+        hand_log.len()
+    );
 
     // The same topology as a scenario document.
     let toml = r#"

@@ -21,8 +21,13 @@ fn run_fio(kind: HostKind, qd: usize, read_percent: u8, media_read_us: u64) -> (
         read_latency: SimTime::from_us(media_read_us),
         ..Default::default()
     };
-    let (host_id, dev_id) =
-        attach_host_nvme(&mut exp, "store", StorageHostConfig::new(kind), Box::new(workload), nvme);
+    let (host_id, dev_id) = attach_host_nvme(
+        &mut exp,
+        "store",
+        StorageHostConfig::new(kind),
+        Box::new(workload),
+        nvme,
+    );
     let r = exp.run(Execution::Sequential);
     let host: &StorageHostModel = r.model(host_id).unwrap();
     let dev: &NvmeDev = r.model(dev_id).unwrap();
@@ -35,7 +40,10 @@ fn run_fio(kind: HostKind, qd: usize, read_percent: u8, media_read_us: u64) -> (
     let field = |key: &str| -> f64 {
         report
             .split_whitespace()
-            .find_map(|t| t.strip_prefix(key).map(|v| v.trim_end_matches("us").parse().unwrap_or(0.0)))
+            .find_map(|t| {
+                t.strip_prefix(key)
+                    .map(|v| v.trim_end_matches("us").parse().unwrap_or(0.0))
+            })
             .unwrap_or(0.0)
     };
     (host.stats().completed, field("iops="), field("mean_lat="))
@@ -50,7 +58,10 @@ fn nvme_workload_completes_on_both_host_kinds() {
     // Latency is dominated by the 80 us media time plus PCIe crossings on
     // both hosts; the detailed host adds a little more software time.
     assert!(lat_qemu > 80.0 && lat_qemu < 200.0, "got {lat_qemu} us");
-    assert!(lat_gem5 >= lat_qemu, "gem5 {lat_gem5} us >= qemu {lat_qemu} us");
+    assert!(
+        lat_gem5 >= lat_qemu,
+        "gem5 {lat_gem5} us >= qemu {lat_qemu} us"
+    );
 }
 
 #[test]

@@ -36,13 +36,20 @@ fn udp_experiment_mode(barrier: bool, link_ns: u64, hier: bool) -> (u64, u64, u6
     let (_c, _, c_eth) = attach_host_nic(&mut exp, "client", client_cfg, client_app, false);
     exp.add(
         "switch",
-        Box::new(SwitchBm::new(SwitchConfig { ports: 2, ..Default::default() })),
+        Box::new(SwitchBm::new(SwitchConfig {
+            ports: 2,
+            ..Default::default()
+        })),
         vec![s_eth, c_eth],
     );
     let r = exp.run(Execution::Sequential);
     let server: &HostModel = r.model(s).unwrap();
     let stats = r.total_stats();
-    (server.stats().rx_frames, stats.syncs_sent, stats.barrier_waits)
+    (
+        server.stats().rx_frames,
+        stats.syncs_sent,
+        stats.barrier_waits,
+    )
 }
 
 #[test]
@@ -50,7 +57,10 @@ fn pairwise_and_barrier_sync_deliver_the_same_traffic() {
     let (rx_pairwise, syncs, waits_pairwise) = udp_experiment(false, 500);
     let (rx_barrier, _, waits_barrier) = udp_experiment(true, 500);
     assert!(rx_pairwise > 100, "traffic flowed ({rx_pairwise} frames)");
-    assert_eq!(rx_pairwise, rx_barrier, "sync mechanism does not change results");
+    assert_eq!(
+        rx_pairwise, rx_barrier,
+        "sync mechanism does not change results"
+    );
     assert!(syncs > 0, "pairwise sync messages were exchanged");
     assert_eq!(waits_pairwise, 0);
     assert!(waits_barrier > 0, "barrier mode actually used the barrier");
@@ -62,9 +72,15 @@ fn results_are_independent_of_link_latency_scale() {
     // messages) but the delivered traffic stays in the same ballpark.
     let (rx_hi, syncs_hi, _) = udp_experiment(false, 500);
     let (rx_lo, syncs_lo, _) = udp_experiment(false, 50);
-    assert!(syncs_lo > syncs_hi, "lower latency => more frequent synchronization");
+    assert!(
+        syncs_lo > syncs_hi,
+        "lower latency => more frequent synchronization"
+    );
     let ratio = rx_lo as f64 / rx_hi as f64;
-    assert!((0.8..1.2).contains(&ratio), "traffic comparable: {rx_lo} vs {rx_hi}");
+    assert!(
+        (0.8..1.2).contains(&ratio),
+        "traffic comparable: {rx_lo} vs {rx_hi}"
+    );
 }
 
 /// Hierarchical sync domains must not change what the application observes —
@@ -104,7 +120,10 @@ fn threaded_and_sequential_executors_agree() {
         let (_c, _, c_eth) = attach_host_nic(&mut exp, "client", client_cfg, client_app, false);
         exp.add(
             "switch",
-            Box::new(SwitchBm::new(SwitchConfig { ports: 2, ..Default::default() })),
+            Box::new(SwitchBm::new(SwitchConfig {
+                ports: 2,
+                ..Default::default()
+            })),
             vec![s_eth, c_eth],
         );
         let r = exp.run(mode);
