@@ -144,12 +144,13 @@ pub struct ChannelEnd {
     params: ChannelParams,
     conn_id: u64,
     dir: u8,
+    external: bool,
 }
 
 /// Create a connected pair of channel endpoints. Both endpoints share a
 /// process-wide unique connection id, which lets the runner reconstruct the
-/// channel graph of an experiment (topology-aware sync lookahead, automatic
-/// partitioning) after the endpoints have been moved into their kernels.
+/// channel graph of an experiment (topology-aware sync lookahead) after the
+/// endpoints have been moved into their kernels.
 pub fn channel_pair(params: ChannelParams) -> (ChannelEnd, ChannelEnd) {
     let (pa, ca) = spsc::queue(params.queue_len);
     let (pb, cb) = spsc::queue(params.queue_len);
@@ -174,6 +175,7 @@ impl ChannelEnd {
             params,
             conn_id: NEXT_CONN.fetch_add(1, Ordering::Relaxed),
             dir: 0,
+            external: false,
         }
     }
 
@@ -202,6 +204,20 @@ impl ChannelEnd {
     /// topology.
     pub fn set_dir(&mut self, dir: u8) {
         self.dir = dir;
+    }
+
+    /// Mark the peer of this endpoint as driven by a thread no experiment
+    /// steps (the in-process tcp proxy pair's relays).
+    pub fn set_external(&mut self) {
+        self.external = true;
+    }
+
+    /// Whether input can arrive on this endpoint while every kernel of its
+    /// experiment is blocked (see [`ChannelEnd::set_external`]). An
+    /// experiment with such a port has external inputs: an all-blocked
+    /// round is no deadlock there.
+    pub fn is_external(&self) -> bool {
+        self.external
     }
 
     /// Install the buffer pool received payloads are allocated from (the

@@ -18,34 +18,12 @@
 //! (fat-tree fabrics with thousands of timers per kernel) constant-time.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use crate::snap::{SnapReader, SnapResult, SnapWriter};
 use crate::time::SimTime;
 
-/// Process-wide sequence source. Making event ids globally unique (not
-/// per-queue counters) means an [`EventId`] can never be confused between
-/// queues: cancelling an id that belongs to a *different* queue is a safe
-/// no-op instead of silently cancelling an unrelated local event that
-/// happened to share a per-queue counter value. Only the *relative* order of
-/// ids scheduled on the same queue matters for determinism, and that is
-/// preserved regardless of how ids interleave across queues.
-static NEXT_SEQ: AtomicU64 = AtomicU64::new(1);
-
-/// Raise the global sequence floor to at least `floor`. Called when
-/// restoring a checkpoint so that events scheduled *after* the restore
-/// always order behind restored events scheduled at the same time — exactly
-/// as they would have in the uninterrupted run.
-pub(crate) fn bump_seq_floor(floor: u64) {
-    NEXT_SEQ.fetch_max(floor, AtomicOrdering::Relaxed);
-}
-
-fn next_seq() -> u64 {
-    NEXT_SEQ.fetch_add(1, AtomicOrdering::Relaxed)
-}
-
-/// Identifier of a scheduled event, usable for cancellation. Ids are unique
-/// across all queues of the process.
+/// Identifier of a scheduled event, usable for cancellation on the queue
+/// that issued it. Each queue numbers its events in schedule order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
@@ -69,9 +47,8 @@ const LEVELS: usize = 11;
 /// Bookkeeping is sized for the overwhelmingly common never-cancelled case:
 /// `schedule` and `pop_due` touch only the wheel and a live-event counter —
 /// no per-event hash-set insert/remove. Cancellation is the rare path: it
-/// validates the id against the queue itself (ids are globally unique, so a
-/// foreign or already-fired id simply is not found) and records it in a
-/// small lazily-drained cancelled set.
+/// validates the id against the queue itself (an already-fired id simply is
+/// not found) and records it in a small lazily-drained cancelled set.
 ///
 /// # Invariant
 ///
@@ -104,6 +81,9 @@ pub struct EventQueue<T> {
     /// queried today, but an ordered container keeps any future iteration
     /// (e.g. a diagnostic dump) deterministic by construction.
     cancelled: BTreeSet<u64>,
+    /// Sequence number of the next scheduled event: same-time events pop in
+    /// schedule order.
+    next_seq: u64,
 }
 
 /// Level whose bit range contains the highest bit where `tick` differs from
@@ -153,12 +133,14 @@ impl<T> EventQueue<T> {
             ready_sorted: true,
             live: 0,
             cancelled: BTreeSet::new(),
+            next_seq: 1,
         }
     }
 
     /// Schedule `data` to fire at absolute time `time`.
     pub fn schedule(&mut self, time: SimTime, data: T) -> EventId {
-        let seq = next_seq();
+        let seq = self.next_seq;
+        self.next_seq += 1;
         self.insert(Entry { time, seq, data });
         self.live += 1;
         EventId(seq)
@@ -250,13 +232,14 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Cancel a previously scheduled event. Returns true iff the event was
-    /// still pending **in this queue**: cancelling an id that already fired,
-    /// was already cancelled, or belongs to another queue is a no-op that
-    /// returns false.
+    /// Cancel an event scheduled on this queue. Returns true iff the event
+    /// was still pending: cancelling an id that already fired or was already
+    /// cancelled is a no-op that returns false. Ids from another queue, or
+    /// ids that fired before a snapshot this queue was restored from, are
+    /// outside the contract.
     ///
     /// This is the rare path: validity is established by scanning the wheel
-    /// for the (globally unique) id, so the hot `schedule`/`pop_due` pair
+    /// for the id, so the hot `schedule`/`pop_due` pair
     /// carries no per-event set bookkeeping. O(n) in the number of queued
     /// events, which is small for every component model.
     pub fn cancel(&mut self, id: EventId) -> bool {
@@ -323,8 +306,8 @@ impl<T> EventQueue<T> {
     /// Encode the pending events (time, sequence number, payload via `enc`)
     /// in deterministic (time, seq) order, dropping already-cancelled
     /// entries. Sequence numbers are preserved so restored events keep their
-    /// same-time tie-break order; restore raises the process-wide sequence
-    /// floor so post-restore events order behind them.
+    /// same-time tie-break order; restore continues numbering after the
+    /// largest one, so post-restore events order behind them.
     pub fn snapshot_with(
         &self,
         w: &mut SnapWriter,
@@ -356,15 +339,15 @@ impl<T> EventQueue<T> {
             q.insert(Entry { time, seq, data });
             q.live += 1;
         }
-        bump_seq_floor(max_seq.saturating_add(1));
+        q.next_seq = max_seq.saturating_add(1);
         Ok(q)
     }
 }
 
 /// The pre-wheel binary-heap implementation, kept verbatim as the oracle for
 /// the model-based wheel-vs-heap property test (`proptest` feature) and for
-/// the in-crate differential tests. Same public surface, same global
-/// sequence source — only the internal data structure differs.
+/// the in-crate differential tests. Same public surface, same per-queue
+/// sequence numbering — only the internal data structure differs.
 #[cfg(any(test, feature = "proptest"))]
 // The oracle deliberately uses a hash set: it must not share an ordering bias
 // with the implementation it checks.
@@ -374,7 +357,7 @@ pub mod oracle {
     use std::collections::BinaryHeap;
     use std::collections::HashSet;
 
-    use super::{next_seq, EventId};
+    use super::EventId;
     use crate::snap::{SnapReader, SnapResult, SnapWriter};
     use crate::time::SimTime;
 
@@ -410,6 +393,7 @@ pub mod oracle {
         heap: BinaryHeap<Entry<T>>,
         live: usize,
         cancelled: HashSet<u64>,
+        next_seq: u64,
     }
 
     impl<T> Default for HeapEventQueue<T> {
@@ -425,12 +409,14 @@ pub mod oracle {
                 heap: BinaryHeap::new(),
                 live: 0,
                 cancelled: HashSet::new(),
+                next_seq: 1,
             }
         }
 
-        /// Schedule `data` at `time` (shared global sequence source).
+        /// Schedule `data` at `time`.
         pub fn schedule(&mut self, time: SimTime, data: T) -> EventId {
-            let seq = next_seq();
+            let seq = self.next_seq;
+            self.next_seq += 1;
             self.heap.push(Entry { time, seq, data });
             self.live += 1;
             EventId(seq)
@@ -526,7 +512,7 @@ pub mod oracle {
                 q.heap.push(Entry { time, seq, data });
                 q.live += 1;
             }
-            super::bump_seq_floor(max_seq.saturating_add(1));
+            q.next_seq = max_seq.saturating_add(1);
             Ok(q)
         }
     }
@@ -572,17 +558,16 @@ mod proptests {
         ]
     }
 
-    /// Decode a snapshot into its (time, payload) sequence; seq values are
-    /// consumed but not compared (the two queues draw from the same global
-    /// counter, so their absolute seqs interleave differently).
-    fn decode(buf: &[u8]) -> Vec<(SimTime, u64)> {
+    /// Decode a snapshot into its (time, seq, payload) sequence. Both
+    /// queues number their events the same way, so the seqs must agree too.
+    fn decode(buf: &[u8]) -> Vec<(SimTime, u64, u64)> {
         let mut r = SnapReader::new(buf);
         let n = r.usize().unwrap();
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             let t = r.time().unwrap();
-            let _seq = r.u64().unwrap();
-            out.push((t, r.u64().unwrap()));
+            let seq = r.u64().unwrap();
+            out.push((t, seq, r.u64().unwrap()));
         }
         assert!(r.is_empty());
         out
@@ -635,7 +620,7 @@ mod proptests {
                         let mut hw = SnapWriter::new();
                         heap.snapshot_with(&mut hw, |v, w| w.u64(*v)).unwrap();
                         let hbuf = hw.into_vec();
-                        // Identical live sets in identical (time, payload)
+                        // Identical live sets in identical (time, seq)
                         // order — the restored tie-break ordering.
                         prop_assert_eq!(decode(&wbuf), decode(&hbuf));
                         let mut r = SnapReader::new(&wbuf);
@@ -744,22 +729,6 @@ mod tests {
         assert_eq!(q.len(), 1, "live count untouched by the bogus cancel");
         assert!(q.cancel(b));
         assert!(q.is_empty());
-    }
-
-    /// Regression (checkpoint hardening): an [`EventId`] from a *different*
-    /// queue must never cancel a local event. Ids are globally unique, so a
-    /// foreign id is simply unknown here.
-    #[test]
-    fn cancel_of_foreign_event_id_is_a_noop() {
-        let mut q1 = EventQueue::new();
-        let mut q2 = EventQueue::new();
-        let local = q1.schedule(SimTime::from_ns(10), "mine");
-        let foreign = q2.schedule(SimTime::from_ns(10), "theirs");
-        assert_ne!(local, foreign, "event ids are globally unique");
-        assert!(!q1.cancel(foreign), "foreign id is unknown to this queue");
-        assert_eq!(q1.len(), 1, "local event survives");
-        assert_eq!(q1.pop_due(SimTime::MAX).unwrap().1, "mine");
-        assert_eq!(q2.pop_due(SimTime::MAX).unwrap().1, "theirs");
     }
 
     #[test]

@@ -9,18 +9,17 @@
 //! with the link latency, and delivers incoming messages at exactly their
 //! timestamps.
 //!
-//! The kernel exposes a non-blocking [`Kernel::step`] so components can be
-//! driven cooperatively by a sequential executor on a single core or by a
-//! pool of worker threads (one worker per component mirrors the
-//! one-process-per-simulator architecture of the paper). Both executors live
-//! in the `simbricks-runner` crate.
+//! The kernel exposes a non-blocking [`Kernel::step`], so one thread can step
+//! many components round robin. The `simbricks-runner` crate's partition
+//! loop does exactly that, on the caller's thread, on one thread per
+//! partition, or in one process per partition.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::barrier::BarrierMember;
 use crate::channel::ChannelEnd;
-use crate::event::{EventId, EventQueue};
+use crate::event::EventQueue;
 use crate::log::EventLog;
 use crate::pktbuf::{BufPool, PktBuf};
 use crate::slot::{MsgType, OwnedMsg};
@@ -33,22 +32,14 @@ use crate::time::SimTime;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PortId(pub usize);
 
-/// What a blocked kernel is waiting for, reported by [`Kernel::step`] so
-/// executors can park idle kernels instead of spin-polling them.
+/// What a blocked step did, reported by [`Kernel::step`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WakeHint {
-    /// Earliest virtual time at which the kernel has a locally-known
-    /// obligation (pending message, timer, or SYNC emission) it will act on
-    /// once its peers permit; [`SimTime::MAX`] when it is purely
-    /// input-driven (nothing scheduled, waiting for messages).
-    pub next_event: SimTime,
-    /// True when the kernel cannot possibly make progress until a new
-    /// message arrives on one of its ports. A parkable kernel need not be
-    /// stepped again until [`Kernel::has_new_input`] reports fresh input
-    /// (or an external stop is requested). Kernels under global-barrier
-    /// synchronization or wall-clock pacing are never parkable: they can be
-    /// unblocked by events no port will signal.
-    pub parkable: bool,
+    /// True when the blocked step still moved messages: it drained input
+    /// off a channel, flushed backed-up output, or forwarded a promise gain
+    /// (hierarchical sync). A peer may progress on what moved, so a
+    /// deadlock detector must not count this step as idle.
+    pub moved: bool,
 }
 
 /// Outcome of one [`Kernel::step`] call.
@@ -57,7 +48,7 @@ pub enum StepOutcome {
     /// At least one event was processed or the clock advanced.
     Progressed,
     /// No progress possible until a peer sends a promise; the [`WakeHint`]
-    /// tells the executor when and whether to try again.
+    /// tells whether the step still moved messages.
     Blocked(WakeHint),
     /// The component is quiesced at a checkpoint pause time (see
     /// [`Kernel::set_pause_at`]): every event strictly below the pause time
@@ -371,20 +362,15 @@ impl Kernel {
     }
 
     /// Schedule a timer at absolute virtual time `at`.
-    pub fn schedule_at(&mut self, at: SimTime, token: u64) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, token: u64) {
         debug_assert!(at >= self.now, "cannot schedule a timer in the past");
-        self.timers.schedule(at.max(self.now), token)
+        self.timers.schedule(at.max(self.now), token);
     }
 
     /// Schedule a timer `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimTime, token: u64) -> EventId {
+    pub fn schedule_in(&mut self, delay: SimTime, token: u64) {
         let at = self.now.saturating_add(delay);
-        self.timers.schedule(at, token)
-    }
-
-    /// Cancel a previously scheduled timer.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.timers.cancel(id)
+        self.timers.schedule(at, token);
     }
 
     /// Terminate this component's simulation at the current time.
@@ -463,13 +449,6 @@ impl Kernel {
     /// Whether the component has reached the end of its simulation.
     pub fn is_finished(&self) -> bool {
         self.finished
-    }
-
-    /// Whether any port has a raw, not-yet-polled incoming message. This is a
-    /// cheap peek at the head slot of each incoming queue; executors use it to
-    /// decide when a parked kernel (see [`WakeHint::parkable`]) must be woken.
-    pub fn has_new_input(&self) -> bool {
-        self.ports.iter().any(|p| p.has_raw_input())
     }
 
     // ----- checkpointing --------------------------------------------------------
@@ -647,8 +626,9 @@ impl Kernel {
                 return StepOutcome::Finished;
             }
 
+            let mut moved = false;
             for p in &mut self.ports {
-                p.poll();
+                moved |= p.poll();
             }
 
             // Unsynchronized channels deliver immediately (emulation mode).
@@ -780,31 +760,19 @@ impl Kernel {
                     }
                     if self.hier {
                         // Null-message backstop: a blocked kernel forwards any
-                        // horizon gain its inputs imply before parking. This
+                        // horizon gain its inputs imply before it blocks. This
                         // is what makes cadences wider than Δ deadlock-free:
                         // whenever a cycle of kernels is simultaneously
                         // blocked, at least one port has a promise gain
                         // (otherwise the per-link latencies telescope into a
                         // contradiction), so horizons keep rising.
-                        self.emit_hier_promises(true);
+                        moved |= self.emit_hier_promises(true);
                     }
                     self.stats.blocked_polls += 1;
                     return if progressed {
                         StepOutcome::Progressed
                     } else {
-                        StepOutcome::Blocked(WakeHint {
-                            next_event: t_model.min(t_sync),
-                            // Barrier members are unblocked by epoch advances
-                            // and wall-clock-paced kernels by the passage of
-                            // real time; neither arrives as port input, so
-                            // such kernels must keep being polled. A port with
-                            // a backed-up outbox must also keep being polled:
-                            // flushing happens in poll(), and a peer may be
-                            // waiting on exactly those messages.
-                            parkable: self.barrier.is_none()
-                                && wall_limit.is_none()
-                                && self.ports.iter().all(|p| p.flushed()),
-                        })
+                        StepOutcome::Blocked(WakeHint { moved })
                     };
                 }
             };
@@ -881,8 +849,8 @@ impl Kernel {
     /// coalesced, gain-less members as suppressed). With `blocked` set the
     /// due times are ignored and only ports whose promise would actually
     /// rise emit — the liveness backstop that keeps a blocked fabric's
-    /// horizons climbing.
-    fn emit_hier_promises(&mut self, blocked: bool) {
+    /// horizons climbing. Returns whether any promise was sent.
+    fn emit_hier_promises(&mut self, blocked: bool) -> bool {
         let now = self.now;
         let widen_ok = self.ports.iter().all(|p| p.sync_enabled());
         let t_timer = self.timers.next_time().unwrap_or(SimTime::MAX);
@@ -922,14 +890,16 @@ impl Kernel {
             };
             t_timer.min(inputs).max(now)
         };
+        let mut sent = false;
         if blocked {
             for i in 0..self.ports.len() {
                 let ts = base_for(i).saturating_add(self.ports[i].latency());
                 if ts > self.ports[i].last_promise() {
                     self.ports[i].send_promise(now, ts, false);
+                    sent = true;
                 }
             }
-            return;
+            return sent;
         }
         for d in 0..self.domains.len() {
             let epoch_due = self.domains[d]
@@ -953,6 +923,7 @@ impl Kernel {
                 if own_due {
                     if ts > floor {
                         self.ports[i].send_promise(now, ts, false);
+                        sent = true;
                     } else {
                         self.ports[i].defer_sync(now);
                     }
@@ -963,9 +934,11 @@ impl Kernel {
                     // at the cadence of the *finest* port in the domain and
                     // the multi-hop cap never pays off.
                     self.ports[i].send_promise(now, ts, true);
+                    sent = true;
                 }
             }
         }
+        sent
     }
 
     fn stop_requested(&self) -> bool {
@@ -1252,8 +1225,7 @@ mod tests {
         let outcome = k.step(&mut m, 16);
         match outcome {
             StepOutcome::Blocked(hint) => {
-                assert!(hint.parkable, "idle synchronized kernel is parkable");
-                assert_eq!(hint.next_event, SimTime::MAX, "purely input-driven");
+                assert!(!hint.moved, "an idle kernel without ports moves nothing");
             }
             other => panic!("expected Blocked, got {other:?}"),
         }
@@ -1281,29 +1253,6 @@ mod tests {
         assert_eq!(a_rx, 50);
         assert_eq!(m.received.len(), 50);
         assert_eq!(sa.data_sent, 50);
-    }
-
-    #[test]
-    fn timer_cancellation_prevents_firing() {
-        struct C {
-            fired: u64,
-        }
-        impl Model for C {
-            fn init(&mut self, k: &mut Kernel) {
-                let id = k.schedule_at(SimTime::from_ns(100), 1);
-                k.schedule_at(SimTime::from_ns(200), 2);
-                k.cancel(id);
-            }
-            fn on_msg(&mut self, _k: &mut Kernel, _p: PortId, _m: OwnedMsg) {}
-            fn on_timer(&mut self, _k: &mut Kernel, token: u64) {
-                assert_eq!(token, 2);
-                self.fired += 1;
-            }
-        }
-        let mut k = Kernel::new("c", SimTime::from_us(1));
-        let mut m = C { fired: 0 };
-        run(&mut k, &mut m);
-        assert_eq!(m.fired, 1);
     }
 
     /// Checkpoint pause: both kernels of a synchronized pair quiesce at
@@ -1387,49 +1336,6 @@ mod tests {
             b2.received, rb.received,
             "continuation identical to uninterrupted run"
         );
-    }
-
-    /// Regression (checkpoint hardening): [`Kernel::cancel`] of a timer
-    /// that already fired, or of an [`EventId`] belonging to a different
-    /// kernel, must be a safe no-op returning false — never cancelling an
-    /// unrelated local timer.
-    #[test]
-    fn kernel_cancel_of_fired_or_foreign_timer_is_a_noop() {
-        struct C {
-            fired: Vec<u64>,
-            first: Option<EventId>,
-        }
-        impl Model for C {
-            fn init(&mut self, k: &mut Kernel) {
-                self.first = Some(k.schedule_at(SimTime::from_ns(100), 1));
-                k.schedule_at(SimTime::from_ns(200), 2);
-            }
-            fn on_msg(&mut self, _k: &mut Kernel, _p: PortId, _m: OwnedMsg) {}
-            fn on_timer(&mut self, k: &mut Kernel, token: u64) {
-                self.fired.push(token);
-                if token == 1 {
-                    // Cancelling the timer that is firing right now (already
-                    // popped) must not succeed or disturb the next one.
-                    let id = self.first.unwrap();
-                    assert!(!k.cancel(id), "already-fired timer cannot be cancelled");
-                }
-            }
-        }
-        // A sibling kernel whose EventId must be foreign to `k`.
-        let mut other = Kernel::new("other", SimTime::from_us(1));
-        let foreign = other.schedule_at(SimTime::from_ns(50), 9);
-
-        let mut k = Kernel::new("c", SimTime::from_us(1));
-        let mut m = C {
-            fired: Vec::new(),
-            first: None,
-        };
-        assert!(
-            !k.cancel(foreign),
-            "foreign EventId is unknown to this kernel"
-        );
-        run(&mut k, &mut m);
-        assert_eq!(m.fired, vec![1, 2], "both local timers fired exactly once");
     }
 
     #[test]

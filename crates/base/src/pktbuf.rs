@@ -48,9 +48,9 @@ pub const SEG_CAPACITY: usize = 9216 + DEFAULT_HEADROOM;
 /// slack for encapsulation experiments.
 pub const DEFAULT_HEADROOM: usize = 128;
 
-/// Bound on segments parked per thread. Segments released beyond this bound
+/// Bound on segments held per thread. Segments released beyond this bound
 /// are genuinely freed, so idle threads shrink back (at most ~2.4 MiB of
-/// parked segments per thread).
+/// held segments per thread).
 const MAX_FREE_PER_THREAD: usize = 256;
 
 thread_local! {
@@ -92,7 +92,7 @@ pub struct PoolStats {
     /// Segments recycled into the freelist on drop — on the calling thread
     /// (freelists are thread-local).
     pub recycled: u64,
-    /// Segments currently parked in the calling thread's freelist
+    /// Segments currently held in the calling thread's freelist
     /// (instantaneous occupancy).
     pub free: u64,
 }
@@ -227,7 +227,7 @@ fn new_seg() -> Arc<Seg> {
     })
 }
 
-/// Refcounted segment storage. While parked in a thread's freelist the list
+/// Refcounted segment storage. While held in a thread's freelist the list
 /// holds the only reference; while in flight, every [`PktBuf`] clone shares
 /// one `Arc`. A segment is recyclable iff its storage has exactly
 /// [`SEG_CAPACITY`] bytes (heap fallbacks and `from_vec` wrappers differ and
@@ -591,7 +591,7 @@ mod tests {
         let (h0, m0) = (pool.stats().hits, pool.stats().misses);
         assert_eq!(h0 + m0, 1, "exactly one allocation so far");
         drop(a);
-        assert_eq!(pool.stats().free, free0 + 1, "segment parked on drop");
+        assert_eq!(pool.stats().free, free0 + 1, "segment held on drop");
         let b = pool.copy_from_slice(b"world");
         assert_eq!(pool.stats().hits, h0 + 1, "second allocation reuses it");
         assert_eq!(pool.stats().free, free0);

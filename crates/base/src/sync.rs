@@ -175,10 +175,12 @@ impl SyncPort {
 
     /// Drain the incoming queue: SYNC messages only raise the horizon, data
     /// messages are buffered for delivery to the model. Also flushes any
-    /// locally buffered outgoing messages.
-    pub fn poll(&mut self) {
-        self.flush_outbox();
+    /// locally buffered outgoing messages. Returns whether any message moved
+    /// in either direction.
+    pub fn poll(&mut self) -> bool {
+        let mut moved = self.flush_outbox();
         while let Some(msg) = self.chan.recv_raw() {
+            moved = true;
             debug_assert!(
                 msg.timestamp >= self.in_horizon || !self.sync_enabled(),
                 "per-channel timestamps must be monotonic ({} < {})",
@@ -195,6 +197,7 @@ impl SyncPort {
                 self.pending.push_back(msg);
             }
         }
+        moved
     }
 
     /// The peer's promise: no message with a timestamp below this will ever
@@ -467,9 +470,7 @@ impl SyncPort {
     }
 
     /// Whether a raw (not yet polled) message is waiting on the incoming
-    /// queue. Executors use this to decide when a parked kernel must be woken:
-    /// a kernel blocked on peer promises can only become runnable again once
-    /// new input arrives on some port.
+    /// queue (a peek at its head slot).
     pub fn has_raw_input(&self) -> bool {
         self.chan.peek_timestamp().is_some()
     }
@@ -585,11 +586,15 @@ impl SyncPort {
             && self.horizon() >= t.saturating_add(self.latency())
     }
 
-    fn flush_outbox(&mut self) {
+    /// Move buffered sends into the shared queue while it has room. Returns
+    /// whether any was sent.
+    fn flush_outbox(&mut self) -> bool {
+        let mut sent = false;
         while let Some((ts, ty, payload)) = self.outbox.front() {
             match self.chan.send_raw(*ts, *ty, payload) {
                 Ok(()) => {
                     self.outbox.pop_front();
+                    sent = true;
                 }
                 Err(SendError::Disconnected) => {
                     self.outbox.clear();
@@ -597,6 +602,7 @@ impl SyncPort {
                 Err(_) => break,
             }
         }
+        sent
     }
 }
 

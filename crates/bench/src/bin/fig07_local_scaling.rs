@@ -2,7 +2,7 @@
 //! to one switch grows (fixed 1 Gbps aggregate UDP load).
 //!
 //! The harness runs every topology twice on identical inputs: once with the
-//! sequential executor and once with the sharded work-stealing executor, so
+//! sequential executor and once with the sharded executor, so
 //! the local-scaling claim of §5.5 (components synchronize pairwise, so more
 //! cores buy wall-clock speedup) can be checked on the machine at hand.
 //!
@@ -13,14 +13,14 @@
 //!
 //! `--json PATH` writes the machine-readable baseline consumed by future
 //! regression checks (see `BENCH_fig07.json` at the repository root).
-//! `SIMBRICKS_WORKERS` provides the worker count when `--workers` is absent.
+//! Without `--workers`, the sharded run uses the machine's available
+//! parallelism.
 //! `--hier-sync` reruns every topology with hierarchical sync domains on and
 //! records the SYNC reduction; `--fat-tree` adds the scale-out matrix (k-ary
 //! fat-tree pod hierarchies, flat vs hierarchical sync) whose committed
 //! baseline carries the sublinearity claim.
 
 use simbricks::hostsim::HostKind;
-use simbricks::runner::default_workers;
 use simbricks::{Execution, SimTime};
 use simbricks_bench::{fat_tree_stats, udp_scaleup_stats, FatTree};
 
@@ -52,7 +52,7 @@ struct FtRow {
 
 fn main() {
     let mut hosts_list = vec![2usize, 5, 10, 15, 21];
-    let mut workers = default_workers();
+    let mut workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut duration = SimTime::from_ms(5);
     let mut json_path: Option<String> = None;
     let mut hier_sync = false;

@@ -546,9 +546,9 @@ impl PartitionBuilder {
     /// The experiment under assembly (for channel parameters etc.).
     /// Panics if [`PartitionBuilder::init`] has not been called.
     pub fn exp(&mut self) -> &mut Experiment {
-        // io-ok: API contract (documented panic), not an I/O failure
         self.exp
             .as_mut()
+            // io-ok: API contract (documented panic), not an I/O failure
             .expect("build function must call init() first")
     }
 

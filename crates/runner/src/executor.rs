@@ -1,342 +1,267 @@
-//! Sharded work-stealing executor: many kernels over a fixed worker pool.
+//! The partition loop: the one loop that steps kernels, whatever the
+//! executor.
 //!
-//! [`Execution::Sequential`](crate::Execution::Sequential) steps every
-//! component cooperatively on one core. This module schedules all kernels of
-//! an experiment over a fixed pool of workers instead (§5.5 scalability
-//! claim at local scale); with one worker per component it is the paper's
-//! one-simulator-per-core layout, and with fewer it does not oversubscribe
-//! the machine when components ≫ cores:
+//! A partition is a contiguous slice of an experiment's components stepped
+//! round robin by one thread, the tcp link pumps it owns (all belong to
+//! partition 0), and one wait policy: `Sequential` is one partition on the
+//! caller's thread, `Sharded { workers: n }` is `min(n, components)`. Each
+//! partition owns its kernels by `&mut`, so nothing is locked (§5.2, §5.4).
 //!
-//! * **Sharding.** Components are split into contiguous shards, one per
-//!   worker. Each worker sweeps its own shard first, which keeps a kernel on
-//!   the same core across polls (warm caches for its event queue and ports).
-//! * **Work stealing.** A worker whose shard yields no progress sweeps the
-//!   other shards. Every component is guarded by its own [`Mutex`];
-//!   `try_lock` makes stealing race-free without a global scheduler lock,
-//!   and a failed `try_lock` just means another worker is already stepping
-//!   that kernel.
-//! * **Parking.** A kernel whose [`Kernel::step`] returns
-//!   [`StepOutcome::Blocked`] with a parkable
-//!   [`WakeHint`](simbricks_base::WakeHint) is skipped until
-//!   [`Kernel::has_new_input`] sees a fresh message on one of its SPSC
-//!   queues — a cheap peek at one queue slot per port, instead of a full
-//!   poll/bound recomputation. The SimBricks synchronization protocol
-//!   guarantees this is lossless: a blocked synchronized kernel can only be
-//!   unblocked by a new message (promise) from a peer.
-//!
-//! Cross-shard communication needs no extra machinery: components already
-//! exchange messages through the lock-free SPSC channel pairs created at
-//! wiring time, which work identically within and across shards. A
-//! distributed partition's tcp links are pumped by whichever worker takes
-//! their lock at the start of a sweep.
-//!
-//! Determinism: the executor only changes *when* (in wall-clock time) each
-//! kernel polls; the §5.5 protocol fixes *what* every kernel observes at
-//! every virtual time. Sequential and sharded runs therefore produce
-//! bit-identical event logs (asserted by `tests/integration_determinism.rs`).
+//! A round is *active* when a kernel advanced, finished or moved a message
+//! ([`WakeHint::moved`](simbricks_base::WakeHint)). With several partitions,
+//! every active round bumps a shared counter, and an idle round records the
+//! count read when it began: the run is stuck once every unfinished partition
+//! has recorded the current count. With one partition that is one idle round.
+//! The rule is off without synchronization or with external inputs. See
+//! `docs/ARCHITECTURE.md` ("Executors") for the frontier and the wait policy.
+//! The loop only changes *when* each kernel polls, never what it observes.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use simbricks_base::{Kernel, Model, StepOutcome};
+use simbricks_base::{SimTime, StepOutcome};
 
+use crate::experiment::Component;
 use crate::proxy::{pump_all, TcpPump};
 
-/// `max_steps` passed to each [`Kernel::step`] call: how many clock advances
-/// a kernel may make before the worker moves on.
+/// Clock advances a kernel may make per step before the loop moves on.
 const BATCH: usize = 512;
+/// Idle rounds a synchronized partition yields before it sleeps 20 µs per
+/// round: the spin must outlast a peer's compute between two promises, or
+/// two partitions polling each other's rings lock into sleeping turns.
+const SPIN_ROUNDS: u32 = 4096;
+/// Idle rounds after which an in-process quiesce has failed.
+const QUIESCE_IDLE_LIMIT: u32 = 10_000;
+/// Wall-clock bound on a quiesce that waits for other processes.
+const QUIESCE_TIMEOUT: Duration = Duration::from_secs(120);
+/// `idle_at` of a partition whose components all finished, and of one that
+/// has not finished an idle round yet.
+const DONE: u64 = u64::MAX;
+const UNSEEN: u64 = u64::MAX - 1;
 
-/// Worker count used when none is configured: `SIMBRICKS_WORKERS` if set,
-/// otherwise the machine's available parallelism.
-pub fn default_workers() -> usize {
-    if let Ok(v) = std::env::var("SIMBRICKS_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
+/// What the partitions run towards.
+#[derive(Clone, Copy)]
+pub(crate) enum Goal {
+    /// Every component finished.
+    End,
+    /// Every component quiesced at this checkpoint time; ports are polled
+    /// after every round so in-flight messages settle.
+    Quiesce(SimTime),
+}
+
+/// Run-wide settings every partition reads.
+pub(crate) struct Config<'a> {
+    pub synchronized: bool,
+    /// Some channels are fed from outside the experiment (§5.4).
+    pub external_inputs: bool,
+    /// Raised by the first component to finish an unsynchronized run.
+    pub stop: &'a AtomicBool,
+    /// The experiment's progress counter (picoseconds).
+    pub frontier: &'a AtomicU64,
+    /// The clock a finished partition reports.
+    pub end: SimTime,
+}
+
+/// State the partitions of one run share.
+struct Shared {
+    /// Per partition: its minimum unfinished clock (picoseconds), 0 until
+    /// it first publishes.
+    clocks: Vec<AtomicU64>,
+    /// Per partition: the active count read at the start of its last idle
+    /// round, or [`UNSEEN`] / [`DONE`].
+    idle_at: Vec<AtomicU64>,
+    /// Active rounds over all partitions (counted only with more than one).
+    /// The Release bump after a round pairs with the Acquire load that
+    /// starts the next one: a partition that reads a count also sees every
+    /// message sent in the rounds it counts.
+    active: AtomicU64,
+    /// Stuck, or a partition panicked: the others return.
+    halt: AtomicBool,
+}
+
+/// Raises `halt` if a partition's thread unwinds, so the others return
+/// instead of waiting for kernels that will never move again.
+struct HaltOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for HaltOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
-/// One schedulable component: its kernel plus its model, mutably borrowed
-/// from the experiment for the duration of the run.
-pub(crate) struct Unit<'a> {
-    pub name: &'a str,
-    pub kernel: &'a mut Kernel,
-    pub model: &'a mut dyn Model,
-}
-
-/// Mutable per-component scheduling state, guarded by the slot mutex.
-struct UnitState<'a> {
-    unit: Unit<'a>,
-    /// Blocked with a parkable hint: skip until new input (or a force pass).
-    parked: bool,
-    done: bool,
-}
-
-struct Slot<'a> {
-    state: Mutex<UnitState<'a>>,
-    /// Lock-free mirror of `done` so sweeps skip finished slots without
-    /// touching the mutex.
-    finished: AtomicBool,
-    /// Lock-free mirror of the kernel's clock (picoseconds), refreshed after
-    /// every step: the partition frontier is the minimum over unfinished
-    /// slots.
-    clock: AtomicU64,
-}
-
-/// How many consecutive no-progress sweeps a worker tolerates before it
-/// force-steps parked kernels too (safety valve against a missed wakeup).
-const FORCE_AFTER_IDLE: u32 = 64;
-
-/// Wall-clock time without global progress after which a synchronized run is
-/// declared deadlocked.
-const DEADLOCK_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Run every unit to completion on `workers` worker threads (clamped to the
-/// unit count), pumping `pumps` (the partition's tcp links) along the way.
-///
-/// `external_inputs` says some channels are fed by another OS process
-/// (distributed partition, §5.4): "everything blocked" is then a normal
-/// transient state — a remote promise can arrive at any wall-clock moment —
-/// so the deadlock detector is disabled. `stop` is the experiment's shared
-/// stop flag: in unsynchronized (emulation) runs the first component to
-/// finish raises it so free-running peers terminate; the executor also uses
-/// it to force-wake parked kernels. `frontier` receives the minimum clock
-/// (picoseconds) over unfinished kernels every few sweeps, for heartbeats
-/// and virtual-time fault schedules.
-pub(crate) fn run_sharded(
-    units: Vec<Unit<'_>>,
+/// Step `comps` towards `goal` in `parts` partitions (clamped to the
+/// component count) of contiguous components; partition 0 also pumps
+/// `pumps`. Returns false when the run is stuck: nothing can move any more,
+/// a quiesce saw [`QUIESCE_IDLE_LIMIT`] idle rounds, or one with external
+/// inputs outwaited [`QUIESCE_TIMEOUT`].
+pub(crate) fn run(
+    comps: &mut [Component],
     pumps: &mut [TcpPump],
-    workers: usize,
-    external_inputs: bool,
-    stop: &AtomicBool,
-    synchronized: bool,
-    frontier: &AtomicU64,
-) {
-    let n = units.len();
-    if n == 0 {
-        return;
-    }
-    let workers = workers.max(1).min(n);
-    let slots: Vec<Slot> = units
-        .into_iter()
-        .map(|unit| Slot {
-            clock: AtomicU64::new(unit.kernel.now().as_ps()),
-            state: Mutex::new(UnitState {
-                unit,
-                parked: false,
-                done: false,
-            }),
-            finished: AtomicBool::new(false),
-        })
-        .collect();
-    let finished = AtomicUsize::new(0);
-    // Monotone counter bumped on every productive sweep; workers use it to
-    // notice global progress (and its absence, for deadlock detection).
-    let progress = AtomicU64::new(0);
-    let pumps = (!pumps.is_empty()).then(|| Mutex::new(pumps));
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let slots = &slots;
-            let finished = &finished;
-            let progress = &progress;
-            let pumps = pumps.as_ref();
-            scope.spawn(move || {
-                worker_loop(
-                    w,
-                    workers,
-                    slots,
-                    pumps,
-                    finished,
-                    progress,
-                    frontier,
-                    stop,
-                    synchronized,
-                    external_inputs,
-                );
-            });
-        }
-    });
-}
-
-/// Step one component if it is runnable. Returns true when the step made
-/// progress (advanced or finished), false when the slot was skipped, already
-/// locked by another worker, or blocked.
-fn try_step(
-    slot: &Slot<'_>,
-    force: bool,
-    finished: &AtomicUsize,
-    stop: &AtomicBool,
-    synchronized: bool,
+    parts: usize,
+    goal: Goal,
+    cfg: &Config<'_>,
 ) -> bool {
-    if slot.finished.load(Ordering::Relaxed) {
-        return false;
+    let len = comps.len();
+    let parts = parts.clamp(1, len.max(1));
+    let mut slices = Vec::with_capacity(parts);
+    let mut rest = comps;
+    for p in 0..parts {
+        let (head, tail) = rest.split_at_mut((p + 1) * len / parts - p * len / parts);
+        slices.push(head);
+        rest = tail;
     }
-    let Ok(mut st) = slot.state.try_lock() else {
-        return false;
+    let shared = Shared {
+        clocks: (0..parts).map(|_| AtomicU64::new(0)).collect(),
+        idle_at: (0..parts).map(|_| AtomicU64::new(UNSEEN)).collect(),
+        active: AtomicU64::new(0),
+        halt: AtomicBool::new(false),
     };
-    if st.done {
-        return false;
-    }
-    if st.parked && !force && !st.unit.kernel.has_new_input() {
-        return false;
-    }
-    let UnitState {
-        ref mut unit,
-        ref mut parked,
-        ref mut done,
-    } = *st;
-    let outcome = unit.kernel.step(unit.model, BATCH);
-    slot.clock
-        .store(unit.kernel.now().as_ps(), Ordering::Relaxed);
-    match outcome {
-        StepOutcome::Finished => {
-            *done = true;
-            *parked = false;
-            slot.finished.store(true, Ordering::Relaxed);
-            finished.fetch_add(1, Ordering::Relaxed);
-            if !synchronized {
-                // Emulation mode: the first component to finish (the workload
-                // driver) ends the run for everyone.
-                stop.store(true, Ordering::Relaxed);
-            }
-            true
+    let mut slices = slices.into_iter();
+    let first = slices.next().expect("one partition");
+    let reached = std::thread::scope(|scope| {
+        for (i, comps) in slices.enumerate() {
+            let shared = &shared;
+            scope.spawn(move || run_partition(i + 1, comps, &mut [], goal, cfg, shared));
         }
-        StepOutcome::Progressed => {
-            *parked = false;
-            true
-        }
-        StepOutcome::Blocked(hint) => {
-            *parked = hint.parkable;
-            false
-        }
-        // Checkpoint pauses are orchestrated by the experiment's cooperative
-        // quiesce loop before the sharded phase starts; a kernel reporting
-        // Paused here is simply not runnable yet.
-        StepOutcome::Paused => {
-            *parked = false;
-            false
-        }
-    }
+        run_partition(0, first, pumps, goal, cfg, &shared)
+    });
+    reached && !shared.halt.load(Ordering::Relaxed)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    w: usize,
-    workers: usize,
-    slots: &[Slot<'_>],
-    pumps: Option<&Mutex<&mut [TcpPump]>>,
-    finished: &AtomicUsize,
-    progress: &AtomicU64,
-    frontier: &AtomicU64,
-    stop: &AtomicBool,
-    synchronized: bool,
-    external_inputs: bool,
-) {
-    let n = slots.len();
-    // Contiguous shard [lo, hi) owned by this worker (affinity, not
-    // exclusivity — any worker may step any component).
-    let lo = w * n / workers;
-    let hi = (w + 1) * n / workers;
-    let mut idle_sweeps: u32 = 0;
-    let mut sweeps: u32 = 0;
-    let mut last_progress = progress.load(Ordering::Relaxed);
-    let mut stalled_since: Option<Instant> = None;
+/// Minimum clock (picoseconds) over the unfinished components, `end` when
+/// there are none.
+fn min_clock(comps: &[Component], end: SimTime) -> u64 {
+    comps
+        .iter()
+        .filter(|c| !c.kernel.is_finished())
+        .map(|c| c.kernel.now().as_ps())
+        .min()
+        .unwrap_or(end.as_ps())
+}
 
-    while finished.load(Ordering::Relaxed) < n {
-        // Worker 0 publishes the partition frontier every few sweeps: the
-        // minimum unfinished clock, below which everything is final.
-        if w == 0 && sweeps & 0x3f == 0 {
-            let min = slots
-                .iter()
-                .filter(|s| !s.finished.load(Ordering::Relaxed))
-                .map(|s| s.clock.load(Ordering::Relaxed))
-                .min();
-            if let Some(min) = min {
-                frontier.store(min, Ordering::Relaxed);
+/// One partition's loop; see [`run`].
+fn run_partition(
+    index: usize,
+    comps: &mut [Component],
+    pumps: &mut [TcpPump],
+    goal: Goal,
+    cfg: &Config<'_>,
+    shared: &Shared,
+) -> bool {
+    let _guard = HaltOnPanic(&shared.halt);
+    let multi = shared.idle_at.len() > 1;
+    let started = Instant::now();
+    let mut rounds: u32 = 0;
+    let mut idle_rounds: u32 = 0;
+    loop {
+        if rounds & 0x3f == 0 {
+            // Publish this partition's clock; the frontier is the minimum
+            // over partitions.
+            shared.clocks[index].store(min_clock(comps, cfg.end), Ordering::Relaxed);
+            let min = shared.clocks.iter().map(|c| c.load(Ordering::Relaxed));
+            cfg.frontier
+                .fetch_max(min.min().unwrap_or(0), Ordering::Relaxed);
+            if shared.halt.load(Ordering::Relaxed) {
+                return false;
             }
         }
-        sweeps = sweeps.wrapping_add(1);
-        let force = stop.load(Ordering::Relaxed) || idle_sweeps >= FORCE_AFTER_IDLE;
-        // Links first, so what they deliver is stepped in this sweep. A
-        // worker that finds them locked leaves them to the one holding it.
-        let mut progressed =
-            pumps.is_some_and(|p| p.try_lock().is_ok_and(|mut p| pump_all(&mut p)));
-        // Own shard first: keeps each kernel on one core in the steady state.
-        for slot in &slots[lo..hi] {
-            if try_step(slot, force, finished, stop, synchronized) {
-                progressed = true;
+        rounds = rounds.wrapping_add(1);
+        let seen = if multi {
+            shared.active.load(Ordering::Acquire)
+        } else {
+            0
+        };
+
+        let (mut progressed, mut moved, mut unfinished) = (false, false, 0);
+        for c in comps.iter_mut() {
+            if c.kernel.is_finished() {
+                continue;
             }
-        }
-        if !progressed {
-            // Work stealing: help whoever still has runnable kernels.
-            for slot in slots[hi..].iter().chain(&slots[..lo]) {
-                if try_step(slot, force, finished, stop, synchronized) {
+            match c.kernel.step(c.model.as_model(), BATCH) {
+                StepOutcome::Finished => {
                     progressed = true;
+                    if !cfg.synchronized {
+                        // Emulation mode: the workload is done, stop the rest.
+                        cfg.stop.store(true, Ordering::Relaxed);
+                    }
+                }
+                StepOutcome::Progressed => progressed = true,
+                StepOutcome::Blocked(hint) => moved |= hint.moved,
+                StepOutcome::Paused => {}
+            }
+            unfinished += usize::from(!c.kernel.is_finished());
+        }
+        progressed |= pump_all(pumps);
+
+        match goal {
+            Goal::End => {
+                let others_done = || {
+                    shared
+                        .idle_at
+                        .iter()
+                        .enumerate()
+                        .all(|(i, a)| i == index || a.load(Ordering::Acquire) == DONE)
+                };
+                if unfinished == 0 && (pumps.is_empty() || others_done()) {
+                    shared.idle_at[index].store(DONE, Ordering::SeqCst);
+                    shared.clocks[index].store(cfg.end.as_ps(), Ordering::Relaxed);
+                    return true;
+                }
+            }
+            Goal::Quiesce(at) => {
+                for c in comps.iter_mut() {
+                    c.kernel.checkpoint_poll();
+                }
+                if comps.iter().all(|c| c.kernel.quiesced_at(at)) {
+                    return true;
                 }
             }
         }
-
+        if multi && (progressed || moved) {
+            shared.active.fetch_add(1, Ordering::Release);
+        }
         if progressed {
-            progress.fetch_add(1, Ordering::Relaxed);
-            idle_sweeps = 0;
-            stalled_since = None;
+            idle_rounds = 0;
             continue;
         }
-        idle_sweeps = idle_sweeps.saturating_add(1);
-        let seen = progress.load(Ordering::Relaxed);
-        if seen != last_progress {
-            last_progress = seen;
-            stalled_since = None;
-        } else if synchronized && !external_inputs && force {
-            // No one anywhere is progressing, even with parked kernels
-            // force-stepped. Give peers real wall-clock time before calling
-            // it a deadlock (another worker may hold locks mid-step); a
-            // distributed partition skips this entirely, since a remote
-            // promise can legitimately take arbitrarily long.
-            let since = *stalled_since.get_or_insert_with(Instant::now);
-            if since.elapsed() > DEADLOCK_TIMEOUT {
-                panic!(
-                    "deadlock in sharded execution: {} of {} components blocked: {}",
-                    n - finished.load(Ordering::Relaxed),
-                    n,
-                    describe_blocked(slots)
-                );
+        match goal {
+            Goal::End if cfg.synchronized && !cfg.external_inputs && !moved => {
+                if !multi {
+                    return false;
+                }
+                shared.idle_at[index].store(seen, Ordering::SeqCst);
+                let now = shared.active.load(Ordering::SeqCst);
+                let idle = |a: &AtomicU64| [now, DONE].contains(&a.load(Ordering::SeqCst));
+                if shared.idle_at.iter().all(idle) {
+                    shared.halt.store(true, Ordering::Relaxed);
+                    return false;
+                }
+            }
+            Goal::End => {}
+            // Remote partitions quiesce on their own wall-clock schedule;
+            // their pause promises arrive through the cross links.
+            Goal::Quiesce(_) if cfg.external_inputs => {
+                if started.elapsed() > QUIESCE_TIMEOUT {
+                    return false;
+                }
+            }
+            Goal::Quiesce(_) => {
+                if idle_rounds >= QUIESCE_IDLE_LIMIT {
+                    return false;
+                }
             }
         }
-        if synchronized {
+        idle_rounds = idle_rounds.saturating_add(1);
+        if !cfg.synchronized {
+            // Emulation mode: the kernels wait for the wall clock; wait
+            // with them.
+            std::thread::sleep(Duration::from_micros(100));
+        } else if idle_rounds < SPIN_ROUNDS {
             std::thread::yield_now();
         } else {
-            // Emulation mode: components wait for the wall clock; wait with
-            // them instead of burning the core.
-            std::thread::sleep(Duration::from_micros(100));
+            std::thread::sleep(Duration::from_micros(20));
         }
     }
-}
-
-/// Best-effort state dump for the deadlock panic (skips slots another worker
-/// holds locked). Re-steps each blocked kernel once to report what it is
-/// waiting for (the [`WakeHint`](simbricks_base::WakeHint) next-event time).
-fn describe_blocked(slots: &[Slot<'_>]) -> String {
-    let mut out = Vec::new();
-    for slot in slots {
-        if slot.finished.load(Ordering::Relaxed) {
-            continue;
-        }
-        if let Ok(mut st) = slot.state.try_lock() {
-            let UnitState { ref mut unit, .. } = *st;
-            let waiting = match unit.kernel.step(unit.model, 1) {
-                StepOutcome::Blocked(hint) => format!(" next_event={}", hint.next_event),
-                _ => String::new(),
-            };
-            out.push(format!("{}@{}{}", unit.name, unit.kernel.now(), waiting));
-        }
-    }
-    out.join(", ")
 }

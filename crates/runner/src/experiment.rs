@@ -7,10 +7,11 @@ use std::time::{Duration, Instant};
 use simbricks_base::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 use simbricks_base::{
     BarrierMember, ChannelEnd, ChannelParams, EpochController, EventLog, Impairment, Kernel,
-    KernelStats, Model, PortId, SimTime, StepOutcome, SyncLookahead,
+    KernelStats, Model, PortId, SimTime, SyncLookahead,
 };
 
 use crate::checkpoint::CheckpointFile;
+use crate::executor::{Config, Goal};
 use crate::proxy::{pump_all, TcpPump};
 
 /// A model that can also be downcast back to its concrete type after the run
@@ -33,27 +34,27 @@ impl<T: Model + Any> AnyModel for T {
     }
 }
 
-struct Component {
-    name: String,
-    kernel: Kernel,
-    model: Box<dyn AnyModel>,
+pub(crate) struct Component {
+    pub(crate) name: String,
+    pub(crate) kernel: Kernel,
+    pub(crate) model: Box<dyn AnyModel>,
 }
 
 /// How to execute the components of an experiment.
 ///
-/// Both executors produce identical simulation results (bit-identical event
-/// logs); they differ only in how wall-clock resources are used. See
+/// Both executors run the same partition loop (see the `executor` module)
+/// and produce identical simulation results (bit-identical event logs); they
+/// differ only in how many threads step the kernels. See
 /// `docs/ARCHITECTURE.md` for guidance on choosing one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Execution {
-    /// Cooperative round-robin on the calling thread (practical on machines
-    /// with few cores; produces identical simulation results).
+    /// One partition: every component stepped round robin on the calling
+    /// thread.
     Sequential,
-    /// Sharded work-stealing pool: all components scheduled over a fixed
-    /// number of worker threads, with blocked kernels parked until new input
-    /// arrives. `workers == 0` means auto (the `SIMBRICKS_WORKERS`
-    /// environment variable if set, otherwise the machine's available
-    /// parallelism); `workers` equal to the component count is the paper's
+    /// `min(workers, components)` partitions of contiguous components, each
+    /// stepped round robin by its own thread; nothing moves a kernel between
+    /// threads. `workers == 0` means the machine's available parallelism;
+    /// `workers` equal to the component count is the paper's
     /// one-simulator-per-core layout.
     Sharded {
         /// Worker thread count (0 = auto).
@@ -220,10 +221,10 @@ pub struct Experiment {
     fp_epoch: Option<SimTime>,
     /// Virtual time a restore fast-forwarded this experiment to (reporting).
     restored_at: Option<SimTime>,
-    /// Coarse virtual-time progress (picoseconds), updated periodically by
-    /// both executors and the quiesce loop. Distributed workers
-    /// read it from a heartbeat thread, so the orchestrator can trigger
-    /// virtual-time fault schedules and detect stalled partitions.
+    /// Coarse virtual-time progress (picoseconds), raised periodically by
+    /// the partition loop. Distributed workers read it from a heartbeat
+    /// thread, so the orchestrator can trigger virtual-time fault schedules
+    /// and detect stalled partitions.
     progress: std::sync::Arc<std::sync::atomic::AtomicU64>,
     /// Called with each checkpoint-ring entry as soon as it is encoded
     /// (distributed workers ship entries to the orchestrator mid-run, so a
@@ -236,10 +237,6 @@ pub struct Experiment {
     /// else — mirroring how emulation measurements end when the benchmark
     /// client completes.
     stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
-}
-
-fn self_stats(c: &Component) -> simbricks_base::KernelStats {
-    c.kernel.stats()
 }
 
 impl Experiment {
@@ -358,11 +355,12 @@ impl Experiment {
         self.synchronized
     }
 
-    /// Declare that some channels of this experiment are fed by another OS
-    /// process (distributed partitions bridged by proxies, §5.4). Executors
-    /// then treat "every local component blocked" as a normal transient state
-    /// — a remote promise can arrive at any wall-clock moment — instead of a
-    /// deadlock. Set automatically for distributed worker partitions.
+    /// Declare that some channels of this experiment are fed from outside
+    /// it: by another OS process (distributed partitions, §5.4), or by a
+    /// relay thread ([`ChannelEnd::is_external`], noted by
+    /// [`Experiment::add`]). "Every component blocked" is then a normal
+    /// transient state, not a deadlock. Set automatically for distributed
+    /// worker partitions.
     pub fn set_external_inputs(&mut self) {
         self.external_inputs = true;
     }
@@ -420,6 +418,7 @@ impl Experiment {
             kernel.enable_log();
         }
         for p in ports {
+            self.external_inputs |= p.is_external();
             kernel.add_port(p);
         }
         self.components.push(Component {
@@ -434,7 +433,7 @@ impl Experiment {
         self.components.len()
     }
 
-    /// Adopt the pump of a tcp cross link: the executor drives it between
+    /// Adopt the pump of a tcp cross link: partition 0 drives it between
     /// kernel steps, and [`RunResult`] hands it back after the run.
     pub(crate) fn add_pump(&mut self, pump: TcpPump) {
         self.pumps.push(pump);
@@ -495,10 +494,10 @@ impl Experiment {
     }
 
     /// Handle on the experiment's coarse virtual-time progress counter
-    /// (picoseconds). Updated periodically by both executors and the
-    /// quiesce loop; other threads (a distributed worker's heartbeat
-    /// pump) may read it at any wall-clock moment. Monotone per run; a
-    /// restore resets it to the restore point.
+    /// (picoseconds). Raised periodically by the partition loop; other
+    /// threads (a distributed worker's heartbeat pump) may read it at any
+    /// wall-clock moment. Monotone per run; a restore resets it to the
+    /// restore point.
     pub fn progress_handle(&self) -> std::sync::Arc<std::sync::atomic::AtomicU64> {
         self.progress.clone()
     }
@@ -658,8 +657,8 @@ impl Experiment {
     }
 
     /// Quiesce every component at `at` and encode the checkpoint container.
-    /// Cooperative and single-threaded: determinism of the saved state does
-    /// not depend on the executor the surrounding run uses.
+    /// One partition on the calling thread: determinism of the saved state
+    /// does not depend on the executor the surrounding run uses.
     fn quiesce_and_encode(&mut self, at: SimTime) -> SnapResult<Vec<u8>> {
         assert!(
             self.synchronized && self.barrier.is_none(),
@@ -670,68 +669,27 @@ impl Experiment {
         for c in &mut self.components {
             c.kernel.set_pause_at(at);
         }
-        let deadline = Instant::now() + Duration::from_secs(120);
-        let mut idle_rounds: u64 = 0;
-        let mut rounds: u64 = 0;
-        loop {
-            if rounds & 0x3f == 0 {
-                let frontier = self
-                    .components
-                    .iter()
-                    .map(|c| c.kernel.now().as_ps())
-                    .min()
-                    .unwrap_or(0);
-                self.progress
-                    .store(frontier, std::sync::atomic::Ordering::Relaxed);
-            }
-            rounds = rounds.wrapping_add(1);
-            let mut any_progress = false;
-            for c in &mut self.components {
-                match c.kernel.step(c.model.as_model(), 512) {
-                    StepOutcome::Progressed => any_progress = true,
-                    StepOutcome::Finished => any_progress = true,
-                    StepOutcome::Paused | StepOutcome::Blocked(_) => {}
-                }
-            }
-            any_progress |= pump_all(&mut self.pumps);
-            // Settle in-flight messages into the ports' pending buffers.
-            for c in &mut self.components {
-                c.kernel.checkpoint_poll();
-            }
-            if self.components.iter().all(|c| c.kernel.quiesced_at(at)) {
-                break;
-            }
-            if any_progress {
-                idle_rounds = 0;
-                continue;
-            }
-            idle_rounds += 1;
+        if !self.drive(1, Goal::Quiesce(at)) {
             if self.external_inputs {
-                // Remote partitions quiesce on their own wall-clock schedule;
-                // their pause promises arrive through the cross links.
-                std::thread::yield_now();
-                if Instant::now() > deadline {
-                    return Err(SnapError::Io(
-                        "timed out waiting for remote partitions to quiesce".into(),
-                    ));
-                }
-            } else if idle_rounds > 10_000 {
-                let stuck: Vec<String> = self
-                    .components
-                    .iter()
-                    .filter(|c| !c.kernel.quiesced_at(at))
-                    .map(|c| {
-                        let ports: Vec<String> = (0..c.kernel.num_ports())
-                            .map(|i| format!("p{i}[{}]", c.kernel.port_sync_describe(PortId(i))))
-                            .collect();
-                        format!("{}@{} {}", c.name, c.kernel.now(), ports.join(" "))
-                    })
-                    .collect();
-                return Err(SnapError::Io(format!(
-                    "experiment failed to quiesce at {at}: {}",
-                    stuck.join(", ")
-                )));
+                return Err(SnapError::Io(
+                    "timed out waiting for remote partitions to quiesce".into(),
+                ));
             }
+            let stuck: Vec<String> = self
+                .components
+                .iter()
+                .filter(|c| !c.kernel.quiesced_at(at))
+                .map(|c| {
+                    let ports: Vec<String> = (0..c.kernel.num_ports())
+                        .map(|i| format!("p{i}[{}]", c.kernel.port_sync_describe(PortId(i))))
+                        .collect();
+                    format!("{}@{} {}", c.name, c.kernel.now(), ports.join(" "))
+                })
+                .collect();
+            return Err(SnapError::Io(format!(
+                "experiment failed to quiesce at {at}: {}",
+                stuck.join(", ")
+            )));
         }
 
         let mut components = Vec::with_capacity(self.components.len());
@@ -977,9 +935,25 @@ impl Experiment {
             }
         }
         // Phase 2: run (or continue) under the requested executor.
-        match mode {
-            Execution::Sequential => self.run_sequential(),
-            Execution::Sharded { workers } => self.run_sharded(workers),
+        let parts = match mode {
+            Execution::Sequential => 1,
+            Execution::Sharded { workers: 0 } => {
+                std::thread::available_parallelism().map_or(1, |n| n.get())
+            }
+            Execution::Sharded { workers } => workers,
+        };
+        if !self.drive(parts, Goal::End) {
+            let states: Vec<String> = self
+                .components
+                .iter()
+                .filter(|c| !c.kernel.is_finished())
+                .map(|c| format!("{}@{} {:?}", c.name, c.kernel.now(), c.kernel.stats()))
+                .collect();
+            panic!(
+                "deadlock in experiment '{}': blocked components: {}",
+                self.name,
+                states.join(", ")
+            );
         }
         let wall = start.elapsed();
 
@@ -1014,143 +988,17 @@ impl Experiment {
         }
     }
 
-    fn run_sequential(&mut self) {
-        let n = self.components.len();
-        let mut finished = vec![false; n];
-        let mut idle_rounds: u32 = 0;
-        let mut rounds: u32 = 0;
-        loop {
-            // Publish coarse virtual-time progress every few rounds: the
-            // minimum unfinished clock is the partition's committed frontier
-            // (everything below it is final), which is what heartbeats
-            // report and fault schedules trigger on.
-            if rounds & 0x3f == 0 {
-                let frontier = self
-                    .components
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| !finished[*i])
-                    .map(|(_, c)| c.kernel.now().as_ps())
-                    .min()
-                    .unwrap_or(self.end.as_ps());
-                self.progress
-                    .store(frontier, std::sync::atomic::Ordering::Relaxed);
-            }
-            rounds = rounds.wrapping_add(1);
-            let mut all_finished = true;
-            let mut any_progress = false;
-            for (i, c) in self.components.iter_mut().enumerate() {
-                if finished[i] {
-                    continue;
-                }
-                match c.kernel.step(c.model.as_model(), 512) {
-                    StepOutcome::Finished => {
-                        finished[i] = true;
-                        any_progress = true;
-                        if !self.synchronized {
-                            // Emulation mode: the workload is done, stop the rest.
-                            self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
-                        }
-                    }
-                    StepOutcome::Progressed => {
-                        all_finished = false;
-                        any_progress = true;
-                    }
-                    StepOutcome::Blocked(_) => {
-                        all_finished = false;
-                    }
-                    // Pauses are handled by the dedicated quiesce loop; a
-                    // kernel still paused here is waiting for clear_pause.
-                    StepOutcome::Paused => {
-                        all_finished = false;
-                    }
-                }
-            }
-            any_progress |= pump_all(&mut self.pumps);
-            if all_finished && finished.iter().all(|f| *f) {
-                break;
-            }
-            if finished.iter().all(|f| *f) {
-                break;
-            }
-            if any_progress {
-                idle_rounds = 0;
-            }
-            if !any_progress {
-                if !self.synchronized {
-                    // Emulation mode: components are waiting for the wall
-                    // clock to allow their next event; just wait with them.
-                    std::thread::sleep(Duration::from_micros(100));
-                    continue;
-                }
-                if self.external_inputs {
-                    // Distributed partition: a remote worker's promise can
-                    // unblock us at any moment. Spin-yield while the wait is
-                    // short (hot ping-pong with a co-located peer), back off
-                    // to a brief sleep once it clearly is not, so an idle
-                    // partition does not burn a core its peers need. The
-                    // spin must outlast the peer's own compute between two
-                    // promises (a few ms of rounds here): a sleep oversleeps
-                    // by tens of µs, which delays our next promise past the
-                    // peer's spin too, and two partitions that poll each
-                    // other's rings directly then lock into sleeping turns
-                    // (3x the wall time, run to run at random).
-                    idle_rounds = idle_rounds.saturating_add(1);
-                    if idle_rounds < 4096 {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(Duration::from_micros(20));
-                    }
-                    continue;
-                }
-                // All remaining components blocked: genuine deadlock.
-                let states: Vec<String> = self
-                    .components
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| !finished[*i])
-                    .map(|(i, c)| {
-                        format!(
-                            "{}@{} {:?}",
-                            c.name,
-                            c.kernel.now(),
-                            self_stats(&self.components[i])
-                        )
-                    })
-                    .collect();
-                panic!(
-                    "deadlock in experiment '{}': blocked components: {}",
-                    self.name,
-                    states.join(", ")
-                );
-            }
-        }
-    }
-
-    fn run_sharded(&mut self, workers: usize) {
-        let workers = if workers == 0 {
-            crate::executor::default_workers()
-        } else {
-            workers
+    /// Step the components towards `goal` in `parts` partitions; false when
+    /// stuck (see [`crate::executor::run`]).
+    fn drive(&mut self, parts: usize, goal: Goal) -> bool {
+        let cfg = Config {
+            synchronized: self.synchronized,
+            external_inputs: self.external_inputs,
+            stop: &self.stop,
+            frontier: &self.progress,
+            end: self.end,
         };
-        let units = self
-            .components
-            .iter_mut()
-            .map(|c| crate::executor::Unit {
-                name: &c.name,
-                kernel: &mut c.kernel,
-                model: c.model.as_model(),
-            })
-            .collect();
-        crate::executor::run_sharded(
-            units,
-            &mut self.pumps,
-            workers,
-            self.external_inputs,
-            &self.stop,
-            self.synchronized,
-            &self.progress,
-        );
+        crate::executor::run(&mut self.components, &mut self.pumps, parts, goal, &cfg)
     }
 }
 
@@ -1293,6 +1141,42 @@ mod tests {
         let r = e.run(Execution::Sharded { workers: 2 });
         let driver: &Quitter = r.model(0).unwrap();
         assert_eq!(driver.sent, 5);
+    }
+
+    /// A synchronized port whose far end nobody polls never lets its kernel
+    /// advance. Every executor reports the deadlock within a second, naming
+    /// each blocked component with its clock.
+    #[test]
+    fn deadlock_is_reported_quickly_under_every_executor() {
+        for exec in [Execution::Sequential, Execution::Sharded { workers: 2 }] {
+            let mut e = Experiment::new("stuck", SimTime::from_ms(1));
+            let (a, b) = channel_pair(e.eth_params());
+            let (c, held) = channel_pair(e.eth_params());
+            let echoer = |send_count| {
+                Box::new(Echoer {
+                    send_count,
+                    received: 0,
+                    sent: 0,
+                })
+            };
+            e.add("left", echoer(10), vec![a]);
+            e.add("right", echoer(0), vec![b, c]);
+            let started = Instant::now();
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e.run(exec)))
+                .err()
+                .expect("a run that cannot progress panics");
+            let elapsed = started.elapsed();
+            drop(held);
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                msg.contains("deadlock") && msg.contains("left@") && msg.contains("right@"),
+                "{exec:?}: {msg}"
+            );
+            assert!(
+                elapsed < Duration::from_secs(1),
+                "{exec:?}: deadlock reported after {elapsed:?}"
+            );
+        }
     }
 
     #[test]

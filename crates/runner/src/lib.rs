@@ -1,11 +1,13 @@
 //! # simbricks-runner
 //!
 //! Orchestration for SimBricks simulations (§A.1 of the paper): experiments
-//! are assembled from component simulators and channels, then executed either
-//! cooperatively on a single core or over a pool of worker threads (one per
-//! component is the paper's one-process-per-simulator architecture), and the
-//! results (wall
-//! clock simulation time, per-component statistics, event logs, application
+//! are assembled from component simulators and channels, then executed by
+//! one partition loop (`executor`): a partition is a contiguous slice of the
+//! components stepped round robin by one thread, and an experiment runs as
+//! one partition on the caller's thread, as several on threads of their own
+//! (one per component is the paper's one-simulator-per-core layout), or as
+//! one per process in a distributed run (`dist`). The results (wall-clock
+//! simulation time, per-component statistics, event logs, application
 //! reports) are collected for the evaluation harness.
 
 // The runner is host-side orchestration, not simulated code: it measures real
@@ -18,10 +20,9 @@ pub mod checkpoint;
 #[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 pub mod dist;
 #[allow(clippy::disallowed_methods, clippy::disallowed_types)]
-pub mod executor;
+mod executor;
 #[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 pub mod experiment;
-pub mod partition;
 #[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 pub mod proxy;
 #[allow(clippy::disallowed_methods, clippy::disallowed_types)]
@@ -37,9 +38,7 @@ pub use dist::{
     maybe_worker, run_distributed, run_local, DistError, DistOptions, DistResult, FaultKind,
     FaultSpec, PartitionBuilder, RecoveryReport, RingOptions,
 };
-pub use executor::default_workers;
 pub use experiment::{Execution, Experiment, RunResult};
-pub use partition::{PartitionAssignment, PartitionGraph};
 pub use proxy::{proxy_pair, write_handshake, ProxyHandle, ProxyKind, ProxyStats};
 pub use shm::{shm_supported, ShmEndpoint};
 pub use transport::{TransportKind, ENV_TRANSPORT};

@@ -365,8 +365,11 @@ fn proxy_pair_shm(params: ChannelParams) -> std::io::Result<(ChannelEnd, Channel
 
 fn proxy_pair_tcp(params: ChannelParams) -> std::io::Result<(ChannelEnd, ChannelEnd, ProxyHandle)> {
     // Local channel stubs: component A <-> pump A, component B <-> pump B.
-    let (for_component_a, proxy_a_local) = channel_pair(params);
-    let (for_component_b, proxy_b_local) = channel_pair(params);
+    // The pumps run on threads of their own, outside any experiment.
+    let (mut for_component_a, proxy_a_local) = channel_pair(params);
+    let (mut for_component_b, proxy_b_local) = channel_pair(params);
+    for_component_a.set_external();
+    for_component_b.set_external();
 
     // Side B accepts side A exactly as the owner of a cross-process link
     // accepts its peer, handshake included, so every in-process pair

@@ -4,7 +4,7 @@
 //! end-to-end regression for that audit: realistic application workloads —
 //! a memcached rack and a Multi-Paxos replica group — must produce merged
 //! event logs bit-identical between the sequential executor and the
-//! work-stealing sharded executor at every worker count.
+//! sharded executor at every worker count.
 //!
 //! Under the pre-audit `HashMap` tables these workloads diverge: each
 //! process (and each run) gets its own `RandomState`, so any

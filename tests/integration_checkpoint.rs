@@ -153,6 +153,27 @@ fn checkpoint_restore_matrix_in_process() {
     }
 }
 
+/// A checkpoint encodes each timer queue's sequence numbers, and every queue
+/// numbers its own events in schedule order. Two runs of one experiment in
+/// one process therefore write the same bytes at the same virtual time,
+/// whatever the executor and whatever ran before them.
+#[test]
+fn checkpoint_blobs_are_byte_identical_across_runs_and_executors() {
+    let blob = |exec| {
+        let mut exp = build(Workload::Netperf);
+        exp.checkpoint_at(ckpt_time(), None);
+        exp.run(exec).checkpoint.expect("checkpoint captured")
+    };
+    let seq = blob(Execution::Sequential);
+    let sharded = blob(Execution::Sharded { workers: 2 });
+    assert!(
+        seq == sharded,
+        "checkpoint blobs differ ({} vs {} bytes)",
+        seq.len(),
+        sharded.len()
+    );
+}
+
 /// Restoring with mismatched topology or workload fails loudly, and a
 /// restored experiment reports the application results of the full run.
 #[test]
