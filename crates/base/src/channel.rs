@@ -215,7 +215,8 @@ impl ChannelEnd {
     /// Whether input can arrive on this endpoint while every kernel of its
     /// experiment is blocked (see [`ChannelEnd::set_external`]). An
     /// experiment with such a port has external inputs: an all-blocked
-    /// round is no deadlock there.
+    /// round is no deadlock there, so such an experiment is never reported
+    /// stuck.
     pub fn is_external(&self) -> bool {
         self.external
     }

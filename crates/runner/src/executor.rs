@@ -194,6 +194,11 @@ fn run_partition(
             unfinished += usize::from(!c.kernel.is_finished());
         }
         progressed |= pump_all(pumps);
+        // Before a finished partition reports DONE: its last round can carry
+        // what a peer still waits for.
+        if multi && (progressed || moved) {
+            shared.active.fetch_add(1, Ordering::Release);
+        }
 
         match goal {
             Goal::End => {
@@ -219,9 +224,6 @@ fn run_partition(
                 }
             }
         }
-        if multi && (progressed || moved) {
-            shared.active.fetch_add(1, Ordering::Release);
-        }
         if progressed {
             idle_rounds = 0;
             continue;
@@ -231,10 +233,11 @@ fn run_partition(
                 if !multi {
                     return false;
                 }
+                // The count is read after the slots: a DONE read there
+                // comes with the bump of that partition's last round.
                 shared.idle_at[index].store(seen, Ordering::SeqCst);
-                let now = shared.active.load(Ordering::SeqCst);
-                let idle = |a: &AtomicU64| [now, DONE].contains(&a.load(Ordering::SeqCst));
-                if shared.idle_at.iter().all(idle) {
+                let idle = |a: &AtomicU64| [seen, DONE].contains(&a.load(Ordering::SeqCst));
+                if shared.idle_at.iter().all(idle) && shared.active.load(Ordering::SeqCst) == seen {
                     shared.halt.store(true, Ordering::Relaxed);
                     return false;
                 }

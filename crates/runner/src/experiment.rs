@@ -359,8 +359,9 @@ impl Experiment {
     /// it: by another OS process (distributed partitions, §5.4), or by a
     /// relay thread ([`ChannelEnd::is_external`], noted by
     /// [`Experiment::add`]). "Every component blocked" is then a normal
-    /// transient state, not a deadlock. Set automatically for distributed
-    /// worker partitions.
+    /// transient state, not a deadlock, and the experiment has no deadlock
+    /// detection: one that is truly stuck waits forever. Set automatically
+    /// for distributed worker partitions.
     pub fn set_external_inputs(&mut self) {
         self.external_inputs = true;
     }
@@ -1176,6 +1177,56 @@ mod tests {
                 elapsed < Duration::from_secs(1),
                 "{exec:?}: deadlock reported after {elapsed:?}"
             );
+        }
+    }
+
+    /// A component that quits early sends its final promise (time MAX) in
+    /// its partition's last round, and its peer cannot reach `end` without
+    /// it. The other partition, idle and waiting for that promise, must
+    /// not read the finishing round as idle and call the run stuck.
+    #[test]
+    fn sharded_run_survives_a_partition_finishing_with_the_promise_its_peer_needs() {
+        /// Quits at 2 µs, after lingering so the waiting side goes idle.
+        struct Quitter;
+        impl Model for Quitter {
+            fn init(&mut self, k: &mut Kernel) {
+                k.schedule_at(SimTime::from_us(2), 0);
+            }
+            fn on_msg(&mut self, _k: &mut Kernel, _p: PortId, _m: OwnedMsg) {}
+            fn on_timer(&mut self, k: &mut Kernel, _t: u64) {
+                std::thread::sleep(Duration::from_micros(200));
+                k.quit();
+            }
+        }
+        struct Quiet;
+        impl Model for Quiet {
+            fn on_msg(&mut self, _k: &mut Kernel, _p: PortId, _m: OwnedMsg) {}
+        }
+        // Partition 0: the quitter and port-less components that finish at
+        // once. Partition 1: a chain hanging off the quitter, so each of its
+        // rounds polls for a while before it checks for a deadlock.
+        const HALF: usize = 16;
+        let end = SimTime::from_us(50);
+        for _ in 0..200 {
+            let mut e = Experiment::new("finish-race", end);
+            let (mut prev, first) = channel_pair(e.eth_params());
+            e.add("quitter", Box::new(Quitter), vec![first]);
+            for i in 1..HALF {
+                e.add(format!("idle{i}"), Box::new(Quiet), vec![]);
+            }
+            for i in 0..HALF {
+                let mut ports = vec![prev];
+                if i + 1 < HALF {
+                    let (next, far) = channel_pair(e.eth_params());
+                    ports.push(next);
+                    prev = far;
+                } else {
+                    prev = channel_pair(e.eth_params()).0;
+                }
+                e.add(format!("chain{i}"), Box::new(Quiet), ports);
+            }
+            let r = e.run(Execution::Sharded { workers: 2 });
+            assert_eq!(r.virtual_time, end);
         }
     }
 

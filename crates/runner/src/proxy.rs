@@ -319,6 +319,11 @@ fn parse_handshake(body: &[u8]) -> io::Result<(String, ChannelParams)> {
 /// channel endpoints the components use plus the [`ProxyHandle`]. The
 /// endpoints behave exactly like a directly connected [`channel_pair`]; every
 /// message crosses the proxy pair, as in distributed SimBricks simulations.
+///
+/// A [`ProxyKind::Tcp`] pair relays on threads no experiment steps, so its
+/// endpoints are marked external ([`ChannelEnd::is_external`]): an
+/// experiment using them has no deadlock detection, and one that is truly
+/// stuck waits forever instead of panicking.
 pub fn proxy_pair(
     kind: ProxyKind,
     params: ChannelParams,
