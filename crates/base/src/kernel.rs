@@ -17,7 +17,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::barrier::BarrierMember;
 use crate::channel::ChannelEnd;
 use crate::event::EventQueue;
 use crate::log::EventLog;
@@ -158,7 +157,6 @@ pub struct Kernel {
     end: SimTime,
     ports: Vec<SyncPort>,
     timers: EventQueue<u64>,
-    barrier: Option<BarrierMember>,
     log: EventLog,
     stats: KernelStats,
     started: bool,
@@ -202,7 +200,6 @@ impl Kernel {
             end,
             ports: Vec::new(),
             timers: EventQueue::new(),
-            barrier: None,
             log: EventLog::disabled(),
             stats: KernelStats::default(),
             started: false,
@@ -264,12 +261,6 @@ impl Kernel {
     /// multi-hop path floor per port from the channel graph).
     pub fn set_port_sync_cap(&mut self, port: PortId, cap: SimTime) {
         self.ports[port.0].set_sync_cap(cap);
-    }
-
-    /// Put this kernel under epoch-based global-barrier synchronization
-    /// (dist-gem5 baseline). Channels should then be created unsynchronized.
-    pub fn set_barrier(&mut self, member: BarrierMember) {
-        self.barrier = Some(member);
     }
 
     /// Enable timestamped event logging (disabled by default).
@@ -662,9 +653,6 @@ impl Kernel {
                     }
                 }
             }
-            if let Some(b) = &self.barrier {
-                bound = bound.min(b.horizon());
-            }
 
             // Earliest model-visible event (pending messages and timers).
             let mut t_model = SimTime::MAX;
@@ -746,18 +734,7 @@ impl Kernel {
                 (true, false) => t_model,
                 (false, true) => t_sync,
                 (false, false) => {
-                    // Try to pass the global barrier, if any; otherwise we are
-                    // genuinely waiting for a peer promise. Passing an epoch
-                    // boundary counts as progress: the component's time bound
-                    // advanced even if no model event fired.
-                    if let Some(b) = &mut self.barrier {
-                        if b.try_pass() {
-                            self.stats.barrier_waits = b.waits();
-                            progressed = true;
-                            continue;
-                        }
-                        self.stats.barrier_waits = b.waits();
-                    }
+                    // Waiting for a peer promise.
                     if self.hier {
                         // Null-message backstop: a blocked kernel forwards any
                         // horizon gain its inputs imply before it blocks. This
@@ -1011,10 +988,6 @@ impl Kernel {
             p.finalize();
             // Best effort: push buffered messages out so peers see them.
             p.poll();
-        }
-        if let Some(b) = &mut self.barrier {
-            b.depart();
-            self.stats.barrier_waits = b.waits();
         }
         self.finished = true;
         self.stats.final_time = self.now;

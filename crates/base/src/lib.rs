@@ -12,8 +12,6 @@
 //!   rate variation) applied by the sending endpoint of a channel.
 //! * [`sync`] — the pairwise synchronization protocol exploiting link
 //!   latency for slack (§5.5).
-//! * [`barrier`] — epoch/global-barrier synchronization, the dist-gem5-style
-//!   baseline the paper compares against.
 //! * [`event`] — deterministic discrete-event queue.
 //! * [`kernel`] — the component kernel ("SimBricks adapter" + event loop)
 //!   driving a [`Model`].
@@ -30,7 +28,6 @@
 
 #![deny(missing_docs)]
 
-pub mod barrier;
 pub mod channel;
 pub mod event;
 pub mod impair;
@@ -45,7 +42,6 @@ pub mod sync;
 pub mod time;
 pub mod trace;
 
-pub use barrier::{BarrierMember, EpochController};
 pub use channel::{channel_pair, ChannelEnd, ChannelParams};
 pub use event::{EventId, EventQueue};
 pub use impair::{fnv1a_str, mix_seed, ImpairState, Impairment, LossModel};

@@ -21,8 +21,6 @@ pub struct KernelStats {
     /// Number of step invocations that could not make progress (waiting for
     /// peer promises); a proxy for synchronization stall time.
     pub blocked_polls: u64,
-    /// Times the component waited at the global barrier (barrier mode only).
-    pub barrier_waits: u64,
     /// Aggregated per-port counters: data messages sent.
     pub data_sent: u64,
     /// Data messages received.
@@ -106,7 +104,6 @@ impl KernelStats {
             out.timers_fired += s.timers_fired;
             out.advances += s.advances;
             out.blocked_polls += s.blocked_polls;
-            out.barrier_waits += s.barrier_waits;
             out.data_sent += s.data_sent;
             out.data_received += s.data_received;
             out.syncs_sent += s.syncs_sent;
@@ -122,19 +119,23 @@ impl KernelStats {
     }
 }
 
-/// Sixteen little-endian `u64`s: the final time in picoseconds, then the
-/// counters. `syncs_suppressed` sits last, in what was a reserved slot, so
-/// the encoding never changed length. Checkpoints carry it, and so does a
-/// distributed worker's `RESULT` frame.
+impl KernelStats {
+    /// Length of the [`Snapshot`] encoding in `u64`s: the final time, then
+    /// one per counter. Checkpoints carry this encoding, and so does every
+    /// component record of a distributed worker's `RESULT` frame.
+    pub const ENCODED_WORDS: usize = 15;
+}
+
+/// [`KernelStats::ENCODED_WORDS`] little-endian `u64`s: the final time in
+/// picoseconds, then the counters in the order below.
 impl Snapshot for KernelStats {
     fn snapshot(&self, w: &mut SnapWriter) -> SnapResult<()> {
         w.time(self.final_time);
-        for v in [
+        let counters: [u64; KernelStats::ENCODED_WORDS - 1] = [
             self.msgs_delivered,
             self.timers_fired,
             self.advances,
             self.blocked_polls,
-            self.barrier_waits,
             self.data_sent,
             self.data_received,
             self.syncs_sent,
@@ -145,7 +146,8 @@ impl Snapshot for KernelStats {
             self.pool_misses,
             self.pool_fallbacks,
             self.syncs_suppressed,
-        ] {
+        ];
+        for v in counters {
             w.u64(v);
         }
         Ok(())
@@ -159,7 +161,6 @@ impl Snapshot for KernelStats {
             timers_fired: r.u64()?,
             advances: r.u64()?,
             blocked_polls: r.u64()?,
-            barrier_waits: r.u64()?,
             data_sent: r.u64()?,
             data_received: r.u64()?,
             syncs_sent: r.u64()?,
@@ -207,7 +208,7 @@ impl fmt::Display for KernelStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "t={} delivered={} timers={} advances={} blocked={} data_tx={} data_rx={} sync_tx={} sync_rx={} barrier_waits={}",
+            "t={} delivered={} timers={} advances={} blocked={} data_tx={} data_rx={} sync_tx={} sync_rx={}",
             self.final_time,
             self.msgs_delivered,
             self.timers_fired,
@@ -217,7 +218,6 @@ impl fmt::Display for KernelStats {
             self.data_received,
             self.syncs_sent,
             self.syncs_received,
-            self.barrier_waits,
         )
     }
 }
@@ -256,25 +256,24 @@ mod tests {
             timers_fired: 2,
             advances: 3,
             blocked_polls: 4,
-            barrier_waits: 5,
-            data_sent: 6,
-            data_received: 7,
-            syncs_sent: 8,
-            syncs_received: 9,
-            backpressured: 10,
-            syncs_coalesced: 11,
-            pool_hits: 12,
-            pool_misses: 13,
-            pool_fallbacks: 14,
-            syncs_suppressed: 15,
+            data_sent: 5,
+            data_received: 6,
+            syncs_sent: 7,
+            syncs_received: 8,
+            backpressured: 9,
+            syncs_coalesced: 10,
+            pool_hits: 11,
+            pool_misses: 12,
+            pool_fallbacks: 13,
+            syncs_suppressed: 14,
         };
         let mut w = SnapWriter::new();
         s.snapshot(&mut w).unwrap();
         let w = w.into_vec();
-        // Recorded from the fixed-array encoder this codec replaced:
-        // checkpoints of every earlier build carry exactly these bytes.
+        // The checkpoint-version-7 layout: the final time, then each
+        // counter in encoding order.
         #[rustfmt::skip]
-        let golden: [u8; 128] = [
+        let golden: [u8; KernelStats::ENCODED_WORDS * 8] = [
             0x00, 0x78, 0x41, 0xcb, 0x02, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
             2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0,
             4, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0,
@@ -282,7 +281,7 @@ mod tests {
             8, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0,
             10, 0, 0, 0, 0, 0, 0, 0, 11, 0, 0, 0, 0, 0, 0, 0,
             12, 0, 0, 0, 0, 0, 0, 0, 13, 0, 0, 0, 0, 0, 0, 0,
-            14, 0, 0, 0, 0, 0, 0, 0, 15, 0, 0, 0, 0, 0, 0, 0,
+            14, 0, 0, 0, 0, 0, 0, 0,
         ];
         assert_eq!(w, golden);
         let mut back = KernelStats::default();

@@ -4,17 +4,26 @@
 //! Usage:
 //!   fig06_dist_gem5 [--dist N]
 //!
-//! With `--dist N` the pairwise-synchronization column runs as a true
-//! multi-process distributed simulation: host `i` lives in worker process
-//! `w{i % N}`, the switch in `w0`, every cross-partition Ethernet link
-//! bridged by a loopback TCP proxy pair (§5.4). The global-barrier baseline
-//! stays in-process — dist-gem5's barrier is exactly the kind of
-//! tightly-coupled global state that does not distribute, which is the
-//! point of the figure.
+//! Both columns run the Fig. 6/7 scale-up workload (one UDP server, paced
+//! UDP clients, one switch) and differ only in sync wiring
+//! ([`simbricks_bench::Wiring`]). The SimBricks column synchronizes every
+//! PCIe and Ethernet channel pairwise (§5.5). The dist-gem5 column is a cost
+//! baseline: its data channels are unsynchronized, so data is delivered at
+//! poll time, and a coordinator star stands in for dist-gem5's quantum
+//! barrier. One coordinator component is linked to every host, NIC and
+//! switch by a synchronized channel of half an epoch's latency, so every
+//! quantum is paid for as SYNC traffic to and from the coordinator. Each
+//! column prints its wall-clock seconds and its total SYNCs sent.
+//!
+//! With `--dist N` the SimBricks column runs as a true multi-process
+//! distributed simulation: host `i` lives in worker process `w{i % N}`, the
+//! switch in `w0`, every cross-partition Ethernet link bridged by a loopback
+//! TCP proxy pair (§5.4). The dist-gem5 column stays in-process.
 use simbricks::hostsim::HostKind;
 use simbricks::runner::dist::{self, DistOptions};
+use simbricks::runner::Execution;
 use simbricks::SimTime;
-use simbricks_bench::{dist_scen, udp_scaleup};
+use simbricks_bench::{dist_scen, udp_scaleup_wired, Wiring};
 
 fn main() {
     // Hidden worker mode for `--dist` runs (see `dist::maybe_worker`).
@@ -51,33 +60,41 @@ fn main() {
     }
 
     let duration = SimTime::from_ms(5);
+    let exec = Execution::from_env_or(Execution::Sequential).expect("SIMBRICKS_EXEC");
     println!("# Figure 6: wall-clock simulation time, pairwise vs global barrier");
+    println!("# dist-gem5 column: unsynchronized data links + coordinator star (cost baseline)");
     if let Some(parts) = dist_n {
-        println!("# pairwise column: {parts} worker processes over loopback TCP proxies");
-        println!("# barrier column: in-process (a global barrier is process-local state)");
+        println!("# simbricks column: {parts} worker processes over loopback TCP proxies");
+        println!("# dist-gem5 column: in-process");
     }
     println!(
-        "{:>6} {:>16} {:>16} {:>10}",
-        "hosts", "simbricks[s]", "dist-gem5[s]", "ratio"
+        "{:>6} {:>14} {:>12} {:>14} {:>12} {:>8}",
+        "hosts", "simbricks[s]", "syncs", "dist-gem5[s]", "syncs", "ratio"
     );
     for hosts in [2usize, 4, 8, 16] {
-        let pairwise = match dist_n {
-            None => udp_scaleup(hosts, HostKind::QemuTiming, duration, false).0,
+        let in_process = |wiring| {
+            let r = udp_scaleup_wired(hosts, HostKind::QemuTiming, duration, wiring).run(exec);
+            (r.wall_seconds(), r.total_stats().syncs_sent)
+        };
+        let (pairwise, pairwise_syncs) = match dist_n {
+            None => in_process(Wiring::Pairwise),
             Some(parts) => {
                 let scen = format!("hosts={hosts};kind=qemu;parts={parts};dur_ms=5;log=0");
                 let opts = DistOptions::new(dist_scen::partition_names(parts), scen);
                 let r = dist::run_distributed(&opts, &dist_scen::build_udp_scaleup)
                     .expect("distributed run failed");
-                r.max_partition_wall()
+                (r.max_partition_wall(), r.total_stats().syncs_sent)
             }
         };
-        let (barrier, _) = udp_scaleup(hosts, HostKind::QemuTiming, duration, true);
+        let (star, star_syncs) = in_process(Wiring::Coordinator);
         println!(
-            "{:>6} {:>16.2} {:>16.2} {:>10.2}",
+            "{:>6} {:>14.3} {:>12} {:>14.3} {:>12} {:>8.2}",
             hosts,
             pairwise,
-            barrier,
-            barrier / pairwise.max(1e-9)
+            pairwise_syncs,
+            star,
+            star_syncs,
+            star / pairwise.max(1e-9)
         );
     }
 }

@@ -124,22 +124,16 @@ fn main() {
     );
     let mut rows = Vec::new();
     for &hosts in &hosts_list {
-        let (seq_wall, seq_stats) = udp_scaleup_stats(
-            hosts,
-            HostKind::Gem5Timing,
-            duration,
-            false,
-            Execution::Sequential,
-        );
+        let (seq_wall, seq_stats) =
+            udp_scaleup_stats(hosts, HostKind::Gem5Timing, duration, Execution::Sequential);
         let (sharded_wall, sharded_stats) = udp_scaleup_stats(
             hosts,
             HostKind::Gem5Timing,
             duration,
-            false,
             Execution::Sharded { workers },
         );
-        let seq_syncs = seq_stats.syncs_sent + seq_stats.barrier_waits;
-        let sharded_syncs = sharded_stats.syncs_sent + sharded_stats.barrier_waits;
+        let seq_syncs = seq_stats.syncs_sent;
+        let sharded_syncs = sharded_stats.syncs_sent;
         let hier = hier_sync.then(|| {
             let (w, s) = simbricks_bench::udp_scaleup_hier_stats(
                 hosts,

@@ -8,14 +8,19 @@
 //! is what EXPERIMENTS.md compares against the paper.
 
 use simbricks::apps::{IperfUdpClient, IperfUdpServer, NetperfClient, NetperfServer};
-use simbricks::hostsim::{HostConfig, HostKind, HostModel, NicModelKind};
+use simbricks::base::{
+    channel_pair, fnv1a_str, mix_seed, ChannelEnd, ChannelParams, Kernel, Model, OwnedMsg, PortId,
+};
+use simbricks::hostsim::{Application, HostConfig, HostKind, HostModel, NicModelKind};
 use simbricks::netsim::des::{EndpointApp, EndpointCtx};
 use simbricks::netsim::{
     DesNetwork, LinkParams, QueueDiscipline, SwitchBm, SwitchConfig, TofinoConfig, TofinoSwitch,
 };
 use simbricks::netstack::{CongestionControl, SocketAddr, SocketEvent, SocketId, StackConfig};
 use simbricks::proto::{Ipv4Addr, MacAddr};
-use simbricks::runner::{attach_host_nic, Execution, Experiment, PartitionBuilder};
+use simbricks::runner::{
+    attach_host_nic, host_component, nic_model, Execution, Experiment, PartitionBuilder,
+};
 use simbricks::scenario::Scenario;
 use simbricks::SimTime;
 
@@ -131,7 +136,6 @@ pub mod scen {
         parts: usize,
         log: bool,
         hier: bool,
-        barrier: bool,
     ) -> String {
         let kind = kind_str(kind);
         let per_client_rate = 1_000_000_000 / (hosts.max(2) as u64 - 1);
@@ -139,7 +143,7 @@ pub mod scen {
         let _ = write!(
             t,
             "[scenario]\nname = \"scaleup\"\nduration = \"{}ps\"\nend_margin = \"2ms\"\n\
-             log = {log}\nhier_sync = {hier}\nglobal_barrier = {barrier}\n",
+             log = {log}\nhier_sync = {hier}\n",
             duration.as_ps()
         );
         for i in 0..hosts {
@@ -252,7 +256,6 @@ pub struct NetperfResult {
     pub wall_seconds: f64,
     pub virtual_time: SimTime,
     pub syncs: u64,
-    pub barrier_waits: u64,
 }
 
 fn parse_report(report: &str) -> (f64, f64) {
@@ -346,7 +349,6 @@ pub fn netperf_config(
         wall_seconds: r.wall_seconds(),
         virtual_time: r.virtual_time,
         syncs: total_stats.syncs_sent,
-        barrier_waits: total_stats.barrier_waits,
     }
 }
 
@@ -632,7 +634,6 @@ pub mod dist_scen {
             get_usize(scenario, "parts", 1),
             get_usize(scenario, "log", 0) == 1,
             get_usize(scenario, "hier", 0) == 1,
-            false,
         );
         super::lower_generated(&toml, pb);
     }
@@ -819,48 +820,16 @@ pub fn fat_tree_stats(
 }
 
 /// N client hosts plus one server host running rate-limited UDP iperf through
-/// a single switch (the Fig. 7 scale-up workload), executed with the default
-/// (or `SIMBRICKS_EXEC`-selected) executor. Returns wall-clock seconds and
-/// the number of synchronization messages.
-pub fn udp_scaleup(
-    hosts: usize,
-    host_kind: HostKind,
-    duration: SimTime,
-    barrier: bool,
-) -> (f64, u64) {
-    udp_scaleup_with(
-        hosts,
-        host_kind,
-        duration,
-        barrier,
-        Execution::from_env_or(Execution::Sequential).expect("SIMBRICKS_EXEC"),
-    )
-}
-
-/// [`udp_scaleup`] with an explicit executor — the Fig. 7 harness uses this
-/// to compare sequential against sharded wall-clock on the same topology.
-pub fn udp_scaleup_with(
-    hosts: usize,
-    host_kind: HostKind,
-    duration: SimTime,
-    barrier: bool,
-    exec: Execution,
-) -> (f64, u64) {
-    let (wall, stats) = udp_scaleup_stats(hosts, host_kind, duration, barrier, exec);
-    (wall, stats.syncs_sent + stats.barrier_waits)
-}
-
-/// Like [`udp_scaleup_with`], returning the merged per-component kernel
-/// statistics (sync counts, allocator-facing pool counters) alongside the
-/// wall time.
+/// a single switch (the Fig. 7 scale-up workload, [`scen::udp_scaleup_toml`]),
+/// run with `exec`. Returns wall-clock seconds and the merged per-component
+/// kernel statistics (sync counts, allocator-facing pool counters).
 pub fn udp_scaleup_stats(
     hosts: usize,
     host_kind: HostKind,
     duration: SimTime,
-    barrier: bool,
     exec: Execution,
 ) -> (f64, simbricks::base::KernelStats) {
-    udp_scaleup_stats_mode(hosts, host_kind, duration, barrier, false, exec)
+    udp_scaleup_stats_mode(hosts, host_kind, duration, false, exec)
 }
 
 /// [`udp_scaleup_stats`] with hierarchical sync domains enabled — the
@@ -871,20 +840,188 @@ pub fn udp_scaleup_hier_stats(
     duration: SimTime,
     exec: Execution,
 ) -> (f64, simbricks::base::KernelStats) {
-    udp_scaleup_stats_mode(hosts, host_kind, duration, false, true, exec)
+    udp_scaleup_stats_mode(hosts, host_kind, duration, true, exec)
 }
 
 fn udp_scaleup_stats_mode(
     hosts: usize,
     host_kind: HostKind,
     duration: SimTime,
-    barrier: bool,
     hier: bool,
     exec: Execution,
 ) -> (f64, simbricks::base::KernelStats) {
-    let toml = scen::udp_scaleup_toml(hosts, host_kind, duration, 1, false, hier, barrier);
+    let toml = scen::udp_scaleup_toml(hosts, host_kind, duration, 1, false, hier);
     let mut pb = PartitionBuilder::new_local();
     lower_generated(&toml, &mut pb);
     let r = pb.into_experiment().run(exec);
     (r.wall_seconds(), r.total_stats())
+}
+
+/// Sync wiring of the scale-up workload in Fig. 6's in-process columns
+/// ([`udp_scaleup_wired`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Wiring {
+    /// SimBricks (§5.5): every PCIe and Ethernet channel is synchronized
+    /// pairwise.
+    Pairwise,
+    /// The dist-gem5 stand-in: every PCIe and Ethernet channel is
+    /// unsynchronized, so the kernel hands data to the model at poll time.
+    /// A coordinator component is linked to every host, NIC and switch by a
+    /// synchronized channel whose latency is half an epoch, the epoch being
+    /// the smallest link latency. No component can then run more than one
+    /// epoch past the slowest, which is a quantum barrier's window, and
+    /// every quantum costs a SYNC exchange with the coordinator.
+    Coordinator,
+}
+
+/// The hub of [`Wiring::Coordinator`]. Its model does nothing: its kernel
+/// relays time between the components as SYNCs on its links.
+struct Coordinator;
+
+impl Model for Coordinator {
+    fn on_msg(&mut self, _k: &mut Kernel, _port: PortId, _msg: OwnedMsg) {}
+}
+
+/// The workload of [`scen::udp_scaleup_toml`] (one partition, flat sync, no
+/// log), built by hand so that its sync wiring can change while the hosts,
+/// apps, rates, switch and component order stay those of the document.
+///
+/// Component 0 is the server's host. Under [`Wiring::Coordinator`] the
+/// coordinator is the last component, and each other component's link to it
+/// is that component's last port; no model enumerates its ports, so the
+/// models never see the link.
+pub fn udp_scaleup_wired(
+    hosts: usize,
+    kind: HostKind,
+    duration: SimTime,
+    wiring: Wiring,
+) -> Experiment {
+    let mut exp = Experiment::new("scaleup", duration + SimTime::from_ms(2));
+    let star = wiring == Wiring::Coordinator;
+    let (mut eth, mut pcie) = (exp.eth_params(), exp.pcie_params());
+    eth.sync &= !star;
+    pcie.sync &= !star;
+    let half_epoch = SimTime::from_ps(eth.latency.min(pcie.latency).as_ps() / 2);
+    let hub_link = ChannelParams {
+        latency: half_epoch,
+        sync_interval: half_epoch,
+        ..exp.eth_params()
+    };
+    let mut hub_ports = Vec::new();
+    let mut with_hub = |mut ports: Vec<ChannelEnd>| {
+        if star {
+            let (own, hub) = channel_pair(hub_link);
+            ports.push(own);
+            hub_ports.push(hub);
+        }
+        ports
+    };
+
+    let server_ip = HostConfig::new(kind, 0).ip;
+    let per_client_rate = 1_000_000_000 / (hosts.max(2) as u64 - 1);
+    let mut switch_ports = Vec::with_capacity(hosts);
+    for i in 0..hosts {
+        let cfg = HostConfig::new(kind, i as u32);
+        let (name, app): (String, Box<dyn Application>) = if i == 0 {
+            ("server".into(), Box::new(IperfUdpServer::new(9000)))
+        } else {
+            let server = SocketAddr::new(server_ip, 9000);
+            let app = IperfUdpClient::new(server, per_client_rate, 800, duration);
+            (format!("client{i}"), Box::new(app))
+        };
+        let (eth_nic, eth_switch) = channel_pair(eth);
+        let (pcie_host, pcie_nic) = channel_pair(pcie);
+        switch_ports.push(eth_switch);
+        let host = host_component(cfg, app);
+        exp.add(format!("{name}.host"), host, with_hub(vec![pcie_host]));
+        let nic = nic_model(cfg.nic, false);
+        exp.add(
+            format!("{name}.nic"),
+            nic,
+            with_hub(vec![pcie_nic, eth_nic]),
+        );
+    }
+    let switch = SwitchBm::new(SwitchConfig {
+        ports: hosts,
+        seed: mix_seed(1, fnv1a_str("switch")),
+        ..Default::default()
+    });
+    exp.add("switch", Box::new(switch), with_hub(switch_ports));
+    if star {
+        exp.add("coordinator", Box::new(Coordinator), hub_ports);
+    }
+    exp
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Frames the server received and the client sent (component 2 is the
+    /// client's host).
+    fn server_rx_client_tx(r: &simbricks::runner::RunResult) -> (u64, u64) {
+        let host = |i| r.model::<HostModel>(i).unwrap().stats();
+        (host(0).rx_frames, host(2).tx_frames)
+    }
+
+    #[test]
+    fn coordinator_star_delivers_every_frame_and_carries_every_sync() {
+        let duration = SimTime::from_ms(1);
+        let kind = HostKind::QemuTiming;
+        let pairwise =
+            udp_scaleup_wired(2, kind, duration, Wiring::Pairwise).run(Execution::Sequential);
+        // The pairwise wiring is the scenario document's build.
+        let (_, doc) = udp_scaleup_stats(2, kind, duration, Execution::Sequential);
+        let total = pairwise.total_stats();
+        assert_eq!(
+            (
+                total.msgs_delivered,
+                total.timers_fired,
+                total.data_sent,
+                total.syncs_sent
+            ),
+            (
+                doc.msgs_delivered,
+                doc.timers_fired,
+                doc.data_sent,
+                doc.syncs_sent
+            )
+        );
+
+        let exp = udp_scaleup_wired(2, kind, duration, Wiring::Coordinator);
+        let hub = exp.num_components() - 1;
+        assert_eq!(exp.component_names()[hub], "coordinator");
+        for c in 0..hub {
+            let k = exp.kernel(c);
+            let last = k.num_ports() - 1;
+            assert!(
+                k.port_sync_enabled(PortId(last)),
+                "{}: coordinator link",
+                k.name()
+            );
+            for p in 0..last {
+                assert!(
+                    !k.port_sync_enabled(PortId(p)),
+                    "{}: data port {p}",
+                    k.name()
+                );
+            }
+        }
+        let k = exp.kernel(hub);
+        assert_eq!(k.num_ports(), hub);
+        assert!((0..hub).all(|p| k.port_sync_enabled(PortId(p))));
+
+        let star = exp.run(Execution::Sequential);
+        // Every frame the client sends reaches the server under both
+        // wirings. The counts differ between them: at 1 Gbit/s the client's
+        // send loop is bound by PCIe and Ethernet latency, which poll-time
+        // delivery removes, so the star sends more in the same time.
+        for r in [&pairwise, &star] {
+            let (rx, tx) = server_rx_client_tx(r);
+            assert!(rx > 100, "traffic flowed ({rx} frames)");
+            assert_eq!(rx, tx);
+        }
+        // Only coordinator links are synchronized, so they carry every SYNC.
+        assert!(star.stats[hub].syncs_sent > 0);
+    }
 }

@@ -42,7 +42,9 @@ pub const CKPT_MAGIC: [u8; 4] = *b"SBCK";
 // Version 6: the EventLog snapshot gained a leading mode tag for the
 // fingerprint-only log (per-epoch FNV accumulators replace materialized
 // entries when active), shifting every field after it.
-pub const CKPT_VERSION: u16 = 6;
+// Version 7: the `KernelStats` encoding lost its barrier-wait counter with
+// the global-barrier sync mode, going from 16 to 15 `u64`s.
+pub const CKPT_VERSION: u16 = 7;
 
 /// A decoded checkpoint container.
 #[derive(Debug)]
@@ -500,6 +502,29 @@ mod tests {
                         e,
                         SnapError::Version {
                             found: 5,
+                            expected: CKPT_VERSION
+                        }
+                    )
+                },
+            },
+            Case {
+                // v6 is the format before the global-barrier counter left
+                // `KernelStats`: every v6 component blob carries one more
+                // stats word, which the current decoder would take as the
+                // first byte of the event log. The version gate must reject
+                // it before any body decoding.
+                name: "version-6 checkpoint from an older build",
+                make: |g| {
+                    let mut b = g.to_vec();
+                    b[4] = 6;
+                    b[5] = 0;
+                    b
+                },
+                check: |e| {
+                    matches!(
+                        e,
+                        SnapError::Version {
+                            found: 6,
                             expected: CKPT_VERSION
                         }
                     )

@@ -109,9 +109,9 @@
 //! either transport — the property the CI loopback smoke test pins for both.
 //!
 //! Limitations (documented, not silent): distributed runs require
-//! synchronized experiments (the emulation-mode stop flag and the global
-//! barrier of Fig. 6 are process-local), and the build function must be
-//! deterministic — it runs once for discovery and once for instantiation.
+//! synchronized experiments (the emulation-mode stop flag is
+//! process-local), and the build function must be deterministic — it runs
+//! once for discovery and once for instantiation.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
@@ -1292,8 +1292,8 @@ fn encode_result(result: &RunResult, local_globals: &[usize]) -> SnapResult<Vec<
 }
 
 /// The fewest bytes one `RESULT` component record takes: global index, name
-/// length, the 16 stats counters, and an empty log's mode, flag and count.
-const MIN_RESULT_RECORD: usize = 8 + 4 + 16 * 8 + 10;
+/// length, the stats words, and an empty log's mode, flag and count.
+const MIN_RESULT_RECORD: usize = 8 + 4 + KernelStats::ENCODED_WORDS * 8 + 10;
 
 struct WorkerReport {
     wall_seconds: f64,
@@ -2791,6 +2791,24 @@ mod tests {
         let rep =
             decode_result(&encode_result(&r, &[0, 1]).unwrap()).expect("a real result decodes");
         assert_eq!(rep.components.len(), 2);
+    }
+
+    #[test]
+    fn decode_result_accepts_a_payload_of_minimal_records() {
+        let n = 5;
+        let mut w = SnapWriter::new();
+        w.f64(0.25);
+        w.u32(n as u32);
+        for i in 0..n {
+            w.usize(i);
+            w.str("");
+            KernelStats::default().snapshot(&mut w).unwrap();
+            EventLog::default().snapshot(&mut w).unwrap();
+        }
+        let payload = w.into_vec();
+        assert_eq!(payload.len(), 8 + 4 + n * MIN_RESULT_RECORD);
+        let rep = decode_result(&payload).expect("minimal records decode");
+        assert_eq!(rep.components.len(), n);
     }
 
     /// `decode(bytes)` must fail, without panicking, on every strict prefix.

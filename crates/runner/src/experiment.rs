@@ -6,8 +6,8 @@ use std::time::{Duration, Instant};
 
 use simbricks_base::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 use simbricks_base::{
-    BarrierMember, ChannelEnd, ChannelParams, EpochController, EventLog, Impairment, Kernel,
-    KernelStats, Model, PortId, SimTime, SyncLookahead,
+    ChannelEnd, ChannelParams, EventLog, Impairment, Kernel, KernelStats, Model, PortId, SimTime,
+    SyncLookahead,
 };
 
 use crate::checkpoint::CheckpointFile;
@@ -230,7 +230,6 @@ pub struct Experiment {
     /// (distributed workers ship entries to the orchestrator mid-run, so a
     /// later crash can restore from every slot captured before it).
     ring_sink: Option<RingSink>,
-    barrier: Option<std::sync::Arc<EpochController>>,
     /// Shared stop flag. In unsynchronized (emulation) runs there is no common
     /// virtual end time: the run ends when the first component finishes (the
     /// workload driver calling `quit`), which raises this flag for everyone
@@ -261,7 +260,6 @@ impl Experiment {
             restored_at: None,
             progress: std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0)),
             ring_sink: None,
-            barrier: None,
             stop: std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false)),
         }
     }
@@ -329,7 +327,7 @@ impl Experiment {
     /// delays), which raises each port's adaptive sync-interval cap beyond
     /// the per-link Δ. Simulation results are bit-identical to the flat
     /// protocol; only SYNC volume and cadence change. Ignored for
-    /// unsynchronized and global-barrier experiments.
+    /// unsynchronized experiments.
     pub fn with_hier_sync(mut self) -> Self {
         self.hier_sync = true;
         self
@@ -338,17 +336,6 @@ impl Experiment {
     /// Whether hierarchical sync domains are enabled.
     pub fn hier_sync_enabled(&self) -> bool {
         self.hier_sync
-    }
-
-    /// Replace the pairwise synchronization with epoch/global-barrier
-    /// synchronization (the dist-gem5 baseline of Fig. 6). Must be called
-    /// before components are added; the epoch equals the smallest latency.
-    pub fn with_global_barrier(mut self) -> Self {
-        let epoch = self.link_latency.min(self.pcie_latency);
-        // The participant count is fixed up in run() via re-registration;
-        // we create the controller lazily when the count is known.
-        self.barrier = Some(EpochController::new(epoch, 1));
-        self
     }
 
     pub fn is_synchronized(&self) -> bool {
@@ -371,7 +358,7 @@ impl Experiment {
         ChannelParams {
             latency: self.link_latency,
             sync_interval: self.sync_interval.min(self.link_latency),
-            sync: self.synchronized && self.barrier.is_none(),
+            sync: self.synchronized,
             queue_len: 64,
             impairment: Impairment::none(),
         }
@@ -382,7 +369,7 @@ impl Experiment {
         ChannelParams {
             latency: self.pcie_latency,
             sync_interval: self.sync_interval.min(self.pcie_latency),
-            sync: self.synchronized && self.barrier.is_none(),
+            sync: self.synchronized,
             queue_len: 64,
             impairment: Impairment::none(),
         }
@@ -453,7 +440,7 @@ impl Experiment {
     /// time. The continuation — and any later run restored from the file —
     /// is bit-identical to an uninterrupted run.
     ///
-    /// Requires a synchronized experiment without the global barrier (the
+    /// Requires every channel of the experiment to be synchronized (the
     /// quiesce phase itself is cooperative, whatever the executor); `run`
     /// panics with a descriptive message otherwise.
     pub fn checkpoint_at(&mut self, at: SimTime, path: Option<PathBuf>) {
@@ -662,10 +649,13 @@ impl Experiment {
     /// does not depend on the executor the surrounding run uses.
     fn quiesce_and_encode(&mut self, at: SimTime) -> SnapResult<Vec<u8>> {
         assert!(
-            self.synchronized && self.barrier.is_none(),
+            self.synchronized
+                && self.components.iter().all(|c| {
+                    (0..c.kernel.num_ports()).all(|p| c.kernel.port_sync_enabled(PortId(p)))
+                }),
             "checkpointing requires pairwise-synchronized experiments \
-             (unsynchronized emulation and global-barrier modes have no \
-             quiescable virtual time)"
+             (a component with an unsynchronized channel has no quiescable \
+             virtual time)"
         );
         for c in &mut self.components {
             c.kernel.set_pause_at(at);
@@ -852,18 +842,7 @@ impl Experiment {
 
     /// Execute the experiment and collect results.
     pub fn run(mut self, mode: Execution) -> RunResult {
-        // Global-barrier mode: now that the component count is known, create
-        // the controller with the right participant count and register every
-        // kernel.
-        if self.barrier.is_some() {
-            let epoch = self.link_latency.min(self.pcie_latency);
-            let controller = EpochController::new(epoch, self.components.len() as u64);
-            for c in &mut self.components {
-                c.kernel.set_barrier(BarrierMember::new(controller.clone()));
-            }
-            self.barrier = Some(controller);
-        }
-        if self.hier_sync && self.synchronized && self.barrier.is_none() {
+        if self.hier_sync && self.synchronized {
             self.setup_hier_sync();
         }
 
@@ -1253,41 +1232,6 @@ mod tests {
         ] {
             assert_eq!(Execution::parse(&e.to_arg()), Some(e), "to_arg roundtrip");
         }
-    }
-
-    #[test]
-    fn global_barrier_mode_runs_to_completion() {
-        let mut e = Experiment::new("barrier", SimTime::from_us(100)).with_global_barrier();
-        let (a, b) = channel_pair(e.eth_params());
-        assert!(
-            !e.eth_params().sync,
-            "barrier mode disables per-channel sync"
-        );
-        e.add(
-            "left",
-            Box::new(Echoer {
-                send_count: 3,
-                received: 0,
-                sent: 0,
-            }),
-            vec![a],
-        );
-        e.add(
-            "right",
-            Box::new(Echoer {
-                send_count: 0,
-                received: 0,
-                sent: 0,
-            }),
-            vec![b],
-        );
-        let r = e.run(Execution::Sequential);
-        let right: &Echoer = r.model(1).unwrap();
-        assert_eq!(right.received, 3);
-        assert!(
-            r.total_stats().barrier_waits > 0,
-            "barrier was actually used"
-        );
     }
 
     #[test]

@@ -193,9 +193,6 @@ pub fn lower(spec: &Scenario, pb: &mut PartitionBuilder) -> Lowered {
     if spec.hier_sync {
         exp = exp.with_hier_sync();
     }
-    if spec.global_barrier {
-        exp = exp.with_global_barrier();
-    }
     pb.init(exp);
 
     let mut lowered = Lowered::default();

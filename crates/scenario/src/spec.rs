@@ -839,8 +839,6 @@ pub struct Scenario {
     pub synchronized: bool,
     /// Hierarchical sync domains.
     pub hier_sync: bool,
-    /// Conservative global-barrier sync (the paper's baseline protocol).
-    pub global_barrier: bool,
     /// Global sync-interval override.
     pub sync_interval: Option<SimTime>,
     /// Default Ethernet link latency.
@@ -1143,7 +1141,6 @@ impl Scenario {
                 "log",
                 "synchronized",
                 "hier_sync",
-                "global_barrier",
                 "sync_interval",
                 "link_latency",
                 "pcie_latency",
@@ -1181,7 +1178,6 @@ impl Scenario {
             log: get_bool(ssec, "log")?.unwrap_or(false),
             synchronized: get_bool(ssec, "synchronized")?.unwrap_or(true),
             hier_sync: get_bool(ssec, "hier_sync")?.unwrap_or(false),
-            global_barrier: get_bool(ssec, "global_barrier")?.unwrap_or(false),
             sync_interval: get_duration(ssec, "sync_interval")?,
             link_latency: get_duration(ssec, "link_latency")?,
             pcie_latency: get_duration(ssec, "pcie_latency")?,

@@ -1,6 +1,5 @@
-//! Synchronization-focused integration tests: pairwise vs global-barrier
-//! synchronization deliver identical simulation results, and link latency
-//! only affects cost, not correctness (§5.5, §7.3.1, Fig. 9).
+//! Synchronization-focused integration tests: link latency and the sync
+//! protocol variant only affect cost, not correctness (§5.5, Fig. 9).
 
 use simbricks::apps::{IperfUdpClient, IperfUdpServer};
 use simbricks::hostsim::{HostConfig, HostKind, HostModel};
@@ -9,17 +8,14 @@ use simbricks::netstack::SocketAddr;
 use simbricks::runner::{attach_host_nic, Execution, Experiment};
 use simbricks::SimTime;
 
-fn udp_experiment(barrier: bool, link_ns: u64) -> (u64, u64, u64) {
-    udp_experiment_mode(barrier, link_ns, false)
+fn udp_experiment(link_ns: u64) -> (u64, u64) {
+    udp_experiment_mode(link_ns, false)
 }
 
-fn udp_experiment_mode(barrier: bool, link_ns: u64, hier: bool) -> (u64, u64, u64) {
+fn udp_experiment_mode(link_ns: u64, hier: bool) -> (u64, u64) {
     let mut exp = Experiment::new("sync-udp", SimTime::from_ms(8))
         .with_link_latency(SimTime::from_ns(link_ns))
         .with_pcie_latency(SimTime::from_ns(link_ns));
-    if barrier {
-        exp = exp.with_global_barrier();
-    }
     if hier {
         exp = exp.with_hier_sync();
     }
@@ -44,34 +40,15 @@ fn udp_experiment_mode(barrier: bool, link_ns: u64, hier: bool) -> (u64, u64, u6
     );
     let r = exp.run(Execution::Sequential);
     let server: &HostModel = r.model(s).unwrap();
-    let stats = r.total_stats();
-    (
-        server.stats().rx_frames,
-        stats.syncs_sent,
-        stats.barrier_waits,
-    )
-}
-
-#[test]
-fn pairwise_and_barrier_sync_deliver_the_same_traffic() {
-    let (rx_pairwise, syncs, waits_pairwise) = udp_experiment(false, 500);
-    let (rx_barrier, _, waits_barrier) = udp_experiment(true, 500);
-    assert!(rx_pairwise > 100, "traffic flowed ({rx_pairwise} frames)");
-    assert_eq!(
-        rx_pairwise, rx_barrier,
-        "sync mechanism does not change results"
-    );
-    assert!(syncs > 0, "pairwise sync messages were exchanged");
-    assert_eq!(waits_pairwise, 0);
-    assert!(waits_barrier > 0, "barrier mode actually used the barrier");
+    (server.stats().rx_frames, r.total_stats().syncs_sent)
 }
 
 #[test]
 fn results_are_independent_of_link_latency_scale() {
     // Lowering the latency by 10x changes synchronization cost (more sync
     // messages) but the delivered traffic stays in the same ballpark.
-    let (rx_hi, syncs_hi, _) = udp_experiment(false, 500);
-    let (rx_lo, syncs_lo, _) = udp_experiment(false, 50);
+    let (rx_hi, syncs_hi) = udp_experiment(500);
+    let (rx_lo, syncs_lo) = udp_experiment(50);
     assert!(
         syncs_lo > syncs_hi,
         "lower latency => more frequent synchronization"
@@ -89,8 +66,8 @@ fn results_are_independent_of_link_latency_scale() {
 /// widened promises, epoch batching).
 #[test]
 fn hier_sync_same_traffic_fewer_syncs() {
-    let (rx_flat, syncs_flat, _) = udp_experiment_mode(false, 500, false);
-    let (rx_hier, syncs_hier, _) = udp_experiment_mode(false, 500, true);
+    let (rx_flat, syncs_flat) = udp_experiment_mode(500, false);
+    let (rx_hier, syncs_hier) = udp_experiment_mode(500, true);
     assert!(rx_flat > 100, "traffic flowed ({rx_flat} frames)");
     assert_eq!(rx_flat, rx_hier, "sync protocol does not change results");
     // Quantitative regression gate: widened promises + domain batching +
