@@ -1,18 +1,19 @@
 //! Fixed-size message slots.
 //!
-//! SimBricks queues (§5.2, §A.2 of the paper) are arrays of fixed-size,
-//! cache-line aligned message slots. The control byte of each slot encodes
-//! the current owner (producer or consumer) in its top bit and the message
-//! type in the remaining seven bits. Producer and consumer communicate only
-//! through this control byte plus the slot contents, so all cache-coherence
-//! traffic carries useful data.
+//! SimBricks queues (§5.2, §A.2 of the paper) are arrays of fixed-size
+//! message slots. The control byte of each slot encodes the current owner
+//! (producer or consumer) in its top bit and the message type in the
+//! remaining seven bits. Producer and consumer communicate only through this
+//! control byte plus the slot contents, so all cache-coherence traffic
+//! carries useful data.
 //!
-//! A slot is split in two: a 128-byte descriptor (`SlotDesc`) holding the
-//! control byte, timestamp and length, and a payload area of
-//! [`MAX_PAYLOAD`] bytes. A ring keeps all its descriptors together, ahead
-//! of all its payload areas (`crate::spsc`), so a payload-free SYNC reads
-//! and writes one descriptor line and nothing else, and a data message also
-//! touches only the first `len` bytes of its payload area.
+//! A slot is split in two: a 16-byte descriptor (`SlotDesc`) holding the
+//! control byte, length and timestamp, and a payload area of
+//! [`MAX_PAYLOAD`] bytes. A ring keeps all its descriptors together, four to
+//! a 64-byte cache line, ahead of all its payload areas (`crate::spsc`), so
+//! a payload-free SYNC reads and writes a quarter of one line and nothing
+//! else, and a data message also touches only the first `len` bytes of its
+//! payload area.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -38,25 +39,30 @@ pub const MSG_SYNC: MsgType = 0;
 const OWNER_CONSUMER: u8 = 0x80;
 const TYPE_MASK: u8 = 0x7f;
 
-/// The descriptor of one queue slot: everything but the payload. Aligned to
-/// two cache lines to avoid false sharing between neighbouring descriptors'
-/// control bytes on typical 64 B cache line machines.
+/// The descriptor of one queue slot: everything but the payload. Sixteen
+/// bytes, so four descriptors share a 64-byte cache line and a 64-slot
+/// ring's descriptors take 1 KiB. SYNC-heavy runs do little but walk
+/// descriptors, and a fat-tree's hundreds of rings only stay in L2 packed
+/// this way. Neighbouring descriptors share a line also where two cores
+/// share the ring (a sharded run's cut link, a dist uplink over shm); both
+/// cases were measured against one descriptor per two lines and stayed
+/// within run-to-run noise.
 ///
-/// This `repr(C)` layout (control byte at +0, timestamp at +8, length at
-/// +16) is also the layout of a ring in a memory-mapped region shared by two
+/// This `repr(C)` layout (control byte at +0, length at +4, timestamp at
+/// +8) is also the layout of a ring in a memory-mapped region shared by two
 /// processes (`crate::spsc::RingMem`), so every bit pattern must be a valid
 /// descriptor: an all-zero descriptor is empty and producer-owned, and `len`
 /// is clamped by the consumer.
 #[derive(Default)]
-#[repr(C, align(128))]
+#[repr(C, align(16))]
 pub(crate) struct SlotDesc {
     /// Owner bit plus message type, written last by the producer with release
     /// ordering and read first by the consumer with acquire ordering.
     pub ctrl: AtomicU8,
-    /// Receiver-side processing timestamp (send time plus link latency), ps.
-    pub timestamp: UnsafeCell<u64>,
     /// Number of valid bytes in the slot's payload area.
     pub len: UnsafeCell<u32>,
+    /// Receiver-side processing timestamp (send time plus link latency), ps.
+    pub timestamp: UnsafeCell<u64>,
 }
 
 /// Bytes one descriptor occupies in ring memory.
@@ -278,12 +284,13 @@ mod tests {
     }
 
     #[test]
-    fn slot_is_cache_line_aligned() {
-        assert_eq!(std::mem::align_of::<SlotDesc>(), 128);
-        assert_eq!(DESC_BYTES, 128);
+    fn descriptors_pack_four_per_cache_line() {
+        assert_eq!(std::mem::size_of::<SlotDesc>(), 16);
+        assert_eq!(std::mem::align_of::<SlotDesc>(), 16);
         assert_eq!(std::mem::offset_of!(SlotDesc, ctrl), 0);
+        assert_eq!(std::mem::offset_of!(SlotDesc, len), 4);
         assert_eq!(std::mem::offset_of!(SlotDesc, timestamp), 8);
-        assert_eq!(std::mem::offset_of!(SlotDesc, len), 16);
-        assert_eq!(crate::spsc::SLOT_BYTES, 9344);
+        assert_eq!(64 / DESC_BYTES, 4);
+        assert_eq!(crate::spsc::SLOT_BYTES, 9232);
     }
 }

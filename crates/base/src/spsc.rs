@@ -6,20 +6,21 @@
 //! cache coherence traffic. This mirrors the shared-memory queue layout of
 //! the original SimBricks implementation.
 //!
-//! Ring memory holds `len` 128-byte descriptors (`crate::slot`: control
-//! byte, timestamp, length) followed by `len` payload areas of
+//! Ring memory holds `len` 16-byte descriptors (`crate::slot`: control
+//! byte, length, timestamp) followed by `len` payload areas of
 //! [`MAX_PAYLOAD`] bytes each:
 //!
 //! ```text
 //! +0                      descriptor 0 | descriptor 1 | … | descriptor len-1
-//! +len * 128              payload 0    | payload 1    | … | payload len-1
+//! +len * 16               payload 0    | payload 1    | … | payload len-1
 //! +len * SLOT_BYTES       end
 //! ```
 //!
-//! A SYNC reads and writes one descriptor line only; a data message also
-//! touches the first `len` bytes of its payload area. Memory no message has
-//! used is never written, so an untouched payload page of a zeroed block is
-//! never made resident.
+//! Four descriptors share a 64-byte cache line, so a default 64-slot ring's
+//! descriptors fit in 1 KiB. A SYNC reads and writes its descriptor only; a
+//! data message also touches the first `len` bytes of its payload area.
+//! Memory no message has used is never written, so an untouched payload
+//! page of a zeroed block is never made resident.
 //!
 //! There is one ring and two backings. [`queue`] places the ring in a heap
 //! allocation shared by two threads; [`Producer::over`] / [`Consumer::over`]
@@ -46,8 +47,15 @@ pub const SLOT_BYTES: usize = DESC_BYTES + MAX_PAYLOAD;
 /// Alignment ring memory must have.
 pub const SLOT_ALIGN: usize = std::mem::align_of::<SlotDesc>();
 
-// Payload areas start on a cache line, like the descriptors before them.
-const _: () = assert!(MAX_PAYLOAD.is_multiple_of(SLOT_ALIGN));
+/// Cache line size the heap backing aligns a ring to (the mapped backing's
+/// rings start on a page).
+const CACHE_LINE: usize = 64;
+
+// Four descriptors to a line, and payload areas on line boundaries whenever
+// the descriptors fill whole lines (`len` a multiple of four, as the default
+// length is).
+const _: () = assert!(CACHE_LINE.is_multiple_of(DESC_BYTES));
+const _: () = assert!(MAX_PAYLOAD.is_multiple_of(CACHE_LINE));
 
 /// The memory one ring lives in, as one of its ends sees it.
 #[derive(Clone)]
@@ -150,17 +158,17 @@ impl Drop for HeapRing {
 pub fn queue(len: usize) -> (Producer, Consumer) {
     let bytes = len
         .checked_mul(SLOT_BYTES)
-        .and_then(|n| n.checked_add(SLOT_ALIGN))
+        .and_then(|n| n.checked_add(CACHE_LINE))
         .expect("queue length too large");
     // Zeroed by the allocator without being written: a byte-aligned
     // `vec![0; n]` is `calloc`, whose fresh pages stay untouched — and not
     // resident — until a message uses them. (An allocation aligned above
     // 16 bytes would be zeroed with `memset` instead.) The ring is aligned
-    // inside the block.
+    // to a cache line inside the block.
     let block = NonNull::from(Box::leak(vec![0u8; bytes].into_boxed_slice()));
     let start = block.cast::<u8>();
-    // SAFETY: the offset is below `SLOT_ALIGN`, inside the block's slack.
-    let slots = unsafe { start.add(start.as_ptr().align_offset(SLOT_ALIGN)) };
+    // SAFETY: the offset is below `CACHE_LINE`, inside the block's slack.
+    let slots = unsafe { start.add(start.as_ptr().align_offset(CACHE_LINE)) };
     let heap = Arc::new(HeapRing {
         block,
         producer_closed: AtomicU8::new(0),
@@ -564,5 +572,48 @@ mod tests {
             }
         }
         handle.join().unwrap();
+    }
+
+    /// Message `i` of `one_line_ring_cross_thread`: every third one a SYNC,
+    /// the rest carry 1–4000 bytes that depend on `i`.
+    fn line_msg(i: u64) -> (MsgType, Vec<u8>) {
+        let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
+        if i.is_multiple_of(3) {
+            return (MSG_SYNC, Vec::new());
+        }
+        let len = 1 + (h % 4000) as usize;
+        let data = (0..len).map(|j| (i as usize ^ j) as u8).collect();
+        (1 + (h % 127) as MsgType, data)
+    }
+
+    /// Four slots: all four descriptors share one cache line, so producer
+    /// and consumer on two threads write neighbouring descriptors of the
+    /// same line all the time. Every message arrives whole and in order.
+    #[test]
+    fn one_line_ring_cross_thread() {
+        let (mut p, mut c) = queue(4);
+        let n = 100_000u64;
+        let handle = std::thread::spawn(move || {
+            for i in 0..n {
+                let (ty, data) = line_msg(i);
+                while p.try_send(SimTime::from_ps(3 * i), ty, &data).is_err() {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        for i in 0..n {
+            let m = loop {
+                match c.try_recv() {
+                    Some(m) => break m,
+                    None => std::thread::yield_now(),
+                }
+            };
+            let (ty, data) = line_msg(i);
+            assert_eq!(m.timestamp, SimTime::from_ps(3 * i), "message {i}");
+            assert_eq!(m.ty, ty, "message {i}");
+            assert!(m.data == data[..], "message {i}: payload differs");
+        }
+        handle.join().unwrap();
+        assert!(c.try_recv().is_none());
     }
 }

@@ -3,7 +3,7 @@
 //! Building a ring must not write its memory: the allocator hands out zeroed
 //! pages, an all-zero descriptor is an empty slot, and a payload area is
 //! touched only by a message that uses it. So rings nobody has sent on cost
-//! address space, not resident memory. 256 default rings span about 146 MiB;
+//! address space, not resident memory. 256 default rings span about 144 MiB;
 //! building them must grow the resident set by a few pages, not by that.
 //!
 //! Linux only (reads `VmRSS` from `/proc/self/status`), and a test binary of

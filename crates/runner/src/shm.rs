@@ -28,13 +28,14 @@
 //! ...         ring B→A: slots × stride
 //! ```
 //!
-//! The stride is 9344 bytes: a 128-byte descriptor plus a 9216-byte payload
+//! The stride is 9232 bytes: a 16-byte descriptor plus a 9216-byte payload
 //! area. Inside each ring come first all its descriptors (control byte at
-//! +0, timestamp at +8, length at +16), then all its payload areas:
+//! +0, length at +4, timestamp at +8; four to a cache line), then all its
+//! payload areas:
 //!
 //! ```text
-//! ring + 0                 descriptors: slots × 128
-//! ring + slots × 128       payload areas: slots × 9216
+//! ring + 0                 descriptors: slots × 16
+//! ring + slots × 16        payload areas: slots × 9216
 //! ```
 //!
 //! `set_len` zero-fills the file, so a fresh region is two empty rings, and
@@ -79,9 +80,9 @@ use crate::proxy::ShutdownSignal;
 
 /// Magic bytes opening every shm region header.
 const SHM_MAGIC: [u8; 4] = *b"SBSH";
-/// Version of the region layout (3: each ring holds its slot descriptors,
-/// then its payload areas; close bytes shared with the rings).
-const SHM_VERSION: u8 = 3;
+/// Version of the region layout (4: each ring holds its 16-byte slot
+/// descriptors, then its payload areas; close bytes shared with the rings).
+const SHM_VERSION: u8 = 4;
 /// Size reserved for the region header (one page).
 const HEADER_LEN: usize = 4096;
 /// Upper bound on the link name stored in the header.
@@ -815,8 +816,9 @@ mod tests {
         assert_eq!(attach(&path), io::ErrorKind::InvalidData);
 
         // Regions of earlier layout versions are refused, not reinterpreted:
-        // v2 has the same stride as today but another slot interior.
-        for old in [1, 2] {
+        // they are written here with today's stride, and v2 and v3 differ
+        // from today in the slot interior alone.
+        for old in [1, 2, 3] {
             let path = temp_path(&format!("v{old}"));
             write_header(&path, old, 8, SLOT_BYTES as u32, 2 * 8 * SLOT_BYTES);
             assert_eq!(attach(&path), io::ErrorKind::InvalidData);
@@ -834,11 +836,11 @@ mod tests {
         let sd = ShutdownSignal::default();
         let _a = create_region(&path, "l", params).unwrap();
         let mut b = attach_region(&path, "l", params, soon(), &sd).unwrap();
-        // Descriptor 0 of ring A→B: control byte at +0, timestamp at +8,
-        // length at +16.
+        // Descriptor 0 of ring A→B: control byte at +0, length at +4,
+        // timestamp at +8.
         let desc = HEADER_LEN as u64;
         let file = File::options().write(true).open(&path).unwrap();
-        file.write_all_at(&u32::MAX.to_le_bytes(), desc + 16)
+        file.write_all_at(&u32::MAX.to_le_bytes(), desc + 4)
             .unwrap();
         file.write_all_at(&[0x80 | 5], desc).unwrap();
         let m = b.pop().expect("published slot is delivered");
