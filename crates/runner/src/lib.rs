@@ -6,9 +6,11 @@
 //! components stepped round robin by one thread, and an experiment runs as
 //! one partition on the caller's thread, as several on threads of their own
 //! (one per component is the paper's one-simulator-per-core layout), or as
-//! one per process in a distributed run (`dist`). The results (wall-clock
-//! simulation time, per-component statistics, event logs, application
-//! reports) are collected for the evaluation harness.
+//! one per process in a distributed run (`dist`: partition builder, control
+//! protocol, worker, orchestrator, and a recovery core that decides from
+//! events alone what a failed attempt costs and where the next one starts).
+//! The results (wall-clock simulation time, per-component statistics, event
+//! logs, application reports) are collected for the evaluation harness.
 
 // The runner is host-side orchestration, not simulated code: it measures real
 // wall-clock time and keys transient tables by host-process identifiers, so

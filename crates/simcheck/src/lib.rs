@@ -26,8 +26,8 @@
 //!   constructor (floats make timestamps platform/optimization sensitive).
 //!   Waive with `// det-ok: <reason>`.
 //! - **R5 io-panic** — `.unwrap()` / `.expect(...)` / `panic!(...)` in the
-//!   distributed-orchestration I/O files (`runner/src/dist.rs`, `proxy.rs`,
-//!   `shm.rs`) and on the decode path of untrusted bytes (`base/src/snap.rs`,
+//!   distributed-orchestration I/O files (every file under
+//!   `runner/src/dist/`, `proxy.rs`, `shm.rs`) and on the decode path of untrusted bytes (`base/src/snap.rs`,
 //!   the one byte codec, and `runner/src/checkpoint.rs`). A panic on those
 //!   paths takes down the orchestrator or a worker instead of surfacing a
 //!   typed `DistError`/`SnapError` the supervisor can classify and recover
@@ -62,9 +62,10 @@ const ITER_METHODS: &[&str] = &[
 /// recoverable `DistError`-shaped failure, and the one byte codec
 /// (`SnapReader`) plus the checkpoint container decoder, which every
 /// untrusted control frame, handshake, shm header and checkpoint blob goes
-/// through.
+/// through. An entry ending in `/` is a directory and covers every file
+/// under it.
 pub const IO_PANIC_FILES: &[&str] = &[
-    "runner/src/dist.rs",
+    "runner/src/dist/",
     "runner/src/proxy.rs",
     "runner/src/shm.rs",
     "runner/src/checkpoint.rs",
@@ -162,8 +163,8 @@ impl Rule {
                 "R5 io-panic\n\
                  \n\
                  .unwrap()/.expect(...)/panic!(...) in the distributed\n\
-                 orchestration I/O files (runner/src/dist.rs, proxy.rs,\n\
-                 shm.rs) and on the decode path of untrusted bytes: the one\n\
+                 orchestration I/O files (every file under runner/src/dist/,\n\
+                 proxy.rs, shm.rs) and on the decode path of untrusted bytes: the one\n\
                  byte codec (base/src/snap.rs: SnapReader decodes every\n\
                  control payload, proxy handshake, shm parameter block and\n\
                  checkpoint) and the checkpoint container decoder\n\
@@ -516,16 +517,24 @@ pub fn scan_source(path: &Path, src: &str) -> Vec<Finding> {
     out
 }
 
-/// Whether R5 applies: the path ends in one of [`IO_PANIC_FILES`] (compared
+/// Whether R5 applies: the path ends in one of [`IO_PANIC_FILES`], or lies
+/// under one of its directory entries (compared by whole path component,
 /// with `/` separators regardless of platform).
 fn is_io_panic_file(path: &Path) -> bool {
     let p: Vec<String> = path
         .components()
         .map(|c| c.as_os_str().to_string_lossy().into_owned())
         .collect();
-    IO_PANIC_FILES.iter().any(|f| {
-        let suffix: Vec<&str> = f.split('/').collect();
-        p.len() >= suffix.len() && p[p.len() - suffix.len()..] == suffix[..]
+    IO_PANIC_FILES.iter().any(|f| match f.strip_suffix('/') {
+        Some(dir) => {
+            let dir: Vec<&str> = dir.split('/').collect();
+            // The directory, followed by at least the file name.
+            p.len() > dir.len() && p[..p.len() - 1].windows(dir.len()).any(|w| w == dir)
+        }
+        None => {
+            let suffix: Vec<&str> = f.split('/').collect();
+            p.len() >= suffix.len() && p[p.len() - suffix.len()..] == suffix[..]
+        }
     })
 }
 
@@ -1164,7 +1173,7 @@ mod tests {
                    mod tests {\n\
                    fn t() { x.unwrap(); }\n\
                    }\n";
-        let f = scan_source(Path::new("crates/runner/src/dist.rs"), src);
+        let f = scan_source(Path::new("crates/runner/src/dist/orchestrator.rs"), src);
         let r5: Vec<_> = f.iter().filter(|f| f.rule == Rule::R5IoPanic).collect();
         assert_eq!(r5.len(), 3, "{r5:?}");
         assert!(!r5[0].waived() && r5[0].line == 2, "unwrap flagged");
@@ -1173,6 +1182,31 @@ mod tests {
         // Same source in a non-I/O runner file: R5 does not apply.
         let elsewhere = scan_source(Path::new("crates/runner/src/experiment.rs"), src);
         assert!(elsewhere.iter().all(|f| f.rule != Rule::R5IoPanic));
+    }
+
+    #[test]
+    fn r5_covers_every_file_under_the_dist_directory() {
+        let src = "fn f(s: TcpStream) {\n\
+                   let n = s.read(&mut b).unwrap();\n\
+                   }\n";
+        for path in [
+            "crates/runner/src/dist/worker.rs",
+            "crates/runner/src/dist/mod.rs",
+            "crates/runner/src/dist/nested/deeper.rs",
+        ] {
+            let f = scan_source(Path::new(path), src);
+            let r5: Vec<_> = f.iter().filter(|f| f.rule == Rule::R5IoPanic).collect();
+            assert_eq!(r5.len(), 1, "{path}: {r5:?}");
+            assert!(!r5[0].waived() && r5[0].line == 2, "{path}: unwrap flagged");
+        }
+        // Whole components only: a look-alike sibling is not covered.
+        for path in [
+            "crates/runner/src/distx/worker.rs",
+            "crates/runner/src/dist",
+        ] {
+            let f = scan_source(Path::new(path), src);
+            assert!(f.iter().all(|f| f.rule != Rule::R5IoPanic), "{path}");
+        }
     }
 
     #[test]
