@@ -179,9 +179,6 @@ pub struct Kernel {
     pool: BufPool,
     /// Hierarchical sync domains enabled (see [`Kernel::enable_hier_sync`]).
     hier: bool,
-    /// Per-port domain tag (parallel to `ports`); `u32::MAX` means
-    /// "unassigned", grouped automatically by link-latency class.
-    port_domain: Vec<u32>,
     /// Sealed domain membership: indices into `ports`, one vec per domain,
     /// built lazily on the first hierarchical step.
     domains: Vec<Vec<usize>>,
@@ -212,7 +209,6 @@ impl Kernel {
             wall_start: None,
             pool: BufPool::new(),
             hier: false,
-            port_domain: Vec::new(),
             domains: Vec::new(),
             domains_built: false,
             port_look: Vec::new(),
@@ -225,7 +221,6 @@ impl Kernel {
     pub fn add_port(&mut self, mut chan: ChannelEnd) -> PortId {
         chan.set_pool(self.pool.clone());
         self.ports.push(SyncPort::new(chan));
-        self.port_domain.push(u32::MAX);
         PortId(self.ports.len() - 1)
     }
 
@@ -246,14 +241,6 @@ impl Kernel {
     /// Whether hierarchical sync domains are enabled.
     pub fn hier_sync_enabled(&self) -> bool {
         self.hier
-    }
-
-    /// Assign `port` to the sync domain `domain` (hierarchical mode only).
-    /// Ports left unassigned are grouped automatically by link-latency class
-    /// when the domains are sealed on the first step.
-    pub fn set_port_domain(&mut self, port: PortId, domain: u32) {
-        self.port_domain[port.0] = domain;
-        self.domains_built = false;
     }
 
     /// Raise the adaptive sync-interval cap of `port` beyond the default
@@ -789,22 +776,16 @@ impl Kernel {
         StepOutcome::Progressed
     }
 
-    /// Seal hierarchical sync domains: synchronized ports with an explicit
-    /// tag group by tag, the rest group by link-latency class. Deterministic
-    /// (sorted by tag, then latency), so domain order never depends on
-    /// execution timing.
+    /// Seal hierarchical sync domains: synchronized ports group by link
+    /// latency. Deterministic (sorted by latency), so domain order never
+    /// depends on execution timing.
     fn build_domains(&mut self) {
         use std::collections::BTreeMap;
-        let mut groups: BTreeMap<(u32, u64), Vec<usize>> = BTreeMap::new();
+        let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
         for (i, p) in self.ports.iter().enumerate() {
-            if !p.sync_enabled() {
-                continue;
+            if p.sync_enabled() {
+                groups.entry(p.latency().as_ps()).or_default().push(i);
             }
-            let key = match self.port_domain[i] {
-                u32::MAX => (u32::MAX, p.latency().as_ps()),
-                tag => (tag, 0),
-            };
-            groups.entry(key).or_default().push(i);
         }
         self.domains = groups.into_values().collect();
         self.domains_built = true;

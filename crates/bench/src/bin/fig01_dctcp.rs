@@ -6,9 +6,10 @@
 //! Checkpoint fast-forward (`docs/ARCHITECTURE.md`, "Checkpoint/restore"):
 //!
 //! * `--checkpoint-to PATH` — run one end-to-end configuration (K = 65),
-//!   quiesce at the end of the warm-up phase, write the checkpoint, and
-//!   continue to the end (the continuation is bit-identical to an
-//!   uninterrupted run).
+//!   quiesce at the end of the warm-up phase (`Experiment::checkpoint_at`,
+//!   a one-slot checkpoint ring), continue to the end (the continuation is
+//!   bit-identical to an uninterrupted run), and write the ring's one entry
+//!   to `PATH`.
 //! * `--restore-from PATH` — rebuild the same configuration, load the
 //!   checkpoint, and simulate only the remaining (measured) region —
 //!   skipping the warm-up entirely.
@@ -20,7 +21,7 @@
 use std::io::Write as _;
 
 use simbricks::hostsim::HostKind;
-use simbricks::runner::Execution;
+use simbricks::runner::{write_blob, Execution};
 use simbricks::SimTime;
 use simbricks_bench::{dctcp_e2e_build, dctcp_end_to_end, dctcp_goodput, dctcp_network_only};
 
@@ -80,8 +81,8 @@ fn e2e_run(
     restore: Option<&str>,
 ) -> (f64, f64, u64, usize) {
     let (mut exp, servers) = dctcp_e2e_build(DEMO_K, duration, HostKind::Gem5Timing, true);
-    if let Some((at, path)) = checkpoint {
-        exp.checkpoint_at(at, Some(path.into()));
+    if let Some((at, _)) = checkpoint {
+        exp.checkpoint_at(at);
     }
     if let Some(path) = restore {
         let at = exp
@@ -90,6 +91,11 @@ fn e2e_run(
         eprintln!("restored from {path} at t={at}");
     }
     let r = exp.run(Execution::Sequential);
+    if let Some((_, path)) = checkpoint {
+        let (_, blob) = r.ring.first().expect("checkpoint captured");
+        write_blob(std::path::Path::new(path), blob)
+            .unwrap_or_else(|e| panic!("writing checkpoint {path}: {e}"));
+    }
     let log = r.merged_log();
     (
         dctcp_goodput(&r, &servers),

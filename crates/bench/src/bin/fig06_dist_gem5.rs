@@ -22,12 +22,14 @@
 use simbricks::hostsim::HostKind;
 use simbricks::runner::dist::{self, DistOptions};
 use simbricks::runner::Execution;
+use simbricks::scenario::build_from_toml;
 use simbricks::SimTime;
-use simbricks_bench::{dist_scen, udp_scaleup_wired, Wiring};
+use simbricks_bench::scen::{partition_names, udp_scaleup_toml};
+use simbricks_bench::{udp_scaleup_wired, Wiring};
 
 fn main() {
     // Hidden worker mode for `--dist` runs (see `dist::maybe_worker`).
-    dist::maybe_worker(&dist_scen::build_udp_scaleup);
+    dist::maybe_worker(&build_from_toml);
 
     let mut dist_n: Option<usize> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -79,10 +81,11 @@ fn main() {
         let (pairwise, pairwise_syncs) = match dist_n {
             None => in_process(Wiring::Pairwise),
             Some(parts) => {
-                let scen = format!("hosts={hosts};kind=qemu;parts={parts};dur_ms=5;log=0");
-                let opts = DistOptions::new(dist_scen::partition_names(parts), scen);
-                let r = dist::run_distributed(&opts, &dist_scen::build_udp_scaleup)
-                    .expect("distributed run failed");
+                let toml =
+                    udp_scaleup_toml(hosts, HostKind::QemuTiming, duration, parts, false, false);
+                let opts = DistOptions::new(partition_names(parts), toml);
+                let r =
+                    dist::run_distributed(&opts, &build_from_toml).expect("distributed run failed");
                 (r.max_partition_wall(), r.total_stats().syncs_sent)
             }
         };

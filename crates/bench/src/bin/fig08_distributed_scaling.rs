@@ -32,25 +32,8 @@
 use simbricks::hostsim::HostKind;
 use simbricks::runner::dist::{self, DistOptions};
 use simbricks::runner::{Execution, TransportKind};
-use simbricks_bench::dist_scen;
-
-fn scenario(
-    racks: usize,
-    hpr: usize,
-    kind: HostKind,
-    parts: usize,
-    log: bool,
-    hier: bool,
-) -> String {
-    let kind = match kind {
-        HostKind::QemuTiming => "qemu",
-        _ => "gem5",
-    };
-    format!(
-        "racks={racks};hpr={hpr};kind={kind};parts={parts};log={};hier={}",
-        log as u8, hier as u8
-    )
-}
+use simbricks::scenario::build_from_toml;
+use simbricks_bench::scen::{memcache_racks_toml, partition_names};
 
 struct Row {
     hosts: usize,
@@ -70,7 +53,7 @@ fn main() {
     // Hidden worker mode: when spawned by the orchestrator below (env
     // SIMBRICKS_DIST_CONTROL + `--dist-worker` argv), this call rebuilds one
     // partition, runs it, reports over the control socket, and exits.
-    dist::maybe_worker(&dist_scen::build_memcache_racks);
+    dist::maybe_worker(&build_from_toml);
 
     let mut exec = Execution::from_env_or(Execution::Sequential).unwrap_or_else(|e| {
         eprintln!("{e}");
@@ -157,8 +140,8 @@ fn main() {
             );
             for racks in [1usize, 2, 4] {
                 let hosts = racks * hpr;
-                let g = dist_scen_wall(racks, hpr, HostKind::Gem5Timing, exec);
-                let q = dist_scen_wall(racks, hpr, HostKind::QemuTiming, exec);
+                let g = inproc_wall(racks, hpr, HostKind::Gem5Timing, exec);
+                let q = inproc_wall(racks, hpr, HostKind::QemuTiming, exec);
                 println!("{:>6} {:>18.2} {:>18.2}", hosts, g, q);
             }
         }
@@ -178,8 +161,8 @@ fn main() {
                     ("gem5", HostKind::Gem5Timing),
                     ("qemu", HostKind::QemuTiming),
                 ] {
-                    let scen = scenario(racks, hpr, kind, parts, true, false);
-                    let local = dist::run_local(&scen, &dist_scen::build_memcache_racks, exec);
+                    let scen = memcache_racks_toml(racks, hpr, kind, parts, true, false);
+                    let local = dist::run_local(&scen, &build_from_toml, exec);
                     let lm = local.merged_log();
                     let mut row = Row {
                         hosts,
@@ -190,11 +173,10 @@ fn main() {
                         hier_dist: Vec::new(),
                     };
                     for (tname, tkind) in &transports {
-                        let opts =
-                            DistOptions::new(dist_scen::partition_names(parts), scen.clone())
-                                .with_exec(exec)
-                                .with_transport(*tkind);
-                        let dres = dist::run_distributed(&opts, &dist_scen::build_memcache_racks)
+                        let opts = DistOptions::new(partition_names(parts), scen.clone())
+                            .with_exec(exec)
+                            .with_transport(*tkind);
+                        let dres = dist::run_distributed(&opts, &build_from_toml)
                             .expect("distributed run failed");
                         let dm = dres.merged_log();
                         let identical =
@@ -217,21 +199,18 @@ fn main() {
                         // Hierarchical-sync rerun of the same topology; every
                         // event log must stay bit-identical to the FLAT
                         // in-process baseline (sync cadence is invisible).
-                        let hscen = scenario(racks, hpr, kind, parts, true, true);
-                        let hlocal =
-                            dist::run_local(&hscen, &dist_scen::build_memcache_racks, exec);
+                        let hscen = memcache_racks_toml(racks, hpr, kind, parts, true, true);
+                        let hlocal = dist::run_local(&hscen, &build_from_toml, exec);
                         let hm = hlocal.merged_log();
                         let lid = lm.len() == hm.len() && lm.fingerprint() == hm.fingerprint();
                         all_identical &= lid;
                         row.hier_inproc_wall = Some(hlocal.wall_seconds());
                         for (tname, tkind) in &transports {
-                            let opts =
-                                DistOptions::new(dist_scen::partition_names(parts), hscen.clone())
-                                    .with_exec(exec)
-                                    .with_transport(*tkind);
-                            let dres =
-                                dist::run_distributed(&opts, &dist_scen::build_memcache_racks)
-                                    .expect("distributed hier run failed");
+                            let opts = DistOptions::new(partition_names(parts), hscen.clone())
+                                .with_exec(exec)
+                                .with_transport(*tkind);
+                            let dres = dist::run_distributed(&opts, &build_from_toml)
+                                .expect("distributed hier run failed");
                             let dm = dres.merged_log();
                             let identical =
                                 lm.len() == dm.len() && lm.fingerprint() == dm.fingerprint();
@@ -270,9 +249,9 @@ fn main() {
 }
 
 /// One in-process run (no logging) returning wall seconds.
-fn dist_scen_wall(racks: usize, hpr: usize, kind: HostKind, exec: Execution) -> f64 {
-    let scen = scenario(racks, hpr, kind, 1, false, false);
-    dist::run_local(&scen, &dist_scen::build_memcache_racks, exec).wall_seconds()
+fn inproc_wall(racks: usize, hpr: usize, kind: HostKind, exec: Execution) -> f64 {
+    let toml = memcache_racks_toml(racks, hpr, kind, 1, false, false);
+    dist::run_local(&toml, &build_from_toml, exec).wall_seconds()
 }
 
 fn write_json(path: &str, parts: usize, rows: &[Row]) {

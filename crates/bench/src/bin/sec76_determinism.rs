@@ -5,8 +5,9 @@
 //! Each row runs the standard 2-host netperf configuration with event
 //! logging and reports the merged log's FNV-1a fingerprint and length:
 //! sequential (twice, the §7.6 repetition check), sharded with 1/2/4
-//! workers, and a checkpoint-at-half-time → restore → continue cycle. All
-//! fingerprints must be identical.
+//! workers, and a checkpoint → restore → continue cycle (a one-slot
+//! checkpoint ring at 6 ms, restored into a fresh build). All fingerprints
+//! must be identical; a divergence panics, so the binary exits nonzero.
 //!
 //! `--json PATH` writes the machine-readable baseline consumed by future
 //! regression checks (see `BENCH_sec76.json` at the repository root) — a
@@ -26,14 +27,13 @@ fn fingerprint_of(exec: Execution) -> (u64, usize, f64) {
 }
 
 fn fingerprint_of_ckpt_restore() -> (u64, usize, f64) {
-    let path = std::env::temp_dir().join(format!("sec76-{}.ckpt", std::process::id()));
     let mut exp = netperf_logged_experiment(STREAM, RR);
-    exp.checkpoint_at(SimTime::from_ms(6), Some(path.clone()));
-    let _ = exp.run(Execution::Sequential);
+    exp.checkpoint_at(SimTime::from_ms(6));
+    let ring = exp.run(Execution::Sequential).ring;
+    let (_, blob) = ring.first().expect("checkpoint captured");
     let mut exp = netperf_logged_experiment(STREAM, RR);
-    exp.restore(&path).expect("restore checkpoint");
+    exp.restore_from_blob(blob).expect("restore checkpoint");
     let r = exp.run(Execution::Sequential);
-    let _ = std::fs::remove_file(&path);
     let log = r.merged_log();
     (log.fingerprint(), log.len(), r.wall_seconds())
 }

@@ -38,6 +38,12 @@ pub mod scen {
 
     use super::{HostKind, SimTime};
 
+    /// Partition names `w0..w{parts-1}`, the names the generators below
+    /// assign components to.
+    pub fn partition_names(parts: usize) -> Vec<String> {
+        (0..parts).map(|w| format!("w{w}")).collect()
+    }
+
     /// Scenario-file spelling of a [`HostKind`].
     pub fn kind_str(kind: HostKind) -> &'static str {
         match kind {
@@ -553,90 +559,6 @@ pub fn dctcp_network_only(k_packets: usize, duration: SimTime) -> f64 {
             .unwrap_or(0);
     }
     total_bytes as f64 * 8.0 / duration.as_secs_f64() / 1e9
-}
-
-/// Distributed-scenario builders (§5.4, Fig. 6/Fig. 8): the same topologies
-/// as the in-process harness helpers, but expressed through a
-/// [`PartitionBuilder`] so they can run
-/// as true multi-process distributed simulations — one worker OS process per
-/// partition, cross-partition Ethernet links bridged by loopback TCP proxies.
-///
-/// Scenarios are `key=value` pairs joined by `;` (e.g.
-/// `racks=2;hpr=8;kind=gem5;parts=2;log=1`) so a self-`exec`ed worker can
-/// rebuild exactly the configuration its orchestrator is running.
-pub mod dist_scen {
-    use simbricks::runner::PartitionBuilder;
-
-    use super::*;
-
-    /// Look up `key` in a `k=v;k=v` scenario string.
-    pub fn get<'a>(scenario: &'a str, key: &str) -> Option<&'a str> {
-        scenario
-            .split(';')
-            .filter_map(|kv| kv.split_once('='))
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.trim())
-    }
-
-    /// Look up an integer key, falling back to `default`.
-    pub fn get_usize(scenario: &str, key: &str, default: usize) -> usize {
-        get(scenario, key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// Host kind encoded in the scenario (`kind=gem5` or `kind=qemu`).
-    pub fn get_kind(scenario: &str) -> HostKind {
-        match get(scenario, "kind") {
-            Some("qemu") => HostKind::QemuTiming,
-            _ => HostKind::Gem5Timing,
-        }
-    }
-
-    /// Partition names `w0..w{parts-1}` used by all builders in this module.
-    pub fn partition_names(parts: usize) -> Vec<String> {
-        (0..parts).map(|w| format!("w{w}")).collect()
-    }
-
-    /// The Fig. 8 scale-out topology — racks of memcached/memaslap hosts
-    /// behind ToR switches joined by a core switch — partitioned rack-wise:
-    /// rack `r` (hosts, NICs, and its ToR) lives in partition `w{r % parts}`,
-    /// the core switch in `w0`, and every ToR-to-core uplink whose rack lives
-    /// elsewhere becomes a cross-partition link (exactly the paper's "one
-    /// proxy pair per inter-host link" claim, on loopback).
-    ///
-    /// Scenario keys: `racks`, `hpr` (hosts per rack), `kind`, `parts`,
-    /// `log` (1 = enable event logging for bit-identity checks), `hier`
-    /// (1 = hierarchical sync; changes SYNC traffic only, never the log).
-    pub fn build_memcache_racks(scenario: &str, pb: &mut PartitionBuilder) {
-        let toml = scen::memcache_racks_toml(
-            get_usize(scenario, "racks", 1),
-            get_usize(scenario, "hpr", 8),
-            get_kind(scenario),
-            get_usize(scenario, "parts", 1),
-            get_usize(scenario, "log", 0) == 1,
-            get_usize(scenario, "hier", 0) == 1,
-        );
-        super::lower_generated(&toml, pb);
-    }
-
-    /// The Fig. 6/7 scale-up topology — N hosts running rate-limited UDP
-    /// iperf through one switch — partitioned host-wise: host `i` lives in
-    /// partition `w{i % parts}`, the switch in `w0`, so every Ethernet link
-    /// of a host outside `w0` crosses a process boundary.
-    ///
-    /// Scenario keys: `hosts`, `kind`, `parts`, `dur_ms`, `log`, `hier`.
-    pub fn build_udp_scaleup(scenario: &str, pb: &mut PartitionBuilder) {
-        let toml = scen::udp_scaleup_toml(
-            get_usize(scenario, "hosts", 2),
-            get_kind(scenario),
-            SimTime::from_ms(get_usize(scenario, "dur_ms", 5) as u64),
-            get_usize(scenario, "parts", 1),
-            get_usize(scenario, "log", 0) == 1,
-            get_usize(scenario, "hier", 0) == 1,
-        );
-        super::lower_generated(&toml, pb);
-    }
 }
 
 /// A k-ary fat-tree pod hierarchy for the sync-protocol scale-out matrix:

@@ -1,11 +1,15 @@
 //! Checkpoint file format: container for the per-component snapshots of one
-//! experiment (or one distributed partition).
+//! experiment (or one distributed partition, before the orchestrator merges
+//! the partitions of a slot). Every checkpoint is a ring entry: a run
+//! quiesces at the slots of its plan and writes each container into the
+//! ring directory as [`ring_entry_path`]; a one-shot checkpoint is a ring
+//! with one slot.
 //!
 //! Layout (all little-endian):
 //!
 //! ```text
 //! magic   "SBCK"                      4 bytes
-//! version u16 (currently 6)           rejected if unknown
+//! version u16 (CKPT_VERSION)          rejected if unknown
 //! flags   u16 (reserved, must be 0)
 //! name    u32-prefixed UTF-8          experiment name (validated on restore)
 //! time    u64                         checkpoint virtual time [ps]

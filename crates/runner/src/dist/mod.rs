@@ -129,19 +129,16 @@ pub struct DistOptions {
     /// Harness binaries use the default hidden `--dist-worker` flag; test
     /// binaries route to their worker-entry test instead.
     pub worker_args: Vec<String>,
-    /// Mid-run checkpoint: quiesce every partition at the given virtual time
-    /// and write one region file per partition (`<dir>/<partition>.ckpt`)
-    /// into the given directory. Snapshots travel from the workers to the
-    /// orchestrator over the control socket.
-    pub checkpoint: Option<(SimTime, PathBuf)>,
-    /// Restore every partition from `<dir>/<partition>.ckpt` before the
-    /// start barrier; the run then resumes at the checkpoint's virtual time.
-    pub restore_from: Option<PathBuf>,
-    /// Checkpoint ring: every worker quiesces at each multiple of the period
-    /// and ships its partition's snapshots to the orchestrator, which merges
-    /// the partitions of each quiesce time into one whole-experiment SBCK
-    /// container `<dir>/ck-<time_ps>.ckpt` (restorable through the ordinary
-    /// local path). Only the newest `keep` entries survive (0 = keep all).
+    /// Checkpoint ring, the one way a distributed run checkpoints: every
+    /// worker quiesces at each multiple of the period and streams its
+    /// partition's snapshot to the orchestrator as a `RING` frame. The
+    /// orchestrator merges the partitions of each quiesce time into one
+    /// whole-experiment SBCK container `<dir>/ck-<time_ps>.ckpt`, which an
+    /// in-process build restores through [`Experiment::restore`] and fleet
+    /// recovery restarts from. Only the newest `keep` entries survive
+    /// (0 = keep all).
+    ///
+    /// [`Experiment::restore`]: crate::experiment::Experiment::restore
     pub ring: Option<RingOptions>,
     /// Deterministic fault schedule injected by the orchestrator (sorted or
     /// not — each fault fires once when the fleet's minimum virtual time
@@ -178,26 +175,11 @@ impl DistOptions {
             exec: Execution::Sequential,
             transport: TransportKind::from_env_or(TransportKind::Auto),
             worker_args: vec!["--dist-worker".into()],
-            checkpoint: None,
-            restore_from: None,
             ring: None,
             faults: Vec::new(),
             max_restarts: 0,
             heartbeat: DEFAULT_HEARTBEAT,
         }
-    }
-
-    /// Request a mid-run checkpoint at virtual time `at`, written as one
-    /// file per partition into `dir`.
-    pub fn with_checkpoint(mut self, at: SimTime, dir: impl Into<PathBuf>) -> Self {
-        self.checkpoint = Some((at, dir.into()));
-        self
-    }
-
-    /// Restore all partitions from the per-partition files in `dir`.
-    pub fn with_restore(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.restore_from = Some(dir.into());
-        self
     }
 
     /// Request a checkpoint ring: merged whole-experiment containers written
@@ -693,14 +675,12 @@ mod tests {
     #[test]
     fn ckpt_payload_roundtrips_and_rejects_every_prefix() {
         let bare = CkptConfig {
-            checkpoint_at: None,
             ring_period: SimTime::ZERO,
             ring_keep: 0,
             heartbeat: Duration::from_millis(25),
             restore: None,
         };
         let full = CkptConfig {
-            checkpoint_at: Some(SimTime::from_us(7)),
             ring_period: SimTime::from_us(2),
             ring_keep: 3,
             heartbeat: Duration::from_millis(250),
@@ -713,7 +693,6 @@ mod tests {
         }
         // A zero heartbeat period asks for the default.
         let zero = CkptConfig {
-            checkpoint_at: None,
             ring_period: SimTime::ZERO,
             ring_keep: 0,
             heartbeat: Duration::ZERO,

@@ -169,7 +169,6 @@ struct WorkerConn {
     last_seen: Instant,
     /// Newest virtual-time progress reported (heartbeats / ring frames).
     virt: u64,
-    ckpt_blob: Option<Vec<u8>>,
     report: Option<WorkerReport>,
 }
 
@@ -266,7 +265,6 @@ fn run_attempt(
                     fb: FrameBuf::default(),
                     last_seen: Instant::now(),
                     virt: 0,
-                    ckpt_blob: None,
                     report: None,
                 };
                 let hello = c.expect_frame(MSG_HELLO)?;
@@ -301,45 +299,23 @@ fn run_attempt(
         c.send(MSG_ADDRS, &payload)?;
     }
 
-    // Checkpoint configuration: an explicit presence byte plus the quiesce
-    // time, then — when restoring — each partition's snapshot shipped over
-    // the control socket. Recovery restores (ring blobs held in memory) take
-    // precedence over [`DistOptions::restore_from`]. A one-shot checkpoint
-    // whose time the restore point has already passed is skipped for this
-    // attempt — it was only capturable in the attempt that failed.
-    if let Some((_, dir)) = &opts.checkpoint {
-        std::fs::create_dir_all(dir)?;
-    }
+    // Checkpoint configuration: the ring period and, when the recovery core
+    // restarts the fleet from a ring slot, each partition's snapshot of it.
     if let Some(ring) = &opts.ring {
         std::fs::create_dir_all(&ring.dir)?;
     }
-    let restore_at = rec.restore().map(|(at, _)| *at);
-    let checkpoint_at = match (&opts.checkpoint, restore_at) {
-        (Some((at, _)), Some(r)) if r >= at.as_ps() => {
-            eprintln!(
-                "dist: one-shot checkpoint at {} ps predates the restore point ({r} ps); skipped",
-                at.as_ps()
-            );
-            None
-        }
-        (checkpoint, _) => checkpoint.as_ref().map(|(at, _)| *at),
-    };
     let (ring_period, ring_keep) = opts
         .ring
         .as_ref()
         .map_or((SimTime::ZERO, 0), |r| (r.period, r.keep));
     for c in &mut conns {
-        let restore = match (rec.restore(), &opts.restore_from) {
-            (Some((_, blobs)), _) => blobs.get(&c.partition).cloned(),
-            (None, Some(dir)) => Some(std::fs::read(dir.join(format!("{}.ckpt", c.partition)))?),
-            (None, None) => None,
-        };
         let cfg = CkptConfig {
-            checkpoint_at,
             ring_period,
             ring_keep,
             heartbeat: opts.heartbeat,
-            restore,
+            restore: rec
+                .restore()
+                .and_then(|(_, blobs)| blobs.get(&c.partition).cloned()),
         };
         c.send(MSG_CKPT, &cfg.encode())?;
     }
@@ -356,21 +332,12 @@ fn run_attempt(
 
     supervise(opts, disc, &mut conns, &mut guard, rec)?;
 
-    // All partitions reported. Persist the one-shot checkpoint blobs, then
-    // acknowledge and reap.
+    // All partitions reported: collect the results, then acknowledge and
+    // reap.
     let wall = start.elapsed();
     let mut partition_walls = Vec::new();
     let mut all: Vec<(usize, String, KernelStats, EventLog)> = Vec::new();
     for c in &mut conns {
-        if let Some((_, dir)) = opts.checkpoint.as_ref().filter(|_| checkpoint_at.is_some()) {
-            let blob = c.ckpt_blob.as_deref().unwrap_or(&[]);
-            if blob.is_empty() {
-                return Err(c.protocol("reported an empty checkpoint"));
-            }
-            let p = &c.partition;
-            checkpoint::write_blob(&dir.join(format!("{p}.ckpt")), blob)
-                .map_err(|e| DistError::Io(format!("writing checkpoint of {p:?}: {e}")))?;
-        }
         let rep = c.report.take().ok_or_else(|| c.protocol("no result"))?;
         partition_walls.push(rep.wall_seconds);
         all.extend(rep.components);
@@ -416,11 +383,10 @@ fn run_attempt(
 }
 
 /// The post-`GO` supervisor loop: drain every worker's control socket
-/// (heartbeats, streamed ring snapshots, checkpoint blobs, results), detect
-/// failures (process exit, heartbeat silence, control EOF, protocol
-/// violations) and classify them as typed errors, and carry out the faults
-/// the recovery core reports due. Returns once every partition's result is
-/// in.
+/// (heartbeats, streamed ring snapshots, results), detect failures (process
+/// exit, heartbeat silence, control EOF, protocol violations) and classify
+/// them as typed errors, and carry out the faults the recovery core reports
+/// due. Returns once every partition's result is in.
 fn supervise(
     opts: &DistOptions,
     disc: &Discovery,
@@ -469,7 +435,6 @@ fn supervise(
                             }
                         }
                     }
-                    MSG_CKPT_SAVE => c.ckpt_blob = Some(payload),
                     MSG_RESULT => {
                         let rep = decode_result(&payload)
                             .map_err(|e| c.protocol(format!("bad result: {e}")))?;

@@ -13,10 +13,9 @@
 //! | `HELLO`  | worker → orch  | partition name                               |
 //! | `LINKS`  | worker → orch  | rendezvous address per owned cross link      |
 //! | `ADDRS`  | orch → worker  | full link-name → address map                 |
-//! | `CKPT`   | orch → worker  | checkpoint time, ring, heartbeat, restore blob |
+//! | `CKPT`   | orch → worker  | ring, heartbeat, restore blob                |
 //! | `READY`  | worker → orch  | (empty) partition built, cross links wired   |
 //! | `GO`     | orch → worker  | (empty) barrier release, start simulating    |
-//! | `CKPT_SAVE` | worker → orch | partition snapshot captured mid-run       |
 //! | `RESULT` | worker → orch  | wall seconds + per-component stats and logs  |
 //! | `DONE`   | orch → worker  | (empty) all results in, tear down            |
 //! | `HEARTBEAT` | worker → orch | liveness + virtual-time progress (u64 ps) |
@@ -26,7 +25,8 @@
 //! `HEARTBEAT` comes from the worker's pump thread on a wall-clock period,
 //! so it keeps flowing while the simulation waits on peers. `RING` frames
 //! stream as each slot is captured, so the orchestrator already holds the
-//! newest complete slot when a worker dies.
+//! newest complete slot when a worker dies. Type 9 is unassigned, so a frame
+//! carrying it is a protocol error like any other unknown type.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -48,7 +48,6 @@ pub(super) const MSG_GO: u8 = 5;
 pub(super) const MSG_RESULT: u8 = 6;
 pub(super) const MSG_DONE: u8 = 7;
 pub(super) const MSG_CKPT: u8 = 8;
-pub(super) const MSG_CKPT_SAVE: u8 = 9;
 pub(super) const MSG_HEARTBEAT: u8 = 10;
 pub(super) const MSG_RING: u8 = 11;
 pub(super) const MSG_SEVER: u8 = 12;
@@ -221,8 +220,6 @@ pub(super) fn decode_addrs(payload: &[u8]) -> SnapResult<Vec<(String, String)>> 
 /// checkpoints and heartbeats, and the snapshot it restores before `READY`.
 #[derive(Debug, PartialEq)]
 pub(super) struct CkptConfig {
-    /// Quiesce at this virtual time and ship the snapshot as `CKPT_SAVE`.
-    pub(super) checkpoint_at: Option<SimTime>,
     /// Checkpoint-ring period (zero: no ring) and the slots kept.
     pub(super) ring_period: SimTime,
     pub(super) ring_keep: usize,
@@ -236,7 +233,6 @@ pub(super) struct CkptConfig {
 impl CkptConfig {
     pub(super) fn encode(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.opt_time(self.checkpoint_at);
         w.time(self.ring_period);
         w.usize(self.ring_keep);
         w.u64(self.heartbeat.as_millis() as u64);
@@ -250,7 +246,6 @@ impl CkptConfig {
     pub(super) fn decode(payload: &[u8]) -> SnapResult<CkptConfig> {
         let mut r = SnapReader::new(payload);
         let cfg = CkptConfig {
-            checkpoint_at: r.opt_time()?,
             ring_period: r.time()?,
             ring_keep: r.usize()?,
             heartbeat: match r.u64()? {

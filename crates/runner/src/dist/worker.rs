@@ -107,8 +107,8 @@ pub(super) fn run_worker(build: &BuildFn) -> io::Result<()> {
     // normal transient state, not a deadlock.
     exp.set_external_inputs();
 
-    // Checkpoint configuration: the orchestrator tells every worker whether
-    // (and when) to quiesce, and hands it its restore snapshot, if any.
+    // Checkpoint configuration: the orchestrator tells every worker its ring
+    // period, and hands it its restore snapshot, if any.
     let mut ckpt = CkptConfig::decode(&expect_frame(&mut ctrl, MSG_CKPT)?)?;
     if let Some(blob) = ckpt.restore.take() {
         exp.restore_from_blob(&blob).map_err(|e| {
@@ -117,9 +117,6 @@ pub(super) fn run_worker(build: &BuildFn) -> io::Result<()> {
                 format!("restoring partition {partition:?}: {e}"),
             )
         })?;
-    }
-    if let Some(at) = ckpt.checkpoint_at {
-        exp.checkpoint_at(at, None);
     }
     if ckpt.ring_period != SimTime::ZERO {
         // Every worker quiesces at the same virtual times (pause promises
@@ -178,10 +175,6 @@ pub(super) fn run_worker(build: &BuildFn) -> io::Result<()> {
         let mut w = writer
             .lock()
             .map_err(|_| io::Error::other("control writer poisoned"))?;
-        if ckpt.checkpoint_at.is_some() {
-            let blob = result.checkpoint.as_deref().unwrap_or(&[]);
-            write_frame(&mut *w, MSG_CKPT_SAVE, blob)?;
-        }
         let payload = encode_result(&result, &pb.local_globals)?;
         write_frame(&mut *w, MSG_RESULT, &payload)?;
     }

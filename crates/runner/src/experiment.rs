@@ -118,16 +118,10 @@ pub struct RunResult {
     pub component_names: Vec<String>,
     pub stats: Vec<KernelStats>,
     pub logs: Vec<EventLog>,
-    /// Encoded checkpoint container captured mid-run, when the experiment
-    /// was configured with [`Experiment::checkpoint_at`] (also written to
-    /// the configured path, if any). Distributed workers ship this blob to
-    /// the orchestrator over the control socket.
-    pub checkpoint: Option<Vec<u8>>,
-    /// Checkpoint-ring entries captured mid-run (quiesce time, encoded
-    /// container), newest last, already pruned to the configured `keep_n`.
-    /// Populated when the experiment was configured with
-    /// [`Experiment::with_checkpoint_ring`]; distributed workers ship these
-    /// to the orchestrator for merging.
+    /// Checkpoints captured mid-run (quiesce time, encoded container),
+    /// newest last, already pruned to the configured `keep_n`: one entry
+    /// for [`Experiment::checkpoint_at`], one per slot for
+    /// [`Experiment::with_checkpoint_ring`].
     pub ring: Vec<(SimTime, Vec<u8>)>,
     models: Vec<Box<dyn AnyModel>>,
     /// The experiment's tcp link pumps, handed back after the run so a
@@ -192,6 +186,15 @@ impl RunResult {
 /// Sink receiving each encoded checkpoint-ring entry: (quiesce time, blob).
 pub type RingSink = Box<dyn FnMut(SimTime, &[u8]) + Send>;
 
+/// When a run quiesces and captures a checkpoint: at `first`, then every
+/// `period` after it (`None`: only at `first`), keeping the newest `keep`
+/// entries (0 = keep all).
+struct QuiescePlan {
+    first: SimTime,
+    period: Option<SimTime>,
+    keep: usize,
+}
+
 /// An experiment: a set of component simulators wired by channels.
 pub struct Experiment {
     name: String,
@@ -208,12 +211,8 @@ pub struct Experiment {
     /// kernels also drives these, so a link needs no thread of its own.
     /// Empty for in-process experiments.
     pumps: Vec<TcpPump>,
-    /// Checkpoint request: quiesce at the given virtual time mid-run, encode
-    /// every component, optionally write the file, then continue.
-    checkpoint: Option<(SimTime, Option<PathBuf>)>,
-    /// Checkpoint-ring request: quiesce at every multiple of the period,
-    /// keeping only the newest `keep_n` entries (0 = keep all).
-    ring: Option<(SimTime, usize)>,
+    /// Checkpoint request: the quiesce times and how many entries to keep.
+    ring: Option<QuiescePlan>,
     /// Directory ring entries are written to as `ck-<time_ps>.ckpt` (when
     /// set; distributed workers leave it unset and ship blobs instead).
     ring_dir: Option<PathBuf>,
@@ -253,7 +252,6 @@ impl Experiment {
             external_inputs: false,
             components: Vec::new(),
             pumps: Vec::new(),
-            checkpoint: None,
             ring: None,
             ring_dir: None,
             fp_epoch: None,
@@ -317,10 +315,10 @@ impl Experiment {
     }
 
     /// Enable hierarchical sync domains (sync-protocol scale-out). Each
-    /// kernel groups its synchronized ports into domains (by latency class
-    /// unless assigned explicitly), maintains one aggregate horizon per
-    /// domain, and emits SYNCs per domain epoch with promises widened
-    /// through the earliest local cause of a future send. At run time the
+    /// kernel groups its synchronized ports into domains by link latency,
+    /// maintains one aggregate horizon per domain, and emits SYNCs per
+    /// domain epoch with promises widened through the earliest local cause
+    /// of a future send. At run time the
     /// channel graph is reconstructed from connection ids and a static
     /// multi-hop lookahead floor is computed per port (Bellman-Ford-style
     /// relaxation over declared [`Model::sync_lookahead`] forwarding
@@ -431,33 +429,40 @@ impl Experiment {
     // Checkpoint/restore
     // ------------------------------------------------------------------
 
-    /// Request a deterministic checkpoint: the run quiesces every component
-    /// at virtual time `at` (all events strictly below processed, nothing at
-    /// or beyond touched, in-flight channel messages drained into port
-    /// buffers), encodes the complete state, writes it to `path` (when
-    /// given; distributed workers pass `None` and ship the blob over the
-    /// control socket instead), and then **continues** to the configured end
-    /// time. The continuation — and any later run restored from the file —
-    /// is bit-identical to an uninterrupted run.
+    /// Request a deterministic checkpoint: a one-slot ring. The run
+    /// quiesces every component at virtual time `at` (all events strictly
+    /// below processed, nothing at or beyond touched, in-flight channel
+    /// messages drained into port buffers), encodes the complete state as
+    /// the one [`RunResult::ring`] entry, and then **continues** to the
+    /// configured end time. The continuation — and any later run restored
+    /// from the entry — is bit-identical to an uninterrupted run. A run
+    /// restored at or after `at` captures nothing. Replaces any earlier
+    /// checkpoint or ring request; to get a named file, write the blob with
+    /// [`write_blob`](crate::checkpoint::write_blob).
     ///
     /// Requires every channel of the experiment to be synchronized (the
     /// quiesce phase itself is cooperative, whatever the executor); `run`
     /// panics with a descriptive message otherwise.
-    pub fn checkpoint_at(&mut self, at: SimTime, path: Option<PathBuf>) {
+    pub fn checkpoint_at(&mut self, at: SimTime) {
         assert!(
             at < self.end,
             "checkpoint time {at} must lie before the experiment end {}",
             self.end
         );
-        self.checkpoint = Some((at, path));
+        self.ring = Some(QuiescePlan {
+            first: at,
+            period: None,
+            keep: 0,
+        });
     }
 
     /// Request a checkpoint ring: quiesce and snapshot at every multiple of
     /// `period` before the end time, keeping only the newest `keep_n`
     /// entries (0 = keep all). Each entry is a complete SBCK container; the
     /// continuation after every quiesce — and any run restored from any
-    /// entry — is bit-identical to an uninterrupted run. Same constraints as
-    /// [`Experiment::checkpoint_at`]. Entries land in
+    /// entry — is bit-identical to an uninterrupted run. A run restored
+    /// from a checkpoint captures only the slots after it. Same constraints
+    /// as [`Experiment::checkpoint_at`], which it replaces. Entries land in
     /// [`RunResult::ring`], and on disk when a directory is set via
     /// [`Experiment::set_ring_dir`].
     pub fn with_checkpoint_ring(mut self, period: SimTime, keep_n: usize) -> Self {
@@ -472,10 +477,15 @@ impl Experiment {
             period > SimTime::ZERO,
             "checkpoint ring period must be non-zero"
         );
-        self.ring = Some((period, keep_n));
+        self.ring = Some(QuiescePlan {
+            first: period,
+            period: Some(period),
+            keep: keep_n,
+        });
     }
 
-    /// Directory ring entries are written to as they are captured (pruned on
+    /// Directory checkpoints are written to as they are captured, as
+    /// [`ring_entry_path`](crate::checkpoint::ring_entry_path) (pruned on
     /// disk to the configured `keep_n` after each write).
     pub fn set_ring_dir(&mut self, dir: PathBuf) {
         self.ring_dir = Some(dir);
@@ -577,12 +587,13 @@ impl Experiment {
         self.quiesce_and_encode(at)
     }
 
-    /// Restore this experiment from a checkpoint file previously written by
-    /// [`Experiment::checkpoint_at`]. Must be called after every component
-    /// has been added, with the experiment rebuilt by the same build code
-    /// (same names, topology, and parameters — mismatches are rejected).
-    /// Returns the checkpoint's virtual time; a following [`Experiment::run`]
-    /// resumes from there, skipping everything already simulated.
+    /// Restore this experiment from a checkpoint file: a ring entry, or a
+    /// [`RunResult::ring`] blob written to disk. Must be called after every
+    /// component has been added, with the experiment rebuilt by the same
+    /// build code (same names, topology, and parameters — mismatches are
+    /// rejected). Returns the checkpoint's virtual time; a following
+    /// [`Experiment::run`] resumes from there, skipping everything already
+    /// simulated.
     pub fn restore(&mut self, path: &std::path::Path) -> SnapResult<SimTime> {
         let file = CheckpointFile::read_from(path)?;
         self.apply_checkpoint(&file)
@@ -847,58 +858,35 @@ impl Experiment {
         }
 
         let start = Instant::now();
-        // Phase 1 (only with a checkpoint request): run cooperatively up to
-        // the checkpoint time, quiesce, encode, optionally write the file.
-        let checkpoint = match self.checkpoint.take() {
-            Some((at, path)) => {
-                let blob = match self.quiesce_and_encode(at) {
-                    Ok(b) => b,
-                    Err(e) => panic!("checkpoint of experiment '{}' failed: {e}", self.name),
-                };
-                if let Some(path) = path {
-                    if let Err(e) = crate::checkpoint::write_blob(&path, &blob) {
-                        panic!("writing checkpoint {}: {e}", path.display());
-                    }
-                }
-                Some(blob)
-            }
-            None => None,
-        };
-        // Phase 1b (only with a checkpoint ring): quiesce at every multiple
-        // of the period, encode, optionally write + prune on disk, keep the
-        // newest `keep_n` blobs in memory. Each quiesce is cooperative and
-        // the continuation after it is bit-identical to not pausing at all,
-        // so the tail of this very run doubles as the uninterrupted
-        // baseline.
-        let mut ring_blobs: Vec<(SimTime, Vec<u8>)> = Vec::new();
-        if let Some((period, keep)) = self.ring {
-            assert!(
-                checkpoint.is_none(),
-                "checkpoint_at and with_checkpoint_ring cannot be combined"
-            );
+        // Quiesce at every slot of the checkpoint plan, encode, hand the
+        // blob to the sink and the ring directory, keep the newest `keep`.
+        // Each quiesce is cooperative and the continuation after it is
+        // bit-identical to not pausing at all, so the tail of this very run
+        // doubles as the uninterrupted baseline. Slots at or before a
+        // restore point belong to the run that was restored from.
+        let mut ring = Vec::new();
+        if let Some(plan) = self.ring.take() {
             if let Some(dir) = &self.ring_dir {
                 if let Err(e) = std::fs::create_dir_all(dir) {
                     panic!("creating ring directory {}: {e}", dir.display());
                 }
             }
-            // Resume past slots already covered before a restore point.
-            let start = self.restored_at.unwrap_or(SimTime::ZERO);
-            let mut slot = start.as_ps() / period.as_ps() + 1;
-            loop {
-                let at = SimTime::from_ps(slot.saturating_mul(period.as_ps()));
-                if at >= self.end {
-                    break;
+            let mut next = Some(plan.first);
+            while let Some(at) = next.filter(|&at| at < self.end) {
+                next = plan.period.map(|p| at.saturating_add(p));
+                if self.restored_at.is_some_and(|r| at <= r) {
+                    continue;
                 }
                 let blob = match self.quiesce_and_encode(at) {
                     Ok(b) => b,
-                    Err(e) => panic!("ring checkpoint of '{}' at {at} failed: {e}", self.name),
+                    Err(e) => panic!("checkpoint of '{}' at {at} failed: {e}", self.name),
                 };
                 if let Some(dir) = &self.ring_dir {
                     let path = crate::checkpoint::ring_entry_path(dir, at);
                     if let Err(e) = crate::checkpoint::write_blob(&path, &blob) {
                         panic!("writing ring entry {}: {e}", path.display());
                     }
-                    if let Err(e) = crate::checkpoint::prune_ring(dir, keep) {
+                    if let Err(e) = crate::checkpoint::prune_ring(dir, plan.keep) {
                         panic!("pruning ring {}: {e}", dir.display());
                     }
                 }
@@ -907,14 +895,13 @@ impl Experiment {
                 if let Some(sink) = &mut self.ring_sink {
                     sink(at, &blob);
                 }
-                ring_blobs.push((at, blob));
-                if keep > 0 && ring_blobs.len() > keep {
-                    ring_blobs.remove(0);
+                ring.push((at, blob));
+                if plan.keep > 0 && ring.len() > plan.keep {
+                    ring.remove(0);
                 }
-                slot += 1;
             }
         }
-        // Phase 2: run (or continue) under the requested executor.
+        // Run (or continue) to the end under the requested executor.
         let parts = match mode {
             Execution::Sequential => 1,
             Execution::Sharded { workers: 0 } => {
@@ -961,8 +948,7 @@ impl Experiment {
             component_names: names,
             stats,
             logs,
-            checkpoint,
-            ring: ring_blobs,
+            ring,
             models,
             pumps,
         }
@@ -1009,6 +995,16 @@ mod tests {
             if self.sent < self.send_count {
                 k.schedule_in(SimTime::from_us(1), 0);
             }
+        }
+        fn snapshot(&self, w: &mut SnapWriter) -> SnapResult<()> {
+            w.u64(self.received);
+            w.u64(self.sent);
+            Ok(())
+        }
+        fn restore(&mut self, r: &mut SnapReader) -> SnapResult<()> {
+            self.received = r.u64()?;
+            self.sent = r.u64()?;
+            Ok(())
         }
     }
 
@@ -1207,6 +1203,73 @@ mod tests {
             let r = e.run(Execution::Sharded { workers: 2 });
             assert_eq!(r.virtual_time, end);
         }
+    }
+
+    fn us(n: u64) -> SimTime {
+        SimTime::from_us(n)
+    }
+
+    fn times(r: &RunResult) -> Vec<SimTime> {
+        r.ring.iter().map(|(at, _)| *at).collect()
+    }
+
+    /// A pair restored from the `at` entry of an earlier run's ring.
+    fn restored_pair(ring: &[(SimTime, Vec<u8>)], at: SimTime) -> Experiment {
+        let (_, blob) = ring.iter().find(|(t, _)| *t == at).expect("slot");
+        let mut e = build_pair(SimTime::from_ms(1), true);
+        assert_eq!(e.restore_from_blob(blob).expect("restore"), at);
+        e
+    }
+
+    #[test]
+    fn checkpoint_at_or_before_the_restore_point_captures_nothing() {
+        let mut e = build_pair(SimTime::from_ms(1), true);
+        e.checkpoint_at(us(300));
+        let ring = e.run(Execution::Sequential).ring;
+        assert_eq!(ring.len(), 1, "a one-shot checkpoint is a one-slot ring");
+        for at in [us(100), us(300)] {
+            let mut e = restored_pair(&ring, us(300));
+            e.checkpoint_at(at);
+            let r = e.run(Execution::Sequential);
+            assert!(
+                r.ring.is_empty(),
+                "checkpoint at {at} after restoring at 300us"
+            );
+            assert_eq!(r.model::<Echoer>(0).unwrap().sent, 10);
+        }
+    }
+
+    #[test]
+    fn a_ring_resumed_after_a_restore_captures_only_later_slots() {
+        let full = build_pair(SimTime::from_ms(1), true)
+            .with_checkpoint_ring(us(200), 0)
+            .run(Execution::Sequential);
+        assert_eq!(times(&full), [us(200), us(400), us(600), us(800)]);
+        let resumed = restored_pair(&full.ring, us(400))
+            .with_checkpoint_ring(us(200), 0)
+            .run(Execution::Sequential);
+        assert_eq!(times(&resumed), [us(600), us(800)]);
+        assert!(
+            resumed.ring == full.ring[2..],
+            "resumed slots are byte-identical to the uninterrupted ring's"
+        );
+    }
+
+    #[test]
+    fn checkpoint_at_writes_one_ring_entry_into_the_ring_dir() {
+        let dir = std::env::temp_dir().join(format!("simbricks-exp-ring-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut e = build_pair(SimTime::from_ms(1), true);
+        e.checkpoint_at(us(300));
+        e.set_ring_dir(dir.clone());
+        let r = e.run(Execution::Sequential);
+        let files: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|f| f.unwrap().path())
+            .collect();
+        assert_eq!(files, [crate::checkpoint::ring_entry_path(&dir, us(300))]);
+        assert_eq!(std::fs::read(&files[0]).unwrap(), r.ring[0].1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -457,8 +457,6 @@ fn run_one(
             exec: inner,
             transport,
             worker_args: Vec::new(),
-            checkpoint: None,
-            restore_from: None,
             ring: ring.map(|r| RingOptions {
                 period: r.period,
                 keep: r.keep,

@@ -6,7 +6,8 @@
 //! uninterrupted run. The matrix covers
 //!
 //! * executors: sequential, sharded with 1/2/4 workers, and true 2-process
-//!   distributed runs over both channel transports (tcp, shm);
+//!   distributed runs over both channel transports (tcp, shm), whose
+//!   recorded checkpoint is restored into the in-process build;
 //! * workloads: netperf (TCP stream + RR) and memcached/memaslap (UDP KV).
 
 use std::path::PathBuf;
@@ -17,7 +18,10 @@ use simbricks::hostsim::{Application, HostConfig, HostKind};
 use simbricks::netsim::{SwitchBm, SwitchConfig};
 use simbricks::netstack::SocketAddr;
 use simbricks::runner::dist::{self, DistOptions, PartitionBuilder};
-use simbricks::runner::{attach_host_nic, Execution, Experiment, TransportKind};
+use simbricks::runner::{
+    attach_host_nic, ring_entries, ring_entry_path, write_blob, Execution, Experiment,
+    TransportKind,
+};
 use simbricks::SimTime;
 
 /// Virtual end of every experiment in this matrix.
@@ -135,9 +139,11 @@ fn checkpoint_restore_matrix_in_process() {
             // (a) Checkpoint mid-run, continue to the end: the pause must be
             // invisible in the continuation.
             let mut exp = build(workload);
-            exp.checkpoint_at(ckpt_time(), Some(path.clone()));
+            exp.checkpoint_at(ckpt_time());
             let r = exp.run(exec);
-            assert!(r.checkpoint.is_some(), "checkpoint captured ({label})");
+            assert_eq!(r.ring.len(), 1, "one checkpoint captured ({label})");
+            assert_eq!(r.ring[0].0, ckpt_time());
+            write_blob(&path, &r.ring[0].1).expect("write checkpoint");
             assert_logs_identical(&r.merged_log(), &baseline, &format!("{label} ckpt-run"));
 
             // (b) Restore from the file into a freshly built experiment and
@@ -161,8 +167,9 @@ fn checkpoint_restore_matrix_in_process() {
 fn checkpoint_blobs_are_byte_identical_across_runs_and_executors() {
     let blob = |exec| {
         let mut exp = build(Workload::Netperf);
-        exp.checkpoint_at(ckpt_time(), None);
-        exp.run(exec).checkpoint.expect("checkpoint captured")
+        exp.checkpoint_at(ckpt_time());
+        let (_, blob) = exp.run(exec).ring.pop().expect("checkpoint captured");
+        blob
     };
     let seq = blob(Execution::Sequential);
     let sharded = blob(Execution::Sharded { workers: 2 });
@@ -180,8 +187,9 @@ fn checkpoint_blobs_are_byte_identical_across_runs_and_executors() {
 fn restore_rejects_wrong_experiment() {
     let path = tmp_path("wrong-exp.ckpt");
     let mut exp = build(Workload::Netperf);
-    exp.checkpoint_at(ckpt_time(), Some(path.clone()));
-    let _ = exp.run(Execution::Sequential);
+    exp.checkpoint_at(ckpt_time());
+    let r = exp.run(Execution::Sequential);
+    write_blob(&path, &r.ring[0].1).expect("write checkpoint");
     // Different experiment (name differs): clear error, not UB.
     let mut other = build(Workload::Memcache);
     match other.restore(&path) {
@@ -196,8 +204,10 @@ fn restore_rejects_wrong_experiment() {
 // ---------------------------------------------------------------------------
 // Distributed matrix: the same workloads split into two partitions (server +
 // switch in p0, client in p1) running as two worker OS processes, for both
-// channel transports. Checkpoints are written one file per partition and
-// exchanged over the control protocol.
+// channel transports. The checkpoint is a ring slot: each worker streams its
+// partition's snapshot over the control protocol and the orchestrator merges
+// them into one whole-experiment container, which the in-process build of
+// the same build function restores.
 // ---------------------------------------------------------------------------
 
 /// Dist-aware build shared by the in-process baseline, discovery, and the
@@ -248,45 +258,38 @@ fn dist_opts(scenario: &str) -> DistOptions {
 fn dist_matrix_for(transport: TransportKind) {
     for workload in [Workload::Netperf, Workload::Memcache] {
         let scenario = format!("wl={}", workload.name());
+        let label = format!("dist-{}-{}", workload.name(), transport.to_arg());
         let baseline = dist::run_local(&scenario, &dist_build, Execution::Sequential).merged_log();
         assert!(baseline.len() > 100, "baseline has events");
-        let dir = tmp_path(&format!("dist-{}-{}", workload.name(), transport.to_arg()));
+        let dir = tmp_path(&label);
+        let _ = std::fs::remove_dir_all(&dir);
 
-        // Checkpointing 2-process run: per-partition snapshot files written
-        // through the control protocol; continuation bit-identical.
+        // Checkpointing 2-process run: a ring whose period is the checkpoint
+        // time has one slot before the end, merged by the orchestrator into
+        // one whole-experiment container; continuation bit-identical.
         let d1 = dist::run_distributed(
             &dist_opts(&scenario)
                 .with_transport(transport)
-                .with_checkpoint(ckpt_time(), dir.clone()),
+                .with_checkpoint_ring(ckpt_time(), 0, dir.clone()),
             &dist_build,
         )
         .expect("distributed checkpoint run");
-        assert_logs_identical(
-            &d1.merged_log(),
-            &baseline,
-            &format!("dist-{}-{} ckpt-run", workload.name(), transport.to_arg()),
+        assert_logs_identical(&d1.merged_log(), &baseline, &format!("{label} ckpt-run"));
+        let entry = ring_entry_path(&dir, ckpt_time());
+        assert_eq!(
+            ring_entries(&dir).expect("ring directory"),
+            vec![(ckpt_time(), entry.clone())],
+            "exactly one merged entry ({label})"
         );
-        for p in ["p0", "p1"] {
-            assert!(
-                dir.join(format!("{p}.ckpt")).is_file(),
-                "one region file per partition ({p})"
-            );
-        }
 
-        // Restored 2-process run: resumes from the per-partition files and
-        // reproduces the remainder bit for bit.
-        let d2 = dist::run_distributed(
-            &dist_opts(&scenario)
-                .with_transport(transport)
-                .with_restore(dir.clone()),
-            &dist_build,
-        )
-        .expect("distributed restore run");
-        assert_logs_identical(
-            &d2.merged_log(),
-            &baseline,
-            &format!("dist-{}-{} restored", workload.name(), transport.to_arg()),
-        );
+        // The dist-recorded entry replays locally: restored into the
+        // in-process build, the remainder is reproduced bit for bit.
+        let mut pb = PartitionBuilder::new_local();
+        dist_build(&scenario, &mut pb);
+        let mut exp = pb.into_experiment();
+        assert_eq!(exp.restore(&entry).expect("restore"), ckpt_time());
+        let r = exp.run(Execution::Sequential);
+        assert_logs_identical(&r.merged_log(), &baseline, &format!("{label} restored"));
 
         let _ = std::fs::remove_dir_all(&dir);
     }

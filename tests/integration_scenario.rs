@@ -10,7 +10,7 @@ use simbricks::apps::{NetperfClient, NetperfServer};
 use simbricks::hostsim::{HostConfig, HostKind};
 use simbricks::netsim::{SwitchBm, SwitchConfig};
 use simbricks::runner::dist::{self, DistOptions, PartitionBuilder};
-use simbricks::runner::{attach_host_nic, Execution, Experiment, TransportKind};
+use simbricks::runner::{attach_host_nic, write_blob, Execution, Experiment, TransportKind};
 use simbricks::scenario::{build_from_toml, lower, Scenario};
 use simbricks::SimTime;
 
@@ -118,8 +118,9 @@ fn impaired_codel_scenario_survives_checkpoint_restore() {
 
     let path = std::env::temp_dir().join(format!("scenario-ckpt-{}.ckpt", std::process::id()));
     let mut exp = build();
-    exp.checkpoint_at(SimTime::from_us(150), Some(path.clone()));
+    exp.checkpoint_at(SimTime::from_us(150));
     let r_ck = exp.run(Execution::Sequential);
+    write_blob(&path, &r_ck.ring[0].1).expect("write checkpoint");
     let ck = r_ck.merged_log();
     assert_eq!(
         (full.fingerprint(), full.len()),
