@@ -7,13 +7,13 @@
 //! control byte plus the slot contents, so all cache-coherence traffic
 //! carries useful data.
 //!
-//! A slot is split in two: a 16-byte descriptor (`SlotDesc`) holding the
-//! control byte, length and timestamp, and a payload area of
-//! [`MAX_PAYLOAD`] bytes. A ring keeps all its descriptors together, four to
-//! a 64-byte cache line, ahead of all its payload areas (`crate::spsc`), so
-//! a payload-free SYNC reads and writes a quarter of one line and nothing
-//! else, and a data message also touches only the first `len` bytes of its
-//! payload area.
+//! A slot is split in three: a 16-byte descriptor (`SlotDesc`) holding the
+//! control byte, length and timestamp, a 1 KiB head and a tail, which
+//! together hold [`MAX_PAYLOAD`] bytes. A ring keeps all its descriptors
+//! together, four to a 64-byte cache line, then all its heads, then all its
+//! tails (`crate::spsc`), so a payload-free SYNC reads and writes a quarter
+//! of one line and nothing else, and a data message also touches only the
+//! first `len` bytes of its head and, past the first KiB, of its tail.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -59,7 +59,7 @@ pub(crate) struct SlotDesc {
     /// Owner bit plus message type, written last by the producer with release
     /// ordering and read first by the consumer with acquire ordering.
     pub ctrl: AtomicU8,
-    /// Number of valid bytes in the slot's payload area.
+    /// Number of valid bytes in the slot's head and tail.
     pub len: UnsafeCell<u32>,
     /// Receiver-side processing timestamp (send time plus link latency), ps.
     pub timestamp: UnsafeCell<u64>,
@@ -68,7 +68,7 @@ pub(crate) struct SlotDesc {
 /// Bytes one descriptor occupies in ring memory.
 pub(crate) const DESC_BYTES: usize = std::mem::size_of::<SlotDesc>();
 
-// Safety: access to `timestamp`/`len` (and the slot's payload area) is
+// Safety: access to `timestamp`/`len` (and the slot's head and tail) is
 // serialized by the `ctrl` ownership protocol (acquire/release on the control
 // byte), exactly as described in §A.2 of the paper.
 unsafe impl Sync for SlotDesc {}

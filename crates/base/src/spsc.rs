@@ -7,20 +7,25 @@
 //! the original SimBricks implementation.
 //!
 //! Ring memory holds `len` 16-byte descriptors (`crate::slot`: control
-//! byte, length, timestamp) followed by `len` payload areas of
-//! [`MAX_PAYLOAD`] bytes each:
+//! byte, length, timestamp), then `len` heads of 1 KiB, then `len` tails of
+//! 8 KiB: together a slot's head and tail hold [`MAX_PAYLOAD`] bytes. A
+//! message's first KiB goes to its slot's head, any rest to its slot's tail:
 //!
 //! ```text
 //! +0                      descriptor 0 | descriptor 1 | … | descriptor len-1
-//! +len * 16               payload 0    | payload 1    | … | payload len-1
+//! +len * 16               head 0       | head 1       | … | head len-1
+//! +len * (16 + 1024)      tail 0       | tail 1       | … | tail len-1
 //! +len * SLOT_BYTES       end
 //! ```
 //!
 //! Four descriptors share a 64-byte cache line, so a default 64-slot ring's
-//! descriptors fit in 1 KiB. A SYNC reads and writes its descriptor only; a
-//! data message also touches the first `len` bytes of its payload area.
-//! Memory no message has used is never written, so an untouched payload
-//! page of a zeroed block is never made resident.
+//! descriptors fit in 1 KiB, and four heads share a page, so its heads fit
+//! in 16 pages. A SYNC reads and writes its descriptor only; a data message
+//! of at most 1 KiB also touches the first `len` bytes of its head, and
+//! only a longer one reaches its tail. Memory no message has used is never
+//! written, so an untouched page of a zeroed block is never made resident:
+//! a busy ring of small messages keeps 16 payload pages resident, not one
+//! (or more) per slot.
 //!
 //! There is one ring and two backings. [`queue`] places the ring in a heap
 //! allocation shared by two threads; [`Producer::over`] / [`Consumer::over`]
@@ -34,15 +39,15 @@ use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use crate::pktbuf::{BufPool, PktBuf};
+use crate::pktbuf::{BufPool, PktBuf, DEFAULT_HEADROOM};
 use crate::slot::{MsgType, OwnedMsg, SlotDesc, DESC_BYTES, MAX_PAYLOAD};
 use crate::time::SimTime;
 
 /// Default number of slots per unidirectional queue.
 pub const DEFAULT_QUEUE_LEN: usize = 64;
 
-/// Bytes one slot occupies in ring memory: its descriptor plus its payload
-/// area.
+/// Bytes one slot occupies in ring memory: its descriptor, its head and its
+/// tail.
 pub const SLOT_BYTES: usize = DESC_BYTES + MAX_PAYLOAD;
 /// Alignment ring memory must have.
 pub const SLOT_ALIGN: usize = std::mem::align_of::<SlotDesc>();
@@ -51,17 +56,41 @@ pub const SLOT_ALIGN: usize = std::mem::align_of::<SlotDesc>();
 /// rings start on a page).
 const CACHE_LINE: usize = 64;
 
-// Four descriptors to a line, and payload areas on line boundaries whenever
-// the descriptors fill whole lines (`len` a multiple of four, as the default
-// length is).
+/// Bytes of each payload packed into its slot's head; the rest, up to
+/// [`MAX_PAYLOAD`], goes to its slot's tail.
+///
+/// A busy ring's tail index visits every slot, so every slot's payload
+/// memory a message writes becomes resident. With one 9 216-byte area per
+/// slot, each small message made a page resident for itself; packed heads
+/// put four slots' first KiB in one page. Ring payload pages made resident
+/// in one run of each workload, by head size (the 128-host fat-tree's
+/// average data message is 169 B):
+///
+/// | head size       | `fattree128_hier` ring payload MiB |
+/// |-----------------|------------------------------------|
+/// | none (one area) | 102                                |
+/// | 512             | 47                                 |
+/// | 1024            | 30                                 |
+/// | 1536            | 43                                 |
+///
+/// At 1024, `scaleup_udp` goes from 17 to 4 MiB, `racks_inproc` from 17 to
+/// 4 MiB and `dctcp_bulk` (4 000-byte frames) from 6 to 4 MiB.
+const HEAD_BYTES: usize = 1024;
+/// Bytes of each slot's tail.
+const TAIL_BYTES: usize = MAX_PAYLOAD - HEAD_BYTES;
+
+// Four descriptors to a line, and heads and tails on line boundaries
+// whenever the descriptors fill whole lines (`len` a multiple of four, as
+// the default length is).
 const _: () = assert!(CACHE_LINE.is_multiple_of(DESC_BYTES));
-const _: () = assert!(MAX_PAYLOAD.is_multiple_of(CACHE_LINE));
+const _: () = assert!(HEAD_BYTES.is_multiple_of(CACHE_LINE));
+const _: () = assert!(TAIL_BYTES.is_multiple_of(CACHE_LINE));
 
 /// The memory one ring lives in, as one of its ends sees it.
 #[derive(Clone)]
 pub struct RingMem {
     /// `len * SLOT_BYTES` bytes, [`SLOT_ALIGN`]-aligned: the descriptors,
-    /// then the payload areas.
+    /// then the heads, then the tails.
     pub slots: NonNull<u8>,
     /// Number of slots (at least 2).
     pub len: usize,
@@ -99,17 +128,28 @@ impl RingMem {
         unsafe { &*self.slots.cast::<SlotDesc>().as_ptr().add(idx) }
     }
 
-    /// The `MAX_PAYLOAD`-byte payload area of slot `idx`, after all the
-    /// descriptors.
+    /// The `HEAD_BYTES`-byte head of slot `idx`, after all the descriptors.
     #[inline]
-    fn payload(&self, idx: usize) -> *mut u8 {
+    fn payload_head(&self, idx: usize) -> *mut u8 {
         assert!(idx < self.len);
         // SAFETY: in bounds of the `len * SLOT_BYTES` block (constructors'
         // contract).
         unsafe {
             self.slots
                 .as_ptr()
-                .add(self.len * DESC_BYTES + idx * MAX_PAYLOAD)
+                .add(self.len * DESC_BYTES + idx * HEAD_BYTES)
+        }
+    }
+
+    /// The `TAIL_BYTES`-byte tail of slot `idx`, after all the heads.
+    #[inline]
+    fn payload_tail(&self, idx: usize) -> *mut u8 {
+        assert!(idx < self.len);
+        // SAFETY: as above.
+        unsafe {
+            self.slots
+                .as_ptr()
+                .add(self.len * (DESC_BYTES + HEAD_BYTES) + idx * TAIL_BYTES)
         }
     }
 
@@ -211,7 +251,7 @@ impl Producer {
     /// `mem.slots` must point to `mem.len * SLOT_BYTES` bytes aligned to
     /// [`SLOT_ALIGN`] whose `mem.len` descriptors are zero-initialised
     /// (every slot producer-owned: both ends start at slot 0, so memory a
-    /// ring has already run on will not do; the payload areas may hold
+    /// ring has already run on will not do; the heads and tails may hold
     /// anything), and all three pointers must stay valid while `mem.owner`
     /// lives.
     /// System-wide — across every process that maps the memory — there must
@@ -242,14 +282,21 @@ impl Producer {
         if !desc.producer_owned() {
             return Err(SendError::Full);
         }
+        let (head, rest) = payload.split_at(payload.len().min(HEAD_BYTES));
         // SAFETY: we own the slot (checked above with acquire ordering) and
-        // are the only producer; the payload fits its area (checked above).
-        // An empty payload copies nothing, so a SYNC never touches the area.
+        // are the only producer; `head` fits the slot's head and `rest` its
+        // tail (length checked above). An empty payload copies nothing, so a
+        // SYNC touches neither, and one of at most `HEAD_BYTES` never
+        // touches the tail.
         unsafe {
             *desc.timestamp.get() = timestamp.as_ps();
             *desc.len.get() = payload.len() as u32;
-            let dst = self.ring.payload(self.tail);
-            std::ptr::copy_nonoverlapping(payload.as_ptr(), dst, payload.len());
+            let dst = self.ring.payload_head(self.tail);
+            std::ptr::copy_nonoverlapping(head.as_ptr(), dst, head.len());
+            if !rest.is_empty() {
+                let dst = self.ring.payload_tail(self.tail);
+                std::ptr::copy_nonoverlapping(rest.as_ptr(), dst, rest.len());
+            }
         }
         desc.publish(ty);
         self.tail = self.ring.next(self.tail);
@@ -329,13 +376,25 @@ impl Consumer {
         // are the only consumer.
         let msg = unsafe {
             // In a mapped ring the length is input from another process:
-            // clamp it, never read past the payload area.
+            // clamp it, never read past the slot's tail.
             let len = (*desc.len.get() as usize).min(MAX_PAYLOAD);
             let data = if len == 0 {
                 PktBuf::empty()
             } else {
-                let src = std::slice::from_raw_parts(self.ring.payload(self.head), len);
-                self.pool.copy_from_slice(src)
+                let split = len.min(HEAD_BYTES);
+                let src_head = self.ring.payload_head(self.head);
+                let src_tail = self.ring.payload_tail(self.head);
+                // One pooled buffer filled from both parts: the same pool
+                // call as `BufPool::copy_from_slice`.
+                let mut buf = self.pool.alloc_capacity(len, DEFAULT_HEADROOM);
+                buf.extend_with(len, |dst| {
+                    let (head, rest) = dst.split_at_mut(split);
+                    std::ptr::copy_nonoverlapping(src_head, head.as_mut_ptr(), split);
+                    if !rest.is_empty() {
+                        std::ptr::copy_nonoverlapping(src_tail, rest.as_mut_ptr(), rest.len());
+                    }
+                });
+                buf
             };
             OwnedMsg::new(
                 SimTime::from_ps(*desc.timestamp.get()),
@@ -504,9 +563,10 @@ mod tests {
         }
     }
 
-    /// SYNCs touch descriptors only: with the payload areas of a
+    /// SYNCs touch descriptors only: with the heads and tails of a
     /// caller-supplied block filled with `0xAA`, 200 zero-length messages
-    /// through the ring leave every payload byte as it was.
+    /// through the ring leave every payload byte as it was. A data message
+    /// then fills its slot's head before it reaches its slot's tail.
     #[test]
     fn syncs_touch_only_descriptors() {
         let len = 4;
@@ -527,7 +587,7 @@ mod tests {
         // SAFETY: aligned, zeroed descriptors, kept alive by `owner`, with
         // exactly these two ends on it.
         let (mut p, mut c) = unsafe { (Producer::over(mem.clone()), Consumer::over(mem)) };
-        for i in 0..200u64 {
+        for i in 0..201u64 {
             p.try_send(SimTime::from_ns(i), MSG_SYNC, &[]).unwrap();
             let m = c.try_recv().unwrap();
             assert_eq!((m.timestamp, m.ty), (SimTime::from_ns(i), MSG_SYNC));
@@ -535,14 +595,26 @@ mod tests {
         }
         assert!(
             payload_areas().iter().all(|&b| b == 0xAA),
-            "a SYNC wrote a payload area"
+            "a SYNC wrote a head or a tail"
         );
-        // A data message lands in its own slot's payload area only.
-        p.try_send(SimTime::ZERO, 1, &[1, 2, 3]).unwrap();
-        let slot = 200 % len;
-        let area = &payload_areas()[slot * MAX_PAYLOAD..];
-        assert_eq!(&area[..4], &[1, 2, 3, 0xAA]);
-        assert_eq!(c.try_recv().unwrap().data, vec![1, 2, 3]);
+        // 201 SYNCs leave the tail at slot 1, so the data message's head is
+        // not the first one in memory, nor its tail the first tail.
+        let slot = 201 % len;
+        assert_eq!(slot, 1);
+        let msg: Vec<u8> = (0..HEAD_BYTES + 3).map(|i| (i % 251) as u8).collect();
+        p.try_send(SimTime::ZERO, 1, &msg).unwrap();
+        let head = slot * HEAD_BYTES..(slot + 1) * HEAD_BYTES;
+        let tail_start = len * HEAD_BYTES + slot * TAIL_BYTES;
+        let tail = tail_start..tail_start + 3;
+        let bytes = payload_areas();
+        assert_eq!(&bytes[head.clone()], &msg[..HEAD_BYTES], "head 1");
+        assert_eq!(&bytes[tail.clone()], &msg[HEAD_BYTES..], "tail 1");
+        for (i, &b) in bytes.iter().enumerate() {
+            if !head.contains(&i) && !tail.contains(&i) {
+                assert_eq!(b, 0xAA, "payload byte {i} written");
+            }
+        }
+        assert_eq!(c.try_recv().unwrap().data, msg);
     }
 
     #[test]

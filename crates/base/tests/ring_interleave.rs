@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use simbricks_base::spsc::{queue, Consumer, Producer, RingMem, SendError, SLOT_ALIGN, SLOT_BYTES};
-use simbricks_base::SimTime;
+use simbricks_base::{SimTime, MAX_PAYLOAD};
 
 /// Which memory the ring under test lives in.
 #[derive(Clone, Copy, Debug)]
@@ -159,6 +159,49 @@ fn exhaustive_op_interleavings_match_sequential_oracle() {
 #[test]
 fn exhaustive_op_interleavings_mapped_backing() {
     exhaustive_op_interleavings(Backing::Mapped);
+}
+
+/// Payload lengths on both sides of the split between a slot's 1 KiB head
+/// and its tail, through a three-slot ring: each length lands in a
+/// different slot on each of three laps, and a full ring holds messages of
+/// three different lengths at once.
+fn head_tail_lengths_round_trip(backing: Backing) {
+    let lens = [0, 1, 1023, 1024, 1025, MAX_PAYLOAD];
+    let (mut tx, mut rx) = ring(backing, 3);
+    let body = |seq: usize, len: usize| -> Vec<u8> {
+        (0..len)
+            .map(|i| (i.wrapping_mul(7) ^ seq.wrapping_mul(13)) as u8)
+            .collect()
+    };
+    let msgs: Vec<(usize, usize)> = (0..3 * lens.len())
+        .map(|seq| (seq, lens[seq % lens.len()]))
+        .collect();
+    for batch in msgs.chunks(3) {
+        for &(seq, len) in batch {
+            let r = tx.try_send(SimTime::from_ps(seq as u64), 1, &body(seq, len));
+            assert_eq!(r, Ok(()), "send {seq} of {len} B");
+        }
+        for &(seq, len) in batch {
+            let m = rx.try_recv().expect("sent message");
+            assert_eq!(m.timestamp, SimTime::from_ps(seq as u64));
+            assert_eq!(m.data.len(), len, "message {seq}");
+            assert!(
+                m.data == body(seq, len)[..],
+                "message {seq}: {len} B differ"
+            );
+        }
+    }
+    assert!(rx.try_recv().is_none());
+}
+
+#[test]
+fn head_tail_lengths_round_trip_heap_backing() {
+    head_tail_lengths_round_trip(Backing::Heap);
+}
+
+#[test]
+fn head_tail_lengths_round_trip_mapped_backing() {
+    head_tail_lengths_round_trip(Backing::Mapped);
 }
 
 /// Real-thread stress: one producer thread, one consumer thread, every

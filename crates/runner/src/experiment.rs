@@ -5,6 +5,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use simbricks_base::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simbricks_base::spsc::DEFAULT_QUEUE_LEN;
 use simbricks_base::{
     ChannelEnd, ChannelParams, EventLog, Impairment, Kernel, KernelStats, Model, PortId, SimTime,
     SyncLookahead,
@@ -357,7 +358,7 @@ impl Experiment {
             latency: self.link_latency,
             sync_interval: self.sync_interval.min(self.link_latency),
             sync: self.synchronized,
-            queue_len: 64,
+            queue_len: DEFAULT_QUEUE_LEN,
             impairment: Impairment::none(),
         }
     }
@@ -368,7 +369,7 @@ impl Experiment {
             latency: self.pcie_latency,
             sync_interval: self.sync_interval.min(self.pcie_latency),
             sync: self.synchronized,
-            queue_len: 64,
+            queue_len: DEFAULT_QUEUE_LEN,
             impairment: Impairment::none(),
         }
     }

@@ -28,14 +28,16 @@
 //! ...         ring B→A: slots × stride
 //! ```
 //!
-//! The stride is 9232 bytes: a 16-byte descriptor plus a 9216-byte payload
-//! area. Inside each ring come first all its descriptors (control byte at
-//! +0, length at +4, timestamp at +8; four to a cache line), then all its
-//! payload areas:
+//! The stride is 9232 bytes: a 16-byte descriptor, a 1024-byte head and an
+//! 8192-byte tail. Inside each ring come first all its descriptors (control
+//! byte at +0, length at +4, timestamp at +8; four to a cache line), then
+//! all its heads, then all its tails. A message's first KiB is in its slot's
+//! head, any rest in its slot's tail:
 //!
 //! ```text
 //! ring + 0                 descriptors: slots × 16
-//! ring + slots × 16        payload areas: slots × 9216
+//! ring + slots × 16        heads: slots × 1024
+//! ring + slots × 1040      tails: slots × 8192
 //! ```
 //!
 //! `set_len` zero-fills the file, so a fresh region is two empty rings, and
@@ -80,9 +82,11 @@ use crate::proxy::ShutdownSignal;
 
 /// Magic bytes opening every shm region header.
 const SHM_MAGIC: [u8; 4] = *b"SBSH";
-/// Version of the region layout (4: each ring holds its 16-byte slot
-/// descriptors, then its payload areas; close bytes shared with the rings).
-const SHM_VERSION: u8 = 4;
+/// Version of the region layout (5: each ring holds its 16-byte slot
+/// descriptors, then its 1 KiB heads, then its 8 KiB tails; close bytes
+/// shared with the rings). Version 4 had the same stride but one 9 KiB
+/// payload area per slot, so its payload bytes sit at other offsets.
+const SHM_VERSION: u8 = 5;
 /// Size reserved for the region header (one page).
 const HEADER_LEN: usize = 4096;
 /// Upper bound on the link name stored in the header.
@@ -816,9 +820,10 @@ mod tests {
         assert_eq!(attach(&path), io::ErrorKind::InvalidData);
 
         // Regions of earlier layout versions are refused, not reinterpreted:
-        // they are written here with today's stride, and v2 and v3 differ
-        // from today in the slot interior alone.
-        for old in [1, 2, 3] {
+        // they are written here with today's stride, and v2 to v4 differ
+        // from today in the ring interior alone (v4 in where payload bytes
+        // sit).
+        for old in [1, 2, 3, 4] {
             let path = temp_path(&format!("v{old}"));
             write_header(&path, old, 8, SLOT_BYTES as u32, 2 * 8 * SLOT_BYTES);
             assert_eq!(attach(&path), io::ErrorKind::InvalidData);
@@ -826,7 +831,8 @@ mod tests {
     }
 
     /// A slot whose length field exceeds `MAX_PAYLOAD` (a corrupt or hostile
-    /// peer) is delivered clamped, never sliced out of bounds.
+    /// peer) is delivered clamped, never sliced out of bounds: the clamped
+    /// read spans the slot's whole 1 KiB head and its whole tail.
     #[test]
     #[cfg(unix)]
     fn oversized_slot_length_is_clamped() {

@@ -7,9 +7,9 @@
 # in a throwaway `git worktree` under $TMPDIR, then runs `perf bench
 # --workload W --trace 0` once per side per pair. Both sides of pair i use
 # seed seed0+i; side a goes first in even pairs, side b in odd ones. Prints
-# every pair's wall_ms_per_sim_ms and cpu_ms_per_sim_ms, then each side's
-# median and quartiles of every end-to-end metric and how many pairs each
-# side won on wall. Exits 1 if any run reports failed > 0.
+# every pair's wall_ms_per_sim_ms, cpu_ms_per_sim_ms and peak_rss_mb, then
+# each side's median and quartiles of every end-to-end metric and how many
+# pairs each side won on wall. Exits 1 if any run reports failed > 0.
 #
 # Timings mean something only on an otherwise idle machine; do not run it
 # while anything else builds or benchmarks.
@@ -58,9 +58,10 @@ nan = float("nan")
 if mode == "pair":
     pair = max(runs["a"])
     a, b = runs["a"][pair], runs["b"][pair]
-    w, c = "wall_ms_per_sim_ms", "cpu_ms_per_sim_ms"
+    w, c, r = "wall_ms_per_sim_ms", "cpu_ms_per_sim_ms", "peak_rss_mb"
     print(f"pair {pair:>2}: wall a {a.get(w, nan):9.3f} b {b.get(w, nan):9.3f}"
-          f"   cpu a {a.get(c, nan):9.3f} b {b.get(c, nan):9.3f}")
+          f"   cpu a {a.get(c, nan):9.3f} b {b.get(c, nan):9.3f}"
+          f"   rss a {a.get(r, nan):7.1f} b {b.get(r, nan):7.1f}")
     sys.exit(0)
 print(f"\n{workload}: a = {rev_a}, b = {rev_b}, {len(runs['a'])} pairs")
 for metric in sorted({m for side in runs.values() for r in side.values() for m in r}):
