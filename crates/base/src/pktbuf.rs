@@ -3,23 +3,28 @@
 //! The per-message cost that dominates a steady-state SimBricks run is not
 //! simulation logic but allocator traffic: every hop used to heap-allocate a
 //! fresh `Vec<u8>`, copy the payload into it, and free it a few nanoseconds
-//! later. [`PktBuf`] replaces that with fixed-capacity segments recycled
-//! through a freelist arena:
+//! later. [`PktBuf`] replaces that with segments of a few fixed size classes
+//! (256 B, 2 KiB and [`SEG_CAPACITY`], headroom included) recycled through
+//! one freelist per class:
 //!
-//! * **alloc** pops a ready-to-use segment off the current thread's freelist
-//!   (a *hit*); only a cold freelist pays for a real heap allocation (a
-//!   *miss*),
+//! * **alloc** pops a ready-to-use segment of the smallest class that holds
+//!   the requested size off the current thread's freelist for that class (a
+//!   *hit*); only a cold freelist pays for a real heap allocation (a
+//!   *miss*). Size-blind allocations ([`BufPool::alloc`]) take the largest
+//!   class; the hot paths (ring receive, frame builders, PCIe encoders) pass
+//!   the exact size,
 //! * **clone** is a reference-count bump — a switch flooding a frame to N
 //!   ports performs N pointer copies, zero byte copies,
-//! * **drop** of the last reference pushes the segment back onto the
+//! * **drop** of the last reference pushes the segment back onto its class's
 //!   freelist instead of freeing it — no locks, no atomic read-modify-writes,
 //! * segments carry **headroom** so protocol code can prepend Ethernet/IP/TCP
 //!   headers in place, and **tailroom** so GRO-style coalescing can extend a
-//!   buffer without reallocating,
+//!   buffer without reallocating (growing past a small segment's tailroom
+//!   moves the bytes to the next class that fits),
 //! * payloads larger than [`SEG_CAPACITY`] fall back to a plain heap
 //!   allocation (a *fallback*), so jumbo paths stay correct, just not pooled.
 //!
-//! The freelist is **thread-local** (segments allocated and dropped on the
+//! The freelists are **thread-local** (segments allocated and dropped on the
 //! same thread — the overwhelmingly common case, since each kernel runs on
 //! one thread at a time — never touch shared state), while each [`BufPool`]
 //! handle carries its own hit/miss/fallback counters so allocator behaviour
@@ -37,10 +42,11 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Capacity in bytes of one pooled segment: a jumbo slot payload
+/// Capacity in bytes of the largest pooled segment: a jumbo slot payload
 /// ([`crate::slot::MAX_PAYLOAD`] = 9216 B) plus [`DEFAULT_HEADROOM`], so any
 /// message that fits a queue slot can be received into a pooled segment with
-/// full headroom intact.
+/// full headroom intact. Requests whose size is known take the smallest of
+/// three segment classes (256 B, 2 KiB, this) that holds them.
 pub const SEG_CAPACITY: usize = 9216 + DEFAULT_HEADROOM;
 
 /// Default headroom reserved at the front of a freshly allocated segment:
@@ -48,29 +54,47 @@ pub const SEG_CAPACITY: usize = 9216 + DEFAULT_HEADROOM;
 /// slack for encapsulation experiments.
 pub const DEFAULT_HEADROOM: usize = 128;
 
-/// Bound on segments held per thread. Segments released beyond this bound
-/// are genuinely freed, so idle threads shrink back (at most ~2.4 MiB of
-/// held segments per thread).
+/// Segment size classes in bytes, headroom included, smallest first. A
+/// request whose size is known takes the smallest class that holds it: 256 B
+/// for PCIe control messages and minimum-size frames, 2 KiB for a 1500-MTU
+/// frame with headroom, [`SEG_CAPACITY`] for jumbo frames. A segment never
+/// changes class, so the storage length alone says where it recycles to.
+const CLASSES: [usize; 3] = [256, 2048, SEG_CAPACITY];
+
+/// Index of the [`SEG_CAPACITY`] class, which size-blind allocations take.
+const JUMBO: usize = CLASSES.len() - 1;
+
+/// Bound on segments held per thread in each class's freelist. Segments
+/// released beyond this bound are genuinely freed, so idle threads shrink
+/// back (at most ~2.8 MiB of held segments per thread, ~2.3 MiB of them
+/// jumbo).
 const MAX_FREE_PER_THREAD: usize = 256;
 
 thread_local! {
-    /// Per-thread freelist of ready-to-reuse segments. Thread-local by
-    /// design: the recycle path is a plain `Vec` push with zero atomics.
-    static FREELIST: RefCell<Vec<Arc<Seg>>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread freelists of ready-to-reuse segments, one per class.
+    /// Thread-local by design: the recycle path is a plain `Vec` push with
+    /// zero atomics.
+    static FREELISTS: RefCell<[Vec<Arc<Seg>>; CLASSES.len()]> =
+        const { RefCell::new([const { Vec::new() }; CLASSES.len()]) };
     /// Segments recycled on this thread so far (telemetry).
     static RECYCLED: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Pop a unique, ready segment off the current thread's freelist.
-fn freelist_pop() -> Option<Arc<Seg>> {
-    FREELIST.with(|f| f.borrow_mut().pop())
+/// The smallest class whose segments hold `bytes` (data plus headroom).
+fn class_for(bytes: usize) -> Option<usize> {
+    CLASSES.iter().position(|&c| bytes <= c)
 }
 
-/// Park a unique segment on the current thread's freelist (or free it when
-/// the list is at capacity).
-fn freelist_push(seg: Arc<Seg>) {
-    FREELIST.with(|f| {
-        let mut v = f.borrow_mut();
+/// Pop a unique, ready segment of `class` off the current thread's freelist.
+fn freelist_pop(class: usize) -> Option<Arc<Seg>> {
+    FREELISTS.with(|f| f.borrow_mut()[class].pop())
+}
+
+/// Park a unique segment on its class's freelist (or free it when the list
+/// is at capacity).
+fn freelist_push(class: usize, seg: Arc<Seg>) {
+    FREELISTS.with(|f| {
+        let v = &mut f.borrow_mut()[class];
         if v.len() < MAX_FREE_PER_THREAD {
             v.push(seg);
             RECYCLED.with(|r| r.set(r.get() + 1));
@@ -92,8 +116,8 @@ pub struct PoolStats {
     /// Segments recycled into the freelist on drop — on the calling thread
     /// (freelists are thread-local).
     pub recycled: u64,
-    /// Segments currently held in the calling thread's freelist
-    /// (instantaneous occupancy).
+    /// Segments currently held in the calling thread's freelists, all
+    /// classes together (instantaneous occupancy).
     pub free: u64,
 }
 
@@ -170,43 +194,50 @@ impl BufPool {
             misses: self.counters.misses.load(Ordering::Relaxed),
             fallbacks: self.counters.fallbacks.load(Ordering::Relaxed),
             recycled: RECYCLED.with(|r| r.get()),
-            free: FREELIST.with(|f| f.borrow().len()) as u64,
+            free: FREELISTS.with(|f| f.borrow().iter().map(Vec::len).sum::<usize>()) as u64,
         }
     }
 
-    /// Pop a unique, pool-owned segment (hit) or create one (miss).
-    fn take_seg(&self) -> Arc<Seg> {
-        if let Some(seg) = freelist_pop() {
-            bump(&self.counters.hits);
-            debug_assert_eq!(Arc::strong_count(&seg), 1);
-            return seg;
-        }
-        bump(&self.counters.misses);
-        new_seg()
-    }
-
-    /// An empty buffer with `headroom` bytes reserved at the front.
-    pub fn alloc_headroom(&self, headroom: usize) -> PktBuf {
-        let headroom = headroom.min(SEG_CAPACITY);
+    /// An empty buffer over a unique segment of `class`, popped off the
+    /// freelist (hit) or created (miss), with `headroom` bytes in front.
+    fn take(&self, class: usize, headroom: usize) -> PktBuf {
+        let seg = match freelist_pop(class) {
+            Some(seg) => {
+                bump(&self.counters.hits);
+                debug_assert_eq!(Arc::strong_count(&seg), 1);
+                seg
+            }
+            None => {
+                bump(&self.counters.misses);
+                new_seg(class)
+            }
+        };
         PktBuf {
-            seg: Some(self.take_seg()),
+            seg: Some(seg),
             off: headroom as u32,
             len: 0,
         }
     }
 
-    /// An empty buffer with [`DEFAULT_HEADROOM`] reserved.
+    /// An empty [`SEG_CAPACITY`] buffer with `headroom` bytes reserved at the
+    /// front.
+    pub fn alloc_headroom(&self, headroom: usize) -> PktBuf {
+        self.take(JUMBO, headroom.min(SEG_CAPACITY))
+    }
+
+    /// An empty [`SEG_CAPACITY`] buffer with [`DEFAULT_HEADROOM`] reserved.
     pub fn alloc(&self) -> PktBuf {
         self.alloc_headroom(DEFAULT_HEADROOM)
     }
 
-    /// An empty buffer able to hold at least `capacity` bytes: pooled when it
-    /// fits a segment, otherwise a heap fallback (counted).
+    /// An empty buffer able to hold at least `capacity` bytes: a segment of
+    /// the smallest class that also holds `headroom` (a jumbo segment with
+    /// less headroom when none does), otherwise a heap fallback (counted).
     pub fn alloc_capacity(&self, capacity: usize, headroom: usize) -> PktBuf {
-        if capacity + headroom <= SEG_CAPACITY {
-            self.alloc_headroom(headroom)
+        if let Some(class) = class_for(capacity.saturating_add(headroom)) {
+            self.take(class, headroom)
         } else if capacity <= SEG_CAPACITY {
-            self.alloc_headroom(SEG_CAPACITY - capacity)
+            self.take(JUMBO, SEG_CAPACITY - capacity)
         } else {
             bump(&self.counters.fallbacks);
             PktBuf::heap_with_capacity(capacity + headroom, headroom)
@@ -221,17 +252,17 @@ impl BufPool {
     }
 }
 
-fn new_seg() -> Arc<Seg> {
+fn new_seg(class: usize) -> Arc<Seg> {
     Arc::new(Seg {
-        storage: vec![0u8; SEG_CAPACITY].into_boxed_slice(),
+        storage: vec![0u8; CLASSES[class]].into_boxed_slice(),
     })
 }
 
 /// Refcounted segment storage. While held in a thread's freelist the list
 /// holds the only reference; while in flight, every [`PktBuf`] clone shares
-/// one `Arc`. A segment is recyclable iff its storage has exactly
-/// [`SEG_CAPACITY`] bytes (heap fallbacks and `from_vec` wrappers differ and
-/// are simply freed).
+/// one `Arc`. A segment is recyclable iff its storage length is one of the
+/// [`CLASSES`] (heap fallbacks and `from_vec` wrappers of other sizes are
+/// simply freed).
 struct Seg {
     storage: Box<[u8]>,
 }
@@ -258,6 +289,20 @@ impl PktBuf {
             seg: None,
             off: 0,
             len: 0,
+        }
+    }
+
+    /// An empty buffer of at least `capacity` bytes behind `headroom`: a
+    /// recycled (or new) segment of the smallest class that holds both, else
+    /// a heap buffer. No pool handle, so nothing is counted.
+    fn with_capacity(capacity: usize, headroom: usize) -> PktBuf {
+        match class_for(capacity.saturating_add(headroom)) {
+            Some(class) => PktBuf {
+                seg: Some(freelist_pop(class).unwrap_or_else(|| new_seg(class))),
+                off: headroom as u32,
+                len: 0,
+            },
+            None => PktBuf::heap_with_capacity(capacity + headroom, headroom),
         }
     }
 
@@ -373,17 +418,9 @@ impl PktBuf {
             return;
         }
         if self.seg.is_none() {
-            // Empty buffer: materialize a segment (recycled if the size
-            // permits; pooled callers allocate via `BufPool::alloc*`).
-            *self = if n + DEFAULT_HEADROOM <= SEG_CAPACITY {
-                PktBuf {
-                    seg: Some(freelist_pop().unwrap_or_else(new_seg)),
-                    off: DEFAULT_HEADROOM as u32,
-                    len: 0,
-                }
-            } else {
-                PktBuf::heap_with_capacity(n + DEFAULT_HEADROOM, DEFAULT_HEADROOM)
-            };
+            // Empty buffer: materialize a segment (pooled callers allocate
+            // via `BufPool::alloc*`).
+            *self = PktBuf::with_capacity(n, DEFAULT_HEADROOM);
         }
         if !self.is_unique() || self.tailroom() < n {
             let need = self.len() + n;
@@ -440,18 +477,10 @@ impl PktBuf {
     }
 
     /// Move the data into a new segment of at least `capacity` bytes with
-    /// `headroom` in front, recycling a thread-local segment when the size
-    /// permits.
+    /// `headroom` in front, recycling a thread-local segment of the smallest
+    /// class that fits.
     fn reallocate(&mut self, capacity: usize, headroom: usize) {
-        let mut fresh = if capacity + headroom <= SEG_CAPACITY {
-            PktBuf {
-                seg: Some(freelist_pop().unwrap_or_else(new_seg)),
-                off: headroom as u32,
-                len: 0,
-            }
-        } else {
-            PktBuf::heap_with_capacity(capacity + headroom, headroom)
-        };
+        let mut fresh = PktBuf::with_capacity(capacity, headroom);
         fresh.extend_from_slice(self.as_slice());
         *self = fresh;
     }
@@ -460,12 +489,14 @@ impl PktBuf {
 impl Drop for PktBuf {
     fn drop(&mut self) {
         if let Some(seg) = self.seg.take() {
-            // Fast path: last reference to a standard-size segment — park the
-            // whole `Arc` (storage included) in the thread's freelist instead
+            // Fast path: last reference to a class-size segment — park the
+            // whole `Arc` (storage included) in its class's freelist instead
             // of freeing it. `strong_count == 1` is definitive: we hold the
             // only handle.
-            if Arc::strong_count(&seg) == 1 && seg.storage.len() == SEG_CAPACITY {
-                freelist_push(seg);
+            if Arc::strong_count(&seg) == 1 {
+                if let Some(class) = CLASSES.iter().position(|&c| c == seg.storage.len()) {
+                    freelist_push(class, seg);
+                }
             }
         }
     }
@@ -572,6 +603,16 @@ impl<const N: usize> PartialEq<&[u8; N]> for PktBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Segments held in each class's freelist on this thread.
+    fn free_per_class() -> [usize; CLASSES.len()] {
+        FREELISTS.with(|f| f.borrow().each_ref().map(Vec::len))
+    }
+
+    /// Storage length of the segment under `b` (0 for the empty buffer).
+    fn seg_len(b: &PktBuf) -> usize {
+        b.seg.as_ref().map_or(0, |s| s.storage.len())
+    }
 
     #[test]
     fn empty_buffer_is_allocation_free() {
@@ -717,13 +758,96 @@ mod tests {
     fn freelist_is_bounded_per_thread() {
         let bufs: Vec<PktBuf> = {
             let pool = BufPool::new();
-            (0..MAX_FREE_PER_THREAD + 50)
-                .map(|i| pool.copy_from_slice(&[(i % 251) as u8]))
+            CLASSES
+                .iter()
+                .flat_map(|&c| {
+                    let pool = &pool;
+                    (0..MAX_FREE_PER_THREAD + 50).map(move |i| {
+                        pool.copy_from_slice(&vec![(i % 251) as u8; c - DEFAULT_HEADROOM])
+                    })
+                })
                 .collect()
         };
+        for (class, &c) in CLASSES.iter().enumerate() {
+            let n = bufs.iter().filter(|b| seg_len(b) == c).count();
+            assert_eq!(n, MAX_FREE_PER_THREAD + 50, "class {class} allocated");
+        }
         drop(bufs);
-        let free = FREELIST.with(|f| f.borrow().len());
-        assert!(free <= MAX_FREE_PER_THREAD, "freelist bounded, got {free}");
+        for (class, free) in free_per_class().into_iter().enumerate() {
+            assert_eq!(free, MAX_FREE_PER_THREAD, "class {class} freelist bounded");
+        }
+    }
+
+    #[test]
+    fn smallest_class_that_holds_size_plus_headroom() {
+        let pool = BufPool::new();
+        for (class, &c) in CLASSES.iter().enumerate() {
+            // `capacity + headroom` exactly a class size: that class.
+            let fit = c - DEFAULT_HEADROOM;
+            let b = pool.alloc_capacity(fit, DEFAULT_HEADROOM);
+            assert_eq!((seg_len(&b), b.headroom()), (c, DEFAULT_HEADROOM));
+            assert_eq!(seg_len(&pool.copy_from_slice(&vec![1; fit])), c);
+            let mut e = PktBuf::empty();
+            e.extend_with(fit, |d| d.fill(2));
+            assert_eq!(seg_len(&e), c);
+
+            // One byte over: the next class, or for the largest class a jumbo
+            // segment with one byte less headroom.
+            let b = pool.alloc_capacity(fit + 1, DEFAULT_HEADROOM);
+            match CLASSES.get(class + 1) {
+                Some(&next) => assert_eq!((seg_len(&b), b.headroom()), (next, DEFAULT_HEADROOM)),
+                None => assert_eq!((seg_len(&b), b.headroom()), (c, DEFAULT_HEADROOM - 1)),
+            }
+            let mut e = PktBuf::empty();
+            e.extend_with(fit + 1, |d| d.fill(3));
+            let want = CLASSES
+                .get(class + 1)
+                .copied()
+                .unwrap_or(fit + 1 + DEFAULT_HEADROOM);
+            assert_eq!(seg_len(&e), want, "past the largest class: heap");
+        }
+        // Size-blind allocations keep the jumbo class.
+        assert_eq!(seg_len(&pool.alloc()), SEG_CAPACITY);
+        assert_eq!(seg_len(&pool.alloc_headroom(0)), SEG_CAPACITY);
+    }
+
+    #[test]
+    fn segments_recycle_into_their_own_class() {
+        let pool = BufPool::new();
+        for (class, &c) in CLASSES.iter().enumerate() {
+            let alloc = || pool.alloc_capacity(c - DEFAULT_HEADROOM, DEFAULT_HEADROOM);
+            let b = alloc();
+            let mut want = free_per_class();
+            want[class] += 1;
+            drop(b);
+            assert_eq!(free_per_class(), want, "class {class}");
+            let hits = pool.stats().hits;
+            let b = alloc();
+            assert_eq!((seg_len(&b), pool.stats().hits), (c, hits + 1));
+            want[class] -= 1;
+            assert_eq!(free_per_class(), want, "reused from class {class}");
+        }
+    }
+
+    #[test]
+    fn extend_past_a_small_segment_moves_to_the_next_class() {
+        let pool = BufPool::new();
+        let mut b = pool.copy_from_slice(&[7u8; 100]);
+        assert_eq!(seg_len(&b), CLASSES[0]);
+        assert_eq!(b.tailroom(), CLASSES[0] - DEFAULT_HEADROOM - 100);
+        b.extend_from_slice(&[8u8; 100]);
+        assert_eq!(seg_len(&b), CLASSES[1]);
+        assert_eq!(b.headroom(), DEFAULT_HEADROOM);
+        assert_eq!(&b[..100], &[7u8; 100][..]);
+        assert_eq!(&b[100..], &[8u8; 100][..]);
+        b.extend_from_slice(&vec![9u8; CLASSES[1]]);
+        assert_eq!(seg_len(&b), CLASSES[2]);
+        assert_eq!(
+            (b.len(), b.headroom()),
+            (200 + CLASSES[1], DEFAULT_HEADROOM)
+        );
+        assert_eq!(&b[..200], &[[7u8; 100], [8u8; 100]].concat()[..]);
+        assert!(b[200..].iter().all(|&x| x == 9));
     }
 
     #[test]
@@ -779,7 +903,10 @@ mod tests {
 
         fn op_strategy() -> impl Strategy<Value = Op> {
             prop_oneof![
-                proptest::collection::vec(any::<u8>(), 0..200).prop_map(Op::Extend),
+                // Up to 2.5 KiB at a time, so that a sequence walks the
+                // buffer through every class and past the largest into the
+                // heap.
+                proptest::collection::vec(any::<u8>(), 0..2500).prop_map(Op::Extend),
                 proptest::collection::vec(any::<u8>(), 0..64).prop_map(Op::Prepend),
                 (0usize..300).prop_map(Op::Truncate),
                 (0usize..300).prop_map(Op::Advance),
@@ -799,7 +926,9 @@ mod tests {
             #[test]
             fn pktbuf_matches_vec_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
                 let pool = BufPool::new();
-                let mut buf = pool.alloc();
+                // Start in the smallest class, so extends cross every class
+                // boundary.
+                let mut buf = pool.copy_from_slice(&[]);
                 let mut model: Vec<u8> = Vec::new();
                 let mut clones: Vec<(PktBuf, Vec<u8>)> = Vec::new();
                 for op in ops {
@@ -840,11 +969,13 @@ mod tests {
                 }
                 drop(buf);
                 drop(clones);
-                // The thread freelist stays within its bound — segments are
-                // recycled at most once (a double recycle would blow past the
-                // number of live allocations long before tripping the bound).
-                let free = FREELIST.with(|f| f.borrow().len());
-                prop_assert!(free <= MAX_FREE_PER_THREAD);
+                // Every class's freelist stays within its bound — segments
+                // are recycled at most once (a double recycle would blow past
+                // the number of live allocations long before tripping the
+                // bound).
+                for free in free_per_class() {
+                    prop_assert!(free <= MAX_FREE_PER_THREAD);
+                }
             }
         }
     }

@@ -111,10 +111,11 @@ impl CheckpointFile {
         let name = r.str()?;
         let at = r.time()?;
         let count = r.usize()?;
-        if count > 1 << 20 {
-            return Err(SnapError::Corrupt(format!(
-                "absurd component count {count}"
-            )));
+        // Every component carries two `u32` length prefixes, so the rest of
+        // the body bounds the count before anything is reserved for it. A
+        // count beyond that is a body that ends before its components.
+        if count > r.remaining() / 8 {
+            return Err(SnapError::Truncated);
         }
         let mut components = Vec::with_capacity(count);
         for _ in 0..count {
