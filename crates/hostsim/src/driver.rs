@@ -11,9 +11,10 @@
 //! that the host model turns into PCIe messages (and charges CPU time for).
 
 use simbricks_base::snap::{SnapReader, SnapResult, SnapWriter, Snapshot};
-use simbricks_base::{BufPool, PktBuf};
+use simbricks_base::{BufPool, PktBuf, DEFAULT_HEADROOM};
 use simbricks_nicsim::regs::*;
 use simbricks_nicsim::NicVariant;
+use simbricks_proto::{EtherType, ETH_HEADER_LEN, IPV4_HEADER_LEN};
 
 use crate::mem::PhysMem;
 
@@ -316,6 +317,14 @@ impl NicDriver {
         }
     }
 
+    /// Copy a received frame out of guest memory into a pooled buffer of
+    /// the class [`BufPool::copy_from_slice`] would take for it.
+    fn read_frame(&self, mem: &PhysMem, addr: u64, len: usize) -> PktBuf {
+        let mut b = self.pool.alloc_capacity(len, DEFAULT_HEADROOM);
+        b.extend_with(len, |dst| mem.read_into(addr, dst));
+        b
+    }
+
     /// i40e / e1000 receive and transmit reaping: scan descriptors in host
     /// memory for the DD bit the NIC wrote back.
     fn reap_rings_dd(&mut self, mem: &mut PhysMem) -> DriverOutcome {
@@ -323,7 +332,7 @@ impl NicDriver {
         // TX clean-up.
         while self.tx_clean != self.tx_tail {
             let daddr = self.tx_base + self.tx_clean as u64 * DESC_SIZE as u64;
-            let d = Descriptor::from_bytes(mem.read(daddr, DESC_SIZE)).unwrap();
+            let d = read_desc(mem, daddr);
             if !d.has_dd() {
                 break;
             }
@@ -334,13 +343,12 @@ impl NicDriver {
         loop {
             let idx = self.rx_next;
             let daddr = self.rx_base + idx as u64 * DESC_SIZE as u64;
-            let d = Descriptor::from_bytes(mem.read(daddr, DESC_SIZE)).unwrap();
+            let d = read_desc(mem, daddr);
             if !d.has_dd() {
                 break;
             }
             let buf = self.rx_bufs + idx as u64 * BUF_SIZE;
-            out.frames
-                .push(self.pool.copy_from_slice(mem.read(buf, d.len as usize)));
+            out.frames.push(self.read_frame(mem, buf, d.len as usize));
             self.rx_packets += 1;
             // Re-arm the descriptor and advance.
             let fresh = Descriptor {
@@ -371,9 +379,10 @@ impl NicDriver {
             let buf = self.rx_bufs + idx as u64 * BUF_SIZE;
             // Without write-back the length is not in the descriptor; parse
             // the Ethernet/IP headers to recover the frame length.
-            let raw = mem.read(buf, BUF_SIZE as usize);
-            let len = frame_length(raw).unwrap_or(64).min(BUF_SIZE as usize);
-            out.frames.push(self.pool.copy_from_slice(&raw[..len]));
+            let mut head = [0u8; FRAME_HEAD];
+            mem.read_into(buf, &mut head);
+            let len = frame_length(&head).unwrap_or(64).min(BUF_SIZE as usize);
+            out.frames.push(self.read_frame(mem, buf, len));
             self.rx_packets += 1;
             self.rx_next = (self.rx_next + 1) % RING_ENTRIES;
             self.rx_tail = (self.rx_tail + 1) % RING_ENTRIES;
@@ -424,18 +433,37 @@ impl Snapshot for NicDriver {
     }
 }
 
-/// Recover the on-wire length of an Ethernet frame from its headers (IPv4
-/// total length, or ARP fixed size), including minimum-frame padding.
-fn frame_length(raw: &[u8]) -> Option<usize> {
-    use simbricks_proto::{EtherType, Ipv4Header, ETH_HEADER_LEN};
-    if raw.len() < ETH_HEADER_LEN {
-        return None;
-    }
-    let ethertype = EtherType::from_u16(u16::from_be_bytes([raw[12], raw[13]]));
+/// The descriptor at `addr` in guest memory.
+fn read_desc(mem: &PhysMem, addr: u64) -> Descriptor {
+    let mut raw = [0u8; DESC_SIZE];
+    mem.read_into(addr, &mut raw);
+    Descriptor::from_bytes(&raw).expect("a whole descriptor")
+}
+
+/// Leading bytes of a receive buffer that [`frame_length`] reads: the
+/// Ethernet header and the first word of an IPv4 header.
+const FRAME_HEAD: usize = ETH_HEADER_LEN + 4;
+
+/// Recover the on-wire length of the Ethernet frame at the start of a
+/// receive buffer from its headers (IPv4 total length, or ARP fixed size),
+/// including minimum-frame padding. An IPv4 header is taken only if it
+/// would parse from the whole buffer: version 4, a header of at least
+/// [`IPV4_HEADER_LEN`] bytes, and a total length between that header's and
+/// the buffer's.
+fn frame_length(head: &[u8; FRAME_HEAD]) -> Option<usize> {
+    let ethertype = EtherType::from_u16(u16::from_be_bytes([head[12], head[13]]));
     let payload = match ethertype {
         EtherType::Ipv4 => {
-            let (hdr, _, _) = Ipv4Header::parse(&raw[ETH_HEADER_LEN..])?;
-            hdr.total_len as usize
+            let ip = &head[ETH_HEADER_LEN..];
+            let ihl = (ip[0] & 0x0f) as usize * 4;
+            let total_len = u16::from_be_bytes([ip[2], ip[3]]) as usize;
+            let parses = ip[0] >> 4 == 4
+                && ihl >= IPV4_HEADER_LEN
+                && (ihl..=BUF_SIZE as usize - ETH_HEADER_LEN).contains(&total_len);
+            if !parses {
+                return None;
+            }
+            total_len
         }
         EtherType::Arp => 28,
         EtherType::Other(_) => return None,
@@ -459,7 +487,7 @@ mod tests {
         }));
         assert!(ops.iter().any(|o| matches!(o, DriverOp::MmioWrite { offset, .. } if *offset == queue_reg(0, Q_RX_TAIL))));
         // RX descriptors were posted in memory.
-        let d = Descriptor::from_bytes(mem.read(drv.rx_base, DESC_SIZE)).unwrap();
+        let d = read_desc(&mem, drv.rx_base);
         assert_ne!(d.addr, 0);
         assert!(!d.has_dd());
     }
@@ -478,9 +506,11 @@ mod tests {
                 value: 1
             }]
         );
-        let d = Descriptor::from_bytes(mem.read(drv.tx_base, DESC_SIZE)).unwrap();
+        let d = read_desc(&mem, drv.tx_base);
         assert_eq!(d.len, 900);
-        assert_eq!(mem.read(d.addr, 900), frame.as_slice());
+        let mut written = vec![0u8; 900];
+        mem.read_into(d.addr, &mut written);
+        assert_eq!(written, frame);
     }
 
     #[test]
@@ -499,7 +529,7 @@ mod tests {
             2,
             &[9u8; 64],
         );
-        let d0 = Descriptor::from_bytes(mem.read(drv.rx_base, DESC_SIZE)).unwrap();
+        let d0 = read_desc(&mem, drv.rx_base);
         mem.write(d0.addr, &frame);
         let wb = Descriptor {
             addr: d0.addr,
@@ -517,7 +547,7 @@ mod tests {
         );
         assert!(out.ops.iter().any(|o| matches!(o, DriverOp::MmioWrite { offset, .. } if *offset == queue_reg(0, Q_RX_TAIL))));
         // The descriptor was re-armed.
-        let re = Descriptor::from_bytes(mem.read(drv.rx_base, DESC_SIZE)).unwrap();
+        let re = read_desc(&mem, drv.rx_base);
         assert!(!re.has_dd());
     }
 
@@ -547,7 +577,7 @@ mod tests {
             6,
             &[1u8; 100],
         );
-        let d0 = Descriptor::from_bytes(mem.read(drv.rx_base, DESC_SIZE)).unwrap();
+        let d0 = read_desc(&mem, drv.rx_base);
         mem.write(d0.addr, &frame);
         let out2 = drv.on_mmio_read(&mut mem, ReadPurpose::RxHead, 1);
         assert_eq!(out2.frames.len(), 1);
@@ -596,7 +626,17 @@ mod tests {
             2,
             &[0u8; 200],
         );
-        assert_eq!(frame_length(&f), Some(f.len()));
-        assert_eq!(frame_length(&[0u8; 4]), None);
+        let head = |f: &[u8]| -> [u8; FRAME_HEAD] { f[..FRAME_HEAD].try_into().unwrap() };
+        assert_eq!(frame_length(&head(&f)), Some(f.len()));
+        assert_eq!(frame_length(&[0u8; FRAME_HEAD]), None);
+        // A total length the buffer cannot hold, or shorter than the IPv4
+        // header, is no length.
+        let mut bad = f.to_vec();
+        bad[ETH_HEADER_LEN + 2..ETH_HEADER_LEN + 4].copy_from_slice(&4339u16.to_be_bytes());
+        assert_eq!(frame_length(&head(&bad)), None);
+        bad[ETH_HEADER_LEN + 2..ETH_HEADER_LEN + 4].copy_from_slice(&4338u16.to_be_bytes());
+        assert_eq!(frame_length(&head(&bad)), Some(4352));
+        bad[ETH_HEADER_LEN + 2..ETH_HEADER_LEN + 4].copy_from_slice(&19u16.to_be_bytes());
+        assert_eq!(frame_length(&head(&bad)), None);
     }
 }

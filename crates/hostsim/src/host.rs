@@ -485,11 +485,9 @@ impl HostModel {
             Work::DmaReadReply { req_id, addr, len } => {
                 // One write pass: guest memory straight into a pooled
                 // message envelope, no intermediate vector.
-                let (ty, p) = HostToDev::encode_dma_complete_pooled(
-                    k.pool(),
-                    req_id,
-                    self.mem.read(addr, len),
-                );
+                let (ty, p) = HostToDev::encode_dma_complete_with(k.pool(), req_id, len, |dst| {
+                    self.mem.read_into(addr, dst)
+                });
                 k.send_buf(self.pcie, ty, p);
             }
             Work::DmaWriteReply { req_id } => {

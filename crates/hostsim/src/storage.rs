@@ -365,7 +365,8 @@ impl StorageHostModel {
         loop {
             let slot = self.cq_head % NVME_QUEUE_LEN;
             let addr = self.cq_base + slot as u64 * 16;
-            let entry = self.mem.read(addr, 16).to_vec();
+            let mut entry = [0u8; 16];
+            self.mem.read_into(addr, &mut entry);
             if entry[8] != 1 {
                 break;
             }
@@ -413,7 +414,8 @@ impl Model for StorageHostModel {
                 self.defer(k, Work::AppStart, at);
             }
             Some(DevToHost::DmaRead { req_id, addr, len }) => {
-                let data = self.mem.read(addr, len).to_vec();
+                let mut data = vec![0u8; len];
+                self.mem.read_into(addr, &mut data);
                 let (ty, p) = HostToDev::DmaComplete {
                     req_id,
                     data: data.into(),

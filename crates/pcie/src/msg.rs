@@ -452,10 +452,22 @@ impl HostToDev {
         req_id: u64,
         data: &[u8],
     ) -> (MsgType, PktBuf) {
-        let mut b = pool.alloc_capacity(16 + data.len(), 0);
+        Self::encode_dma_complete_with(pool, req_id, data.len(), |dst| dst.copy_from_slice(data))
+    }
+
+    /// [`HostToDev::encode_dma_complete_pooled`] for a payload of `len`
+    /// bytes that `fill` writes straight into the pooled buffer (for
+    /// example, copied out of guest memory).
+    pub fn encode_dma_complete_with(
+        pool: &simbricks_base::BufPool,
+        req_id: u64,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> (MsgType, PktBuf) {
+        let mut b = pool.alloc_capacity(16 + len, 0);
         b.extend_from_slice(&req_id.to_le_bytes());
-        b.extend_from_slice(&(data.len() as u64).to_le_bytes());
-        b.extend_from_slice(data);
+        b.extend_from_slice(&(len as u64).to_le_bytes());
+        b.extend_with(len, fill);
         (MSG_H2D_DMA_COMPL, b)
     }
 

@@ -48,7 +48,9 @@ pub const CKPT_MAGIC: [u8; 4] = *b"SBCK";
 // entries when active), shifting every field after it.
 // Version 7: the `KernelStats` encoding lost its barrier-wait counter with
 // the global-barrier sync mode, going from 16 to 15 `u64`s.
-pub const CKPT_VERSION: u16 = 7;
+// Version 8: host physical memory is encoded as (index, bytes) entries of
+// 256-byte chunks instead of 4 KiB pages.
+pub const CKPT_VERSION: u16 = 8;
 
 /// A decoded checkpoint container.
 #[derive(Debug)]
@@ -530,6 +532,29 @@ mod tests {
                         e,
                         SnapError::Version {
                             found: 6,
+                            expected: CKPT_VERSION
+                        }
+                    )
+                },
+            },
+            Case {
+                // v7 encodes host memory as (page index, 4 KiB page): the
+                // current decoder would take each page index for a chunk
+                // index and refuse each page as an over-long chunk. The
+                // version gate must name the real cause, before any body
+                // decoding.
+                name: "version-7 checkpoint from an older build",
+                make: |g| {
+                    let mut b = g.to_vec();
+                    b[4] = 7;
+                    b[5] = 0;
+                    b
+                },
+                check: |e| {
+                    matches!(
+                        e,
+                        SnapError::Version {
+                            found: 7,
                             expected: CKPT_VERSION
                         }
                     )
