@@ -76,12 +76,6 @@ impl ChannelParams {
         self
     }
 
-    /// Enable or disable time synchronization on this channel.
-    pub fn with_sync(mut self, sync: bool) -> Self {
-        self.sync = sync;
-        self
-    }
-
     /// Set the link impairment model (disabled by default).
     pub fn with_impairment(mut self, impairment: Impairment) -> Self {
         self.impairment = impairment;
@@ -163,9 +157,9 @@ pub fn channel_pair(params: ChannelParams) -> (ChannelEnd, ChannelEnd) {
 
 impl ChannelEnd {
     /// Assemble an endpoint from the producer of its outgoing ring and the
-    /// consumer of its incoming ring, wherever those rings live (heap for
-    /// [`channel_pair`], a mapped region for a cross-process link). The
-    /// endpoint gets a fresh connection id and direction tag 0.
+    /// consumer of its incoming ring, wherever those rings live (a private
+    /// mapping for [`channel_pair`], a shared one for a cross-process link).
+    /// The endpoint gets a fresh connection id and direction tag 0.
     pub fn new(tx: Producer, rx: Consumer, params: ChannelParams) -> ChannelEnd {
         use std::sync::atomic::{AtomicU64, Ordering};
         static NEXT_CONN: AtomicU64 = AtomicU64::new(1);

@@ -238,11 +238,6 @@ impl Kernel {
         }
     }
 
-    /// Whether hierarchical sync domains are enabled.
-    pub fn hier_sync_enabled(&self) -> bool {
-        self.hier
-    }
-
     /// Raise the adaptive sync-interval cap of `port` beyond the default
     /// link latency Δ (hierarchical mode; the runner computes a static
     /// multi-hop path floor per port from the channel graph).

@@ -6,7 +6,9 @@
 //! * [`time`] — virtual time ([`SimTime`], picosecond resolution).
 //! * [`slot`] — fixed-size message slots with the ownership/type control byte.
 //! * [`spsc`] — single-producer/single-consumer polled message queues (§A.2),
-//!   one ring over heap or caller-supplied (memory-mapped) slot memory.
+//!   one ring over private or caller-supplied (shared) mapped slot memory.
+//! * [`pages`] — large memory mapped from the OS: private zeroed blocks and
+//!   shared file mappings.
 //! * [`channel`] — bidirectional channels built from two SPSC queues (§5.2).
 //! * [`impair`] — deterministic link impairments (loss, jitter, reordering,
 //!   rate variation) applied by the sending endpoint of a channel.
@@ -33,6 +35,7 @@ pub mod event;
 pub mod impair;
 pub mod kernel;
 pub mod log;
+pub mod pages;
 pub mod pktbuf;
 pub mod slot;
 pub mod snap;

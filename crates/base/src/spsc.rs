@@ -27,18 +27,20 @@
 //! a busy ring of small messages keeps 16 payload pages resident, not one
 //! (or more) per slot.
 //!
-//! There is one ring and two backings. [`queue`] places the ring in a heap
-//! allocation shared by two threads; [`Producer::over`] / [`Consumer::over`]
-//! place one end on ring memory the caller supplies ([`RingMem`]) — the
-//! runner's memory-mapped region for a link between two processes. Both run
-//! the same code on the same layout: a block whose descriptors are all zero
-//! is an empty ring whose slots all belong to the producer.
+//! There is one ring and two backings, both mappings from
+//! [`crate::pages`]. [`queue`] places the ring in a private zeroed mapping
+//! shared by two threads; [`Producer::over`] / [`Consumer::over`] place one
+//! end on ring memory the caller supplies ([`RingMem`]) — the runner's
+//! shared file mapping for a link between two processes. Both run the same
+//! code on the same layout: a block whose descriptors are all zero is an
+//! empty ring whose slots all belong to the producer.
 
 use std::any::Any;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
+use crate::pages::Pages;
 use crate::pktbuf::{BufPool, PktBuf, DEFAULT_HEADROOM};
 use crate::slot::{MsgType, OwnedMsg, SlotDesc, DESC_BYTES, MAX_PAYLOAD};
 use crate::time::SimTime;
@@ -52,8 +54,8 @@ pub const SLOT_BYTES: usize = DESC_BYTES + MAX_PAYLOAD;
 /// Alignment ring memory must have.
 pub const SLOT_ALIGN: usize = std::mem::align_of::<SlotDesc>();
 
-/// Cache line size the heap backing aligns a ring to (the mapped backing's
-/// rings start on a page).
+/// Cache line size the layout keeps heads and tails aligned to (ring
+/// memory starts on a page).
 const CACHE_LINE: usize = 64;
 
 /// Bytes of each payload packed into its slot's head; the rest, up to
@@ -173,56 +175,33 @@ impl RingMem {
     }
 }
 
-/// Heap backing of [`queue`]: a zeroed block with the ring aligned inside.
+/// Private backing of [`queue`]: a zeroed mapping, so building a ring
+/// writes none of it and a page no message uses never becomes resident.
 struct HeapRing {
-    /// Leaked from a `Box<[u8]>`, reclaimed on drop.
-    block: NonNull<[u8]>,
+    block: Pages,
     producer_closed: AtomicU8,
     consumer_closed: AtomicU8,
 }
 
-// SAFETY: `block` is owned plain memory, reached only through the ring
-// ends' ownership protocol (see `RingMem`), and the two flags are atomics.
-unsafe impl Send for HeapRing {}
-unsafe impl Sync for HeapRing {}
-
-impl Drop for HeapRing {
-    fn drop(&mut self) {
-        // SAFETY: `block` came from `Box::leak` and is freed only here.
-        drop(unsafe { Box::from_raw(self.block.as_ptr()) });
-    }
-}
-
-/// Create a new SPSC queue with `len` slots on the heap, returning its two
-/// endpoints.
+/// Create a new SPSC queue with `len` slots in private memory, returning
+/// its two endpoints.
 pub fn queue(len: usize) -> (Producer, Consumer) {
-    let bytes = len
-        .checked_mul(SLOT_BYTES)
-        .and_then(|n| n.checked_add(CACHE_LINE))
-        .expect("queue length too large");
-    // Zeroed by the allocator without being written: a byte-aligned
-    // `vec![0; n]` is `calloc`, whose fresh pages stay untouched — and not
-    // resident — until a message uses them. (An allocation aligned above
-    // 16 bytes would be zeroed with `memset` instead.) The ring is aligned
-    // to a cache line inside the block.
-    let block = NonNull::from(Box::leak(vec![0u8; bytes].into_boxed_slice()));
-    let start = block.cast::<u8>();
-    // SAFETY: the offset is below `CACHE_LINE`, inside the block's slack.
-    let slots = unsafe { start.add(start.as_ptr().align_offset(CACHE_LINE)) };
+    let bytes = len.checked_mul(SLOT_BYTES).expect("queue length too large");
     let heap = Arc::new(HeapRing {
-        block,
+        block: Pages::zeroed(bytes),
         producer_closed: AtomicU8::new(0),
         consumer_closed: AtomicU8::new(0),
     });
     let mem = RingMem {
-        slots,
+        slots: heap.block.as_ptr(),
         len,
         producer_closed: NonNull::from(&heap.producer_closed),
         consumer_closed: NonNull::from(&heap.consumer_closed),
         owner: heap,
     };
-    // SAFETY: `slots` starts `len * SLOT_BYTES` zeroed, aligned bytes kept
-    // alive by `owner`, and these are their only two ends.
+    // SAFETY: `slots` starts `len * SLOT_BYTES` zeroed, page-aligned bytes
+    // kept alive by `owner` and never borrowed as a slice, and these are
+    // their only two ends.
     unsafe { (Producer::over(mem.clone()), Consumer::over(mem)) }
 }
 
@@ -504,9 +483,9 @@ mod tests {
     #[test]
     fn oversized_payload_rejected() {
         let (mut p, _c) = queue(2);
-        let big = vec![0u8; MAX_PAYLOAD + 1];
+        let big = [0u8; MAX_PAYLOAD + 1];
         assert_eq!(p.try_send(SimTime::ZERO, 1, &big), Err(SendError::TooLarge));
-        let exact = vec![0u8; MAX_PAYLOAD];
+        let exact = [0u8; MAX_PAYLOAD];
         assert!(p.try_send(SimTime::ZERO, 1, &exact).is_ok());
     }
 

@@ -1,11 +1,11 @@
 //! Resident memory of idle and of busy rings.
 //!
-//! Building a ring must not write its memory: the allocator hands out zeroed
-//! pages, an all-zero descriptor is an empty slot, and a slot's head and
-//! tail are touched only by a message that uses them. So rings nobody has
-//! sent on cost address space, not resident memory. 256 default rings span
-//! about 144 MiB; building them must grow the resident set by a few pages,
-//! not by that.
+//! Building a ring must not write its memory: it is a fresh zeroed mapping
+//! (`simbricks_base::pages`), an all-zero descriptor is an empty slot, and
+//! a slot's head and tail are touched only by a message that uses them.
+//! So rings nobody has sent on cost address space, not resident memory.
+//! 256 default rings span about 144 MiB; building them must grow the
+//! resident set by a few pages, not by that.
 //!
 //! A busy ring's tail visits every slot, so small messages make every
 //! slot's head resident, but no slot's tail: a message's first KiB goes to

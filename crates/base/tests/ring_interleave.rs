@@ -12,64 +12,50 @@
 //!    control byte shows up as a data race on the slot header/payload.
 //!
 //! There is one ring; every test runs on both of its backings with the same
-//! oracle: the heap allocation of `queue(len)`, and caller-supplied slot
-//! memory — an aligned, zero-filled block, which is exactly what a fresh
-//! memory-mapped region hands the ring (the `*_mapped_backing` tests).
+//! oracle: the private mapping of `queue(len)`, and caller-supplied slot
+//! memory — an aligned, zero-filled block holding the close flags too,
+//! which is exactly what a fresh shared region hands the ring (the
+//! `*_mapped_backing` tests).
 
-use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::collections::VecDeque;
-use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
+use simbricks_base::pages::Pages;
 use simbricks_base::spsc::{queue, Consumer, Producer, RingMem, SendError, SLOT_ALIGN, SLOT_BYTES};
 use simbricks_base::{SimTime, MAX_PAYLOAD};
 
 /// Which memory the ring under test lives in.
 #[derive(Clone, Copy, Debug)]
 enum Backing {
-    /// `queue(len)`: slots on the heap, as for an in-process channel.
+    /// `queue(len)`: slots in a private mapping, as for an in-process
+    /// channel.
     Heap,
     /// The raw-memory constructors on a zeroed block laid out like an shm
     /// region: two close bytes in a header, then the slots.
     Mapped,
 }
 
-/// Stand-in for a mapped region: a zero-filled, slot-aligned block whose
-/// first bytes are the close flags and whose slots start one alignment unit
-/// in. Freed when the last ring end lets go of it.
-struct Block {
-    ptr: NonNull<u8>,
-    layout: Layout,
-}
-
-// Safety: the block is plain memory, reached only through the ring protocol.
-unsafe impl Send for Block {}
-unsafe impl Sync for Block {}
-
-impl Drop for Block {
-    fn drop(&mut self) {
-        unsafe { dealloc(self.ptr.as_ptr(), self.layout) }
-    }
-}
-
 fn ring(backing: Backing, cap: usize) -> (Producer, Consumer) {
     match backing {
         Backing::Heap => queue(cap),
         Backing::Mapped => {
-            let layout =
-                Layout::from_size_align(SLOT_ALIGN + cap * SLOT_BYTES, SLOT_ALIGN).unwrap();
-            let ptr = NonNull::new(unsafe { alloc_zeroed(layout) }).expect("allocation");
-            let at = |off: usize| unsafe { NonNull::new_unchecked(ptr.as_ptr().add(off)) };
+            // Stand-in for a mapped region: a zero-filled block whose first
+            // bytes are the close flags and whose slots start one alignment
+            // unit in.
+            let block = Pages::zeroed(SLOT_ALIGN + cap * SLOT_BYTES);
+            let ptr = block.as_ptr();
+            let at = |off: usize| unsafe { ptr.add(off) };
             let mem = RingMem {
                 slots: at(SLOT_ALIGN),
                 len: cap,
                 producer_closed: at(0).cast::<AtomicU8>(),
                 consumer_closed: at(1).cast::<AtomicU8>(),
-                owner: Arc::new(Block { ptr, layout }),
+                owner: Arc::new(block),
             };
             // Safety: a zeroed, aligned block of the right size, kept alive
-            // by `owner`, with exactly these two ends on it.
+            // by `owner` and never borrowed as a slice, with exactly these
+            // two ends on it.
             unsafe { (Producer::over(mem.clone()), Consumer::over(mem)) }
         }
     }

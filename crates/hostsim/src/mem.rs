@@ -9,10 +9,12 @@
 //! buffers 9 216 B, so with a flat layout every frame, however small, made a
 //! fresh 4 KiB page resident; packed, a 60-byte ARP frame costs one chunk.
 //!
-//! The map and the backing share one demand-zero mapping (the `pages` module):
-//! creating a memory writes nothing, and only the map pages and backing
-//! slots a simulation uses become resident.
+//! The map and the backing share one demand-zero mapping
+//! (`simbricks_base::pages::Pages`, like every ring): creating a memory
+//! writes nothing, and only the map pages and backing slots a simulation
+//! uses become resident, in a process's first experiment as in its fifth.
 
+use simbricks_base::pages::Pages;
 use simbricks_base::snap::{SnapError, SnapReader, SnapResult, SnapWriter, Snapshot};
 
 /// Bytes per chunk: the unit of backing allocation and of the snapshot.
@@ -43,7 +45,7 @@ const SNAP_ENTRY_HEADER: usize = 12;
 pub struct PhysMem {
     /// The chunk map (`chunks` native-endian `u32`s) at offset 0, then the
     /// backing slots from `backing_off` on.
-    mem: pages::Pages,
+    mem: Pages,
     /// Guest-visible size in bytes.
     size: usize,
     /// Offset of slot 0 in `mem`: the map's length rounded up to a page.
@@ -64,7 +66,7 @@ impl PhysMem {
         );
         let backing_off = (chunks * 4).next_multiple_of(PAGE);
         PhysMem {
-            mem: pages::zeroed(backing_off + chunks * CHUNK),
+            mem: Pages::zeroed(backing_off + chunks * CHUNK),
             size,
             backing_off,
             used_slots: 0,
@@ -182,107 +184,6 @@ impl PhysMem {
         let entry = u32::try_from(self.used_slots + 1).expect("fewer slots than chunks");
         self.mem[chunk * 4..chunk * 4 + 4].copy_from_slice(&entry.to_ne_bytes());
         self.used_slots += 1;
-    }
-}
-
-/// Zeroed memory for [`PhysMem`]. On Linux it is mapped straight from the
-/// OS: creating a memory writes nothing, and only the pages the simulation
-/// touches become resident. (`calloc` does that only for fresh memory; a
-/// block it recycles from an earlier experiment in the same process is
-/// cleared in full, megabytes per host.)
-#[cfg(target_os = "linux")]
-mod pages {
-    use std::ops::{Deref, DerefMut};
-    use std::os::raw::{c_int, c_long, c_void};
-    use std::ptr::NonNull;
-
-    const PROT_READ: c_int = 1;
-    const PROT_WRITE: c_int = 2;
-    const MAP_PRIVATE: c_int = 2;
-    const MAP_ANONYMOUS: c_int = 0x20;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: c_long,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> c_int;
-    }
-
-    /// `len` bytes of private anonymous pages, which the kernel zero-fills.
-    pub(super) struct Pages {
-        ptr: NonNull<u8>,
-        len: usize,
-    }
-
-    // SAFETY: `Pages` owns its mapping exclusively, like a `Vec<u8>`.
-    unsafe impl Send for Pages {}
-
-    pub(super) fn zeroed(len: usize) -> Pages {
-        if len == 0 {
-            return Pages {
-                ptr: NonNull::dangling(),
-                len,
-            };
-        }
-        // SAFETY: a new private anonymous mapping aliases nothing.
-        let ptr = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                len,
-                PROT_READ | PROT_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS,
-                -1,
-                0,
-            )
-        };
-        assert!(
-            ptr as isize != -1,
-            "mapping {len} bytes of simulated physical memory: {}",
-            std::io::Error::last_os_error()
-        );
-        Pages {
-            ptr: NonNull::new(ptr.cast()).expect("mmap returned a null mapping"),
-            len,
-        }
-    }
-
-    impl Deref for Pages {
-        type Target = [u8];
-        fn deref(&self) -> &[u8] {
-            // SAFETY: `len` initialised bytes (zero-filled by the kernel or
-            // written through `deref_mut`), mapped until `drop`.
-            unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
-        }
-    }
-
-    impl DerefMut for Pages {
-        fn deref_mut(&mut self) -> &mut [u8] {
-            // SAFETY: as in `deref`; `&mut self` makes the borrow unique.
-            unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
-        }
-    }
-
-    impl Drop for Pages {
-        fn drop(&mut self) {
-            if self.len > 0 {
-                // SAFETY: the mapping `zeroed` made, unmapped only here.
-                unsafe { munmap(self.ptr.as_ptr().cast(), self.len) };
-            }
-        }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod pages {
-    pub(super) type Pages = Vec<u8>;
-
-    pub(super) fn zeroed(len: usize) -> Pages {
-        vec![0u8; len]
     }
 }
 

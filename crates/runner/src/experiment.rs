@@ -162,14 +162,6 @@ impl RunResult {
         EventLog::merge(&refs)
     }
 
-    /// The event log of the component with the given name, if any.
-    pub fn log_of(&self, name: &str) -> Option<&EventLog> {
-        self.component_names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| &self.logs[i])
-    }
-
     /// The statistics of the component with the given name, if any.
     pub fn stats_of(&self, name: &str) -> Option<&KernelStats> {
         self.component_names
@@ -280,17 +272,6 @@ impl Experiment {
         self
     }
 
-    /// Enable fingerprint-only event logging on every component: entries
-    /// fold into per-epoch FNV accumulators instead of being materialized,
-    /// so memory stays O(end / epoch) however long the run. The replay
-    /// bisector compares runs through these epoch fingerprints.
-    pub fn with_fingerprint_logging(mut self, epoch: SimTime) -> Self {
-        assert!(epoch > SimTime::ZERO, "fingerprint epoch must be non-zero");
-        self.log_enabled = true;
-        self.fp_epoch = Some(epoch);
-        self
-    }
-
     /// Set the Ethernet link latency Δ (default 500 ns).
     pub fn with_link_latency(mut self, l: SimTime) -> Self {
         self.link_latency = l;
@@ -330,11 +311,6 @@ impl Experiment {
     pub fn with_hier_sync(mut self) -> Self {
         self.hier_sync = true;
         self
-    }
-
-    /// Whether hierarchical sync domains are enabled.
-    pub fn hier_sync_enabled(&self) -> bool {
-        self.hier_sync
     }
 
     pub fn is_synchronized(&self) -> bool {
@@ -523,12 +499,6 @@ impl Experiment {
     /// The kernel of component `idx` (clock, stats, event log, ports).
     pub fn kernel(&self, idx: usize) -> &Kernel {
         &self.components[idx].kernel
-    }
-
-    /// Mutable kernel access (the replay layer switches restored event logs
-    /// between recording modes before stepping on).
-    pub fn kernel_mut(&mut self, idx: usize) -> &mut Kernel {
-        &mut self.components[idx].kernel
     }
 
     /// Snapshot every component's *model* state (without the kernel record).

@@ -6,16 +6,16 @@
 //! one memory-mapped file per cross-partition link holding the slot memory
 //! of two rings (one per direction). The rings themselves are
 //! `simbricks_base::spsc` — the same producer, consumer and slot layout an
-//! in-process channel uses, placed on the mapping instead of the heap — so
-//! a component's [`ChannelEnd`] sits directly on the shared region:
+//! in-process channel uses, placed on a shared mapping instead of a private
+//! one — so a component's [`ChannelEnd`] sits directly on the shared region:
 //!
 //! ```text
 //! component ↔ ring in mapping ↔ component
 //! ```
 //!
-//! What is left here is what is specific to a mapping: the mmap FFI, the
-//! region header, the create/attach handshake and its validation,
-//! poisoning, and cleanup.
+//! What is left here is what is specific to a link's region: the header,
+//! the create/attach handshake and its validation, poisoning, and cleanup.
+//! The mapping itself is a `simbricks_base::pages::SharedMap`.
 //!
 //! ## Region layout
 //!
@@ -70,11 +70,11 @@
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use simbricks_base::pages::SharedMap;
 use simbricks_base::spsc::{Consumer, Producer, RingMem, SLOT_BYTES};
 use simbricks_base::{ChannelEnd, ChannelParams, OwnedMsg, SendError, SnapReader, SnapWriter};
 
@@ -122,75 +122,9 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-// ---------------------------------------------------------------------------
-// mmap FFI (no external crates; the platform C library is already linked)
-// ---------------------------------------------------------------------------
-
-#[cfg(unix)]
-mod sys {
-    use std::io;
-    use std::os::fd::AsRawFd;
-
-    use std::os::raw::{c_int, c_void};
-
-    const PROT_READ: c_int = 1;
-    const PROT_WRITE: c_int = 2;
-    const MAP_SHARED: c_int = 1;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> c_int;
-    }
-
-    /// Map `len` bytes of `file` shared read-write.
-    pub(super) fn map_shared(file: &std::fs::File, len: usize) -> io::Result<*mut u8> {
-        let ptr = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                len,
-                PROT_READ | PROT_WRITE,
-                MAP_SHARED,
-                file.as_raw_fd(),
-                0,
-            )
-        };
-        if ptr as isize == -1 || ptr.is_null() {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(ptr as *mut u8)
-    }
-
-    pub(super) fn unmap(ptr: *mut u8, len: usize) {
-        unsafe {
-            munmap(ptr as *mut c_void, len);
-        }
-    }
-}
-
 /// Whether this platform supports the shared-memory transport.
 pub fn shm_supported() -> bool {
     cfg!(unix)
-}
-
-#[cfg(not(unix))]
-mod sys {
-    use std::io;
-
-    pub(super) fn map_shared(_file: &std::fs::File, _len: usize) -> io::Result<*mut u8> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "shared-memory transport requires a unix platform (use --transport tcp)",
-        ))
-    }
-
-    pub(super) fn unmap(_ptr: *mut u8, _len: usize) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -198,53 +132,50 @@ mod sys {
 // ---------------------------------------------------------------------------
 
 /// A mapped shm region. The creating side owns the file and unlinks it on
-/// drop; both sides unmap. Kept alive by the ring ends placed on it.
+/// drop; the mapping unmaps itself. Kept alive by the ring ends placed on it.
 #[derive(Debug)]
 pub(crate) struct ShmRegion {
-    ptr: *mut u8,
-    len: usize,
+    map: SharedMap,
     path: PathBuf,
     owner: bool,
     slots: usize,
     stride: usize,
 }
 
-// SAFETY: `ptr` is a shared mapping that lives until drop; all shared
-// mutation goes through atomics — the header's state and close bytes here,
-// the per-slot ownership protocol in `simbricks_base` — and the header's
-// other bytes are written only before `READY` is published. The remaining
-// fields are immutable plain data.
-unsafe impl Send for ShmRegion {}
-unsafe impl Sync for ShmRegion {}
-
 impl Drop for ShmRegion {
     fn drop(&mut self) {
-        sys::unmap(self.ptr, self.len);
         if self.owner {
             let _ = std::fs::remove_file(&self.path);
         }
     }
 }
 
+// All shared mutation of the region goes through atomics — the header's
+// state and close bytes here, the per-slot ownership protocol in
+// `simbricks_base` — and the header's other bytes are written only before
+// `READY` is published.
 impl ShmRegion {
     fn atomic_at(&self, off: usize) -> &AtomicU8 {
-        debug_assert!(off < self.len);
-        // SAFETY: `off` is in bounds and the byte is only accessed as an
-        // AtomicU8 by both processes.
-        unsafe { &*(self.ptr.add(off) as *const AtomicU8) }
+        debug_assert!(off < HEADER_LEN);
+        // SAFETY: the byte is mapped and only accessed as an AtomicU8 by
+        // both processes.
+        unsafe { self.map.at(off).cast::<AtomicU8>().as_ref() }
     }
 
     fn write_bytes(&self, off: usize, data: &[u8]) {
-        debug_assert!(off + data.len() <= self.len);
+        debug_assert!(off + data.len() <= HEADER_LEN);
+        // SAFETY: inside the header, which every region maps; only the
+        // creator writes it, before publishing.
         unsafe {
-            std::ptr::copy_nonoverlapping(data.as_ptr(), self.ptr.add(off), data.len());
+            std::ptr::copy_nonoverlapping(data.as_ptr(), self.map.at(off).as_ptr(), data.len())
         }
     }
 
     fn read_bytes(&self, off: usize, out: &mut [u8]) {
-        debug_assert!(off + out.len() <= self.len);
+        debug_assert!(off + out.len() <= HEADER_LEN);
+        // SAFETY: inside the header; the creator published it with `READY`.
         unsafe {
-            std::ptr::copy_nonoverlapping(self.ptr.add(off), out.as_mut_ptr(), out.len());
+            std::ptr::copy_nonoverlapping(self.map.at(off).as_ptr(), out.as_mut_ptr(), out.len())
         }
     }
 
@@ -313,10 +244,8 @@ pub fn create_region(path: &Path, link: &str, params: ChannelParams) -> io::Resu
         .truncate(true)
         .open(path)?;
     file.set_len(len as u64)?;
-    let ptr = sys::map_shared(&file, len)?;
     let region = ShmRegion {
-        ptr,
-        len,
+        map: SharedMap::new(&file, len)?,
         path: path.to_path_buf(),
         owner: true,
         slots,
@@ -450,10 +379,8 @@ fn probe_region(path: &Path) -> io::Result<Option<ShmRegion>> {
         Some(len) if slots >= 2 && stride != 0 && len as u64 == file_len => len,
         _ => return Err(bad("shm region size inconsistent with its header")),
     };
-    let ptr = sys::map_shared(&file, len)?;
     Ok(Some(ShmRegion {
-        ptr,
-        len,
+        map: SharedMap::new(&file, len)?,
         path: path.to_path_buf(),
         owner: false,
         slots,
@@ -497,22 +424,18 @@ impl std::fmt::Debug for ShmEndpoint {
 
 impl ShmEndpoint {
     fn new(region: Arc<ShmRegion>, side: Side, params: ChannelParams) -> Self {
-        let at = |off: usize| {
-            // SAFETY: every offset used below is inside the mapping.
-            unsafe { NonNull::new_unchecked(region.ptr.add(off)) }
-        };
         let ring_bytes = region.slots * SLOT_BYTES;
         // Ring A→B first, then B→A; side A's close byte is the producer flag
         // of the former and the consumer flag of the latter.
         let a_to_b = RingMem {
-            slots: at(HEADER_LEN),
+            slots: region.map.at(HEADER_LEN),
             len: region.slots,
-            producer_closed: at(OFF_A_CLOSED).cast(),
-            consumer_closed: at(OFF_B_CLOSED).cast(),
+            producer_closed: region.map.at(OFF_A_CLOSED).cast(),
+            consumer_closed: region.map.at(OFF_B_CLOSED).cast(),
             owner: region.clone(),
         };
         let b_to_a = RingMem {
-            slots: at(HEADER_LEN + ring_bytes),
+            slots: region.map.at(HEADER_LEN + ring_bytes),
             producer_closed: a_to_b.consumer_closed,
             consumer_closed: a_to_b.producer_closed,
             ..a_to_b.clone()
