@@ -7,13 +7,13 @@
 //! control byte plus the slot contents, so all cache-coherence traffic
 //! carries useful data.
 //!
-//! A slot is split in three: a 16-byte descriptor (`SlotDesc`) holding the
-//! control byte, length and timestamp, a 1 KiB head and a tail, which
-//! together hold [`MAX_PAYLOAD`] bytes. A ring keeps all its descriptors
-//! together, four to a 64-byte cache line, then all its heads, then all its
-//! tails (`crate::spsc`), so a payload-free SYNC reads and writes a quarter
-//! of one line and nothing else, and a data message also touches only the
-//! first `len` bytes of its head and, past the first KiB, of its tail.
+//! A slot's descriptor (`SlotDesc`, 16 bytes) holds the control byte, the
+//! payload's length and offset, and the timestamp; the payload itself lives
+//! in its ring's payload arena (`crate::spsc`), copied there whole at a
+//! 64-byte-aligned offset. A ring keeps all its descriptors together, four
+//! to a 64-byte cache line, so a payload-free SYNC reads and writes a
+//! quarter of one line and nothing else, and a data message also touches
+//! only the `len` bytes of its span of the arena.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -48,19 +48,22 @@ const TYPE_MASK: u8 = 0x7f;
 /// cases were measured against one descriptor per two lines and stayed
 /// within run-to-run noise.
 ///
-/// This `repr(C)` layout (control byte at +0, length at +4, timestamp at
-/// +8) is also the layout of a ring in a memory-mapped region shared by two
-/// processes (`crate::spsc::RingMem`), so every bit pattern must be a valid
-/// descriptor: an all-zero descriptor is empty and producer-owned, and `len`
-/// is clamped by the consumer.
+/// This `repr(C)` layout (control byte at +0, length at +2, arena offset at
+/// +4, timestamp at +8) is also the layout of a ring in a memory-mapped
+/// region shared by two processes (`crate::spsc::RingMem`), so every bit
+/// pattern must be a valid descriptor: an all-zero descriptor is empty and
+/// producer-owned, and the consumer clamps `len` and `off` to the arena.
 #[derive(Default)]
 #[repr(C, align(16))]
 pub(crate) struct SlotDesc {
     /// Owner bit plus message type, written last by the producer with release
     /// ordering and read first by the consumer with acquire ordering.
     pub ctrl: AtomicU8,
-    /// Number of valid bytes in the slot's head and tail.
-    pub len: UnsafeCell<u32>,
+    /// Number of payload bytes ([`MAX_PAYLOAD`] fits 16 bits).
+    pub len: UnsafeCell<u16>,
+    /// Offset of the payload in the ring's arena; meaningless when `len` is
+    /// zero.
+    pub off: UnsafeCell<u32>,
     /// Receiver-side processing timestamp (send time plus link latency), ps.
     pub timestamp: UnsafeCell<u64>,
 }
@@ -68,7 +71,9 @@ pub(crate) struct SlotDesc {
 /// Bytes one descriptor occupies in ring memory.
 pub(crate) const DESC_BYTES: usize = std::mem::size_of::<SlotDesc>();
 
-// Safety: access to `timestamp`/`len` (and the slot's head and tail) is
+const _: () = assert!(MAX_PAYLOAD <= u16::MAX as usize);
+
+// Safety: access to `timestamp`/`len`/`off` (and the payload's span) is
 // serialized by the `ctrl` ownership protocol (acquire/release on the control
 // byte), exactly as described in §A.2 of the paper.
 unsafe impl Sync for SlotDesc {}
@@ -288,9 +293,10 @@ mod tests {
         assert_eq!(std::mem::size_of::<SlotDesc>(), 16);
         assert_eq!(std::mem::align_of::<SlotDesc>(), 16);
         assert_eq!(std::mem::offset_of!(SlotDesc, ctrl), 0);
-        assert_eq!(std::mem::offset_of!(SlotDesc, len), 4);
+        assert_eq!(std::mem::offset_of!(SlotDesc, len), 2);
+        assert_eq!(std::mem::offset_of!(SlotDesc, off), 4);
         assert_eq!(std::mem::offset_of!(SlotDesc, timestamp), 8);
         assert_eq!(64 / DESC_BYTES, 4);
-        assert_eq!(crate::spsc::SLOT_BYTES, 9232);
+        assert_eq!(crate::spsc::ring_bytes(64), Some(64 * 16 + 65 * 9216));
     }
 }

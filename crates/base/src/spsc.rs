@@ -1,31 +1,55 @@
 //! Single-producer / single-consumer message queue (§5.2, §A.2).
 //!
-//! The queue is a circular array of fixed-size slots. The producer keeps the
-//! tail index locally, the consumer keeps the head index locally; the only
-//! shared state is the per-slot control byte and payload, which minimizes
-//! cache coherence traffic. This mirrors the shared-memory queue layout of
-//! the original SimBricks implementation.
+//! The queue is a circular array of fixed-size slot descriptors. The
+//! producer keeps the tail index locally, the consumer keeps the head index
+//! locally; the only shared state is the per-slot descriptor and the
+//! payload bytes it points at, which minimizes cache coherence traffic.
+//! This mirrors the shared-memory queue layout of the original SimBricks
+//! implementation.
 //!
-//! Ring memory holds `len` 16-byte descriptors (`crate::slot`: control
-//! byte, length, timestamp), then `len` heads of 1 KiB, then `len` tails of
-//! 8 KiB: together a slot's head and tail hold [`MAX_PAYLOAD`] bytes. A
-//! message's first KiB goes to its slot's head, any rest to its slot's tail:
+//! Ring memory ([`ring_bytes`]) holds `len` 16-byte descriptors
+//! (`crate::slot`: control byte, length, arena offset, timestamp), then one
+//! payload arena of `(len + 1) * MAX_PAYLOAD` bytes:
 //!
 //! ```text
 //! +0                      descriptor 0 | descriptor 1 | … | descriptor len-1
-//! +len * 16               head 0       | head 1       | … | head len-1
-//! +len * (16 + 1024)      tail 0       | tail 1       | … | tail len-1
-//! +len * SLOT_BYTES       end
+//! +len * 16               payload arena: (len + 1) * MAX_PAYLOAD
+//! +ring_bytes(len)        end
 //! ```
 //!
+//! The producer copies a data message whole, in one copy, to a 64-byte
+//! aligned offset in the arena and writes that offset into the message's
+//! descriptor; the consumer copies it out from there. Payloads are placed
+//! FIFO, wrapping to offset 0 when the arena's end does not fit the next
+//! one, and whenever no payload is in flight the next one goes to offset 0
+//! again. So a ring's resident payload pages follow the bytes in flight at
+//! once, not the ring's length or history: a ring drained between small
+//! messages keeps writing the same first bytes of its arena. A SYNC reads
+//! and writes its descriptor only. Memory no message has used is never
+//! written, so an untouched page of a zeroed block is never made resident.
+//!
+//! Peak resident memory of a `perf bench` run of each workload (MiB,
+//! 2-core x86-64 VM, identical within 0.3 across seeds and runs), with a
+//! 1 KiB head and an 8 KiB tail per slot before and with the arena now; the
+//! difference is ring payload pages:
+//!
+//! | workload              | per-slot head and tail | arena |
+//! |-----------------------|------------------------|-------|
+//! | `fattree128_hier`     | 47.8                   | 19.7  |
+//! | `scaleup_udp`         | 15.7                   | 11.1  |
+//! | `scaleup_udp_sharded` | 15.9                   | 11.5  |
+//! | `dctcp_bulk`          | 14.8                   | 11.2  |
+//! | `racks_inproc`        | 11.6                   | 7.3   |
+//! | `racks_dist_shm`      | 7.5                    | 5.6   |
+//! | `racks_dist_tcp`      | 7.5                    | 5.4   |
+//!
+//! A ring whose consumer never catches up, so that some payload is always
+//! in flight, walks its whole arena over time; the figures above show that
+//! none of these workloads keeps one.
+//!
 //! Four descriptors share a 64-byte cache line, so a default 64-slot ring's
-//! descriptors fit in 1 KiB, and four heads share a page, so its heads fit
-//! in 16 pages. A SYNC reads and writes its descriptor only; a data message
-//! of at most 1 KiB also touches the first `len` bytes of its head, and
-//! only a longer one reaches its tail. Memory no message has used is never
-//! written, so an untouched page of a zeroed block is never made resident:
-//! a busy ring of small messages keeps 16 payload pages resident, not one
-//! (or more) per slot.
+//! descriptors fit in 1 KiB, and they share the ring's first page with the
+//! start of its arena.
 //!
 //! There is one ring and two backings, both mappings from
 //! [`crate::pages`]. [`queue`] places the ring in a private zeroed mapping
@@ -36,6 +60,7 @@
 //! empty ring whose slots all belong to the producer.
 
 use std::any::Any;
+use std::collections::VecDeque;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -48,51 +73,35 @@ use crate::time::SimTime;
 /// Default number of slots per unidirectional queue.
 pub const DEFAULT_QUEUE_LEN: usize = 64;
 
-/// Bytes one slot occupies in ring memory: its descriptor, its head and its
-/// tail.
-pub const SLOT_BYTES: usize = DESC_BYTES + MAX_PAYLOAD;
 /// Alignment ring memory must have.
 pub const SLOT_ALIGN: usize = std::mem::align_of::<SlotDesc>();
 
-/// Cache line size the layout keeps heads and tails aligned to (ring
-/// memory starts on a page).
-const CACHE_LINE: usize = 64;
+/// Alignment of every payload's offset in the arena: a cache line, so a
+/// small message shares no line with its neighbours.
+const PAYLOAD_ALIGN: usize = 64;
 
-/// Bytes of each payload packed into its slot's head; the rest, up to
-/// [`MAX_PAYLOAD`], goes to its slot's tail.
-///
-/// A busy ring's tail index visits every slot, so every slot's payload
-/// memory a message writes becomes resident. With one 9 216-byte area per
-/// slot, each small message made a page resident for itself; packed heads
-/// put four slots' first KiB in one page. Ring payload pages made resident
-/// in one run of each workload, by head size (the 128-host fat-tree's
-/// average data message is 169 B):
-///
-/// | head size       | `fattree128_hier` ring payload MiB |
-/// |-----------------|------------------------------------|
-/// | none (one area) | 102                                |
-/// | 512             | 47                                 |
-/// | 1024            | 30                                 |
-/// | 1536            | 43                                 |
-///
-/// At 1024, `scaleup_udp` goes from 17 to 4 MiB, `racks_inproc` from 17 to
-/// 4 MiB and `dctcp_bulk` (4 000-byte frames) from 6 to 4 MiB.
-const HEAD_BYTES: usize = 1024;
-/// Bytes of each slot's tail.
-const TAIL_BYTES: usize = MAX_PAYLOAD - HEAD_BYTES;
+// A payload's span, rounded up to whole lines, is at most `MAX_PAYLOAD`.
+const _: () = assert!(MAX_PAYLOAD.is_multiple_of(PAYLOAD_ALIGN));
 
-// Four descriptors to a line, and heads and tails on line boundaries
-// whenever the descriptors fill whole lines (`len` a multiple of four, as
-// the default length is).
-const _: () = assert!(CACHE_LINE.is_multiple_of(DESC_BYTES));
-const _: () = assert!(HEAD_BYTES.is_multiple_of(CACHE_LINE));
-const _: () = assert!(TAIL_BYTES.is_multiple_of(CACHE_LINE));
+/// Bytes of a ring's payload arena: room for `len + 1` payloads of
+/// [`MAX_PAYLOAD`], or `None` when an offset into it does not fit the
+/// descriptor's 32 bits.
+fn arena_bytes(len: usize) -> Option<usize> {
+    let bytes = len.checked_add(1)?.checked_mul(MAX_PAYLOAD)?;
+    (bytes <= u32::MAX as usize).then_some(bytes)
+}
+
+/// Bytes of ring memory a ring of `len` slots lives in: its descriptors,
+/// then its payload arena. `None` when `len` is too large for a ring.
+pub fn ring_bytes(len: usize) -> Option<usize> {
+    len.checked_mul(DESC_BYTES)?.checked_add(arena_bytes(len)?)
+}
 
 /// The memory one ring lives in, as one of its ends sees it.
 #[derive(Clone)]
 pub struct RingMem {
-    /// `len * SLOT_BYTES` bytes, [`SLOT_ALIGN`]-aligned: the descriptors,
-    /// then the heads, then the tails.
+    /// [`ring_bytes`]`(len)` bytes, [`SLOT_ALIGN`]-aligned: the
+    /// descriptors, then the payload arena.
     pub slots: NonNull<u8>,
     /// Number of slots (at least 2).
     pub len: usize,
@@ -112,14 +121,16 @@ unsafe impl Send for RingMem {}
 unsafe impl Sync for RingMem {}
 
 impl RingMem {
-    fn checked(self) -> Self {
+    /// Check the geometry and return the arena's size.
+    fn checked(self) -> (Self, usize) {
         assert!(self.len >= 2, "queue needs at least two slots");
+        let arena = arena_bytes(self.len).expect("queue length too large");
         assert_eq!(
             self.slots.as_ptr() as usize % SLOT_ALIGN,
             0,
             "ring memory misaligned"
         );
-        self
+        (self, arena)
     }
 
     #[inline]
@@ -130,29 +141,14 @@ impl RingMem {
         unsafe { &*self.slots.cast::<SlotDesc>().as_ptr().add(idx) }
     }
 
-    /// The `HEAD_BYTES`-byte head of slot `idx`, after all the descriptors.
+    /// Byte `off` of the payload arena, after all the descriptors, for a
+    /// span of `len` bytes that must lie inside the arena of `arena` bytes.
     #[inline]
-    fn payload_head(&self, idx: usize) -> *mut u8 {
-        assert!(idx < self.len);
-        // SAFETY: in bounds of the `len * SLOT_BYTES` block (constructors'
+    fn payload(&self, arena: usize, off: usize, len: usize) -> *mut u8 {
+        assert!(off + len <= arena, "payload span outside the arena");
+        // SAFETY: in bounds of the `ring_bytes(len)` block (constructors'
         // contract).
-        unsafe {
-            self.slots
-                .as_ptr()
-                .add(self.len * DESC_BYTES + idx * HEAD_BYTES)
-        }
-    }
-
-    /// The `TAIL_BYTES`-byte tail of slot `idx`, after all the heads.
-    #[inline]
-    fn payload_tail(&self, idx: usize) -> *mut u8 {
-        assert!(idx < self.len);
-        // SAFETY: as above.
-        unsafe {
-            self.slots
-                .as_ptr()
-                .add(self.len * (DESC_BYTES + HEAD_BYTES) + idx * TAIL_BYTES)
-        }
+        unsafe { self.slots.as_ptr().add(self.len * DESC_BYTES + off) }
     }
 
     #[inline]
@@ -161,6 +157,15 @@ impl RingMem {
             0
         } else {
             idx + 1
+        }
+    }
+
+    #[inline]
+    fn prev(&self, idx: usize) -> usize {
+        if idx == 0 {
+            self.len - 1
+        } else {
+            idx - 1
         }
     }
 
@@ -186,7 +191,7 @@ struct HeapRing {
 /// Create a new SPSC queue with `len` slots in private memory, returning
 /// its two endpoints.
 pub fn queue(len: usize) -> (Producer, Consumer) {
-    let bytes = len.checked_mul(SLOT_BYTES).expect("queue length too large");
+    let bytes = ring_bytes(len).expect("queue length too large");
     let heap = Arc::new(HeapRing {
         block: Pages::zeroed(bytes),
         producer_closed: AtomicU8::new(0),
@@ -199,7 +204,7 @@ pub fn queue(len: usize) -> (Producer, Consumer) {
         consumer_closed: NonNull::from(&heap.consumer_closed),
         owner: heap,
     };
-    // SAFETY: `slots` starts `len * SLOT_BYTES` zeroed, page-aligned bytes
+    // SAFETY: `slots` starts `ring_bytes(len)` zeroed, page-aligned bytes
     // kept alive by `owner` and never borrowed as a slice, and these are
     // their only two ends.
     unsafe { (Producer::over(mem.clone()), Consumer::over(mem)) }
@@ -216,30 +221,82 @@ pub enum SendError {
     Disconnected,
 }
 
+/// `Producer::oldest_slot` while no payload is in flight.
+const NO_SLOT: usize = usize::MAX;
+
 /// Producer endpoint of an SPSC queue.
+///
+/// Besides the tail, the producer keeps private bookkeeping of the arena:
+/// the payloads in flight, oldest first, each with its slot and the arena
+/// offset its span ends at (`spans`), and the stretch of the arena they
+/// use, `[oldest, write)` read circularly. The consumer releases slots in
+/// order, so the producer learns what was consumed from the descriptors at
+/// and just before the tail, which it reads anyway or which usually share
+/// their cache line: a message that takes over the oldest payload's slot
+/// (the tail, just seen released) retires that payload, and a data message
+/// that finds the newest message's descriptor released retires them all.
+///
+/// **The arena never fills before the descriptors do.** A payload's span,
+/// rounded up to whole 64-byte lines, is at most `MAX_PAYLOAD` (`M`), and
+/// the arena holds `(len + 1) * M`. A payload is placed only when the tail
+/// slot is free, and the payload that last used the tail slot, if it was
+/// still counted, was the oldest and is retired first, so at most `len - 1`
+/// payloads are counted in flight, `(len - 1) * M` bytes.
+/// - Unwrapped (`oldest < write`), the bytes in use are `[oldest, write)`,
+///   the payloads counted only, and the free ones `[write, end)` and
+///   `[0, oldest)`: together at least `2 * M`, so one of the two holds `M`.
+/// - Wrapped (`write < oldest`), the bytes in use are `[oldest, end)` and
+///   `[0, write)`: the payloads counted, plus the arena's last stretch
+///   that was skipped at the wrap because the next payload did not fit
+///   there, so under `M`. The free bytes `[write, oldest)` are then more
+///   than `(len + 1) * M - (len - 1) * M - M = M`.
+///
+/// Either way a payload fits, so [`SendError::Full`] means exactly that the
+/// next descriptor is the consumer's, as it did with one payload area per
+/// slot. The bookkeeping is the producer's own: a peer process that writes
+/// the descriptors can garble the messages it gets, but never move a
+/// payload outside the arena.
 pub struct Producer {
     ring: RingMem,
+    /// Bytes of the payload arena.
+    arena: usize,
     tail: usize,
     sent: u64,
+    /// Payloads in flight, oldest first: slot and end of span. At most
+    /// `len`, so it stops growing at the ring's length.
+    spans: VecDeque<(u32, u32)>,
+    /// Slot of the oldest payload in flight (the front of `spans`), or
+    /// [`NO_SLOT`].
+    oldest_slot: usize,
+    /// Arena offset where the payloads in flight start: the end of the
+    /// newest payload retired.
+    oldest: usize,
+    /// Arena offset just past the newest payload placed.
+    write: usize,
 }
 
 impl Producer {
     /// The producer end of the ring in `mem`, starting at slot 0.
     ///
     /// # Safety
-    /// `mem.slots` must point to `mem.len * SLOT_BYTES` bytes aligned to
+    /// `mem.slots` must point to [`ring_bytes`]`(mem.len)` bytes aligned to
     /// [`SLOT_ALIGN`] whose `mem.len` descriptors are zero-initialised
     /// (every slot producer-owned: both ends start at slot 0, so memory a
-    /// ring has already run on will not do; the heads and tails may hold
-    /// anything), and all three pointers must stay valid while `mem.owner`
-    /// lives.
+    /// ring has already run on will not do; the arena may hold anything),
+    /// and all three pointers must stay valid while `mem.owner` lives.
     /// System-wide — across every process that maps the memory — there must
     /// be at most this one producer and one consumer on it.
     pub unsafe fn over(mem: RingMem) -> Producer {
+        let (ring, arena) = mem.checked();
         Producer {
-            ring: mem.checked(),
+            ring,
+            arena,
             tail: 0,
             sent: 0,
+            spans: VecDeque::new(),
+            oldest_slot: NO_SLOT,
+            oldest: 0,
+            write: 0,
         }
     }
 
@@ -257,30 +314,88 @@ impl Producer {
         if self.peer_closed() {
             return Err(SendError::Disconnected);
         }
-        let desc = self.ring.desc(self.tail);
-        if !desc.producer_owned() {
+        if !self.ring.desc(self.tail).producer_owned() {
             return Err(SendError::Full);
         }
-        let (head, rest) = payload.split_at(payload.len().min(HEAD_BYTES));
-        // SAFETY: we own the slot (checked above with acquire ordering) and
-        // are the only producer; `head` fits the slot's head and `rest` its
-        // tail (length checked above). An empty payload copies nothing, so a
-        // SYNC touches neither, and one of at most `HEAD_BYTES` never
-        // touches the tail.
+        if self.tail == self.oldest_slot {
+            // The oldest payload's slot, which the check above saw
+            // released: the payload was consumed. A SYNC does nothing else
+            // with the arena.
+            self.retire_oldest();
+        }
+        if !payload.is_empty() {
+            if self.oldest_slot != NO_SLOT
+                && self.ring.desc(self.ring.prev(self.tail)).producer_owned()
+            {
+                // The newest message was consumed, and every one before it:
+                // no payload is in flight. The acquire load orders the
+                // consumer's copies out of the arena before any write over
+                // them.
+                self.spans.clear();
+                self.oldest_slot = NO_SLOT;
+            }
+            let off = self.place(payload.len());
+            let dst = self.ring.payload(self.arena, off, payload.len());
+            // SAFETY: `[off, off + len)` is inside the arena (checked by
+            // `payload`) and holds no payload in flight (the type's proof,
+            // checked by `place`); we own the slot (checked above with
+            // acquire ordering) and are the only producer.
+            unsafe {
+                std::ptr::copy_nonoverlapping(payload.as_ptr(), dst, payload.len());
+                *self.ring.desc(self.tail).off.get() = off as u32;
+            }
+            if self.spans.is_empty() {
+                self.oldest_slot = self.tail;
+            }
+            self.spans.push_back((self.tail as u32, self.write as u32));
+        }
+        let desc = self.ring.desc(self.tail);
+        // SAFETY: we own the slot (checked above with acquire ordering).
         unsafe {
             *desc.timestamp.get() = timestamp.as_ps();
-            *desc.len.get() = payload.len() as u32;
-            let dst = self.ring.payload_head(self.tail);
-            std::ptr::copy_nonoverlapping(head.as_ptr(), dst, head.len());
-            if !rest.is_empty() {
-                let dst = self.ring.payload_tail(self.tail);
-                std::ptr::copy_nonoverlapping(rest.as_ptr(), dst, rest.len());
-            }
+            *desc.len.get() = payload.len() as u16;
         }
         desc.publish(ty);
         self.tail = self.ring.next(self.tail);
         self.sent += 1;
         Ok(())
+    }
+
+    /// Retire the oldest payload in flight: its bytes, and all before them,
+    /// are free.
+    fn retire_oldest(&mut self) {
+        let (_, end) = self.spans.pop_front().expect("a payload in flight");
+        self.oldest = end as usize;
+        self.oldest_slot = self
+            .spans
+            .front()
+            .map_or(NO_SLOT, |&(slot, _)| slot as usize);
+    }
+
+    /// Take `len` (non-zero) bytes of the arena for the next payload and
+    /// return their offset; see the type's doc for why they always fit.
+    fn place(&mut self, len: usize) -> usize {
+        let span = len.next_multiple_of(PAYLOAD_ALIGN);
+        if self.spans.is_empty() {
+            // Nothing in flight: start over at the arena's first bytes.
+            (self.oldest, self.write) = (0, 0);
+        }
+        let off = if self.write < self.oldest || self.write + span <= self.arena {
+            self.write
+        } else {
+            0
+        };
+        // The type's proof, checked: the span overlaps no payload in flight.
+        assert!(
+            if off < self.oldest {
+                off + span <= self.oldest
+            } else {
+                off + span <= self.arena
+            },
+            "payload arena overrun"
+        );
+        self.write = off + span;
+        off
     }
 
     /// Number of messages successfully enqueued so far.
@@ -313,6 +428,8 @@ impl Drop for Producer {
 /// Consumer endpoint of an SPSC queue.
 pub struct Consumer {
     ring: RingMem,
+    /// Bytes of the payload arena.
+    arena: usize,
     head: usize,
     received: u64,
     /// Arena for received payloads; replaced by the owning kernel's pool via
@@ -326,8 +443,10 @@ impl Consumer {
     /// # Safety
     /// Same contract as [`Producer::over`].
     pub unsafe fn over(mem: RingMem) -> Consumer {
+        let (ring, arena) = mem.checked();
         Consumer {
-            ring: mem.checked(),
+            ring,
+            arena,
             head: 0,
             received: 0,
             pool: BufPool::new(),
@@ -344,7 +463,7 @@ impl Consumer {
         &self.pool
     }
 
-    /// Attempt to dequeue one message, copying it out of the slot into a
+    /// Attempt to dequeue one message, copying it out of the arena into a
     /// pooled buffer (empty payloads — SYNC messages — are allocation-free).
     pub fn try_recv(&mut self) -> Option<OwnedMsg> {
         let desc = self.ring.desc(self.head);
@@ -354,24 +473,19 @@ impl Consumer {
         // SAFETY: we own the slot (checked above with acquire ordering) and
         // are the only consumer.
         let msg = unsafe {
-            // In a mapped ring the length is input from another process:
-            // clamp it, never read past the slot's tail.
+            // In a mapped ring the length and offset are input from another
+            // process: clamp them, never read outside the arena.
             let len = (*desc.len.get() as usize).min(MAX_PAYLOAD);
             let data = if len == 0 {
                 PktBuf::empty()
             } else {
-                let split = len.min(HEAD_BYTES);
-                let src_head = self.ring.payload_head(self.head);
-                let src_tail = self.ring.payload_tail(self.head);
-                // One pooled buffer filled from both parts: the same pool
-                // call as `BufPool::copy_from_slice`.
+                let off = (*desc.off.get() as usize).min(self.arena - len);
+                let src = self.ring.payload(self.arena, off, len);
+                // One pooled buffer filled by one copy: the same pool call
+                // as `BufPool::copy_from_slice`.
                 let mut buf = self.pool.alloc_capacity(len, DEFAULT_HEADROOM);
                 buf.extend_with(len, |dst| {
-                    let (head, rest) = dst.split_at_mut(split);
-                    std::ptr::copy_nonoverlapping(src_head, head.as_mut_ptr(), split);
-                    if !rest.is_empty() {
-                        std::ptr::copy_nonoverlapping(src_tail, rest.as_mut_ptr(), rest.len());
-                    }
+                    std::ptr::copy_nonoverlapping(src, dst.as_mut_ptr(), len)
                 });
                 buf
             };
@@ -542,20 +656,24 @@ mod tests {
         }
     }
 
-    /// SYNCs touch descriptors only: with the heads and tails of a
-    /// caller-supplied block filled with `0xAA`, 200 zero-length messages
-    /// through the ring leave every payload byte as it was. A data message
-    /// then fills its slot's head before it reaches its slot's tail.
+    /// SYNCs touch descriptors only, and a drained ring starts over at the
+    /// arena's first byte: with the arena of a caller-supplied block filled
+    /// with `0xAA`, 201 zero-length messages through the ring leave every
+    /// arena byte as it was. Two data messages then go to offsets 0 and 320
+    /// (300 bytes rounded up to whole cache lines), and once both are
+    /// received the next one lands at offset 0 again, although the
+    /// descriptor it uses is slot 3.
     #[test]
     fn syncs_touch_only_descriptors() {
         let len = 4;
-        let (flags, ring_bytes) = (SLOT_ALIGN, len * SLOT_BYTES);
-        let layout = std::alloc::Layout::from_size_align(flags + ring_bytes, SLOT_ALIGN).unwrap();
+        let (flags, ring) = (SLOT_ALIGN, ring_bytes(len).unwrap());
+        let arena_len = arena_bytes(len).unwrap();
+        let layout = std::alloc::Layout::from_size_align(flags + ring, SLOT_ALIGN).unwrap();
         let ptr = NonNull::new(unsafe { std::alloc::alloc_zeroed(layout) }).unwrap();
         let at = |off: usize| unsafe { NonNull::new_unchecked(ptr.as_ptr().add(off)) };
-        let areas = at(flags + len * DESC_BYTES).as_ptr();
-        unsafe { std::ptr::write_bytes(areas, 0xAA, len * MAX_PAYLOAD) };
-        let payload_areas = || unsafe { std::slice::from_raw_parts(areas, len * MAX_PAYLOAD) };
+        let arena = at(flags + len * DESC_BYTES).as_ptr();
+        unsafe { std::ptr::write_bytes(arena, 0xAA, arena_len) };
+        let arena = || unsafe { std::slice::from_raw_parts(arena, arena_len) };
         let mem = RingMem {
             slots: at(flags),
             len,
@@ -572,28 +690,51 @@ mod tests {
             assert_eq!((m.timestamp, m.ty), (SimTime::from_ns(i), MSG_SYNC));
             assert!(m.data.is_empty());
         }
-        assert!(
-            payload_areas().iter().all(|&b| b == 0xAA),
-            "a SYNC wrote a head or a tail"
-        );
-        // 201 SYNCs leave the tail at slot 1, so the data message's head is
-        // not the first one in memory, nor its tail the first tail.
-        let slot = 201 % len;
-        assert_eq!(slot, 1);
-        let msg: Vec<u8> = (0..HEAD_BYTES + 3).map(|i| (i % 251) as u8).collect();
-        p.try_send(SimTime::ZERO, 1, &msg).unwrap();
-        let head = slot * HEAD_BYTES..(slot + 1) * HEAD_BYTES;
-        let tail_start = len * HEAD_BYTES + slot * TAIL_BYTES;
-        let tail = tail_start..tail_start + 3;
-        let bytes = payload_areas();
-        assert_eq!(&bytes[head.clone()], &msg[..HEAD_BYTES], "head 1");
-        assert_eq!(&bytes[tail.clone()], &msg[HEAD_BYTES..], "tail 1");
-        for (i, &b) in bytes.iter().enumerate() {
-            if !head.contains(&i) && !tail.contains(&i) {
-                assert_eq!(b, 0xAA, "payload byte {i} written");
-            }
+        assert!(arena().iter().all(|&b| b == 0xAA), "a SYNC wrote the arena");
+
+        let body =
+            |n: usize, seed: usize| -> Vec<u8> { (0..n).map(|i| (i * 7 + seed) as u8).collect() };
+        let (m1, m2, m3) = (body(300, 1), body(100, 2), body(40, 3));
+        p.try_send(SimTime::ZERO, 1, &m1).unwrap();
+        p.try_send(SimTime::ZERO, 1, &m2).unwrap();
+        assert_eq!(&arena()[..300], &m1[..], "first message at 0");
+        assert_eq!(&arena()[320..420], &m2[..], "second message at 320");
+        assert_eq!(c.try_recv().unwrap().data, m1);
+        assert_eq!(c.try_recv().unwrap().data, m2);
+        // 201 SYNCs and two messages leave the tail at slot 3.
+        assert_eq!(p.tail, 3);
+        p.try_send(SimTime::ZERO, 1, &m3).unwrap();
+        let bytes = arena();
+        assert_eq!(&bytes[..40], &m3[..], "drained ring: back to offset 0");
+        assert_eq!(&bytes[40..300], &m1[40..], "nothing else written");
+        assert_eq!(&bytes[320..420], &m2[..], "nothing else written");
+        assert!(bytes[300..320]
+            .iter()
+            .chain(&bytes[420..])
+            .all(|&b| b == 0xAA));
+        assert_eq!(c.try_recv().unwrap().data, m3);
+    }
+
+    /// A consumer that keeps one message in flight: payloads go FIFO through
+    /// the arena and wrap to offset 0 when its end does not fit the next,
+    /// and every one arrives intact.
+    #[test]
+    fn payloads_wrap_around_the_arena() {
+        let (mut p, mut c) = queue(2);
+        let arena = arena_bytes(2).unwrap();
+        let msg = |i: usize| -> Vec<u8> { (0..5000).map(|j| (i * 31 + j) as u8).collect() };
+        p.try_send(SimTime::ZERO, 1, &msg(0)).unwrap();
+        let mut offs = vec![0];
+        for i in 1..20 {
+            p.try_send(SimTime::ZERO, 1, &msg(i)).unwrap();
+            offs.push(unsafe { *p.ring.desc((p.tail + 1) % 2).off.get() } as usize);
+            assert_eq!(c.try_recv().unwrap().data, msg(i - 1), "message {}", i - 1);
         }
-        assert_eq!(c.try_recv().unwrap().data, msg);
+        // 5000 bytes take a 5056-byte span: five fit in the 27 648-byte
+        // arena, the sixth wraps.
+        assert_eq!(&offs[..7], &[0, 5056, 10112, 15168, 20224, 0, 5056]);
+        assert!(offs.iter().all(|&o| o + 5000 <= arena));
+        assert_eq!(c.try_recv().unwrap().data, msg(19));
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //!    operation granularity this covers every reachable ownership-handoff
 //!    state of the protocol (each `try_send`/`try_recv` is one atomic
 //!    acquire/release exchange on the slot's control byte, so op-level
-//!    interleaving is exactly slot-state interleaving).
+//!    interleaving is exactly slot-state interleaving). Payload sizes run
+//!    from SYNCs to [`MAX_PAYLOAD`], so the payload arena of these tiny
+//!    rings wraps over and over, and the oracle checks that the arena never
+//!    makes a send fail: `Full` exactly when `len` messages are in flight.
 //! 2. Two genuinely concurrent stress tests (real threads, seeded
 //!    pseudo-random pacing) that double as the ThreadSanitizer targets for
 //!    the nightly TSan CI job: any missing release/acquire edge on the
@@ -22,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use simbricks_base::pages::Pages;
-use simbricks_base::spsc::{queue, Consumer, Producer, RingMem, SendError, SLOT_ALIGN, SLOT_BYTES};
+use simbricks_base::spsc::{queue, ring_bytes, Consumer, Producer, RingMem, SendError, SLOT_ALIGN};
 use simbricks_base::{SimTime, MAX_PAYLOAD};
 
 /// Which memory the ring under test lives in.
@@ -43,7 +46,7 @@ fn ring(backing: Backing, cap: usize) -> (Producer, Consumer) {
             // Stand-in for a mapped region: a zero-filled block whose first
             // bytes are the close flags and whose slots start one alignment
             // unit in.
-            let block = Pages::zeroed(SLOT_ALIGN + cap * SLOT_BYTES);
+            let block = Pages::zeroed(SLOT_ALIGN + ring_bytes(cap).unwrap());
             let ptr = block.as_ptr();
             let at = |off: usize| unsafe { ptr.add(off) };
             let mem = RingMem {
@@ -75,66 +78,100 @@ impl Lcg {
     }
 }
 
-fn payload_for(seq: u64) -> Vec<u8> {
-    let len = (seq % 257) as usize; // covers empty (SYNC-like) through 256 B
+/// `len` payload bytes of message `seq`.
+fn body(seq: u64, len: usize) -> Vec<u8> {
     (0..len)
         .map(|i| (seq as u8).wrapping_mul(31).wrapping_add(i as u8))
         .collect()
 }
 
+fn payload_for(seq: u64) -> Vec<u8> {
+    body(seq, (seq % 257) as usize) // covers empty (SYNC-like) through 256 B
+}
+
+/// Payload sizes of the exhaustive enumeration, message `seq` carrying
+/// `pattern[seq % 4]` bytes: every order of a SYNC, one cache line, a span
+/// that is not a whole number of lines and the largest payload, then the
+/// largest payload only, which wraps the arena soonest.
+const SIZE_PATTERNS: [[usize; 4]; 5] = [
+    [0, 64, 1000, MAX_PAYLOAD],
+    [64, 1000, MAX_PAYLOAD, 0],
+    [1000, MAX_PAYLOAD, 0, 64],
+    [MAX_PAYLOAD, 0, 64, 1000],
+    [MAX_PAYLOAD; 4],
+];
+
 /// Enumerate every interleaving of `ops` producer attempts and `ops`
 /// consumer attempts on a `cap`-slot ring, as bitmask schedules (bit set =
-/// producer's turn). A `VecDeque` oracle predicts exactly which operations
-/// succeed and what the consumer observes.
+/// producer's turn), once for each payload size pattern. A `VecDeque`
+/// oracle predicts exactly which operations succeed and what the consumer
+/// observes.
 fn exhaustive_op_interleavings(backing: Backing) {
+    const OPS: u32 = 6;
     // The queue constructor requires at least two slots.
     for cap in [2usize, 3, 4] {
-        let ops = 6u32;
-        let total_bits = 2 * ops;
-        let mut schedules = 0u64;
-        for schedule in 0u32..(1 << total_bits) {
-            if schedule.count_ones() != ops {
-                continue; // exactly `ops` producer turns
-            }
-            schedules += 1;
-            let (mut tx, mut rx) = ring(backing, cap);
-            let mut oracle: VecDeque<u64> = VecDeque::new();
-            let mut next_seq = 0u64;
-            for bit in 0..total_bits {
-                if schedule >> bit & 1 == 1 {
-                    // Producer's turn.
-                    let seq = next_seq;
-                    let body = payload_for(seq);
-                    let r = tx.try_send(SimTime::from_ps(seq), (seq % 100 + 1) as u8, &body);
-                    if oracle.len() < cap {
-                        assert_eq!(r, Ok(()), "cap={cap} sched={schedule:b} seq={seq}");
-                        oracle.push_back(seq);
-                        next_seq += 1;
-                    } else {
-                        assert_eq!(r, Err(SendError::Full), "cap={cap} sched={schedule:b}");
-                    }
-                } else {
-                    // Consumer's turn.
-                    match rx.try_recv() {
-                        Some(m) => {
-                            let want = oracle.pop_front().expect("recv from empty ring");
-                            assert_eq!(m.timestamp, SimTime::from_ps(want));
-                            assert_eq!(m.ty, (want % 100 + 1) as u8);
-                            assert_eq!(&m.data[..], &payload_for(want)[..]);
-                        }
-                        None => assert!(oracle.is_empty(), "message lost: {oracle:?}"),
-                    }
+        for pattern in SIZE_PATTERNS {
+            let bodies: Vec<Vec<u8>> = (0..OPS as u64)
+                .map(|seq| body(seq, pattern[seq as usize % pattern.len()]))
+                .collect();
+            let mut schedules = 0u64;
+            for schedule in 0u32..(1 << (2 * OPS)) {
+                if schedule.count_ones() != OPS {
+                    continue; // exactly `OPS` producer turns
                 }
+                schedules += 1;
+                run_schedule(backing, cap, schedule, &bodies);
             }
-            // Drain: everything the oracle still holds must come out in order.
-            while let Some(want) = oracle.pop_front() {
-                let m = rx.try_recv().expect("drain");
-                assert_eq!(m.timestamp, SimTime::from_ps(want));
-            }
-            assert!(rx.try_recv().is_none());
+            assert_eq!(schedules, 924, "C(12,6) schedules per capacity");
         }
-        assert_eq!(schedules, 924, "C(12,6) schedules per capacity");
     }
+}
+
+/// One schedule of [`exhaustive_op_interleavings`]: message `seq` carries
+/// `bodies[seq]`.
+fn run_schedule(backing: Backing, cap: usize, schedule: u32, bodies: &[Vec<u8>]) {
+    let ctx = |seq: u64| format!("cap={cap} sched={schedule:b} seq={seq}");
+    let (mut tx, mut rx) = ring(backing, cap);
+    let mut oracle: VecDeque<u64> = VecDeque::new();
+    let mut next_seq = 0u64;
+    let check = |m: simbricks_base::OwnedMsg, want: u64| {
+        assert_eq!(m.timestamp, SimTime::from_ps(want), "{}", ctx(want));
+        assert_eq!(m.ty, (want % 100 + 1) as u8, "{}", ctx(want));
+        assert!(
+            m.data == bodies[want as usize][..],
+            "{}: payload differs",
+            ctx(want)
+        );
+    };
+    for bit in 0..2 * bodies.len() {
+        if schedule >> bit & 1 == 1 {
+            // Producer's turn.
+            let seq = next_seq;
+            let r = tx.try_send(
+                SimTime::from_ps(seq),
+                (seq % 100 + 1) as u8,
+                &bodies[seq as usize],
+            );
+            if oracle.len() < cap {
+                assert_eq!(r, Ok(()), "{}", ctx(seq));
+                oracle.push_back(seq);
+                next_seq += 1;
+            } else {
+                assert_eq!(r, Err(SendError::Full), "{}", ctx(seq));
+            }
+        } else {
+            // Consumer's turn.
+            match rx.try_recv() {
+                Some(m) => check(m, oracle.pop_front().expect("recv from empty ring")),
+                None => assert!(oracle.is_empty(), "message lost: {oracle:?}"),
+            }
+        }
+    }
+    // Drain: everything the oracle still holds must come out in order.
+    while let Some(want) = oracle.pop_front() {
+        check(rx.try_recv().expect("drain"), want);
+    }
+    assert!(rx.try_recv().is_none());
 }
 
 #[test]
@@ -147,12 +184,12 @@ fn exhaustive_op_interleavings_mapped_backing() {
     exhaustive_op_interleavings(Backing::Mapped);
 }
 
-/// Payload lengths on both sides of the split between a slot's 1 KiB head
-/// and its tail, through a three-slot ring: each length lands in a
-/// different slot on each of three laps, and a full ring holds messages of
-/// three different lengths at once.
-fn head_tail_lengths_round_trip(backing: Backing) {
-    let lens = [0, 1, 1023, 1024, 1025, MAX_PAYLOAD];
+/// Payload lengths around whole cache lines and up to the largest, through
+/// a three-slot ring: each length lands in a different slot and at a
+/// different arena offset on each of three laps, and a full ring holds
+/// messages of three different lengths at once.
+fn payload_lengths_round_trip(backing: Backing) {
+    let lens = [0, 1, 63, 64, 65, 1000, MAX_PAYLOAD];
     let (mut tx, mut rx) = ring(backing, 3);
     let body = |seq: usize, len: usize| -> Vec<u8> {
         (0..len)
@@ -181,13 +218,13 @@ fn head_tail_lengths_round_trip(backing: Backing) {
 }
 
 #[test]
-fn head_tail_lengths_round_trip_heap_backing() {
-    head_tail_lengths_round_trip(Backing::Heap);
+fn payload_lengths_round_trip_heap_backing() {
+    payload_lengths_round_trip(Backing::Heap);
 }
 
 #[test]
-fn head_tail_lengths_round_trip_mapped_backing() {
-    head_tail_lengths_round_trip(Backing::Mapped);
+fn payload_lengths_round_trip_mapped_backing() {
+    payload_lengths_round_trip(Backing::Mapped);
 }
 
 /// Real-thread stress: one producer thread, one consumer thread, every

@@ -275,7 +275,7 @@ fn run_attempt(
                 accepted.insert(c.partition.clone(), c);
             }
             Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_TIMEOUT);
+                std::thread::sleep(ACCEPT_POLL);
             }
             Err(e) => return Err(DistError::from(e)),
         }

@@ -63,6 +63,10 @@ pub(super) const DEFAULT_HEARTBEAT: Duration = Duration::from_millis(100);
 /// Per-read poll interval used by the supervisor loop and the worker pump
 /// thread (`SO_RCVTIMEO`, so the sockets stay blocking for writes).
 pub(super) const POLL_TIMEOUT: Duration = Duration::from_millis(2);
+/// How long the orchestrator sleeps between polls of its listener while it
+/// waits for the workers' control connections: every run's set-up waits
+/// through this, so it is far below `POLL_TIMEOUT`.
+pub(super) const ACCEPT_POLL: Duration = Duration::from_micros(100);
 /// How long a worker whose run is over sleeps between idle pumps of its tcp
 /// links while it waits for `DONE`.
 pub(super) const LINK_IDLE: Duration = Duration::from_micros(50);

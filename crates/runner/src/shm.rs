@@ -23,21 +23,20 @@
 //! offset 0    magic "SBSH", version, state, a_closed, b_closed
 //! offset 8    link-name length (u16 LE) + name bytes (max 256)
 //! offset 266  ChannelParams wire encoding (67 bytes incl. impairment)
-//! offset 333  slots per ring (u32 LE), slot stride (u32 LE)
-//! offset 4096 ring A→B: slots × stride
-//! ...         ring B→A: slots × stride
+//! offset 333  slots per ring (u32 LE)
+//! offset 4096 ring A→B: ring_bytes(slots)
+//! ...         ring B→A: ring_bytes(slots)
 //! ```
 //!
-//! The stride is 9232 bytes: a 16-byte descriptor, a 1024-byte head and an
-//! 8192-byte tail. Inside each ring come first all its descriptors (control
-//! byte at +0, length at +4, timestamp at +8; four to a cache line), then
-//! all its heads, then all its tails. A message's first KiB is in its slot's
-//! head, any rest in its slot's tail:
+//! Each ring (`simbricks_base::spsc::ring_bytes`) is its descriptors (control
+//! byte at +0, length at +2, arena offset at +4, timestamp at +8; four to a
+//! cache line), then its payload arena of `slots + 1` maximum payloads. A
+//! message's payload lies whole in the arena, at the offset its descriptor
+//! names:
 //!
 //! ```text
 //! ring + 0                 descriptors: slots × 16
-//! ring + slots × 16        heads: slots × 1024
-//! ring + slots × 1040      tails: slots × 8192
+//! ring + slots × 16        arena: (slots + 1) × MAX_PAYLOAD
 //! ```
 //!
 //! `set_len` zero-fills the file, so a fresh region is two empty rings, and
@@ -75,18 +74,19 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use simbricks_base::pages::SharedMap;
-use simbricks_base::spsc::{Consumer, Producer, RingMem, SLOT_BYTES};
+use simbricks_base::spsc::{ring_bytes, Consumer, Producer, RingMem};
 use simbricks_base::{ChannelEnd, ChannelParams, OwnedMsg, SendError, SnapReader, SnapWriter};
 
 use crate::proxy::ShutdownSignal;
 
 /// Magic bytes opening every shm region header.
 const SHM_MAGIC: [u8; 4] = *b"SBSH";
-/// Version of the region layout (5: each ring holds its 16-byte slot
-/// descriptors, then its 1 KiB heads, then its 8 KiB tails; close bytes
-/// shared with the rings). Version 4 had the same stride but one 9 KiB
-/// payload area per slot, so its payload bytes sit at other offsets.
-const SHM_VERSION: u8 = 5;
+/// Version of the region layout (6: each ring holds its 16-byte slot
+/// descriptors, then one payload arena that the descriptors point into;
+/// close bytes shared with the rings; no slot stride in the header).
+/// Version 5 kept per-slot payload areas, a 1 KiB head and an 8 KiB tail
+/// for each slot, and its descriptors held no offset.
+const SHM_VERSION: u8 = 6;
 /// Size reserved for the region header (one page).
 const HEADER_LEN: usize = 4096;
 /// Upper bound on the link name stored in the header.
@@ -102,20 +102,16 @@ const OFF_NAME_LEN: usize = 8;
 const OFF_NAME: usize = 10;
 const OFF_PARAMS: usize = OFF_NAME + MAX_NAME; // 266
 const OFF_SLOTS: usize = OFF_PARAMS + ChannelParams::WIRE_LEN; // 333
-const OFF_STRIDE: usize = OFF_SLOTS + 4; // 337
 
 // Region handshake states.
 const STATE_READY: u8 = 1;
 const STATE_ATTACHED: u8 = 2;
 const STATE_POISONED: u8 = 3;
 
-/// Total region size for a (possibly header-supplied) geometry, or `None`
-/// when it does not fit the address space.
-fn region_len_for(slots: usize, stride: usize) -> Option<usize> {
-    slots
-        .checked_mul(stride)?
-        .checked_mul(2)?
-        .checked_add(HEADER_LEN)
+/// Total region size for a (possibly header-supplied) number of slots per
+/// ring, or `None` when no ring has that many.
+fn region_len_for(slots: usize) -> Option<usize> {
+    ring_bytes(slots)?.checked_mul(2)?.checked_add(HEADER_LEN)
 }
 
 fn bad(msg: &str) -> io::Error {
@@ -139,7 +135,6 @@ pub(crate) struct ShmRegion {
     path: PathBuf,
     owner: bool,
     slots: usize,
-    stride: usize,
 }
 
 impl Drop for ShmRegion {
@@ -235,7 +230,7 @@ pub fn create_region(path: &Path, link: &str, params: ChannelParams) -> io::Resu
         ));
     }
     let slots = params.queue_len.max(2);
-    let len = region_len_for(slots, SLOT_BYTES)
+    let len = region_len_for(slots)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "queue length too large"))?;
     let file = OpenOptions::new()
         .read(true)
@@ -249,7 +244,6 @@ pub fn create_region(path: &Path, link: &str, params: ChannelParams) -> io::Resu
         path: path.to_path_buf(),
         owner: true,
         slots,
-        stride: SLOT_BYTES,
     };
     region.write_bytes(OFF_MAGIC, &SHM_MAGIC);
     region.write_bytes(OFF_VERSION, &[SHM_VERSION]);
@@ -259,7 +253,6 @@ pub fn create_region(path: &Path, link: &str, params: ChannelParams) -> io::Resu
     params.encode(&mut block);
     region.write_bytes(OFF_PARAMS, &block.into_vec());
     region.write_bytes(OFF_SLOTS, &(slots as u32).to_le_bytes());
-    region.write_bytes(OFF_STRIDE, &(SLOT_BYTES as u32).to_le_bytes());
     // Publish: everything above must be visible before READY is observed.
     region
         .atomic_at(OFF_STATE)
@@ -322,12 +315,12 @@ pub fn attach_region(
                     region.poison();
                     return Err(bad("shm region channel params mismatch"));
                 }
-                if region.slots != slots || region.stride != SLOT_BYTES {
+                if region.slots != slots {
                     // Covers queue_len mismatches too: geometry is read from
                     // the creator's header, so a differently-sized region is
                     // rejected (and poisoned) here instead of hanging the
                     // attach poll until the connect timeout. Past this check
-                    // the rings are laid over exactly `slots * SLOT_BYTES`
+                    // the rings are laid over exactly `ring_bytes(slots)`
                     // mapped bytes each.
                     region.poison();
                     return Err(bad("shm region ring geometry mismatch"));
@@ -367,16 +360,15 @@ fn probe_region(path: &Path) -> io::Result<Option<ShmRegion>> {
     if state[0] == 0 {
         return Ok(None);
     }
-    let mut geom = [0u8; 8];
+    let mut geom = [0u8; 4];
     file.seek(SeekFrom::Start(OFF_SLOTS as u64))?;
     file.read_exact(&mut geom)?;
-    let mut r = SnapReader::new(&geom);
-    let (slots, stride) = (r.u32()? as usize, r.u32()? as usize);
+    let slots = u32::from_le_bytes(geom) as usize;
     // The mapping length must come from the header the creator wrote; an
-    // inconsistent file (truncated, overflowing geometry, or not a SimBricks
-    // region at all) is an error, not a "keep polling".
-    let len = match region_len_for(slots, stride) {
-        Some(len) if slots >= 2 && stride != 0 && len as u64 == file_len => len,
+    // inconsistent file (truncated, a ring too large for any region, or not
+    // a SimBricks region at all) is an error, not a "keep polling".
+    let len = match region_len_for(slots) {
+        Some(len) if slots >= 2 && len as u64 == file_len => len,
         _ => return Err(bad("shm region size inconsistent with its header")),
     };
     Ok(Some(ShmRegion {
@@ -384,7 +376,6 @@ fn probe_region(path: &Path) -> io::Result<Option<ShmRegion>> {
         path: path.to_path_buf(),
         owner: false,
         slots,
-        stride,
     }))
 }
 
@@ -424,7 +415,7 @@ impl std::fmt::Debug for ShmEndpoint {
 
 impl ShmEndpoint {
     fn new(region: Arc<ShmRegion>, side: Side, params: ChannelParams) -> Self {
-        let ring_bytes = region.slots * SLOT_BYTES;
+        let ring_bytes = ring_bytes(region.slots).expect("validated geometry");
         // Ring A→B first, then B→A; side A's close byte is the producer flag
         // of the former and the consumer flag of the latter.
         let a_to_b = RingMem {
@@ -445,7 +436,7 @@ impl ShmEndpoint {
             Side::B => (b_to_a, a_to_b),
         };
         // SAFETY: create/attach validated that the mapping holds two rings
-        // of `slots * SLOT_BYTES` page-aligned bytes, zero-filled by
+        // of `ring_bytes(slots)` 16-byte-aligned bytes, zero-filled by
         // `set_len`; `owner` keeps it mapped; and the handshake admits
         // exactly one creator (producer of A→B, consumer of B→A) and one
         // attacher (the mirror image).
@@ -707,15 +698,14 @@ mod tests {
         producer.join().unwrap();
     }
 
-    /// A published header (`state = READY`) claiming `slots` x `stride`,
+    /// A published header (`state = READY`) claiming `slots` per ring,
     /// followed by `body` bytes of ring space.
-    fn write_header(path: &Path, version: u8, slots: u32, stride: u32, body: usize) {
+    fn write_header(path: &Path, version: u8, slots: u32, body: usize) {
         let mut f = vec![0u8; HEADER_LEN + body];
         f[OFF_MAGIC..OFF_MAGIC + 4].copy_from_slice(&SHM_MAGIC);
         f[OFF_VERSION] = version;
         f[OFF_STATE] = STATE_READY;
         f[OFF_SLOTS..OFF_SLOTS + 4].copy_from_slice(&slots.to_le_bytes());
-        f[OFF_STRIDE..OFF_STRIDE + 4].copy_from_slice(&stride.to_le_bytes());
         std::fs::write(path, f).unwrap();
     }
 
@@ -731,31 +721,36 @@ mod tests {
             let _ = std::fs::remove_file(path);
             err.kind()
         };
+        let ring = ring_bytes(8).unwrap();
 
-        // 2 * slots * stride overflows usize.
+        // More slots than any ring can have: the arena's offsets would not
+        // fit a descriptor.
         let path = temp_path("overflow");
-        write_header(&path, SHM_VERSION, u32::MAX, u32::MAX, 0);
+        write_header(&path, SHM_VERSION, u32::MAX, 0);
         assert_eq!(attach(&path), io::ErrorKind::InvalidData);
 
         // The file is shorter than the geometry its own header declares.
         let path = temp_path("short");
-        write_header(&path, SHM_VERSION, 8, SLOT_BYTES as u32, 3 * SLOT_BYTES);
+        write_header(&path, SHM_VERSION, 8, ring + ring / 2);
         assert_eq!(attach(&path), io::ErrorKind::InvalidData);
 
         // Regions of earlier layout versions are refused, not reinterpreted:
-        // they are written here with today's stride, and v2 to v4 differ
-        // from today in the ring interior alone (v4 in where payload bytes
-        // sit).
-        for old in [1, 2, 3, 4] {
+        // they are written here with today's size, and v2 to v5 differ from
+        // today in the ring interior alone (v4 had one 9 KiB payload area per
+        // slot, v5 a 1 KiB head and an 8 KiB tail per slot, and neither had
+        // an arena offset in its descriptors).
+        for old in [1, 2, 3, 4, 5] {
             let path = temp_path(&format!("v{old}"));
-            write_header(&path, old, 8, SLOT_BYTES as u32, 2 * 8 * SLOT_BYTES);
+            write_header(&path, old, 8, 2 * ring);
             assert_eq!(attach(&path), io::ErrorKind::InvalidData);
         }
     }
 
-    /// A slot whose length field exceeds `MAX_PAYLOAD` (a corrupt or hostile
-    /// peer) is delivered clamped, never sliced out of bounds: the clamped
-    /// read spans the slot's whole 1 KiB head and its whole tail.
+    /// A descriptor is input from the peer process: one whose length
+    /// exceeds `MAX_PAYLOAD`, whose offset lies past the arena, or whose
+    /// span crosses the arena's end is delivered clamped into the arena,
+    /// never read out of bounds. The clamped read keeps the (clamped)
+    /// length and ends at the arena's last byte.
     #[test]
     #[cfg(unix)]
     fn oversized_slot_length_is_clamped() {
@@ -765,16 +760,31 @@ mod tests {
         let sd = ShutdownSignal::default();
         let _a = create_region(&path, "l", params).unwrap();
         let mut b = attach_region(&path, "l", params, soon(), &sd).unwrap();
-        // Descriptor 0 of ring A→B: control byte at +0, length at +4,
-        // timestamp at +8.
-        let desc = HEADER_LEN as u64;
         let file = File::options().write(true).open(&path).unwrap();
-        file.write_all_at(&u32::MAX.to_le_bytes(), desc + 4)
+        // Ring A→B: four descriptors (control byte at +0, length at +2,
+        // offset at +4, timestamp at +8), then an arena of five maximum
+        // payloads whose last bytes are marked here.
+        let ring = HEADER_LEN as u64;
+        let arena = ring + 4 * 16;
+        let arena_len = 5 * MAX_PAYLOAD;
+        let tail: Vec<u8> = (0..MAX_PAYLOAD).map(|i| (i % 253) as u8).collect();
+        file.write_all_at(&tail, arena + (arena_len - MAX_PAYLOAD) as u64)
             .unwrap();
-        file.write_all_at(&[0x80 | 5], desc).unwrap();
-        let m = b.pop().expect("published slot is delivered");
-        assert_eq!(m.ty, 5);
-        assert_eq!(m.data.len(), MAX_PAYLOAD);
+        let cases: [(u16, u32, usize); 3] = [
+            (u16::MAX, (arena_len - MAX_PAYLOAD) as u32, MAX_PAYLOAD),
+            (100, u32::MAX, 100),
+            (200, (arena_len - 10) as u32, 200),
+        ];
+        for (slot, (len, off, want)) in cases.into_iter().enumerate() {
+            let desc = ring + 16 * slot as u64;
+            file.write_all_at(&len.to_le_bytes(), desc + 2).unwrap();
+            file.write_all_at(&off.to_le_bytes(), desc + 4).unwrap();
+            file.write_all_at(&[0x80 | 5], desc).unwrap();
+            let m = b.pop().expect("published slot is delivered");
+            assert_eq!(m.ty, 5);
+            assert_eq!(m.data.len(), want, "len {len} at {off}");
+            assert!(m.data == tail[MAX_PAYLOAD - want..], "len {len} at {off}");
+        }
         assert!(b.pop().is_none());
     }
 
