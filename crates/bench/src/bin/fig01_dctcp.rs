@@ -20,7 +20,6 @@
 //! * `--warm-ms N` / `--duration-ms N` — warm-up / total stream duration.
 use std::io::Write as _;
 
-use simbricks::hostsim::HostKind;
 use simbricks::runner::{write_blob, Execution};
 use simbricks::SimTime;
 use simbricks_bench::{dctcp_e2e_build, dctcp_end_to_end, dctcp_goodput, dctcp_network_only};
@@ -80,7 +79,7 @@ fn e2e_run(
     checkpoint: Option<(SimTime, &str)>,
     restore: Option<&str>,
 ) -> (f64, f64, u64, usize) {
-    let (mut exp, servers) = dctcp_e2e_build(DEMO_K, duration, HostKind::Gem5Timing, true);
+    let (mut exp, servers) = dctcp_e2e_build(DEMO_K, duration, true);
     if let Some((at, _)) = checkpoint {
         exp.checkpoint_at(at);
     }
@@ -186,7 +185,7 @@ fn main() {
     );
     for k in ks {
         let only = dctcp_network_only(k, duration);
-        let e2e = dctcp_end_to_end(k, duration, HostKind::Gem5Timing);
+        let e2e = dctcp_end_to_end(k, duration);
         println!("{:>6} {:>18.3} {:>24.3}", k, only, e2e);
     }
 }

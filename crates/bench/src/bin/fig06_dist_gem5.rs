@@ -22,9 +22,8 @@
 use simbricks::hostsim::HostKind;
 use simbricks::runner::dist::{self, DistOptions};
 use simbricks::runner::Execution;
-use simbricks::scenario::build_from_toml;
+use simbricks::scenario::{build_from_toml, topo};
 use simbricks::SimTime;
-use simbricks_bench::scen::{partition_names, udp_scaleup_toml};
 use simbricks_bench::{udp_scaleup_wired, Wiring};
 
 fn main() {
@@ -81,9 +80,9 @@ fn main() {
         let (pairwise, pairwise_syncs) = match dist_n {
             None => in_process(Wiring::Pairwise),
             Some(parts) => {
-                let toml =
-                    udp_scaleup_toml(hosts, HostKind::QemuTiming, duration, parts, false, false);
-                let opts = DistOptions::new(partition_names(parts), toml);
+                let doc = topo::header("scaleup", 1, duration, SimTime::from_ms(2), false, false)
+                    + &topo::scale_up(hosts, HostKind::QemuTiming, parts);
+                let opts = DistOptions::new((0..parts).map(|w| format!("w{w}")).collect(), doc);
                 let r =
                     dist::run_distributed(&opts, &build_from_toml).expect("distributed run failed");
                 (r.max_partition_wall(), r.total_stats().syncs_sent)

@@ -18,11 +18,36 @@
 //! `--hier-sync` reruns every topology with hierarchical sync domains on and
 //! records the SYNC reduction; `--fat-tree` adds the scale-out matrix (k-ary
 //! fat-tree pod hierarchies, flat vs hierarchical sync) whose committed
-//! baseline carries the sublinearity claim.
+//! baseline carries the sublinearity claim. Its hierarchical 128-host row
+//! runs the document of the benchmark's `fattree128_hier` workload.
 
+use simbricks::base::KernelStats;
 use simbricks::hostsim::HostKind;
+use simbricks::runner::dist::run_local;
+use simbricks::scenario::{build_from_toml, topo};
 use simbricks::{Execution, SimTime};
-use simbricks_bench::{fat_tree_stats, udp_scaleup_stats, FatTree};
+
+/// Lower a generated document and run it; wall seconds and merged stats.
+fn run(doc: &str, exec: Execution) -> (f64, KernelStats) {
+    let r = run_local(doc, &build_from_toml, exec);
+    (r.wall_seconds(), r.total_stats())
+}
+
+/// The scale-up document: `hosts` gem5-like hosts, one partition.
+fn scale_up(hosts: usize, duration: SimTime, hier: bool) -> String {
+    topo::header("scaleup", 1, duration, SimTime::from_ms(2), false, hier)
+        + &topo::scale_up(hosts, HostKind::Gem5Timing, 1)
+}
+
+/// Fat-tree arity and hosts per edge switch for a target host count:
+/// 1024 ⇒ k=16 with 8 per edge; otherwise k=8 with `hosts / 32` per edge
+/// (128 ⇒ 4, 512 ⇒ 16).
+fn fat_tree_shape(hosts: usize) -> (usize, usize) {
+    match hosts {
+        1024 => (16, 8),
+        h => (8, (h / 32).max(2)),
+    }
+}
 
 struct Row {
     hosts: usize,
@@ -124,23 +149,13 @@ fn main() {
     );
     let mut rows = Vec::new();
     for &hosts in &hosts_list {
-        let (seq_wall, seq_stats) =
-            udp_scaleup_stats(hosts, HostKind::Gem5Timing, duration, Execution::Sequential);
-        let (sharded_wall, sharded_stats) = udp_scaleup_stats(
-            hosts,
-            HostKind::Gem5Timing,
-            duration,
-            Execution::Sharded { workers },
-        );
+        let flat = scale_up(hosts, duration, false);
+        let (seq_wall, seq_stats) = run(&flat, Execution::Sequential);
+        let (sharded_wall, sharded_stats) = run(&flat, Execution::Sharded { workers });
         let seq_syncs = seq_stats.syncs_sent;
         let sharded_syncs = sharded_stats.syncs_sent;
         let hier = hier_sync.then(|| {
-            let (w, s) = simbricks_bench::udp_scaleup_hier_stats(
-                hosts,
-                HostKind::Gem5Timing,
-                duration,
-                Execution::Sequential,
-            );
+            let (w, s) = run(&scale_up(hosts, duration, true), Execution::Sequential);
             (w, s.syncs_sent, s.syncs_suppressed)
         });
         let speedup = if sharded_wall > 0.0 {
@@ -190,21 +205,15 @@ fn main() {
             "hosts", "k", "h/edge", "flat[s]", "flat syncs", "hier[s]", "hier syncs", "ratio"
         );
         for &n in &fat_tree {
-            let ft = FatTree::for_hosts(n);
-            let (flat_wall, flat_stats) = fat_tree_stats(
-                &ft,
-                HostKind::Gem5Timing,
-                ft_duration,
-                false,
-                Execution::Sequential,
-            );
-            let (hier_wall, hier_stats) = fat_tree_stats(
-                &ft,
-                HostKind::Gem5Timing,
-                ft_duration,
-                true,
-                Execution::Sequential,
-            );
+            let (k, hosts_per_edge) = fat_tree_shape(n);
+            // The end margin of the benchmark's fat-tree document.
+            let doc = |hier| {
+                topo::header("fat-tree", 1, ft_duration, SimTime::from_ms(1), false, hier)
+                    + &topo::fat_tree(k, hosts_per_edge)
+            };
+            let (flat_wall, flat_stats) = run(&doc(false), Execution::Sequential);
+            let (hier_wall, hier_stats) = run(&doc(true), Execution::Sequential);
+            let hosts = k * k / 2 * hosts_per_edge;
             let ratio = if flat_stats.syncs_sent > 0 {
                 hier_stats.syncs_sent as f64 / flat_stats.syncs_sent as f64
             } else {
@@ -212,9 +221,9 @@ fn main() {
             };
             println!(
                 "{:>6} {:>4} {:>6} {:>12.2} {:>14} {:>12.2} {:>14} {:>6.3}x",
-                ft.hosts(),
-                ft.k,
-                ft.hosts_per_edge,
+                hosts,
+                k,
+                hosts_per_edge,
                 flat_wall,
                 flat_stats.syncs_sent,
                 hier_wall,
@@ -222,9 +231,9 @@ fn main() {
                 ratio,
             );
             ft_rows.push(FtRow {
-                hosts: ft.hosts(),
-                k: ft.k,
-                hosts_per_edge: ft.hosts_per_edge,
+                hosts,
+                k,
+                hosts_per_edge,
                 flat_wall,
                 flat_syncs: flat_stats.syncs_sent,
                 hier_wall,

@@ -33,7 +33,8 @@ use simbricks::hostsim::HostKind;
 use simbricks::runner::dist::{self, DistOptions};
 use simbricks::runner::{Execution, TransportKind};
 use simbricks::scenario::build_from_toml;
-use simbricks_bench::scen::{memcache_racks_toml, partition_names};
+use simbricks::scenario::topo::{self, HOSTS_PER_RACK};
+use simbricks::SimTime;
 
 struct Row {
     hosts: usize,
@@ -128,7 +129,6 @@ fn main() {
         TransportKind::Shm => vec![("shm", TransportKind::Shm)],
     };
 
-    let hpr = 8usize;
     println!("# Figure 8: scale-out (memcached racks, 5 ms virtual, scaled down)");
     println!("# executor: {exec:?}");
     let mut rows = Vec::new();
@@ -139,9 +139,9 @@ fn main() {
                 "hosts", "gem5-like [s]", "qemu-timing [s]"
             );
             for racks in [1usize, 2, 4] {
-                let hosts = racks * hpr;
-                let g = inproc_wall(racks, hpr, HostKind::Gem5Timing, exec);
-                let q = inproc_wall(racks, hpr, HostKind::QemuTiming, exec);
+                let hosts = racks * HOSTS_PER_RACK;
+                let g = inproc_wall(racks, HostKind::Gem5Timing, exec);
+                let q = inproc_wall(racks, HostKind::QemuTiming, exec);
                 println!("{:>6} {:>18.2} {:>18.2}", hosts, g, q);
             }
         }
@@ -154,14 +154,15 @@ fn main() {
                 print!(" {:>11}", format!("dist-{tname} [s]"));
             }
             println!(" {:>10}", "identical");
+            let names: Vec<String> = (0..parts).map(|w| format!("w{w}")).collect();
             let mut all_identical = true;
             for racks in [1usize, 2, 4] {
-                let hosts = racks * hpr;
+                let hosts = racks * HOSTS_PER_RACK;
                 for (kname, kind) in [
                     ("gem5", HostKind::Gem5Timing),
                     ("qemu", HostKind::QemuTiming),
                 ] {
-                    let scen = memcache_racks_toml(racks, hpr, kind, parts, true, false);
+                    let scen = racks_doc(racks, kind, parts, true, false);
                     let local = dist::run_local(&scen, &build_from_toml, exec);
                     let lm = local.merged_log();
                     let mut row = Row {
@@ -173,7 +174,7 @@ fn main() {
                         hier_dist: Vec::new(),
                     };
                     for (tname, tkind) in &transports {
-                        let opts = DistOptions::new(partition_names(parts), scen.clone())
+                        let opts = DistOptions::new(names.clone(), scen.clone())
                             .with_exec(exec)
                             .with_transport(*tkind);
                         let dres = dist::run_distributed(&opts, &build_from_toml)
@@ -199,14 +200,14 @@ fn main() {
                         // Hierarchical-sync rerun of the same topology; every
                         // event log must stay bit-identical to the FLAT
                         // in-process baseline (sync cadence is invisible).
-                        let hscen = memcache_racks_toml(racks, hpr, kind, parts, true, true);
+                        let hscen = racks_doc(racks, kind, parts, true, true);
                         let hlocal = dist::run_local(&hscen, &build_from_toml, exec);
                         let hm = hlocal.merged_log();
                         let lid = lm.len() == hm.len() && lm.fingerprint() == hm.fingerprint();
                         all_identical &= lid;
                         row.hier_inproc_wall = Some(hlocal.wall_seconds());
                         for (tname, tkind) in &transports {
-                            let opts = DistOptions::new(partition_names(parts), hscen.clone())
+                            let opts = DistOptions::new(names.clone(), hscen.clone())
                                 .with_exec(exec)
                                 .with_transport(*tkind);
                             let dres = dist::run_distributed(&opts, &build_from_toml)
@@ -248,10 +249,17 @@ fn main() {
     }
 }
 
+/// The racks document: 5 ms of traffic, rack `r` in partition `w{r % parts}`.
+fn racks_doc(racks: usize, kind: HostKind, parts: usize, log: bool, hier: bool) -> String {
+    let run = SimTime::from_ms(5);
+    topo::header("memcache-racks", 1, run, SimTime::from_ms(2), log, hier)
+        + &topo::racks(racks, kind, parts)
+}
+
 /// One in-process run (no logging) returning wall seconds.
-fn inproc_wall(racks: usize, hpr: usize, kind: HostKind, exec: Execution) -> f64 {
-    let toml = memcache_racks_toml(racks, hpr, kind, 1, false, false);
-    dist::run_local(&toml, &build_from_toml, exec).wall_seconds()
+fn inproc_wall(racks: usize, kind: HostKind, exec: Execution) -> f64 {
+    let doc = racks_doc(racks, kind, 1, false, false);
+    dist::run_local(&doc, &build_from_toml, exec).wall_seconds()
 }
 
 fn write_json(path: &str, parts: usize, rows: &[Row]) {

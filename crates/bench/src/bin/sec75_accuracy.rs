@@ -7,7 +7,8 @@
 //! instances vs one). The PCIe half (gem5's built-in e1000 vs the extracted
 //! model) has no monolithic equivalent in this reimplementation — every host
 //! talks to its NIC through the SimBricks PCIe interface — and is covered by
-//! the determinism checks instead (see EXPERIMENTS.md).
+//! the determinism checks instead (`sec76_determinism`,
+//! `tests/integration_determinism.rs`).
 
 use simbricks::base::SimTime;
 use simbricks::netsim::des::QueueDiscipline;

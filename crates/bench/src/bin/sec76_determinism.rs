@@ -17,21 +17,18 @@ use simbricks::runner::Execution;
 use simbricks::SimTime;
 use simbricks_bench::netperf_logged_experiment;
 
-const STREAM: SimTime = SimTime::from_ms(5);
-const RR: SimTime = SimTime::from_ms(5);
-
 fn fingerprint_of(exec: Execution) -> (u64, usize, f64) {
-    let r = netperf_logged_experiment(STREAM, RR).run(exec);
+    let r = netperf_logged_experiment().run(exec);
     let log = r.merged_log();
     (log.fingerprint(), log.len(), r.wall_seconds())
 }
 
 fn fingerprint_of_ckpt_restore() -> (u64, usize, f64) {
-    let mut exp = netperf_logged_experiment(STREAM, RR);
+    let mut exp = netperf_logged_experiment();
     exp.checkpoint_at(SimTime::from_ms(6));
     let ring = exp.run(Execution::Sequential).ring;
     let (_, blob) = ring.first().expect("checkpoint captured");
-    let mut exp = netperf_logged_experiment(STREAM, RR);
+    let mut exp = netperf_logged_experiment();
     exp.restore_from_blob(blob).expect("restore checkpoint");
     let r = exp.run(Execution::Sequential);
     let log = r.merged_log();

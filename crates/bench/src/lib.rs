@@ -5,7 +5,11 @@
 //! Durations are scaled down from the paper's 1–10 s of virtual time so each
 //! harness completes in seconds to minutes on a laptop-class machine; the
 //! *shape* of each result (who wins, by what factor, where crossovers fall)
-//! is what EXPERIMENTS.md compares against the paper.
+//! is what the README's "Reproducing the paper's results" compares against
+//! the paper.
+//!
+//! The standard topologies are scenario documents from
+//! [`simbricks::scenario::topo`], lowered through [`simbricks::scenario`].
 
 use simbricks::apps::{IperfUdpClient, IperfUdpServer, NetperfClient, NetperfServer};
 use simbricks::base::{
@@ -21,238 +25,11 @@ use simbricks::proto::{Ipv4Addr, MacAddr};
 use simbricks::runner::{
     attach_host_nic, host_component, nic_model, Execution, Experiment, PartitionBuilder,
 };
-use simbricks::scenario::Scenario;
+use simbricks::scenario::{build_from_toml, lower, topo, Scenario};
 use simbricks::SimTime;
 
 /// Re-export for binaries.
 pub use simbricks;
-
-/// Generators for the declarative TOML documents the bench harnesses run.
-///
-/// Every standard topology is expressed as a scenario document and lowered
-/// through [`simbricks::scenario`] — the generated text is also exactly what
-/// a distributed worker rebuilds its partition from, and what you can dump
-/// into a file and replay with `simbricks-run`.
-pub mod scen {
-    use std::fmt::Write as _;
-
-    use super::{HostKind, SimTime};
-
-    /// Partition names `w0..w{parts-1}`, the names the generators below
-    /// assign components to.
-    pub fn partition_names(parts: usize) -> Vec<String> {
-        (0..parts).map(|w| format!("w{w}")).collect()
-    }
-
-    /// Scenario-file spelling of a [`HostKind`].
-    pub fn kind_str(kind: HostKind) -> &'static str {
-        match kind {
-            HostKind::Gem5Timing => "gem5_timing",
-            HostKind::QemuTiming => "qemu_timing",
-            HostKind::QemuKvm => "qemu_kvm",
-        }
-    }
-
-    /// The Fig. 1 end-to-end dctcp document: two client/server pairs on
-    /// separate edge switches joined by one shared bottleneck link, ECN
-    /// marking threshold `k_packets` on both switches.
-    pub fn dctcp_e2e_toml(
-        k_packets: usize,
-        duration: SimTime,
-        host: HostKind,
-        log: bool,
-    ) -> String {
-        let kind = kind_str(host);
-        let mut t = String::new();
-        let _ = write!(
-            t,
-            "[scenario]\nname = \"dctcp-e2e\"\nduration = \"{}ps\"\nend_margin = \"5ms\"\nlog = {log}\n",
-            duration.as_ps()
-        );
-        for pair in 0..2u32 {
-            let port = 5000 + pair;
-            let _ = write!(
-                t,
-                "\n[[host]]\nname = \"s{pair}\"\nkind = \"{kind}\"\ncongestion = \"dctcp\"\n\
-                 mtu = 4000\nindex = {}\n\n[host.app]\ntype = \"iperf_tcp_server\"\nport = {port}\n",
-                pair * 2
-            );
-            let _ = write!(
-                t,
-                "\n[[host]]\nname = \"c{pair}\"\nkind = \"{kind}\"\ncongestion = \"dctcp\"\n\
-                 mtu = 4000\nindex = {}\n\n[host.app]\ntype = \"iperf_tcp_client\"\n\
-                 server = \"s{pair}\"\nport = {port}\n",
-                pair * 2 + 1
-            );
-        }
-        let _ = write!(
-            t,
-            "\n[[switch]]\nname = \"switch-clients\"\necn_k = {k_packets}\n\
-             \n[[switch]]\nname = \"switch-servers\"\necn_k = {k_packets}\n"
-        );
-        // Link order fixes port numbering: servers [s0, s1, uplink], clients
-        // [c0, c1, uplink] — the hand-rolled harness's port layout.
-        for pair in 0..2u32 {
-            let _ = write!(
-                t,
-                "\n[[link]]\nname = \"eth-s{pair}\"\na = \"s{pair}\"\nb = \"switch-servers\"\n\
-                 \n[[link]]\nname = \"eth-c{pair}\"\na = \"c{pair}\"\nb = \"switch-clients\"\n"
-            );
-        }
-        t.push_str(
-            "\n[[link]]\nname = \"uplink\"\na = \"switch-clients\"\nb = \"switch-servers\"\n",
-        );
-        t
-    }
-
-    /// The §7.6 determinism document: two gem5-like hosts running netperf
-    /// through the behavioural switch, event logging on.
-    pub fn netperf_logged_toml(stream: SimTime, rr: SimTime) -> String {
-        let mut t = String::new();
-        let _ = write!(
-            t,
-            "[scenario]\nname = \"sec76-netperf\"\nduration = \"{}ps\"\nend_margin = \"2ms\"\nlog = true\n",
-            (stream + rr).as_ps()
-        );
-        let _ = write!(
-            t,
-            "\n[[host]]\nname = \"server\"\nkind = \"gem5_timing\"\n\
-             \n[host.app]\ntype = \"netperf_server\"\n\
-             \n[[host]]\nname = \"client\"\nkind = \"gem5_timing\"\n\
-             \n[host.app]\ntype = \"netperf_client\"\nserver = \"server\"\n\
-             stream_duration = \"{}ps\"\nrr_duration = \"{}ps\"\n",
-            stream.as_ps(),
-            rr.as_ps()
-        );
-        t.push_str(
-            "\n[[switch]]\nname = \"switch\"\n\
-             \n[[link]]\nname = \"eth-server\"\na = \"server\"\nb = \"switch\"\n\
-             \n[[link]]\nname = \"eth-client\"\na = \"client\"\nb = \"switch\"\n",
-        );
-        t
-    }
-
-    /// The Fig. 6/7 scale-up document: `hosts` hosts (one UDP server, the
-    /// rest paced UDP clients) behind a single switch in `w0`, host `i`
-    /// assigned to partition `w{i % parts}`.
-    pub fn udp_scaleup_toml(
-        hosts: usize,
-        kind: HostKind,
-        duration: SimTime,
-        parts: usize,
-        log: bool,
-        hier: bool,
-    ) -> String {
-        let kind = kind_str(kind);
-        let per_client_rate = 1_000_000_000 / (hosts.max(2) as u64 - 1);
-        let mut t = String::new();
-        let _ = write!(
-            t,
-            "[scenario]\nname = \"scaleup\"\nduration = \"{}ps\"\nend_margin = \"2ms\"\n\
-             log = {log}\nhier_sync = {hier}\n",
-            duration.as_ps()
-        );
-        for i in 0..hosts {
-            let part = i % parts;
-            if i == 0 {
-                let _ = write!(
-                    t,
-                    "\n[[host]]\nname = \"server\"\nkind = \"{kind}\"\npartition = \"w0\"\n\
-                     \n[host.app]\ntype = \"iperf_udp_server\"\nport = 9000\n"
-                );
-            } else {
-                let _ = write!(
-                    t,
-                    "\n[[host]]\nname = \"client{i}\"\nkind = \"{kind}\"\npartition = \"w{part}\"\n\
-                     \n[host.app]\ntype = \"iperf_udp_client\"\nserver = \"server\"\nport = 9000\n\
-                     rate = {per_client_rate}\npayload = 800\n"
-                );
-            }
-            let peer = if i == 0 {
-                "server".to_string()
-            } else {
-                format!("client{i}")
-            };
-            let _ = write!(
-                t,
-                "\n[[link]]\nname = \"eth{i}\"\na = \"{peer}\"\nb = \"switch\"\n"
-            );
-        }
-        t.push_str("\n[[switch]]\nname = \"switch\"\npartition = \"w0\"\n");
-        t
-    }
-
-    /// The Fig. 8 scale-out document: `racks` racks of `hpr` hosts (first
-    /// half memcached servers, second half memaslap clients fanning out to
-    /// every server) behind per-rack ToR switches and one core switch in
-    /// `w0`; rack `r` lives in partition `w{r % parts}`.
-    pub fn memcache_racks_toml(
-        racks: usize,
-        hpr: usize,
-        kind: HostKind,
-        parts: usize,
-        log: bool,
-        hier: bool,
-    ) -> String {
-        let kind = kind_str(kind);
-        let mut servers = String::new();
-        for r in 0..racks {
-            for h in 0..hpr / 2 {
-                if !servers.is_empty() {
-                    servers.push_str(", ");
-                }
-                let _ = write!(servers, "\"r{r}h{h}\"");
-            }
-        }
-        let mut t = String::new();
-        let _ = write!(
-            t,
-            "[scenario]\nname = \"memcache-racks\"\nduration = \"5ms\"\nend_margin = \"2ms\"\n\
-             log = {log}\nhier_sync = {hier}\n"
-        );
-        for r in 0..racks {
-            let part = r % parts;
-            for h in 0..hpr {
-                let _ = write!(
-                    t,
-                    "\n[[host]]\nname = \"r{r}h{h}\"\nkind = \"{kind}\"\npartition = \"w{part}\"\n"
-                );
-                if h < hpr / 2 {
-                    t.push_str("\n[host.app]\ntype = \"memcached_server\"\n");
-                } else {
-                    let _ = write!(
-                        t,
-                        "\n[host.app]\ntype = \"memaslap_client\"\nservers = [{servers}]\n\
-                         concurrency = 2\nvalue_size = 64\n"
-                    );
-                }
-                let _ = write!(
-                    t,
-                    "\n[[link]]\nname = \"r{r}h{h}-eth\"\na = \"r{r}h{h}\"\nb = \"tor{r}\"\n"
-                );
-            }
-            let _ = write!(
-                t,
-                "\n[[switch]]\nname = \"tor{r}\"\npartition = \"w{part}\"\n"
-            );
-            let _ = write!(
-                t,
-                "\n[[link]]\nname = \"up{r}\"\na = \"tor{r}\"\nb = \"core\"\n"
-            );
-        }
-        t.push_str("\n[[switch]]\nname = \"core\"\npartition = \"w0\"\n");
-        t
-    }
-}
-
-/// Parse and lower a generated scenario document onto `pb`. Panics on
-/// invalid input — the generators above are the only callers, so a failure
-/// is a bench bug, not user error.
-fn lower_generated(toml: &str, pb: &mut PartitionBuilder) -> simbricks::scenario::Lowered {
-    let spec = Scenario::from_toml_str(toml)
-        .unwrap_or_else(|e| panic!("generated scenario invalid: {e}\n{toml}"));
-    simbricks::scenario::lower(&spec, pb)
-}
 
 /// Result of one netperf-style run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -363,15 +140,12 @@ pub fn netperf_config(
 /// experiment plus the server-host component ids whose iperf reports carry
 /// the per-flow goodput. `log` enables event logging (bit-identity checks,
 /// checkpoint demos).
-pub fn dctcp_e2e_build(
-    k_packets: usize,
-    duration: SimTime,
-    host: HostKind,
-    log: bool,
-) -> (Experiment, Vec<usize>) {
-    let toml = scen::dctcp_e2e_toml(k_packets, duration, host, log);
+pub fn dctcp_e2e_build(k_packets: usize, duration: SimTime, log: bool) -> (Experiment, Vec<usize>) {
+    let doc = topo::header("dctcp-e2e", 1, duration, SimTime::from_ms(5), log, false)
+        + &topo::dctcp(k_packets);
+    let spec = Scenario::from_toml_str(&doc).expect("generated scenario is valid");
     let mut pb = PartitionBuilder::new_local();
-    let low = lower_generated(&toml, &mut pb);
+    let low = lower(&spec, &mut pb);
     let servers = low
         .hosts
         .iter()
@@ -405,18 +179,26 @@ pub fn dctcp_goodput(r: &simbricks::runner::RunResult, servers: &[usize]) -> f64
 /// flows sharing a single 10 Gbps bottleneck link between two switches (the
 /// Fig. 1 topology: 2 clients and 2 servers, one shared bottleneck, ECN
 /// marking threshold K at the bottleneck queue).
-pub fn dctcp_end_to_end(k_packets: usize, duration: SimTime, host: HostKind) -> f64 {
-    let (exp, servers) = dctcp_e2e_build(k_packets, duration, host, false);
+pub fn dctcp_end_to_end(k_packets: usize, duration: SimTime) -> f64 {
+    let (exp, servers) = dctcp_e2e_build(k_packets, duration, false);
     let r = exp.run(Execution::Sequential);
     dctcp_goodput(&r, &servers)
 }
 
 /// The standard determinism-check configuration (§7.6): two gem5-like hosts
-/// running netperf through the behavioural switch, with event logging on.
-pub fn netperf_logged_experiment(stream: SimTime, rr: SimTime) -> Experiment {
-    let toml = scen::netperf_logged_toml(stream, rr);
+/// running netperf ([`topo::netperf_pair`], 5 + 5 ms) through the
+/// behavioural switch, with event logging on.
+pub fn netperf_logged_experiment() -> Experiment {
+    let doc = topo::header(
+        "sec76-netperf",
+        1,
+        SimTime::from_ms(10),
+        SimTime::from_ms(2),
+        true,
+        false,
+    ) + &topo::netperf_pair();
     let mut pb = PartitionBuilder::new_local();
-    lower_generated(&toml, &mut pb);
+    build_from_toml(&doc, &mut pb);
     pb.into_experiment()
 }
 
@@ -561,224 +343,6 @@ pub fn dctcp_network_only(k_packets: usize, duration: SimTime) -> f64 {
     total_bytes as f64 * 8.0 / duration.as_secs_f64() / 1e9
 }
 
-/// A k-ary fat-tree pod hierarchy for the sync-protocol scale-out matrix:
-/// `k` pods of `k/2` edge switches with `hosts_per_edge` hosts each, one
-/// aggregation switch per pod, one core switch — `k * k/2 * hosts_per_edge`
-/// hosts total (k=8 ⇒ 128, k=16 with 8 hosts/edge ⇒ 1024).
-///
-/// The generator wires the *active spanning tree* of the fabric (one uplink
-/// per switch): the behavioural switch is a flooding L2 learner, and a full
-/// multipath fat-tree contains loops that would turn its first flood into a
-/// broadcast storm — exactly why real L2 fabrics run STP. The latency
-/// hierarchy is what matters for synchronization: host links are fast
-/// (500 ns class), edge→agg uplinks sit at `edge_up_latency` and agg→core at
-/// `core_up_latency`, giving hierarchical sync distinct latency classes to
-/// form domains over and multi-hop floors to widen through.
-#[derive(Clone, Copy, Debug)]
-pub struct FatTree {
-    /// Pod count (also the core switch's port count). Must be even.
-    pub k: usize,
-    /// Hosts attached to each edge switch.
-    pub hosts_per_edge: usize,
-    /// Latency of edge→aggregation uplinks.
-    pub edge_up_latency: SimTime,
-    /// Latency of aggregation→core uplinks.
-    pub core_up_latency: SimTime,
-}
-
-impl FatTree {
-    /// The canonical spec for a target host count: 128 ⇒ k=8 (4 hosts/edge),
-    /// 512 ⇒ k=8 oversubscribed (16 hosts/edge), 1024 ⇒ k=16 (8 hosts/edge).
-    /// Other counts pick k=8 and scale hosts_per_edge.
-    pub fn for_hosts(hosts: usize) -> FatTree {
-        let (k, hosts_per_edge) = match hosts {
-            1024 => (16, 8),
-            h => (8, (h / 32).max(2)),
-        };
-        FatTree {
-            k,
-            hosts_per_edge,
-            edge_up_latency: SimTime::from_us(2),
-            core_up_latency: SimTime::from_us(4),
-        }
-    }
-
-    /// Edge switches per pod.
-    pub fn edges_per_pod(&self) -> usize {
-        self.k / 2
-    }
-
-    /// Total host count.
-    pub fn hosts(&self) -> usize {
-        self.k * self.edges_per_pod() * self.hosts_per_edge
-    }
-
-    /// Total component count (hosts, NICs, edge/agg/core switches).
-    pub fn components(&self) -> usize {
-        2 * self.hosts() + self.k * self.edges_per_pod() + self.k + 1
-    }
-}
-
-/// Build and run the fat-tree sync workload: in every edge group, host 0
-/// serves UDP and host 1 streams to the same-position server one pod over
-/// (crossing edge→agg→core→agg→edge), while the remaining hosts idle — the
-/// regime where per-link promise volume, not data traffic, dominates the
-/// message count. Returns wall seconds and merged kernel statistics.
-pub fn fat_tree_stats(
-    ft: &FatTree,
-    kind: HostKind,
-    duration: SimTime,
-    hier: bool,
-    exec: Execution,
-) -> (f64, simbricks::base::KernelStats) {
-    assert!(
-        ft.k >= 2 && ft.k.is_multiple_of(2),
-        "fat-tree k must be even"
-    );
-    assert!(
-        ft.hosts_per_edge >= 2,
-        "need a server and a client per edge"
-    );
-    let epp = ft.edges_per_pod();
-    let total_edges = ft.k * epp;
-    let hpe = ft.hosts_per_edge;
-    let mut exp = Experiment::new("fat-tree", duration + SimTime::from_ms(2));
-    if hier {
-        exp = exp.with_hier_sync();
-    }
-    let eth = exp.eth_params();
-    let per_client_rate = 50_000_000; // 50 Mbit/s per active flow
-    let mut agg_down: Vec<Vec<simbricks::base::ChannelEnd>> =
-        (0..ft.k).map(|_| Vec::new()).collect();
-    for e in 0..total_edges {
-        let pod = e / epp;
-        let mut ports = Vec::new();
-        for h in 0..hpe {
-            let idx = (e * hpe + h) as u32;
-            let cfg = HostConfig::new(kind, idx);
-            let app: Box<dyn simbricks::hostsim::Application> = if h == 0 {
-                Box::new(IperfUdpServer::new(9000))
-            } else if h == 1 {
-                // Stream to the same-position server one pod over.
-                let peer_edge = (e + epp) % total_edges;
-                let server_ip = HostConfig::new(kind, (peer_edge * hpe) as u32).ip;
-                Box::new(IperfUdpClient::new(
-                    SocketAddr::new(server_ip, 9000),
-                    per_client_rate,
-                    800,
-                    duration,
-                ))
-            } else {
-                // Idle host: still a full host+NIC+links, still synchronized.
-                Box::new(IperfUdpServer::new(9001))
-            };
-            let (_h, _n, host_eth) =
-                attach_host_nic(&mut exp, &format!("e{e}h{h}"), cfg, app, false);
-            ports.push(host_eth);
-        }
-        let (up, down) = simbricks::base::channel_pair(eth.with_latency(ft.edge_up_latency));
-        ports.push(up);
-        agg_down[pod].push(down);
-        exp.add(
-            format!("edge{e}"),
-            Box::new(SwitchBm::new(SwitchConfig {
-                ports: hpe + 1,
-                ..Default::default()
-            })),
-            ports,
-        );
-    }
-    let mut core_ports = Vec::new();
-    for (pod, mut ports) in agg_down.into_iter().enumerate() {
-        let (up, down) = simbricks::base::channel_pair(eth.with_latency(ft.core_up_latency));
-        ports.push(up);
-        core_ports.push(down);
-        exp.add(
-            format!("agg{pod}"),
-            Box::new(SwitchBm::new(SwitchConfig {
-                ports: epp + 1,
-                ..Default::default()
-            })),
-            ports,
-        );
-    }
-    exp.add(
-        "core",
-        Box::new(SwitchBm::new(SwitchConfig {
-            ports: ft.k,
-            ..Default::default()
-        })),
-        core_ports,
-    );
-    let r = exp.run(exec);
-    if std::env::var_os("FT_DUMP").is_some() {
-        let mut by_class: std::collections::BTreeMap<&str, (u64, u64, usize)> =
-            std::collections::BTreeMap::new();
-        for (name, s) in r.component_names.iter().zip(&r.stats) {
-            let class = if name.ends_with(".host") {
-                "host"
-            } else if name.ends_with(".nic") {
-                "nic"
-            } else if name.starts_with("edge") {
-                "edge"
-            } else if name.starts_with("agg") {
-                "agg"
-            } else {
-                "core"
-            };
-            let e = by_class.entry(class).or_default();
-            e.0 += s.syncs_sent;
-            e.1 += s.syncs_suppressed;
-            e.2 += 1;
-        }
-        for (class, (sent, sup, n)) in by_class {
-            eprintln!(
-                "FT_DUMP {class}: {n} comps, {sent} syncs ({} per comp), {sup} suppressed",
-                sent / n as u64
-            );
-        }
-    }
-    (r.wall_seconds(), r.total_stats())
-}
-
-/// N client hosts plus one server host running rate-limited UDP iperf through
-/// a single switch (the Fig. 7 scale-up workload, [`scen::udp_scaleup_toml`]),
-/// run with `exec`. Returns wall-clock seconds and the merged per-component
-/// kernel statistics (sync counts, allocator-facing pool counters).
-pub fn udp_scaleup_stats(
-    hosts: usize,
-    host_kind: HostKind,
-    duration: SimTime,
-    exec: Execution,
-) -> (f64, simbricks::base::KernelStats) {
-    udp_scaleup_stats_mode(hosts, host_kind, duration, false, exec)
-}
-
-/// [`udp_scaleup_stats`] with hierarchical sync domains enabled — the
-/// flat-vs-hier comparison the Fig. 7 harness records under `--hier-sync`.
-pub fn udp_scaleup_hier_stats(
-    hosts: usize,
-    host_kind: HostKind,
-    duration: SimTime,
-    exec: Execution,
-) -> (f64, simbricks::base::KernelStats) {
-    udp_scaleup_stats_mode(hosts, host_kind, duration, true, exec)
-}
-
-fn udp_scaleup_stats_mode(
-    hosts: usize,
-    host_kind: HostKind,
-    duration: SimTime,
-    hier: bool,
-    exec: Execution,
-) -> (f64, simbricks::base::KernelStats) {
-    let toml = scen::udp_scaleup_toml(hosts, host_kind, duration, 1, false, hier);
-    let mut pb = PartitionBuilder::new_local();
-    lower_generated(&toml, &mut pb);
-    let r = pb.into_experiment().run(exec);
-    (r.wall_seconds(), r.total_stats())
-}
-
 /// Sync wiring of the scale-up workload in Fig. 6's in-process columns
 /// ([`udp_scaleup_wired`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -804,8 +368,8 @@ impl Model for Coordinator {
     fn on_msg(&mut self, _k: &mut Kernel, _port: PortId, _msg: OwnedMsg) {}
 }
 
-/// The workload of [`scen::udp_scaleup_toml`] (one partition, flat sync, no
-/// log), built by hand so that its sync wiring can change while the hosts,
+/// The workload of [`topo::scale_up`] (one partition, flat sync, no log),
+/// built by hand so that its sync wiring can change while the hosts,
 /// apps, rates, switch and component order stay those of the document.
 ///
 /// Component 0 is the server's host. Under [`Wiring::Coordinator`] the
@@ -878,6 +442,7 @@ pub fn udp_scaleup_wired(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simbricks::runner::dist::run_local;
 
     /// Frames the server received and the client sent (component 2 is the
     /// client's host).
@@ -893,7 +458,9 @@ mod tests {
         let pairwise =
             udp_scaleup_wired(2, kind, duration, Wiring::Pairwise).run(Execution::Sequential);
         // The pairwise wiring is the scenario document's build.
-        let (_, doc) = udp_scaleup_stats(2, kind, duration, Execution::Sequential);
+        let doc = topo::header("scaleup", 1, duration, SimTime::from_ms(2), false, false)
+            + &topo::scale_up(2, kind, 1);
+        let doc = run_local(&doc, &build_from_toml, Execution::Sequential).total_stats();
         let total = pairwise.total_stats();
         assert_eq!(
             (

@@ -393,3 +393,82 @@ impl PartitionBuilder {
         (h, n)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::super::run_local;
+    use super::super::tests::{two_partition_build, Pinger};
+    use super::*;
+    use crate::experiment::Execution;
+    use simbricks_base::SimTime;
+
+    #[test]
+    fn local_mode_builds_and_runs_everything() {
+        let r = run_local("", &two_partition_build, Execution::Sequential);
+        assert_eq!(r.component_names, vec!["left", "right"]);
+        let right: &Pinger = r.model(1).unwrap();
+        assert_eq!(right.received, 5);
+    }
+
+    #[test]
+    fn discover_mode_records_links_and_global_order_without_instantiating() {
+        let mut pb = PartitionBuilder::new(BuildMode::Discover, None);
+        two_partition_build("", &mut pb);
+        assert_eq!(pb.next_global, 2, "both components counted");
+        assert!(pb.local_globals.is_empty(), "nothing instantiated");
+        assert_eq!(pb.links.len(), 1);
+        assert_eq!(pb.links[0].name, "x-link");
+        assert_eq!(
+            (pb.links[0].a.as_str(), pb.links[0].b.as_str()),
+            ("p0", "p1")
+        );
+        assert_eq!(pb.exp().num_components(), 0);
+    }
+
+    #[test]
+    fn worker_mode_instantiates_only_its_partition() {
+        // No sockets involved: an intra-partition channel plus a foreign
+        // component exercise the filtering logic without cross links.
+        let mut pb = PartitionBuilder::new(BuildMode::Worker, Some("p0".into()));
+        pb.init(Experiment::new("w", SimTime::from_us(10)));
+        let params = pb.exp().eth_params();
+        let (a, b) = pb.channel("local-link", "p0", "p0", params);
+        let g0 = pb.add(
+            "p0",
+            "mine-a",
+            Box::new(Pinger {
+                count: 0,
+                sent: 0,
+                received: 0,
+            }),
+            vec![a],
+        );
+        let g1 = pb.add(
+            "p1",
+            "theirs",
+            Box::new(Pinger {
+                count: 0,
+                sent: 0,
+                received: 0,
+            }),
+            vec![],
+        );
+        let g2 = pb.add(
+            "p0",
+            "mine-b",
+            Box::new(Pinger {
+                count: 0,
+                sent: 0,
+                received: 0,
+            }),
+            vec![b],
+        );
+        assert_eq!((g0, g1, g2), (0, 1, 2), "global ids count every component");
+        assert_eq!(
+            pb.exp().num_components(),
+            2,
+            "only p0 components instantiated"
+        );
+        assert_eq!(pb.local_globals, vec![0, 2]);
+    }
+}

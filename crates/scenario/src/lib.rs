@@ -15,7 +15,9 @@
 //! * [`spec`] — typed scenario model with schema validation and actionable,
 //!   line-numbered errors,
 //! * [`lower()`] — lowering onto the partition builder, including per-link
-//!   impairment seeds and per-port AQM overrides.
+//!   impairment seeds and per-port AQM overrides,
+//! * [`topo`] — generators for the standard topologies (scale-up, fat-tree,
+//!   racks, dctcp, the netperf pair).
 //!
 //! The TOML *text itself* is the opaque scenario string shipped to
 //! distributed workers, so [`lower::build_from_toml`] is a drop-in
@@ -27,6 +29,7 @@
 pub mod lower;
 pub mod spec;
 pub mod toml;
+pub mod topo;
 
 pub use lower::{build_from_toml, fault_schedule, lower, Lowered};
 pub use spec::{
