@@ -6,18 +6,18 @@
 //! numbers are preserved across checkpoint/restore, so a restored run breaks
 //! same-time ties exactly like the uninterrupted one.
 //!
-//! The queue is a hashed hierarchical timing wheel (Varghese & Lauck scheme,
-//! deadline-ordered variant): `LEVELS` levels of `SLOTS` slots each, where a
-//! level-`k` slot spans `SLOTS^k` picosecond ticks. `schedule` is O(1), and
-//! popping advances a cursor to the earliest occupied slot (found via
-//! per-level occupancy bitmasks), cascading far-future slots downward at
-//! most `LEVELS` times per event. With 11 levels of 64 slots the wheel spans
-//! the full 64-bit tick range, so `SimTime::MAX` promises need no overflow
-//! list. Unlike a binary heap, cost per event is independent of the number
-//! of queued events — the property that keeps datacenter-scale event rates
-//! (fat-tree fabrics with thousands of timers per kernel) constant-time.
+//! The queue is a binary heap keyed on (time, sequence number). `schedule`
+//! and `pop_due` are O(log n) in the events the queue holds, `next_time` is
+//! O(1) unless cancelled events reach the top, and an empty queue owns no
+//! heap memory. A heap suffices because a kernel holds few timers: on the
+//! benchmark's workloads no queue ever held more than 22 live events
+//! (`fattree128_hier` 13, `dctcp_bulk` 16, `scaleup_udp` 22, the three racks
+//! rows 13), so a pop sifts through at most five levels. What grows with the
+//! fabric is the number of kernels, so each queue costs only the events it
+//! holds.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use crate::snap::{SnapReader, SnapResult, SnapWriter};
 use crate::time::SimTime;
@@ -33,47 +33,36 @@ struct Entry<T> {
     data: T,
 }
 
-/// Bits per wheel level: 64 slots each.
-const SLOT_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// 11 levels × 6 bits = 66 bits ≥ 64: the wheel covers every `u64` tick, so
-/// even `SimTime::MAX` promises live in a (topmost) slot.
-const LEVELS: usize = 11;
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.time, self.seq) == (other.time, other.seq)
+    }
+}
+impl<T> Eq for Entry<T> {}
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for Entry<T> {
+    /// Reversed (time, seq): `BinaryHeap` is a max-heap, so the earliest
+    /// entry is its top. Seqs are unique within a queue, so no two entries
+    /// compare equal and the pop order is total.
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
+}
 
-/// A time-ordered event queue with stable ordering, backed by a hierarchical
-/// timing wheel.
+/// A time-ordered event queue with stable ordering, backed by a binary heap.
 ///
 /// Bookkeeping is sized for the overwhelmingly common never-cancelled case:
-/// `schedule` and `pop_due` touch only the wheel and a live-event counter —
-/// no per-event hash-set insert/remove. Cancellation is the rare path: it
-/// validates the id against the queue itself (an already-fired id simply is
-/// not found) and records it in a small lazily-drained cancelled set.
-///
-/// # Invariant
-///
-/// Every entry stored at `(level, slot)` satisfies
-/// `level == level_for(cursor, tick)` and `slot == slot_index(tick, level)`.
-/// The cursor only ever advances to the *start* of the earliest occupied
-/// slot (which is then drained), and a case analysis over the hashed level
-/// assignment shows every other slot's placement stays valid across such an
-/// advance — so cascading touches exactly one slot per advance.
+/// `schedule` and `pop_due` touch only the heap and a live-event counter —
+/// no per-event set insert/remove. Cancellation is the rare path: it
+/// validates the id against the heap itself (an already-fired id simply is
+/// not found) and records it in a small set; cancelled entries are dropped
+/// when they reach the top of the heap.
 pub struct EventQueue<T> {
-    /// `levels[k][s]`: entries whose tick first differs from `cursor` in bit
-    /// range `[6k, 6k+6)` and whose level-`k` slot index is `s`. Entries
-    /// within a slot are in insertion order, *not* (time, seq) order.
-    levels: Vec<Vec<Vec<Entry<T>>>>,
-    /// Per-level slot occupancy bitmask (bit `s` set ⇒ `levels[k][s]` may be
-    /// non-empty). Cleared only when a slot is drained.
-    occupied: [u64; LEVELS],
-    /// All wheel entries have tick strictly greater than `cursor`; entries
-    /// at or before it live in `ready`.
-    cursor: u64,
-    /// Due/frontier entries, sorted by (time, seq) *descending* so popping
-    /// takes from the back. `ready_sorted == false` after an out-of-order
-    /// push (schedule at or before the cursor).
-    ready: Vec<Entry<T>>,
-    ready_sorted: bool,
+    heap: BinaryHeap<Entry<T>>,
     /// Number of live (non-cancelled) events.
     live: usize,
     /// Ids cancelled while still queued (removed lazily; empty in the
@@ -86,34 +75,6 @@ pub struct EventQueue<T> {
     next_seq: u64,
 }
 
-/// Level whose bit range contains the highest bit where `tick` differs from
-/// `cursor`. Caller guarantees `tick > cursor`.
-#[inline]
-fn level_for(cursor: u64, tick: u64) -> usize {
-    let diff = cursor ^ tick;
-    debug_assert!(diff != 0);
-    ((63 - diff.leading_zeros()) / SLOT_BITS) as usize
-}
-
-/// Slot index of `tick` at `level` (depends on the tick alone).
-#[inline]
-fn slot_index(tick: u64, level: usize) -> usize {
-    ((tick >> (SLOT_BITS as usize * level)) & (SLOTS as u64 - 1)) as usize
-}
-
-/// Earliest tick a `(level, slot)` pair can hold given the current cursor:
-/// cursor's bits above the level, the slot index at the level, zeros below.
-#[inline]
-fn slot_deadline(cursor: u64, level: usize, slot: usize) -> u64 {
-    let shift = SLOT_BITS as usize * level;
-    let high = if shift + SLOT_BITS as usize >= 64 {
-        0
-    } else {
-        cursor & (u64::MAX << (shift + SLOT_BITS as usize))
-    };
-    high | ((slot as u64) << shift)
-}
-
 impl<T> Default for EventQueue<T> {
     fn default() -> Self {
         Self::new()
@@ -121,16 +82,10 @@ impl<T> Default for EventQueue<T> {
 }
 
 impl<T> EventQueue<T> {
-    /// An empty queue.
+    /// An empty queue. It allocates nothing until the first `schedule`.
     pub fn new() -> Self {
         EventQueue {
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
-            occupied: [0; LEVELS],
-            cursor: 0,
-            ready: Vec::new(),
-            ready_sorted: true,
+            heap: BinaryHeap::new(),
             live: 0,
             cancelled: BTreeSet::new(),
             next_seq: 1,
@@ -141,95 +96,9 @@ impl<T> EventQueue<T> {
     pub fn schedule(&mut self, time: SimTime, data: T) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.insert(Entry { time, seq, data });
+        self.heap.push(Entry { time, seq, data });
         self.live += 1;
         EventId(seq)
-    }
-
-    fn insert(&mut self, e: Entry<T>) {
-        let tick = e.time.0;
-        if tick <= self.cursor {
-            // At or behind the frontier: due immediately. Keep `ready` in
-            // descending (time, seq) order lazily.
-            if self
-                .ready
-                .last()
-                .is_some_and(|l| (e.time, e.seq) > (l.time, l.seq))
-            {
-                self.ready_sorted = false;
-            }
-            self.ready.push(e);
-            return;
-        }
-        let level = level_for(self.cursor, tick);
-        let slot = slot_index(tick, level);
-        self.levels[level][slot].push(e);
-        self.occupied[level] |= 1 << slot;
-    }
-
-    /// Move entries to `ready` until it holds the earliest live event (or
-    /// the wheel is exhausted). Drains at most one level-0 slot; cascades
-    /// higher-level slots downward as the cursor reaches them.
-    fn ensure_ready(&mut self) {
-        loop {
-            // Drop lazily-cancelled entries from the back (next to pop).
-            while let Some(last) = self.ready.last() {
-                if self.cancelled.remove(&last.seq) {
-                    self.ready.pop();
-                } else {
-                    break;
-                }
-            }
-            if !self.ready.is_empty() {
-                if !self.ready_sorted {
-                    self.ready
-                        .sort_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
-                    self.ready_sorted = true;
-                    continue; // re-run the cancelled sweep on the new order
-                }
-                return;
-            }
-            // Earliest occupied slot across levels. Levels partition the
-            // tick range beyond the cursor into ordered, disjoint windows,
-            // so the minimum slot deadline identifies the slot holding the
-            // globally earliest entry.
-            let mut best: Option<(u64, usize, usize)> = None;
-            for (level, &occ) in self.occupied.iter().enumerate() {
-                if occ == 0 {
-                    continue;
-                }
-                let slot = occ.trailing_zeros() as usize;
-                let deadline = slot_deadline(self.cursor, level, slot);
-                if best.is_none_or(|(d, _, _)| deadline < d) {
-                    best = Some((deadline, level, slot));
-                }
-            }
-            let Some((deadline, level, slot)) = best else {
-                return; // queue empty
-            };
-            let entries = std::mem::take(&mut self.levels[level][slot]);
-            self.occupied[level] &= !(1 << slot);
-            self.cursor = deadline;
-            if level == 0 {
-                // A level-0 slot holds exactly one tick value; order its
-                // entries by seq (descending — popped from the back).
-                self.ready = entries;
-                self.ready
-                    .sort_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
-                self.ready_sorted = true;
-            } else {
-                // Cascade: with the cursor at the slot's start, every entry
-                // re-hashes to a strictly lower level (or to `ready` for the
-                // deadline tick itself). Filter cancelled entries here so
-                // they don't cascade repeatedly.
-                for e in entries {
-                    if self.cancelled.remove(&e.seq) {
-                        continue;
-                    }
-                    self.insert(e);
-                }
-            }
-        }
     }
 
     /// Cancel an event scheduled on this queue. Returns true iff the event
@@ -238,22 +107,12 @@ impl<T> EventQueue<T> {
     /// ids that fired before a snapshot this queue was restored from, are
     /// outside the contract.
     ///
-    /// This is the rare path: validity is established by scanning the wheel
-    /// for the id, so the hot `schedule`/`pop_due` pair
-    /// carries no per-event set bookkeeping. O(n) in the number of queued
-    /// events, which is small for every component model.
+    /// This is the rare path: validity is established by scanning the heap
+    /// for the id, so the hot `schedule`/`pop_due` pair carries no per-event
+    /// set bookkeeping. O(n) in the number of queued events, which is small
+    /// for every component model.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if self.cancelled.contains(&id.0) {
-            return false;
-        }
-        let queued = self.ready.iter().any(|e| e.seq == id.0)
-            || self
-                .levels
-                .iter()
-                .flatten()
-                .flatten()
-                .any(|e| e.seq == id.0);
-        if !queued {
+        if self.cancelled.contains(&id.0) || !self.heap.iter().any(|e| e.seq == id.0) {
             return false;
         }
         self.cancelled.insert(id.0);
@@ -263,21 +122,24 @@ impl<T> EventQueue<T> {
 
     /// Time of the earliest pending (non-cancelled) event.
     pub fn next_time(&mut self) -> Option<SimTime> {
-        self.ensure_ready();
-        self.ready.last().map(|e| e.time)
+        // Lazily-cancelled entries are dropped once they reach the top.
+        while let Some(top) = self.heap.peek() {
+            if !self.cancelled.remove(&top.seq) {
+                return Some(top.time);
+            }
+            self.heap.pop();
+        }
+        None
     }
 
     /// Pop the earliest event if it is due at or before `now`.
     pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, T)> {
-        self.ensure_ready();
-        match self.ready.last() {
-            Some(e) if e.time <= now => {
-                let e = self.ready.pop().unwrap();
-                self.live -= 1;
-                Some((e.time, e.data))
-            }
-            _ => None,
+        if self.next_time()? > now {
+            return None;
         }
+        let e = self.heap.pop()?;
+        self.live -= 1;
+        Some((e.time, e.data))
     }
 
     /// Number of live (non-cancelled) events.
@@ -290,19 +152,6 @@ impl<T> EventQueue<T> {
         self.live == 0
     }
 
-    /// All live entries in (time, seq) order — shared by snapshotting and
-    /// the wheel's own audits.
-    fn live_sorted(&self) -> Vec<&Entry<T>> {
-        let mut live: Vec<&Entry<T>> = self
-            .ready
-            .iter()
-            .chain(self.levels.iter().flatten().flatten())
-            .filter(|e| !self.cancelled.contains(&e.seq))
-            .collect();
-        live.sort_by_key(|e| (e.time, e.seq));
-        live
-    }
-
     /// Encode the pending events (time, sequence number, payload via `enc`)
     /// in deterministic (time, seq) order, dropping already-cancelled
     /// entries. Sequence numbers are preserved so restored events keep their
@@ -313,7 +162,12 @@ impl<T> EventQueue<T> {
         w: &mut SnapWriter,
         enc: impl Fn(&T, &mut SnapWriter),
     ) -> SnapResult<()> {
-        let live = self.live_sorted();
+        let mut live: Vec<&Entry<T>> = self
+            .heap
+            .iter()
+            .filter(|e| !self.cancelled.contains(&e.seq))
+            .collect();
+        live.sort_by_key(|e| (e.time, e.seq));
         w.usize(live.len());
         for e in live {
             w.time(e.time);
@@ -336,79 +190,42 @@ impl<T> EventQueue<T> {
             let seq = r.u64()?;
             let data = dec(r)?;
             max_seq = max_seq.max(seq);
-            q.insert(Entry { time, seq, data });
-            q.live += 1;
+            q.heap.push(Entry { time, seq, data });
         }
+        q.live = q.heap.len();
         q.next_seq = max_seq.saturating_add(1);
         Ok(q)
     }
 }
 
-/// The pre-wheel binary-heap implementation, kept verbatim as the oracle for
-/// the model-based wheel-vs-heap property test (`proptest` feature) and for
-/// the in-crate differential tests. Same public surface, same per-queue
-/// sequence numbering — only the internal data structure differs.
+/// The reference queue for the differential tests, in-crate and under the
+/// `proptest` feature: a `Vec` scanned linearly for the least (time, seq),
+/// with cancelled entries removed on the spot. Obviously correct and sharing
+/// no code with [`EventQueue`]; same public surface, same per-queue sequence
+/// numbering and the same cancel contract.
 #[cfg(any(test, feature = "proptest"))]
-// The oracle deliberately uses a hash set: it must not share an ordering bias
-// with the implementation it checks.
-#[allow(clippy::disallowed_types)]
 pub mod oracle {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-    use std::collections::HashSet;
-
     use super::EventId;
     use crate::snap::{SnapReader, SnapResult, SnapWriter};
     use crate::time::SimTime;
 
-    struct Entry<T> {
-        time: SimTime,
-        seq: u64,
-        data: T,
-    }
-
-    impl<T> PartialEq for Entry<T> {
-        fn eq(&self, other: &Self) -> bool {
-            self.time == other.time && self.seq == other.seq
-        }
-    }
-    impl<T> Eq for Entry<T> {}
-    impl<T> PartialOrd for Entry<T> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<T> Ord for Entry<T> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // BinaryHeap is a max-heap; invert so the earliest is on top.
-            other
-                .time
-                .cmp(&self.time)
-                .then_with(|| other.seq.cmp(&self.seq))
-        }
-    }
-
-    /// Reference event queue: `BinaryHeap` + lazy cancellation.
-    pub struct HeapEventQueue<T> {
-        heap: BinaryHeap<Entry<T>>,
-        live: usize,
-        cancelled: HashSet<u64>,
+    /// Reference event queue: unordered `(time, seq, data)` entries.
+    pub struct ScanEventQueue<T> {
+        entries: Vec<(SimTime, u64, T)>,
         next_seq: u64,
     }
 
-    impl<T> Default for HeapEventQueue<T> {
+    impl<T> Default for ScanEventQueue<T> {
         fn default() -> Self {
             Self::new()
         }
     }
 
-    impl<T> HeapEventQueue<T> {
+    impl<T> ScanEventQueue<T> {
         /// An empty reference queue.
         pub fn new() -> Self {
-            HeapEventQueue {
-                heap: BinaryHeap::new(),
-                live: 0,
-                cancelled: HashSet::new(),
+            ScanEventQueue {
+                entries: Vec::new(),
                 next_seq: 1,
             }
         }
@@ -417,62 +234,46 @@ pub mod oracle {
         pub fn schedule(&mut self, time: SimTime, data: T) -> EventId {
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.heap.push(Entry { time, seq, data });
-            self.live += 1;
+            self.entries.push((time, seq, data));
             EventId(seq)
         }
 
-        /// Lazy cancel with heap-scan validation (reference semantics).
+        /// Remove the pending event `id`; false if it is not pending.
         pub fn cancel(&mut self, id: EventId) -> bool {
-            if self.cancelled.contains(&id.0) {
-                return false;
+            match self.entries.iter().position(|e| e.1 == id.0) {
+                Some(i) => {
+                    self.entries.swap_remove(i);
+                    true
+                }
+                None => false,
             }
-            if !self.heap.iter().any(|e| e.seq == id.0) {
-                return false;
-            }
-            self.cancelled.insert(id.0);
-            self.live -= 1;
-            true
+        }
+
+        /// Index of the entry with the least (time, seq).
+        fn earliest(&self) -> Option<usize> {
+            (0..self.entries.len()).min_by_key(|&i| (self.entries[i].0, self.entries[i].1))
         }
 
         /// Time of the earliest pending event.
         pub fn next_time(&mut self) -> Option<SimTime> {
-            self.skip_cancelled();
-            self.heap.peek().map(|e| e.time)
+            self.earliest().map(|i| self.entries[i].0)
         }
 
         /// Pop the earliest event due at or before `now`.
         pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, T)> {
-            self.skip_cancelled();
-            match self.heap.peek() {
-                Some(e) if e.time <= now => {
-                    let e = self.heap.pop().unwrap();
-                    self.live -= 1;
-                    Some((e.time, e.data))
-                }
-                _ => None,
-            }
+            let i = self.earliest().filter(|&i| self.entries[i].0 <= now)?;
+            let (time, _, data) = self.entries.swap_remove(i);
+            Some((time, data))
         }
 
-        /// Number of live events.
+        /// Number of pending events.
         pub fn len(&self) -> usize {
-            self.live
+            self.entries.len()
         }
 
-        /// Whether no live events remain.
+        /// Whether no events are pending.
         pub fn is_empty(&self) -> bool {
-            self.live == 0
-        }
-
-        fn skip_cancelled(&mut self) {
-            while let Some(e) = self.heap.peek() {
-                if self.cancelled.contains(&e.seq) {
-                    let e = self.heap.pop().unwrap();
-                    self.cancelled.remove(&e.seq);
-                } else {
-                    break;
-                }
-            }
+            self.entries.is_empty()
         }
 
         /// Encode pending events in (time, seq) order.
@@ -481,61 +282,52 @@ pub mod oracle {
             w: &mut SnapWriter,
             enc: impl Fn(&T, &mut SnapWriter),
         ) -> SnapResult<()> {
-            let mut live: Vec<&Entry<T>> = self
-                .heap
-                .iter()
-                .filter(|e| !self.cancelled.contains(&e.seq))
-                .collect();
-            live.sort_by_key(|e| (e.time, e.seq));
-            w.usize(live.len());
-            for e in live {
-                w.time(e.time);
-                w.u64(e.seq);
-                enc(&e.data, w);
+            let mut order: Vec<&(SimTime, u64, T)> = self.entries.iter().collect();
+            order.sort_by_key(|e| (e.0, e.1));
+            w.usize(order.len());
+            for (time, seq, data) in order {
+                w.time(*time);
+                w.u64(*seq);
+                enc(data, w);
             }
             Ok(())
         }
 
-        /// Rebuild from [`HeapEventQueue::snapshot_with`] output.
+        /// Rebuild from [`ScanEventQueue::snapshot_with`] output.
         pub fn restore_with(
             r: &mut SnapReader,
             dec: impl Fn(&mut SnapReader) -> SnapResult<T>,
         ) -> SnapResult<Self> {
             let n = r.usize()?;
-            let mut q = HeapEventQueue::new();
-            let mut max_seq = 0u64;
+            let mut q = ScanEventQueue::new();
             for _ in 0..n {
                 let time = r.time()?;
                 let seq = r.u64()?;
-                let data = dec(r)?;
-                max_seq = max_seq.max(seq);
-                q.heap.push(Entry { time, seq, data });
-                q.live += 1;
+                q.entries.push((time, seq, dec(r)?));
+                q.next_seq = q.next_seq.max(seq + 1);
             }
-            q.next_seq = max_seq.saturating_add(1);
             Ok(q)
         }
     }
 }
 
-/// Model-based equivalence of the timing wheel against the retained
-/// binary-heap implementation: random interleaved
-/// schedule/pop_due/cancel/snapshot/restore tapes must produce identical pop
-/// sequences, cancel outcomes, lengths, and next-event times, and restored
-/// queues must encode the same (time, payload) order. This is the
-/// load-bearing test for the EventQueue swap.
+/// Model-based equivalence of the heap against the linear-scan reference:
+/// random interleaved schedule/pop_due/cancel/snapshot/restore tapes must
+/// produce identical pop sequences, cancel outcomes, lengths, and next-event
+/// times, and restored queues must encode the same (time, seq, payload)
+/// order.
 #[cfg(all(test, feature = "proptest"))]
 mod proptests {
     use proptest::prelude::*;
 
-    use super::oracle::HeapEventQueue;
+    use super::oracle::ScanEventQueue;
     use super::*;
     use crate::snap::{SnapReader, SnapWriter};
 
     #[derive(Clone, Debug)]
     enum Op {
-        /// Schedule at `now + delta` (saturating; huge deltas exercise the
-        /// upper wheel levels, including the `SimTime::MAX` slot).
+        /// Schedule at `now + delta` (saturating; huge deltas reach far
+        /// into the future, up to `SimTime::MAX`).
         Schedule(u64),
         /// Advance `now` by the delta and pop everything due on both queues.
         Advance(u64),
@@ -575,11 +367,11 @@ mod proptests {
 
     proptest! {
         #[test]
-        fn wheel_equals_heap_oracle(
+        fn heap_equals_scan_oracle(
             ops in proptest::collection::vec(op_strategy(), 1..300),
         ) {
-            let mut wheel: EventQueue<u64> = EventQueue::new();
-            let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
+            let mut heap: EventQueue<u64> = EventQueue::new();
+            let mut scan: ScanEventQueue<u64> = ScanEventQueue::new();
             let mut ids: Vec<(EventId, EventId)> = Vec::new();
             let mut now = 0u64;
             let mut payload = 0u64;
@@ -587,59 +379,59 @@ mod proptests {
                 match op {
                     Op::Schedule(delta) => {
                         let t = SimTime(now.saturating_add(delta));
-                        let wid = wheel.schedule(t, payload);
                         let hid = heap.schedule(t, payload);
+                        let sid = scan.schedule(t, payload);
                         payload += 1;
-                        ids.push((wid, hid));
+                        ids.push((hid, sid));
                     }
                     Op::Advance(delta) => {
                         now = now.saturating_add(delta);
                         loop {
-                            let w = wheel.pop_due(SimTime(now));
                             let h = heap.pop_due(SimTime(now));
-                            prop_assert_eq!(w, h, "pop divergence at now={}", now);
-                            if w.is_none() {
+                            let s = scan.pop_due(SimTime(now));
+                            prop_assert_eq!(h, s, "pop divergence at now={}", now);
+                            if h.is_none() {
                                 break;
                             }
                         }
                     }
                     Op::Cancel(i) => {
                         if !ids.is_empty() {
-                            let (wid, hid) = ids[i % ids.len()];
+                            let (hid, sid) = ids[i % ids.len()];
                             prop_assert_eq!(
-                                wheel.cancel(wid),
                                 heap.cancel(hid),
+                                scan.cancel(sid),
                                 "cancel divergence"
                             );
                         }
                     }
                     Op::SnapRestore => {
-                        let mut ww = SnapWriter::new();
-                        wheel.snapshot_with(&mut ww, |v, w| w.u64(*v)).unwrap();
-                        let wbuf = ww.into_vec();
                         let mut hw = SnapWriter::new();
                         heap.snapshot_with(&mut hw, |v, w| w.u64(*v)).unwrap();
                         let hbuf = hw.into_vec();
+                        let mut sw = SnapWriter::new();
+                        scan.snapshot_with(&mut sw, |v, w| w.u64(*v)).unwrap();
+                        let sbuf = sw.into_vec();
                         // Identical live sets in identical (time, seq)
                         // order — the restored tie-break ordering.
-                        prop_assert_eq!(decode(&wbuf), decode(&hbuf));
-                        let mut r = SnapReader::new(&wbuf);
-                        wheel = EventQueue::restore_with(&mut r, |r| r.u64()).unwrap();
+                        prop_assert_eq!(decode(&hbuf), decode(&sbuf));
                         let mut r = SnapReader::new(&hbuf);
-                        heap = HeapEventQueue::restore_with(&mut r, |r| r.u64()).unwrap();
+                        heap = EventQueue::restore_with(&mut r, |r| r.u64()).unwrap();
+                        let mut r = SnapReader::new(&sbuf);
+                        scan = ScanEventQueue::restore_with(&mut r, |r| r.u64()).unwrap();
                         // Pre-snapshot ids stay cancellable on both restored
                         // queues (seqs are preserved by the encoding).
                     }
                 }
-                prop_assert_eq!(wheel.len(), heap.len(), "len divergence");
-                prop_assert_eq!(wheel.next_time(), heap.next_time(), "next_time divergence");
+                prop_assert_eq!(heap.len(), scan.len(), "len divergence");
+                prop_assert_eq!(heap.next_time(), scan.next_time(), "next_time divergence");
             }
             // Full drain: the tails must agree event for event.
             loop {
-                let w = wheel.pop_due(SimTime::MAX);
                 let h = heap.pop_due(SimTime::MAX);
-                prop_assert_eq!(w, h, "drain divergence");
-                if w.is_none() {
+                let s = scan.pop_due(SimTime::MAX);
+                prop_assert_eq!(h, s, "drain divergence");
+                if h.is_none() {
                     break;
                 }
             }
@@ -778,16 +570,15 @@ mod tests {
         assert_eq!(order, vec!["restored-1", "restored-2", "new"]);
     }
 
-    // --- Wheel-specific coverage ------------------------------------------
-
-    /// Ticks that straddle every level boundary of the wheel (including the
-    /// topmost level via `SimTime::MAX`) pop in exact time order.
+    /// Ticks spread over the whole 64-bit range, every power of 64 and its
+    /// neighbours up to the `SimTime::MAX` promise, scheduled latest first,
+    /// pop in exact time order.
     #[test]
-    fn wheel_orders_across_all_level_boundaries() {
+    fn far_future_ticks_pop_in_time_order() {
         let mut q = EventQueue::new();
-        let mut ticks: Vec<u64> = (0..LEVELS as u32)
+        let mut ticks: Vec<u64> = (0..11u32)
             .flat_map(|k| {
-                let base = 1u64 << (SLOT_BITS * k);
+                let base = 1u64 << (6 * k);
                 [base, base + 1, base * 3 + 7]
             })
             .collect();
@@ -805,9 +596,8 @@ mod tests {
         assert_eq!(out, ticks);
     }
 
-    /// Scheduling behind an already-advanced cursor (an event earlier than
-    /// one already popped) still delivers in correct relative order with
-    /// frontier events — the heap allowed this and the wheel must too.
+    /// Scheduling an event earlier than one already popped still delivers
+    /// it in correct relative order with the events still queued.
     #[test]
     fn schedule_behind_cursor_pops_before_frontier() {
         let mut q = EventQueue::new();
@@ -825,7 +615,7 @@ mod tests {
     }
 
     /// Interleaved schedule/pop at a single tick keeps FIFO order even as
-    /// entries arrive while the frontier slot is being drained.
+    /// entries arrive while that tick's events are being drained.
     #[test]
     fn same_tick_schedule_during_drain_stays_fifo() {
         let mut q = EventQueue::new();
@@ -833,20 +623,20 @@ mod tests {
         q.schedule(t, 0);
         q.schedule(t, 1);
         assert_eq!(q.pop_due(t).unwrap().1, 0);
-        q.schedule(t, 2); // arrives while the slot is half-drained
+        q.schedule(t, 2); // arrives while the tick is half-drained
         assert_eq!(q.pop_due(t).unwrap().1, 1);
         assert_eq!(q.pop_due(t).unwrap().1, 2);
         assert!(q.pop_due(t).is_none());
     }
 
-    /// Differential check against the retained binary-heap oracle: a fixed
+    /// Differential check against the linear-scan oracle: a fixed
     /// pseudo-random operation tape produces identical pop sequences and
     /// cancel outcomes. (The `proptest` feature drives the same comparison
     /// with random tapes.)
     #[test]
-    fn wheel_matches_heap_oracle_on_fixed_tape() {
-        let mut wheel = EventQueue::new();
-        let mut heap = oracle::HeapEventQueue::new();
+    fn heap_matches_scan_oracle_on_fixed_tape() {
+        let mut heap = EventQueue::new();
+        let mut scan = oracle::ScanEventQueue::new();
         let mut ids: Vec<(EventId, EventId)> = Vec::new();
         let mut x = 0x2545f4914f6cdd1du64; // splitmix-ish LCG tape
         let mut rand = move || {
@@ -860,33 +650,31 @@ mod tests {
             match rand() % 4 {
                 0 | 1 => {
                     let t = now + rand() % 2_000_000;
-                    let wid = wheel.schedule(SimTime(t), op);
                     let hid = heap.schedule(SimTime(t), op);
-                    ids.push((wid, hid));
+                    let sid = scan.schedule(SimTime(t), op);
+                    ids.push((hid, sid));
                 }
                 2 => {
                     now += rand() % 500_000;
                     loop {
-                        let w = wheel.pop_due(SimTime(now));
                         let h = heap.pop_due(SimTime(now));
-                        match (w, h) {
+                        let s = scan.pop_due(SimTime(now));
+                        match (h, s) {
                             (None, None) => break,
-                            (Some((wt, wv)), Some((ht, hv))) => {
-                                assert_eq!((wt, wv), (ht, hv), "pop divergence");
-                            }
-                            (w, h) => panic!("pop presence divergence: {w:?} vs {h:?}"),
+                            (Some(h), Some(s)) => assert_eq!(h, s, "pop divergence"),
+                            (h, s) => panic!("pop presence divergence: {h:?} vs {s:?}"),
                         }
                     }
                 }
                 _ => {
                     if !ids.is_empty() {
-                        let (wid, hid) = ids[(rand() % ids.len() as u64) as usize];
-                        assert_eq!(wheel.cancel(wid), heap.cancel(hid), "cancel divergence");
+                        let (hid, sid) = ids[(rand() % ids.len() as u64) as usize];
+                        assert_eq!(heap.cancel(hid), scan.cancel(sid), "cancel divergence");
                     }
                 }
             }
-            assert_eq!(wheel.len(), heap.len(), "len divergence");
-            assert_eq!(wheel.next_time(), heap.next_time(), "next_time divergence");
+            assert_eq!(heap.len(), scan.len(), "len divergence");
+            assert_eq!(heap.next_time(), scan.next_time(), "next_time divergence");
         }
     }
 }

@@ -108,10 +108,12 @@ const STATE_READY: u8 = 1;
 const STATE_ATTACHED: u8 = 2;
 const STATE_POISONED: u8 = 3;
 
-/// Total region size for a (possibly header-supplied) number of slots per
-/// ring, or `None` when no ring has that many.
-fn region_len_for(slots: usize) -> Option<usize> {
-    ring_bytes(slots)?.checked_mul(2)?.checked_add(HEADER_LEN)
+/// Bytes of one ring and of the whole region for a (possibly
+/// header-supplied) number of slots per ring, or `None` when no ring has
+/// that many.
+fn region_geometry(slots: usize) -> Option<(usize, usize)> {
+    let ring = ring_bytes(slots)?;
+    Some((ring, ring.checked_mul(2)?.checked_add(HEADER_LEN)?))
 }
 
 fn bad(msg: &str) -> io::Error {
@@ -135,6 +137,8 @@ pub(crate) struct ShmRegion {
     path: PathBuf,
     owner: bool,
     slots: usize,
+    /// `ring_bytes(slots)`, computed where the geometry was validated.
+    ring_bytes: usize,
 }
 
 impl Drop for ShmRegion {
@@ -230,7 +234,7 @@ pub fn create_region(path: &Path, link: &str, params: ChannelParams) -> io::Resu
         ));
     }
     let slots = params.queue_len.max(2);
-    let len = region_len_for(slots)
+    let (ring_bytes, len) = region_geometry(slots)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "queue length too large"))?;
     let file = OpenOptions::new()
         .read(true)
@@ -244,6 +248,7 @@ pub fn create_region(path: &Path, link: &str, params: ChannelParams) -> io::Resu
         path: path.to_path_buf(),
         owner: true,
         slots,
+        ring_bytes,
     };
     region.write_bytes(OFF_MAGIC, &SHM_MAGIC);
     region.write_bytes(OFF_VERSION, &[SHM_VERSION]);
@@ -367,8 +372,8 @@ fn probe_region(path: &Path) -> io::Result<Option<ShmRegion>> {
     // The mapping length must come from the header the creator wrote; an
     // inconsistent file (truncated, a ring too large for any region, or not
     // a SimBricks region at all) is an error, not a "keep polling".
-    let len = match region_len_for(slots) {
-        Some(len) if slots >= 2 && len as u64 == file_len => len,
+    let (ring_bytes, len) = match region_geometry(slots) {
+        Some((ring, len)) if slots >= 2 && len as u64 == file_len => (ring, len),
         _ => return Err(bad("shm region size inconsistent with its header")),
     };
     Ok(Some(ShmRegion {
@@ -376,6 +381,7 @@ fn probe_region(path: &Path) -> io::Result<Option<ShmRegion>> {
         path: path.to_path_buf(),
         owner: false,
         slots,
+        ring_bytes,
     }))
 }
 
@@ -415,7 +421,6 @@ impl std::fmt::Debug for ShmEndpoint {
 
 impl ShmEndpoint {
     fn new(region: Arc<ShmRegion>, side: Side, params: ChannelParams) -> Self {
-        let ring_bytes = ring_bytes(region.slots).expect("validated geometry");
         // Ring A→B first, then B→A; side A's close byte is the producer flag
         // of the former and the consumer flag of the latter.
         let a_to_b = RingMem {
@@ -426,7 +431,7 @@ impl ShmEndpoint {
             owner: region.clone(),
         };
         let b_to_a = RingMem {
-            slots: region.map.at(HEADER_LEN + ring_bytes),
+            slots: region.map.at(HEADER_LEN + region.ring_bytes),
             producer_closed: a_to_b.consumer_closed,
             consumer_closed: a_to_b.producer_closed,
             ..a_to_b.clone()
