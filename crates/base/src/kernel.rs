@@ -177,6 +177,9 @@ pub struct Kernel {
     /// Per-component packet-buffer arena, shared by every port attached to
     /// this kernel (and available to the model through [`Kernel::pool`]).
     pool: BufPool,
+    /// Whether any attached channel is unsynchronized (set by
+    /// [`Kernel::add_port`]).
+    has_unsync: bool,
     /// Hierarchical sync domains enabled (see [`Kernel::enable_hier_sync`]).
     hier: bool,
     /// Sealed domain membership: indices into `ports`, one vec per domain,
@@ -208,6 +211,7 @@ impl Kernel {
             wall_scale: None,
             wall_start: None,
             pool: BufPool::new(),
+            has_unsync: false,
             hier: false,
             domains: Vec::new(),
             domains_built: false,
@@ -220,6 +224,7 @@ impl Kernel {
     /// so pool counters aggregate per component.
     pub fn add_port(&mut self, mut chan: ChannelEnd) -> PortId {
         chan.set_pool(self.pool.clone());
+        self.has_unsync |= !chan.sync_enabled();
         self.ports.push(SyncPort::new(chan));
         PortId(self.ports.len() - 1)
     }
@@ -539,6 +544,8 @@ impl Kernel {
 
     /// Make bounded progress: process at most `max_steps` clock advances.
     /// Never blocks; returns [`StepOutcome::Blocked`] when waiting on peers.
+    /// Each call polls every port once, so a message that reaches a ring
+    /// during the call is seen by the next one.
     pub fn step(&mut self, model: &mut dyn Model, max_steps: usize) -> StepOutcome {
         if self.finished {
             return StepOutcome::Finished;
@@ -592,69 +599,45 @@ impl Kernel {
             self.build_domains();
         }
 
-        let mut progressed = false;
-        for _ in 0..max_steps {
+        let (mut progressed, mut moved) = (false, false);
+        for iter in 0..max_steps {
             if self.quit || self.stop_requested() {
                 self.do_finish(model);
                 return StepOutcome::Finished;
             }
 
-            let mut moved = false;
-            for p in &mut self.ports {
-                moved |= p.poll();
+            // Poll once per call. A message still on a ring carries a
+            // timestamp at or above its port's horizon, hence at or above
+            // the bound: nothing this call delivers (strictly below the
+            // bound) or promises (at or below it) can be overtaken by it.
+            if iter == 0 {
+                for p in &mut self.ports {
+                    moved |= p.poll();
+                }
+                // Unsynchronized channels deliver immediately (emulation
+                // mode); only a poll fills their pending queues.
+                if self.has_unsync && self.deliver_unsync(model) {
+                    progressed = true;
+                }
+                if self.quit {
+                    self.do_finish(model);
+                    return StepOutcome::Finished;
+                }
             }
 
-            // Unsynchronized channels deliver immediately (emulation mode).
-            if self.deliver_unsync(model) {
-                progressed = true;
-            }
-            if self.quit {
-                self.do_finish(model);
-                return StepOutcome::Finished;
-            }
-
-            // Strict bound for model-visible events: every synchronized peer
-            // must have promised a time strictly greater than the event time,
-            // which guarantees all same-time messages have already arrived
-            // and keeps delivery order deterministic.
+            // One fold over the synchronized ports. The bound is strict for
+            // model-visible events: every peer must have promised a time
+            // strictly greater than the event time, so all same-time
+            // messages have arrived and delivery order is deterministic.
+            // `t_model` is the earliest pending message or timer, `t_sync`
+            // the earliest SYNC due.
             let mut bound = SimTime::MAX;
-            if self.hier {
-                // O(domains) fold: one aggregate horizon per sync domain
-                // (every synchronized port belongs to exactly one domain).
-                for members in &self.domains {
-                    let mut dh = SimTime::MAX;
-                    for &i in members {
-                        dh = dh.min(self.ports[i].horizon());
-                    }
-                    bound = bound.min(dh);
-                }
-            } else {
-                for p in &self.ports {
-                    if p.sync_enabled() {
-                        bound = bound.min(p.horizon());
-                    }
-                }
-            }
-
-            // Earliest model-visible event (pending messages and timers).
-            let mut t_model = SimTime::MAX;
-            if let Some(t) = self.timers.next_time() {
-                t_model = t_model.min(t);
-            }
-            for p in &self.ports {
-                if p.sync_enabled() {
-                    if let Some(t) = p.next_pending() {
-                        t_model = t_model.min(t);
-                    }
-                }
-            }
-
-            // Earliest kernel-internal obligation (SYNC emission).
+            let mut t_model = self.timers.next_time().unwrap_or(SimTime::MAX);
             let mut t_sync = SimTime::MAX;
-            for p in &self.ports {
-                if let Some(t) = p.next_sync_due() {
-                    t_sync = t_sync.min(t);
-                }
+            for p in self.ports.iter().filter(|p| p.sync_enabled()) {
+                bound = bound.min(p.horizon());
+                t_model = t_model.min(p.next_pending().unwrap_or(SimTime::MAX));
+                t_sync = t_sync.min(p.next_sync_due().unwrap_or(SimTime::MAX));
             }
 
             // End of simulation: permitted once nothing model-visible remains
@@ -742,28 +725,23 @@ impl Kernel {
             }
             progressed = true;
 
-            // Emit any due SYNC messages at the new time. When this advance
-            // was (at least partly) driven by a SYNC obligation, batch: also
-            // emit on sibling ports whose SYNC becomes due within their
-            // coalescing slack, so staggered per-port timers collapse into
-            // one wakeup instead of several closely spaced advances.
+            // Emit the SYNCs due at the new time, if any. Batch: also emit on
+            // sibling ports whose SYNC becomes due within their coalescing
+            // slack, so staggered per-port timers collapse into one wakeup
+            // instead of several closely spaced advances.
             let now = self.now;
-            let sync_driven = can_sync && t_sync <= now;
-            if self.hier {
-                self.emit_hier_promises(false);
-            } else {
-                for p in &mut self.ports {
-                    let slack = if sync_driven {
-                        p.coalesce_slack()
-                    } else {
-                        SimTime::ZERO
-                    };
-                    p.maybe_send_sync_batched(now, slack);
+            if t_sync <= now {
+                if self.hier {
+                    self.emit_hier_promises(false);
+                } else {
+                    for p in &mut self.ports {
+                        p.maybe_send_sync_batched(now, p.coalesce_slack());
+                    }
                 }
             }
 
             // Deliver model-visible events due at the new time.
-            if can_model && t_model <= self.now {
+            if can_model && t_model <= now {
                 self.deliver_sync_msgs(model);
                 self.fire_timers(model);
             }
@@ -920,6 +898,15 @@ impl Kernel {
     }
 
     fn deliver_sync_msgs(&mut self, model: &mut dyn Model) {
+        // Poll once per call: nothing left on a ring may be due yet.
+        debug_assert!(
+            self.ports
+                .iter()
+                .all(|p| !p.sync_enabled() || p.next_raw().is_none_or(|t| t > self.now)),
+            "{}: an unpolled message is due at {}",
+            self.name,
+            self.now
+        );
         for i in 0..self.ports.len() {
             if !self.ports[i].sync_enabled() {
                 continue;
@@ -1180,6 +1167,66 @@ mod tests {
         }
         flag.store(true, Ordering::Relaxed);
         assert_eq!(k.step(&mut m, 16), StepOutcome::Finished);
+    }
+
+    /// A kernel wired to itself through one loopback channel: the one
+    /// topology in which a message reaches a ring during a `Sequential`
+    /// step call. Polled only at the next call, it must still be delivered
+    /// at its timestamp, in order, and the kernel must finish at `end`.
+    #[test]
+    fn loopback_kernel_delivers_its_own_messages_in_order() {
+        struct Echo {
+            out: PortId,
+            back: PortId,
+            to_send: u64,
+            got: Vec<(SimTime, PortId, SimTime)>,
+        }
+        impl Model for Echo {
+            fn init(&mut self, k: &mut Kernel) {
+                k.schedule_at(SimTime::ZERO, 0);
+            }
+            fn on_timer(&mut self, k: &mut Kernel, _token: u64) {
+                k.send(self.out, 1, b"ping");
+                self.to_send -= 1;
+                if self.to_send > 0 {
+                    k.schedule_in(SimTime::from_ns(70), 0);
+                }
+            }
+            fn on_msg(&mut self, k: &mut Kernel, port: PortId, msg: OwnedMsg) {
+                self.got.push((k.now(), port, msg.timestamp));
+                if port == self.back {
+                    k.send(self.back, 2, b"pong");
+                }
+            }
+        }
+        let (ca, cb) = channel_pair(ChannelParams::default_sync());
+        let end = SimTime::from_us(20);
+        let mut k = Kernel::new("loop", end);
+        let (out, back) = (k.add_port(ca), k.add_port(cb));
+        let mut m = Echo {
+            out,
+            back,
+            to_send: 40,
+            got: Vec::new(),
+        };
+        while !k.is_finished() {
+            if let StepOutcome::Blocked(hint) = k.step(&mut m, 64) {
+                assert!(hint.moved, "a loopback kernel deadlocked at {}", k.now());
+            }
+        }
+        assert_eq!(k.stats().final_time, end);
+        // Pings leave at i * 70 ns and arrive Δ = 500 ns later on `back`;
+        // each pong arrives on `out` another Δ after that.
+        let mut want: Vec<(SimTime, PortId)> = (0..40)
+            .flat_map(|i| {
+                let ping = SimTime::from_ns(i * 70 + 500);
+                [(ping, back), (ping + SimTime::from_ns(500), out)]
+            })
+            .collect();
+        want.sort();
+        let got: Vec<(SimTime, PortId)> = m.got.iter().map(|&(now, p, _)| (now, p)).collect();
+        assert_eq!(got, want, "delivered in timestamp order");
+        assert!(m.got.iter().all(|&(now, _, ts)| now == ts));
     }
 
     #[test]

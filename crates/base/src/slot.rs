@@ -18,7 +18,7 @@
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::pktbuf::{BufPool, PktBuf};
+use crate::pktbuf::PktBuf;
 use crate::time::SimTime;
 
 /// Maximum payload carried by one message slot.
@@ -177,17 +177,22 @@ impl OwnedMsg {
 
     /// Parse a message from its wire encoding. Returns the message and the
     /// number of bytes consumed, or `None` if `buf` does not contain a
-    /// complete message yet. The payload lands in a heap-backed buffer; hot
-    /// paths that decode in a loop should use
-    /// [`OwnedMsg::from_wire_pooled`] instead.
+    /// complete message yet. The payload lands in a heap-backed buffer.
     pub fn from_wire(buf: &[u8]) -> Option<(OwnedMsg, usize)> {
-        Self::decode_wire(buf, None)
-    }
-
-    /// Like [`OwnedMsg::from_wire`], but the payload is copied into a
-    /// segment from `pool` (no heap allocation on a warm pool).
-    pub fn from_wire_pooled(buf: &[u8], pool: &BufPool) -> Option<(OwnedMsg, usize)> {
-        Self::decode_wire(buf, Some(pool))
+        let (timestamp, ty, payload, used) = Self::peek_wire(buf)?;
+        let data = if payload.is_empty() {
+            PktBuf::empty()
+        } else {
+            PktBuf::from(payload)
+        };
+        Some((
+            OwnedMsg {
+                timestamp,
+                ty,
+                data,
+            },
+            used,
+        ))
     }
 
     /// Borrow a message straight out of its wire encoding without
@@ -205,26 +210,6 @@ impl OwnedMsg {
             return None;
         }
         Some((SimTime::from_ps(ts), ty, &buf[13..13 + len], 13 + len))
-    }
-
-    fn decode_wire(buf: &[u8], pool: Option<&BufPool>) -> Option<(OwnedMsg, usize)> {
-        let (timestamp, ty, payload, used) = Self::peek_wire(buf)?;
-        let data = if payload.is_empty() {
-            PktBuf::empty()
-        } else {
-            match pool {
-                Some(p) => p.copy_from_slice(payload),
-                None => PktBuf::from(payload),
-            }
-        };
-        Some((
-            OwnedMsg {
-                timestamp,
-                ty,
-                data,
-            },
-            used,
-        ))
     }
 }
 

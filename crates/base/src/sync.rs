@@ -472,7 +472,13 @@ impl SyncPort {
     /// Whether a raw (not yet polled) message is waiting on the incoming
     /// queue (a peek at its head slot).
     pub fn has_raw_input(&self) -> bool {
-        self.chan.peek_timestamp().is_some()
+        self.next_raw().is_some()
+    }
+
+    /// Timestamp of the raw (not yet polled) message at the head of the
+    /// incoming queue, if any.
+    pub fn next_raw(&self) -> Option<SimTime> {
+        self.chan.peek_timestamp()
     }
 
     /// Unconditionally emit a SYNC promise at local time `now` (checkpoint

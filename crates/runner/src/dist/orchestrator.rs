@@ -472,11 +472,13 @@ fn supervise(
         // 3. Deterministic fault injection on the fleet's minimum virtual
         // time.
         let min_virt = conns.iter().map(|c| c.virt).min().unwrap_or(base);
+        let mut killed = None;
         for action in rec.on_progress(min_virt) {
             match action {
                 FaultAction::Kill(partition) => {
                     if let Some(i) = opts.partitions.iter().position(|p| *p == partition) {
                         let _ = guard.children[i].kill();
+                        killed = Some(i);
                     }
                 }
                 FaultAction::Sever(link) => {
@@ -504,6 +506,19 @@ fn supervise(
                     }
                 }
             }
+        }
+
+        // A kill ends the attempt even when the victim has already reported
+        // (or its result is still in flight): its exit is the failure that
+        // recovery handles, never a teardown error after reporting.
+        if let Some(i) = killed {
+            let status = guard.children[i]
+                .wait()
+                .map_or_else(|e| e.to_string(), |s| s.to_string());
+            return Err(DistError::WorkerExited {
+                partition: opts.partitions[i].clone(),
+                status,
+            });
         }
 
         // 4. Done when every partition has reported.

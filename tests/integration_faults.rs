@@ -10,6 +10,8 @@
 //! * `kill_worker` + checkpoint ring → restore-and-resume, on both channel
 //!   transports (tcp, shm);
 //! * `kill_worker` without a ring → clean restart from zero, same identity;
+//! * `kill_worker` that comes due after its victim has reported → the same
+//!   recovery, not a teardown failure;
 //! * `sever_link` → fleet restart with proxy re-handshake;
 //! * an exhausted restart budget → typed failure carrying the recovery
 //!   report, with every worker process reaped (no orphans).
@@ -18,6 +20,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use simbricks::apps::{NetperfClient, NetperfServer};
+use simbricks::base::{Kernel, Model, OwnedMsg, PortId, SnapReader, SnapResult, SnapWriter};
 use simbricks::hostsim::{HostConfig, HostKind};
 use simbricks::netsim::{SwitchBm, SwitchConfig};
 use simbricks::runner::dist::{
@@ -149,6 +152,89 @@ fn kill_worker_recovers_from_ring_shm() {
     if simbricks::runner::shm_supported() {
         assert_kill_recovers(TransportKind::Shm, "kill-shm");
     }
+}
+
+/// A component with no ports that logs a tick every 10 µs of virtual time.
+/// With `pace` set, each tick also sleeps for that much wall time, which
+/// makes its partition slow without changing what it simulates.
+struct Ticker {
+    ticks: u64,
+    pace: Option<Duration>,
+}
+
+impl Model for Ticker {
+    fn init(&mut self, k: &mut Kernel) {
+        k.schedule_at(SimTime::ZERO, 0);
+    }
+    fn on_msg(&mut self, _k: &mut Kernel, _port: PortId, _msg: OwnedMsg) {}
+    fn on_timer(&mut self, k: &mut Kernel, _token: u64) {
+        k.log("tick", self.ticks, 0);
+        self.ticks += 1;
+        if let Some(pace) = self.pace {
+            std::thread::sleep(pace);
+        }
+        k.schedule_in(SimTime::from_us(10), 0);
+    }
+    fn snapshot(&self, w: &mut SnapWriter) -> SnapResult<()> {
+        w.u64(self.ticks);
+        Ok(())
+    }
+    fn restore(&mut self, r: &mut SnapReader) -> SnapResult<()> {
+        self.ticks = r.u64()?;
+        Ok(())
+    }
+}
+
+/// Two partitions that share no link: "p0" ticks slowly in wall time when
+/// the scenario is `"paced"`, "p1" always runs flat out. So p1 finishes and
+/// reports long before p0 reaches the middle of the run.
+fn unlinked_build(scenario: &str, pb: &mut PartitionBuilder) {
+    pb.init(Experiment::new("faults-unlinked", end_time()).with_logging());
+    let pace = (scenario == "paced").then(|| Duration::from_micros(500));
+    for (p, pace) in [("p0", pace), ("p1", None)] {
+        let ticker = Box::new(Ticker { ticks: 0, pace });
+        pb.add(p, format!("ticker-{p}"), ticker, Vec::new());
+    }
+}
+
+/// Hidden worker entry for [`unlinked_build`].
+#[test]
+#[ignore = "internal: entry point for dist-test worker subprocesses"]
+fn unlinked_worker_entry() {
+    dist::maybe_worker(&unlinked_build);
+}
+
+/// A kill that comes due after its victim has reported must still be
+/// recovered, not fail the run at teardown. p1 reports within milliseconds,
+/// while p0 needs about 150 ms of wall time to reach the kill time.
+#[test]
+fn kill_after_victim_reported_recovers() {
+    let local = dist::run_local("", &unlinked_build, Execution::Sequential);
+    let (fp, n) = (local.merged_log().fingerprint(), local.merged_log().len());
+    let ring_dir = tmp_ring("kill-late");
+    let _ = std::fs::remove_dir_all(&ring_dir);
+    let opts = DistOptions::new(vec!["p0".into(), "p1".into()], "paced")
+        .with_worker_args(vec![
+            "unlinked_worker_entry".into(),
+            "--exact".into(),
+            "--include-ignored".into(),
+            "--nocapture".into(),
+        ])
+        .with_heartbeat(Duration::from_millis(5))
+        .with_checkpoint_ring(SimTime::from_ms(1), 0, &ring_dir)
+        .with_faults(vec![FaultSpec {
+            at: SimTime::from_ms(3),
+            kind: FaultKind::KillWorker {
+                partition: "p1".into(),
+            },
+        }])
+        .with_max_restarts(1);
+    let r = dist::run_distributed(&opts, &unlinked_build).expect("late kill recovers");
+    let merged = r.merged_log();
+    assert_eq!((fp, n), (merged.fingerprint(), merged.len()));
+    assert_eq!(r.recovery.faults_injected.len(), 1);
+    assert_eq!(r.recovery.restarts, 1, "{}", r.recovery);
+    let _ = std::fs::remove_dir_all(&ring_dir);
 }
 
 /// Without a ring there is nothing to restore: recovery must fall back to a
@@ -321,14 +407,9 @@ fn exhausted_restarts_fail_cleanly_without_orphans() {
         } => {
             assert_eq!(*restarts, 0);
             assert_eq!(report.faults_injected.len(), 1, "report records the fault");
-            // The kill races detection: the supervisor may see the process
-            // exit or the control-socket EOF first. Either is the worker's
-            // death, correctly classified.
+            // A kill ends the attempt as the victim's exit.
             assert!(
-                matches!(
-                    **last,
-                    DistError::WorkerExited { .. } | DistError::ControlLost { .. }
-                ),
+                matches!(**last, DistError::WorkerExited { .. }),
                 "underlying failure is the killed worker, got: {last}"
             );
         }
