@@ -6,7 +6,7 @@
 //! writes by a configurable ratio, runs for a fixed virtual duration, and
 //! reports IOPS plus latency statistics.
 
-use simbricks_base::SimTime;
+use simbricks_base::{Rng, SimTime};
 use simbricks_hostsim::{BlockApp, BlockCompletion, BlockOsServices};
 
 /// Access pattern of the workload.
@@ -53,7 +53,7 @@ const TOK_END: u64 = 1;
 /// The workload driver.
 pub struct FioWorkload {
     cfg: FioConfig,
-    rng: u64,
+    rng: Rng,
     next_id: u64,
     next_lba: u64,
     issued: u64,
@@ -70,7 +70,7 @@ pub struct FioWorkload {
 impl FioWorkload {
     pub fn new(cfg: FioConfig) -> Self {
         FioWorkload {
-            rng: cfg.seed | 1,
+            rng: Rng::new(cfg.seed | 1),
             cfg,
             next_id: 0,
             next_lba: 0,
@@ -86,14 +86,6 @@ impl FioWorkload {
         }
     }
 
-    fn next_u64(&mut self) -> u64 {
-        // xorshift64*: deterministic, seedable, good enough for offsets.
-        self.rng ^= self.rng >> 12;
-        self.rng ^= self.rng << 25;
-        self.rng ^= self.rng >> 27;
-        self.rng.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
     fn pick_lba(&mut self) -> u64 {
         let span = self
             .cfg
@@ -106,7 +98,7 @@ impl FioWorkload {
                 self.next_lba = (self.next_lba + self.cfg.blocks_per_cmd as u64) % span;
                 lba
             }
-            AccessPattern::Random => self.next_u64() % span,
+            AccessPattern::Random => self.rng.below(span),
         }
     }
 
@@ -116,7 +108,7 @@ impl FioWorkload {
         }
         let id = self.next_id;
         let lba = self.pick_lba();
-        let is_read = (self.next_u64() % 100) < self.cfg.read_percent as u64;
+        let is_read = self.rng.below(100) < self.cfg.read_percent as u64;
         let ok = if is_read {
             os.read(id, lba, self.cfg.blocks_per_cmd)
         } else {

@@ -198,12 +198,11 @@ impl<T> EventQueue<T> {
     }
 }
 
-/// The reference queue for the differential tests, in-crate and under the
-/// `proptest` feature: a `Vec` scanned linearly for the least (time, seq),
-/// with cancelled entries removed on the spot. Obviously correct and sharing
-/// no code with [`EventQueue`]; same public surface, same per-queue sequence
-/// numbering and the same cancel contract.
-#[cfg(any(test, feature = "proptest"))]
+/// The reference queue for the differential tests: a `Vec` scanned linearly
+/// for the least (time, seq), with cancelled entries removed on the spot.
+/// Obviously correct and sharing no code with [`EventQueue`]; same public
+/// surface, same per-queue sequence numbering and the same cancel contract.
+#[cfg(test)]
 pub mod oracle {
     use super::EventId;
     use crate::snap::{SnapReader, SnapResult, SnapWriter};
@@ -316,39 +315,12 @@ pub mod oracle {
 /// produce identical pop sequences, cancel outcomes, lengths, and next-event
 /// times, and restored queues must encode the same (time, seq, payload)
 /// order.
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use proptest::prelude::*;
-
+#[cfg(test)]
+mod properties {
     use super::oracle::ScanEventQueue;
     use super::*;
+    use crate::impair::check_cases;
     use crate::snap::{SnapReader, SnapWriter};
-
-    #[derive(Clone, Debug)]
-    enum Op {
-        /// Schedule at `now + delta` (saturating; huge deltas reach far
-        /// into the future, up to `SimTime::MAX`).
-        Schedule(u64),
-        /// Advance `now` by the delta and pop everything due on both queues.
-        Advance(u64),
-        /// Cancel the id-pair at this index (mod the live list).
-        Cancel(usize),
-        /// Snapshot both queues and replace them by their restored copies.
-        SnapRestore,
-    }
-
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            4 => prop_oneof![
-                (0u64..5_000).prop_map(Op::Schedule),
-                (0u64..u64::MAX / 2).prop_map(Op::Schedule),
-                Just(Op::Schedule(u64::MAX)),
-            ],
-            3 => (0u64..100_000).prop_map(Op::Advance),
-            2 => any::<usize>().prop_map(Op::Cancel),
-            1 => Just(Op::SnapRestore),
-        ]
-    }
 
     /// Decode a snapshot into its (time, seq, payload) sequence. Both
     /// queues number their events the same way, so the seqs must agree too.
@@ -365,47 +337,53 @@ mod proptests {
         out
     }
 
-    proptest! {
-        #[test]
-        fn heap_equals_scan_oracle(
-            ops in proptest::collection::vec(op_strategy(), 1..300),
-        ) {
+    /// Tapes of up to 299 operations, weighted 4 : 3 : 2 : 1:
+    /// - schedule at `now + delta` (saturating; one in three deltas is
+    ///   small, one reaches far into the future, one is `u64::MAX`);
+    /// - advance `now` by `0..100_000` and pop everything due on both;
+    /// - cancel a random id-pair among those scheduled so far;
+    /// - snapshot both queues and replace them by their restored copies.
+    #[test]
+    fn heap_equals_scan_oracle() {
+        check_cases("heap_equals_scan_oracle", 0xe7e47, 256, |rng| {
             let mut heap: EventQueue<u64> = EventQueue::new();
             let mut scan: ScanEventQueue<u64> = ScanEventQueue::new();
             let mut ids: Vec<(EventId, EventId)> = Vec::new();
             let mut now = 0u64;
             let mut payload = 0u64;
-            for op in ops {
-                match op {
-                    Op::Schedule(delta) => {
+            for _ in 0..1 + rng.below(299) {
+                match rng.below(10) {
+                    0..=3 => {
+                        let delta = match rng.below(3) {
+                            0 => rng.below(5_000),
+                            1 => rng.below(u64::MAX / 2),
+                            _ => u64::MAX,
+                        };
                         let t = SimTime(now.saturating_add(delta));
                         let hid = heap.schedule(t, payload);
                         let sid = scan.schedule(t, payload);
                         payload += 1;
                         ids.push((hid, sid));
                     }
-                    Op::Advance(delta) => {
-                        now = now.saturating_add(delta);
+                    4..=6 => {
+                        now = now.saturating_add(rng.below(100_000));
                         loop {
                             let h = heap.pop_due(SimTime(now));
                             let s = scan.pop_due(SimTime(now));
-                            prop_assert_eq!(h, s, "pop divergence at now={}", now);
+                            assert_eq!(h, s, "pop divergence at now={now}");
                             if h.is_none() {
                                 break;
                             }
                         }
                     }
-                    Op::Cancel(i) => {
+                    7 | 8 => {
+                        let i = rng.next_u64() as usize;
                         if !ids.is_empty() {
                             let (hid, sid) = ids[i % ids.len()];
-                            prop_assert_eq!(
-                                heap.cancel(hid),
-                                scan.cancel(sid),
-                                "cancel divergence"
-                            );
+                            assert_eq!(heap.cancel(hid), scan.cancel(sid), "cancel divergence");
                         }
                     }
-                    Op::SnapRestore => {
+                    _ => {
                         let mut hw = SnapWriter::new();
                         heap.snapshot_with(&mut hw, |v, w| w.u64(*v)).unwrap();
                         let hbuf = hw.into_vec();
@@ -414,7 +392,7 @@ mod proptests {
                         let sbuf = sw.into_vec();
                         // Identical live sets in identical (time, seq)
                         // order — the restored tie-break ordering.
-                        prop_assert_eq!(decode(&hbuf), decode(&sbuf));
+                        assert_eq!(decode(&hbuf), decode(&sbuf));
                         let mut r = SnapReader::new(&hbuf);
                         heap = EventQueue::restore_with(&mut r, |r| r.u64()).unwrap();
                         let mut r = SnapReader::new(&sbuf);
@@ -423,19 +401,19 @@ mod proptests {
                         // queues (seqs are preserved by the encoding).
                     }
                 }
-                prop_assert_eq!(heap.len(), scan.len(), "len divergence");
-                prop_assert_eq!(heap.next_time(), scan.next_time(), "next_time divergence");
+                assert_eq!(heap.len(), scan.len(), "len divergence");
+                assert_eq!(heap.next_time(), scan.next_time(), "next_time divergence");
             }
             // Full drain: the tails must agree event for event.
             loop {
                 let h = heap.pop_due(SimTime::MAX);
                 let s = scan.pop_due(SimTime::MAX);
-                prop_assert_eq!(h, s, "drain divergence");
+                assert_eq!(h, s, "drain divergence");
                 if h.is_none() {
                     break;
                 }
             }
-        }
+        });
     }
 }
 
@@ -631,8 +609,8 @@ mod tests {
 
     /// Differential check against the linear-scan oracle: a fixed
     /// pseudo-random operation tape produces identical pop sequences and
-    /// cancel outcomes. (The `proptest` feature drives the same comparison
-    /// with random tapes.)
+    /// cancel outcomes. (`properties::heap_equals_scan_oracle` drives the
+    /// same comparison with seeded random tapes.)
     #[test]
     fn heap_matches_scan_oracle_on_fixed_tape() {
         let mut heap = EventQueue::new();

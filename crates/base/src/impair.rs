@@ -3,11 +3,11 @@
 //! Real fabrics are not clean. To evaluate protocols (DCTCP vs. L4S, loss
 //! masking, AQM behaviour) the channel layer can apply a configurable
 //! [`Impairment`] to every data message a [`SyncPort`](crate::sync::SyncPort)
-//! sends. All decisions are driven by a seeded xorshift PRNG that advances
-//! **only on data sends** — never on SYNC traffic, whose emission timing is
-//! executor-dependent — so the impaired packet sequence is a pure function of
-//! the virtual-time history and the seed, and merged event logs stay
-//! bit-identical across executors, transports and checkpoint/restore.
+//! sends. All decisions are driven by a seeded [`Rng`] (xorshift64*) that
+//! advances **only on data sends** — never on SYNC traffic, whose emission
+//! timing is executor-dependent — so the impaired packet sequence is a pure
+//! function of the virtual-time history and the seed, and merged event logs
+//! stay bit-identical across executors, transports and checkpoint/restore.
 //!
 //! Monotonicity: the §5.5 protocol requires per-channel timestamps to be
 //! non-decreasing (every timestamp is a promise). Impairments therefore only
@@ -236,6 +236,60 @@ pub fn mix_seed(seed: u64, tag: u64) -> u64 {
     (seed ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
 }
 
+/// The workspace's seeded PRNG: xorshift64*, dependency-free. Impairments,
+/// AQM disciplines and workload generators each own one and snapshot its
+/// [`state`](Rng::state) as a plain `u64`; the property suites draw their
+/// inputs from it (see [`check_cases`]). A zero state stays zero, so seed
+/// it through [`mix_seed`] or force the low bit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Rng(u64);
+
+impl Rng {
+    /// A generator resuming from `state` (a seed, or a snapshotted state).
+    pub const fn new(state: u64) -> Self {
+        Rng(state)
+    }
+
+    /// Advance the state and return the next output.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.0 = x;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// The next output reduced into `0..n` (`next_u64() % n`; `n > 0`).
+    #[inline]
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
+    }
+
+    /// The current state, as [`Rng::new`] takes it back.
+    pub fn state(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Run a property over `cases` seeded cases, case `i` drawing its inputs
+/// from `Rng::new(mix_seed(seed, i))`. A failing case panics naming the
+/// suite, the seed and the case index, which is all it takes to replay it;
+/// there is no shrinking.
+pub fn check_cases(suite: &str, seed: u64, cases: u64, mut property: impl FnMut(&mut Rng)) {
+    for case in 0..cases {
+        let mut rng = Rng::new(mix_seed(seed, case));
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| property(&mut rng)));
+        if let Err(cause) = run {
+            let msg = (cause.downcast_ref::<String>().map(String::as_str))
+                .or_else(|| cause.downcast_ref::<&str>().copied())
+                .unwrap_or("");
+            panic!("{suite}: seed {seed:#x} case {case} failed: {msg}");
+        }
+    }
+}
+
 /// FNV-1a over a string — the workspace-standard way to derive per-entity
 /// seeds (per link, per switch) from a global scenario seed plus a name, so
 /// every partition of a distributed run derives identical streams.
@@ -255,8 +309,8 @@ pub struct ImpairState {
     /// Configuration (from the channel parameters at construction).
     // snap-skip: configuration, re-derived from the channel on restore
     cfg: Impairment,
-    /// xorshift64* stream state; advances only on data sends.
-    rng: u64,
+    /// Decision stream; advances only on data sends.
+    rng: Rng,
     /// Gilbert–Elliott chain state: currently in the bad (lossy) state.
     in_bad: bool,
     /// One-slot reorder holdback: a packet waiting for its successor to
@@ -277,7 +331,7 @@ impl ImpairState {
     pub fn new(cfg: Impairment, dir: u8) -> Self {
         ImpairState {
             cfg,
-            rng: mix_seed(cfg.seed, dir as u64),
+            rng: Rng::new(mix_seed(cfg.seed, dir as u64)),
             in_bad: false,
             deferred: None,
             lost: 0,
@@ -308,17 +362,8 @@ impl ImpairState {
         self.reordered += 1;
     }
 
-    fn draw(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
     fn draw_permille(&mut self) -> u16 {
-        (self.draw() % 1000) as u16
+        self.rng.below(1000) as u16
     }
 
     /// Per-packet loss decision (advances the Gilbert–Elliott chain).
@@ -351,7 +396,7 @@ impl ImpairState {
         let mut extra: u64 = 0;
         let jit = self.cfg.jitter_max.as_ps();
         if jit > 0 {
-            extra += self.draw() % (jit + 1);
+            extra += self.rng.below(jit + 1);
         }
         let period = self.cfg.rate_period.as_ps();
         let rmax = self.cfg.rate_jitter_max.as_ps();
@@ -379,7 +424,7 @@ impl ImpairState {
 
 impl Snapshot for ImpairState {
     fn snapshot(&self, w: &mut SnapWriter) -> SnapResult<()> {
-        w.u64(self.rng);
+        w.u64(self.rng.state());
         w.bool(self.in_bad);
         match &self.deferred {
             Some((ts, ty, payload)) => {
@@ -397,7 +442,7 @@ impl Snapshot for ImpairState {
     }
 
     fn restore(&mut self, r: &mut SnapReader) -> SnapResult<()> {
-        self.rng = r.u64()?;
+        self.rng = Rng::new(r.u64()?);
         self.in_bad = r.bool()?;
         self.deferred = if r.bool()? {
             let ts = r.time()?;

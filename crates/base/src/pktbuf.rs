@@ -894,100 +894,80 @@ mod tests {
         assert_eq!(b, b"headtail");
     }
 
-    #[cfg(feature = "proptest")]
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// One random operation against the buffer-vs-model pair.
-        #[derive(Clone, Debug)]
-        enum Op {
-            Extend(Vec<u8>),
-            Prepend(Vec<u8>),
-            Truncate(usize),
-            Advance(usize),
-            Slice(usize, usize),
-            CloneIt,
-            DropClone,
-            Mutate(u8),
-        }
-
-        fn op_strategy() -> impl Strategy<Value = Op> {
-            prop_oneof![
-                // Up to 2.5 KiB at a time, so that a sequence walks the
-                // buffer through every class and past the largest into the
-                // heap.
-                proptest::collection::vec(any::<u8>(), 0..2500).prop_map(Op::Extend),
-                proptest::collection::vec(any::<u8>(), 0..64).prop_map(Op::Prepend),
-                (0usize..300).prop_map(Op::Truncate),
-                (0usize..300).prop_map(Op::Advance),
-                (0usize..100, 0usize..100).prop_map(|(a, b)| Op::Slice(a, b)),
-                Just(Op::CloneIt),
-                Just(Op::DropClone),
-                any::<u8>().prop_map(Op::Mutate),
-            ]
-        }
-
-        proptest! {
-            /// Random split/chain/clone/drop/mutate sequences behave exactly
-            /// like a `Vec<u8>` model, clones stay isolated under mutation,
-            /// and the freelist never leaks or double-frees a segment (a
-            /// double-free or use-after-recycle would corrupt the contents
-            /// checked after every step, or abort).
-            #[test]
-            fn pktbuf_matches_vec_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
-                let pool = BufPool::new();
-                // Start in the smallest class, so extends cross every class
-                // boundary.
-                let mut buf = pool.copy_from_slice(&[]);
-                let mut model: Vec<u8> = Vec::new();
-                let mut clones: Vec<(PktBuf, Vec<u8>)> = Vec::new();
-                for op in ops {
-                    match op {
-                        Op::Extend(d) => { buf.extend_from_slice(&d); model.extend_from_slice(&d); }
-                        Op::Prepend(d) => {
-                            buf.prepend(&d);
-                            let mut m = d.clone();
-                            m.extend_from_slice(&model);
-                            model = m;
-                        }
-                        Op::Truncate(n) => { buf.truncate(n); model.truncate(n.min(model.len())); }
-                        Op::Advance(n) => {
-                            buf.advance(n);
-                            let n = n.min(model.len());
-                            model.drain(..n);
-                        }
-                        Op::Slice(a, b) => {
-                            let (a, b) = (a.min(model.len()), b.min(model.len()));
-                            let (a, b) = (a.min(b), a.max(b));
-                            let s = buf.slice(a, b);
-                            prop_assert_eq!(s.as_slice(), &model[a..b]);
-                        }
-                        Op::CloneIt => clones.push((buf.clone(), model.clone())),
-                        Op::DropClone => { clones.pop(); }
-                        Op::Mutate(v) => {
-                            if !model.is_empty() {
-                                buf.make_mut()[0] = v;
-                                model[0] = v;
-                            }
+    /// Random split/chain/clone/drop/mutate sequences of up to 59
+    /// operations behave exactly like a `Vec<u8>` model, clones stay
+    /// isolated under mutation, and the freelist never leaks or
+    /// double-frees a segment (a double-free or use-after-recycle would
+    /// corrupt the contents checked after every step, or abort).
+    #[test]
+    fn pktbuf_matches_vec_model() {
+        crate::impair::check_cases("pktbuf_matches_vec_model", 0xb0f, 256, |rng| {
+            fn bytes(rng: &mut crate::Rng, max: u64) -> Vec<u8> {
+                (0..rng.below(max)).map(|_| rng.next_u64() as u8).collect()
+            }
+            let pool = BufPool::new();
+            // Start in the smallest class, so extends cross every class
+            // boundary.
+            let mut buf = pool.copy_from_slice(&[]);
+            let mut model: Vec<u8> = Vec::new();
+            let mut clones: Vec<(PktBuf, Vec<u8>)> = Vec::new();
+            for _ in 0..1 + rng.below(59) {
+                match rng.below(8) {
+                    // Up to 2.5 KiB at a time, so that a sequence walks the
+                    // buffer through every class and past the largest into
+                    // the heap.
+                    0 => {
+                        let d = bytes(rng, 2500);
+                        buf.extend_from_slice(&d);
+                        model.extend_from_slice(&d);
+                    }
+                    1 => {
+                        let d = bytes(rng, 64);
+                        buf.prepend(&d);
+                        model.splice(0..0, d);
+                    }
+                    2 => {
+                        let n = rng.below(300) as usize;
+                        buf.truncate(n);
+                        model.truncate(n);
+                    }
+                    3 => {
+                        let n = rng.below(300) as usize;
+                        buf.advance(n);
+                        model.drain(..n.min(model.len()));
+                    }
+                    4 => {
+                        let a = (rng.below(100) as usize).min(model.len());
+                        let b = (rng.below(100) as usize).min(model.len());
+                        let (a, b) = (a.min(b), a.max(b));
+                        assert_eq!(buf.slice(a, b).as_slice(), &model[a..b]);
+                    }
+                    5 => clones.push((buf.clone(), model.clone())),
+                    6 => {
+                        clones.pop();
+                    }
+                    _ => {
+                        let v = rng.next_u64() as u8;
+                        if !model.is_empty() {
+                            buf.make_mut()[0] = v;
+                            model[0] = v;
                         }
                     }
-                    prop_assert_eq!(buf.as_slice(), model.as_slice());
                 }
-                // Clones were never disturbed by mutations of the original.
-                for (c, m) in &clones {
-                    prop_assert_eq!(c.as_slice(), m.as_slice());
-                }
-                drop(buf);
-                drop(clones);
-                // Every class's freelist stays within its bound — segments
-                // are recycled at most once (a double recycle would blow past
-                // the number of live allocations long before tripping the
-                // bound).
-                for (class, free) in free_per_class().into_iter().enumerate() {
-                    prop_assert!(free <= max_free(class));
-                }
+                assert_eq!(buf.as_slice(), model.as_slice());
             }
-        }
+            // Clones were never disturbed by mutations of the original.
+            for (c, m) in &clones {
+                assert_eq!(c.as_slice(), m.as_slice());
+            }
+            drop(buf);
+            drop(clones);
+            // Every class's freelist stays within its bound — segments are
+            // recycled at most once (a double recycle would blow past the
+            // number of live allocations long before tripping the bound).
+            for (class, free) in free_per_class().into_iter().enumerate() {
+                assert!(free <= max_free(class));
+            }
+        });
     }
 }

@@ -250,6 +250,7 @@ impl Snapshot for PhysMem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simbricks_base::Rng;
 
     /// `len` bytes at `addr`, read out.
     fn read(m: &PhysMem, addr: u64, len: usize) -> Vec<u8> {
@@ -293,23 +294,6 @@ mod tests {
         read(&m, 0x1ff0, 0x20);
     }
 
-    /// SplitMix64: a seeded, dependency-free source of test addresses.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d1_049b_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-    }
-
     /// Random writes and reads of 0 to 9 216 bytes, crossing chunk edges,
     /// behave exactly like a flat byte array, before and after a snapshot
     /// round trip. The size is not a multiple of a chunk, so the short last
@@ -319,10 +303,10 @@ mod tests {
         const SIZE: usize = (1 << 18) + 100;
         let mut m = PhysMem::new(SIZE);
         let mut model = vec![0u8; SIZE];
-        let mut rng = Rng(0x5eed);
+        let mut rng = Rng::new(0x5eed);
         for step in 0..4000u32 {
-            let len = rng.below(9217);
-            let addr = rng.below(SIZE - len + 1);
+            let len = rng.below(9217) as usize;
+            let addr = rng.below((SIZE - len + 1) as u64) as usize;
             if step % 3 == 0 {
                 assert_eq!(read(&m, addr as u64, len), model[addr..addr + len]);
             } else {

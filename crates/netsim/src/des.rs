@@ -20,7 +20,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use simbricks_base::{Kernel, Model, OwnedMsg, PktBuf, PortId, SimTime};
+use simbricks_base::{Kernel, Model, OwnedMsg, PktBuf, PortId, Rng, SimTime};
 use simbricks_eth::{send_packet, serialization_delay, EthPacket};
 use simbricks_netstack::{NetStack, SocketEvent, StackConfig};
 use simbricks_proto::{frame_dst, frame_src, Ecn, Ipv4Header, MacAddr, ETH_HEADER_LEN};
@@ -163,7 +163,7 @@ struct LinkDir {
     busy_until: SimTime,
     departing: bool,
     /// Deterministic per-direction generator for RED/DualPI2 decisions.
-    red_rng: u64,
+    red_rng: Rng,
     /// CoDel: when sojourn first exceeded target (ZERO = not above).
     first_above: SimTime,
     /// CoDel: next scheduled drop while in the dropping state.
@@ -187,7 +187,7 @@ impl LinkDir {
             queued_bytes: 0,
             busy_until: SimTime::ZERO,
             departing: false,
-            red_rng: seed.wrapping_mul(0x9e3779b97f4a7c15) | 1,
+            red_rng: Rng::new(seed.wrapping_mul(0x9e3779b97f4a7c15) | 1),
             first_above: SimTime::ZERO,
             drop_next: SimTime::ZERO,
             drop_count: 0,
@@ -198,21 +198,14 @@ impl LinkDir {
         }
     }
 
-    fn draw(&mut self) -> u64 {
-        self.red_rng ^= self.red_rng >> 12;
-        self.red_rng ^= self.red_rng << 25;
-        self.red_rng ^= self.red_rng >> 27;
-        self.red_rng.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    /// Next value in [0, 100) from the per-direction xorshift generator.
+    /// Next value in [0, 100) from the per-direction generator.
     fn red_draw(&mut self) -> u64 {
-        self.draw() % 100
+        self.red_rng.below(100)
     }
 
     /// Next value in [0, 1_000_000) (parts per million).
     fn draw_ppm(&mut self) -> u64 {
-        self.draw() % 1_000_000
+        self.red_rng.below(1_000_000)
     }
 }
 

@@ -10,7 +10,9 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use simbricks_base::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
-use simbricks_base::{mix_seed, Kernel, Model, OwnedMsg, PktBuf, PortId, SimTime, SyncLookahead};
+use simbricks_base::{
+    mix_seed, Kernel, Model, OwnedMsg, PktBuf, PortId, Rng, SimTime, SyncLookahead,
+};
 use simbricks_eth::{send_packet_buf, serialization_delay, EthPacket};
 use simbricks_proto::{frame_dst, frame_src, Ecn, Ipv4Header, MacAddr, ETH_HEADER_LEN};
 
@@ -69,8 +71,8 @@ pub enum Aqm {
 /// snapshotted: restore resumes the mark/drop sequence bit-identically.
 #[derive(Clone, Copy, Debug)]
 struct AqmState {
-    /// xorshift64* state for probabilistic disciplines.
-    rng: u64,
+    /// Decision stream of the probabilistic disciplines.
+    rng: Rng,
     /// CoDel: when sojourn first exceeded target (ZERO = not above).
     first_above: SimTime,
     /// CoDel: next scheduled drop while in dropping state.
@@ -90,7 +92,7 @@ struct AqmState {
 impl AqmState {
     fn new(seed: u64, port: usize) -> Self {
         AqmState {
-            rng: mix_seed(seed, port as u64),
+            rng: Rng::new(mix_seed(seed, port as u64)),
             first_above: SimTime::ZERO,
             drop_next: SimTime::ZERO,
             drop_count: 0,
@@ -101,18 +103,9 @@ impl AqmState {
         }
     }
 
-    fn draw(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
     /// Uniform draw in 0..1_000_000 (parts per million).
     fn draw_ppm(&mut self) -> u64 {
-        self.draw() % 1_000_000
+        self.rng.below(1_000_000)
     }
 }
 
@@ -645,7 +638,7 @@ impl Model for SwitchBm {
             w.time(q.busy_until);
             w.bool(q.departing);
             let st = &q.aqm_state;
-            w.u64(st.rng);
+            w.u64(st.rng.state());
             w.time(st.first_above);
             w.time(st.drop_next);
             w.u64(st.drop_count);
@@ -696,7 +689,7 @@ impl Model for SwitchBm {
             q.busy_until = r.time()?;
             q.departing = r.bool()?;
             let st = &mut q.aqm_state;
-            st.rng = r.u64()?;
+            st.rng = Rng::new(r.u64()?);
             st.first_above = r.time()?;
             st.drop_next = r.time()?;
             st.drop_count = r.u64()?;

@@ -212,6 +212,7 @@ pub fn frame_ecn(raw: &[u8]) -> Option<Ecn> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simbricks_base::impair::check_cases;
 
     /// Test helper: run a pass over plain byte-vector frames.
     fn coalesce_vecs(frames: Vec<Vec<u8>>) -> GroResult {
@@ -439,63 +440,62 @@ mod tests {
         assert_eq!(r.merged, 0);
     }
 
-    #[cfg(feature = "proptest")]
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        fn stream_payload(frame: &[u8]) -> Option<(Ecn, Vec<u8>)> {
-            let p = ParsedFrame::parse(frame).ok()?;
-            let ecn = p.ipv4?.ecn;
-            match p.l4 {
-                ParsedL4::Tcp { payload, .. } => Some((ecn, payload)),
-                _ => None,
-            }
+    fn stream_payload(frame: &[u8]) -> Option<(Ecn, Vec<u8>)> {
+        let p = ParsedFrame::parse(frame).ok()?;
+        let ecn = p.ipv4?.ecn;
+        match p.l4 {
+            ParsedL4::Tcp { payload, .. } => Some((ecn, payload)),
+            _ => None,
         }
+    }
 
-        proptest! {
-            /// GRO never loses, duplicates, or reorders stream bytes, never
-            /// mixes ECN codepoints within one coalesced segment, and never
-            /// produces more frames than it consumed.
-            #[test]
-            fn coalescing_preserves_the_byte_stream(
-                chunks in proptest::collection::vec((1usize..1400, any::<bool>()), 1..40)
-            ) {
-                // Build one contiguous TCP stream: chunk i carries `len`
-                // bytes of a recognisable pattern and is CE-marked when the
-                // bool is set (as a congested switch would).
-                let mut seq = 5000u32;
-                let mut wire = Vec::new();
-                let mut expected: Vec<u8> = Vec::new();
-                for (i, (len, marked)) in chunks.iter().enumerate() {
-                    let payload: Vec<u8> = (0..*len).map(|b| ((b + i * 31) % 251) as u8).collect();
-                    expected.extend_from_slice(&payload);
-                    let ecn = if *marked { Ecn::Ce } else { Ecn::Ect0 };
-                    wire.push(data_frame(seq, &payload, ecn, TcpFlags::ACK));
-                    seq = seq.wrapping_add(*len as u32);
-                }
-                let marked_bytes: usize = chunks.iter().filter(|(_, m)| *m).map(|(l, _)| *l).sum();
-
-                let r = coalesce_vecs(wire);
-                prop_assert_eq!(r.wire_frames, chunks.len());
-                prop_assert!(r.frames.len() <= chunks.len());
-                prop_assert_eq!(r.merged, chunks.len() - r.frames.len());
-
-                let mut reassembled = Vec::new();
-                let mut marked_out = 0usize;
-                for f in &r.frames {
-                    let (ecn, payload) = stream_payload(f).expect("coalesced frames stay valid TCP");
-                    if ecn == Ecn::Ce {
-                        marked_out += payload.len();
-                    }
-                    prop_assert!(payload.len() <= GRO_MAX_PAYLOAD);
-                    reassembled.extend_from_slice(&payload);
-                    // Checksums of rebuilt frames must verify.
-                    prop_assert!(ParsedFrame::parse(f).unwrap().checksums_ok);
-                }
-                prop_assert_eq!(reassembled, expected);
-                prop_assert_eq!(marked_out, marked_bytes, "CE-marked bytes are never transferred to unmarked segments");
+    /// GRO never loses, duplicates, or reorders stream bytes, never mixes
+    /// ECN codepoints within one coalesced segment, and never produces more
+    /// frames than it consumed.
+    #[test]
+    fn coalescing_preserves_the_byte_stream() {
+        check_cases("coalescing_preserves_the_byte_stream", 0x960, 256, |rng| {
+            // 1 to 39 chunks of 1 to 1399 bytes, each CE-marked or not.
+            let chunks: Vec<(usize, bool)> = (0..1 + rng.below(39))
+                .map(|_| (1 + rng.below(1399) as usize, rng.below(2) == 1))
+                .collect();
+            // Build one contiguous TCP stream: chunk i carries `len` bytes
+            // of a recognisable pattern and is CE-marked when the bool is
+            // set (as a congested switch would).
+            let mut seq = 5000u32;
+            let mut wire = Vec::new();
+            let mut expected: Vec<u8> = Vec::new();
+            for (i, (len, marked)) in chunks.iter().enumerate() {
+                let payload: Vec<u8> = (0..*len).map(|b| ((b + i * 31) % 251) as u8).collect();
+                expected.extend_from_slice(&payload);
+                let ecn = if *marked { Ecn::Ce } else { Ecn::Ect0 };
+                wire.push(data_frame(seq, &payload, ecn, TcpFlags::ACK));
+                seq = seq.wrapping_add(*len as u32);
             }
-        }
+            let marked_bytes: usize = chunks.iter().filter(|(_, m)| *m).map(|(l, _)| *l).sum();
+
+            let r = coalesce_vecs(wire);
+            assert_eq!(r.wire_frames, chunks.len());
+            assert!(r.frames.len() <= chunks.len());
+            assert_eq!(r.merged, chunks.len() - r.frames.len());
+
+            let mut reassembled = Vec::new();
+            let mut marked_out = 0usize;
+            for f in &r.frames {
+                let (ecn, payload) = stream_payload(f).expect("coalesced frames stay valid TCP");
+                if ecn == Ecn::Ce {
+                    marked_out += payload.len();
+                }
+                assert!(payload.len() <= GRO_MAX_PAYLOAD);
+                reassembled.extend_from_slice(&payload);
+                // Checksums of rebuilt frames must verify.
+                assert!(ParsedFrame::parse(f).unwrap().checksums_ok);
+            }
+            assert_eq!(reassembled, expected);
+            assert_eq!(
+                marked_out, marked_bytes,
+                "CE-marked bytes are never transferred to unmarked segments"
+            );
+        });
     }
 }

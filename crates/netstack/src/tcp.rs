@@ -1175,7 +1175,10 @@ fn tcp_state_from_u8(v: u8) -> SnapResult<TcpState> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simbricks_base::impair::check_cases;
     use simbricks_proto::Ipv4Addr;
+
+    const SEED: u64 = 0x7c9;
 
     fn addr(last: u8, port: u16) -> SocketAddr {
         SocketAddr::new(Ipv4Addr::new(10, 0, 0, last), port)
@@ -1839,98 +1842,115 @@ mod tests {
         assert!(ev.contains(&ConnEvent::Closed));
     }
 
-    #[cfg(feature = "proptest")]
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// The wrapping comparisons agree with arithmetic on unbounded
-            /// integers whenever the two sequence numbers are within half the
-            /// space of each other (the TCP validity window), including
-            /// across the u32 wrap.
-            #[test]
-            fn seq_compare_matches_unbounded_arithmetic(base in any::<u32>(), delta in 0u32..0x7fff_ffff) {
+    /// The wrapping comparisons agree with arithmetic on unbounded
+    /// integers whenever the two sequence numbers are within half the
+    /// space of each other (the TCP validity window), including across the
+    /// u32 wrap.
+    #[test]
+    fn seq_compare_matches_unbounded_arithmetic() {
+        check_cases(
+            "seq_compare_matches_unbounded_arithmetic",
+            SEED,
+            1024,
+            |rng| {
+                let base = rng.next_u64() as u32;
+                let delta = rng.below(0x7fff_ffff) as u32;
                 let b = base.wrapping_add(delta);
-                prop_assert!(seq_le(base, b));
-                prop_assert!(seq_ge(b, base));
-                prop_assert_eq!(seq_gt(b, base), delta != 0);
-                prop_assert_eq!(seq_le(b, base), delta == 0);
-            }
+                assert!(seq_le(base, b));
+                assert!(seq_ge(b, base));
+                assert_eq!(seq_gt(b, base), delta != 0);
+                assert_eq!(seq_le(b, base), delta == 0);
+            },
+        );
+    }
 
-            /// Reassembly is agnostic to where the stream sits in sequence
-            /// space: segments delivered in arbitrary order with an initial
-            /// receive sequence near u32::MAX reproduce the byte stream
-            /// exactly, with no loss or duplication across the wrap.
-            #[test]
-            fn ingest_reassembles_across_the_u32_wrap(
-                irs_back in 0u32..8000,
-                order in proptest::collection::vec(0usize..8, 8),
-            ) {
-                let (_c, mut s) = handshake(TcpConfig { mss: 1000, ..Default::default() });
-                // Rebase the receive side so the stream spans the wrap.
-                let irs = u32::MAX.wrapping_sub(irs_back);
-                s.rcv_nxt = irs;
-                let stream: Vec<u8> = (0..8000u32).map(|i| (i % 199) as u8).collect();
-                // Deliver the 8 1000-byte segments in the sampled order
-                // (duplicates in `order` exercise redundant delivery too),
-                // then in order to fill any holes.
-                for &idx in &order {
-                    deliver(&mut s, irs.wrapping_add((idx * 1000) as u32), &stream[idx * 1000..(idx + 1) * 1000]);
-                }
-                for idx in 0..8 {
-                    deliver(&mut s, irs.wrapping_add((idx * 1000) as u32), &stream[idx * 1000..(idx + 1) * 1000]);
-                }
-                prop_assert_eq!(s.rcv_nxt, irs.wrapping_add(8000));
-                let got = s.recv(usize::MAX);
-                prop_assert_eq!(got, stream);
-                prop_assert_eq!(s.ooo_bytes, 0);
+    /// Reassembly is agnostic to where the stream sits in sequence space:
+    /// segments delivered in arbitrary order with an initial receive
+    /// sequence near u32::MAX reproduce the byte stream exactly, with no
+    /// loss or duplication across the wrap.
+    #[test]
+    fn ingest_reassembles_across_the_u32_wrap() {
+        check_cases("ingest_reassembles_across_the_u32_wrap", SEED, 256, |rng| {
+            let irs_back = rng.below(8000) as u32;
+            let order: Vec<usize> = (0..8).map(|_| rng.below(8) as usize).collect();
+            let (_c, mut s) = handshake(TcpConfig {
+                mss: 1000,
+                ..Default::default()
+            });
+            // Rebase the receive side so the stream spans the wrap.
+            let irs = u32::MAX.wrapping_sub(irs_back);
+            s.rcv_nxt = irs;
+            let stream: Vec<u8> = (0..8000u32).map(|i| (i % 199) as u8).collect();
+            let seg = |idx: usize| {
+                (
+                    irs.wrapping_add((idx * 1000) as u32),
+                    &stream[idx * 1000..(idx + 1) * 1000],
+                )
+            };
+            // Deliver the 8 1000-byte segments in the sampled order
+            // (duplicates in `order` exercise redundant delivery too), then
+            // in order to fill any holes.
+            for idx in order.into_iter().chain(0..8) {
+                let (seq, data) = seg(idx);
+                deliver(&mut s, seq, data);
             }
+            assert_eq!(s.rcv_nxt, irs.wrapping_add(8000));
+            assert_eq!(s.recv(usize::MAX), stream);
+            assert_eq!(s.ooo_bytes, 0);
+        });
+    }
 
-            /// Snapshot round trip (`decode(encode(s)) == s`): a connection
-            /// driven into an arbitrary mid-transfer state — random payload,
-            /// random subset of segments delivered out of order — restores
-            /// with identical sequence space, buffers, reassembly runs, and
-            /// timer deadlines.
-            #[test]
-            fn tcp_conn_snapshot_roundtrip(
-                payload_len in 0usize..5000,
-                deliver_mask in any::<u16>(),
-            ) {
-                let cfg = TcpConfig { mss: 400, ..Default::default() };
-                let (mut c, mut s) = handshake(cfg);
-                let msg: Vec<u8> = (0..payload_len).map(|i| (i % 239) as u8).collect();
-                c.send(&msg);
-                let mut segs = Vec::new();
-                c.poll_output(SimTime::from_us(1), &mut segs);
-                for (i, seg) in segs.iter().enumerate().rev() {
-                    if deliver_mask & (1 << (i % 16)) != 0 {
-                        s.on_segment(SimTime::from_us(2), seg.ecn, &seg.hdr, &seg.payload,
-                                     &mut Vec::new(), &mut Vec::new());
-                    }
-                }
-                for conn in [&c, &s] {
-                    let mut w = SnapWriter::new();
-                    conn.snapshot(&mut w).unwrap();
-                    let buf = w.into_vec();
-                    let mut r = SnapReader::new(&buf);
-                    let back = TcpConn::restore(&mut r).unwrap();
-                    prop_assert!(r.is_empty(), "every byte consumed");
-                    prop_assert_eq!(back.state, conn.state);
-                    prop_assert_eq!(back.snd_una, conn.snd_una);
-                    prop_assert_eq!(back.snd_nxt, conn.snd_nxt);
-                    prop_assert_eq!(back.rcv_nxt, conn.rcv_nxt);
-                    prop_assert_eq!(&back.tx_buf, &conn.tx_buf);
-                    prop_assert_eq!(&back.rx_buf, &conn.rx_buf);
-                    prop_assert_eq!(&back.ooo, &conn.ooo);
-                    prop_assert_eq!(back.ooo_bytes, conn.ooo_bytes);
-                    prop_assert_eq!(back.cwnd, conn.cwnd);
-                    prop_assert_eq!(back.next_deadline(), conn.next_deadline());
-                    prop_assert_eq!(back.segs_sent, conn.segs_sent);
-                    prop_assert_eq!(back.bytes_received, conn.bytes_received);
+    /// Snapshot round trip (`decode(encode(s)) == s`): a connection driven
+    /// into an arbitrary mid-transfer state — random payload, random subset
+    /// of segments delivered out of order — restores with identical
+    /// sequence space, buffers, reassembly runs, and timer deadlines.
+    #[test]
+    fn tcp_conn_snapshot_roundtrip() {
+        check_cases("tcp_conn_snapshot_roundtrip", SEED, 256, |rng| {
+            let payload_len = rng.below(5000) as usize;
+            let deliver_mask = rng.next_u64() as u16;
+            let cfg = TcpConfig {
+                mss: 400,
+                ..Default::default()
+            };
+            let (mut c, mut s) = handshake(cfg);
+            let msg: Vec<u8> = (0..payload_len).map(|i| (i % 239) as u8).collect();
+            c.send(&msg);
+            let mut segs = Vec::new();
+            c.poll_output(SimTime::from_us(1), &mut segs);
+            for (i, seg) in segs.iter().enumerate().rev() {
+                if deliver_mask & (1 << (i % 16)) != 0 {
+                    s.on_segment(
+                        SimTime::from_us(2),
+                        seg.ecn,
+                        &seg.hdr,
+                        &seg.payload,
+                        &mut Vec::new(),
+                        &mut Vec::new(),
+                    );
                 }
             }
-        }
+            for conn in [&c, &s] {
+                let mut w = SnapWriter::new();
+                conn.snapshot(&mut w).unwrap();
+                let buf = w.into_vec();
+                let mut r = SnapReader::new(&buf);
+                let back = TcpConn::restore(&mut r).unwrap();
+                assert!(r.is_empty(), "every byte consumed");
+                assert_eq!(back.state, conn.state);
+                assert_eq!(back.snd_una, conn.snd_una);
+                assert_eq!(back.snd_nxt, conn.snd_nxt);
+                assert_eq!(back.rcv_nxt, conn.rcv_nxt);
+                assert_eq!(&back.tx_buf, &conn.tx_buf);
+                assert_eq!(&back.rx_buf, &conn.rx_buf);
+                assert_eq!(&back.ooo, &conn.ooo);
+                assert_eq!(back.ooo_bytes, conn.ooo_bytes);
+                assert_eq!(back.cwnd, conn.cwnd);
+                assert_eq!(back.next_deadline(), conn.next_deadline());
+                assert_eq!(back.segs_sent, conn.segs_sent);
+                assert_eq!(back.bytes_received, conn.bytes_received);
+            }
+        });
     }
 
     #[test]

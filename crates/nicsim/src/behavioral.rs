@@ -1046,67 +1046,65 @@ mod tests {
         assert!(segment_tso(&pool, &super_frame, 0).is_none());
     }
 
-    #[cfg(feature = "proptest")]
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
+    /// The TSO engine preserves the byte stream exactly for arbitrary
+    /// payload sizes and MSS values, respects the MSS on every wire segment,
+    /// and produces verifiable checksums.
+    #[test]
+    fn tso_roundtrip() {
+        use simbricks_base::impair::check_cases;
         use simbricks_proto::{
             FrameBuilder, Ipv4Addr, MacAddr, ParsedFrame, ParsedL4, TcpFlags, TcpHeader,
         };
 
-        proptest! {
-            /// The TSO engine preserves the byte stream exactly for arbitrary
-            /// payload sizes and MSS values, respects the MSS on every wire
-            /// segment, and produces verifiable checksums.
-            #[test]
-            fn tso_roundtrip(payload_len in 1usize..6000, mss in 100usize..2000, seq in any::<u32>()) {
-                let payload: Vec<u8> = (0..payload_len).map(|i| (i % 241) as u8).collect();
-                let hdr = TcpHeader {
-                    src_port: 7,
-                    dst_port: 8,
-                    seq,
-                    ack: 99,
-                    flags: TcpFlags::ACK | TcpFlags::PSH,
-                    window: 2000,
-                    mss: None, wscale: None,
+        check_cases("tso_roundtrip", 0x750, 256, |rng| {
+            let payload_len = 1 + rng.below(5999) as usize;
+            let mss = 100 + rng.below(1900) as usize;
+            let seq = rng.next_u64() as u32;
+            let payload: Vec<u8> = (0..payload_len).map(|i| (i % 241) as u8).collect();
+            let hdr = TcpHeader {
+                src_port: 7,
+                dst_port: 8,
+                seq,
+                ack: 99,
+                flags: TcpFlags::ACK | TcpFlags::PSH,
+                window: 2000,
+                mss: None,
+                wscale: None,
+            };
+            let frame = FrameBuilder::tcp(
+                MacAddr::from_index(1),
+                MacAddr::from_index(2),
+                Ipv4Addr::new(10, 0, 0, 1),
+                Ipv4Addr::new(10, 0, 0, 2),
+                simbricks_proto::Ecn::Ect0,
+                &hdr,
+                &payload,
+            );
+            let pool = simbricks_base::BufPool::new();
+            let Some(segs) = segment_tso(&pool, &frame.into(), mss) else {
+                assert!(payload_len <= mss, "only sub-MSS frames pass through");
+                return;
+            };
+            assert!(payload_len > mss);
+            assert_eq!(segs.len(), payload_len.div_ceil(mss));
+            let mut bytes = Vec::new();
+            for (i, seg) in segs.iter().enumerate() {
+                let p = ParsedFrame::parse(seg).unwrap();
+                assert!(p.checksums_ok);
+                let ParsedL4::Tcp {
+                    header,
+                    payload: chunk,
+                } = p.l4
+                else {
+                    panic!("segment is not TCP");
                 };
-                let frame = FrameBuilder::tcp(
-                    MacAddr::from_index(1),
-                    MacAddr::from_index(2),
-                    Ipv4Addr::new(10, 0, 0, 1),
-                    Ipv4Addr::new(10, 0, 0, 2),
-                    simbricks_proto::Ecn::Ect0,
-                    &hdr,
-                    &payload,
-                );
-                let pool = simbricks_base::BufPool::new();
-                match segment_tso(&pool, &frame.into(), mss) {
-                    None => prop_assert!(payload_len <= mss, "only sub-MSS frames pass through"),
-                    Some(segs) => {
-                        prop_assert!(payload_len > mss);
-                        prop_assert_eq!(segs.len(), payload_len.div_ceil(mss));
-                        let mut bytes = Vec::new();
-                        for (i, seg) in segs.iter().enumerate() {
-                            let p = ParsedFrame::parse(seg).unwrap();
-                            prop_assert!(p.checksums_ok);
-                            match p.l4 {
-                                ParsedL4::Tcp { header, payload: chunk } => {
-                                    prop_assert!(chunk.len() <= mss);
-                                    prop_assert_eq!(header.seq, seq.wrapping_add(bytes.len() as u32));
-                                    prop_assert_eq!(
-                                        header.flags.contains(TcpFlags::PSH),
-                                        i == segs.len() - 1
-                                    );
-                                    bytes.extend_from_slice(&chunk);
-                                }
-                                _ => prop_assert!(false, "segment is not TCP"),
-                            }
-                        }
-                        prop_assert_eq!(bytes, payload);
-                    }
-                }
+                assert!(chunk.len() <= mss);
+                assert_eq!(header.seq, seq.wrapping_add(bytes.len() as u32));
+                assert_eq!(header.flags.contains(TcpFlags::PSH), i == segs.len() - 1);
+                bytes.extend_from_slice(&chunk);
             }
-        }
+            assert_eq!(bytes, payload);
+        });
     }
 
     #[test]

@@ -20,46 +20,85 @@ pub use msg::{
 };
 pub use outstanding::OutstandingRequests;
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
+#[cfg(test)]
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use simbricks_base::impair::check_cases;
+    use simbricks_base::{PktBuf, Rng};
 
-    proptest! {
-        #[test]
-        fn dev_to_host_roundtrip(req_id in any::<u64>(), addr in any::<u64>(),
-                                 len in 0usize..2048,
-                                 data in proptest::collection::vec(any::<u8>(), 0..256),
-                                 vector in any::<u16>()) {
+    const SEED: u64 = 0x9c1e;
+
+    /// `lo..hi` bytes of generator output (`lo < hi`).
+    fn bytes(rng: &mut Rng, lo: u64, hi: u64) -> PktBuf {
+        (0..lo + rng.below(hi - lo))
+            .map(|_| rng.next_u64() as u8)
+            .collect::<Vec<_>>()
+            .into()
+    }
+
+    #[test]
+    fn dev_to_host_roundtrip() {
+        check_cases("dev_to_host_roundtrip", SEED, 256, |rng| {
+            let (req_id, addr) = (rng.next_u64(), rng.next_u64());
+            let len = rng.below(2048) as usize;
+            let data = bytes(rng, 0, 256);
+            let vector = rng.next_u64() as u16;
             let msgs = vec![
                 DevToHost::DmaRead { req_id, addr, len },
-                DevToHost::DmaWrite { req_id, addr, data: data.clone() },
-                DevToHost::MmioComplete { req_id, data: data.clone() },
-                DevToHost::Interrupt { kind: IntKind::Msix, vector },
-                DevToHost::Interrupt { kind: IntKind::Legacy, vector: 0 },
+                DevToHost::DmaWrite {
+                    req_id,
+                    addr,
+                    data: data.clone(),
+                },
+                DevToHost::MmioComplete { req_id, data },
+                DevToHost::Interrupt {
+                    kind: IntKind::Msix,
+                    vector,
+                },
+                DevToHost::Interrupt {
+                    kind: IntKind::Legacy,
+                    vector: 0,
+                },
             ];
             for m in msgs {
                 let (ty, payload) = m.encode();
-                let back = DevToHost::decode(ty, &payload).unwrap();
-                prop_assert_eq!(back, m);
+                assert_eq!(DevToHost::decode(ty, &payload).unwrap(), m);
             }
-        }
+        });
+    }
 
-        #[test]
-        fn host_to_dev_roundtrip(req_id in any::<u64>(), bar in 0u8..6,
-                                 offset in any::<u64>(), len in 1usize..64,
-                                 data in proptest::collection::vec(any::<u8>(), 1..64)) {
+    #[test]
+    fn host_to_dev_roundtrip() {
+        check_cases("host_to_dev_roundtrip", SEED, 256, |rng| {
+            let req_id = rng.next_u64();
+            let bar = rng.below(6) as u8;
+            let offset = rng.next_u64();
+            let len = 1 + rng.below(63) as usize;
+            let data = bytes(rng, 1, 64);
             let msgs = vec![
-                HostToDev::MmioRead { req_id, bar, offset, len },
-                HostToDev::MmioWrite { req_id, bar, offset, data: data.clone() },
-                HostToDev::DmaComplete { req_id, data: data.clone() },
-                HostToDev::IntStatus(IntStatus { legacy: true, msi: false, msix: true }),
+                HostToDev::MmioRead {
+                    req_id,
+                    bar,
+                    offset,
+                    len,
+                },
+                HostToDev::MmioWrite {
+                    req_id,
+                    bar,
+                    offset,
+                    data: data.clone(),
+                },
+                HostToDev::DmaComplete { req_id, data },
+                HostToDev::IntStatus(IntStatus {
+                    legacy: true,
+                    msi: false,
+                    msix: true,
+                }),
             ];
             for m in msgs {
                 let (ty, payload) = m.encode();
-                let back = HostToDev::decode(ty, &payload).unwrap();
-                prop_assert_eq!(back, m);
+                assert_eq!(HostToDev::decode(ty, &payload).unwrap(), m);
             }
-        }
+        });
     }
 }

@@ -840,37 +840,39 @@ mod tests {
     }
 }
 
-// Enable with `cargo add --dev proptest@1 -p simbricks-runner` and
-// `--features simbricks-runner/proptest` (the dependency is not vendored in
-// offline build environments; CI adds it on the fly).
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
+#[cfg(test)]
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use simbricks_base::impair::check_cases;
 
-    proptest! {
-        /// Ring pruning keeps exactly the newest `keep` checkpoint times for
-        /// any schedule (arbitrary order, duplicates collapsed), and keeps
-        /// everything when `keep == 0`.
-        #[test]
-        fn prune_plan_keeps_newest(times_ps in proptest::collection::btree_set(0u64..1_000_000, 0..64),
-                                   keep in 0usize..16) {
+    /// Ring pruning keeps exactly the newest `keep` checkpoint times for
+    /// any schedule (arbitrary order, duplicates collapsed), and keeps
+    /// everything when `keep == 0`.
+    #[test]
+    fn prune_plan_keeps_newest() {
+        check_cases("prune_plan_keeps_newest", 0xc4c, 256, |rng| {
+            // Up to 63 distinct times below 1 ms, in ascending order.
+            let times_ps: std::collections::BTreeSet<u64> =
+                (0..rng.below(64)).map(|_| rng.below(1_000_000)).collect();
+            let keep = rng.below(16) as usize;
             let times: Vec<SimTime> = times_ps.iter().map(|&t| SimTime::from_ps(t)).collect();
             let doomed = ring_prune_plan(&times, keep);
-            let mut survivors: Vec<SimTime> =
-                times.iter().copied().filter(|t| !doomed.contains(t)).collect();
+            let mut survivors: Vec<SimTime> = times
+                .iter()
+                .copied()
+                .filter(|t| !doomed.contains(t))
+                .collect();
             survivors.sort();
             if keep == 0 {
-                prop_assert!(doomed.is_empty());
+                assert!(doomed.is_empty());
             } else {
-                prop_assert_eq!(survivors.len(), times.len().min(keep));
+                assert_eq!(survivors.len(), times.len().min(keep));
                 // Survivors are exactly the newest `keep` times.
                 let mut sorted = times.clone();
                 sorted.sort();
-                let newest: Vec<SimTime> =
-                    sorted[sorted.len().saturating_sub(keep)..].to_vec();
-                prop_assert_eq!(survivors, newest);
+                let newest: Vec<SimTime> = sorted[sorted.len().saturating_sub(keep)..].to_vec();
+                assert_eq!(survivors, newest);
             }
-        }
+        });
     }
 }

@@ -347,3 +347,160 @@ pub(super) fn decode_result(payload: &[u8]) -> SnapResult<WorkerReport> {
         },
     )
 }
+
+#[cfg(test)]
+mod tests {
+    use super::super::run_local;
+    use super::super::tests::{encoded_part, two_partition_build};
+    use super::*;
+    use crate::experiment::Execution;
+
+    #[test]
+    fn frame_buf_reassembles_partial_and_batched_frames() {
+        let mut wire = Vec::new();
+        for (ty, payload) in [
+            (MSG_HEARTBEAT, &[1u8, 0, 0, 0, 0, 0, 0, 0][..]),
+            (MSG_DONE, &[]),
+        ] {
+            wire.extend_from_slice(&((payload.len() + 1) as u32).to_le_bytes());
+            wire.push(ty);
+            wire.extend_from_slice(payload);
+        }
+        let mut fb = FrameBuf::default();
+        // Feed one byte at a time: pop must only yield complete frames.
+        let mut got = Vec::new();
+        for b in &wire {
+            fb.push(&[*b]);
+            while let Ok(Some((ty, payload))) = fb.pop() {
+                got.push((ty, payload));
+            }
+        }
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0].0, MSG_HEARTBEAT);
+        assert_eq!(got[0].1, vec![1, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(got[1], (MSG_DONE, Vec::new()));
+        // A zero-length frame is a protocol error, not a hang.
+        fb.push(&[0, 0, 0, 0]);
+        assert!(fb.pop().is_err());
+    }
+
+    #[test]
+    fn decode_result_rejects_a_count_the_payload_cannot_hold() {
+        let mut frame = 1.5f64.to_bits().to_le_bytes().to_vec();
+        frame.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_result(&frame).is_err());
+        let r = run_local("", &two_partition_build, Execution::Sequential);
+        let rep =
+            decode_result(&encode_result(&r, &[0, 1]).unwrap()).expect("a real result decodes");
+        assert_eq!(rep.components.len(), 2);
+    }
+
+    #[test]
+    fn decode_result_accepts_a_payload_of_minimal_records() {
+        let n = 5;
+        let mut w = SnapWriter::new();
+        w.f64(0.25);
+        w.u32(n as u32);
+        for i in 0..n {
+            w.usize(i);
+            w.str("");
+            KernelStats::default().snapshot(&mut w).unwrap();
+            EventLog::default().snapshot(&mut w).unwrap();
+        }
+        let payload = w.into_vec();
+        assert_eq!(payload.len(), 8 + 4 + n * MIN_RESULT_RECORD);
+        let rep = decode_result(&payload).expect("minimal records decode");
+        assert_eq!(rep.components.len(), n);
+    }
+
+    /// `decode(bytes)` must fail, without panicking, on every strict prefix.
+    fn assert_prefixes_rejected<T>(bytes: &[u8], decode: impl Fn(&[u8]) -> SnapResult<T>) {
+        for n in 0..bytes.len() {
+            assert!(
+                decode(&bytes[..n]).is_err(),
+                "prefix {n}/{} decoded",
+                bytes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn addrs_payload_roundtrips_and_rejects_every_prefix() {
+        let addrs = vec![
+            ("up0".to_string(), "tcp:127.0.0.1:4242".to_string()),
+            ("up1".to_string(), "shm:/tmp/run/up1.shm".to_string()),
+        ];
+        let bytes = encode_addrs(&addrs);
+        assert_eq!(decode_addrs(&bytes).unwrap(), addrs);
+        assert_eq!(decode_addrs(&encode_addrs(&[])).unwrap(), vec![]);
+        assert_prefixes_rejected(&bytes, decode_addrs);
+        assert!(
+            decode_addrs(&[bytes.as_slice(), &[0]].concat()).is_err(),
+            "trailing byte"
+        );
+    }
+
+    #[test]
+    fn ckpt_payload_roundtrips_and_rejects_every_prefix() {
+        let bare = CkptConfig {
+            ring_period: SimTime::ZERO,
+            ring_keep: 0,
+            heartbeat: Duration::from_millis(25),
+            restore: None,
+        };
+        let full = CkptConfig {
+            ring_period: SimTime::from_us(2),
+            ring_keep: 3,
+            heartbeat: Duration::from_millis(250),
+            restore: Some(encoded_part("e", SimTime::from_us(4))),
+        };
+        for cfg in [bare, full] {
+            let bytes = cfg.encode();
+            assert_eq!(CkptConfig::decode(&bytes).unwrap(), cfg);
+            assert_prefixes_rejected(&bytes, CkptConfig::decode);
+        }
+        // A zero heartbeat period asks for the default.
+        let zero = CkptConfig {
+            ring_period: SimTime::ZERO,
+            ring_keep: 0,
+            heartbeat: Duration::ZERO,
+            restore: None,
+        };
+        assert_eq!(
+            CkptConfig::decode(&zero.encode()).unwrap().heartbeat,
+            DEFAULT_HEARTBEAT
+        );
+    }
+
+    #[test]
+    fn heartbeat_and_ring_payloads_roundtrip_and_reject_every_prefix() {
+        let beat = encode_heartbeat(123_456_789);
+        assert_eq!(decode_heartbeat(&beat).unwrap(), 123_456_789);
+        assert_prefixes_rejected(&beat, decode_heartbeat);
+
+        let blob = encoded_part("e", SimTime::from_us(5));
+        let ring = encode_ring(SimTime::from_us(5), &blob);
+        assert_eq!(decode_ring(&ring).unwrap(), (5_000_000, blob));
+        assert_prefixes_rejected(&ring, decode_ring);
+    }
+
+    #[test]
+    fn result_payload_roundtrips_and_rejects_every_prefix() {
+        let mut r = run_local("", &two_partition_build, Execution::Sequential);
+        for (i, log) in r.logs.iter_mut().enumerate() {
+            log.record(SimTime::from_ns(10), "rx", i as u64, 2);
+            log.record(SimTime::from_ns(20), "tx", 3, 4);
+        }
+        let bytes = encode_result(&r, &[4, 9]).unwrap();
+        let rep = decode_result(&bytes).unwrap();
+        assert_eq!(rep.wall_seconds, r.wall_seconds());
+        assert_eq!(rep.components.len(), 2);
+        for (i, (global, name, stats, log)) in rep.components.iter().enumerate() {
+            assert_eq!((*global, name), ([4, 9][i], &r.component_names[i]));
+            assert_eq!(*stats, r.stats[i]);
+            assert_eq!(log.len(), 2);
+            assert_eq!(log.entries(), r.logs[i].entries());
+        }
+        assert_prefixes_rejected(&bytes, decode_result);
+    }
+}

@@ -804,57 +804,50 @@ mod tests {
         assert!(!p1.to_str().unwrap().contains("a/b"));
     }
 
-    #[cfg(feature = "proptest")]
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
+    /// Random push/pop interleavings through the mmap ring behave exactly
+    /// like a VecDeque model: FIFO order, no loss, no duplication, Full
+    /// exactly when the model holds `queue_len` messages. 64 cases, few
+    /// enough for the ThreadSanitizer job.
+    #[test]
+    fn ring_matches_vecdeque_model() {
+        use simbricks_base::impair::check_cases;
         use std::collections::VecDeque;
 
-        proptest! {
-            /// Random push/pop interleavings through the mmap ring behave
-            /// exactly like a VecDeque model: FIFO order, no loss, no
-            /// duplication, Full exactly when the model holds `queue_len`
-            /// messages.
-            #[test]
-            fn ring_matches_vecdeque_model(
-                ops in proptest::collection::vec(any::<bool>(), 1..400),
-                qlen in 2usize..16,
-                payload_len in 0usize..64,
-            ) {
-                let path = temp_path("prop");
-                let params = ChannelParams::default_sync().with_queue_len(qlen);
-                let sd = ShutdownSignal::default();
-                let mut a = create_region(&path, "prop", params).unwrap();
-                let mut b = attach_region(&path, "prop", params, soon(), &sd).unwrap();
-                let mut model: VecDeque<OwnedMsg> = VecDeque::new();
-                let mut seq = 0u64;
-                for push in ops {
-                    if push {
-                        let msg = OwnedMsg::new(
-                            SimTime::from_ps(seq),
-                            (seq % 127 + 1) as u8,
-                            vec![(seq % 251) as u8; payload_len],
-                        );
-                        seq += 1;
-                        match a.push(&msg) {
-                            Ok(()) => model.push_back(msg),
-                            Err(SendError::Full) => {
-                                prop_assert_eq!(model.len(), qlen, "Full only when the model is full");
-                            }
-                            Err(e) => prop_assert!(false, "unexpected push error {:?}", e),
+        check_cases("ring_matches_vecdeque_model", 0x5a3, 64, |rng| {
+            let ops = 1 + rng.below(399);
+            let qlen = 2 + rng.below(14) as usize;
+            let payload_len = rng.below(64) as usize;
+            let path = temp_path("prop");
+            let params = ChannelParams::default_sync().with_queue_len(qlen);
+            let sd = ShutdownSignal::default();
+            let mut a = create_region(&path, "prop", params).unwrap();
+            let mut b = attach_region(&path, "prop", params, soon(), &sd).unwrap();
+            let mut model: VecDeque<OwnedMsg> = VecDeque::new();
+            let mut seq = 0u64;
+            for _ in 0..ops {
+                if rng.below(2) == 1 {
+                    let msg = OwnedMsg::new(
+                        SimTime::from_ps(seq),
+                        (seq % 127 + 1) as u8,
+                        vec![(seq % 251) as u8; payload_len],
+                    );
+                    seq += 1;
+                    match a.push(&msg) {
+                        Ok(()) => model.push_back(msg),
+                        Err(SendError::Full) => {
+                            assert_eq!(model.len(), qlen, "Full only when the model is full");
                         }
-                    } else {
-                        let got = b.pop();
-                        let want = model.pop_front();
-                        prop_assert_eq!(got, want, "pop matches the model exactly");
+                        Err(e) => panic!("unexpected push error {e:?}"),
                     }
+                } else {
+                    assert_eq!(b.pop(), model.pop_front(), "pop matches the model exactly");
                 }
-                // Drain: everything still queued comes out in order.
-                while let Some(want) = model.pop_front() {
-                    prop_assert_eq!(b.pop(), Some(want));
-                }
-                prop_assert_eq!(b.pop(), None);
             }
-        }
+            // Drain: everything still queued comes out in order.
+            while let Some(want) = model.pop_front() {
+                assert_eq!(b.pop(), Some(want));
+            }
+            assert_eq!(b.pop(), None);
+        });
     }
 }
